@@ -449,17 +449,16 @@ def cmd_report(run: Run) -> None:
 
     two_class = [k for k in kinds
                  if report["models"][k]["metrics"].get("auroc") is not None]
+
+    def curves(points):  # one (name, xs, ys) series per model, each curve computed once
+        return [(k, *map(list, zip(*points(timelines[k][1], timelines[k][2]))))
+                for k in two_class]
+
     if two_class:
-        line_chart(run.path("roc.svg"), "ROC curves (test)",
-                   [(k, [p[0] for p in roc_points(timelines[k][1], timelines[k][2])],
-                     [p[1] for p in roc_points(timelines[k][1], timelines[k][2])])
-                    for k in two_class],
+        line_chart(run.path("roc.svg"), "ROC curves (test)", curves(roc_points),
                    "false positive rate", "true positive rate",
                    xlim=(0.0, 1.0), ylim=(0.0, 1.0), diagonal=True, provenance=prov)
-        line_chart(run.path("pr.svg"), "Precision-recall curves (test)",
-                   [(k, [p[0] for p in pr_points(timelines[k][1], timelines[k][2])],
-                     [p[1] for p in pr_points(timelines[k][1], timelines[k][2])])
-                    for k in two_class],
+        line_chart(run.path("pr.svg"), "Precision-recall curves (test)", curves(pr_points),
                    "recall", "precision", xlim=(0.0, 1.0), ylim=(0.0, 1.05),
                    provenance=prov)
         outputs += ["roc.svg", "pr.svg"]

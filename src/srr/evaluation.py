@@ -75,6 +75,18 @@ def auroc_oracle(scores, labels) -> float | None:
     return num / float(pos.size * neg.size)
 
 
+def _tie_block_counts(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative (tp, fp) at the end of each tie block, scores descending.
+
+    Each distinct score is one threshold: tied scores enter as one block.
+    """
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))
+    tp = np.cumsum(y[order], dtype=np.int64)[ends]
+    return tp, ends + 1 - tp
+
+
 def auprc_step(scores, labels) -> float | None:
     """Average precision by step integration of the precision-recall curve.
 
@@ -85,27 +97,10 @@ def auprc_step(scores, labels) -> float | None:
     n_pos = int(np.count_nonzero(y))
     if n_pos == 0:
         return None
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    ap = 0.0
-    tp = fp = 0
-    recall_prev = 0.0
-    i = 0
-    n = s.size
-    while i < n:
-        j = i
-        while j + 1 < n and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        block = y_sorted[i:j + 1]
-        tp += int(np.count_nonzero(block))
-        fp += int(block.size - np.count_nonzero(block))
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        ap += (recall - recall_prev) * precision
-        recall_prev = recall
-        i = j + 1
-    return ap
+    tp, fp = _tie_block_counts(s, y)
+    recall = tp / n_pos
+    steps = np.diff(recall, prepend=0.0) * (tp / (tp + fp))
+    return float(np.cumsum(steps)[-1])  # a running sum, not np.sum's pairwise order
 
 
 def roc_points(scores, labels) -> list[tuple[float, float]]:
@@ -115,22 +110,8 @@ def roc_points(scores, labels) -> list[tuple[float, float]]:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC undefined for single-class labels")
-    order = np.argsort(-s, kind="stable")
-    y_sorted = y[order]
-    s_sorted = s[order]
-    pts = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < y.size:
-        j = i
-        while j + 1 < y.size and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        block = y_sorted[i:j + 1]
-        tp += int(np.count_nonzero(block))
-        fp += int(block.size - np.count_nonzero(block))
-        pts.append((fp / n_neg, tp / n_pos))
-        i = j + 1
-    return pts
+    tp, fp = _tie_block_counts(s, y)
+    return [(0.0, 0.0)] + list(zip((fp / n_neg).tolist(), (tp / n_pos).tolist()))
 
 
 def pr_points(scores, labels) -> list[tuple[float, float]]:
@@ -139,21 +120,8 @@ def pr_points(scores, labels) -> list[tuple[float, float]]:
     n_pos = int(np.count_nonzero(y))
     if n_pos == 0:
         raise DataError("PR curve undefined without positives")
-    order = np.argsort(-s, kind="stable")
-    y_sorted = y[order]
-    s_sorted = s[order]
-    pts = []
-    tp = fp = 0
-    i = 0
-    while i < y.size:
-        j = i
-        while j + 1 < y.size and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        block = y_sorted[i:j + 1]
-        tp += int(np.count_nonzero(block))
-        fp += int(block.size - np.count_nonzero(block))
-        pts.append((tp / n_pos, tp / (tp + fp)))
-        i = j + 1
+    tp, fp = _tie_block_counts(s, y)
+    pts = list(zip((tp / n_pos).tolist(), (tp / (tp + fp)).tolist()))
     return [(0.0, pts[0][1])] + pts
 
 

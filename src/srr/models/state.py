@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import MODEL_KINDS as KINDS
 from ..errors import DataError
 
 MODEL_FORMAT = "srr-model-v1"
-
-KINDS = ("logistic", "forest", "gcn", "temporal")
 
 __all__ = ["ModelState", "MODEL_FORMAT", "KINDS", "serialize", "deserialize", "parameter_count"]
 

@@ -110,9 +110,10 @@ def temporal_backward(dlogit: float, cache: dict, gcn_params: dict,
                       gru_params: dict) -> tuple[dict, dict]:
     """Backward through head, time, and every shared encoder.
 
-    Returns (gcn_grads, gru_grads) for one sequence.
+    Returns (gcn_grads, gru_grads) for one sequence. The two parameter
+    dicts may be one dict holding both groups.
     """
-    gru_grads = {name: np.zeros_like(arr) for name, arr in gru_params.items()}
+    gru_grads = {name: np.zeros_like(gru_params[name]) for name in GRU_TENSORS}
     gcn_grads = {name: np.zeros_like(gcn_params[name])
                  for name in ("w1", "b1", "w2", "b2")}
 

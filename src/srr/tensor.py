@@ -24,8 +24,6 @@ __all__ = [
     "as_matrix",
     "matmul",
     "add",
-    "hadamard",
-    "transpose",
     "row_mean",
     "relu",
     "relu_grad",
@@ -73,19 +71,6 @@ def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     except ValueError:
         raise ShapeError(f"add: shapes do not conform, {a.shape} + {b.shape}") from None
     return _finite("add", out)
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    try:
-        out = a * b
-    except ValueError:
-        raise ShapeError(f"hadamard: shapes do not conform, {a.shape} * {b.shape}") from None
-    return _finite("hadamard", out)
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(as_matrix(a).T)
 
 
 def row_mean(a: np.ndarray) -> np.ndarray:

@@ -7,10 +7,13 @@ are embargoed (no training sample's label window may cross into the test
 range). Model families and their sample grids:
 
     logistic / forest   one sample per labeled day (daily grid)
-    gcn                 one sample per labeled snapshot on the stride grid
     temporal            one sample per sequence of k consecutive sampled
                         snapshots whose final snapshot is labeled
+    gcn                 the k = 1 sequence: one sample per labeled snapshot
+                        on the stride grid
 
+Both graph kinds read the normalized adjacency A_hat of the stride-grid
+snapshots only; it is built once per bundle and shared between them.
 GNNs train with seeded shuffled mini-batches, Adam, and a fixed epoch
 count; the parameters from the best-mean-train-loss epoch are retained.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,7 +33,6 @@ from .graphs import GraphSnapshot, build_sequences
 from .models import (
     ModelState,
     adjacency_from_snapshot,
-    baselines,
     gcn_normalize,
     init_gcn,
     init_gru,
@@ -142,57 +145,54 @@ class DataBundle:
     snapshots: list[GraphSnapshot]
     split: SplitPlan
     macro_names: list[str] = field(default_factory=list)
+    # (graph settings, stride-grid snapshots, id -> A_hat), filled by _grid_a_hats
+    a_hat_cache: tuple = field(default=(), init=False, repr=False, compare=False)
 
 
 # -- sample assembly ---------------------------------------------------------
 
-def _labeled_day_indices(bundle: DataBundle, side: str) -> list[int]:
-    panel, split = bundle.panel, bundle.split
-    return [
-        t for t, d in enumerate(panel.dates)
-        if panel.label_valid[t] and split.side(d) == side
-    ]
-
-
 def _day_xy(bundle: DataBundle, side: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    idx = _labeled_day_indices(bundle, side)
+    panel = bundle.panel
+    idx = [t for t, d in enumerate(panel.dates)
+           if panel.label_valid[t] and bundle.split.side(d) == side]
     if not idx:
         raise DataError(f"no labeled {side} days available")
-    x = day_feature_matrix(bundle.panel, idx)
-    y = bundle.panel.graph_labels[idx].astype(np.float64)
-    return x, y, [bundle.panel.dates[t] for t in idx]
+    x = day_feature_matrix(panel, idx)
+    y = panel.graph_labels[idx].astype(np.float64)
+    return x, y, [panel.dates[t] for t in idx]
 
 
-def _normalized_inputs(bundle: DataBundle, settings: TrainSettings) -> dict[int, tuple]:
-    """id(snapshot) -> (A_hat, X); shared across overlapping sequences."""
-    table = {}
-    for snap in bundle.snapshots:
-        adj = adjacency_from_snapshot(snap, layers=settings.layers,
-                                      weighted=settings.weighted_adjacency)
-        table[id(snap)] = (gcn_normalize(adj), snap.node_features)
-    return table
+def _grid_a_hats(bundle: DataBundle, settings: TrainSettings) -> dict[int, np.ndarray]:
+    """id(snapshot) -> A_hat for the stride-grid snapshots, built once per bundle.
+
+    The cache keeps the snapshots it was built from and is rebuilt as soon as
+    the grid holds any other snapshot object, so it never serves a stale A_hat.
+    """
+    grid = bundle.snapshots[::settings.stride]
+    key = (tuple(settings.layers), settings.weighted_adjacency)
+    cached = bundle.a_hat_cache
+    if (not cached or cached[0] != key or len(cached[1]) != len(grid)
+            or any(a is not b for a, b in zip(cached[1], grid))):
+        table = {id(snap): gcn_normalize(adjacency_from_snapshot(
+                     snap, layers=settings.layers, weighted=settings.weighted_adjacency))
+                 for snap in grid}
+        cached = bundle.a_hat_cache = (key, grid, table)
+    return cached[2]
 
 
-def _gcn_samples(bundle: DataBundle, settings: TrainSettings, side: str,
-                 inputs: dict[int, tuple]) -> list[tuple]:
-    out = []
-    for snap in bundle.snapshots[::settings.stride]:
-        if snap.graph_label is None or bundle.split.side(snap.date) != side:
-            continue
-        a_hat, x = inputs[id(snap)]
-        out.append((a_hat, x, float(snap.graph_label), snap.date))
-    return out
+def _graph_samples(bundle: DataBundle, settings: TrainSettings, k: int,
+                   side: str) -> list[tuple]:
+    """(inputs, label, date) per labeled sequence of k stride-grid snapshots.
 
-
-def _temporal_samples(bundle: DataBundle, settings: TrainSettings, side: str,
-                      inputs: dict[int, tuple]) -> list[tuple]:
-    out = []
-    for seq in build_sequences(bundle.snapshots, k=settings.k, stride=settings.stride):
-        if seq.graph_label is None or bundle.split.side(seq.date) != side:
-            continue
-        pairs = [inputs[id(s)] for s in seq.snapshots]
-        out.append((pairs, float(seq.graph_label), seq.date))
-    return out
+    ``inputs`` lists each snapshot's (A_hat, X), oldest first; a snapshot
+    sample is the k = 1 sequence.
+    """
+    sequences = build_sequences(bundle.snapshots, k=k, stride=settings.stride)
+    a_hat = _grid_a_hats(bundle, settings)
+    return [([(a_hat[id(s)], s.node_features) for s in seq.snapshots],
+             float(seq.graph_label), seq.date)
+            for seq in sequences
+            if seq.graph_label is not None and bundle.split.side(seq.date) == side]
 
 
 def _check_two_classes(labels, kind: str) -> None:
@@ -207,7 +207,8 @@ def _train_minibatch(samples: list, params: dict, forward, backward, settings: T
                      seed: int, kind: str) -> tuple[dict, list[float], int]:
     """Shared shuffled-mini-batch Adam loop for both GNN families.
 
-    ``forward(sample, params) -> (prob, cache)``;
+    ``samples`` are (inputs, label, date) tuples;
+    ``forward(inputs, params) -> (prob, cache)``;
     ``backward(dlogit, cache, params) -> grads``.
     Returns (best parameters, per-epoch mean losses, best epoch index).
     """
@@ -215,7 +216,7 @@ def _train_minibatch(samples: list, params: dict, forward, backward, settings: T
     opt = tz.AdamState(lr=settings.lr)
     rng = tz.seeded_rng(seed, 11)
     n = len(samples)
-    targets_all = np.array([s[-2] if isinstance(s[0], list) else s[2] for s in samples])
+    targets_all = np.array([s[1] for s in samples])
     best_loss = np.inf
     best_params = {k: v.copy() for k, v in params.items()}
     best_epoch = -1
@@ -225,26 +226,17 @@ def _train_minibatch(samples: list, params: dict, forward, backward, settings: T
         epoch_loss = 0.0
         for start in range(0, n, settings.batch_size):
             chunk = perm[start:start + settings.batch_size]
-            probs, caches = [], []
-            for s_idx in chunk:
-                prob, cache = forward(samples[s_idx], params)
-                probs.append(prob)
-                caches.append(cache)
-            batch_targets = targets_all[chunk]
-            loss, dlogits = loss_fn(np.array(probs), batch_targets)
+            probs, caches = zip(*(forward(samples[i][0], params) for i in chunk))
+            loss, dlogits = loss_fn(np.array(probs), targets_all[chunk])
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"{kind}: training diverged at epoch {epoch}, batch {start // settings.batch_size}"
                     f" (loss={loss!r})"
                 )
-            grads = None
-            for dlogit, cache in zip(dlogits, caches):
-                g = backward(float(dlogit), cache, params)
-                if grads is None:
-                    grads = g
-                else:
-                    for name in grads:
-                        grads[name] += g[name]
+            grads = backward(float(dlogits[0]), caches[0], params)
+            for dlogit, cache in zip(dlogits[1:], caches[1:]):
+                for name, g in backward(float(dlogit), cache, params).items():
+                    grads[name] += g
             params = tz.adam_step(params, grads, opt)
             epoch_loss += loss * len(chunk)
         epoch_loss /= n
@@ -256,119 +248,111 @@ def _train_minibatch(samples: list, params: dict, forward, backward, settings: T
     return best_params, history, best_epoch
 
 
-# -- per-kind training --------------------------------------------------------
+# -- model kinds ----------------------------------------------------------------
+# The entries reach the model functions through this module's names when they
+# run, never at import, so a wrapper set on ``srr.training.<name>`` sees every call.
 
-def _split_param_groups(params: dict) -> tuple[dict, dict]:
-    gcn = {k: v for k, v in params.items() if k in ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")}
-    gru = {k: v for k, v in params.items() if k not in gcn}
-    return gcn, gru
+class _DayKind(NamedTuple):
+    """A kind fit on the daily feature rows of ``_day_xy``."""
 
+    fit: Callable  # (x, y, seed, **hyper) -> params
+    predict: Callable  # (params, x) -> scores
+    hyper: dict  # header key -> TrainSettings field; the keys are fit's keywords
+    bookkeeping: tuple[str, ...] = ()
+
+
+class _GraphKind(NamedTuple):
+    """A kind trained by ``_train_minibatch`` on sequences of stride-grid snapshots."""
+
+    k: Callable  # settings -> snapshots per sample
+    init: Callable  # (n_features, settings, seed) -> params
+    forward: Callable  # (inputs, params) -> (prob, cache)
+    backward: Callable  # (dlogit, cache, params) -> grads
+    hyper: dict  # header key -> TrainSettings field, besides _GRAPH_HYPER
+    noun: str  # what one sample is, for error messages
+    bookkeeping: tuple[str, ...] = ()
+
+
+_GRAPH_HYPER = {"hidden": "gcn_hidden", "epochs": "epochs", "batch_size": "batch_size",
+                "lr": "lr", "loss": "loss", "focal_gamma": "focal_gamma", "stride": "stride",
+                "weighted_adjacency": "weighted_adjacency"}
+
+
+def _logistic_fit(x, y, seed: int, **hyper) -> dict:
+    w, b = logistic_fit(x, y, **hyper)
+    return {"w": w, "b": np.array([b])}
+
+
+def _temporal_init(n_features: int, s: TrainSettings, seed: int) -> dict:
+    params = init_gcn(tz.seeded_rng(seed, 1), n_features, s.gcn_hidden, s.mlp_hidden)
+    params = {k: params[k] for k in ("w1", "b1", "w2", "b2")}
+    params.update(init_gru(tz.seeded_rng(seed, 2), s.gcn_hidden, s.gru_hidden))
+    return params
+
+
+_KINDS = {
+    "logistic": _DayKind(
+        fit=_logistic_fit,
+        predict=lambda p, x: logistic_predict(p["w"], float(p["b"][0]), x),
+        hyper={"lr": "logistic_lr", "max_epochs": "logistic_epochs", "tol": "logistic_tol"}),
+    "forest": _DayKind(
+        fit=lambda x, y, seed, **hyper: forest_fit(x, y, seed=seed, **hyper),
+        predict=lambda p, x: forest_predict(p, x),
+        hyper={"n_trees": "forest_trees", "max_depth": "forest_max_depth",
+               "min_leaf": "forest_min_leaf"},
+        bookkeeping=("feature_importance",)),
+    "gcn": _GraphKind(
+        k=lambda s: 1,
+        init=lambda n, s, seed: init_gcn(tz.seeded_rng(seed, 1), n, s.gcn_hidden, s.mlp_hidden),
+        forward=lambda inputs, p: gcn_forward(*inputs[0], p)[1:],
+        backward=lambda dlogit, cache, p: gcn_backward(dlogit, cache, p),
+        hyper={"mlp_hidden": "mlp_hidden"},
+        noun="snapshots"),
+    "temporal": _GraphKind(
+        k=lambda s: s.k,
+        init=_temporal_init,
+        forward=lambda inputs, p: temporal_forward(inputs, p, p),
+        backward=lambda dlogit, cache, p: {  # encoder grads, then GRU grads, in one dict
+            name: g for group in temporal_backward(dlogit, cache, p, p)
+            for name, g in group.items()},
+        hyper={"gru_hidden": "gru_hidden", "k": "k"},
+        noun="sequences"),
+}
+
+
+# -- training and scoring ---------------------------------------------------------
 
 def train(kind: str, bundle: DataBundle, settings: TrainSettings, seed: int) -> tuple[ModelState, dict]:
-    """Fit one model family; returns (state, training log)."""
-    std = bundle.panel.standardization
-    std_ref = std.to_dict() if std is not None else None
-    n_feat = bundle.panel.n_features + (0 if bundle.panel.macro is None else bundle.panel.macro.shape[1])
-
-    if kind == "logistic":
+    """Fit one model kind; returns (state, training log)."""
+    if kind not in _KINDS:
+        raise DataError(f"unknown model kind {kind!r}")
+    spec, panel = _KINDS[kind], bundle.panel
+    hyper = {key: getattr(settings, name) for key, name in spec.hyper.items()}
+    log = {"kind": kind}
+    if isinstance(spec, _DayKind):
         x, y, _ = _day_xy(bundle, "train")
         _check_two_classes(y, kind)
-        w, b = logistic_fit(x, y, lr=settings.logistic_lr,
-                            max_epochs=settings.logistic_epochs, tol=settings.logistic_tol)
-        state = ModelState(
-            kind=kind, params={"w": w, "b": np.array([b])},
-            hyper={"lr": settings.logistic_lr, "max_epochs": settings.logistic_epochs,
-                   "tol": settings.logistic_tol,
-                   "inputs": day_feature_names(bundle.panel)},
-            seed=seed, standardization=std_ref,
-        )
-        return state, {"kind": kind, "samples": int(y.size)}
-
-    if kind == "forest":
-        x, y, _ = _day_xy(bundle, "train")
-        _check_two_classes(y, kind)
-        params = forest_fit(x, y, n_trees=settings.forest_trees,
-                            max_depth=settings.forest_max_depth,
-                            min_leaf=settings.forest_min_leaf, seed=seed)
-        state = ModelState(
-            kind=kind, params=params,
-            hyper={"n_trees": settings.forest_trees, "max_depth": settings.forest_max_depth,
-                   "min_leaf": settings.forest_min_leaf,
-                   "inputs": day_feature_names(bundle.panel)},
-            seed=seed, standardization=std_ref,
-            bookkeeping=("feature_importance",),
-        )
-        return state, {"kind": kind, "samples": int(y.size)}
-
-    inputs = _normalized_inputs(bundle, settings)
-
-    if kind == "gcn":
-        samples = _gcn_samples(bundle, settings, "train", inputs)
+        params = spec.fit(x, y, seed, **hyper)
+        hyper["inputs"] = day_feature_names(panel)
+        log["samples"] = int(y.size)
+    else:
+        samples = _graph_samples(bundle, settings, spec.k(settings), "train")
         if not samples:
-            raise DataError("gcn: no labeled training snapshots on the stride grid")
-        _check_two_classes([s[2] for s in samples], kind)
-        params = init_gcn(tz.seeded_rng(seed, 1), n_feat, settings.gcn_hidden, settings.mlp_hidden)
-
-        def forward(sample, p):
-            a_hat, x, _, _ = sample
-            _, prob, cache = gcn_forward(a_hat, x, p)
-            return prob, cache
-
-        best, history, best_epoch = _train_minibatch(
-            samples, params, forward, gcn_backward, settings, seed, kind)
-        state = ModelState(
-            kind=kind, params=best,
-            hyper={"hidden": settings.gcn_hidden, "mlp_hidden": settings.mlp_hidden,
-                   "epochs": settings.epochs, "batch_size": settings.batch_size,
-                   "lr": settings.lr, "loss": settings.loss, "focal_gamma": settings.focal_gamma,
-                   "stride": settings.stride, "n_features": n_feat,
-                   "weighted_adjacency": settings.weighted_adjacency,
-                   "layers": list(settings.layers)},
-            seed=seed, standardization=std_ref,
-        )
-        return state, {"kind": kind, "samples": len(samples), "epoch_loss": history,
-                       "best_epoch": best_epoch}
-
-    if kind == "temporal":
-        samples = _temporal_samples(bundle, settings, "train", inputs)
-        if not samples:
-            raise DataError("temporal: no labeled training sequences on the stride grid")
+            raise DataError(f"{kind}: no labeled training {spec.noun} on the stride grid")
         _check_two_classes([s[1] for s in samples], kind)
-        params = init_gcn(tz.seeded_rng(seed, 1), n_feat, settings.gcn_hidden, settings.mlp_hidden)
-        params = {k: v for k, v in params.items() if k in ("w1", "b1", "w2", "b2")}
-        params.update(init_gru(tz.seeded_rng(seed, 2), settings.gcn_hidden, settings.gru_hidden))
+        n_feat = panel.n_features + (0 if panel.macro is None else panel.macro.shape[1])
+        params, log["epoch_loss"], log["best_epoch"] = _train_minibatch(
+            samples, spec.init(n_feat, settings, seed), spec.forward, spec.backward,
+            settings, seed, kind)
+        hyper.update({key: getattr(settings, name) for key, name in _GRAPH_HYPER.items()},
+                     n_features=n_feat, layers=list(settings.layers))
+        log["samples"] = len(samples)
+    std = panel.standardization
+    state = ModelState(kind=kind, params=params, hyper=hyper, seed=seed,
+                       standardization=None if std is None else std.to_dict(),
+                       bookkeeping=spec.bookkeeping)
+    return state, log
 
-        def forward(sample, p):
-            pairs, _, _ = sample
-            gcn_p, gru_p = _split_param_groups(p)
-            return temporal_forward(pairs, gcn_p, gru_p)
-
-        def backward(dlogit, cache, p):
-            gcn_p, gru_p = _split_param_groups(p)
-            g_gcn, g_gru = temporal_backward(dlogit, cache, gcn_p, gru_p)
-            g_gcn.update(g_gru)
-            return g_gcn
-
-        best, history, best_epoch = _train_minibatch(
-            samples, params, forward, backward, settings, seed, kind)
-        state = ModelState(
-            kind=kind, params=best,
-            hyper={"hidden": settings.gcn_hidden, "gru_hidden": settings.gru_hidden,
-                   "k": settings.k, "stride": settings.stride,
-                   "epochs": settings.epochs, "batch_size": settings.batch_size,
-                   "lr": settings.lr, "loss": settings.loss, "focal_gamma": settings.focal_gamma,
-                   "n_features": n_feat,
-                   "weighted_adjacency": settings.weighted_adjacency,
-                   "layers": list(settings.layers)},
-            seed=seed, standardization=std_ref,
-        )
-        return state, {"kind": kind, "samples": len(samples), "epoch_loss": history,
-                       "best_epoch": best_epoch}
-
-    raise DataError(f"unknown model kind {kind!r}")
-
-
-# -- scoring -------------------------------------------------------------------
 
 def predict_scores(state: ModelState, bundle: DataBundle, settings: TrainSettings,
                    side: str = "test") -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -376,32 +360,12 @@ def predict_scores(state: ModelState, bundle: DataBundle, settings: TrainSetting
 
     Returns (dates, scores, labels), chronologically ordered.
     """
-    if state.kind == "logistic":
+    spec = _KINDS[state.kind]  # ModelState accepts only known kinds
+    if isinstance(spec, _DayKind):
         x, y, dates = _day_xy(bundle, side)
-        return dates, logistic_predict(state.params["w"], float(state.params["b"][0]), x), y
-
-    if state.kind == "forest":
-        x, y, dates = _day_xy(bundle, side)
-        return dates, forest_predict(state.params, x), y
-
-    inputs = _normalized_inputs(bundle, settings)
-    if state.kind == "gcn":
-        samples = _gcn_samples(bundle, settings, side, inputs)
-        if not samples:
-            raise DataError(f"gcn: no labeled {side} snapshots on the stride grid")
-        dates = [s[3] for s in samples]
-        y = np.array([s[2] for s in samples])
-        scores = np.array([gcn_forward(a, x, state.params)[1] for a, x, _, _ in samples])
-        return dates, scores, y
-
-    if state.kind == "temporal":
-        samples = _temporal_samples(bundle, settings, side, inputs)
-        if not samples:
-            raise DataError(f"temporal: no labeled {side} sequences on the stride grid")
-        dates = [s[2] for s in samples]
-        y = np.array([s[1] for s in samples])
-        gcn_p, gru_p = _split_param_groups(state.params)
-        scores = np.array([temporal_forward(pairs, gcn_p, gru_p)[0] for pairs, _, _ in samples])
-        return dates, scores, y
-
-    raise DataError(f"unknown model kind {state.kind!r}")
+        return dates, spec.predict(state.params, x), y
+    samples = _graph_samples(bundle, settings, spec.k(settings), side)
+    if not samples:
+        raise DataError(f"{state.kind}: no labeled {side} {spec.noun} on the stride grid")
+    scores = np.array([spec.forward(inputs, state.params)[0] for inputs, _, _ in samples])
+    return [s[2] for s in samples], scores, np.array([s[1] for s in samples])

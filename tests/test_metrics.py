@@ -177,6 +177,58 @@ class TestCurvePoints:
             pr_points(np.array([0.2, 0.4]), np.array([0, 0]))
 
 
+def threshold_sweep_oracle(scores, labels):
+    """ROC points, PR points and AP from predicting score >= t at each distinct t.
+
+    Distinct thresholds come from a set of Python floats, so -0.0 and 0.0 are one.
+    """
+    n_pos = int(sum(labels))
+    n_neg = len(labels) - n_pos
+    roc, pr, ap, recall_prev = [(0.0, 0.0)], [], 0.0, 0.0
+    for t in sorted(set(scores.tolist()), reverse=True):
+        tp = sum(1 for s, y in zip(scores, labels) if s >= t and y == 1)
+        fp = sum(1 for s, y in zip(scores, labels) if s >= t and y == 0)
+        roc.append((fp / n_neg if n_neg else None, tp / n_pos if n_pos else None))
+        if n_pos:
+            pr.append((tp / n_pos, tp / (tp + fp)))
+            ap += (tp / n_pos - recall_prev) * (tp / (tp + fp))
+            recall_prev = tp / n_pos
+    return roc, ([(0.0, pr[0][1])] + pr if pr else None), (ap if n_pos else None)
+
+
+class TestTieBlocksAgainstThresholdSweep:
+    @staticmethod
+    def check(scores, labels):
+        roc, pr, ap = threshold_sweep_oracle(scores, labels)
+        assert auprc_step(scores, labels) == ap
+        if pr is not None:
+            assert pr_points(scores, labels) == pr
+        if 0 < int(labels.sum()) < labels.size:
+            assert roc_points(scores, labels) == roc
+
+    def test_integer_scores(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            self.check(rng.integers(0, 3, size=n).astype(np.float64),
+                       rng.integers(0, 2, size=n))
+
+    def test_all_equal_scores(self):
+        for labels in ([1], [0, 1], [1, 1, 0], [0, 0, 0, 1], [1, 0, 1, 0, 1]):
+            labels = np.array(labels)
+            self.check(np.full(labels.size, 0.7), labels)
+        assert roc_points(np.full(3, 0.7), np.array([1, 0, 1])) == [(0.0, 0.0), (1.0, 1.0)]
+
+    def test_signed_zeros_are_one_tie_block(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            n = int(rng.integers(1, 20))
+            self.check(rng.choice([-0.0, 0.0, 1.0, -1.0], size=n),
+                       rng.integers(0, 2, size=n))
+        scores = np.array([0.0, -0.0, -0.0, 0.0])
+        assert pr_points(scores, np.array([1, 0, 0, 0])) == [(0.0, 0.25), (1.0, 0.25)]
+
+
 class TestCrashWindows:
     def test_interior_and_trailing_runs(self):
         assert crash_windows(np.array([0, 1, 1, 0, 1])) == [(1, 2), (4, 4)]

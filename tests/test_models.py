@@ -294,6 +294,18 @@ class TestTemporal:
         fd_check(fn_gru, gru_p, ("wz", "uz", "bz", "wr", "ur", "br",
                                  "wn", "un", "bn", "w_out", "b_out"))
 
+    def test_one_dict_for_both_groups_gives_the_same_gradients(self):
+        seq, gcn_p, gru_p = temporal_setup(seed=9)
+        both = {**gcn_p, **gru_p}
+        prob, cache = temporal_forward(seq, gcn_p, gru_p)
+        prob_one, cache_one = temporal_forward(seq, both, both)
+        assert prob_one == prob
+        split = temporal_backward(prob - 1.0, cache, gcn_p, gru_p)
+        one = temporal_backward(prob - 1.0, cache_one, both, both)
+        for expected, got in zip(split, one):
+            assert set(got) == set(expected)
+            assert all(np.array_equal(got[k], expected[k]) for k in expected)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(14)
         seq, gcn_p, gru_p = temporal_setup(seed=14)

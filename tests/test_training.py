@@ -53,7 +53,7 @@ SMALL = TrainSettings(gcn_hidden=4, mlp_hidden=3, gru_hidden=4, k=2, stride=2,
                       logistic_epochs=100, forest_trees=5, forest_max_depth=3)
 
 
-def make_bundle(prices_panel=None, n_days=280, seed=5):
+def make_bundle(prices_panel=None, n_days=280, seed=5, tau=0.5):
     if prices_panel is None:
         dates, tickers, raw = planted_regime_panel(n_tickers=6, n_days=n_days, seed=seed)
         prices_panel = PricePanel(tickers=tickers, dates=dates, prices=raw)
@@ -62,7 +62,7 @@ def make_bundle(prices_panel=None, n_days=280, seed=5):
                           threshold=0.10, horizon=HORIZON)
     split = chronological_split(panel.dates, ratio=0.8, horizon=HORIZON)
     panel = standardize(panel, (split.train_dates[0], split.train_dates[-1]))
-    snapshots = build_snapshots(returns, panel, window=7, tau=0.5)
+    snapshots = build_snapshots(returns, panel, window=7, tau=tau)
     return DataBundle(panel=panel, snapshots=snapshots, split=split), prices_panel
 
 
@@ -107,7 +107,7 @@ class TestTrainingLoop:
         assert log["epoch_loss"][log["best_epoch"]] == min(log["epoch_loss"])
 
     def test_nonfinite_predictions_trapped_by_loss(self):
-        samples = [(None, None, 1.0, "d0"), (None, None, 0.0, "d1")]
+        samples = [(None, 1.0, "d0"), (None, 0.0, "d1")]
         with pytest.raises(NumericalError, match="non-finite"):
             _train_minibatch(samples, {"w": np.zeros(1)},
                              forward=lambda s, p: (float("nan"), None),
@@ -119,7 +119,7 @@ class TestTrainingLoop:
             def loss_fn(self):
                 return lambda probs, targets: (float("inf"), np.zeros_like(probs))
 
-        samples = [(None, None, 1.0, "d0"), (None, None, 0.0, "d1")]
+        samples = [(None, 1.0, "d0"), (None, 0.0, "d1")]
         with pytest.raises(NumericalError, match="diverged at epoch 0, batch 0"):
             _train_minibatch(samples, {"w": np.zeros(1)},
                              forward=lambda s, p: (0.5, None),
@@ -187,3 +187,31 @@ class TestNoLookahead:
             state_clean, _ = train(kind, clean_bundle, SMALL, seed=7)
             state_shift, _ = train(kind, shifted_bundle, SMALL, seed=7)
             assert serialize(state_clean) == serialize(state_shift), kind
+
+
+class TestGraphInputs:
+    def test_a_hat_built_once_per_grid_snapshot_and_never_stale(self, monkeypatch):
+        import srr.training as training
+        bundle, prices = make_bundle()
+        built = []
+        real = training.adjacency_from_snapshot
+        monkeypatch.setattr(training, "adjacency_from_snapshot",
+                            lambda snap, **kw: built.append(snap) or real(snap, **kw))
+
+        def scores(b):
+            return [predict_scores(state, b, SMALL, side=side)[1]
+                    for state in states for side in ("train", "test")]
+
+        states = [train(kind, bundle, SMALL, seed=7)[0] for kind in ("gcn", "temporal")]
+        before = scores(bundle)
+        grid = bundle.snapshots[::SMALL.stride]
+        assert len(built) == len(grid)
+        assert {id(s) for s in built} == {id(s) for s in grid}
+
+        other = make_bundle(prices_panel=prices, tau=0.3)[0]
+        bundle.snapshots = other.snapshots
+        after = scores(bundle)
+        fresh = scores(DataBundle(panel=bundle.panel, snapshots=other.snapshots,
+                                  split=bundle.split))
+        assert all(np.array_equal(a, f) for a, f in zip(after, fresh))
+        assert any(not np.array_equal(a, b) for a, b in zip(after, before))
