@@ -11,13 +11,14 @@ ranking metrics and warning lead times. Finishes in a few seconds.
 
 import numpy as np
 
+from srr.config import Config, ModelConfig
 from srr.evaluation import compute_metrics, lead_times
 from srr.features import attach_labels, compute_features, standardize
 from srr.graphs import build_sequences, build_snapshots
 from srr.market_data import PricePanel, log_returns
 from srr.models import parameter_count
 from srr.synthetic import planted_regime_panel
-from srr.training import DataBundle, TrainSettings, chronological_split, predict_scores, train
+from srr.training import DataBundle, chronological_split, predict_scores, train
 
 SEED = 7
 THRESHOLD = 0.10   # a crash = a 10% drawdown ...
@@ -65,7 +66,8 @@ def main():
     print("per-feature z-scores; train-range mean ~0, std ~1 by construction")
 
     section("6. Rolling rank-correlation graphs")
-    snapshots = build_snapshots(returns, feats, window=7, tau=0.5)
+    labels = [int(y) if v else None for y, v in zip(feats.graph_labels, valid)]
+    snapshots = build_snapshots(returns, feats.dates, labels, window=7, tau=0.5)
     edge_counts = [len(s.layers["correlation"]) for s in snapshots]
     print(f"{len(snapshots)} daily snapshots; |rho| >= 0.5 over a 7-day window "
           "makes an edge")
@@ -76,10 +78,10 @@ def main():
 
     section("7. Training four model families")
     bundle = DataBundle(panel=feats, snapshots=snapshots, split=split)
-    settings = TrainSettings(stride=1, epochs=6, forest_trees=10)
+    cfg = Config(model=ModelConfig(stride=1, epochs=6, forest_trees=10), seed=SEED)
     states = {}
     for kind in ("logistic", "forest", "gcn", "temporal"):
-        state, log = train(kind, bundle, settings, seed=SEED)
+        state, log = train(kind, bundle, cfg)
         states[kind] = state
         extra = (f", best epoch {log['best_epoch']}" if log.get("epoch_loss") else "")
         print(f"  {kind:<9} {parameter_count(state):>6} parameters, "
@@ -89,7 +91,7 @@ def main():
     print(f"{'model':<10}{'AUROC':>7}{'AUPRC':>7}{'recall':>7}{'FPR':>7}")
     scored = {}
     for kind, state in states.items():
-        dates_s, scores, labels = predict_scores(state, bundle, settings, side="test")
+        dates_s, scores, labels = predict_scores(state, bundle, side="test")
         scored[kind] = (dates_s, scores)
         m = compute_metrics(scores, labels)
         fmt = lambda v: "   --" if v is None else f"{v:7.3f}"

@@ -26,8 +26,7 @@ from .models import (ModelState, adjacency_from_snapshot, day_feature_names,
                      logistic_predict, parameter_count, serialize,
                      temporal_forward)
 from .synthetic import RegimeParams, planted_regime_panel, write_synthetic_csv
-from .training import (DataBundle, SplitPlan, TrainSettings, chronological_split,
-                       predict_scores, train)
+from .training import DataBundle, SplitPlan, chronological_split, predict_scores, train
 
 __version__ = "0.1.0"
 
@@ -51,7 +50,7 @@ __all__ = [
     "temporal_forward", "logistic_fit", "logistic_predict", "forest_fit",
     "forest_predict", "day_feature_names",
     # training & evaluation
-    "SplitPlan", "chronological_split", "TrainSettings", "DataBundle", "train",
+    "SplitPlan", "chronological_split", "DataBundle", "train",
     "predict_scores", "compute_metrics", "auroc_rank", "auroc_oracle",
     "auprc_step", "roc_points", "pr_points", "crash_windows", "lead_times",
     "report_to_json", "summary_table",

@@ -32,8 +32,7 @@ from .market_data import (IngestConfig, ingest_csv, log_returns, read_macro_csv,
 from .models.baselines import day_feature_names
 from .models.state import deserialize, parameter_count, serialize
 from .plots import grouped_bar_chart, hbar_chart, line_chart
-from .training import (DataBundle, SplitPlan, TrainSettings, chronological_split,
-                       predict_scores, train)
+from .training import DataBundle, SplitPlan, chronological_split, predict_scores, train
 
 __all__ = ["main"]
 
@@ -87,8 +86,9 @@ class Run:
             "outputs": {name: _sha256_file(self.path(name)) for name in outputs},
         })
 
-    def require(self, stage: str, upstream: str, files: list[str]) -> None:
-        """Fail loudly if an upstream artifact is missing, edited, or stale."""
+    def require(self, stage: str, upstream: str, files: list[str]) -> dict[str, str]:
+        """Fail loudly if an upstream artifact is missing, edited, or stale;
+        returns {name: sha256} of the verified files, for the stage's manifest."""
         for name in files:
             if not os.path.exists(self.path(name)):
                 raise DataError(
@@ -102,26 +102,14 @@ class Run:
             raise DataError(
                 f"artifacts from stage '{upstream}' are stale "
                 f"(config or seed changed); rerun `srr {upstream}`")
-        for name in files:
+        hashes = {name: _sha256_file(self.path(name)) for name in files}
+        for name, digest in hashes.items():
             recorded = man.get("outputs", {}).get(name)
-            if recorded is not None and _sha256_file(self.path(name)) != recorded:
+            if recorded is not None and digest != recorded:
                 raise DataError(
                     f"artifact {name} no longer matches the '{upstream}' manifest; "
                     f"rerun `srr {upstream}`")
-
-
-def _settings(cfg: Config) -> TrainSettings:
-    m = cfg.model
-    layers = ("correlation", "sector") if cfg.graph.sector_layer else ("correlation",)
-    return TrainSettings(
-        gcn_hidden=m.gcn_hidden, mlp_hidden=m.mlp_hidden, gru_hidden=m.gru_hidden,
-        k=m.sequence_length, stride=m.stride, epochs=m.epochs, batch_size=m.batch_size,
-        lr=m.learning_rate, loss=m.loss, focal_gamma=m.focal_gamma,
-        weighted_adjacency=cfg.graph.weighted_adjacency, layers=layers,
-        logistic_lr=m.logistic_lr, logistic_epochs=m.logistic_epochs,
-        logistic_tol=m.logistic_tol, forest_trees=m.forest_trees,
-        forest_max_depth=m.forest_max_depth, forest_min_leaf=m.forest_min_leaf,
-    )
+        return hashes
 
 
 def _period_name(cfg: Config) -> str:
@@ -190,7 +178,7 @@ def _write_macro_csv(run: Run, fpanel) -> None:
 
 def cmd_features(run: Run) -> None:
     cfg = run.cfg
-    run.require("features", "ingest", ["prices.csv"])
+    inputs = run.require("features", "ingest", ["prices.csv"])
     panel, _ = ingest_csv(run.path("prices.csv"))
     returns = log_returns(panel)
     fpanel = compute_features(returns, panel,
@@ -225,9 +213,6 @@ def cmd_features(run: Run) -> None:
     if macro_src is not None:
         _write_macro_csv(run, fpanel)
         outputs.append("macro.csv")
-
-    inputs = {"prices.csv": _sha256_file(run.path("prices.csv"))}
-    if macro_src is not None:
         inputs[macro_src] = _sha256_file(macro_src)
     run.write_manifest("features", inputs, outputs)
     print(f"features: {len(fpanel.dates)} dates x {len(fpanel.names)} features, "
@@ -236,71 +221,60 @@ def cmd_features(run: Run) -> None:
 
 # -- stage: graphs --------------------------------------------------------------
 
-def _load_raw_panel(run: Run):
-    """Rebuild the labeled raw feature panel from the features-stage artifacts."""
-    fpanel = read_features_csv(run.path("features.csv"))
-    dates, labels, valid = read_graph_labels_csv(run.path("graph_labels.csv"))
-    if dates != fpanel.dates:
-        raise DataError("graph_labels.csv and features.csv disagree on dates; "
-                        "rerun `srr features`")
-    fpanel.graph_labels = labels
-    fpanel.label_valid = valid
-    if os.path.exists(run.path("macro.csv")):
-        m_dates, m_names, m_values = read_macro_csv(run.path("macro.csv"))
-        if m_dates != fpanel.dates:
-            raise DataError("macro.csv and features.csv disagree on dates; "
-                            "rerun `srr features`")
-        fpanel.macro = m_values
-        fpanel.macro_names = m_names
-    return fpanel
-
-
 def cmd_graphs(run: Run) -> None:
     cfg = run.cfg
-    run.require("graphs", "ingest", ["prices.csv"])
-    needed = ["features.csv", "graph_labels.csv", "standardization.json"]
-    if cfg.data.macro_csv is not None:
-        needed.append("macro.csv")
-    run.require("graphs", "features", needed)
+    ingested = ["prices.csv"] + (["universe.json"] if cfg.graph.sector_layer else [])
+    inputs = run.require("graphs", "ingest", ingested)
+    inputs.update(run.require("graphs", "features", ["graph_labels.csv"]))
 
     panel, _ = ingest_csv(run.path("prices.csv"))
-    returns = log_returns(panel)
-    fpanel = _load_raw_panel(run)
-    if fpanel.tickers != panel.tickers:
-        raise DataError("features.csv and prices.csv disagree on tickers; "
-                        "rerun `srr features`")
-    stats = Standardization.from_dict(_read_json(run.path("standardization.json")))
-    std_panel = apply_standardization(fpanel, stats)
-
+    dates, labels, valid = read_graph_labels_csv(run.path("graph_labels.csv"))
     sector_map = None
     if cfg.graph.sector_layer:
         sector_map = _read_json(run.path("universe.json"))
         if not sector_map:
             raise DataError("graph.sector_layer is on but the ingested universe "
                             "carries no sector labels")
-    snapshots = build_snapshots(returns, std_panel, window=cfg.graph.window,
-                                tau=cfg.graph.tau, sector_map=sector_map)
+    snapshots = build_snapshots(
+        log_returns(panel), dates, [int(y) if v else None for y, v in zip(labels, valid)],
+        window=cfg.graph.window, tau=cfg.graph.tau, sector_map=sector_map)
     write_snapshots_jsonl(snapshots, run.path("graphs.jsonl"), meta={
         "config_hash": run.hash,
         "seed": cfg.seed,
         "window": cfg.graph.window,
         "tau": cfg.graph.tau,
-        "layers": ["correlation", "sector"] if cfg.graph.sector_layer else ["correlation"],
+        "layers": list(cfg.graph.layers),
     })
     n_edges = sum(len(s.layers["correlation"]) for s in snapshots)
-    run.write_manifest("graphs", {name: _sha256_file(run.path(name))
-                                  for name in ["prices.csv"] + needed},
-                       ["graphs.jsonl"])
+    run.write_manifest("graphs", inputs, ["graphs.jsonl"])
     print(f"graphs: {len(snapshots)} snapshots, {n_edges} correlation edges total")
 
 
 # -- stages: train / evaluate ----------------------------------------------------
 
-_BUNDLE_FILES = ["features.csv", "graph_labels.csv", "standardization.json", "split.json"]
+def _bundle_inputs(run: Run, stage: str) -> dict[str, str]:
+    """Verify the artifacts ``_load_bundle`` reads; returns their hashes."""
+    features = ["features.csv", "graph_labels.csv", "standardization.json", "split.json"]
+    if run.cfg.data.macro_csv is not None:
+        features.append("macro.csv")
+    inputs = run.require(stage, "features", features)
+    inputs.update(run.require(stage, "graphs", ["graphs.jsonl"]))
+    return inputs
 
 
 def _load_bundle(run: Run) -> DataBundle:
-    fpanel = _load_raw_panel(run)
+    """The standardized, labeled feature panel, the split and the snapshots."""
+    fpanel = read_features_csv(run.path("features.csv"))
+    dates, labels, valid = read_graph_labels_csv(run.path("graph_labels.csv"))
+    if dates != fpanel.dates:
+        raise DataError("graph_labels.csv and features.csv disagree on dates; "
+                        "rerun `srr features`")
+    fpanel.graph_labels, fpanel.label_valid = labels, valid
+    if run.cfg.data.macro_csv is not None:
+        m_dates, fpanel.macro_names, fpanel.macro = read_macro_csv(run.path("macro.csv"))
+        if m_dates != fpanel.dates:
+            raise DataError("macro.csv and features.csv disagree on dates; "
+                            "rerun `srr features`")
     stats = Standardization.from_dict(_read_json(run.path("standardization.json")))
     std_panel = apply_standardization(fpanel, stats)
     split_raw = _read_json(run.path("split.json"))
@@ -308,20 +282,24 @@ def _load_bundle(run: Run) -> DataBundle:
                       test_dates=list(split_raw["test_dates"]),
                       ratio=float(split_raw["ratio"]),
                       horizon=int(split_raw["horizon"]))
-    snapshots, _ = read_snapshots_jsonl(run.path("graphs.jsonl"))
-    return DataBundle(panel=std_panel, snapshots=snapshots, split=split,
-                      macro_names=list(std_panel.macro_names))
+    try:
+        snapshots, _ = read_snapshots_jsonl(run.path("graphs.jsonl"))
+    except DataError as exc:  # e.g. a file written in an earlier format
+        raise DataError(f"{exc}; rerun `srr graphs`") from None
+    if ([s.date for s in snapshots] != std_panel.dates
+            or any(s.node_ids != std_panel.tickers for s in snapshots)):
+        raise DataError("graphs.jsonl and features.csv disagree on dates or tickers; "
+                        "rerun `srr graphs`")
+    return DataBundle(panel=std_panel, snapshots=snapshots, split=split)
 
 
 def cmd_train(run: Run) -> None:
     cfg = run.cfg
-    run.require("train", "features", _BUNDLE_FILES)
-    run.require("train", "graphs", ["graphs.jsonl"])
+    inputs = _bundle_inputs(run, "train")
     bundle = _load_bundle(run)
-    settings = _settings(cfg)
     outputs = []
     for kind in cfg.model.kinds:
-        state, log = train(kind, bundle, settings, cfg.seed)
+        state, log = train(kind, bundle, cfg)
         state.config_hash = run.hash
         with open(run.path(f"model_{kind}.srrm"), "wb") as fh:
             fh.write(serialize(state))
@@ -332,20 +310,16 @@ def cmd_train(run: Run) -> None:
         outputs += [f"model_{kind}.srrm", f"training_log_{kind}.json"]
         print(f"train[{kind}]: {log.get('samples', 0)} samples, "
               f"{log['parameter_count']} parameters")
-    inputs = {name: _sha256_file(run.path(name))
-              for name in _BUNDLE_FILES + ["graphs.jsonl"]}
     run.write_manifest("train", inputs, outputs)
 
 
 def cmd_evaluate(run: Run) -> None:
     cfg = run.cfg
-    run.require("evaluate", "features", _BUNDLE_FILES)
-    run.require("evaluate", "graphs", ["graphs.jsonl"])
-    model_files = [f"model_{kind}.srrm" for kind in cfg.model.kinds]
-    run.require("evaluate", "train", model_files)
+    inputs = _bundle_inputs(run, "evaluate")
+    inputs.update(run.require("evaluate", "train",
+                              [f"model_{kind}.srrm" for kind in cfg.model.kinds]))
 
     bundle = _load_bundle(run)
-    settings = _settings(cfg)
     valid = bundle.panel.label_valid
     calendar = [d for t, d in enumerate(bundle.panel.dates) if valid[t]]
     daily_labels = bundle.panel.graph_labels[valid]
@@ -355,7 +329,7 @@ def cmd_evaluate(run: Run) -> None:
     for kind in cfg.model.kinds:
         with open(run.path(f"model_{kind}.srrm"), "rb") as fh:
             state = deserialize(fh.read())
-        dates, scores, labels = predict_scores(state, bundle, settings, side="test")
+        dates, scores, labels = predict_scores(state, bundle, side="test")
         metrics = compute_metrics(scores, labels, threshold=cfg.evaluate.threshold)
         leads = lead_times(calendar, daily_labels, dates, scores,
                            gamma=cfg.evaluate.warn_gamma)
@@ -396,8 +370,6 @@ def cmd_evaluate(run: Run) -> None:
     with open(run.path("report.json"), "w", encoding="utf-8", newline="") as fh:
         fh.write(report_to_json(report))
     outputs.append("report.json")
-    inputs = {name: _sha256_file(run.path(name))
-              for name in _BUNDLE_FILES + ["graphs.jsonl"] + model_files}
     run.write_manifest("evaluate", inputs, outputs)
 
 
@@ -436,8 +408,8 @@ def _aggregate_importance(importance: dict[str, float]) -> tuple[list[str], list
 
 def cmd_report(run: Run) -> None:
     cfg = run.cfg
-    run.require("report", "evaluate", ["report.json"]
-                + [f"timeline_{kind}.csv" for kind in cfg.model.kinds])
+    inputs = run.require("report", "evaluate", ["report.json"]
+                         + [f"timeline_{kind}.csv" for kind in cfg.model.kinds])
     report = _read_json(run.path("report.json"))
     kinds = sorted(report["models"])
     timelines = {kind: _read_timeline(run.path(f"timeline_{kind}.csv"))
@@ -513,10 +485,6 @@ def cmd_report(run: Run) -> None:
                    names, values, "mean impurity decrease", provenance=prov)
         outputs.append("feature_importance.svg")
 
-    inputs = {"report.json": _sha256_file(run.path("report.json"))}
-    for kind in kinds:
-        name = f"timeline_{kind}.csv"
-        inputs[name] = _sha256_file(run.path(name))
     run.write_manifest("report", inputs, outputs)
     print(f"report: {', '.join(outputs)} -> {cfg.out}")
 

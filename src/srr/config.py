@@ -110,6 +110,11 @@ class GraphConfig:
         if not (0.0 < self.tau <= 1.0):
             raise ConfigError(f"graph.tau must lie in (0, 1], got {self.tau}")
 
+    @property
+    def layers(self) -> tuple[str, ...]:
+        """Edge layers the graph kinds read (and the graphs stage writes)."""
+        return ("correlation", "sector") if self.sector_layer else ("correlation",)
+
 
 @dataclass(frozen=True)
 class ModelConfig:

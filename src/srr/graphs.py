@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .features import FeaturePanel
 from .market_data import ReturnPanel
 
-GRAPH_FORMAT = "srr-graph-v1"
+GRAPH_FORMAT = "srr-graph-v2"
 
 __all__ = [
     "GraphSnapshot",
@@ -42,14 +41,16 @@ __all__ = [
 
 @dataclass
 class GraphSnapshot:
-    """One market graph: layered edge lists over a fixed node order."""
+    """One market graph: layered edge lists over a fixed node order.
+
+    Node attributes are not stored here: they are the feature panel's rows
+    for ``date`` (``FeaturePanel.node_matrix``).
+    """
 
     date: str
     node_ids: list[str]
     layers: dict[str, list[tuple[int, int, float]]]
-    node_features: np.ndarray  # N x F, aligned with node_ids
     graph_label: int | None = None  # None when the date has no forward label
-    node_labels: np.ndarray | None = None
 
     def n_nodes(self) -> int:
         return len(self.node_ids)
@@ -134,7 +135,7 @@ def rank_correlation_matrix(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return corr, degenerate
 
 
-def build_snapshot(returns: ReturnPanel, features: FeaturePanel, date: str,
+def build_snapshot(returns: ReturnPanel, date: str, graph_label: int | None = None,
                    window: int = 7, tau: float = 0.5,
                    sector_map: dict[str, str] | None = None) -> GraphSnapshot:
     """Market graph for one date from the trailing return window ending there."""
@@ -142,18 +143,12 @@ def build_snapshot(returns: ReturnPanel, features: FeaturePanel, date: str,
         raise DataError(f"tau must be in (0, 1], got {tau}")
     if window < 3:
         raise DataError(f"correlation window must be >= 3 days, got {window}")
-    if returns.tickers != features.tickers:
-        raise DataError("returns and features cover different tickers")
     try:
         r_end = returns.dates.index(date)
     except ValueError:
         raise DataError(f"{date} is not a return date of the panel") from None
     if r_end + 1 < window:
         raise DataError(f"only {r_end + 1} return observations at {date}, need {window}")
-    try:
-        f_idx = features.dates.index(date)
-    except ValueError:
-        raise DataError(f"{date} has no feature row (inside the warm-up prefix?)") from None
 
     block = returns.returns[:, r_end + 1 - window: r_end + 1]
     corr, _ = rank_correlation_matrix(block)
@@ -177,24 +172,22 @@ def build_snapshot(returns: ReturnPanel, features: FeaturePanel, date: str,
             if sectors[i] is not None and sectors[i] == sectors[j]
         ]
 
-    labeled = features.label_valid is not None and bool(features.label_valid[f_idx])
-    return GraphSnapshot(
-        date=date,
-        node_ids=list(returns.tickers),
-        layers=layers,
-        node_features=features.node_matrix(f_idx),
-        graph_label=int(features.graph_labels[f_idx]) if labeled else None,
-        node_labels=features.node_labels[:, f_idx].copy() if labeled else None,
-    )
+    return GraphSnapshot(date=date, node_ids=list(returns.tickers), layers=layers,
+                         graph_label=graph_label)
 
 
-def build_snapshots(returns: ReturnPanel, features: FeaturePanel, window: int = 7,
-                    tau: float = 0.5, sector_map: dict[str, str] | None = None) -> list[GraphSnapshot]:
-    """Snapshots for every feature-valid date (warm-up already guarantees
-    enough trailing returns for any window <= the feature warm-up)."""
+def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[int | None],
+                    window: int = 7, tau: float = 0.5,
+                    sector_map: dict[str, str] | None = None) -> list[GraphSnapshot]:
+    """One snapshot per date, labeled by the matching entry of ``graph_labels``
+    (None where the date is unlabeled). Feature dates always qualify: the
+    feature warm-up leaves enough trailing returns for any window up to it."""
+    if len(dates) != len(graph_labels):
+        raise DataError(f"{len(dates)} snapshot dates but {len(graph_labels)} graph labels")
     return [
-        build_snapshot(returns, features, date, window=window, tau=tau, sector_map=sector_map)
-        for date in features.dates
+        build_snapshot(returns, date, graph_label=label, window=window, tau=tau,
+                       sector_map=sector_map)
+        for date, label in zip(dates, graph_labels)
     ]
 
 
@@ -228,10 +221,7 @@ def write_snapshots_jsonl(snapshots: list[GraphSnapshot], path: str,
                     name: [[i, j, w] for i, j, w in edges]
                     for name, edges in sorted(snap.layers.items())
                 },
-                "features": [[float(v) for v in row] for row in snap.node_features],
                 "graph_label": snap.graph_label,
-                "node_labels": None if snap.node_labels is None
-                else [int(v) for v in snap.node_labels],
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -256,9 +246,6 @@ def read_snapshots_jsonl(path: str) -> tuple[list[GraphSnapshot], dict]:
                 name: [(int(i), int(j), float(w)) for i, j, w in edges]
                 for name, edges in rec["layers"].items()
             },
-            node_features=np.asarray(rec["features"], dtype=np.float64),
             graph_label=rec["graph_label"],
-            node_labels=None if rec.get("node_labels") is None
-            else np.asarray(rec["node_labels"], dtype=np.int8),
         ))
     return snapshots, header

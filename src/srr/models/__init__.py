@@ -12,7 +12,6 @@ from .gcn import (
 )
 from .temporal import init_gru, gru_step, temporal_forward, temporal_backward
 from .baselines import (
-    baseline_day_features,
     day_feature_matrix,
     day_feature_names,
     logistic_fit,
@@ -27,6 +26,6 @@ __all__ = [
     "gcn_normalize", "adjacency_from_snapshot", "init_gcn", "gcn_forward",
     "gcn_backward", "gcn_embed", "gcn_embed_backward",
     "init_gru", "gru_step", "temporal_forward", "temporal_backward",
-    "baseline_day_features", "day_feature_matrix", "day_feature_names",
+    "day_feature_matrix", "day_feature_names",
     "logistic_fit", "logistic_predict", "forest_fit", "forest_predict", "gini",
 ]

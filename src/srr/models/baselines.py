@@ -16,7 +16,6 @@ from ..features import FeaturePanel
 
 __all__ = [
     "day_feature_names",
-    "baseline_day_features",
     "day_feature_matrix",
     "logistic_fit",
     "logistic_predict",
@@ -36,21 +35,18 @@ def day_feature_names(panel: FeaturePanel) -> list[str]:
     return names
 
 
-def baseline_day_features(panel: FeaturePanel, t: int) -> np.ndarray:
-    """Per-day baseline input at date index t."""
-    x = panel.features[:, t, :]
+def day_feature_matrix(panel: FeaturePanel, date_indices: list[int] | np.ndarray) -> np.ndarray:
+    """Baseline inputs, one row per date index: interleaved cross-sectional
+    (mean, std) of each feature, then the macro columns."""
+    x = panel.features[:, date_indices, :]  # N x D x F
     if x.shape[0] < 2:
         raise DataError("day features need >= 2 tickers for a cross-sectional std")
-    out = np.empty(2 * x.shape[1])
-    out[0::2] = x.mean(axis=0)
-    out[1::2] = x.std(axis=0, ddof=1)
+    out = np.empty((x.shape[1], 2 * x.shape[2]))
+    out[:, 0::2] = x.mean(axis=0)
+    out[:, 1::2] = x.std(axis=0, ddof=1)
     if panel.macro is not None:
-        out = np.concatenate([out, panel.macro[t]])
+        out = np.hstack([out, panel.macro[date_indices]])
     return out
-
-
-def day_feature_matrix(panel: FeaturePanel, date_indices: list[int] | np.ndarray) -> np.ndarray:
-    return np.stack([baseline_day_features(panel, t) for t in date_indices])
 
 
 # -- logistic regression ---------------------------------------------------

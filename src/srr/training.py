@@ -12,8 +12,10 @@ range). Model families and their sample grids:
     gcn                 the k = 1 sequence: one sample per labeled snapshot
                         on the stride grid
 
-Both graph kinds read the normalized adjacency A_hat of the stride-grid
-snapshots only; it is built once per bundle and shared between them.
+Both graph kinds read each stride-grid snapshot as (A_hat, X): its normalized
+adjacency and the panel's node-feature rows for its date. Each pair is built
+the first time a sample of the scored side reads it and is then shared, by
+both kinds and both sides, for the life of the bundle.
 GNNs train with seeded shuffled mini-batches, Adam, and a fixed epoch
 count; the parameters from the best-mean-train-loss epoch are retained.
 """
@@ -26,6 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .config import Config, ModelConfig
 from .errors import DataError, NumericalError
 from . import tensor as tz
 from .features import FeaturePanel
@@ -53,7 +56,6 @@ from .models.baselines import (
 __all__ = [
     "SplitPlan",
     "chronological_split",
-    "TrainSettings",
     "DataBundle",
     "train",
     "predict_scores",
@@ -106,47 +108,15 @@ def chronological_split(dates: list[str], ratio: float = 0.8, horizon: int = 60)
 
 
 @dataclass
-class TrainSettings:
-    """Hyperparameters for every model family, with the toolkit defaults."""
-
-    gcn_hidden: int = 32
-    mlp_hidden: int = 16
-    gru_hidden: int = 64
-    k: int = 5
-    stride: int = 5
-    epochs: int = 50
-    batch_size: int = 8
-    lr: float = 1e-3
-    loss: str = "bce"  # "bce" | "focal"
-    focal_gamma: float = 2.0
-    weighted_adjacency: bool = False
-    layers: tuple[str, ...] = ("correlation",)
-    logistic_lr: float = 0.05
-    logistic_epochs: int = 2000
-    logistic_tol: float = 1e-6
-    forest_trees: int = 50
-    forest_max_depth: int = 6
-    forest_min_leaf: int = 2
-
-    def loss_fn(self):
-        if self.loss == "bce":
-            return tz.bce_loss
-        if self.loss == "focal":
-            gamma = self.focal_gamma
-            return lambda probs, targets: tz.focal_loss(probs, targets, gamma)
-        raise DataError(f"unknown loss {self.loss!r}, expected bce or focal")
-
-
-@dataclass
 class DataBundle:
     """Everything the training and evaluation code needs for one run."""
 
     panel: FeaturePanel  # standardized features with labels attached
     snapshots: list[GraphSnapshot]
     split: SplitPlan
-    macro_names: list[str] = field(default_factory=list)
-    # (graph settings, stride-grid snapshots, id -> A_hat), filled by _grid_a_hats
-    a_hat_cache: tuple = field(default=(), init=False, repr=False, compare=False)
+    # (graph settings, panel, snapshots, date -> index, id -> (snapshot, A_hat, X)),
+    # filled by _graph_inputs
+    graph_inputs: tuple = field(default=(), init=False, repr=False, compare=False)
 
 
 # -- sample assembly ---------------------------------------------------------
@@ -162,37 +132,47 @@ def _day_xy(bundle: DataBundle, side: str) -> tuple[np.ndarray, np.ndarray, list
     return x, y, [panel.dates[t] for t in idx]
 
 
-def _grid_a_hats(bundle: DataBundle, settings: TrainSettings) -> dict[int, np.ndarray]:
-    """id(snapshot) -> A_hat for the stride-grid snapshots, built once per bundle.
+def _graph_inputs(bundle: DataBundle, hyper: dict) -> Callable:
+    """snapshot -> (A_hat, X), each built on first use and then kept in the bundle.
 
-    The cache keeps the snapshots it was built from and is rebuilt as soon as
-    the grid holds any other snapshot object, so it never serves a stale A_hat.
+    The cache serves one graph setting, panel and snapshot list, and starts
+    over when any of them changes. Each entry keeps its snapshot alive, so no
+    other snapshot can take over its id.
     """
-    grid = bundle.snapshots[::settings.stride]
-    key = (tuple(settings.layers), settings.weighted_adjacency)
-    cached = bundle.a_hat_cache
-    if (not cached or cached[0] != key or len(cached[1]) != len(grid)
-            or any(a is not b for a, b in zip(cached[1], grid))):
-        table = {id(snap): gcn_normalize(adjacency_from_snapshot(
-                     snap, layers=settings.layers, weighted=settings.weighted_adjacency))
-                 for snap in grid}
-        cached = bundle.a_hat_cache = (key, grid, table)
-    return cached[2]
+    layers, weighted = tuple(hyper["layers"]), hyper["weighted_adjacency"]
+    cached = bundle.graph_inputs
+    if (not cached or cached[0] != (layers, weighted) or cached[1] is not bundle.panel
+            or cached[2] is not bundle.snapshots):
+        cached = bundle.graph_inputs = (
+            (layers, weighted), bundle.panel, bundle.snapshots,
+            {d: t for t, d in enumerate(bundle.panel.dates)}, {})
+    panel, position, table = cached[1], cached[3], cached[4]
+
+    def inputs(snap: GraphSnapshot) -> tuple[np.ndarray, np.ndarray]:
+        entry = table.get(id(snap))
+        if entry is None:
+            if snap.node_ids != panel.tickers or snap.date not in position:
+                raise DataError(f"snapshot {snap.date} does not match the feature panel's "
+                                "tickers and dates")
+            a_hat = gcn_normalize(adjacency_from_snapshot(snap, layers=layers, weighted=weighted))
+            x = np.ascontiguousarray(panel.node_matrix(position[snap.date]))
+            entry = table[id(snap)] = (snap, a_hat, x)
+        return entry[1:]
+    return inputs
 
 
-def _graph_samples(bundle: DataBundle, settings: TrainSettings, k: int,
-                   side: str) -> list[tuple]:
-    """(inputs, label, date) per labeled sequence of k stride-grid snapshots.
+def _graph_samples(bundle: DataBundle, hyper: dict, side: str) -> list[tuple]:
+    """(inputs, label, date) per labeled ``side`` sequence of k stride-grid snapshots.
 
     ``inputs`` lists each snapshot's (A_hat, X), oldest first; a snapshot
     sample is the k = 1 sequence.
     """
-    sequences = build_sequences(bundle.snapshots, k=k, stride=settings.stride)
-    a_hat = _grid_a_hats(bundle, settings)
-    return [([(a_hat[id(s)], s.node_features) for s in seq.snapshots],
-             float(seq.graph_label), seq.date)
-            for seq in sequences
-            if seq.graph_label is not None and bundle.split.side(seq.date) == side]
+    sequences = [seq for seq in build_sequences(bundle.snapshots, k=hyper.get("k", 1),
+                                                stride=hyper["stride"])
+                 if seq.graph_label is not None and bundle.split.side(seq.date) == side]
+    inputs = _graph_inputs(bundle, hyper)
+    return [([inputs(s) for s in seq.snapshots], float(seq.graph_label), seq.date)
+            for seq in sequences]
 
 
 def _check_two_classes(labels, kind: str) -> None:
@@ -203,7 +183,13 @@ def _check_two_classes(labels, kind: str) -> None:
 
 # -- mini-batch engine --------------------------------------------------------
 
-def _train_minibatch(samples: list, params: dict, forward, backward, settings: TrainSettings,
+def _loss_fn(m: ModelConfig) -> Callable:
+    if m.loss == "focal":
+        return lambda probs, targets: tz.focal_loss(probs, targets, m.focal_gamma)
+    return tz.bce_loss
+
+
+def _train_minibatch(samples: list, params: dict, forward, backward, m: ModelConfig,
                      seed: int, kind: str) -> tuple[dict, list[float], int]:
     """Shared shuffled-mini-batch Adam loop for both GNN families.
 
@@ -212,8 +198,8 @@ def _train_minibatch(samples: list, params: dict, forward, backward, settings: T
     ``backward(dlogit, cache, params) -> grads``.
     Returns (best parameters, per-epoch mean losses, best epoch index).
     """
-    loss_fn = settings.loss_fn()
-    opt = tz.AdamState(lr=settings.lr)
+    loss_fn = _loss_fn(m)
+    opt = tz.AdamState(lr=m.learning_rate)
     rng = tz.seeded_rng(seed, 11)
     n = len(samples)
     targets_all = np.array([s[1] for s in samples])
@@ -221,16 +207,16 @@ def _train_minibatch(samples: list, params: dict, forward, backward, settings: T
     best_params = {k: v.copy() for k, v in params.items()}
     best_epoch = -1
     history: list[float] = []
-    for epoch in range(settings.epochs):
+    for epoch in range(m.epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, settings.batch_size):
-            chunk = perm[start:start + settings.batch_size]
+        for start in range(0, n, m.batch_size):
+            chunk = perm[start:start + m.batch_size]
             probs, caches = zip(*(forward(samples[i][0], params) for i in chunk))
             loss, dlogits = loss_fn(np.array(probs), targets_all[chunk])
             if not np.isfinite(loss):
                 raise NumericalError(
-                    f"{kind}: training diverged at epoch {epoch}, batch {start // settings.batch_size}"
+                    f"{kind}: training diverged at epoch {epoch}, batch {start // m.batch_size}"
                     f" (loss={loss!r})"
                 )
             grads = backward(float(dlogits[0]), caches[0], params)
@@ -257,25 +243,24 @@ class _DayKind(NamedTuple):
 
     fit: Callable  # (x, y, seed, **hyper) -> params
     predict: Callable  # (params, x) -> scores
-    hyper: dict  # header key -> TrainSettings field; the keys are fit's keywords
+    hyper: dict  # header key -> ModelConfig field; the keys are fit's keywords
     bookkeeping: tuple[str, ...] = ()
 
 
 class _GraphKind(NamedTuple):
     """A kind trained by ``_train_minibatch`` on sequences of stride-grid snapshots."""
 
-    k: Callable  # settings -> snapshots per sample
-    init: Callable  # (n_features, settings, seed) -> params
+    init: Callable  # (n_features, model config, seed) -> params
     forward: Callable  # (inputs, params) -> (prob, cache)
     backward: Callable  # (dlogit, cache, params) -> grads
-    hyper: dict  # header key -> TrainSettings field, besides _GRAPH_HYPER
+    hyper: dict  # header key -> ModelConfig field, besides _GRAPH_HYPER
     noun: str  # what one sample is, for error messages
     bookkeeping: tuple[str, ...] = ()
 
 
 _GRAPH_HYPER = {"hidden": "gcn_hidden", "epochs": "epochs", "batch_size": "batch_size",
-                "lr": "lr", "loss": "loss", "focal_gamma": "focal_gamma", "stride": "stride",
-                "weighted_adjacency": "weighted_adjacency"}
+                "lr": "learning_rate", "loss": "loss", "focal_gamma": "focal_gamma",
+                "stride": "stride"}
 
 
 def _logistic_fit(x, y, seed: int, **hyper) -> dict:
@@ -283,7 +268,7 @@ def _logistic_fit(x, y, seed: int, **hyper) -> dict:
     return {"w": w, "b": np.array([b])}
 
 
-def _temporal_init(n_features: int, s: TrainSettings, seed: int) -> dict:
+def _temporal_init(n_features: int, s: ModelConfig, seed: int) -> dict:
     params = init_gcn(tz.seeded_rng(seed, 1), n_features, s.gcn_hidden, s.mlp_hidden)
     params = {k: params[k] for k in ("w1", "b1", "w2", "b2")}
     params.update(init_gru(tz.seeded_rng(seed, 2), s.gcn_hidden, s.gru_hidden))
@@ -302,32 +287,32 @@ _KINDS = {
                "min_leaf": "forest_min_leaf"},
         bookkeeping=("feature_importance",)),
     "gcn": _GraphKind(
-        k=lambda s: 1,
         init=lambda n, s, seed: init_gcn(tz.seeded_rng(seed, 1), n, s.gcn_hidden, s.mlp_hidden),
         forward=lambda inputs, p: gcn_forward(*inputs[0], p)[1:],
         backward=lambda dlogit, cache, p: gcn_backward(dlogit, cache, p),
         hyper={"mlp_hidden": "mlp_hidden"},
         noun="snapshots"),
     "temporal": _GraphKind(
-        k=lambda s: s.k,
         init=_temporal_init,
         forward=lambda inputs, p: temporal_forward(inputs, p, p),
         backward=lambda dlogit, cache, p: {  # encoder grads, then GRU grads, in one dict
             name: g for group in temporal_backward(dlogit, cache, p, p)
             for name, g in group.items()},
-        hyper={"gru_hidden": "gru_hidden", "k": "k"},
+        hyper={"gru_hidden": "gru_hidden", "k": "sequence_length"},
         noun="sequences"),
 }
 
 
 # -- training and scoring ---------------------------------------------------------
 
-def train(kind: str, bundle: DataBundle, settings: TrainSettings, seed: int) -> tuple[ModelState, dict]:
-    """Fit one model kind; returns (state, training log)."""
+def train(kind: str, bundle: DataBundle, cfg: Config) -> tuple[ModelState, dict]:
+    """Fit one model kind with ``cfg.model``, ``cfg.graph`` and ``cfg.seed``;
+    returns (state, training log). The state's ``hyper`` records every setting
+    that scoring needs."""
     if kind not in _KINDS:
         raise DataError(f"unknown model kind {kind!r}")
-    spec, panel = _KINDS[kind], bundle.panel
-    hyper = {key: getattr(settings, name) for key, name in spec.hyper.items()}
+    spec, panel, m, seed = _KINDS[kind], bundle.panel, cfg.model, cfg.seed
+    hyper = {key: getattr(m, name) for key, name in spec.hyper.items()}
     log = {"kind": kind}
     if isinstance(spec, _DayKind):
         x, y, _ = _day_xy(bundle, "train")
@@ -336,16 +321,16 @@ def train(kind: str, bundle: DataBundle, settings: TrainSettings, seed: int) -> 
         hyper["inputs"] = day_feature_names(panel)
         log["samples"] = int(y.size)
     else:
-        samples = _graph_samples(bundle, settings, spec.k(settings), "train")
+        n_feat = panel.n_features + (0 if panel.macro is None else panel.macro.shape[1])
+        hyper.update({key: getattr(m, name) for key, name in _GRAPH_HYPER.items()},
+                     weighted_adjacency=cfg.graph.weighted_adjacency,
+                     layers=list(cfg.graph.layers), n_features=n_feat)
+        samples = _graph_samples(bundle, hyper, "train")
         if not samples:
             raise DataError(f"{kind}: no labeled training {spec.noun} on the stride grid")
         _check_two_classes([s[1] for s in samples], kind)
-        n_feat = panel.n_features + (0 if panel.macro is None else panel.macro.shape[1])
         params, log["epoch_loss"], log["best_epoch"] = _train_minibatch(
-            samples, spec.init(n_feat, settings, seed), spec.forward, spec.backward,
-            settings, seed, kind)
-        hyper.update({key: getattr(settings, name) for key, name in _GRAPH_HYPER.items()},
-                     n_features=n_feat, layers=list(settings.layers))
+            samples, spec.init(n_feat, m, seed), spec.forward, spec.backward, m, seed, kind)
         log["samples"] = len(samples)
     std = panel.standardization
     state = ModelState(kind=kind, params=params, hyper=hyper, seed=seed,
@@ -354,9 +339,10 @@ def train(kind: str, bundle: DataBundle, settings: TrainSettings, seed: int) -> 
     return state, log
 
 
-def predict_scores(state: ModelState, bundle: DataBundle, settings: TrainSettings,
+def predict_scores(state: ModelState, bundle: DataBundle,
                    side: str = "test") -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Score the given side of the split on the model's own sample grid.
+    """Score the given side of the split on the model's own sample grid, with
+    the graph settings recorded in ``state.hyper`` at training time.
 
     Returns (dates, scores, labels), chronologically ordered.
     """
@@ -364,7 +350,7 @@ def predict_scores(state: ModelState, bundle: DataBundle, settings: TrainSetting
     if isinstance(spec, _DayKind):
         x, y, dates = _day_xy(bundle, side)
         return dates, spec.predict(state.params, x), y
-    samples = _graph_samples(bundle, settings, spec.k(settings), side)
+    samples = _graph_samples(bundle, state.hyper, side)
     if not samples:
         raise DataError(f"{state.kind}: no labeled {side} {spec.noun} on the stride grid")
     scores = np.array([spec.forward(inputs, state.params)[0] for inputs, _, _ in samples])

@@ -64,7 +64,7 @@ def test_criterion_02_split_and_sequence_counts():
         plan = chronological_split(dates, ratio=0.8, horizon=60)
         assert len(plan.test_dates) == 313
         snaps = [GraphSnapshot(date=d, node_ids=["A"], layers={"correlation": []},
-                               node_features=np.zeros((1, 1)), graph_label=0)
+                               graph_label=0)
                  for d in dates]
         seqs = build_sequences(snaps, k=5, stride=5)
         n_test = sum(1 for q in seqs if plan.side(q.date) == "test")

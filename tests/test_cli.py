@@ -35,13 +35,15 @@ COMPARABLE = [name for name in EXPECTED_ARTIFACTS
               if not name.startswith("manifest_")]  # manifests hash the out paths
 
 
-def make_workspace(root: Path, seed=7, out_name="out", n_days=400) -> tuple[str, Path]:
+def make_workspace(root: Path, seed=7, out_name="out", n_days=400, data=None,
+                   graph=None) -> tuple[str, Path]:
     prices = root / "prices.csv"
     if not prices.exists():
         write_synthetic_csv(str(prices), n_tickers=10, n_days=n_days, seed=21)
     out = root / out_name
     cfg = {
-        "data": {"prices_csv": str(prices)},
+        "data": {"prices_csv": str(prices), **(data or {})},
+        "graph": graph or {},
         "labels": {"threshold": 0.10, "horizon": 20},
         "model": {
             "kinds": list(MODEL_KINDS),
@@ -112,7 +114,7 @@ class TestRunAll:
         header = json.loads(
             (pipeline["out"] / "graphs.jsonl").read_text().splitlines()[0])
         report = json.loads((pipeline["out"] / "report.json").read_text())
-        assert header["format"] == "srr-graph-v1"
+        assert header["format"] == "srr-graph-v2"
         assert header["config_hash"] == report["config_hash"]
         assert header["seed"] == 7
         assert header["window"] == 7 and header["tau"] == 0.5
@@ -163,6 +165,94 @@ class TestDeterminism:
         a = (pipeline["out"] / "model_gcn.srrm").read_bytes()
         b = (out3 / "model_gcn.srrm").read_bytes()
         assert a != b
+
+
+def write_layer_inputs(root: Path) -> dict:
+    """A three-sector universe and a two-column macro file for the synthetic
+    prices of ``make_workspace``; returns the matching ``data`` section."""
+    universe, macro = root / "universe.csv", root / "macro.csv"
+    universe.write_text("ticker,sector\n" + "".join(
+        f"SYN{i:02d},{'abc'[i % 3]}\n" for i in range(10)))
+    dates = sorted({row.split(",")[0]
+                    for row in (root / "prices.csv").read_text().splitlines()[1:]})
+    macro.write_text("date,vix,rate\n" + "".join(
+        f"{d},{10.0 + t % 7!r},{0.01 * (t % 5)!r}\n" for t, d in enumerate(dates)))
+    return {"universe_csv": str(universe), "macro_csv": str(macro)}
+
+
+class TestLayersAndMacro:
+    GRAPH = {"sector_layer": True, "weighted_adjacency": True}
+
+    def test_run_all_reads_macro_and_sector_layer(self, tmp_path):
+        make_workspace(tmp_path)  # writes prices.csv
+        data = write_layer_inputs(tmp_path)
+        outs = []
+        for name in ("layered", "layered2"):
+            cfg_path, out = make_workspace(tmp_path, out_name=name, data=data,
+                                           graph=self.GRAPH)
+            assert main(["run-all", "--config", cfg_path]) == 0
+            outs.append(out)
+        for kind in ("gcn", "temporal"):
+            state = deserialize((outs[0] / f"model_{kind}.srrm").read_bytes())
+            assert state.hyper["n_features"] == 7 + 2
+            assert state.hyper["layers"] == ["correlation", "sector"]
+            assert state.hyper["weighted_adjacency"] is True
+        records = (outs[0] / "graphs.jsonl").read_text().splitlines()[1:]
+        assert records and all(json.loads(r)["layers"]["sector"] for r in records)
+        for name in COMPARABLE + ["macro.csv"]:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_edited_universe_stops_graphs(self, capsys, tmp_path):
+        make_workspace(tmp_path)
+        cfg_path, out = make_workspace(tmp_path, out_name="edited", n_days=260,
+                                       data=write_layer_inputs(tmp_path), graph=self.GRAPH)
+        for stage in ("ingest", "features"):
+            assert main([stage, "--config", cfg_path]) == 0
+        universe = json.loads((out / "universe.json").read_text())
+        universe["SYN00"] = "z"
+        (out / "universe.json").write_text(json.dumps(universe))
+        assert main(["graphs", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "universe.json" in err and "rerun `srr ingest`" in err
+
+
+def rewrite_graphs(out: Path, edit) -> None:
+    """Rewrite graphs.jsonl line by line and re-record its manifest hash, as an
+    earlier run (or another program) would have left it."""
+    import hashlib
+    path = out / "graphs.jsonl"
+    path.write_text("".join(edit(i, json.loads(line)) + "\n"
+                            for i, line in enumerate(path.read_text().splitlines())))
+    manifest = json.loads((out / "manifest_graphs.json").read_text())
+    manifest["outputs"]["graphs.jsonl"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (out / "manifest_graphs.json").write_text(json.dumps(manifest))
+
+
+class TestGraphFile:
+    @pytest.fixture
+    def graphed(self, tmp_path):
+        cfg_path, out = make_workspace(tmp_path, out_name="g", n_days=260)
+        for stage in ("ingest", "features", "graphs"):
+            assert main([stage, "--config", cfg_path]) == 0
+        return cfg_path, out
+
+    def test_v1_file_asks_for_graphs_rerun(self, capsys, graphed):
+        cfg_path, out = graphed
+        rewrite_graphs(out, lambda i, rec: json.dumps(
+            {**rec, "format": "srr-graph-v1"} if i == 0 else rec))
+        assert main(["train", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "srr-graph-v1" in err and err.rstrip().endswith("rerun `srr graphs`")
+
+    @pytest.mark.parametrize("field,value", [("date", "1999-01-01"),
+                                             ("nodes", ["X"] * 10)])
+    def test_snapshots_off_the_panel_ask_for_graphs_rerun(self, capsys, graphed,
+                                                         field, value):
+        cfg_path, out = graphed
+        rewrite_graphs(out, lambda i, rec: json.dumps(
+            {**rec, field: value} if i == 3 else rec))
+        assert main(["train", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err.rstrip().endswith("rerun `srr graphs`")
 
 
 class TestExitCodes:

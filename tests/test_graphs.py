@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from srr.errors import DataError, ShapeError
-from srr.features import FeaturePanel, attach_labels, compute_features
+from srr.features import attach_labels, compute_features
 from srr.graphs import (GRAPH_FORMAT, average_ranks, build_sequences,
                         build_snapshot, build_snapshots, rank_correlation_matrix,
                         read_snapshots_jsonl, spearman, write_snapshots_jsonl)
@@ -101,59 +101,61 @@ class TestSpearman:
 
 
 def hand_panels(return_rows, tickers):
-    """ReturnPanel plus a matching single-date FeaturePanel for snapshot tests."""
+    """ReturnPanel plus its last date, for snapshot tests."""
     returns = np.asarray(return_rows, dtype=np.float64)
-    n, w = returns.shape
-    dates = business_days("2021-01-04", w)
-    rp = ReturnPanel(tickers=list(tickers), dates=dates, returns=returns)
-    fp = FeaturePanel(tickers=list(tickers), dates=[dates[-1]],
-                      features=np.arange(n, dtype=np.float64)[:, None, None],
-                      names=["f0"])
-    return rp, fp, dates[-1]
+    dates = business_days("2021-01-04", returns.shape[1])
+    return ReturnPanel(tickers=list(tickers), dates=dates, returns=returns), dates[-1]
 
 
 class TestSnapshots:
     def test_threshold_is_inclusive_at_exact_half(self):
-        rp, fp, date = hand_panels(
+        rp, date = hand_panels(
             [[1, 2, 3, 4, 5],        # A
              [2, 4, 1, 3, 5],        # B: rho(A, B) = 0.5 exactly
              [5, 4, 3, 2, 1]],       # C: rho(A, C) = -1, rho(B, C) = -0.5
             "ABC")
-        snap = build_snapshot(rp, fp, date, window=5, tau=0.5)
+        snap = build_snapshot(rp, date, window=5, tau=0.5)
         edges = {(i, j): w for i, j, w in snap.layers["correlation"]}
         assert edges == {(0, 1): 0.5, (0, 2): -1.0, (1, 2): -0.5}
         # nudge tau past 0.5: the boundary edges must disappear
-        snap_hi = build_snapshot(rp, fp, date, window=5, tau=0.5 + 1e-12)
+        snap_hi = build_snapshot(rp, date, window=5, tau=0.5 + 1e-12)
         assert {(i, j) for i, j, _ in snap_hi.layers["correlation"]} == {(0, 2)}
 
     def test_constant_node_contributes_no_edges(self):
-        rp, fp, date = hand_panels(
+        rp, date = hand_panels(
             [[1, 2, 3, 4, 5], [1, 2, 3, 4, 5], [7, 7, 7, 7, 7]], "ABC")
-        snap = build_snapshot(rp, fp, date, window=5, tau=0.5)
+        snap = build_snapshot(rp, date, window=5, tau=0.5)
         assert snap.layers["correlation"] == [(0, 1, 1.0)]
 
     def test_sector_layer_links_same_sector_pairs(self):
-        rp, fp, date = hand_panels(np.eye(4, 5), "ABCD")
-        snap = build_snapshot(rp, fp, date, window=5, tau=0.99,
+        rp, date = hand_panels(np.eye(4, 5), "ABCD")
+        snap = build_snapshot(rp, date, window=5, tau=0.99,
                               sector_map={"A": "tech", "B": "energy",
                                           "C": "tech", "D": "tech"})
         assert snap.layers["sector"] == [(0, 2, 1.0), (0, 3, 1.0), (2, 3, 1.0)]
 
     def test_sector_map_rejects_unknown_ticker(self):
-        rp, fp, date = hand_panels(np.eye(3, 5), "ABC")
+        rp, date = hand_panels(np.eye(3, 5), "ABC")
         with pytest.raises(DataError, match="ZZZ"):
-            build_snapshot(rp, fp, date, window=5, sector_map={"A": "x", "ZZZ": "x"})
+            build_snapshot(rp, date, window=5, sector_map={"A": "x", "ZZZ": "x"})
 
     def test_parameter_validation(self):
-        rp, fp, date = hand_panels(np.eye(3, 5), "ABC")
+        rp, date = hand_panels(np.eye(3, 5), "ABC")
         with pytest.raises(DataError):
-            build_snapshot(rp, fp, date, window=5, tau=0.0)
+            build_snapshot(rp, date, window=5, tau=0.0)
         with pytest.raises(DataError):
-            build_snapshot(rp, fp, date, window=2)
+            build_snapshot(rp, date, window=2)
         with pytest.raises(DataError, match="not a return date"):
-            build_snapshot(rp, fp, "1999-01-01", window=5)
+            build_snapshot(rp, "1999-01-01", window=5)
         with pytest.raises(DataError, match="need 9"):
-            build_snapshot(rp, fp, date, window=9)
+            build_snapshot(rp, date, window=9)
+
+    def test_each_date_carries_its_own_label(self):
+        rp, date = hand_panels(np.eye(3, 6), "ABC")
+        snaps = build_snapshots(rp, rp.dates[-2:], [None, 1], window=5)
+        assert [(s.date, s.graph_label) for s in snaps] == [(rp.dates[-2], None), (date, 1)]
+        with pytest.raises(DataError, match="2 snapshot dates but 1 graph labels"):
+            build_snapshots(rp, rp.dates[-2:], [1], window=5)
 
 
 def labeled_snapshots(n_days=120, seed=2):
@@ -162,7 +164,8 @@ def labeled_snapshots(n_days=120, seed=2):
     returns = log_returns(prices)
     panel = attach_labels(compute_features(returns, prices), prices,
                           threshold=0.10, horizon=20)
-    return build_snapshots(returns, panel, window=7, tau=0.5)
+    labels = [int(y) if v else None for y, v in zip(panel.graph_labels, panel.label_valid)]
+    return build_snapshots(returns, panel.dates, labels, window=7, tau=0.5)
 
 
 class TestSequences:
@@ -200,12 +203,16 @@ class TestJsonl:
         for a, b in zip(snaps, back):
             assert a.date == b.date and a.node_ids == b.node_ids
             assert a.layers == b.layers
-            assert np.array_equal(a.node_features, b.node_features)
             assert a.graph_label == b.graph_label
-            if a.node_labels is None:
-                assert b.node_labels is None
-            else:
-                assert np.array_equal(a.node_labels, b.node_labels)
+
+    def test_records_hold_the_graph_only(self, tmp_path):
+        snaps = labeled_snapshots()
+        path = tmp_path / "graphs.jsonl"
+        write_snapshots_jsonl(snaps, str(path))
+        records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert all(sorted(r) == ["date", "graph_label", "layers", "nodes"] for r in records)
+        assert [r["graph_label"] for r in records] == [s.graph_label for s in snaps]
+        assert None in [r["graph_label"] for r in records]
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         snaps = labeled_snapshots()
@@ -218,7 +225,7 @@ class TestJsonl:
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"format": "something-else", "snapshots": 0}) + "\n")
-        with pytest.raises(DataError, match="srr-graph-v1"):
+        with pytest.raises(DataError, match="srr-graph-v2"):
             read_snapshots_jsonl(str(path))
 
     def test_empty_file_rejected(self, tmp_path):

@@ -16,9 +16,10 @@ from srr.models import (MODEL_FORMAT, ModelState, adjacency_from_snapshot,
                         gru_step, init_gcn, init_gru, logistic_fit,
                         logistic_predict, parameter_count, serialize,
                         temporal_backward, temporal_forward)
-from srr.features import FeaturePanel
+from srr.features import FeaturePanel, compute_features
+from srr.market_data import PricePanel, log_returns
 from srr.models.temporal import gru_step_backward
-from srr.synthetic import business_days
+from srr.synthetic import business_days, planted_regime_panel
 from srr.tensor import bce_loss, seeded_rng, sigmoid
 
 
@@ -57,8 +58,7 @@ def snapshot_for(n, edges, sector_edges=None, date="2021-03-01"):
     layers = {"correlation": edges}
     if sector_edges is not None:
         layers["sector"] = sector_edges
-    return GraphSnapshot(date=date, node_ids=[f"T{i}" for i in range(n)],
-                         layers=layers, node_features=np.zeros((n, 1)))
+    return GraphSnapshot(date=date, node_ids=[f"T{i}" for i in range(n)], layers=layers)
 
 
 class TestAdjacency:
@@ -350,6 +350,22 @@ class TestDayFeatures:
         # date 0: f values {1, 3}, g values {10, 30}; ddof=1 std = sqrt(2)*|d|/sqrt(2)
         assert np.allclose(mat[0], [2.0, math.sqrt(2.0), 20.0, 10.0 * math.sqrt(2.0), 7.0])
         assert np.allclose(mat[1], [4.0, 2.0 * math.sqrt(2.0), 40.0, 20.0 * math.sqrt(2.0), 8.0])
+
+    @pytest.mark.parametrize("n_tickers,n_days", [(20, 600), (44, 1500), (2, 300)])
+    def test_one_reduction_equals_the_per_day_loop(self, n_tickers, n_days):
+        dates, tickers, raw = planted_regime_panel(n_tickers=n_tickers, n_days=n_days, seed=3)
+        prices = PricePanel(tickers=tickers, dates=dates, prices=raw)
+        panel = compute_features(log_returns(prices), prices)
+        panel.macro = np.random.default_rng(0).normal(size=(len(panel.dates), 2))
+        idx = list(range(0, len(panel.dates), 3))
+        rows = []
+        for t in idx:  # the per-day construction the matrix replaces
+            x = panel.features[:, t, :]
+            row = np.empty(2 * x.shape[1])
+            row[0::2] = x.mean(axis=0)
+            row[1::2] = x.std(axis=0, ddof=1)
+            rows.append(np.concatenate([row, panel.macro[t]]))
+        assert np.array_equal(day_feature_matrix(panel, idx), np.stack(rows))
 
     def test_single_ticker_rejected(self):
         panel = FeaturePanel(tickers=["A"], dates=["2020-01-01"],

@@ -1,18 +1,21 @@
 """Chronological split semantics, deterministic training, divergence and
 single-class guards, and the no-peeking property of every fit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from srr import tensor as tz
+from srr.config import Config, ModelConfig
 from srr.errors import DataError, NumericalError
 from srr.features import attach_labels, compute_features, standardize
 from srr.graphs import build_sequences, build_snapshots
 from srr.market_data import PricePanel, log_returns
 from srr.models import serialize
 from srr.synthetic import business_days, planted_regime_panel
-from srr.training import (DataBundle, TrainSettings, chronological_split,
-                          predict_scores, train)
-from srr.training import _train_minibatch  # white-box: the divergence guard
+from srr.training import DataBundle, chronological_split, predict_scores, train
+from srr.training import _graph_samples, _train_minibatch  # white-box
 
 
 class TestSplit:
@@ -48,9 +51,14 @@ class TestSplit:
 
 HORIZON = 20
 
-SMALL = TrainSettings(gcn_hidden=4, mlp_hidden=3, gru_hidden=4, k=2, stride=2,
-                      epochs=2, batch_size=4, lr=1e-3,
-                      logistic_epochs=100, forest_trees=5, forest_max_depth=3)
+SMALL = Config(model=ModelConfig(gcn_hidden=4, mlp_hidden=3, gru_hidden=4, sequence_length=2,
+                                 stride=2, epochs=2, batch_size=4, learning_rate=1e-3,
+                                 logistic_epochs=100, forest_trees=5, forest_max_depth=3),
+               seed=7)
+
+
+def graph_labels(panel):
+    return [int(y) if v else None for y, v in zip(panel.graph_labels, panel.label_valid)]
 
 
 def make_bundle(prices_panel=None, n_days=280, seed=5, tau=0.5):
@@ -62,7 +70,7 @@ def make_bundle(prices_panel=None, n_days=280, seed=5, tau=0.5):
                           threshold=0.10, horizon=HORIZON)
     split = chronological_split(panel.dates, ratio=0.8, horizon=HORIZON)
     panel = standardize(panel, (split.train_dates[0], split.train_dates[-1]))
-    snapshots = build_snapshots(returns, panel, window=7, tau=tau)
+    snapshots = build_snapshots(returns, panel.dates, graph_labels(panel), window=7, tau=tau)
     return DataBundle(panel=panel, snapshots=snapshots, split=split), prices_panel
 
 
@@ -74,15 +82,15 @@ def bundle():
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ["logistic", "forest", "gcn", "temporal"])
     def test_same_seed_same_bytes(self, bundle, kind):
-        state_a, log_a = train(kind, bundle, SMALL, seed=7)
-        state_b, log_b = train(kind, bundle, SMALL, seed=7)
+        state_a, log_a = train(kind, bundle, SMALL)
+        state_b, log_b = train(kind, bundle, SMALL)
         assert serialize(state_a) == serialize(state_b)
         assert log_a == log_b
 
     @pytest.mark.parametrize("kind", ["forest", "gcn", "temporal"])
     def test_different_seed_different_weights(self, bundle, kind):
-        state_a, _ = train(kind, bundle, SMALL, seed=7)
-        state_b, _ = train(kind, bundle, SMALL, seed=8)
+        state_a, _ = train(kind, bundle, SMALL)
+        state_b, _ = train(kind, bundle, SMALL.replace(seed=8))
         assert any(not np.array_equal(state_a.params[k], state_b.params[k])
                    for k in state_a.params)
 
@@ -91,17 +99,17 @@ class TestTrainingLoop:
     def test_zero_epochs_returns_initialization(self, bundle):
         from srr.models import init_gcn
         from srr.tensor import seeded_rng
-        settings = TrainSettings(**{**SMALL.__dict__, "epochs": 0})
-        state, log = train("gcn", bundle, settings, seed=7)
+        cfg = SMALL.replace(model=replace(SMALL.model, epochs=0))
+        state, log = train("gcn", bundle, cfg)
         init = init_gcn(seeded_rng(7, 1), bundle.panel.n_features,
-                        settings.gcn_hidden, settings.mlp_hidden)
+                        cfg.model.gcn_hidden, cfg.model.mlp_hidden)
         assert all(np.array_equal(state.params[k], init[k]) for k in init)
         assert log["epoch_loss"] == [] and log["best_epoch"] == -1
 
     def test_loss_history_length_and_sample_counts(self, bundle):
-        state, log = train("gcn", bundle, SMALL, seed=7)
-        assert len(log["epoch_loss"]) == SMALL.epochs
-        assert 0 <= log["best_epoch"] < SMALL.epochs
+        state, log = train("gcn", bundle, SMALL)
+        assert len(log["epoch_loss"]) == SMALL.model.epochs
+        assert 0 <= log["best_epoch"] < SMALL.model.epochs
         assert all(np.isfinite(v) for v in log["epoch_loss"])
         # the retained parameters correspond to the best epoch's loss
         assert log["epoch_loss"][log["best_epoch"]] == min(log["epoch_loss"])
@@ -112,19 +120,17 @@ class TestTrainingLoop:
             _train_minibatch(samples, {"w": np.zeros(1)},
                              forward=lambda s, p: (float("nan"), None),
                              backward=lambda d, c, p: {"w": np.zeros(1)},
-                             settings=SMALL, seed=7, kind="gcn")
+                             m=SMALL.model, seed=7, kind="gcn")
 
-    def test_divergence_guard_names_epoch_and_batch(self):
-        class ExplodingSettings(TrainSettings):
-            def loss_fn(self):
-                return lambda probs, targets: (float("inf"), np.zeros_like(probs))
-
+    def test_divergence_guard_names_epoch_and_batch(self, monkeypatch):
+        monkeypatch.setattr(tz, "bce_loss",
+                            lambda probs, targets: (float("inf"), np.zeros_like(probs)))
         samples = [(None, 1.0, "d0"), (None, 0.0, "d1")]
         with pytest.raises(NumericalError, match="diverged at epoch 0, batch 0"):
             _train_minibatch(samples, {"w": np.zeros(1)},
                              forward=lambda s, p: (0.5, None),
                              backward=lambda d, c, p: {"w": np.zeros(1)},
-                             settings=ExplodingSettings(), seed=7, kind="gcn")
+                             m=SMALL.model, seed=7, kind="gcn")
 
     def test_single_class_training_data_rejected(self):
         rng = np.random.default_rng(0)
@@ -135,17 +141,17 @@ class TestTrainingLoop:
         calm_bundle, _ = make_bundle(prices_panel=calm)
         for kind in ("logistic", "gcn", "temporal"):
             with pytest.raises(DataError, match="single-class"):
-                train(kind, calm_bundle, SMALL, seed=7)
+                train(kind, calm_bundle, SMALL)
 
     def test_unknown_kind_rejected(self, bundle):
         with pytest.raises(DataError, match="unknown model kind"):
-            train("perceptron", bundle, SMALL, seed=7)
+            train("perceptron", bundle, SMALL)
 
 
 class TestScoring:
     def test_day_grid_scores(self, bundle):
-        state, _ = train("logistic", bundle, SMALL, seed=7)
-        dates, scores, labels = predict_scores(state, bundle, SMALL, side="test")
+        state, _ = train("logistic", bundle, SMALL)
+        dates, scores, labels = predict_scores(state, bundle, side="test")
         panel, split = bundle.panel, bundle.split
         expected = [d for t, d in enumerate(panel.dates)
                     if panel.label_valid[t] and split.side(d) == "test"]
@@ -155,16 +161,17 @@ class TestScoring:
         assert set(labels.tolist()) <= {0.0, 1.0}
 
     def test_snapshot_grid_respects_stride(self, bundle):
-        state, _ = train("gcn", bundle, SMALL, seed=7)
-        dates, _, _ = predict_scores(state, bundle, SMALL, side="train")
-        grid = {s.date for s in bundle.snapshots[::SMALL.stride]}
+        state, _ = train("gcn", bundle, SMALL)
+        dates, _, _ = predict_scores(state, bundle, side="train")
+        grid = {s.date for s in bundle.snapshots[::SMALL.model.stride]}
         assert set(dates) <= grid
         assert all(bundle.split.side(d) == "train" for d in dates)
 
     def test_sequence_grid_counts(self, bundle):
-        state, _ = train("temporal", bundle, SMALL, seed=7)
-        dates, scores, _ = predict_scores(state, bundle, SMALL, side="test")
-        seqs = build_sequences(bundle.snapshots, k=SMALL.k, stride=SMALL.stride)
+        state, _ = train("temporal", bundle, SMALL)
+        dates, scores, _ = predict_scores(state, bundle, side="test")
+        seqs = build_sequences(bundle.snapshots, k=SMALL.model.sequence_length,
+                               stride=SMALL.model.stride)
         expected = [q.date for q in seqs
                     if q.graph_label is not None and bundle.split.side(q.date) == "test"]
         assert dates == expected and len(scores) == len(expected)
@@ -184,13 +191,13 @@ class TestNoLookahead:
         assert not np.array_equal(clean_bundle.panel.features,
                                   shifted_bundle.panel.features)
         for kind in ("logistic", "forest", "gcn", "temporal"):
-            state_clean, _ = train(kind, clean_bundle, SMALL, seed=7)
-            state_shift, _ = train(kind, shifted_bundle, SMALL, seed=7)
+            state_clean, _ = train(kind, clean_bundle, SMALL)
+            state_shift, _ = train(kind, shifted_bundle, SMALL)
             assert serialize(state_clean) == serialize(state_shift), kind
 
 
 class TestGraphInputs:
-    def test_a_hat_built_once_per_grid_snapshot_and_never_stale(self, monkeypatch):
+    def test_each_snapshot_read_is_built_once_and_never_stale(self, monkeypatch):
         import srr.training as training
         bundle, prices = make_bundle()
         built = []
@@ -198,15 +205,23 @@ class TestGraphInputs:
         monkeypatch.setattr(training, "adjacency_from_snapshot",
                             lambda snap, **kw: built.append(snap) or real(snap, **kw))
 
+        def read(*sides):  # ids of the snapshots that gcn and temporal samples on `sides` read
+            m = SMALL.model
+            return {id(s) for k in (1, m.sequence_length)
+                    for q in build_sequences(bundle.snapshots, k=k, stride=m.stride)
+                    if q.graph_label is not None and bundle.split.side(q.date) in sides
+                    for s in q.snapshots}
+
         def scores(b):
-            return [predict_scores(state, b, SMALL, side=side)[1]
+            return [predict_scores(state, b, side=side)[1]
                     for state in states for side in ("train", "test")]
 
-        states = [train(kind, bundle, SMALL, seed=7)[0] for kind in ("gcn", "temporal")]
+        states = [train(kind, bundle, SMALL)[0] for kind in ("gcn", "temporal")]
+        assert len(built) == len(read("train"))
+        assert {id(s) for s in built} == read("train")
         before = scores(bundle)
-        grid = bundle.snapshots[::SMALL.stride]
-        assert len(built) == len(grid)
-        assert {id(s) for s in built} == {id(s) for s in grid}
+        assert len(built) == len(read("train", "test"))
+        assert {id(s) for s in built} == read("train", "test")
 
         other = make_bundle(prices_panel=prices, tau=0.3)[0]
         bundle.snapshots = other.snapshots
@@ -215,3 +230,15 @@ class TestGraphInputs:
                                   split=bundle.split))
         assert all(np.array_equal(a, f) for a, f in zip(after, fresh))
         assert any(not np.array_equal(a, b) for a, b in zip(after, before))
+
+    def test_x_is_the_panel_node_matrix_with_macro_columns(self):
+        bundle, _ = make_bundle()
+        panel = bundle.panel
+        panel.macro = np.arange(2.0 * len(panel.dates)).reshape(-1, 2)
+        panel.macro_names = ["m0", "m1"]
+        state = train("temporal", bundle, SMALL)[0]
+        assert state.hyper["n_features"] == panel.n_features + 2
+        for inputs, _, date in _graph_samples(bundle, state.hyper, "test"):
+            t = panel.dates.index(date)
+            assert np.array_equal(inputs[-1][1], panel.node_matrix(t))
+            assert np.array_equal(inputs[-1][1][:, -2:], np.tile(panel.macro[t], (6, 1)))
