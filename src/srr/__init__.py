@@ -8,9 +8,9 @@ and scores everything with chronological, leakage-free evaluation.
 
 from .config import Config, PRESETS, config_hash, load_config
 from .errors import ConfigError, DataError, NumericalError, ShapeError, SrrError
-from .evaluation import (auprc_step, auroc_oracle, auroc_rank, compute_metrics,
-                         crash_windows, lead_times, pr_points, report_to_json,
-                         roc_points, summary_table)
+from .evaluation import (auprc_step, auroc_rank, compute_metrics, crash_windows,
+                         lead_times, pr_points, report_to_json, roc_points,
+                         summary_table)
 from .features import (FeaturePanel, Standardization, apply_standardization,
                        attach_labels, compute_features, compute_labels,
                        feature_names, standardize)
@@ -51,7 +51,7 @@ __all__ = [
     "forest_predict", "day_feature_names",
     # training & evaluation
     "SplitPlan", "chronological_split", "DataBundle", "train",
-    "predict_scores", "compute_metrics", "auroc_rank", "auroc_oracle",
+    "predict_scores", "compute_metrics", "auroc_rank",
     "auprc_step", "roc_points", "pr_points", "crash_windows", "lead_times",
     "report_to_json", "summary_table",
     # synthetic fixture & config

@@ -17,7 +17,6 @@ from .graphs import average_ranks
 __all__ = [
     "compute_metrics",
     "auroc_rank",
-    "auroc_oracle",
     "auprc_step",
     "roc_points",
     "pr_points",
@@ -56,23 +55,6 @@ def auroc_rank(scores, labels) -> float | None:
     ranks = average_ranks(s)
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / float(n_pos * n_neg)
-
-
-def auroc_oracle(scores, labels) -> float | None:
-    """Brute-force pair counting: concordant + half-ties over all pos/neg pairs."""
-    s, y = _check_scored(scores, labels)
-    pos = s[y == 1]
-    neg = s[y == 0]
-    if pos.size == 0 or neg.size == 0:
-        return None
-    num = 0.0
-    for p in pos:
-        for q in neg:
-            if p > q:
-                num += 1.0
-            elif p == q:
-                num += 0.5
-    return num / float(pos.size * neg.size)
 
 
 def _tie_block_counts(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,6 @@
 """Snapshot graph-convolutional classifier with explicit backward pass.
 
-Forward:
+Forward, for one graph:
     A_hat = D^{-1/2} (A + I) D^{-1/2}        (D = degree matrix of A + I)
     H1 = relu(A_hat X W1 + b1)               (F -> hidden)
     H2 = relu(A_hat H1 W2 + b2)              (hidden -> hidden)
@@ -12,6 +12,12 @@ The adjacency fed to the model is binary with no self-loops (they are added
 by the normalization); an optional weighted mode uses |rho| edge weights.
 Gradients are composed by hand in reverse order; no autodiff tape exists
 anywhere in the package.
+
+Every pass runs over leading batch axes, A_hat (..., N, N) and X (..., N, F),
+e.g. B x k x N x N for a mini-batch of sequences; an unbatched graph has no
+leading axes. Weight gradients are summed over the batch by reshape-and-matmul.
+Nothing here scans for NaN/Inf; the loss, ``adam_step`` and the scored
+probabilities raise ``NumericalError`` on non-finite values.
 """
 
 from __future__ import annotations
@@ -91,71 +97,59 @@ def init_gcn(rng: np.random.Generator, n_features: int, hidden: int = 32,
 
 
 def gcn_embed(a_hat: np.ndarray, x: np.ndarray, params: dict) -> tuple[np.ndarray, dict]:
-    """Two convolutions + mean pooling; returns (embedding vector, cache)."""
-    if a_hat.shape[0] != x.shape[0]:
-        raise ShapeError(f"adjacency {a_hat.shape} vs features {x.shape}: node counts differ")
-    ax = tz.matmul(a_hat, x)
-    pre1 = tz.add(tz.matmul(ax, params["w1"]), params["b1"][None, :])
-    h1 = tz.relu(pre1)
-    ah1 = tz.matmul(a_hat, h1)
-    pre2 = tz.add(tz.matmul(ah1, params["w2"]), params["b2"][None, :])
-    h2 = tz.relu(pre2)
-    z = tz.row_mean(h2)
-    cache = {"a_hat": a_hat, "ax": ax, "pre1": pre1, "ah1": ah1, "pre2": pre2, "n": x.shape[0]}
+    """Two convolutions + mean pooling of every graph in the batch.
+
+    ``a_hat`` is (..., N, N) and ``x`` (..., N, F) with the same leading
+    axes; returns (embeddings (..., hidden), cache).
+    """
+    if a_hat.shape[:-1] != x.shape[:-1]:
+        raise ShapeError(f"adjacency {a_hat.shape} vs features {x.shape}: "
+                         "batch or node axes differ")
+    ax = a_hat @ x
+    pre1 = tz.linear(ax, params["w1"], params["b1"])
+    ah1 = a_hat @ tz.relu(pre1)
+    pre2 = tz.linear(ah1, params["w2"], params["b2"])
+    z = tz.relu(pre2).mean(axis=-2)
+    cache = {"a_hat": a_hat, "ax": ax, "pre1": pre1, "ah1": ah1, "pre2": pre2}
     return z, cache
 
 
 def gcn_embed_backward(dz: np.ndarray, cache: dict, params: dict) -> dict[str, np.ndarray]:
-    """Gradients of the encoder weights given d loss / d embedding."""
-    n = cache["n"]
-    a_hat = cache["a_hat"]
-    dh2 = np.repeat(dz[None, :], n, axis=0) / n  # mean-pool backward
-    dpre2 = dh2 * tz.relu_grad(cache["pre2"])
-    grads = {
-        "w2": cache["ah1"].T @ dpre2,
-        "b2": dpre2.sum(axis=0),
-    }
-    dh1 = a_hat.T @ dpre2 @ params["w2"].T
+    """Encoder weight gradients, summed over the batch, given d loss / d embeddings."""
+    pre2 = cache["pre2"]
+    dpre2 = dz[..., None, :] / pre2.shape[-2] * tz.relu_grad(pre2)  # mean-pool backward
+    grads = dict(zip(("w2", "b2"), tz.linear_grads(cache["ah1"], dpre2)))
+    dh1 = tz.linear(np.swapaxes(cache["a_hat"], -1, -2) @ dpre2, params["w2"].T)
     dpre1 = dh1 * tz.relu_grad(cache["pre1"])
-    grads["w1"] = cache["ax"].T @ dpre1
-    grads["b1"] = dpre1.sum(axis=0)
+    grads["w1"], grads["b1"] = tz.linear_grads(cache["ax"], dpre1)
     return grads
 
 
-def _head_forward(z: np.ndarray, params: dict) -> tuple[float, float, dict]:
-    zr = z[None, :]
-    pre3 = zr @ params["w3"] + params["b3"][None, :]
+def gcn_forward(a_hat: np.ndarray, x: np.ndarray, params: dict,
+                rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Full classifier pass; returns (embeddings, probs, cache).
+
+    Without ``rows`` each graph of the batch is one sample; with ``rows``
+    (integers into the graphs' leading axis) each graph is encoded once and
+    sample i reads graph ``rows[i]``.
+    """
+    emb, enc_cache = gcn_embed(a_hat, x, params)
+    z = emb if rows is None else emb[rows]
+    pre3 = tz.linear(z, params["w3"], params["b3"])
     h3 = tz.relu(pre3)
-    logit = float((h3 @ params["w4"] + params["b4"][None, :])[0, 0])
-    prob = float(tz.sigmoid(np.array([logit]))[0])
-    return logit, prob, {"zr": zr, "pre3": pre3, "h3": h3}
+    logit = tz.linear(h3, params["w4"], params["b4"])[..., 0]
+    cache = {"enc": enc_cache, "z": z, "pre3": pre3, "h3": h3, "rows": rows, "n_emb": len(emb)}
+    return z, tz.sigmoid(logit), cache
 
 
-def _head_backward(dlogit: float, cache: dict, params: dict) -> tuple[dict, np.ndarray]:
-    h3, pre3, zr = cache["h3"], cache["pre3"], cache["zr"]
-    grads = {
-        "w4": h3.T * dlogit,
-        "b4": np.array([dlogit]),
-    }
-    dh3 = dlogit * params["w4"].T  # 1 x mlp_hidden
-    dpre3 = dh3 * tz.relu_grad(pre3)
-    grads["w3"] = zr.T @ dpre3
-    grads["b3"] = dpre3[0]
-    dz = (dpre3 @ params["w3"].T)[0]
-    return grads, dz
-
-
-def gcn_forward(a_hat: np.ndarray, x: np.ndarray,
-                params: dict) -> tuple[np.ndarray, float, dict]:
-    """Full classifier pass; returns (embedding, prob, cache)."""
-    z, enc_cache = gcn_embed(a_hat, x, params)
-    logit, prob, head_cache = _head_forward(z, params)
-    cache = {"enc": enc_cache, "head": head_cache, "logit": logit}
-    return z, prob, cache
-
-
-def gcn_backward(dlogit: float, cache: dict, params: dict) -> dict[str, np.ndarray]:
-    """Gradients for all eight tensors given d loss / d logit."""
-    grads, dz = _head_backward(dlogit, cache["head"], params)
+def gcn_backward(dlogit, cache: dict, params: dict) -> dict[str, np.ndarray]:
+    """Gradients for all eight tensors, summed over the batch, given d loss / d logits."""
+    d = np.asarray(dlogit, dtype=np.float64)[..., None]
+    grads = dict(zip(("w4", "b4"), tz.linear_grads(cache["h3"], d)))
+    dpre3 = (d @ params["w4"].T) * tz.relu_grad(cache["pre3"])
+    grads["w3"], grads["b3"] = tz.linear_grads(cache["z"], dpre3)
+    dz = dpre3 @ params["w3"].T
+    if cache["rows"] is not None:
+        dz = tz.scatter_rows(dz, cache["rows"], cache["n_emb"])
     grads.update(gcn_embed_backward(dz, cache["enc"], params))
     return grads

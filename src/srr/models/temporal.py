@@ -14,6 +14,14 @@ Gate equations (x = embedding, h = previous hidden):
 
 Training is end to end: the backward pass runs through time and through
 every snapshot encoder, accumulating into one shared set of GCN gradients.
+
+A mini-batch of B sequences of k snapshots is A_hat (B, k, N, N) and
+X (B, k, N, F): the encoder runs once over all B*k graphs and each GRU step
+once over the (B, hidden) state; an unbatched sequence has no leading axes.
+Scoring passes each distinct snapshot once, as (G, N, N) and (G, N, F), with
+(S, k) ``rows`` naming each sequence's snapshots. Nothing here scans for
+NaN/Inf; the loss, ``adam_step`` and the scored probabilities raise
+``NumericalError`` on non-finite values.
 """
 
 from __future__ import annotations
@@ -40,91 +48,71 @@ def init_gru(rng: np.random.Generator, input_dim: int, hidden: int = 64) -> dict
 
 
 def gru_step(x: np.ndarray, h: np.ndarray, params: dict) -> tuple[np.ndarray, dict]:
-    """One recurrence step on 1-D arrays (single sequence)."""
-    pre_z = x @ params["wz"] + h @ params["uz"] + params["bz"]
-    z = tz.sigmoid(pre_z)
-    pre_r = x @ params["wr"] + h @ params["ur"] + params["br"]
-    r = tz.sigmoid(pre_r)
+    """One recurrence step; ``x`` (..., input) and ``h`` (..., hidden) share
+    their leading (batch) axes."""
+    z = tz.sigmoid(x @ params["wz"] + h @ params["uz"] + params["bz"])
+    r = tz.sigmoid(x @ params["wr"] + h @ params["ur"] + params["br"])
     rh = r * h
-    pre_n = x @ params["wn"] + rh @ params["un"] + params["bn"]
-    n = tz.tanh(pre_n)
+    n = tz.tanh(x @ params["wn"] + rh @ params["un"] + params["bn"])
     h_new = (1.0 - z) * n + z * h
-    cache = {"x": x, "h": h, "z": z, "r": r, "rh": rh, "n": n,
-             "pre_z": pre_z, "pre_r": pre_r, "pre_n": pre_n}
-    return h_new, cache
+    return h_new, {"x": x, "h": h, "z": z, "r": r, "rh": rh, "n": n}
 
 
 def gru_step_backward(dh_new: np.ndarray, cache: dict, params: dict,
                       grads: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Backward through one step. Accumulates into ``grads``; returns (dx, dh)."""
+    """Backward through one step. Accumulates the batch's summed weight
+    gradients into ``grads``; returns (dx, dh)."""
     x, h, z, r, n = cache["x"], cache["h"], cache["z"], cache["r"], cache["n"]
-    dz = dh_new * (h - n)
-    dn = dh_new * (1.0 - z)
-    dh = dh_new * z
-
-    dpre_n = dn * (1.0 - n * n)
-    grads["wn"] += np.outer(x, dpre_n)
-    grads["un"] += np.outer(cache["rh"], dpre_n)
-    grads["bn"] += dpre_n
-    dx = dpre_n @ params["wn"].T
+    dpre_n = dh_new * (1.0 - z) * (1.0 - n * n)
     drh = dpre_n @ params["un"].T
-    dr = drh * h
-    dh += drh * r
-
-    dpre_z = dz * z * (1.0 - z)
-    grads["wz"] += np.outer(x, dpre_z)
-    grads["uz"] += np.outer(h, dpre_z)
-    grads["bz"] += dpre_z
-    dx += dpre_z @ params["wz"].T
-    dh += dpre_z @ params["uz"].T
-
-    dpre_r = dr * r * (1.0 - r)
-    grads["wr"] += np.outer(x, dpre_r)
-    grads["ur"] += np.outer(h, dpre_r)
-    grads["br"] += dpre_r
-    dx += dpre_r @ params["wr"].T
-    dh += dpre_r @ params["ur"].T
+    dpre_z = dh_new * (h - n) * z * (1.0 - z)
+    dpre_r = drh * h * r * (1.0 - r)
+    for gate, dpre, h_in in (("n", dpre_n, cache["rh"]), ("z", dpre_z, h), ("r", dpre_r, h)):
+        dw, db = tz.linear_grads(x, dpre)
+        grads[f"w{gate}"] += dw
+        grads[f"u{gate}"] += tz.linear_grads(h_in, dpre)[0]
+        grads[f"b{gate}"] += db
+    dx = dpre_n @ params["wn"].T + dpre_z @ params["wz"].T + dpre_r @ params["wr"].T
+    dh = dh_new * z + drh * r + dpre_z @ params["uz"].T + dpre_r @ params["ur"].T
     return dx, dh
 
 
-def temporal_forward(graph_inputs: list[tuple[np.ndarray, np.ndarray]], gcn_params: dict,
-                     gru_params: dict) -> tuple[float, dict]:
-    """Probability for one sequence of (normalized adjacency, features) pairs."""
-    hidden = gru_params["w_out"].shape[0]
-    h = np.zeros(hidden)
-    enc_caches, step_caches, embeddings = [], [], []
-    for a_hat, x in graph_inputs:
-        z_emb, enc_cache = gcn_embed(a_hat, x, gcn_params)
-        h, step_cache = gru_step(z_emb, h, gru_params)
-        embeddings.append(z_emb)
-        enc_caches.append(enc_cache)
+def temporal_forward(a_hat: np.ndarray, x: np.ndarray, gcn_params: dict, gru_params: dict,
+                     rows: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+    """Probabilities of a batch of snapshot sequences, oldest snapshot first.
+
+    Without ``rows``, ``a_hat`` is (..., k, N, N) and ``x`` (..., k, N, F):
+    one sequence per leading index. With ``rows`` (S x k integers), ``a_hat``
+    (G, N, N) and ``x`` (G, N, F) hold distinct snapshots, each encoded once,
+    and sequence s reads snapshots ``rows[s]``.
+    """
+    emb, enc_cache = gcn_embed(a_hat, x, gcn_params)
+    seq = emb if rows is None else emb[rows]
+    h = np.zeros(seq.shape[:-2] + (gru_params["w_out"].shape[0],))
+    step_caches = []
+    for t in range(seq.shape[-2]):
+        h, step_cache = gru_step(seq[..., t, :], h, gru_params)
         step_caches.append(step_cache)
-    logit = float(h @ gru_params["w_out"][:, 0] + gru_params["b_out"][0])
-    prob = float(tz.sigmoid(np.array([logit]))[0])
-    cache = {"enc": enc_caches, "steps": step_caches, "h_final": h,
-             "embeddings": embeddings, "logit": logit}
-    return prob, cache
+    logit = h @ gru_params["w_out"][:, 0] + gru_params["b_out"][0]
+    cache = {"enc": enc_cache, "steps": step_caches, "h_final": h, "rows": rows,
+             "seq_shape": seq.shape, "n_emb": len(emb)}
+    return tz.sigmoid(logit), cache
 
 
-def temporal_backward(dlogit: float, cache: dict, gcn_params: dict,
+def temporal_backward(dlogit, cache: dict, gcn_params: dict,
                       gru_params: dict) -> tuple[dict, dict]:
     """Backward through head, time, and every shared encoder.
 
-    Returns (gcn_grads, gru_grads) for one sequence. The two parameter
+    Returns (gcn_grads, gru_grads), summed over the batch. The two parameter
     dicts may be one dict holding both groups.
     """
     gru_grads = {name: np.zeros_like(gru_params[name]) for name in GRU_TENSORS}
-    gcn_grads = {name: np.zeros_like(gcn_params[name])
-                 for name in ("w1", "b1", "w2", "b2")}
-
-    h_final = cache["h_final"]
-    gru_grads["w_out"] = dlogit * h_final[:, None]
-    gru_grads["b_out"] = np.array([dlogit])
-    dh = dlogit * gru_params["w_out"][:, 0]
-
-    for enc_cache, step_cache in zip(reversed(cache["enc"]), reversed(cache["steps"])):
-        dx, dh = gru_step_backward(dh, step_cache, gru_params, gru_grads)
-        step_grads = gcn_embed_backward(dx, enc_cache, gcn_params)
-        for name, g in step_grads.items():
-            gcn_grads[name] += g
-    return gcn_grads, gru_grads
+    d = np.asarray(dlogit, dtype=np.float64)[..., None]
+    gru_grads["w_out"], gru_grads["b_out"] = tz.linear_grads(cache["h_final"], d)
+    dh = d * gru_params["w_out"][:, 0]
+    dseq = np.empty(cache["seq_shape"])
+    for t in reversed(range(len(cache["steps"]))):
+        dseq[..., t, :], dh = gru_step_backward(dh, cache["steps"][t], gru_params, gru_grads)
+    if cache["rows"] is not None:
+        dseq = tz.scatter_rows(dseq, cache["rows"], cache["n_emb"])
+    return gcn_embed_backward(dseq, cache["enc"], gcn_params), gru_grads

@@ -1,8 +1,11 @@
-"""Dense float64 matrix kernel: ops, activations, losses, Adam, seeded RNG.
+"""Dense float64 kernel: batched linear maps, activations, losses, Adam, seeded RNG.
 
-A "matrix" here is a 2-D C-contiguous float64 ndarray (rows x cols,
-row-major). Every public operation validates shapes and traps NaN/Inf in
-its result, so downstream code can assume finite values throughout.
+The feature axis is last and every axis before it is a batch axis, e.g.
+B x k x N x F node features: :func:`linear` and :func:`linear_grads` run one
+GEMM over all of them, and an unbatched call has no leading axes. Nothing on
+this hot path scans for NaN/Inf; non-finite values raise NumericalError at
+the losses, :func:`adam_step` and ``training.predict_scores``. The checked
+2-D :func:`matmul` and :func:`add` have no caller in the models.
 
 All randomness in the toolkit flows through :func:`seeded_rng`, which is
 backed by the counter-based Philox generator, so any consumer that records
@@ -24,13 +27,13 @@ __all__ = [
     "as_matrix",
     "matmul",
     "add",
-    "row_mean",
+    "linear",
+    "linear_grads",
+    "scatter_rows",
     "relu",
     "relu_grad",
     "sigmoid",
-    "sigmoid_grad",
     "tanh",
-    "tanh_grad",
     "bce_loss",
     "focal_loss",
     "AdamState",
@@ -73,12 +76,27 @@ def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _finite("add", out)
 
 
-def row_mean(a: np.ndarray) -> np.ndarray:
-    """Mean over the row axis: (N x C) -> length-C vector. Used as mean pooling."""
-    a = as_matrix(a)
-    if a.shape[0] == 0:
-        raise ShapeError(f"row_mean: cannot pool an empty matrix of shape {a.shape}")
-    return _finite("row_mean", a.mean(axis=0))
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """``x @ w (+ b)`` over the last axis of ``x`` (..., F) -> (..., H), as one GEMM."""
+    out = x.reshape(-1, x.shape[-1]) @ w
+    if b is not None:
+        out += b
+    return out.reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def linear_grads(x: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dW, db) of :func:`linear` given d loss / d output, summed over every
+    leading axis by one reshape-and-matmul."""
+    d = dy.reshape(-1, dy.shape[-1])
+    return x.reshape(-1, x.shape[-1]).T @ d, d.sum(axis=0)
+
+
+def scatter_rows(d: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Backward of the gather ``a[rows]`` for an ``a`` with ``n`` rows: each
+    gathered row's gradient is added into its source row."""
+    out = np.zeros((n,) + d.shape[rows.ndim:])
+    np.add.at(out, rows, d)
+    return out
 
 
 # -- activations --------------------------------------------------------
@@ -104,18 +122,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid_grad(x: np.ndarray) -> np.ndarray:
-    s = sigmoid(x)
-    return s * (1.0 - s)
-
-
 def tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def tanh_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(np.asarray(x, dtype=np.float64))
-    return 1.0 - t * t
 
 
 # -- losses --------------------------------------------------------------

@@ -15,7 +15,9 @@ range). Model families and their sample grids:
 Both graph kinds read each stride-grid snapshot as (A_hat, X): its normalized
 adjacency and the panel's node-feature rows for its date. Each pair is built
 the first time a sample of the scored side reads it and is then shared, by
-both kinds and both sides, for the life of the bundle.
+both kinds and both sides, for the life of the bundle. A side's samples are
+index rows into one stack of the pairs they read, so each mini-batch runs one
+batched forward and backward, and scoring encodes each snapshot once.
 GNNs train with seeded shuffled mini-batches, Adam, and a fixed epoch
 count; the parameters from the best-mean-train-loss epoch are retained.
 """
@@ -161,18 +163,31 @@ def _graph_inputs(bundle: DataBundle, hyper: dict) -> Callable:
     return inputs
 
 
-def _graph_samples(bundle: DataBundle, hyper: dict, side: str) -> list[tuple]:
-    """(inputs, label, date) per labeled ``side`` sequence of k stride-grid snapshots.
+class _GraphSamples(NamedTuple):
+    """The labeled sequences of one side, as index rows into one snapshot stack."""
 
-    ``inputs`` lists each snapshot's (A_hat, X), oldest first; a snapshot
-    sample is the k = 1 sequence.
-    """
+    a_hat: np.ndarray  # (G, N, N): each snapshot the sequences read, once, oldest first
+    x: np.ndarray  # (G, N, F)
+    rows: np.ndarray  # (S, k) stack indices of each sequence's snapshots, oldest first
+    labels: np.ndarray  # (S,)
+    dates: list[str]  # (S,) the date of each sequence's final snapshot
+
+
+def _graph_samples(bundle: DataBundle, hyper: dict, side: str) -> _GraphSamples | None:
+    """The labeled ``side`` sequences of k stride-grid snapshots, or None when
+    there are none; a snapshot sample is the k = 1 sequence."""
     sequences = [seq for seq in build_sequences(bundle.snapshots, k=hyper.get("k", 1),
                                                 stride=hyper["stride"])
                  if seq.graph_label is not None and bundle.split.side(seq.date) == side]
+    if not sequences:
+        return None
+    read = {id(s): s for seq in sequences for s in seq.snapshots}  # first-read order
+    slot = {key: i for i, key in enumerate(read)}
     inputs = _graph_inputs(bundle, hyper)
-    return [([inputs(s) for s in seq.snapshots], float(seq.graph_label), seq.date)
-            for seq in sequences]
+    a_hat, x = (np.stack(arrays) for arrays in zip(*(inputs(s) for s in read.values())))
+    rows = np.array([[slot[id(s)] for s in seq.snapshots] for seq in sequences])
+    return _GraphSamples(a_hat, x, rows, np.array([float(seq.graph_label) for seq in sequences]),
+                         [seq.date for seq in sequences])
 
 
 def _check_two_classes(labels, kind: str) -> None:
@@ -189,20 +204,21 @@ def _loss_fn(m: ModelConfig) -> Callable:
     return tz.bce_loss
 
 
-def _train_minibatch(samples: list, params: dict, forward, backward, m: ModelConfig,
-                     seed: int, kind: str) -> tuple[dict, list[float], int]:
-    """Shared shuffled-mini-batch Adam loop for both GNN families.
+def _train_minibatch(samples: _GraphSamples, params: dict, forward, backward,
+                     m: ModelConfig, seed: int, kind: str) -> tuple[dict, list[float], int]:
+    """Shared shuffled-mini-batch Adam loop for both GNN families: one forward
+    and one backward per mini-batch.
 
-    ``samples`` are (inputs, label, date) tuples;
-    ``forward(inputs, params) -> (prob, cache)``;
-    ``backward(dlogit, cache, params) -> grads``.
+    ``forward(a_hat, x, rows, params) -> (probs, cache)`` scores the sequences
+    whose snapshots are ``rows`` (B x k) of the (a_hat, x) stacks;
+    ``backward(dlogits, cache, params) -> grads`` sums the batch's gradients.
+    Each batch passes the distinct snapshots it reads, once each.
     Returns (best parameters, per-epoch mean losses, best epoch index).
     """
     loss_fn = _loss_fn(m)
     opt = tz.AdamState(lr=m.learning_rate)
     rng = tz.seeded_rng(seed, 11)
-    n = len(samples)
-    targets_all = np.array([s[1] for s in samples])
+    n = len(samples.labels)
     best_loss = np.inf
     best_params = {k: v.copy() for k, v in params.items()}
     best_epoch = -1
@@ -212,18 +228,16 @@ def _train_minibatch(samples: list, params: dict, forward, backward, m: ModelCon
         epoch_loss = 0.0
         for start in range(0, n, m.batch_size):
             chunk = perm[start:start + m.batch_size]
-            probs, caches = zip(*(forward(samples[i][0], params) for i in chunk))
-            loss, dlogits = loss_fn(np.array(probs), targets_all[chunk])
+            used, rows = np.unique(samples.rows[chunk], return_inverse=True)
+            probs, cache = forward(samples.a_hat[used], samples.x[used],
+                                   rows.reshape(len(chunk), -1), params)
+            loss, dlogits = loss_fn(probs, samples.labels[chunk])
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"{kind}: training diverged at epoch {epoch}, batch {start // m.batch_size}"
                     f" (loss={loss!r})"
                 )
-            grads = backward(float(dlogits[0]), caches[0], params)
-            for dlogit, cache in zip(dlogits[1:], caches[1:]):
-                for name, g in backward(float(dlogit), cache, params).items():
-                    grads[name] += g
-            params = tz.adam_step(params, grads, opt)
+            params = tz.adam_step(params, backward(dlogits, cache, params), opt)
             epoch_loss += loss * len(chunk)
         epoch_loss /= n
         history.append(float(epoch_loss))
@@ -251,8 +265,8 @@ class _GraphKind(NamedTuple):
     """A kind trained by ``_train_minibatch`` on sequences of stride-grid snapshots."""
 
     init: Callable  # (n_features, model config, seed) -> params
-    forward: Callable  # (inputs, params) -> (prob, cache)
-    backward: Callable  # (dlogit, cache, params) -> grads
+    forward: Callable  # (a_hat, x, rows, params) -> (probs, cache), as in _train_minibatch
+    backward: Callable  # (dlogits, cache, params) -> grads summed over the batch
     hyper: dict  # header key -> ModelConfig field, besides _GRAPH_HYPER
     noun: str  # what one sample is, for error messages
     bookkeeping: tuple[str, ...] = ()
@@ -288,15 +302,15 @@ _KINDS = {
         bookkeeping=("feature_importance",)),
     "gcn": _GraphKind(
         init=lambda n, s, seed: init_gcn(tz.seeded_rng(seed, 1), n, s.gcn_hidden, s.mlp_hidden),
-        forward=lambda inputs, p: gcn_forward(*inputs[0], p)[1:],
-        backward=lambda dlogit, cache, p: gcn_backward(dlogit, cache, p),
+        forward=lambda a_hat, x, rows, p: gcn_forward(a_hat, x, p, rows[:, 0])[1:],
+        backward=lambda dlogits, cache, p: gcn_backward(dlogits, cache, p),
         hyper={"mlp_hidden": "mlp_hidden"},
         noun="snapshots"),
     "temporal": _GraphKind(
         init=_temporal_init,
-        forward=lambda inputs, p: temporal_forward(inputs, p, p),
-        backward=lambda dlogit, cache, p: {  # encoder grads, then GRU grads, in one dict
-            name: g for group in temporal_backward(dlogit, cache, p, p)
+        forward=lambda a_hat, x, rows, p: temporal_forward(a_hat, x, p, p, rows),
+        backward=lambda dlogits, cache, p: {  # encoder grads, then GRU grads, in one dict
+            name: g for group in temporal_backward(dlogits, cache, p, p)
             for name, g in group.items()},
         hyper={"gru_hidden": "gru_hidden", "k": "sequence_length"},
         noun="sequences"),
@@ -326,12 +340,12 @@ def train(kind: str, bundle: DataBundle, cfg: Config) -> tuple[ModelState, dict]
                      weighted_adjacency=cfg.graph.weighted_adjacency,
                      layers=list(cfg.graph.layers), n_features=n_feat)
         samples = _graph_samples(bundle, hyper, "train")
-        if not samples:
+        if samples is None:
             raise DataError(f"{kind}: no labeled training {spec.noun} on the stride grid")
-        _check_two_classes([s[1] for s in samples], kind)
+        _check_two_classes(samples.labels, kind)
         params, log["epoch_loss"], log["best_epoch"] = _train_minibatch(
             samples, spec.init(n_feat, m, seed), spec.forward, spec.backward, m, seed, kind)
-        log["samples"] = len(samples)
+        log["samples"] = len(samples.labels)
     std = panel.standardization
     state = ModelState(kind=kind, params=params, hyper=hyper, seed=seed,
                        standardization=None if std is None else std.to_dict(),
@@ -344,14 +358,20 @@ def predict_scores(state: ModelState, bundle: DataBundle,
     """Score the given side of the split on the model's own sample grid, with
     the graph settings recorded in ``state.hyper`` at training time.
 
-    Returns (dates, scores, labels), chronologically ordered.
+    Returns (dates, scores, labels), chronologically ordered. A graph kind
+    encodes each snapshot the side reads once, then scores every sample in one
+    pass. Raises NumericalError when any score is not finite.
     """
     spec = _KINDS[state.kind]  # ModelState accepts only known kinds
     if isinstance(spec, _DayKind):
-        x, y, dates = _day_xy(bundle, side)
-        return dates, spec.predict(state.params, x), y
-    samples = _graph_samples(bundle, state.hyper, side)
-    if not samples:
-        raise DataError(f"{state.kind}: no labeled {side} {spec.noun} on the stride grid")
-    scores = np.array([spec.forward(inputs, state.params)[0] for inputs, _, _ in samples])
-    return [s[2] for s in samples], scores, np.array([s[1] for s in samples])
+        x, labels, dates = _day_xy(bundle, side)
+        scores = spec.predict(state.params, x)
+    else:
+        samples = _graph_samples(bundle, state.hyper, side)
+        if samples is None:
+            raise DataError(f"{state.kind}: no labeled {side} {spec.noun} on the stride grid")
+        scores = spec.forward(samples.a_hat, samples.x, samples.rows, state.params)[0]
+        dates, labels = samples.dates, samples.labels
+    if not np.all(np.isfinite(scores)):
+        raise NumericalError(f"{state.kind}: non-finite scores on the {side} side")
+    return dates, scores, labels

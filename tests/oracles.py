@@ -1,0 +1,208 @@
+"""Per-sample reference implementations for equivalence tests.
+
+The graph-model functions below are the one-graph, one-sequence forward and
+backward passes that the batched engine in ``srr.models`` replaced, kept
+as they were so that batched results can be compared against a plain
+per-sample loop. The only edit: mean pooling, formerly ``tensor.row_mean``,
+is written as ``h2.mean(axis=0)``. ``sigmoid_grad`` and ``tanh_grad`` are
+the activation derivatives, used only by the activation tests, and
+``auroc_oracle`` counts AUROC pair by pair for the ranking-metric tests.
+"""
+
+import numpy as np
+
+from srr import tensor as tz
+from srr.errors import ShapeError
+from srr.evaluation import _check_scored
+
+
+def sigmoid_grad(x: np.ndarray) -> np.ndarray:
+    s = tz.sigmoid(x)
+    return s * (1.0 - s)
+
+
+def tanh_grad(x: np.ndarray) -> np.ndarray:
+    t = np.tanh(np.asarray(x, dtype=np.float64))
+    return 1.0 - t * t
+
+
+def auroc_oracle(scores, labels) -> float | None:
+    """Brute-force pair counting: concordant + half-ties over all pos/neg pairs."""
+    s, y = _check_scored(scores, labels)
+    pos = s[y == 1]
+    neg = s[y == 0]
+    if pos.size == 0 or neg.size == 0:
+        return None
+    num = 0.0
+    for p in pos:
+        for q in neg:
+            if p > q:
+                num += 1.0
+            elif p == q:
+                num += 0.5
+    return num / float(pos.size * neg.size)
+
+
+def gcn_embed(a_hat: np.ndarray, x: np.ndarray, params: dict) -> tuple[np.ndarray, dict]:
+    """Two convolutions + mean pooling; returns (embedding vector, cache)."""
+    if a_hat.shape[0] != x.shape[0]:
+        raise ShapeError(f"adjacency {a_hat.shape} vs features {x.shape}: node counts differ")
+    ax = tz.matmul(a_hat, x)
+    pre1 = tz.add(tz.matmul(ax, params["w1"]), params["b1"][None, :])
+    h1 = tz.relu(pre1)
+    ah1 = tz.matmul(a_hat, h1)
+    pre2 = tz.add(tz.matmul(ah1, params["w2"]), params["b2"][None, :])
+    h2 = tz.relu(pre2)
+    z = h2.mean(axis=0)  # was tensor.row_mean
+    cache = {"a_hat": a_hat, "ax": ax, "pre1": pre1, "ah1": ah1, "pre2": pre2, "n": x.shape[0]}
+    return z, cache
+
+
+def gcn_embed_backward(dz: np.ndarray, cache: dict, params: dict) -> dict[str, np.ndarray]:
+    """Gradients of the encoder weights given d loss / d embedding."""
+    n = cache["n"]
+    a_hat = cache["a_hat"]
+    dh2 = np.repeat(dz[None, :], n, axis=0) / n  # mean-pool backward
+    dpre2 = dh2 * tz.relu_grad(cache["pre2"])
+    grads = {
+        "w2": cache["ah1"].T @ dpre2,
+        "b2": dpre2.sum(axis=0),
+    }
+    dh1 = a_hat.T @ dpre2 @ params["w2"].T
+    dpre1 = dh1 * tz.relu_grad(cache["pre1"])
+    grads["w1"] = cache["ax"].T @ dpre1
+    grads["b1"] = dpre1.sum(axis=0)
+    return grads
+
+
+def _head_forward(z: np.ndarray, params: dict) -> tuple[float, float, dict]:
+    zr = z[None, :]
+    pre3 = zr @ params["w3"] + params["b3"][None, :]
+    h3 = tz.relu(pre3)
+    logit = float((h3 @ params["w4"] + params["b4"][None, :])[0, 0])
+    prob = float(tz.sigmoid(np.array([logit]))[0])
+    return logit, prob, {"zr": zr, "pre3": pre3, "h3": h3}
+
+
+def _head_backward(dlogit: float, cache: dict, params: dict) -> tuple[dict, np.ndarray]:
+    h3, pre3, zr = cache["h3"], cache["pre3"], cache["zr"]
+    grads = {
+        "w4": h3.T * dlogit,
+        "b4": np.array([dlogit]),
+    }
+    dh3 = dlogit * params["w4"].T  # 1 x mlp_hidden
+    dpre3 = dh3 * tz.relu_grad(pre3)
+    grads["w3"] = zr.T @ dpre3
+    grads["b3"] = dpre3[0]
+    dz = (dpre3 @ params["w3"].T)[0]
+    return grads, dz
+
+
+def gcn_forward(a_hat: np.ndarray, x: np.ndarray,
+                params: dict) -> tuple[np.ndarray, float, dict]:
+    """Full classifier pass; returns (embedding, prob, cache)."""
+    z, enc_cache = gcn_embed(a_hat, x, params)
+    logit, prob, head_cache = _head_forward(z, params)
+    cache = {"enc": enc_cache, "head": head_cache, "logit": logit}
+    return z, prob, cache
+
+
+def gcn_backward(dlogit: float, cache: dict, params: dict) -> dict[str, np.ndarray]:
+    """Gradients for all eight tensors given d loss / d logit."""
+    grads, dz = _head_backward(dlogit, cache["head"], params)
+    grads.update(gcn_embed_backward(dz, cache["enc"], params))
+    return grads
+
+
+GRU_TENSORS = ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn", "w_out", "b_out")
+
+
+def gru_step(x: np.ndarray, h: np.ndarray, params: dict) -> tuple[np.ndarray, dict]:
+    """One recurrence step on 1-D arrays (single sequence)."""
+    pre_z = x @ params["wz"] + h @ params["uz"] + params["bz"]
+    z = tz.sigmoid(pre_z)
+    pre_r = x @ params["wr"] + h @ params["ur"] + params["br"]
+    r = tz.sigmoid(pre_r)
+    rh = r * h
+    pre_n = x @ params["wn"] + rh @ params["un"] + params["bn"]
+    n = tz.tanh(pre_n)
+    h_new = (1.0 - z) * n + z * h
+    cache = {"x": x, "h": h, "z": z, "r": r, "rh": rh, "n": n,
+             "pre_z": pre_z, "pre_r": pre_r, "pre_n": pre_n}
+    return h_new, cache
+
+
+def gru_step_backward(dh_new: np.ndarray, cache: dict, params: dict,
+                      grads: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Backward through one step. Accumulates into ``grads``; returns (dx, dh)."""
+    x, h, z, r, n = cache["x"], cache["h"], cache["z"], cache["r"], cache["n"]
+    dz = dh_new * (h - n)
+    dn = dh_new * (1.0 - z)
+    dh = dh_new * z
+
+    dpre_n = dn * (1.0 - n * n)
+    grads["wn"] += np.outer(x, dpre_n)
+    grads["un"] += np.outer(cache["rh"], dpre_n)
+    grads["bn"] += dpre_n
+    dx = dpre_n @ params["wn"].T
+    drh = dpre_n @ params["un"].T
+    dr = drh * h
+    dh += drh * r
+
+    dpre_z = dz * z * (1.0 - z)
+    grads["wz"] += np.outer(x, dpre_z)
+    grads["uz"] += np.outer(h, dpre_z)
+    grads["bz"] += dpre_z
+    dx += dpre_z @ params["wz"].T
+    dh += dpre_z @ params["uz"].T
+
+    dpre_r = dr * r * (1.0 - r)
+    grads["wr"] += np.outer(x, dpre_r)
+    grads["ur"] += np.outer(h, dpre_r)
+    grads["br"] += dpre_r
+    dx += dpre_r @ params["wr"].T
+    dh += dpre_r @ params["ur"].T
+    return dx, dh
+
+
+def temporal_forward(graph_inputs: list[tuple[np.ndarray, np.ndarray]], gcn_params: dict,
+                     gru_params: dict) -> tuple[float, dict]:
+    """Probability for one sequence of (normalized adjacency, features) pairs."""
+    hidden = gru_params["w_out"].shape[0]
+    h = np.zeros(hidden)
+    enc_caches, step_caches, embeddings = [], [], []
+    for a_hat, x in graph_inputs:
+        z_emb, enc_cache = gcn_embed(a_hat, x, gcn_params)
+        h, step_cache = gru_step(z_emb, h, gru_params)
+        embeddings.append(z_emb)
+        enc_caches.append(enc_cache)
+        step_caches.append(step_cache)
+    logit = float(h @ gru_params["w_out"][:, 0] + gru_params["b_out"][0])
+    prob = float(tz.sigmoid(np.array([logit]))[0])
+    cache = {"enc": enc_caches, "steps": step_caches, "h_final": h,
+             "embeddings": embeddings, "logit": logit}
+    return prob, cache
+
+
+def temporal_backward(dlogit: float, cache: dict, gcn_params: dict,
+                      gru_params: dict) -> tuple[dict, dict]:
+    """Backward through head, time, and every shared encoder.
+
+    Returns (gcn_grads, gru_grads) for one sequence. The two parameter
+    dicts may be one dict holding both groups.
+    """
+    gru_grads = {name: np.zeros_like(gru_params[name]) for name in GRU_TENSORS}
+    gcn_grads = {name: np.zeros_like(gcn_params[name])
+                 for name in ("w1", "b1", "w2", "b2")}
+
+    h_final = cache["h_final"]
+    gru_grads["w_out"] = dlogit * h_final[:, None]
+    gru_grads["b_out"] = np.array([dlogit])
+    dh = dlogit * gru_params["w_out"][:, 0]
+
+    for enc_cache, step_cache in zip(reversed(cache["enc"]), reversed(cache["steps"])):
+        dx, dh = gru_step_backward(dh, step_cache, gru_params, gru_grads)
+        step_grads = gcn_embed_backward(dx, enc_cache, gcn_params)
+        for name, g in step_grads.items():
+            gcn_grads[name] += g
+    return gcn_grads, gru_grads

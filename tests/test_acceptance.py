@@ -11,8 +11,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from oracles import auroc_oracle
 from srr.cli import main
-from srr.evaluation import auroc_oracle, auprc_step, compute_metrics, report_to_json
+from srr.evaluation import auprc_step, compute_metrics, report_to_json
 from srr.features import compute_features
 from srr.graphs import GraphSnapshot, average_ranks, build_sequences, spearman
 from srr.market_data import PricePanel, log_returns
@@ -222,17 +223,17 @@ def test_criterion_05_permutation_invariance():
             a = np.triu((rng.uniform(size=(n, n)) < 0.08).astype(np.float64), k=1)
             seq_adj.append(a + a.T)
             seq_x.append(rng.normal(size=(n, f)))
-        seq = [(gcn_normalize(a), xv) for a, xv in zip(seq_adj, seq_x)]
-        prob_t, _ = temporal_forward(seq, enc_p, gru_p)
+        seq = (np.stack([gcn_normalize(a) for a in seq_adj]), np.stack(seq_x))
+        prob_t, _ = temporal_forward(*seq, enc_p, gru_p)
 
         for _ in range(10):
             perm = rng.permutation(n)
             _, prob_p, _ = gcn_forward(
                 gcn_normalize(adj[np.ix_(perm, perm)]), x[perm], gcn_p)
             assert abs(prob - prob_p) < 1e-12
-            seq_p = [(gcn_normalize(a[np.ix_(perm, perm)]), xv[perm])
-                     for a, xv in zip(seq_adj, seq_x)]
-            prob_tp, _ = temporal_forward(seq_p, enc_p, gru_p)
+            seq_p = (np.stack([gcn_normalize(a[np.ix_(perm, perm)]) for a in seq_adj]),
+                     np.stack([xv[perm] for xv in seq_x]))
+            prob_tp, _ = temporal_forward(*seq_p, enc_p, gru_p)
             assert abs(prob_t - prob_tp) < 1e-12
 
 

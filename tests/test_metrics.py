@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from oracles import auroc_oracle
 from srr.errors import DataError, ShapeError
-from srr.evaluation import (auprc_step, auroc_oracle, auroc_rank, compute_metrics,
-                            crash_windows, lead_times, pr_points, report_to_json,
-                            roc_points, summary_table)
+from srr.evaluation import (auprc_step, auroc_rank, compute_metrics, crash_windows,
+                            lead_times, pr_points, report_to_json, roc_points,
+                            summary_table)
 
 
 def scored_from_counts(tp, fp, tn, fn):

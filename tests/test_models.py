@@ -1,12 +1,13 @@
-"""Graph-network forward/backward math against finite differences and hand
-arithmetic, baseline learners against closed-form expectations, and the
-binary model container."""
+"""Graph-network forward/backward math against finite differences, hand
+arithmetic and the per-sample reference loop, baseline learners against
+closed-form expectations, and the binary model container."""
 
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from srr.errors import DataError, ShapeError
 from srr.graphs import GraphSnapshot
 from srr.models import (MODEL_FORMAT, ModelState, adjacency_from_snapshot,
@@ -20,7 +21,8 @@ from srr.features import FeaturePanel, compute_features
 from srr.market_data import PricePanel, log_returns
 from srr.models.temporal import gru_step_backward
 from srr.synthetic import business_days, planted_regime_panel
-from srr.tensor import bce_loss, seeded_rng, sigmoid
+from srr.tensor import bce_loss, focal_loss, seeded_rng, sigmoid
+from srr.training import _KINDS
 
 
 class TestNormalization:
@@ -266,6 +268,7 @@ def temporal_setup(seed=4, k=3, n=5, f=3, hidden=4, gru_hidden=4):
         adj = np.triu((rng.uniform(size=(n, n)) < 0.4).astype(np.float64), k=1)
         adj = adj + adj.T
         seq.append((gcn_normalize(adj), rng.normal(size=(n, f))))
+    seq = tuple(map(np.stack, zip(*seq)))  # (A_hat k x n x n, X k x n x f)
     gcn_p = init_gcn(rng, n_features=f, hidden=hidden, mlp_hidden=2)
     gcn_p = {k_: v for k_, v in gcn_p.items() if k_ in ("w1", "b1", "w2", "b2")}
     gru_p = init_gru(rng, input_dim=hidden, hidden=gru_hidden)
@@ -278,7 +281,7 @@ class TestTemporal:
         y = 1.0
 
         def fn_gcn(p):
-            prob, cache = temporal_forward(seq, p, gru_p)
+            prob, cache = temporal_forward(*seq, p, gru_p)
             loss, _ = bce_loss(np.array([prob]), np.array([y]))
             g_gcn, _ = temporal_backward(prob - y, cache, p, gru_p)
             return loss, g_gcn
@@ -286,7 +289,7 @@ class TestTemporal:
         fd_check(fn_gcn, gcn_p, ("w1", "b1", "w2", "b2"))
 
         def fn_gru(p):
-            prob, cache = temporal_forward(seq, gcn_p, p)
+            prob, cache = temporal_forward(*seq, gcn_p, p)
             loss, _ = bce_loss(np.array([prob]), np.array([y]))
             _, g_gru = temporal_backward(prob - y, cache, gcn_p, p)
             return loss, g_gru
@@ -297,8 +300,8 @@ class TestTemporal:
     def test_one_dict_for_both_groups_gives_the_same_gradients(self):
         seq, gcn_p, gru_p = temporal_setup(seed=9)
         both = {**gcn_p, **gru_p}
-        prob, cache = temporal_forward(seq, gcn_p, gru_p)
-        prob_one, cache_one = temporal_forward(seq, both, both)
+        prob, cache = temporal_forward(*seq, gcn_p, gru_p)
+        prob_one, cache_one = temporal_forward(*seq, both, both)
         assert prob_one == prob
         split = temporal_backward(prob - 1.0, cache, gcn_p, gru_p)
         one = temporal_backward(prob - 1.0, cache_one, both, both)
@@ -309,20 +312,18 @@ class TestTemporal:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(14)
         seq, gcn_p, gru_p = temporal_setup(seed=14)
-        prob, _ = temporal_forward(seq, gcn_p, gru_p)
-        n = seq[0][1].shape[0]
+        prob, _ = temporal_forward(*seq, gcn_p, gru_p)
+        a_hat, x = seq
+        n = x.shape[1]
         for _ in range(5):
             perm = rng.permutation(n)
-            permuted = []
-            for a_hat, x in seq:
-                permuted.append((a_hat[np.ix_(perm, perm)], x[perm]))
-            prob_p, _ = temporal_forward(permuted, gcn_p, gru_p)
+            prob_p, _ = temporal_forward(a_hat[:, perm][:, :, perm], x[:, perm], gcn_p, gru_p)
             assert abs(prob - prob_p) < 1e-12
 
     def test_order_matters(self):
         seq, gcn_p, gru_p = temporal_setup(seed=6)
-        prob_fwd, _ = temporal_forward(seq, gcn_p, gru_p)
-        prob_rev, _ = temporal_forward(seq[::-1], gcn_p, gru_p)
+        prob_fwd, _ = temporal_forward(*seq, gcn_p, gru_p)
+        prob_rev, _ = temporal_forward(seq[0][::-1], seq[1][::-1], gcn_p, gru_p)
         assert abs(prob_fwd - prob_rev) > 1e-9
 
     def test_zero_network_reads_output_bias(self):
@@ -330,8 +331,130 @@ class TestTemporal:
         gcn_p = {k: np.zeros_like(v) for k, v in gcn_p.items()}
         gru_p = {k: np.zeros_like(v) for k, v in gru_p.items()}
         gru_p["b_out"] = np.array([0.7])
-        prob, _ = temporal_forward(seq, gcn_p, gru_p)
+        prob, _ = temporal_forward(*seq, gcn_p, gru_p)
         assert abs(prob - 1.0 / (1.0 + math.exp(-0.7))) < 1e-15
+
+
+def random_stack(rng, g, n, f=3):
+    """g random normalized graphs on n nodes with features: (g x n x n, g x n x f)."""
+    adj = np.triu((rng.uniform(size=(g, n, n)) < 0.4).astype(np.float64), k=1)
+    adj = adj + np.swapaxes(adj, -1, -2)
+    return np.stack([gcn_normalize(a) for a in adj]), rng.normal(size=(g, n, f))
+
+
+def kind_params(rng, kind, f=3, hidden=4, gru_hidden=5):
+    """Small parameters of one graph kind, with non-zero biases."""
+    params = init_gcn(rng, n_features=f, hidden=hidden, mlp_hidden=3)
+    if kind == "temporal":
+        params = {k: params[k] for k in ("w1", "b1", "w2", "b2")}
+        params.update(init_gru(rng, input_dim=hidden, hidden=gru_hidden))
+    for name in params:
+        if name.startswith("b"):
+            params[name] = 0.1 * rng.normal(size=params[name].shape)
+    return params
+
+
+def merged(groups):
+    return {name: g for group in groups for name, g in group.items()}
+
+
+def oracle_batch(kind, seqs, params, y, loss_fn):
+    """Per-sample reference loop: probabilities, dlogits and summed gradients."""
+    if kind == "gcn":
+        outs = [oracles.gcn_forward(*seq[0], params)[1:] for seq in seqs]
+    else:
+        outs = [oracles.temporal_forward(seq, params, params) for seq in seqs]
+
+    def backward(d, cache):
+        if kind == "gcn":
+            return oracles.gcn_backward(d, cache, params)
+        return merged(oracles.temporal_backward(d, cache, params, params))
+
+    probs = np.array([prob for prob, _ in outs])
+    _, dlogits = loss_fn(probs, y)
+    grads = backward(float(dlogits[0]), outs[0][1])
+    for d, (_, cache) in zip(dlogits[1:], outs[1:]):
+        for name, g in backward(float(d), cache).items():
+            grads[name] += g
+    return probs, dlogits, grads
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * max(np.max(np.abs(want)), 1e-300)
+
+
+LOSSES = {"bce": bce_loss, "focal": lambda p, y: focal_loss(p, y, 2.0)}
+
+
+class TestBatchedEqualsPerSample:
+    @pytest.mark.parametrize("loss", sorted(LOSSES))
+    @pytest.mark.parametrize("n", [2, 20])
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    def test_probabilities_and_summed_gradients(self, b, k, n, loss):
+        rng = np.random.default_rng(1000 * b + 10 * k + n)
+        a_stack, x_stack = random_stack(rng, b + k - 1, n)
+        rows = np.arange(b)[:, None] + np.arange(k)  # overlapping, as on the stride grid
+        y = rng.integers(0, 2, size=b).astype(float)
+        for kind, kind_rows in (("gcn", rows[:, -1:]), ("temporal", rows)):
+            params = kind_params(rng, kind)
+            seqs = [[(a_stack[i], x_stack[i]) for i in row] for row in kind_rows]
+            want_p, dlogits, want_g = oracle_batch(kind, seqs, params, y, LOSSES[loss])
+
+            # the training and scoring interface: a snapshot stack and index rows
+            spec = _KINDS[kind]
+            probs, cache = spec.forward(a_stack, x_stack, kind_rows, params)
+            grads = spec.backward(dlogits, cache, params)
+            # leading batch axes: B x k x N x N
+            a_b, x_b = a_stack[kind_rows], x_stack[kind_rows]
+            if kind == "gcn":  # two leading axes (B, 1)
+                _, probs_b, cache_b = gcn_forward(a_b, x_b, params)
+                probs_b = probs_b[:, 0]
+                grads_b = gcn_backward(dlogits[:, None], cache_b, params)
+            else:
+                probs_b, cache_b = temporal_forward(a_b, x_b, params, params)
+                grads_b = merged(temporal_backward(dlogits, cache_b, params, params))
+            for got_p, got_g in ((probs, grads), (probs_b, grads_b)):
+                assert_rel_close(got_p, want_p)
+                assert set(got_g) == set(want_g)
+                for name in want_g:
+                    assert_rel_close(got_g[name], want_g[name])
+
+    @pytest.mark.parametrize("kind", ["gcn", "temporal"])
+    def test_batch_gradients_match_finite_differences(self, kind):
+        rng = np.random.default_rng(31)
+        a_stack, x_stack = random_stack(rng, 6, 5)
+        rows = np.array([[0, 1, 2], [2, 3, 4], [5, 1, 3]])
+        if kind == "gcn":
+            rows = rows[:, -1:]
+        y = np.array([1.0, 0.0, 1.0])
+        params = kind_params(rng, kind)
+        spec = _KINDS[kind]
+
+        def fn(p):
+            probs, cache = spec.forward(a_stack, x_stack, rows, p)
+            loss, dlogits = bce_loss(probs, y)
+            return loss, spec.backward(dlogits, cache, p)
+
+        fd_check(fn, params, sorted(fn(params)[1]), tol=1e-4)
+
+    @pytest.mark.parametrize("kind", ["gcn", "temporal"])
+    def test_batch_permutation_invariance(self, kind):
+        rng = np.random.default_rng(17)
+        a_stack, x_stack = random_stack(rng, 7, 12)
+        rows = np.array([[0, 1, 2, 3, 4], [2, 3, 4, 5, 6], [6, 5, 4, 3, 2]])
+        if kind == "gcn":
+            rows = rows[:, -1:]
+        params = kind_params(rng, kind)
+        probs, _ = _KINDS[kind].forward(a_stack, x_stack, rows, params)
+        for _ in range(5):
+            perms = [rng.permutation(12) for _ in range(len(a_stack))]
+            a_p = np.stack([a[np.ix_(q, q)] for a, q in zip(a_stack, perms)])
+            x_p = np.stack([x[q] for x, q in zip(x_stack, perms)])
+            probs_p, _ = _KINDS[kind].forward(a_p, x_p, rows, params)
+            assert np.max(np.abs(probs - probs_p)) < 1e-12
 
 
 def day_panel():

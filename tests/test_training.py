@@ -6,16 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from srr import tensor as tz
 from srr.config import Config, ModelConfig
 from srr.errors import DataError, NumericalError
 from srr.features import attach_labels, compute_features, standardize
 from srr.graphs import build_sequences, build_snapshots
 from srr.market_data import PricePanel, log_returns
-from srr.models import serialize
+from srr.models import ModelState, adjacency_from_snapshot, gcn_normalize, serialize
 from srr.synthetic import business_days, planted_regime_panel
 from srr.training import DataBundle, chronological_split, predict_scores, train
-from srr.training import _graph_samples, _train_minibatch  # white-box
+from srr.training import _GraphSamples, _graph_samples, _train_minibatch  # white-box
 
 
 class TestSplit:
@@ -61,9 +62,9 @@ def graph_labels(panel):
     return [int(y) if v else None for y, v in zip(panel.graph_labels, panel.label_valid)]
 
 
-def make_bundle(prices_panel=None, n_days=280, seed=5, tau=0.5):
+def make_bundle(prices_panel=None, n_days=280, seed=5, tau=0.5, n_tickers=6):
     if prices_panel is None:
-        dates, tickers, raw = planted_regime_panel(n_tickers=6, n_days=n_days, seed=seed)
+        dates, tickers, raw = planted_regime_panel(n_tickers=n_tickers, n_days=n_days, seed=seed)
         prices_panel = PricePanel(tickers=tickers, dates=dates, prices=raw)
     returns = log_returns(prices_panel)
     panel = attach_labels(compute_features(returns, prices_panel), prices_panel,
@@ -95,6 +96,12 @@ class TestDeterminism:
                    for k in state_a.params)
 
 
+def two_samples():  # two one-snapshot samples on a 1-node graph, labeled 1 and 0
+    return _GraphSamples(a_hat=np.ones((2, 1, 1)), x=np.zeros((2, 1, 1)),
+                         rows=np.array([[0], [1]]), labels=np.array([1.0, 0.0]),
+                         dates=["d0", "d1"])
+
+
 class TestTrainingLoop:
     def test_zero_epochs_returns_initialization(self, bundle):
         from srr.models import init_gcn
@@ -115,20 +122,20 @@ class TestTrainingLoop:
         assert log["epoch_loss"][log["best_epoch"]] == min(log["epoch_loss"])
 
     def test_nonfinite_predictions_trapped_by_loss(self):
-        samples = [(None, 1.0, "d0"), (None, 0.0, "d1")]
+        samples = two_samples()
         with pytest.raises(NumericalError, match="non-finite"):
             _train_minibatch(samples, {"w": np.zeros(1)},
-                             forward=lambda s, p: (float("nan"), None),
+                             forward=lambda a, x, rows, p: (np.full(len(rows), np.nan), None),
                              backward=lambda d, c, p: {"w": np.zeros(1)},
                              m=SMALL.model, seed=7, kind="gcn")
 
     def test_divergence_guard_names_epoch_and_batch(self, monkeypatch):
         monkeypatch.setattr(tz, "bce_loss",
                             lambda probs, targets: (float("inf"), np.zeros_like(probs)))
-        samples = [(None, 1.0, "d0"), (None, 0.0, "d1")]
+        samples = two_samples()
         with pytest.raises(NumericalError, match="diverged at epoch 0, batch 0"):
             _train_minibatch(samples, {"w": np.zeros(1)},
-                             forward=lambda s, p: (0.5, None),
+                             forward=lambda a, x, rows, p: (np.full(len(rows), 0.5), None),
                              backward=lambda d, c, p: {"w": np.zeros(1)},
                              m=SMALL.model, seed=7, kind="gcn")
 
@@ -175,6 +182,50 @@ class TestScoring:
         expected = [q.date for q in seqs
                     if q.graph_label is not None and bundle.split.side(q.date) == "test"]
         assert dates == expected and len(scores) == len(expected)
+
+    @pytest.fixture(scope="class")
+    def fixture_bundle(self):  # the 20 x 600 criterion-8 panel
+        return make_bundle(n_days=600, seed=7, n_tickers=20)[0]
+
+    @pytest.mark.parametrize("kind", ["gcn", "temporal"])
+    def test_graph_scores_equal_per_sample_oracle(self, fixture_bundle, kind):
+        bundle, panel = fixture_bundle, fixture_bundle.panel
+        cfg = SMALL.replace(model=replace(SMALL.model, stride=1, sequence_length=5))
+        state, _ = train(kind, bundle, cfg)
+        dates, scores, _ = predict_scores(state, bundle, side="test")
+        k = state.hyper.get("k", 1)
+        want_dates, want = [], []
+        for seq in build_sequences(bundle.snapshots, k=k, stride=1):
+            if seq.graph_label is None or bundle.split.side(seq.date) != "test":
+                continue
+            inputs = [(gcn_normalize(adjacency_from_snapshot(s)),
+                       panel.node_matrix(panel.dates.index(s.date))) for s in seq.snapshots]
+            want_dates.append(seq.date)
+            want.append(oracles.gcn_forward(*inputs[0], state.params)[1] if kind == "gcn"
+                        else oracles.temporal_forward(inputs, state.params, state.params)[0])
+        assert dates == want_dates and len(want) > 50
+        assert np.max(np.abs(scores - np.array(want))) <= 1e-12
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("kind", ["gcn", "temporal"])
+    def test_inf_encoder_weight_fails_scoring(self, bundle, kind):
+        state, _ = train(kind, bundle, SMALL)
+        params = {name: v.copy() for name, v in state.params.items()}
+        params["w1"][0, 0] = np.inf
+        broken = ModelState(kind=kind, params=params, hyper=state.hyper, seed=state.seed)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=kind):
+            predict_scores(broken, bundle, side="test")
+
+    @pytest.mark.parametrize("kind", ["gcn", "temporal"])
+    def test_overflowed_node_feature_fails_training(self, kind):
+        bundle, _ = make_bundle()
+        panel = bundle.panel
+        read = bundle.snapshots[::SMALL.model.stride][10]  # a labeled train-side snapshot
+        assert bundle.split.side(read.date) == "train"
+        panel.features[0, panel.dates.index(read.date), 0] = np.inf  # an overflowed feature
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            train(kind, bundle, SMALL)
 
 
 class TestNoLookahead:
@@ -231,6 +282,24 @@ class TestGraphInputs:
         assert all(np.array_equal(a, f) for a, f in zip(after, fresh))
         assert any(not np.array_equal(a, b) for a, b in zip(after, before))
 
+    def test_scoring_encodes_each_snapshot_once(self, bundle, monkeypatch):
+        import srr.models.gcn as gcn
+        import srr.models.temporal as temporal
+        encoded = []
+        for module in (gcn, temporal):
+            real = module.gcn_embed
+            monkeypatch.setattr(module, "gcn_embed", lambda a_hat, x, params, real=real: (
+                encoded.append(int(np.prod(a_hat.shape[:-2]))) or real(a_hat, x, params)))
+        m = SMALL.model
+        for kind, k in (("gcn", 1), ("temporal", m.sequence_length)):
+            state, _ = train(kind, bundle, SMALL)
+            encoded.clear()
+            predict_scores(state, bundle, side="test")
+            read = {id(s) for q in build_sequences(bundle.snapshots, k=k, stride=m.stride)
+                    if q.graph_label is not None and bundle.split.side(q.date) == "test"
+                    for s in q.snapshots}
+            assert sum(encoded) == len(read), kind
+
     def test_x_is_the_panel_node_matrix_with_macro_columns(self):
         bundle, _ = make_bundle()
         panel = bundle.panel
@@ -238,7 +307,9 @@ class TestGraphInputs:
         panel.macro_names = ["m0", "m1"]
         state = train("temporal", bundle, SMALL)[0]
         assert state.hyper["n_features"] == panel.n_features + 2
-        for inputs, _, date in _graph_samples(bundle, state.hyper, "test"):
+        samples = _graph_samples(bundle, state.hyper, "test")
+        for row, date in zip(samples.rows, samples.dates):
+            inputs = [(samples.a_hat[i], samples.x[i]) for i in row]
             t = panel.dates.index(date)
             assert np.array_equal(inputs[-1][1], panel.node_matrix(t))
             assert np.array_equal(inputs[-1][1][:, -2:], np.tile(panel.macro[t], (6, 1)))
