@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import types
+import typing
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -36,6 +39,19 @@ def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
         raise ConfigError(f"unknown key(s) in '{section}': {', '.join(unknown)}")
 
 
+def _fits(value: Any, hint) -> bool:
+    """Whether a JSON value (lists already tuples) fits a field annotation; an
+    int may stand for a float, a bool for neither."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        return isinstance(value, tuple) and all(_fits(v, args[0]) for v in value)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, a) for a in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _dataclass_from(section: str, cls, data: Any):
     if data is None:
         return cls()
@@ -43,12 +59,15 @@ def _dataclass_from(section: str, cls, data: Any):
         raise ConfigError(f"section '{section}' must be a mapping")
     names = {f.name for f in fields(cls)}
     _check_keys(section, data, names)
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):
         if f.name in data:
             value = data[f.name]
             if isinstance(value, list):
                 value = tuple(value)
+            if not _fits(value, hints[f.name]):
+                raise ConfigError(f"{section}.{f.name} must be {f.type}, got {data[f.name]!r}")
             kwargs[f.name] = value
     return cls(**kwargs)
 
@@ -83,6 +102,14 @@ class FeatureConfig:
     dd_windows: tuple[int, ...] = (20, 60)
     momentum_windows: tuple[int, ...] = (10, 30)
     standardize: bool = True
+
+    def __post_init__(self):
+        # a volatility window needs two returns for its sample std
+        for name, low in (("vol_windows", 2), ("dd_windows", 1), ("momentum_windows", 1)):
+            windows = getattr(self, name)
+            if not windows or min(windows) < low:
+                raise ConfigError(f"features.{name} must list windows >= {low}, "
+                                  f"got {list(windows)}")
 
 
 @dataclass(frozen=True)
@@ -141,12 +168,21 @@ class ModelConfig:
             if kind not in MODEL_KINDS:
                 raise ConfigError(
                     f"unknown model kind '{kind}'; expected one of {', '.join(MODEL_KINDS)}")
+        if not self.kinds:
+            raise ConfigError("model.kinds must name at least one model kind")
         if self.loss not in ("bce", "focal"):
             raise ConfigError(f"model.loss must be 'bce' or 'focal', got '{self.loss}'")
-        if self.sequence_length < 1:
-            raise ConfigError(f"model.sequence_length must be >= 1, got {self.sequence_length}")
-        if self.stride < 1:
-            raise ConfigError(f"model.stride must be >= 1, got {self.stride}")
+        for name, low in (("gcn_hidden", 1), ("mlp_hidden", 1), ("gru_hidden", 1),
+                          ("sequence_length", 1), ("stride", 1), ("epochs", 0),
+                          ("batch_size", 1), ("focal_gamma", 0), ("logistic_epochs", 0),
+                          ("logistic_tol", 0), ("forest_trees", 1), ("forest_max_depth", 0),
+                          ("forest_min_leaf", 1)):
+            if not getattr(self, name) >= low:
+                raise ConfigError(f"model.{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("learning_rate", "logistic_lr"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"model.{name} must be a positive finite number, "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

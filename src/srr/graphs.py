@@ -30,7 +30,6 @@ __all__ = [
     "average_ranks",
     "spearman",
     "rank_correlation_matrix",
-    "build_snapshot",
     "build_snapshots",
     "build_sequences",
     "write_snapshots_jsonl",
@@ -72,19 +71,19 @@ class GraphSequence:
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean of their positions."""
+    """1-based ranks along the last axis, ties assigned the mean of their positions."""
     x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    n = x.size
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and xs[j + 1] == xs[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # mean of positions i+1..j+1
-        i = j + 1
+    order = np.argsort(x, axis=-1, kind="stable")
+    xs = np.take_along_axis(x, order, axis=-1)
+    n = x.shape[-1]
+    pos = np.arange(n)
+    starts = np.ones(x.shape, dtype=bool)  # the sorted positions that open a tie block
+    starts[..., 1:] = xs[..., 1:] != xs[..., :-1]
+    ends = np.roll(starts, -1, axis=-1)  # ... and those that close one
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    last = np.flip(np.minimum.accumulate(np.flip(np.where(ends, pos, n), -1), axis=-1), -1)
+    ranks = np.empty_like(x)
+    np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=-1)  # mean of positions
     return ranks
 
 
@@ -118,11 +117,7 @@ def rank_correlation_matrix(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Returns (corr N x N, degenerate mask length N). Rows with constant
     values are flagged; their correlations are set to 0.
     """
-    window = np.asarray(window, dtype=np.float64)
-    n, w = window.shape
-    ranks = np.empty_like(window)
-    for i in range(n):
-        ranks[i] = average_ranks(window[i])
+    ranks = average_ranks(window)
     centered = ranks - ranks.mean(axis=1, keepdims=True)
     gram = centered @ centered.T
     ss = np.diag(gram).copy()
@@ -135,60 +130,49 @@ def rank_correlation_matrix(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return corr, degenerate
 
 
-def build_snapshot(returns: ReturnPanel, date: str, graph_label: int | None = None,
-                   window: int = 7, tau: float = 0.5,
-                   sector_map: dict[str, str] | None = None) -> GraphSnapshot:
-    """Market graph for one date from the trailing return window ending there."""
+def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[int | None],
+                    window: int = 7, tau: float = 0.5,
+                    sector_map: dict[str, str] | None = None) -> list[GraphSnapshot]:
+    """One market graph per date, from the trailing return window ending there,
+    labeled by the matching entry of ``graph_labels`` (None where the date is
+    unlabeled). Feature dates always qualify: the feature warm-up leaves enough
+    trailing returns for any window up to it."""
+    if len(dates) != len(graph_labels):
+        raise DataError(f"{len(dates)} snapshot dates but {len(graph_labels)} graph labels")
     if not (0.0 < tau <= 1.0):
         raise DataError(f"tau must be in (0, 1], got {tau}")
     if window < 3:
         raise DataError(f"correlation window must be >= 3 days, got {window}")
-    try:
-        r_end = returns.dates.index(date)
-    except ValueError:
-        raise DataError(f"{date} is not a return date of the panel") from None
-    if r_end + 1 < window:
-        raise DataError(f"only {r_end + 1} return observations at {date}, need {window}")
-
-    block = returns.returns[:, r_end + 1 - window: r_end + 1]
-    corr, _ = rank_correlation_matrix(block)
-    n = len(returns.tickers)
-    corr_edges = [
-        (i, j, float(corr[i, j]))
-        for i in range(n) for j in range(i + 1, n)
-        if abs(corr[i, j]) >= tau
-    ]
-    layers = {"correlation": corr_edges}
-
+    column = {d: r for r, d in enumerate(returns.dates)}
+    for date in dates:
+        if date not in column:
+            raise DataError(f"{date} is not a return date of the panel")
+        if column[date] + 1 < window:
+            raise DataError(f"only {column[date] + 1} return observations at {date}, "
+                            f"need {window}")
+    iu, ju = np.triu_indices(len(returns.tickers), k=1)  # every pair i < j, row-major
+    sector = None
     if sector_map is not None:
-        known = set(returns.tickers)
-        unknown = sorted(set(sector_map) - known)
+        unknown = sorted(set(sector_map) - set(returns.tickers))
         if unknown:
             raise DataError(f"sector map names unknown tickers: {', '.join(unknown)}")
-        sectors = [sector_map.get(t) for t in returns.tickers]
-        layers["sector"] = [
-            (i, j, 1.0)
-            for i in range(n) for j in range(i + 1, n)
-            if sectors[i] is not None and sectors[i] == sectors[j]
-        ]
+        sectors = np.array([sector_map.get(t) for t in returns.tickers], dtype=object)
+        same = np.not_equal(sectors[iu], None) & (sectors[iu] == sectors[ju])
+        sector = list(zip(iu[same].tolist(), ju[same].tolist(), np.ones(same.sum()).tolist()))
 
-    return GraphSnapshot(date=date, node_ids=list(returns.tickers), layers=layers,
-                         graph_label=graph_label)
-
-
-def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[int | None],
-                    window: int = 7, tau: float = 0.5,
-                    sector_map: dict[str, str] | None = None) -> list[GraphSnapshot]:
-    """One snapshot per date, labeled by the matching entry of ``graph_labels``
-    (None where the date is unlabeled). Feature dates always qualify: the
-    feature warm-up leaves enough trailing returns for any window up to it."""
-    if len(dates) != len(graph_labels):
-        raise DataError(f"{len(dates)} snapshot dates but {len(graph_labels)} graph labels")
-    return [
-        build_snapshot(returns, date, graph_label=label, window=window, tau=tau,
-                       sector_map=sector_map)
-        for date, label in zip(dates, graph_labels)
-    ]
+    snapshots = []
+    for date, label in zip(dates, graph_labels):
+        r_end = column[date]
+        corr, _ = rank_correlation_matrix(returns.returns[:, r_end + 1 - window: r_end + 1])
+        rho = corr[iu, ju]
+        keep = np.abs(rho) >= tau
+        layers = {"correlation": list(zip(iu[keep].tolist(), ju[keep].tolist(),
+                                          rho[keep].tolist()))}
+        if sector is not None:
+            layers["sector"] = list(sector)
+        snapshots.append(GraphSnapshot(date=date, node_ids=list(returns.tickers),
+                                       layers=layers, graph_label=label))
+    return snapshots
 
 
 def build_sequences(snapshots: list[GraphSnapshot], k: int = 5, stride: int = 5) -> list[GraphSequence]:
@@ -214,15 +198,8 @@ def write_snapshots_jsonl(snapshots: list[GraphSnapshot], path: str,
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for snap in snapshots:
-            record = {
-                "date": snap.date,
-                "nodes": snap.node_ids,
-                "layers": {
-                    name: [[i, j, w] for i, j, w in edges]
-                    for name, edges in sorted(snap.layers.items())
-                },
-                "graph_label": snap.graph_label,
-            }
+            record = {"date": snap.date, "nodes": snap.node_ids, "layers": snap.layers,
+                      "graph_label": snap.graph_label}  # edge tuples encode as JSON arrays
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 

@@ -42,23 +42,24 @@ GCN_TENSORS = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
 
 
 def gcn_normalize(adj: np.ndarray) -> np.ndarray:
-    """Symmetric renormalized adjacency D^{-1/2}(A+I)D^{-1/2}.
+    """Symmetric renormalized adjacency D^{-1/2}(A+I)D^{-1/2} of every matrix
+    in a (..., N, N) stack.
 
-    The input must be square and symmetric with a zero diagonal and
+    Each matrix must be square and symmetric with a zero diagonal and
     non-negative weights. The empty graph maps to the identity.
     """
     a = np.asarray(adj, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"adjacency must be square, got {a.shape}")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, np.swapaxes(a, -1, -2)):
         raise ShapeError(f"adjacency of shape {a.shape} is not symmetric")
-    if np.any(np.diag(a) != 0.0):
+    if np.any(np.diagonal(a, axis1=-2, axis2=-1) != 0.0):
         raise ShapeError("adjacency must have a zero diagonal (self-loops are added here)")
     if np.any(a < 0.0):
         raise ShapeError("adjacency weights must be non-negative")
-    a_hat = a + np.eye(a.shape[0])
-    inv_sqrt_deg = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * np.outer(inv_sqrt_deg, inv_sqrt_deg)
+    a_hat = a + np.eye(a.shape[-1])
+    inv_sqrt_deg = 1.0 / np.sqrt(a_hat.sum(axis=-1))
+    return a_hat * (inv_sqrt_deg[..., :, None] * inv_sqrt_deg[..., None, :])
 
 
 def adjacency_from_snapshot(snapshot: GraphSnapshot, layers: tuple[str, ...] = ("correlation",),
@@ -74,10 +75,10 @@ def adjacency_from_snapshot(snapshot: GraphSnapshot, layers: tuple[str, ...] = (
     for name in layers:
         if name not in snapshot.layers:
             raise ShapeError(f"snapshot {snapshot.date} has no layer {name!r}")
-        for i, j, w in snapshot.layers[name]:
-            val = abs(float(w)) if weighted else 1.0
-            adj[i, j] = max(adj[i, j], val)
-            adj[j, i] = adj[i, j]
+        edges = np.array(snapshot.layers[name], dtype=np.float64).reshape(-1, 3)
+        i, j = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp)
+        w = np.abs(edges[:, 2]) if weighted else np.ones(len(edges))
+        np.maximum.at(adj, (np.r_[i, j], np.r_[j, i]), np.r_[w, w])
     return adj
 
 

@@ -111,15 +111,12 @@ def relu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function; never overflows, never returns 0 for
-    finite negative input (underflow bottoms out at the smallest subnormal)."""
+    """Numerically stable logistic function: exp only ever sees -|x|, so it never
+    overflows. Like any float64 form it returns 0.0 for finite x <= -746, where
+    exp(x) underflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def tanh(x: np.ndarray) -> np.ndarray:

@@ -13,11 +13,10 @@ range). Model families and their sample grids:
                         on the stride grid
 
 Both graph kinds read each stride-grid snapshot as (A_hat, X): its normalized
-adjacency and the panel's node-feature rows for its date. Each pair is built
-the first time a sample of the scored side reads it and is then shared, by
-both kinds and both sides, for the life of the bundle. A side's samples are
-index rows into one stack of the pairs they read, so each mini-batch runs one
-batched forward and backward, and scoring encodes each snapshot once.
+adjacency and the panel's node-feature rows for its date. Each time a kind is
+trained or scored, its side's samples become index rows into one stack that
+holds each snapshot they read once, so each mini-batch runs one batched
+forward and backward, and scoring encodes each snapshot once.
 GNNs train with seeded shuffled mini-batches, Adam, and a fixed epoch
 count; the parameters from the best-mean-train-loss epoch are retained.
 """
@@ -25,7 +24,7 @@ count; the parameters from the best-mean-train-loss epoch are retained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -116,9 +115,6 @@ class DataBundle:
     panel: FeaturePanel  # standardized features with labels attached
     snapshots: list[GraphSnapshot]
     split: SplitPlan
-    # (graph settings, panel, snapshots, date -> index, id -> (snapshot, A_hat, X)),
-    # filled by _graph_inputs
-    graph_inputs: tuple = field(default=(), init=False, repr=False, compare=False)
 
 
 # -- sample assembly ---------------------------------------------------------
@@ -132,35 +128,6 @@ def _day_xy(bundle: DataBundle, side: str) -> tuple[np.ndarray, np.ndarray, list
     x = day_feature_matrix(panel, idx)
     y = panel.graph_labels[idx].astype(np.float64)
     return x, y, [panel.dates[t] for t in idx]
-
-
-def _graph_inputs(bundle: DataBundle, hyper: dict) -> Callable:
-    """snapshot -> (A_hat, X), each built on first use and then kept in the bundle.
-
-    The cache serves one graph setting, panel and snapshot list, and starts
-    over when any of them changes. Each entry keeps its snapshot alive, so no
-    other snapshot can take over its id.
-    """
-    layers, weighted = tuple(hyper["layers"]), hyper["weighted_adjacency"]
-    cached = bundle.graph_inputs
-    if (not cached or cached[0] != (layers, weighted) or cached[1] is not bundle.panel
-            or cached[2] is not bundle.snapshots):
-        cached = bundle.graph_inputs = (
-            (layers, weighted), bundle.panel, bundle.snapshots,
-            {d: t for t, d in enumerate(bundle.panel.dates)}, {})
-    panel, position, table = cached[1], cached[3], cached[4]
-
-    def inputs(snap: GraphSnapshot) -> tuple[np.ndarray, np.ndarray]:
-        entry = table.get(id(snap))
-        if entry is None:
-            if snap.node_ids != panel.tickers or snap.date not in position:
-                raise DataError(f"snapshot {snap.date} does not match the feature panel's "
-                                "tickers and dates")
-            a_hat = gcn_normalize(adjacency_from_snapshot(snap, layers=layers, weighted=weighted))
-            x = np.ascontiguousarray(panel.node_matrix(position[snap.date]))
-            entry = table[id(snap)] = (snap, a_hat, x)
-        return entry[1:]
-    return inputs
 
 
 class _GraphSamples(NamedTuple):
@@ -181,10 +148,17 @@ def _graph_samples(bundle: DataBundle, hyper: dict, side: str) -> _GraphSamples 
                  if seq.graph_label is not None and bundle.split.side(seq.date) == side]
     if not sequences:
         return None
-    read = {id(s): s for seq in sequences for s in seq.snapshots}  # first-read order
-    slot = {key: i for i, key in enumerate(read)}
-    inputs = _graph_inputs(bundle, hyper)
-    a_hat, x = (np.stack(arrays) for arrays in zip(*(inputs(s) for s in read.values())))
+    read = list({id(s): s for seq in sequences for s in seq.snapshots}.values())  # first-read order
+    panel, layers, weighted = bundle.panel, tuple(hyper["layers"]), hyper["weighted_adjacency"]
+    position = {d: t for t, d in enumerate(panel.dates)}
+    for snap in read:
+        if snap.node_ids != panel.tickers or snap.date not in position:
+            raise DataError(f"snapshot {snap.date} does not match the feature panel's "
+                            "tickers and dates")
+    a_hat = gcn_normalize(np.stack([adjacency_from_snapshot(s, layers=layers, weighted=weighted)
+                                    for s in read]))
+    x = np.stack([panel.node_matrix(position[s.date]) for s in read])
+    slot = {id(s): g for g, s in enumerate(read)}
     rows = np.array([[slot[id(s)] for s in seq.snapshots] for seq in sequences])
     return _GraphSamples(a_hat, x, rows, np.array([float(seq.graph_label) for seq in sequences]),
                          [seq.date for seq in sequences])

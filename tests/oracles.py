@@ -7,13 +7,22 @@ per-sample loop. The only edit: mean pooling, formerly ``tensor.row_mean``,
 is written as ``h2.mean(axis=0)``. ``sigmoid_grad`` and ``tanh_grad`` are
 the activation derivatives, used only by the activation tests, and
 ``auroc_oracle`` counts AUROC pair by pair for the ranking-metric tests.
+
+The functions after ``temporal_backward`` are the per-element loops that
+vectorized code replaced, copied verbatim (only the docstring of ``sigmoid``
+is corrected): the two-branch ``sigmoid``, the
+one-row ``average_ranks`` with the row loop of ``rank_correlation_matrix``,
+the one-date ``build_snapshot`` under ``build_snapshots``, the one-matrix
+``gcn_normalize`` and the edge-by-edge ``adjacency_from_snapshot``.
 """
 
 import numpy as np
 
 from srr import tensor as tz
-from srr.errors import ShapeError
+from srr.errors import DataError, ShapeError
 from srr.evaluation import _check_scored
+from srr.graphs import GraphSnapshot
+from srr.market_data import ReturnPanel
 
 
 def sigmoid_grad(x: np.ndarray) -> np.ndarray:
@@ -206,3 +215,151 @@ def temporal_backward(dlogit: float, cache: dict, gcn_params: dict,
         for name, g in step_grads.items():
             gcn_grads[name] += g
     return gcn_grads, gru_grads
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function; never overflows, and returns 0.0 for
+    finite x <= -746, where exp(x) underflows."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties assigned the mean of their positions."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    n = x.size
+    ranks = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and xs[j + 1] == xs[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # mean of positions i+1..j+1
+        i = j + 1
+    return ranks
+
+
+def rank_correlation_matrix(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs Spearman over the rows of an N x W window.
+
+    Returns (corr N x N, degenerate mask length N). Rows with constant
+    values are flagged; their correlations are set to 0.
+    """
+    window = np.asarray(window, dtype=np.float64)
+    n, w = window.shape
+    ranks = np.empty_like(window)
+    for i in range(n):
+        ranks[i] = average_ranks(window[i])
+    centered = ranks - ranks.mean(axis=1, keepdims=True)
+    gram = centered @ centered.T
+    ss = np.diag(gram).copy()
+    degenerate = ss == 0.0
+    safe = np.where(degenerate, 1.0, ss)
+    corr = gram / np.sqrt(np.outer(safe, safe))
+    corr = np.clip(corr, -1.0, 1.0)
+    corr[degenerate, :] = 0.0
+    corr[:, degenerate] = 0.0
+    return corr, degenerate
+
+
+def build_snapshot(returns: ReturnPanel, date: str, graph_label: int | None = None,
+                   window: int = 7, tau: float = 0.5,
+                   sector_map: dict[str, str] | None = None) -> GraphSnapshot:
+    """Market graph for one date from the trailing return window ending there."""
+    if not (0.0 < tau <= 1.0):
+        raise DataError(f"tau must be in (0, 1], got {tau}")
+    if window < 3:
+        raise DataError(f"correlation window must be >= 3 days, got {window}")
+    try:
+        r_end = returns.dates.index(date)
+    except ValueError:
+        raise DataError(f"{date} is not a return date of the panel") from None
+    if r_end + 1 < window:
+        raise DataError(f"only {r_end + 1} return observations at {date}, need {window}")
+
+    block = returns.returns[:, r_end + 1 - window: r_end + 1]
+    corr, _ = rank_correlation_matrix(block)
+    n = len(returns.tickers)
+    corr_edges = [
+        (i, j, float(corr[i, j]))
+        for i in range(n) for j in range(i + 1, n)
+        if abs(corr[i, j]) >= tau
+    ]
+    layers = {"correlation": corr_edges}
+
+    if sector_map is not None:
+        known = set(returns.tickers)
+        unknown = sorted(set(sector_map) - known)
+        if unknown:
+            raise DataError(f"sector map names unknown tickers: {', '.join(unknown)}")
+        sectors = [sector_map.get(t) for t in returns.tickers]
+        layers["sector"] = [
+            (i, j, 1.0)
+            for i in range(n) for j in range(i + 1, n)
+            if sectors[i] is not None and sectors[i] == sectors[j]
+        ]
+
+    return GraphSnapshot(date=date, node_ids=list(returns.tickers), layers=layers,
+                         graph_label=graph_label)
+
+
+def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[int | None],
+                    window: int = 7, tau: float = 0.5,
+                    sector_map: dict[str, str] | None = None) -> list[GraphSnapshot]:
+    """One snapshot per date, labeled by the matching entry of ``graph_labels``
+    (None where the date is unlabeled). Feature dates always qualify: the
+    feature warm-up leaves enough trailing returns for any window up to it."""
+    if len(dates) != len(graph_labels):
+        raise DataError(f"{len(dates)} snapshot dates but {len(graph_labels)} graph labels")
+    return [
+        build_snapshot(returns, date, graph_label=label, window=window, tau=tau,
+                       sector_map=sector_map)
+        for date, label in zip(dates, graph_labels)
+    ]
+
+
+def gcn_normalize(adj: np.ndarray) -> np.ndarray:
+    """Symmetric renormalized adjacency D^{-1/2}(A+I)D^{-1/2}.
+
+    The input must be square and symmetric with a zero diagonal and
+    non-negative weights. The empty graph maps to the identity.
+    """
+    a = np.asarray(adj, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"adjacency must be square, got {a.shape}")
+    if not np.array_equal(a, a.T):
+        raise ShapeError(f"adjacency of shape {a.shape} is not symmetric")
+    if np.any(np.diag(a) != 0.0):
+        raise ShapeError("adjacency must have a zero diagonal (self-loops are added here)")
+    if np.any(a < 0.0):
+        raise ShapeError("adjacency weights must be non-negative")
+    a_hat = a + np.eye(a.shape[0])
+    inv_sqrt_deg = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    return a_hat * np.outer(inv_sqrt_deg, inv_sqrt_deg)
+
+
+def adjacency_from_snapshot(snapshot: GraphSnapshot, layers: tuple[str, ...] = ("correlation",),
+                            weighted: bool = False) -> np.ndarray:
+    """Union of the requested layers as a dense symmetric matrix.
+
+    Binary by default; in weighted mode a correlation edge carries |rho|
+    (sector edges stay at 1), and a pair present in several layers takes
+    the maximum weight.
+    """
+    n = snapshot.n_nodes()
+    adj = np.zeros((n, n), dtype=np.float64)
+    for name in layers:
+        if name not in snapshot.layers:
+            raise ShapeError(f"snapshot {snapshot.date} has no layer {name!r}")
+        for i, j, w in snapshot.layers[name]:
+            val = abs(float(w)) if weighted else 1.0
+            adj[i, j] = max(adj[i, j], val)
+            adj[j, i] = adj[i, j]
+    return adj

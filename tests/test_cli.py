@@ -278,6 +278,27 @@ class TestExitCodes:
         assert main(["ingest", "--config", str(unknown)]) == 1
         assert "bogus_section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,values", [
+        ("model", {"batch_size": 0}), ("features", {"vol_windows": []}),
+        ("model", {"gcn_hidden": 0}), ("graph", {"tau": "0.5"}), ("graph", {"window": 7.5}),
+        ("model", {"stride": 1.5}), ("model", {"epochs": 1.5}),
+        ("model", {"learning_rate": "x"}), ("model", {"kinds": []}),
+        ("model", {"forest_trees": 0}), ("features", {"vol_windows": [1]}),
+        ("model", {"loss": "focal", "focal_gamma": -1}), ("model", {"epochs": -1}),
+    ], ids=lambda v: v if isinstance(v, str) else ",".join(
+        f"{key}={json.dumps(value)}" for key, value in v.items()))
+    def test_bad_config_value_exits_one_before_any_stage(self, capsys, tmp_path,
+                                                         section, values):
+        cfg_path, out = make_workspace(tmp_path, n_days=300)
+        cfg = json.loads(Path(cfg_path).read_text())
+        cfg.setdefault(section, {}).update(values)
+        Path(cfg_path).write_text(json.dumps(cfg))
+        assert main(["run-all", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{section}.{list(values)[-1]}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_stage_without_upstream_exits_two(self, capsys, tmp_path):
         cfg_path, _ = make_workspace(tmp_path, out_name="fresh")
         assert main(["features", "--config", cfg_path]) == 2

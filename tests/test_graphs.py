@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from srr.errors import DataError, ShapeError
 from srr.features import attach_labels, compute_features
 from srr.graphs import (GRAPH_FORMAT, average_ranks, build_sequences,
-                        build_snapshot, build_snapshots, rank_correlation_matrix,
+                        build_snapshots, rank_correlation_matrix,
                         read_snapshots_jsonl, spearman, write_snapshots_jsonl)
 from srr.market_data import PricePanel, ReturnPanel, log_returns
 from srr.synthetic import business_days, planted_regime_panel
@@ -114,41 +115,41 @@ class TestSnapshots:
              [2, 4, 1, 3, 5],        # B: rho(A, B) = 0.5 exactly
              [5, 4, 3, 2, 1]],       # C: rho(A, C) = -1, rho(B, C) = -0.5
             "ABC")
-        snap = build_snapshot(rp, date, window=5, tau=0.5)
+        snap = build_snapshots(rp, [date], [None], window=5, tau=0.5)[0]
         edges = {(i, j): w for i, j, w in snap.layers["correlation"]}
         assert edges == {(0, 1): 0.5, (0, 2): -1.0, (1, 2): -0.5}
         # nudge tau past 0.5: the boundary edges must disappear
-        snap_hi = build_snapshot(rp, date, window=5, tau=0.5 + 1e-12)
+        snap_hi = build_snapshots(rp, [date], [None], window=5, tau=0.5 + 1e-12)[0]
         assert {(i, j) for i, j, _ in snap_hi.layers["correlation"]} == {(0, 2)}
 
     def test_constant_node_contributes_no_edges(self):
         rp, date = hand_panels(
             [[1, 2, 3, 4, 5], [1, 2, 3, 4, 5], [7, 7, 7, 7, 7]], "ABC")
-        snap = build_snapshot(rp, date, window=5, tau=0.5)
+        snap = build_snapshots(rp, [date], [None], window=5, tau=0.5)[0]
         assert snap.layers["correlation"] == [(0, 1, 1.0)]
 
     def test_sector_layer_links_same_sector_pairs(self):
         rp, date = hand_panels(np.eye(4, 5), "ABCD")
-        snap = build_snapshot(rp, date, window=5, tau=0.99,
-                              sector_map={"A": "tech", "B": "energy",
-                                          "C": "tech", "D": "tech"})
+        snap = build_snapshots(rp, [date], [None], window=5, tau=0.99,
+                               sector_map={"A": "tech", "B": "energy",
+                                           "C": "tech", "D": "tech"})[0]
         assert snap.layers["sector"] == [(0, 2, 1.0), (0, 3, 1.0), (2, 3, 1.0)]
 
     def test_sector_map_rejects_unknown_ticker(self):
         rp, date = hand_panels(np.eye(3, 5), "ABC")
         with pytest.raises(DataError, match="ZZZ"):
-            build_snapshot(rp, date, window=5, sector_map={"A": "x", "ZZZ": "x"})
+            build_snapshots(rp, [date], [None], window=5, sector_map={"A": "x", "ZZZ": "x"})
 
     def test_parameter_validation(self):
         rp, date = hand_panels(np.eye(3, 5), "ABC")
         with pytest.raises(DataError):
-            build_snapshot(rp, date, window=5, tau=0.0)
+            build_snapshots(rp, [date], [None], window=5, tau=0.0)
         with pytest.raises(DataError):
-            build_snapshot(rp, date, window=2)
+            build_snapshots(rp, [date], [None], window=2)
         with pytest.raises(DataError, match="not a return date"):
-            build_snapshot(rp, "1999-01-01", window=5)
+            build_snapshots(rp, ["1999-01-01"], [None], window=5)
         with pytest.raises(DataError, match="need 9"):
-            build_snapshot(rp, date, window=9)
+            build_snapshots(rp, [date], [None], window=9)
 
     def test_each_date_carries_its_own_label(self):
         rp, date = hand_panels(np.eye(3, 6), "ABC")
@@ -156,6 +157,60 @@ class TestSnapshots:
         assert [(s.date, s.graph_label) for s in snaps] == [(rp.dates[-2], None), (date, 1)]
         with pytest.raises(DataError, match="2 snapshot dates but 1 graph labels"):
             build_snapshots(rp, rp.dates[-2:], [1], window=5)
+
+
+class TestAgainstPerElementLoops:
+    """Exact (==) equality with the per-row, per-date and per-pair loops that
+    the vectorized graph path replaced (``oracles``)."""
+
+    def test_average_ranks_on_tied_draws_and_stacks(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            x = rng.integers(0, 3, size=int(rng.integers(1, 15))).astype(float)
+            assert np.array_equal(average_ranks(x), oracles.average_ranks(x))
+        stack = np.round(rng.normal(size=(44, 7)), 1)  # rows x W, ties in most rows
+        stack[3] = 0.25  # a constant row
+        stack[5, :3] = [0.0, -0.0, np.nan]
+        assert np.array_equal(average_ranks(stack),
+                              np.stack([oracles.average_ranks(row) for row in stack]))
+        cube = rng.integers(0, 4, size=(5, 20, 7)).astype(float)
+        assert np.array_equal(average_ranks(cube), np.stack(
+            [[oracles.average_ranks(row) for row in rows] for rows in cube]))
+
+    @pytest.mark.parametrize("n", [2, 20, 44])
+    def test_build_snapshots_equals_one_date_builder(self, n):
+        rng = np.random.default_rng(n)
+        days = 60
+        returns = np.round(rng.normal(scale=0.01, size=(n, days)), 3)  # coarse grid: ties
+        returns[0, 20:35] = 0.0  # constant windows
+        returns[-1, 40:] = 0.004
+        rp = ReturnPanel(tickers=[f"T{i:02d}" for i in range(n)],
+                         dates=business_days("2021-01-04", days), returns=returns)
+        dates = rp.dates[6:]
+        labels = [None if k % 7 == 0 else int(rng.integers(0, 2)) for k in range(len(dates))]
+        sectors = {t: "abc"[i % 3] for i, t in enumerate(rp.tickers) if i % 5}  # T00 has none
+        for tau, sector_map in ((0.5, None), (0.3, sectors), (1.0, sectors)):
+            got = build_snapshots(rp, dates, labels, window=7, tau=tau, sector_map=sector_map)
+            want = oracles.build_snapshots(rp, dates, labels, window=7, tau=tau,
+                                           sector_map=sector_map)
+            assert got == want
+            assert repr(got) == repr(want)  # the same Python int and float types too
+
+    @pytest.mark.parametrize("dates,kw", [
+        (["last"], {"tau": 0.0}), (["last"], {"tau": 1.5}), (["last"], {"window": 2}),
+        (["1999-01-01"], {}), (["last"], {"window": 9}),
+        (["last"], {"sector_map": {"A": "x", "ZZZ": "x"}}),
+        (["last", "1999-01-01"], {}),
+    ])
+    def test_errors_equal_one_date_builder(self, dates, kw):
+        rp, date = hand_panels(np.eye(3, 5), "ABC")
+        dates = [date if d == "last" else d for d in dates]
+        kw = {"window": 5, **kw}
+        with pytest.raises(DataError) as got:
+            build_snapshots(rp, dates, [None] * len(dates), **kw)
+        with pytest.raises(DataError) as want:
+            oracles.build_snapshots(rp, dates, [None] * len(dates), **kw)
+        assert str(got.value) == str(want.value)
 
 
 def labeled_snapshots(n_days=120, seed=2):

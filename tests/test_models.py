@@ -55,6 +55,34 @@ class TestNormalization:
         with pytest.raises(ShapeError):
             gcn_normalize(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_stack_equals_per_matrix_normalization(self, weighted):
+        rng = np.random.default_rng(4)
+        upper = np.triu(rng.random((6, 9, 9)) * (rng.random((6, 9, 9)) < 0.4), 1)
+        if not weighted:
+            upper = (upper > 0.0).astype(float)
+        adj = upper + np.swapaxes(upper, -1, -2)
+        adj[2] = 0.0  # an empty graph
+        a_hat = gcn_normalize(adj)
+        assert np.array_equal(a_hat, np.stack([oracles.gcn_normalize(a) for a in adj]))
+        assert np.array_equal(gcn_normalize(adj.reshape(2, 3, 9, 9)), a_hat.reshape(2, 3, 9, 9))
+
+    @pytest.mark.parametrize("fault", ["asymmetric", "diagonal", "negative"])
+    def test_one_malformed_matrix_fails_the_stack(self, fault):
+        adj = np.zeros((4, 3, 3))
+        adj[:, 0, 1] = adj[:, 1, 0] = 1.0
+        bad = adj[2]
+        if fault == "asymmetric":
+            bad[1, 2] = 1.0
+        elif fault == "diagonal":
+            bad[0, 0] = 1.0
+        else:
+            bad[0, 1] = bad[1, 0] = -1.0
+        with pytest.raises(ShapeError):
+            oracles.gcn_normalize(bad)
+        with pytest.raises(ShapeError):
+            gcn_normalize(adj)
+
 
 def snapshot_for(n, edges, sector_edges=None, date="2021-03-01"):
     layers = {"correlation": edges}
@@ -64,6 +92,21 @@ def snapshot_for(n, edges, sector_edges=None, date="2021-03-01"):
 
 
 class TestAdjacency:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_equals_edge_by_edge_loop(self, weighted):
+        rng = np.random.default_rng(9)
+        for n in (2, 20, 44):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            corr = [(i, j, float(rng.uniform(-1.0, 1.0)))
+                    for (i, j), p in zip(pairs, rng.random(len(pairs))) if p < 0.3]
+            corr += [(j, i, float(rng.uniform(-1.0, 1.0))) for i, j, _ in corr[::4]]  # repeats
+            sector = [(i, j, 1.0) for (i, j), p in zip(pairs, rng.random(len(pairs))) if p < 0.2]
+            for snap in (snapshot_for(n, corr, sector), snapshot_for(n, [], [])):
+                for layers in (("correlation",), ("sector",), ("correlation", "sector")):
+                    assert np.array_equal(
+                        adjacency_from_snapshot(snap, layers=layers, weighted=weighted),
+                        oracles.adjacency_from_snapshot(snap, layers=layers, weighted=weighted))
+
     def test_binary_union_and_weighted_mode(self):
         snap = snapshot_for(3, [(0, 1, 0.7), (1, 2, -0.6)], [(0, 1, 1.0)])
         adj = adjacency_from_snapshot(snap, layers=("correlation", "sector"))

@@ -70,6 +70,15 @@ class TestActivations:
         assert big[1] >= 0.0  # past the subnormal range it bottoms out at 0
         assert 0.0 < big[2] < 1e-300  # still a subnormal at the float64 edge
 
+    def test_sigmoid_equals_two_branch_form(self):
+        rng = np.random.default_rng(0)
+        edges = np.array([0.0, -0.0, 1e-320, -1e-320, 745.0, -745.0, 746.0, -746.0,
+                          1e308, -1e308, np.inf, -np.inf, np.nan])
+        inputs = [rng.normal(scale=s, size=(8, 64)) for s in (1e-3, 1e-1, 1.0, 10.0, 100.0, 800.0)]
+        for x in inputs + [edges]:
+            assert np.array_equal(tz.sigmoid(x), oracles.sigmoid(x), equal_nan=True)
+        assert tz.sigmoid(np.array([-746.0]))[0] == 0.0  # exp(-746) underflows
+
     def test_sigmoid_midpoint_and_symmetry(self):
         assert tz.sigmoid(np.array([0.0]))[0] == 0.5
         x = np.linspace(-5, 5, 11)

@@ -255,24 +255,31 @@ class TestGraphInputs:
         real = training.adjacency_from_snapshot
         monkeypatch.setattr(training, "adjacency_from_snapshot",
                             lambda snap, **kw: built.append(snap) or real(snap, **kw))
+        m = SMALL.model
 
-        def read(*sides):  # ids of the snapshots that gcn and temporal samples on `sides` read
-            m = SMALL.model
-            return {id(s) for k in (1, m.sequence_length)
-                    for q in build_sequences(bundle.snapshots, k=k, stride=m.stride)
-                    if q.graph_label is not None and bundle.split.side(q.date) in sides
+        def read(k, side):  # ids of the snapshots that the side's k-sequences read
+            return {id(s) for q in build_sequences(bundle.snapshots, k=k, stride=m.stride)
+                    if q.graph_label is not None and bundle.split.side(q.date) == side
                     for s in q.snapshots}
+
+        def builds_each_read_once(call, k, side):
+            built.clear()
+            result = call()
+            assert len(built) == len(read(k, side))
+            assert {id(s) for s in built} == read(k, side)
+            return result
 
         def scores(b):
             return [predict_scores(state, b, side=side)[1]
                     for state in states for side in ("train", "test")]
 
-        states = [train(kind, bundle, SMALL)[0] for kind in ("gcn", "temporal")]
-        assert len(built) == len(read("train"))
-        assert {id(s) for s in built} == read("train")
+        states = []
+        for kind, k in (("gcn", 1), ("temporal", m.sequence_length)):
+            state = builds_each_read_once(lambda: train(kind, bundle, SMALL)[0], k, "train")
+            for side in ("train", "test"):
+                builds_each_read_once(lambda: predict_scores(state, bundle, side=side), k, side)
+            states.append(state)
         before = scores(bundle)
-        assert len(built) == len(read("train", "test"))
-        assert {id(s) for s in built} == read("train", "test")
 
         other = make_bundle(prices_panel=prices, tau=0.3)[0]
         bundle.snapshots = other.snapshots
