@@ -27,7 +27,7 @@ from .features import (Standardization, apply_standardization, attach_labels,
                        compute_features, read_features_csv, read_graph_labels_csv,
                        standardize, write_features_csv, write_graph_labels_csv)
 from .graphs import build_snapshots, read_snapshots_jsonl, write_snapshots_jsonl
-from .market_data import (IngestConfig, ingest_csv, log_returns, read_macro_csv,
+from .market_data import (ingest_csv, log_returns, read_macro_csv,
                           read_universe_csv, write_panel_csv)
 from .models.baselines import day_feature_names
 from .models.state import deserialize, parameter_count, serialize
@@ -133,9 +133,8 @@ def cmd_ingest(run: Run) -> None:
     tickers = list(cfg.data.tickers) if cfg.data.tickers else (
         list(universe) if universe else None)
     start, end = cfg.period.resolve()
-    panel, provenance = ingest_csv(
-        cfg.data.prices_csv,
-        IngestConfig(tickers=tickers, start=start, end=end, universe=universe))
+    panel, provenance = ingest_csv(cfg.data.prices_csv, tickers=tickers, start=start,
+                                   end=end, universe=universe)
     write_panel_csv(panel, run.path("prices.csv"))
     _write_json(run.path("provenance.json"), provenance)
     _write_json(run.path("universe.json"), panel.universe_meta or {})

@@ -14,6 +14,7 @@ import math
 import types
 import typing
 from dataclasses import dataclass, field, fields
+from datetime import date
 from typing import Any
 
 from .errors import ConfigError
@@ -68,6 +69,8 @@ def _dataclass_from(section: str, cls, data: Any):
                 value = tuple(value)
             if not _fits(value, hints[f.name]):
                 raise ConfigError(f"{section}.{f.name} must be {f.type}, got {data[f.name]!r}")
+            if hints[f.name] is float and not -math.inf < value < math.inf:
+                raise ConfigError(f"{section}.{f.name} must be a finite number, got {value!r}")
             kwargs[f.name] = value
     return cls(**kwargs)
 
@@ -86,14 +89,24 @@ class PeriodConfig:
     start: str | None = None
     end: str | None = None
 
+    def __post_init__(self):
+        if self.preset is not None and self.preset not in PRESETS:
+            raise ConfigError(
+                f"unknown period preset '{self.preset}'; "
+                f"expected one of {', '.join(sorted(PRESETS))}")
+        for name in ("start", "end"):
+            value = getattr(self, name)
+            try:
+                iso = value is None or date.fromisoformat(value).isoformat() == value
+            except ValueError:
+                iso = False
+            if not iso:
+                raise ConfigError(f"period.{name} must be a YYYY-MM-DD date, got {value!r}")
+        if self.start is not None and self.end is not None and self.start > self.end:
+            raise ConfigError(f"period.start {self.start} is after period.end {self.end}")
+
     def resolve(self) -> tuple[str | None, str | None]:
-        if self.preset is not None:
-            if self.preset not in PRESETS:
-                raise ConfigError(
-                    f"unknown period preset '{self.preset}'; "
-                    f"expected one of {', '.join(sorted(PRESETS))}")
-            return PRESETS[self.preset]
-        return self.start, self.end
+        return PRESETS[self.preset] if self.preset is not None else (self.start, self.end)
 
 
 @dataclass(frozen=True)
@@ -200,8 +213,9 @@ class EvaluateConfig:
     warn_gamma: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 <= self.threshold <= 1.0):
-            raise ConfigError(f"evaluate.threshold must lie in [0, 1], got {self.threshold}")
+        for name in ("threshold", "warn_gamma"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"evaluate.{name} must lie in [0, 1], got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -271,10 +285,9 @@ def config_hash(cfg: Config) -> str:
 
 def load_config(path: str | None, *, seed: int | None = None,
                 preset: str | None = None, out: str | None = None) -> Config:
-    """Read a JSON config file (optional) and apply CLI overrides."""
-    if path is None:
-        cfg = Config()
-    else:
+    """Read a JSON config file (optional), apply CLI overrides, and validate."""
+    raw: Any = {}
+    if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -282,19 +295,8 @@ def load_config(path: str | None, *, seed: int | None = None,
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        cfg = Config.from_dict(raw)
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-        cfg = cfg.replace(seed=seed)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(
-                f"unknown period preset '{preset}'; expected one of {', '.join(sorted(PRESETS))}")
-        cfg = cfg.replace(period=PeriodConfig(preset=preset))
-    if out is not None:
-        if not out:
-            raise ConfigError("out must be a non-empty path string")
-        cfg = cfg.replace(out=out)
-    cfg.period.resolve()  # validate preset name eagerly
-    return cfg
+    overrides = {"seed": seed, "out": out,
+                 "period": None if preset is None else {"preset": preset}}
+    if isinstance(raw, dict):
+        raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+    return Config.from_dict(raw)

@@ -12,7 +12,6 @@ import json
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .graphs import average_ranks
 
 __all__ = [
     "compute_metrics",
@@ -42,7 +41,7 @@ def _check_scored(scores, labels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def auroc_rank(scores, labels) -> float | None:
-    """AUROC via the rank statistic (ties share average ranks).
+    """AUROC as the Mann-Whitney U over n_pos * n_neg (ties count half).
 
     Equals the probability a random positive outscores a random negative,
     ties counted half. None when only one class is present.
@@ -52,9 +51,11 @@ def auroc_rank(scores, labels) -> float | None:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = average_ranks(s)
-    rank_sum = float(ranks[y == 1].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / float(n_pos * n_neg)
+    tp, fp = _tie_block_counts(s, y)
+    # 2U: each positive of a tie block counts the negatives below it twice and
+    # the negatives tied with it once; exact in integers
+    two_u = int(np.diff(tp, prepend=0) @ (2 * (n_neg - fp) + np.diff(fp, prepend=0)))
+    return two_u / (2 * n_pos * n_neg)
 
 
 def _tie_block_counts(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,18 +142,10 @@ def compute_metrics(scores, labels, threshold: float = 0.5) -> dict:
 
 def crash_windows(labels: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of label 1 as (onset index, last index) pairs."""
-    y = np.asarray(labels).reshape(-1)
-    windows = []
-    start = None
-    for i, v in enumerate(y):
-        if v == 1 and start is None:
-            start = i
-        elif v != 1 and start is not None:
-            windows.append((start, i - 1))
-            start = None
-    if start is not None:
-        windows.append((start, len(y) - 1))
-    return windows
+    crash = np.concatenate(([False], np.asarray(labels).reshape(-1) == 1, [False]))
+    edges = np.diff(crash.astype(np.int8))  # +1 at an onset, -1 just past a window's end
+    return list(zip(np.flatnonzero(edges == 1).tolist(),
+                    (np.flatnonzero(edges == -1) - 1).tolist()))
 
 
 def lead_times(calendar_dates: list[str], daily_labels, scored_dates: list[str],
@@ -173,27 +166,20 @@ def lead_times(calendar_dates: list[str], daily_labels, scored_dates: list[str],
     if len(scored_dates) != s.size:
         raise ShapeError(f"{len(scored_dates)} scored dates vs {s.size} scores")
     pos_of = {d: i for i, d in enumerate(calendar_dates)}
-    onsets = [w[0] for w in crash_windows(y)]
-    leads: list[int] = []
-    unmatched = 0
-    in_crisis = 0
-    for date, score in zip(scored_dates, s):
-        if score <= gamma:
-            continue
+    warned = [d for d, fired in zip(scored_dates, ~(s <= gamma)) if fired]  # NaN fires
+    for date in warned:
         if date not in pos_of:
             raise DataError(f"scored date {date} is not on the evaluation calendar")
-        w = pos_of[date]
-        nxt = next((o for o in onsets if o >= w), None)
-        if y[w] == 1 and w not in onsets:
-            in_crisis += 1  # fired mid-crash; predicts nothing upcoming
-        elif nxt is None:
-            unmatched += 1
-        else:
-            leads.append(nxt - w)
+    w = np.array([pos_of[d] for d in warned], dtype=np.int64)
+    onsets = np.array([o for o, _ in crash_windows(y)], dtype=np.int64)
+    nxt = np.searchsorted(onsets, w)  # the first onset on or after each warning
+    crisis = (y[w] == 1) & ~np.isin(w, onsets)  # fired mid-crash; predicts nothing upcoming
+    matched = ~crisis & (nxt < onsets.size)
+    leads = (onsets[nxt[matched]] - w[matched]).tolist()
     return {
         "lead_times": leads,
-        "unmatched": unmatched,
-        "in_crisis": in_crisis,
+        "unmatched": int(np.count_nonzero(~crisis & ~matched)),
+        "in_crisis": int(np.count_nonzero(crisis)),
         "n_onsets": len(onsets),
         "gamma": float(gamma),
     }

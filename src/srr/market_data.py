@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as _date
 
 import numpy as np
@@ -19,7 +19,6 @@ from .errors import DataError
 __all__ = [
     "PricePanel",
     "ReturnPanel",
-    "IngestConfig",
     "ingest_csv",
     "log_returns",
     "write_panel_csv",
@@ -60,21 +59,6 @@ class ReturnPanel:
     returns: np.ndarray  # N x (T-1) float64
 
 
-@dataclass
-class IngestConfig:
-    """Knobs for ingest_csv; all optional.
-
-    tickers: restrict to this set (default: every ticker in the file).
-    start/end: inclusive ISO date bounds applied before alignment.
-    universe: ticker -> sector map attached to the panel for the sector layer.
-    """
-
-    tickers: list[str] | None = None
-    start: str | None = None
-    end: str | None = None
-    universe: dict[str, str] | None = field(default=None)
-
-
 def _parse_iso(value: str, line_no: int) -> str:
     try:
         return _date.fromisoformat(value).isoformat()
@@ -82,14 +66,18 @@ def _parse_iso(value: str, line_no: int) -> str:
         raise DataError(f"line {line_no}: bad date {value!r} (want YYYY-MM-DD)") from None
 
 
-def ingest_csv(path: str, config: IngestConfig | None = None) -> tuple[PricePanel, dict]:
+def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None = None,
+               end: str | None = None, universe: dict[str, str] | None = None
+               ) -> tuple[PricePanel, dict]:
     """Read a long-format price CSV into an aligned panel.
 
-    Returns (panel, manifest). The manifest records source path, content
+    tickers restricts the panel to that set (default: every ticker in the
+    file); start/end are inclusive ISO date bounds applied before alignment;
+    universe is a ticker -> sector map attached to the panel for the sector
+    layer. Returns (panel, manifest). The manifest records source path, content
     sha256, rows_read, rows_kept, dates_dropped (dates seen for in-scope
     tickers but off the common calendar), and the final ticker list.
     """
-    config = config or IngestConfig()
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -106,7 +94,7 @@ def ingest_csv(path: str, config: IngestConfig | None = None) -> tuple[PricePane
     if [h.strip() for h in header] != ["date", "ticker", "adj_close"]:
         raise DataError(f"{path}: expected header date,ticker,adj_close, got {header!r}")
 
-    wanted = set(config.tickers) if config.tickers else None
+    wanted = set(tickers) if tickers else None
     per_ticker: dict[str, dict[str, float]] = {}
     rows_read = 0
     for line_no, row in enumerate(reader, start=2):
@@ -127,9 +115,9 @@ def ingest_csv(path: str, config: IngestConfig | None = None) -> tuple[PricePane
             raise DataError(f"line {line_no}: non-positive price {price!r} for {ticker}")
         if wanted is not None and ticker not in wanted:
             continue
-        if config.start and day < config.start:
+        if start and day < start:
             continue
-        if config.end and day > config.end:
+        if end and day > end:
             continue
         series = per_ticker.setdefault(ticker, {})
         if day in series:
@@ -156,10 +144,10 @@ def ingest_csv(path: str, config: IngestConfig | None = None) -> tuple[PricePane
         prices[i, :] = [series[d] for d in dates]
 
     meta = None
-    if config.universe is not None:
+    if universe is not None:
         # Keep only entries for tickers that made it into the panel; strict
         # unknown-ticker checking happens where the sector layer is built.
-        meta = {t: s for t, s in config.universe.items() if t in set(tickers)}
+        meta = {t: s for t, s in universe.items() if t in set(tickers)}
 
     panel = PricePanel(tickers=tickers, dates=dates, prices=prices, universe_meta=meta)
     manifest = {

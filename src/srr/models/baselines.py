@@ -87,13 +87,15 @@ def logistic_predict(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
 
 # -- random forest ---------------------------------------------------------
 
-def gini(labels: np.ndarray) -> float:
-    """Gini impurity 1 - p0^2 - p1^2 of a binary label vector."""
-    y = np.asarray(labels)
-    if y.size == 0:
-        return 0.0
-    p1 = float(np.count_nonzero(y)) / y.size
+def _gini_of(p1):
+    """Gini impurity 1 - p0^2 - p1^2 from the class-1 share, elementwise."""
     return 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
+
+
+def gini(labels: np.ndarray) -> float:
+    """Gini impurity of a binary label vector."""
+    y = np.asarray(labels)
+    return 0.0 if y.size == 0 else _gini_of(float(np.count_nonzero(y)) / y.size)
 
 
 def _grow_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, max_depth: int,
@@ -118,34 +120,28 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, max_depth
         node_gini = gini(y[idx])
         if node_gini == 0.0:
             return None
-        best: tuple[float, int, float] | None = None  # (weighted gini, feature, threshold)
         candidates = np.sort(rng.choice(n_features, size=m_try, replace=False))
         n_node = idx.size
         total_pos = int(np.count_nonzero(y[idx]))
-        for f in candidates:
-            vals = x[idx, f]
-            order = np.argsort(vals, kind="stable")
-            sv = vals[order]
-            sy = y[idx][order]
-            pos_left = 0
-            for s in range(n_node - 1):
-                pos_left += int(sy[s])
-                if sv[s] == sv[s + 1]:
-                    continue  # not a boundary between distinct values
-                n_l = s + 1
-                n_r = n_node - n_l
-                if n_l < min_leaf or n_r < min_leaf:
-                    continue
-                p1_l = pos_left / n_l
-                p1_r = (total_pos - pos_left) / n_r
-                g_l = 1.0 - p1_l * p1_l - (1.0 - p1_l) * (1.0 - p1_l)
-                g_r = 1.0 - p1_r * p1_r - (1.0 - p1_r) * (1.0 - p1_r)
-                weighted = (n_l * g_l + n_r * g_r) / n_node
-                if best is None or weighted < best[0]:
-                    best = (weighted, int(f), float(0.5 * (sv[s] + sv[s + 1])))
-        if best is None or best[0] >= node_gini:
+        vals = x[np.ix_(idx, candidates)]
+        order = np.argsort(vals, axis=0, kind="stable")
+        sv = np.take_along_axis(vals, order, axis=0)
+        # row s of each column: the boundary between sorted values s and s + 1
+        pos_left = np.cumsum(y[idx][order], axis=0, dtype=np.int64)[:-1]
+        n_l = np.arange(1, n_node)[:, None]
+        n_r = n_node - n_l
+        weighted = (n_l * _gini_of(pos_left / n_l)
+                    + n_r * _gini_of((total_pos - pos_left) / n_r)) / n_node
+        # no boundary between tied values, no leaf below min_leaf
+        ok = (sv[:-1] != sv[1:]) & (n_l >= min_leaf) & (n_r >= min_leaf)
+        # feature-major, so argmin's first minimum is the lowest feature, then threshold
+        flat = np.where(ok, weighted, np.inf).T.ravel()
+        best = int(np.argmin(flat))
+        if not flat[best] < node_gini:
             return None
-        return best[1], best[2], node_gini - best[0]
+        f, s = divmod(best, n_node - 1)
+        return (int(candidates[f]), float(0.5 * (sv[s, f] + sv[s + 1, f])),
+                node_gini - float(flat[best]))
 
     def grow(idx: np.ndarray, depth: int) -> int:
         if depth >= max_depth or idx.size < 2 * min_leaf:
@@ -196,23 +192,26 @@ def forest_fit(x: np.ndarray, y: np.ndarray, n_trees: int = 50, max_depth: int =
     return params
 
 
-def _tree_prob(nodes: np.ndarray, row: np.ndarray) -> float:
-    i = 0
-    for _ in range(nodes.shape[0] + 1):
-        node = nodes[i]
-        if node[0] == 1.0:
-            return float(node[6])
-        i = int(node[3]) if row[int(node[1])] <= node[2] else int(node[4])
-    raise NumericalError("malformed tree: traversal did not reach a leaf")
-
-
 def forest_predict(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Mean leaf class-1 probability across trees, per row of X."""
+    """Mean leaf class-1 probability across trees, per row of X.
+
+    All rows descend each tree together, one level per step."""
     x = np.asarray(x, dtype=np.float64)
     trees = [params[k] for k in sorted(params) if k.startswith("tree_")]
     if not trees:
         raise DataError("forest_predict: parameter dict holds no trees")
+    rows = np.arange(x.shape[0])
     out = np.zeros(x.shape[0])
     for nodes in trees:
-        out += [_tree_prob(nodes, row) for row in x]
+        at = np.zeros(x.shape[0], dtype=np.intp)
+        for _ in range(nodes.shape[0] + 1):
+            node = nodes[at]
+            inner = node[:, 0] != 1.0
+            if not inner.any():
+                break
+            go_left = x[rows, node[:, 1].astype(np.intp)] <= node[:, 2]
+            at = np.where(inner, np.where(go_left, node[:, 3], node[:, 4]), at).astype(np.intp)
+        else:
+            raise NumericalError("malformed tree: traversal did not reach a leaf")
+        out += node[:, 6]
     return out / len(trees)

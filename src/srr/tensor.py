@@ -14,7 +14,7 @@ its seed (and stream labels) is bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,19 +188,19 @@ def focal_loss(probs, targets, gamma: float = 2.0) -> tuple[float, np.ndarray]:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one named parameter set."""
+    """First/second moments, flat over a parameter dict's tensors in key order."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
-    """One Adam update over a dict of named float64 arrays.
+    """One Adam update of a dict of named float64 arrays, made on their concatenation.
 
     Returns new parameter arrays (inputs are not mutated); the moment
     estimates inside ``state`` advance in place. Uses the bias-corrected
@@ -209,29 +209,30 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
     missing = set(params) ^ set(grads)
     if missing:
         raise ShapeError(f"adam_step: params/grads key mismatch: {sorted(missing)}")
+    for name in params:
+        if params[name].shape != grads[name].shape:
+            raise ShapeError(f"adam_step: gradient shape {grads[name].shape} does not match "
+                             f"parameter {name} of shape {params[name].shape}")
+    theta = np.concatenate([np.ravel(params[k]) for k in params])
+    g = np.concatenate([np.ravel(grads[k]) for k in params])
+    if state.m is None:
+        state.m = state.v = np.zeros_like(theta)  # both are rebound, never written in place
+    elif state.m.shape != theta.shape:
+        raise ShapeError(f"adam_step: {theta.size} parameters, moments hold {state.m.size}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    out = {}
-    for name in params:
-        theta, g = params[name], grads[name]
-        if theta.shape != g.shape:
-            raise ShapeError(
-                f"adam_step: gradient shape {g.shape} does not match parameter "
-                f"{name} of shape {theta.shape}"
-            )
-        if name not in state.m:
-            state.m[name] = np.zeros_like(theta)
-            state.v[name] = np.zeros_like(theta)
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / c1
-        v_hat = state.v[name] / c2
-        out[name] = _finite(
-            f"adam_step[{name}]", theta - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        )
-    return out
+    state.m = b1 * state.m + (1.0 - b1) * g
+    state.v = b2 * state.v + (1.0 - b2) * (g * g)
+    m_hat = state.m / (1.0 - b1 ** state.t)
+    v_hat = state.v / (1.0 - b2 ** state.t)
+    new = theta - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    ends = np.cumsum([params[k].size for k in params])
+    bad = np.flatnonzero(~np.isfinite(new))
+    if bad.size:
+        name = list(params)[np.searchsorted(ends, bad[0], side="right")]
+        raise NumericalError(f"adam_step[{name}] produced non-finite values")
+    return {k: part.reshape(params[k].shape)
+            for k, part in zip(params, np.split(new, ends[:-1]))}
 
 
 # -- randomness ----------------------------------------------------------

@@ -13,16 +13,25 @@ vectorized code replaced, copied verbatim (only the docstring of ``sigmoid``
 is corrected): the two-branch ``sigmoid``, the
 one-row ``average_ranks`` with the row loop of ``rank_correlation_matrix``,
 the one-date ``build_snapshot`` under ``build_snapshots``, the one-matrix
-``gcn_normalize`` and the edge-by-edge ``adjacency_from_snapshot``.
+``gcn_normalize`` and the edge-by-edge ``adjacency_from_snapshot``; then the
+threshold-by-threshold split search of ``_grow_tree``, the row-by-row
+``forest_predict``, the tensor-by-tensor ``adam_step`` with its per-name
+``AdamState``, the average-rank ``auroc_rank``, and the label-by-label
+``crash_windows`` with the onset scan of ``lead_times``, whose ``average_ranks``
+is the one-row oracle above.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from srr import tensor as tz
-from srr.errors import DataError, ShapeError
+from srr.errors import DataError, NumericalError, ShapeError
 from srr.evaluation import _check_scored
 from srr.graphs import GraphSnapshot
 from srr.market_data import ReturnPanel
+from srr.models.baselines import gini
+from srr.tensor import _finite
 
 
 def sigmoid_grad(x: np.ndarray) -> np.ndarray:
@@ -363,3 +372,219 @@ def adjacency_from_snapshot(snapshot: GraphSnapshot, layers: tuple[str, ...] = (
             adj[i, j] = max(adj[i, j], val)
             adj[j, i] = adj[i, j]
     return adj
+
+
+def _grow_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, max_depth: int,
+               min_leaf: int, n_root: int, importance: np.ndarray) -> list[list[float]]:
+    """CART with per-node random feature subsets; returns the node table.
+
+    Node row layout: [is_leaf, feature, threshold, left, right, p0, p1].
+    Samples with value <= threshold go left. Ties in impurity are broken
+    toward the lowest feature index, then the lowest threshold, so a tree
+    is a pure function of (data, rng draws).
+    """
+    n_features = x.shape[1]
+    m_try = max(1, int(np.sqrt(n_features)))
+    nodes: list[list[float]] = []
+
+    def leaf(idx: np.ndarray) -> int:
+        p1 = float(np.count_nonzero(y[idx])) / idx.size
+        nodes.append([1.0, -1.0, 0.0, -1.0, -1.0, 1.0 - p1, p1])
+        return len(nodes) - 1
+
+    def best_split(idx: np.ndarray) -> tuple[int, float, float] | None:
+        node_gini = gini(y[idx])
+        if node_gini == 0.0:
+            return None
+        best: tuple[float, int, float] | None = None  # (weighted gini, feature, threshold)
+        candidates = np.sort(rng.choice(n_features, size=m_try, replace=False))
+        n_node = idx.size
+        total_pos = int(np.count_nonzero(y[idx]))
+        for f in candidates:
+            vals = x[idx, f]
+            order = np.argsort(vals, kind="stable")
+            sv = vals[order]
+            sy = y[idx][order]
+            pos_left = 0
+            for s in range(n_node - 1):
+                pos_left += int(sy[s])
+                if sv[s] == sv[s + 1]:
+                    continue  # not a boundary between distinct values
+                n_l = s + 1
+                n_r = n_node - n_l
+                if n_l < min_leaf or n_r < min_leaf:
+                    continue
+                p1_l = pos_left / n_l
+                p1_r = (total_pos - pos_left) / n_r
+                g_l = 1.0 - p1_l * p1_l - (1.0 - p1_l) * (1.0 - p1_l)
+                g_r = 1.0 - p1_r * p1_r - (1.0 - p1_r) * (1.0 - p1_r)
+                weighted = (n_l * g_l + n_r * g_r) / n_node
+                if best is None or weighted < best[0]:
+                    best = (weighted, int(f), float(0.5 * (sv[s] + sv[s + 1])))
+        if best is None or best[0] >= node_gini:
+            return None
+        return best[1], best[2], node_gini - best[0]
+
+    def grow(idx: np.ndarray, depth: int) -> int:
+        if depth >= max_depth or idx.size < 2 * min_leaf:
+            return leaf(idx)
+        found = best_split(idx)
+        if found is None:
+            return leaf(idx)
+        feature, threshold, decrease = found
+        importance[feature] += (idx.size / n_root) * decrease
+        mask = x[idx, feature] <= threshold
+        pos = len(nodes)
+        nodes.append([0.0, float(feature), threshold, -1.0, -1.0, 0.0, 0.0])
+        nodes[pos][3] = float(grow(idx[mask], depth + 1))
+        nodes[pos][4] = float(grow(idx[~mask], depth + 1))
+        return pos
+
+    grow(np.arange(x.shape[0]), 0)
+    return nodes
+
+
+def _tree_prob(nodes: np.ndarray, row: np.ndarray) -> float:
+    i = 0
+    for _ in range(nodes.shape[0] + 1):
+        node = nodes[i]
+        if node[0] == 1.0:
+            return float(node[6])
+        i = int(node[3]) if row[int(node[1])] <= node[2] else int(node[4])
+    raise NumericalError("malformed tree: traversal did not reach a leaf")
+
+
+def forest_predict(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Mean leaf class-1 probability across trees, per row of X."""
+    x = np.asarray(x, dtype=np.float64)
+    trees = [params[k] for k in sorted(params) if k.startswith("tree_")]
+    if not trees:
+        raise DataError("forest_predict: parameter dict holds no trees")
+    out = np.zeros(x.shape[0])
+    for nodes in trees:
+        out += [_tree_prob(nodes, row) for row in x]
+    return out / len(trees)
+
+
+@dataclass
+class AdamState:
+    """First/second moment accumulators for one named parameter set."""
+
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    t: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
+    """One Adam update over a dict of named float64 arrays.
+
+    Returns new parameter arrays (inputs are not mutated); the moment
+    estimates inside ``state`` advance in place. Uses the bias-corrected
+    update theta -= lr * m_hat / (sqrt(v_hat) + eps).
+    """
+    missing = set(params) ^ set(grads)
+    if missing:
+        raise ShapeError(f"adam_step: params/grads key mismatch: {sorted(missing)}")
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    out = {}
+    for name in params:
+        theta, g = params[name], grads[name]
+        if theta.shape != g.shape:
+            raise ShapeError(
+                f"adam_step: gradient shape {g.shape} does not match parameter "
+                f"{name} of shape {theta.shape}"
+            )
+        if name not in state.m:
+            state.m[name] = np.zeros_like(theta)
+            state.v[name] = np.zeros_like(theta)
+        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
+        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
+        m_hat = state.m[name] / c1
+        v_hat = state.v[name] / c2
+        out[name] = _finite(
+            f"adam_step[{name}]", theta - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        )
+    return out
+
+
+def auroc_rank(scores, labels) -> float | None:
+    """AUROC via the rank statistic (ties share average ranks).
+
+    Equals the probability a random positive outscores a random negative,
+    ties counted half. None when only one class is present.
+    """
+    s, y = _check_scored(scores, labels)
+    n_pos = int(np.count_nonzero(y))
+    n_neg = y.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    ranks = average_ranks(s)
+    rank_sum = float(ranks[y == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / float(n_pos * n_neg)
+
+
+def crash_windows(labels: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs of label 1 as (onset index, last index) pairs."""
+    y = np.asarray(labels).reshape(-1)
+    windows = []
+    start = None
+    for i, v in enumerate(y):
+        if v == 1 and start is None:
+            start = i
+        elif v != 1 and start is not None:
+            windows.append((start, i - 1))
+            start = None
+    if start is not None:
+        windows.append((start, len(y) - 1))
+    return windows
+
+
+def lead_times(calendar_dates: list[str], daily_labels, scored_dates: list[str],
+               scores, gamma: float = 0.5) -> dict:
+    """Warning lead times in trading days.
+
+    A warning is a scored date with score > gamma. Each warning that
+    precedes the next crash-window onset with no crash day in between
+    (the onset day itself counts, lead 0) contributes onset - warning in
+    trading-day positions on the calendar. Warnings with no later onset
+    are unmatched; warnings inside an ongoing crash window are tallied
+    separately as in_crisis.
+    """
+    y = np.asarray(daily_labels).reshape(-1)
+    if len(calendar_dates) != y.size:
+        raise ShapeError(f"calendar has {len(calendar_dates)} dates, labels {y.size}")
+    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    if len(scored_dates) != s.size:
+        raise ShapeError(f"{len(scored_dates)} scored dates vs {s.size} scores")
+    pos_of = {d: i for i, d in enumerate(calendar_dates)}
+    onsets = [w[0] for w in crash_windows(y)]
+    leads: list[int] = []
+    unmatched = 0
+    in_crisis = 0
+    for date, score in zip(scored_dates, s):
+        if score <= gamma:
+            continue
+        if date not in pos_of:
+            raise DataError(f"scored date {date} is not on the evaluation calendar")
+        w = pos_of[date]
+        nxt = next((o for o in onsets if o >= w), None)
+        if y[w] == 1 and w not in onsets:
+            in_crisis += 1  # fired mid-crash; predicts nothing upcoming
+        elif nxt is None:
+            unmatched += 1
+        else:
+            leads.append(nxt - w)
+    return {
+        "lead_times": leads,
+        "unmatched": unmatched,
+        "in_crisis": in_crisis,
+        "n_onsets": len(onsets),
+        "gamma": float(gamma),
+    }

@@ -13,6 +13,8 @@ import pytest
 
 import srr
 from srr.cli import main
+from srr.config import PRESETS, Config, PeriodConfig, config_hash, load_config
+from srr.errors import ConfigError
 from srr.models import deserialize, parameter_count
 from srr.synthetic import write_synthetic_csv
 
@@ -255,6 +257,29 @@ class TestGraphFile:
         assert capsys.readouterr().err.rstrip().endswith("rerun `srr graphs`")
 
 
+class TestLoadConfig:
+    def test_cli_overrides_enter_the_one_validation(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 3, "out": "a", "period": {"start": "2015-06-01"}}))
+        cfg = load_config(str(path), seed=9, preset="gfc", out="b")
+        assert (cfg.seed, cfg.out, cfg.period) == (9, "b", PeriodConfig(preset="gfc"))
+        assert cfg.period.resolve() == PRESETS["gfc"]
+        assert config_hash(load_config(None)) == config_hash(Config())
+
+    def test_bad_values_keep_their_messages(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"period": {"preset": "mars"}}))
+        with pytest.raises(ConfigError, match="unknown period preset 'mars'; expected one of"):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+            load_config(None, seed=-1)
+        with pytest.raises(ConfigError, match="out must be a non-empty path string"):
+            load_config(None, out="")
+        path.write_text("[]")
+        with pytest.raises(ConfigError, match="config root must be a mapping"):
+            load_config(str(path), seed=1)
+
+
 class TestExitCodes:
     def test_usage_errors_exit_one(self, capsys, tmp_path):
         assert main([]) == 1
@@ -285,6 +310,11 @@ class TestExitCodes:
         ("model", {"learning_rate": "x"}), ("model", {"kinds": []}),
         ("model", {"forest_trees": 0}), ("features", {"vol_windows": [1]}),
         ("model", {"loss": "focal", "focal_gamma": -1}), ("model", {"epochs": -1}),
+        ("evaluate", {"warn_gamma": float("nan")}), ("evaluate", {"warn_gamma": float("inf")}),
+        ("model", {"focal_gamma": float("inf")}), ("model", {"logistic_tol": float("inf")}),
+        ("evaluate", {"warn_gamma": -3}), ("evaluate", {"warn_gamma": 7}),
+        ("period", {"start": "2015/06/01"}), ("period", {"start": "June 2015"}),
+        ("period", {"start": "2016-01-01", "end": "2015-12-31"}),
     ], ids=lambda v: v if isinstance(v, str) else ",".join(
         f"{key}={json.dumps(value)}" for key, value in v.items()))
     def test_bad_config_value_exits_one_before_any_stage(self, capsys, tmp_path,
@@ -358,22 +388,25 @@ def write_console_script(directory: Path, name: str) -> Path:
 
 
 class TestInstalledEntryPoint:
+    @staticmethod
+    def child_env() -> dict:
+        """The child imports the same `srr` this session imported, not
+        whatever copy happens to be installed."""
+        src_root = str(Path(srr.__file__).resolve().parents[1])
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+
     def test_srr_script_maps_exit_codes(self, tmp_path):
         exe = write_console_script(tmp_path, "srr")
         cfg_path, _ = make_workspace(tmp_path, out_name="sub")
-        # The child imports the same `srr` this session imported, not
-        # whatever copy happens to be installed.
-        src_root = str(Path(srr.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src_root, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([str(exe), "features", "--config", cfg_path],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=self.child_env())
         assert proc.returncode == 2
         assert "rerun `srr ingest`" in proc.stderr
 
     def test_module_invocation_offers_help(self):
         proc = subprocess.run([sys.executable, "-c",
                                "from srr.cli import main; raise SystemExit(main(['--help']))"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=self.child_env())
         assert proc.returncode == 0
         assert "ingest" in proc.stdout and "run-all" in proc.stdout

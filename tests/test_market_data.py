@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from srr.errors import DataError
-from srr.market_data import (IngestConfig, ingest_csv, log_returns, read_macro_csv,
+from srr.market_data import (ingest_csv, log_returns, read_macro_csv,
                              read_universe_csv, write_panel_csv)
 
 
@@ -49,8 +49,7 @@ class TestAlignment:
         days = [f"2020-01-0{i}" for i in range(1, 6)]
         rows = [(d, t, 100) for d in days for t in ("A", "B", "C")]
         path = write(tmp_path, "p.csv", long_csv(rows))
-        panel, _ = ingest_csv(path, IngestConfig(
-            tickers=["A", "B"], start="2020-01-02", end="2020-01-04"))
+        panel, _ = ingest_csv(path, tickers=["A", "B"], start="2020-01-02", end="2020-01-04")
         assert panel.tickers == ["A", "B"]
         assert panel.dates == ["2020-01-02", "2020-01-03", "2020-01-04"]
 
@@ -65,7 +64,7 @@ class TestAlignment:
     def test_universe_map_restricted_to_panel(self, tmp_path):
         rows = [("2020-01-01", "A", 1), ("2020-01-02", "A", 2)]
         path = write(tmp_path, "p.csv", long_csv(rows))
-        panel, _ = ingest_csv(path, IngestConfig(universe={"A": "Tech", "ZZZ": "Energy"}))
+        panel, _ = ingest_csv(path, universe={"A": "Tech", "ZZZ": "Energy"})
         assert panel.universe_meta == {"A": "Tech"}
 
 
@@ -98,7 +97,7 @@ class TestValidation:
     def test_requested_ticker_absent(self, tmp_path):
         path = write(tmp_path, "p.csv", long_csv([("2020-01-01", "A", 1)]))
         with pytest.raises(DataError, match="absent"):
-            ingest_csv(path, IngestConfig(tickers=["A", "MISSING"]))
+            ingest_csv(path, tickers=["A", "MISSING"])
 
     def test_empty_calendar_intersection(self, tmp_path):
         rows = [("2020-01-01", "A", 1), ("2020-01-02", "B", 2)]

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from oracles import auroc_oracle
 from srr.errors import DataError, ShapeError
 from srr.evaluation import (auprc_step, auroc_rank, compute_metrics, crash_windows,
@@ -277,6 +278,48 @@ class TestLeadTimes:
         out = lead_times(self.CAL, self.Y, scored, scores, gamma=0.5)
         assert out["lead_times"] == [1, 1]  # positions 2 and 6
         assert out["in_crisis"] == 1  # position 4
+
+
+class TestMatchesLoops:
+    """AUROC from the tie-block counts, the edge-diff crash windows and the
+    searchsorted lead times equal the rank-sum and loop versions they
+    replaced (``oracles``) exactly."""
+
+    def test_auroc_on_ties_and_single_class(self):
+        rng = np.random.default_rng(21)
+        for case in range(300):
+            n = int(rng.integers(1, 60))
+            scores = (rng.integers(0, 3, size=n) / 2.0 if case % 2
+                      else rng.normal(size=n))
+            labels = rng.integers(0, 2, size=n) if case % 5 else np.full(n, case % 3 // 2)
+            got, want = auroc_rank(scores, labels), oracles.auroc_rank(scores, labels)
+            assert (got is None and want is None) or got.hex() == want.hex()
+
+    def test_crash_windows(self):
+        rng = np.random.default_rng(22)
+        for n in [0, 1, 2, 3] + list(rng.integers(4, 80, size=100)):
+            labels = (rng.random(n) < rng.uniform(0.0, 1.0)).astype(np.int8)
+            assert crash_windows(labels) == oracles.crash_windows(labels)
+
+    def test_lead_times_on_onsets_crises_and_after_the_last_onset(self):
+        rng = np.random.default_rng(23)
+        kinds = {"on_onset": 0, "in_crisis": 0, "unmatched": 0}
+        for case in range(150):
+            n = int(rng.integers(1, 80))
+            cal = [f"d{i:03d}" for i in range(n)]
+            y = (rng.random(n) < rng.uniform(0.05, 0.6)).astype(np.int8)
+            scored = cal[::int(rng.integers(1, 4))]
+            scores = rng.choice([0.0, 0.5, 0.7, 1.0], size=len(scored))
+            got = lead_times(cal, y, scored, scores, gamma=0.5)
+            assert got == oracles.lead_times(cal, y, scored, scores, gamma=0.5)
+            kinds["on_onset"] += got["lead_times"].count(0)
+            kinds["in_crisis"] += got["in_crisis"]
+            kinds["unmatched"] += got["unmatched"]
+        assert min(kinds.values()) > 0
+        off = ["d000", "nope", "also-not"]
+        for fn in (lead_times, oracles.lead_times):
+            with pytest.raises(DataError, match="scored date nope is not"):
+                fn(cal, y, off, np.array([0.1, 0.9, 0.9]))
 
 
 class TestRendering:

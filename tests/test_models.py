@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from srr.errors import DataError, ShapeError
+from srr.errors import DataError, NumericalError, ShapeError
 from srr.graphs import GraphSnapshot
 from srr.models import (MODEL_FORMAT, ModelState, adjacency_from_snapshot,
                         day_feature_matrix, day_feature_names, deserialize,
@@ -19,6 +19,7 @@ from srr.models import (MODEL_FORMAT, ModelState, adjacency_from_snapshot,
                         temporal_backward, temporal_forward)
 from srr.features import FeaturePanel, compute_features
 from srr.market_data import PricePanel, log_returns
+from srr.models.baselines import _grow_tree
 from srr.models.temporal import gru_step_backward
 from srr.synthetic import business_days, planted_regime_panel
 from srr.tensor import bce_loss, focal_loss, seeded_rng, sigmoid
@@ -619,6 +620,57 @@ class TestForest:
             forest_fit(np.zeros((4, 2)), np.zeros(4), n_trees=0)
         with pytest.raises(DataError, match="no trees"):
             forest_predict({"feature_importance": np.zeros(2)}, np.zeros((1, 2)))
+
+
+class TestForestMatchesLoops:
+    """The array split search and the level-by-level descent equal the
+    threshold-by-threshold and row-by-row loops they replaced (``oracles``)
+    exactly. Duplicated and integer-valued columns tie the weighted Gini across
+    features and thresholds, so the tie-breaking order is tested too."""
+
+    @staticmethod
+    def _data(rng, case):
+        n, f = int(rng.integers(2, 70)), int(rng.integers(2, 6))
+        if case % 2:
+            x = rng.integers(0, 4, size=(n, f)).astype(float)
+        else:
+            x = rng.normal(size=(n, f))
+        y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int8)
+        return np.hstack([x, x[:, ::-1]]), y
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5])
+    @pytest.mark.parametrize("max_depth", [0, 1, 6])
+    def test_trees_and_importance(self, min_leaf, max_depth):
+        rng = np.random.default_rng(10 * min_leaf + max_depth)
+        for case in range(12):
+            x, y = self._data(rng, case)
+            got_imp, want_imp = np.zeros(x.shape[1]), np.zeros(x.shape[1])
+            got = _grow_tree(x, y, seeded_rng(case, 1), max_depth, min_leaf, y.size, got_imp)
+            want = oracles._grow_tree(x, y, seeded_rng(case, 1), max_depth, min_leaf,
+                                      y.size, want_imp)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert got_imp.tobytes() == want_imp.tobytes()
+
+    def test_predictions_on_no_rows_and_many(self):
+        rng = np.random.default_rng(5)
+        for case in range(6):
+            x, y = self._data(rng, case)
+            params = forest_fit(x, y, n_trees=7, max_depth=5, min_leaf=1, seed=case)
+            rows = np.vstack([x, rng.normal(size=(200, x.shape[1])),
+                              rng.integers(0, 4, size=(50, x.shape[1]))])
+            for xs in (rows, rows[:0]):
+                got = forest_predict(params, xs)
+                assert got.tobytes() == oracles.forest_predict(params, xs).tobytes()
+
+    def test_a_tree_that_loops_raises(self):
+        leaf = [1.0, -1.0, 0.0, -1.0, -1.0, 0.4, 0.6]
+        params = {"tree_0000": np.array([[0.0, 0.0, 0.5, 1.0, 2.0, 0.0, 0.0], leaf,
+                                         [0.0, 1.0, 0.0, 2.0, 2.0, 0.0, 0.0]])}
+        x = np.array([[0.0, 0.0], [1.0, 0.0]])  # the second row reaches node 2
+        for predict in (forest_predict, oracles.forest_predict):
+            assert predict(params, x[:1]).tolist() == [0.6]
+            with pytest.raises(NumericalError, match="malformed tree"):
+                predict(params, x)
 
 
 class TestContainer:

@@ -223,6 +223,35 @@ class TestAdam:
         with pytest.raises(ShapeError):
             tz.adam_step({"a": np.zeros(2)}, {"a": np.zeros(3)}, tz.AdamState())
 
+    def test_matches_the_per_tensor_loop(self):
+        """One update over the concatenation equals the loop it replaced
+        (``oracles``) bit for bit, for grads keyed in another order."""
+        rng = np.random.default_rng(4)
+        shapes = [(3, 4), (4,), (1,), (), (2, 3, 5), (7, 1), (1, 9), (16,), (5, 5),
+                  (2, 2, 2, 2), (0,), (6, 3), (3,), (1, 1), (11, 2), (8,)]
+        params = {f"p{i:02d}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+        want = dict(params)
+        state, want_state = tz.AdamState(lr=0.01), oracles.AdamState(lr=0.01)
+        for _ in range(20):
+            grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.uniform(-6, 2, size=v.shape)
+                     for k, v in reversed(params.items())}
+            params = tz.adam_step(params, grads, state)
+            want = oracles.adam_step(want, grads, want_state)
+            assert list(params) == list(want)
+            for k in want:
+                assert params[k].shape == want[k].shape
+                assert params[k].tobytes() == want[k].tobytes()
+
+    def test_non_finite_result_names_the_first_tensor(self):
+        params = {"a": np.ones(3), "b": np.ones((2, 2)), "c": np.ones(1)}
+        grads = {"a": np.ones(3), "b": np.array([[1.0, np.inf], [1.0, 1.0]]),
+                 "c": np.array([np.nan])}
+        for step, state in ((tz.adam_step, tz.AdamState()),
+                            (oracles.adam_step, oracles.AdamState())):
+            with np.errstate(invalid="ignore"), pytest.raises(NumericalError,
+                                                              match=r"adam_step\[b\]"):
+                step(params, grads, state)
+
 
 class TestRandomness:
     def test_seeded_rng_reproducible(self):

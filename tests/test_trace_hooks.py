@@ -57,3 +57,6 @@ def test_every_hooked_label_records_a_call(tmp_path):
             "models.adjacency_from_snapshot", "evaluation.roc_points"} <= hooked
     uncalled = sorted(label for label in hooked if calls[labels.index(label)] == 0)
     assert uncalled == []
+    # `tensor.matmul` and `tensor.add` have no caller in the models; these two do
+    for label in ("tensor.adam_step", "tensor.bce_loss"):
+        assert label in labels and calls[labels.index(label)] > 0, label
