@@ -1,9 +1,11 @@
 """Command-line pipeline: ingest -> features -> graphs -> train -> evaluate -> report.
 
-Each stage reads the previous stage's artifacts from the output directory,
-writes its own, and records a stage manifest (config hash, seed, input and
-output content hashes). A stage refuses to run on missing or stale upstream
-artifacts and says which stage to rerun. Identical config + seed produce
+Each stage writes its artifacts to the output directory and records a stage
+manifest (config hash, seed, input and output content hashes). Run alone, a
+stage reads the previous stage's artifacts back from disk; ``run-all`` hands
+each stage the objects the previous one built, which equal the reloaded ones
+bit for bit, so both paths write the same bytes. A stage refuses to run on
+missing or stale upstream artifacts and says which stage to rerun. Identical config + seed produce
 byte-identical artifacts; nothing written here embeds a timestamp.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
@@ -23,11 +25,13 @@ from .config import Config, PRESETS, config_hash, load_config
 from .errors import ConfigError, DataError, NumericalError, SrrError
 from .evaluation import (compute_metrics, crash_windows, lead_times, pr_points,
                          report_to_json, roc_points, summary_table)
-from .features import (Standardization, apply_standardization, attach_labels,
-                       compute_features, read_features_csv, read_graph_labels_csv,
-                       standardize, write_features_csv, write_graph_labels_csv)
-from .graphs import build_snapshots, read_snapshots_jsonl, write_snapshots_jsonl
-from .market_data import (ingest_csv, log_returns, read_macro_csv,
+from .features import (FeaturePanel, Standardization, apply_standardization,
+                       attach_labels, compute_features, read_features_csv,
+                       read_graph_labels_csv, standardize, write_features_csv,
+                       write_graph_labels_csv)
+from .graphs import (GraphSnapshot, build_snapshots, read_snapshots_jsonl,
+                     write_snapshots_jsonl)
+from .market_data import (PricePanel, ingest_csv, log_returns, read_macro_csv,
                           read_universe_csv, write_panel_csv)
 from .models.baselines import day_feature_names
 from .models.state import deserialize, parameter_count, serialize
@@ -123,7 +127,7 @@ def _period_name(cfg: Config) -> str:
 
 # -- stage: ingest ------------------------------------------------------------
 
-def cmd_ingest(run: Run) -> None:
+def cmd_ingest(run: Run) -> PricePanel:
     cfg = run.cfg
     if cfg.data.prices_csv is None:
         raise ConfigError("data.prices_csv is required for `srr ingest`")
@@ -146,6 +150,7 @@ def cmd_ingest(run: Run) -> None:
                        ["prices.csv", "provenance.json", "universe.json"])
     print(f"ingest: {len(panel.tickers)} tickers x {len(panel.dates)} dates -> "
           f"{run.path('prices.csv')}")
+    return panel
 
 
 # -- stage: features ----------------------------------------------------------
@@ -175,10 +180,13 @@ def _write_macro_csv(run: Run, fpanel) -> None:
             fh.write(f"{day},{vals}\n")
 
 
-def cmd_features(run: Run) -> None:
+def cmd_features(run: Run, panel: PricePanel | None = None
+                 ) -> tuple[FeaturePanel, Standardization, SplitPlan]:
+    """Returns the raw labeled panel (macro attached), its statistics and the split."""
     cfg = run.cfg
     inputs = run.require("features", "ingest", ["prices.csv"])
-    panel, _ = ingest_csv(run.path("prices.csv"))
+    if panel is None:
+        panel, _ = ingest_csv(run.path("prices.csv"))
     returns = log_returns(panel)
     fpanel = compute_features(returns, panel,
                               vol_windows=cfg.features.vol_windows,
@@ -216,21 +224,30 @@ def cmd_features(run: Run) -> None:
     run.write_manifest("features", inputs, outputs)
     print(f"features: {len(fpanel.dates)} dates x {len(fpanel.names)} features, "
           f"{len(split.train_dates)} train / {len(split.test_dates)} test days")
+    return fpanel, stats, split
 
 
 # -- stage: graphs --------------------------------------------------------------
 
-def cmd_graphs(run: Run) -> None:
+def cmd_graphs(run: Run, panel: PricePanel | None = None,
+               fpanel: FeaturePanel | None = None) -> list[GraphSnapshot]:
+    """Labels come from ``fpanel`` and sectors from ``panel.universe_meta``."""
     cfg = run.cfg
     ingested = ["prices.csv"] + (["universe.json"] if cfg.graph.sector_layer else [])
     inputs = run.require("graphs", "ingest", ingested)
     inputs.update(run.require("graphs", "features", ["graph_labels.csv"]))
 
-    panel, _ = ingest_csv(run.path("prices.csv"))
-    dates, labels, valid = read_graph_labels_csv(run.path("graph_labels.csv"))
+    if panel is None:
+        panel, _ = ingest_csv(run.path("prices.csv"))
+        if cfg.graph.sector_layer:
+            panel.universe_meta = _read_json(run.path("universe.json"))
+    if fpanel is None:
+        dates, labels, valid = read_graph_labels_csv(run.path("graph_labels.csv"))
+    else:
+        dates, labels, valid = fpanel.dates, fpanel.graph_labels, fpanel.label_valid
     sector_map = None
     if cfg.graph.sector_layer:
-        sector_map = _read_json(run.path("universe.json"))
+        sector_map = panel.universe_meta
         if not sector_map:
             raise DataError("graph.sector_layer is on but the ingested universe "
                             "carries no sector labels")
@@ -247,6 +264,7 @@ def cmd_graphs(run: Run) -> None:
     n_edges = sum(len(s.layers["correlation"]) for s in snapshots)
     run.write_manifest("graphs", inputs, ["graphs.jsonl"])
     print(f"graphs: {len(snapshots)} snapshots, {n_edges} correlation edges total")
+    return snapshots
 
 
 # -- stages: train / evaluate ----------------------------------------------------
@@ -292,10 +310,11 @@ def _load_bundle(run: Run) -> DataBundle:
     return DataBundle(panel=std_panel, snapshots=snapshots, split=split)
 
 
-def cmd_train(run: Run) -> None:
+def cmd_train(run: Run, bundle: DataBundle | None = None) -> None:
     cfg = run.cfg
     inputs = _bundle_inputs(run, "train")
-    bundle = _load_bundle(run)
+    if bundle is None:
+        bundle = _load_bundle(run)
     outputs = []
     for kind in cfg.model.kinds:
         state, log = train(kind, bundle, cfg)
@@ -312,13 +331,14 @@ def cmd_train(run: Run) -> None:
     run.write_manifest("train", inputs, outputs)
 
 
-def cmd_evaluate(run: Run) -> None:
+def cmd_evaluate(run: Run, bundle: DataBundle | None = None) -> None:
     cfg = run.cfg
     inputs = _bundle_inputs(run, "evaluate")
     inputs.update(run.require("evaluate", "train",
                               [f"model_{kind}.srrm" for kind in cfg.model.kinds]))
 
-    bundle = _load_bundle(run)
+    if bundle is None:
+        bundle = _load_bundle(run)
     valid = bundle.panel.label_valid
     calendar = [d for t, d in enumerate(bundle.panel.dates) if valid[t]]
     daily_labels = bundle.panel.graph_labels[valid]
@@ -489,11 +509,15 @@ def cmd_report(run: Run) -> None:
 
 
 def cmd_run_all(run: Run) -> None:
-    cmd_ingest(run)
-    cmd_features(run)
-    cmd_graphs(run)
-    cmd_train(run)
-    cmd_evaluate(run)
+    """Every stage in order, each handed what the one before it built; each
+    still verifies and hashes its on-disk inputs for its manifest."""
+    panel = cmd_ingest(run)
+    fpanel, stats, split = cmd_features(run, panel)
+    snapshots = cmd_graphs(run, panel, fpanel)
+    bundle = DataBundle(panel=apply_standardization(fpanel, stats),
+                        snapshots=snapshots, split=split)
+    cmd_train(run, bundle)
+    cmd_evaluate(run, bundle)
     cmd_report(run)
 
 

@@ -14,10 +14,10 @@ import math
 import types
 import typing
 from dataclasses import dataclass, field, fields
-from datetime import date
 from typing import Any
 
 from .errors import ConfigError
+from .market_data import is_iso_date
 
 __all__ = [
     "DataConfig", "PeriodConfig", "FeatureConfig", "LabelConfig", "GraphConfig",
@@ -96,11 +96,7 @@ class PeriodConfig:
                 f"expected one of {', '.join(sorted(PRESETS))}")
         for name in ("start", "end"):
             value = getattr(self, name)
-            try:
-                iso = value is None or date.fromisoformat(value).isoformat() == value
-            except ValueError:
-                iso = False
-            if not iso:
+            if value is not None and not is_iso_date(value):
                 raise ConfigError(f"period.{name} must be a YYYY-MM-DD date, got {value!r}")
         if self.start is not None and self.end is not None and self.start > self.end:
             raise ConfigError(f"period.start {self.start} is after period.end {self.end}")

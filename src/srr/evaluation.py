@@ -165,8 +165,10 @@ def lead_times(calendar_dates: list[str], daily_labels, scored_dates: list[str],
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
     if len(scored_dates) != s.size:
         raise ShapeError(f"{len(scored_dates)} scored dates vs {s.size} scores")
+    if not np.all(np.isfinite(s)):
+        raise DataError("scores contain non-finite values")
     pos_of = {d: i for i, d in enumerate(calendar_dates)}
-    warned = [d for d, fired in zip(scored_dates, ~(s <= gamma)) if fired]  # NaN fires
+    warned = [d for d, fired in zip(scored_dates, s > gamma) if fired]
     for date in warned:
         if date not in pos_of:
             raise DataError(f"scored date {date} is not on the evaluation calendar")

@@ -14,6 +14,7 @@ contribute no edges instead of propagating NaN.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
 
@@ -208,21 +209,29 @@ def read_snapshots_jsonl(path: str) -> tuple[list[GraphSnapshot], dict]:
         lines = fh.read().splitlines()
     if not lines:
         raise DataError(f"{path}: empty snapshot file")
-    header = json.loads(lines[0])
-    if header.get("format") != GRAPH_FORMAT:
-        raise DataError(
-            f"{path}: expected format {GRAPH_FORMAT}, got {header.get('format')!r}"
-        )
-    snapshots = []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        snapshots.append(GraphSnapshot(
-            date=rec["date"],
-            node_ids=list(rec["nodes"]),
-            layers={
-                name: [(int(i), int(j), float(w)) for i, j, w in edges]
-                for name, edges in rec["layers"].items()
-            },
-            graph_label=rec["graph_label"],
-        ))
+    # The records allocate a list and a tuple per edge and hold no cycles, so
+    # cyclic collection would only rescan them; it is paused while they load.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        header = json.loads(lines[0])
+        if header.get("format") != GRAPH_FORMAT:
+            raise DataError(
+                f"{path}: expected format {GRAPH_FORMAT}, got {header.get('format')!r}"
+            )
+        snapshots = []
+        for line in lines[1:]:
+            rec = json.loads(line)
+            snapshots.append(GraphSnapshot(
+                date=rec["date"],
+                node_ids=list(rec["nodes"]),
+                layers={
+                    name: [(int(i), int(j), float(w)) for i, j, w in edges]
+                    for name, edges in rec["layers"].items()
+                },
+                graph_label=rec["graph_label"],
+            ))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return snapshots, header

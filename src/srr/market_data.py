@@ -20,6 +20,7 @@ __all__ = [
     "PricePanel",
     "ReturnPanel",
     "ingest_csv",
+    "is_iso_date",
     "log_returns",
     "write_panel_csv",
     "read_universe_csv",
@@ -59,6 +60,22 @@ class ReturnPanel:
     returns: np.ndarray  # N x (T-1) float64
 
 
+def is_iso_date(value) -> bool:
+    """True for a date string in exactly the YYYY-MM-DD form the panel uses."""
+    try:
+        return _date.fromisoformat(value).isoformat() == value
+    except (TypeError, ValueError):
+        return False
+
+
+def _check_plain(what: str, names, path: str) -> None:
+    """The pipeline writes tickers and macro names unquoted into its CSV
+    artifacts, which the stages read back; refuse a name that cannot round-trip."""
+    bad = [n for n in names if any(c in n for c in ',"\r\n')]
+    if bad:
+        raise DataError(f"{path}: {what} {bad[0]!r} contains a comma, quote or line break")
+
+
 def _parse_iso(value: str, line_no: int) -> str:
     try:
         return _date.fromisoformat(value).isoformat()
@@ -78,6 +95,11 @@ def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None
     sha256, rows_read, rows_kept, dates_dropped (dates seen for in-scope
     tickers but off the common calendar), and the final ticker list.
     """
+    for name, bound in (("start", start), ("end", end)):
+        if bound is not None and not is_iso_date(bound):  # rows are kept by string order
+            raise DataError(f"ingest_csv: {name} must be a YYYY-MM-DD date, got {bound!r}")
+    if start is not None and end is not None and start > end:
+        raise DataError(f"ingest_csv: start {start} is after end {end}")
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -132,6 +154,7 @@ def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None
         raise DataError(f"{path}: no usable rows")
 
     tickers = sorted(per_ticker)
+    _check_plain("ticker", tickers, path)
     common = set.intersection(*(set(s) for s in per_ticker.values()))
     if not common:
         raise DataError("tickers share no common dates; calendar intersection is empty")
@@ -240,5 +263,6 @@ def read_macro_csv(path: str) -> tuple[list[str], list[str], np.ndarray]:
         raise DataError(f"cannot read macro file {path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no macro rows")
+    _check_plain("macro column", names, path)
     dates = sorted(rows)
     return dates, names, np.array([rows[d] for d in dates], dtype=np.float64)

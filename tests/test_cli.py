@@ -3,6 +3,7 @@ inventory, byte determinism, staleness detection, and exit-code mapping."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import srr
-from srr.cli import main
+from srr.cli import STAGES, main
 from srr.config import PRESETS, Config, PeriodConfig, config_hash, load_config
 from srr.errors import ConfigError
 from srr.models import deserialize, parameter_count
@@ -216,6 +217,56 @@ class TestLayersAndMacro:
         assert main(["graphs", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
         assert "universe.json" in err and "rerun `srr ingest`" in err
+
+
+class TestRunAllHandOff:
+    """`run-all` hands each stage the objects the stage before it built, where a
+    standalone stage reads them back from disk; both must write the same bytes."""
+
+    @pytest.fixture(params=["plain", "layered"])
+    def workspace(self, request, tmp_path):
+        make_workspace(tmp_path)  # writes prices.csv
+        if request.param == "plain":
+            return make_workspace(tmp_path, out_name="o")
+        return make_workspace(tmp_path, out_name="o", data=write_layer_inputs(tmp_path),
+                              graph=TestLayersAndMacro.GRAPH)
+
+    def test_run_all_writes_what_the_stage_commands_write(self, workspace):
+        cfg_path, out = workspace
+        for stage in STAGES:
+            assert main([stage, "--config", cfg_path]) == 0
+        staged = {p.name: p.read_bytes() for p in out.iterdir()}
+        shutil.rmtree(out)  # same directory, so the manifests' paths agree too
+        assert main(["run-all", "--config", cfg_path]) == 0
+        handed = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(handed) == sorted(staged)
+        assert [n for n in staged if handed[n] != staged[n]] == []
+
+    def test_run_all_reads_back_no_artifact(self, workspace, monkeypatch):
+        import srr.cli as cli
+        cfg_path, out = workspace
+
+        def refuse_artifacts(name):
+            real = getattr(cli, name)
+
+            def loader(path, *args, **kwargs):
+                if Path(path).resolve().parent == out.resolve():
+                    raise AssertionError(f"{name} re-read {path}")
+                return real(path, *args, **kwargs)
+            monkeypatch.setattr(cli, name, loader)
+
+        for name in ("read_snapshots_jsonl", "read_features_csv",
+                     "read_graph_labels_csv", "read_macro_csv"):
+            refuse_artifacts(name)
+        ingested, real_ingest = [], cli.ingest_csv
+
+        def ingest(path, **kwargs):
+            ingested.append(path)
+            return real_ingest(path, **kwargs)
+        monkeypatch.setattr(cli, "ingest_csv", ingest)
+        assert main(["run-all", "--config", cfg_path]) == 0
+        assert [Path(p).name for p in ingested] == ["prices.csv"]
+        assert Path(ingested[0]).parent != out
 
 
 def rewrite_graphs(out: Path, edit) -> None:

@@ -1,6 +1,7 @@
 """Rank correlation against an independent oracle, exact threshold behavior,
 snapshot/sequence construction, and JSONL round-trips."""
 
+import gc
 import json
 
 import numpy as np
@@ -288,3 +289,22 @@ class TestJsonl:
         path.write_text("")
         with pytest.raises(DataError, match="empty"):
             read_snapshots_jsonl(str(path))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_load_leaves_the_collector_as_it_found_it(self, tmp_path, enabled):
+        snaps = labeled_snapshots()
+        path = tmp_path / "graphs.jsonl"
+        write_snapshots_jsonl(snaps, str(path))
+        v1 = tmp_path / "v1.jsonl"
+        v1.write_text(json.dumps({"format": "srr-graph-v1", "snapshots": 0}) + "\n")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            back, _ = read_snapshots_jsonl(str(path))
+            assert gc.isenabled() is enabled
+            with pytest.raises(DataError, match="srr-graph-v1"):
+                read_snapshots_jsonl(str(v1))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert back == snaps

@@ -53,6 +53,20 @@ class TestAlignment:
         assert panel.tickers == ["A", "B"]
         assert panel.dates == ["2020-01-02", "2020-01-03", "2020-01-04"]
 
+    def test_period_bounds_must_be_iso_and_ordered(self, tmp_path):
+        # string order of "2015/06/01" against ISO rows would keep only 2016 dates
+        rows = [(f"{y}-{m:02d}-01", "A", 100) for y, m in
+                [(2015, m) for m in range(1, 13)] + [(2016, 1), (2016, 2)]]
+        path = write(tmp_path, "p.csv", long_csv(rows))
+        with pytest.raises(DataError, match="start must be a YYYY-MM-DD date.*2015/06/01"):
+            ingest_csv(path, start="2015/06/01")
+        with pytest.raises(DataError, match="end must be a YYYY-MM-DD date.*20160101"):
+            ingest_csv(path, end="20160101")
+        with pytest.raises(DataError, match="start 2016-01-01 is after end 2015-06-01"):
+            ingest_csv(path, start="2016-01-01", end="2015-06-01")
+        panel, _ = ingest_csv(path, start="2015-06-01")
+        assert panel.dates[0] == "2015-06-01" and len(panel.dates) == 9
+
     def test_manifest_hash_is_content_hash(self, tmp_path):
         text = long_csv([("2020-01-01", "A", 1), ("2020-01-02", "A", 2)])
         p1 = write(tmp_path, "a.csv", text)
@@ -80,6 +94,12 @@ class TestValidation:
     def test_bad_date_reports_line(self, tmp_path):
         with pytest.raises(DataError, match="line 2"):
             ingest_csv(write(tmp_path, "p.csv", BASE + "01/02/2020,A,1\n"))
+
+    def test_ticker_that_cannot_round_trip(self, tmp_path):
+        # written back unquoted into prices.csv, "A,B" would become two fields
+        rows = BASE + '2020-01-01,"A,B",1\n2020-01-01,C,2\n'
+        with pytest.raises(DataError, match="ticker 'A,B' contains a comma"):
+            ingest_csv(write(tmp_path, "p.csv", rows))
 
     def test_bad_price(self, tmp_path):
         with pytest.raises(DataError, match="price"):
@@ -164,6 +184,11 @@ class TestUniverseAndMacro:
         path = write(tmp_path, "m.csv",
                      "date,vix\n2020-01-01,15.5\n2020-01-01,16.0\n")
         with pytest.raises(DataError, match="duplicate"):
+            read_macro_csv(path)
+
+    def test_macro_name_that_cannot_round_trip(self, tmp_path):
+        path = write(tmp_path, "m.csv", 'date,"vix,close",spread\n2020-01-01,15.5,1.2\n')
+        with pytest.raises(DataError, match="macro column 'vix,close' contains a comma"):
             read_macro_csv(path)
 
     def test_macro_ragged_row(self, tmp_path):

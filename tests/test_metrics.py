@@ -265,6 +265,11 @@ class TestLeadTimes:
         out = lead_times(self.CAL, self.Y, [self.CAL[0]], np.array([0.5]), gamma=0.5)
         assert out["lead_times"] == [] and out["unmatched"] == 0
 
+    def test_nan_score_is_rejected_not_a_warning(self):
+        with pytest.raises(DataError, match="non-finite"):
+            lead_times(["2021-01-01", "2021-01-02"], [0, 1], ["2021-01-01"],
+                       [float("nan")], gamma=0.5)
+
     def test_scored_dates_subset_of_calendar_enforced(self):
         with pytest.raises(DataError, match="not on the evaluation calendar"):
             lead_times(self.CAL, self.Y, ["1999-01-01"], np.array([0.9]))
