@@ -260,10 +260,10 @@ def write_features_csv(panel: FeaturePanel, path: str) -> None:
         fh.write("date,ticker," + ",".join(panel.names) + ",node_label\n")
         for t, day in enumerate(panel.dates):
             labeled = panel.label_valid is not None and bool(panel.label_valid[t])
-            for i, ticker in enumerate(panel.tickers):
-                vals = ",".join(repr(float(v)) for v in panel.features[i, t, :])
-                lab = str(int(panel.node_labels[i, t])) if labeled else ""
-                fh.write(f"{day},{ticker},{vals},{lab}\n")
+            labels = (panel.node_labels[:, t].astype(np.int64).tolist() if labeled
+                      else [""] * len(panel.tickers))
+            for ticker, row, lab in zip(panel.tickers, panel.features[:, t, :].tolist(), labels):
+                fh.write(f"{day},{ticker},{','.join(map(repr, row))},{lab}\n")
 
 
 def read_features_csv(path: str) -> FeaturePanel:

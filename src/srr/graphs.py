@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError
 from .market_data import ReturnPanel
 
 GRAPH_FORMAT = "srr-graph-v2"
@@ -29,7 +29,6 @@ __all__ = [
     "GraphSnapshot",
     "GraphSequence",
     "average_ranks",
-    "spearman",
     "rank_correlation_matrix",
     "build_snapshots",
     "build_sequences",
@@ -86,30 +85,6 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
     ranks = np.empty_like(x)
     np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=-1)  # mean of positions
     return ranks
-
-
-def spearman(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
-    """Spearman rank correlation with average ranks for ties.
-
-    Returns (rho, degenerate). A constant input vector has no rank ordering;
-    the result is then (0.0, True) rather than NaN.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if x.shape != y.shape:
-        raise ShapeError(f"spearman: length mismatch, {x.shape} vs {y.shape}")
-    if x.size < 3:
-        raise ShapeError(f"spearman: need >= 3 observations, got {x.size}")
-    rx = average_ranks(x)
-    ry = average_ranks(y)
-    cx = rx - rx.mean()
-    cy = ry - ry.mean()
-    ssx = float(cx @ cx)
-    ssy = float(cy @ cy)
-    if ssx == 0.0 or ssy == 0.0:
-        return 0.0, True
-    rho = float(cx @ cy) / np.sqrt(ssx * ssy)
-    return float(np.clip(rho, -1.0, 1.0)), False
 
 
 def rank_correlation_matrix(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -62,20 +62,20 @@ def logistic_fit(x: np.ndarray, y: np.ndarray, lr: float = 0.05, max_epochs: int
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if x.ndim != 2 or x.shape[0] != y.size:
         raise DataError(f"logistic_fit: X {x.shape} does not match y of length {y.size}")
-    w = np.zeros(x.shape[1])
-    b = 0.0
-    state = tz.AdamState(lr=lr)
+    theta, params = tz.flatten({"w": np.zeros(x.shape[1]), "b": np.zeros(1)})
+    w, b = params["w"], params["b"]
+    grad = np.empty_like(theta)
+    grad_w = grad[:-1]
+    state = tz.AdamState({"w": w.size, "b": 1}, lr=lr)
     for _ in range(max_epochs):
-        probs = tz.sigmoid(x @ w + b)
+        probs = tz.sigmoid(x @ w + b[0])
         _, dlogits = tz.bce_loss(probs, y)
-        grad_w = x.T @ dlogits
-        grad_b = float(dlogits.sum())
-        if float(np.sqrt(grad_w @ grad_w + grad_b * grad_b)) < tol:
+        np.matmul(x.T, dlogits, out=grad_w)
+        grad[-1] = dlogits.sum()
+        if float(np.sqrt(grad_w @ grad_w + grad[-1] * grad[-1])) < tol:
             break
-        new = tz.adam_step({"w": w, "b": np.array([b])},
-                           {"w": grad_w, "b": np.array([grad_b])}, state)
-        w, b = new["w"], float(new["b"][0])
-    return w, b
+        tz.adam_step(theta, grad, state)
+    return w.copy(), float(b[0])
 
 
 def logistic_predict(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:

@@ -13,9 +13,13 @@ by the normalization); an optional weighted mode uses |rho| edge weights.
 Gradients are composed by hand in reverse order; no autodiff tape exists
 anywhere in the package.
 
-Every pass runs over leading batch axes, A_hat (..., N, N) and X (..., N, F),
-e.g. B x k x N x N for a mini-batch of sequences; an unbatched graph has no
-leading axes. Weight gradients are summed over the batch by reshape-and-matmul.
+Every pass runs over leading batch axes, A_hat (..., N, N) and A_hat X
+(..., N, F), e.g. B x k x N x N for a mini-batch of sequences; an unbatched
+graph has no leading axes. The encoder takes A_hat X rather than X: it does
+not depend on the parameters, so a caller computes it once per snapshot.
+Every GEMM is per graph, and the weight gradients are the per-graph
+products summed over the batch (see ``tensor``). The backward pass uses
+A_hat as its own transpose: ``gcn_normalize`` makes it exactly symmetric.
 Nothing here scans for NaN/Inf; the loss, ``adam_step`` and the scored
 probabilities raise ``NumericalError`` on non-finite values.
 """
@@ -97,16 +101,15 @@ def init_gcn(rng: np.random.Generator, n_features: int, hidden: int = 32,
     }
 
 
-def gcn_embed(a_hat: np.ndarray, x: np.ndarray, params: dict) -> tuple[np.ndarray, dict]:
+def gcn_embed(a_hat: np.ndarray, ax: np.ndarray, params: dict) -> tuple[np.ndarray, dict]:
     """Two convolutions + mean pooling of every graph in the batch.
 
-    ``a_hat`` is (..., N, N) and ``x`` (..., N, F) with the same leading
-    axes; returns (embeddings (..., hidden), cache).
+    ``a_hat`` is (..., N, N) and ``ax`` = ``a_hat @ x`` (..., N, F) with the
+    same leading axes; returns (embeddings (..., hidden), cache).
     """
-    if a_hat.shape[:-1] != x.shape[:-1]:
-        raise ShapeError(f"adjacency {a_hat.shape} vs features {x.shape}: "
+    if a_hat.shape[:-1] != ax.shape[:-1]:
+        raise ShapeError(f"adjacency {a_hat.shape} vs features {ax.shape}: "
                          "batch or node axes differ")
-    ax = a_hat @ x
     pre1 = tz.linear(ax, params["w1"], params["b1"])
     ah1 = a_hat @ tz.relu(pre1)
     pre2 = tz.linear(ah1, params["w2"], params["b2"])
@@ -118,23 +121,23 @@ def gcn_embed(a_hat: np.ndarray, x: np.ndarray, params: dict) -> tuple[np.ndarra
 def gcn_embed_backward(dz: np.ndarray, cache: dict, params: dict) -> dict[str, np.ndarray]:
     """Encoder weight gradients, summed over the batch, given d loss / d embeddings."""
     pre2 = cache["pre2"]
-    dpre2 = dz[..., None, :] / pre2.shape[-2] * tz.relu_grad(pre2)  # mean-pool backward
+    dpre2 = dz[..., None, :] / pre2.shape[-2] * (pre2 > 0.0)  # mean-pool and ReLU backward
     grads = dict(zip(("w2", "b2"), tz.linear_grads(cache["ah1"], dpre2)))
-    dh1 = tz.linear(np.swapaxes(cache["a_hat"], -1, -2) @ dpre2, params["w2"].T)
-    dpre1 = dh1 * tz.relu_grad(cache["pre1"])
+    dpre1 = tz.linear(cache["a_hat"] @ dpre2, params["w2"].T) * (cache["pre1"] > 0.0)
     grads["w1"], grads["b1"] = tz.linear_grads(cache["ax"], dpre1)
     return grads
 
 
-def gcn_forward(a_hat: np.ndarray, x: np.ndarray, params: dict,
+def gcn_forward(a_hat: np.ndarray, ax: np.ndarray, params: dict,
                 rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Full classifier pass; returns (embeddings, probs, cache).
+    """Full classifier pass on ``a_hat`` and ``ax`` = ``a_hat @ x``; returns
+    (embeddings, probs, cache).
 
     Without ``rows`` each graph of the batch is one sample; with ``rows``
     (integers into the graphs' leading axis) each graph is encoded once and
     sample i reads graph ``rows[i]``.
     """
-    emb, enc_cache = gcn_embed(a_hat, x, params)
+    emb, enc_cache = gcn_embed(a_hat, ax, params)
     z = emb if rows is None else emb[rows]
     pre3 = tz.linear(z, params["w3"], params["b3"])
     h3 = tz.relu(pre3)
@@ -147,7 +150,7 @@ def gcn_backward(dlogit, cache: dict, params: dict) -> dict[str, np.ndarray]:
     """Gradients for all eight tensors, summed over the batch, given d loss / d logits."""
     d = np.asarray(dlogit, dtype=np.float64)[..., None]
     grads = dict(zip(("w4", "b4"), tz.linear_grads(cache["h3"], d)))
-    dpre3 = (d @ params["w4"].T) * tz.relu_grad(cache["pre3"])
+    dpre3 = (d @ params["w4"].T) * (cache["pre3"] > 0.0)
     grads["w3"], grads["b3"] = tz.linear_grads(cache["z"], dpre3)
     dz = dpre3 @ params["w3"].T
     if cache["rows"] is not None:

@@ -16,12 +16,13 @@ Training is end to end: the backward pass runs through time and through
 every snapshot encoder, accumulating into one shared set of GCN gradients.
 
 A mini-batch of B sequences of k snapshots is A_hat (B, k, N, N) and
-X (B, k, N, F): the encoder runs once over all B*k graphs and each GRU step
-once over the (B, hidden) state; an unbatched sequence has no leading axes.
-Scoring passes each distinct snapshot once, as (G, N, N) and (G, N, F), with
-(S, k) ``rows`` naming each sequence's snapshots. Nothing here scans for
-NaN/Inf; the loss, ``adam_step`` and the scored probabilities raise
-``NumericalError`` on non-finite values.
+A_hat X (B, k, N, F), the encoder's input (see ``gcn``): the encoder runs
+once over all B*k graphs and each GRU step once over the (B, hidden) state;
+an unbatched sequence has no leading axes. Scoring passes each distinct
+snapshot once, as (G, N, N) and (G, N, F), with (S, k) ``rows`` naming each
+sequence's snapshots. Nothing here scans for NaN/Inf; the loss,
+``adam_step`` and the scored probabilities raise ``NumericalError`` on
+non-finite values.
 """
 
 from __future__ import annotations
@@ -77,16 +78,16 @@ def gru_step_backward(dh_new: np.ndarray, cache: dict, params: dict,
     return dx, dh
 
 
-def temporal_forward(a_hat: np.ndarray, x: np.ndarray, gcn_params: dict, gru_params: dict,
+def temporal_forward(a_hat: np.ndarray, ax: np.ndarray, gcn_params: dict, gru_params: dict,
                      rows: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
     """Probabilities of a batch of snapshot sequences, oldest snapshot first.
 
-    Without ``rows``, ``a_hat`` is (..., k, N, N) and ``x`` (..., k, N, F):
-    one sequence per leading index. With ``rows`` (S x k integers), ``a_hat``
-    (G, N, N) and ``x`` (G, N, F) hold distinct snapshots, each encoded once,
-    and sequence s reads snapshots ``rows[s]``.
+    Without ``rows``, ``a_hat`` is (..., k, N, N) and ``ax`` = ``a_hat @ x``
+    (..., k, N, F): one sequence per leading index. With ``rows`` (S x k
+    integers), ``a_hat`` (G, N, N) and ``ax`` (G, N, F) hold distinct
+    snapshots, each encoded once, and sequence s reads snapshots ``rows[s]``.
     """
-    emb, enc_cache = gcn_embed(a_hat, x, gcn_params)
+    emb, enc_cache = gcn_embed(a_hat, ax, gcn_params)
     seq = emb if rows is None else emb[rows]
     h = np.zeros(seq.shape[:-2] + (gru_params["w_out"].shape[0],))
     step_caches = []

@@ -1,11 +1,17 @@
 """Dense float64 kernel: batched linear maps, activations, losses, Adam, seeded RNG.
 
 The feature axis is last and every axis before it is a batch axis, e.g.
-B x k x N x F node features: :func:`linear` and :func:`linear_grads` run one
-GEMM over all of them, and an unbatched call has no leading axes. Nothing on
-this hot path scans for NaN/Inf; non-finite values raise NumericalError at
-the losses, :func:`adam_step` and ``training.predict_scores``. The checked
-2-D :func:`matmul` and :func:`add` have no caller in the models.
+B x k x N x F node features; an unbatched call has no leading axes.
+:func:`linear` and :func:`linear_grads` run one GEMM per N x F matrix of a
+stack, never one over the stack reshaped to (B*k*N) x F: OpenBLAS hands a
+GEMM of more than 2^18 multiply-adds to its thread pool, and at mini-batch
+sizes waking the pool costs more than the arithmetic (reshaped, temporal
+training on 44 tickers burned 1.7-1.9 CPU seconds per wall second on two
+cores, and took longer). Nothing on this hot path scans for NaN/Inf;
+non-finite values raise NumericalError at the losses, :func:`adam_step`
+and ``training.predict_scores``. The checked 2-D :func:`matmul` and
+:func:`add` have no caller in the models. :func:`adam_step` updates one
+flat parameter vector in place (:func:`flatten`).
 
 All randomness in the toolkit flows through :func:`seeded_rng`, which is
 backed by the counter-based Philox generator, so any consumer that records
@@ -31,11 +37,11 @@ __all__ = [
     "linear_grads",
     "scatter_rows",
     "relu",
-    "relu_grad",
     "sigmoid",
     "tanh",
     "bce_loss",
     "focal_loss",
+    "flatten",
     "AdamState",
     "adam_step",
     "seeded_rng",
@@ -77,18 +83,24 @@ def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """``x @ w (+ b)`` over the last axis of ``x`` (..., F) -> (..., H), as one GEMM."""
-    out = x.reshape(-1, x.shape[-1]) @ w
+    """``x @ w (+ b)`` over the last axis of ``x`` (..., F) -> (..., H): one
+    GEMM per matrix of a stack."""
+    out = x @ w
     if b is not None:
         out += b
-    return out.reshape(x.shape[:-1] + (w.shape[1],))
+    return out
 
 
 def linear_grads(x: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(dW, db) of :func:`linear` given d loss / d output, summed over every
-    leading axis by one reshape-and-matmul."""
+    leading axis: for a stack, one ``x_g^T dy_g`` GEMM per matrix g, then a
+    sum over g."""
     d = dy.reshape(-1, dy.shape[-1])
-    return x.reshape(-1, x.shape[-1]).T @ d, d.sum(axis=0)
+    if x.ndim <= 2:
+        return x.reshape(-1, x.shape[-1]).T @ d, d.sum(axis=0)
+    xs = x.reshape((-1,) + x.shape[-2:])
+    dw = np.swapaxes(xs, -1, -2) @ dy.reshape(xs.shape[:-1] + (-1,))
+    return dw.sum(axis=0), d.sum(axis=0)
 
 
 def scatter_rows(d: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -103,11 +115,6 @@ def scatter_rows(d: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def relu_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative w.r.t. the pre-activation; the kink at 0 takes the 0 branch."""
-    return (np.asarray(x, dtype=np.float64) > 0.0).astype(np.float64)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -186,53 +193,67 @@ def focal_loss(probs, targets, gamma: float = 2.0) -> tuple[float, np.ndarray]:
 
 # -- Adam ----------------------------------------------------------------
 
+def flatten(params: dict) -> tuple[np.ndarray, dict]:
+    """Copy a dict of named float64 arrays into one vector, in key order;
+    returns (vector, dict of views into it with the same names and shapes)."""
+    theta = np.concatenate([np.ravel(v) for v in params.values()])
+    views, start = {}, 0
+    for name, v in params.items():
+        views[name] = theta[start:start + v.size].reshape(v.shape)
+        start += v.size
+    return theta, views
+
+
 @dataclass
 class AdamState:
-    """First/second moments, flat over a parameter dict's tensors in key order."""
+    """Step count, moments and scratch for one flat parameter vector made of
+    the named tensors ``sizes`` (name -> element count, in vector order)."""
 
+    sizes: dict[str, int]
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+
+    def __post_init__(self):
+        n = sum(self.sizes.values())
+        self.m, self.v, self.scratch = np.zeros(n), np.zeros(n), np.empty((2, n))
 
 
-def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
-    """One Adam update of a dict of named float64 arrays, made on their concatenation.
+def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState) -> None:
+    """One Adam update of the flat vector ``theta``, in place, given its gradient ``g``.
 
-    Returns new parameter arrays (inputs are not mutated); the moment
-    estimates inside ``state`` advance in place. Uses the bias-corrected
-    update theta -= lr * m_hat / (sqrt(v_hat) + eps).
+    Uses the bias-corrected update theta -= lr * m_hat / (sqrt(v_hat) + eps);
+    the moments inside ``state`` advance in place. A non-finite update raises
+    NumericalError naming the first tensor it hits, before ``theta`` changes.
     """
-    missing = set(params) ^ set(grads)
-    if missing:
-        raise ShapeError(f"adam_step: params/grads key mismatch: {sorted(missing)}")
-    for name in params:
-        if params[name].shape != grads[name].shape:
-            raise ShapeError(f"adam_step: gradient shape {grads[name].shape} does not match "
-                             f"parameter {name} of shape {params[name].shape}")
-    theta = np.concatenate([np.ravel(params[k]) for k in params])
-    g = np.concatenate([np.ravel(grads[k]) for k in params])
-    if state.m is None:
-        state.m = state.v = np.zeros_like(theta)  # both are rebound, never written in place
-    elif state.m.shape != theta.shape:
-        raise ShapeError(f"adam_step: {theta.size} parameters, moments hold {state.m.size}")
+    if theta.shape != g.shape or theta.shape != state.m.shape:
+        raise ShapeError(f"adam_step: parameters {theta.shape}, gradient {g.shape}, "
+                         f"moments {state.m.shape}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    state.m = b1 * state.m + (1.0 - b1) * g
-    state.v = b2 * state.v + (1.0 - b2) * (g * g)
-    m_hat = state.m / (1.0 - b1 ** state.t)
-    v_hat = state.v / (1.0 - b2 ** state.t)
-    new = theta - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    ends = np.cumsum([params[k].size for k in params])
-    bad = np.flatnonzero(~np.isfinite(new))
-    if bad.size:
-        name = list(params)[np.searchsorted(ends, bad[0], side="right")]
+    b1, b2, m, v = state.beta1, state.beta2, state.m, state.v
+    step, s = state.scratch
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=s)
+    m += s
+    v *= b2
+    np.multiply(g, g, out=s)
+    s *= 1.0 - b2
+    v += s
+    np.divide(m, 1.0 - b1 ** state.t, out=step)  # m_hat
+    step *= state.lr
+    np.divide(v, 1.0 - b2 ** state.t, out=s)  # v_hat
+    np.sqrt(s, out=s)
+    s += state.eps
+    step /= s
+    np.subtract(theta, step, out=s)
+    if not np.isfinite(s).all():
+        first = np.flatnonzero(~np.isfinite(s))[0]
+        ends = np.cumsum(list(state.sizes.values()))
+        name = list(state.sizes)[np.searchsorted(ends, first, side="right")]
         raise NumericalError(f"adam_step[{name}] produced non-finite values")
-    return {k: part.reshape(params[k].shape)
-            for k, part in zip(params, np.split(new, ends[:-1]))}
+    theta[...] = s
 
 
 # -- randomness ----------------------------------------------------------

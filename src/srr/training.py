@@ -12,13 +12,15 @@ range). Model families and their sample grids:
     gcn                 the k = 1 sequence: one sample per labeled snapshot
                         on the stride grid
 
-Both graph kinds read each stride-grid snapshot as (A_hat, X): its normalized
-adjacency and the panel's node-feature rows for its date. Each time a kind is
+Both graph kinds read each stride-grid snapshot as (A_hat, A_hat X): its
+normalized adjacency, and that times the panel's node-feature rows X for its
+date, the encoder's parameter-free first product. Each time a kind is
 trained or scored, its side's samples become index rows into one stack that
 holds each snapshot they read once, so each mini-batch runs one batched
 forward and backward, and scoring encodes each snapshot once.
-GNNs train with seeded shuffled mini-batches, Adam, and a fixed epoch
-count; the parameters from the best-mean-train-loss epoch are retained.
+GNNs train with seeded shuffled mini-batches and a fixed epoch count; Adam
+updates one flat parameter vector in place, and the parameters from the
+best-mean-train-loss epoch are retained.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ class _GraphSamples(NamedTuple):
     """The labeled sequences of one side, as index rows into one snapshot stack."""
 
     a_hat: np.ndarray  # (G, N, N): each snapshot the sequences read, once, oldest first
-    x: np.ndarray  # (G, N, F)
+    ax: np.ndarray  # (G, N, F): a_hat @ x, x the snapshot date's node-feature rows
     rows: np.ndarray  # (S, k) stack indices of each sequence's snapshots, oldest first
     labels: np.ndarray  # (S,)
     dates: list[str]  # (S,) the date of each sequence's final snapshot
@@ -157,10 +159,10 @@ def _graph_samples(bundle: DataBundle, hyper: dict, side: str) -> _GraphSamples 
                             "tickers and dates")
     a_hat = gcn_normalize(np.stack([adjacency_from_snapshot(s, layers=layers, weighted=weighted)
                                     for s in read]))
-    x = np.stack([panel.node_matrix(position[s.date]) for s in read])
+    ax = a_hat @ np.stack([panel.node_matrix(position[s.date]) for s in read])
     slot = {id(s): g for g, s in enumerate(read)}
     rows = np.array([[slot[id(s)] for s in seq.snapshots] for seq in sequences])
-    return _GraphSamples(a_hat, x, rows, np.array([float(seq.graph_label) for seq in sequences]),
+    return _GraphSamples(a_hat, ax, rows, np.array([float(seq.graph_label) for seq in sequences]),
                          [seq.date for seq in sequences])
 
 
@@ -183,18 +185,21 @@ def _train_minibatch(samples: _GraphSamples, params: dict, forward, backward,
     """Shared shuffled-mini-batch Adam loop for both GNN families: one forward
     and one backward per mini-batch.
 
-    ``forward(a_hat, x, rows, params) -> (probs, cache)`` scores the sequences
-    whose snapshots are ``rows`` (B x k) of the (a_hat, x) stacks;
+    ``forward(a_hat, ax, rows, params) -> (probs, cache)`` scores the sequences
+    whose snapshots are ``rows`` (B x k) of the (a_hat, ax) stacks;
     ``backward(dlogits, cache, params) -> grads`` sums the batch's gradients.
-    Each batch passes the distinct snapshots it reads, once each.
+    Each batch passes the distinct snapshots it reads, once each. The
+    parameters are views into one flat vector that Adam updates in place.
     Returns (best parameters, per-epoch mean losses, best epoch index).
     """
     loss_fn = _loss_fn(m)
-    opt = tz.AdamState(lr=m.learning_rate)
+    theta, params = tz.flatten(params)
+    grad = np.empty_like(theta)
+    opt = tz.AdamState({k: v.size for k, v in params.items()}, lr=m.learning_rate)
     rng = tz.seeded_rng(seed, 11)
     n = len(samples.labels)
     best_loss = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_theta = theta.copy()
     best_epoch = -1
     history: list[float] = []
     for epoch in range(m.epochs):
@@ -203,7 +208,7 @@ def _train_minibatch(samples: _GraphSamples, params: dict, forward, backward,
         for start in range(0, n, m.batch_size):
             chunk = perm[start:start + m.batch_size]
             used, rows = np.unique(samples.rows[chunk], return_inverse=True)
-            probs, cache = forward(samples.a_hat[used], samples.x[used],
+            probs, cache = forward(samples.a_hat[used], samples.ax[used],
                                    rows.reshape(len(chunk), -1), params)
             loss, dlogits = loss_fn(probs, samples.labels[chunk])
             if not np.isfinite(loss):
@@ -211,15 +216,18 @@ def _train_minibatch(samples: _GraphSamples, params: dict, forward, backward,
                     f"{kind}: training diverged at epoch {epoch}, batch {start // m.batch_size}"
                     f" (loss={loss!r})"
                 )
-            params = tz.adam_step(params, backward(dlogits, cache, params), opt)
+            grads = backward(dlogits, cache, params)
+            np.concatenate([grads[k] for k in params], axis=None, out=grad)
+            tz.adam_step(theta, grad, opt)
             epoch_loss += loss * len(chunk)
         epoch_loss /= n
         history.append(float(epoch_loss))
         if epoch_loss < best_loss:
             best_loss = epoch_loss
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_theta[...] = theta
             best_epoch = epoch
-    return best_params, history, best_epoch
+    theta[...] = best_theta
+    return params, history, best_epoch
 
 
 # -- model kinds ----------------------------------------------------------------
@@ -239,7 +247,7 @@ class _GraphKind(NamedTuple):
     """A kind trained by ``_train_minibatch`` on sequences of stride-grid snapshots."""
 
     init: Callable  # (n_features, model config, seed) -> params
-    forward: Callable  # (a_hat, x, rows, params) -> (probs, cache), as in _train_minibatch
+    forward: Callable  # (a_hat, ax, rows, params) -> (probs, cache), as in _train_minibatch
     backward: Callable  # (dlogits, cache, params) -> grads summed over the batch
     hyper: dict  # header key -> ModelConfig field, besides _GRAPH_HYPER
     noun: str  # what one sample is, for error messages
@@ -276,13 +284,13 @@ _KINDS = {
         bookkeeping=("feature_importance",)),
     "gcn": _GraphKind(
         init=lambda n, s, seed: init_gcn(tz.seeded_rng(seed, 1), n, s.gcn_hidden, s.mlp_hidden),
-        forward=lambda a_hat, x, rows, p: gcn_forward(a_hat, x, p, rows[:, 0])[1:],
+        forward=lambda a_hat, ax, rows, p: gcn_forward(a_hat, ax, p, rows[:, 0])[1:],
         backward=lambda dlogits, cache, p: gcn_backward(dlogits, cache, p),
         hyper={"mlp_hidden": "mlp_hidden"},
         noun="snapshots"),
     "temporal": _GraphKind(
         init=_temporal_init,
-        forward=lambda a_hat, x, rows, p: temporal_forward(a_hat, x, p, p, rows),
+        forward=lambda a_hat, ax, rows, p: temporal_forward(a_hat, ax, p, p, rows),
         backward=lambda dlogits, cache, p: {  # encoder grads, then GRU grads, in one dict
             name: g for group in temporal_backward(dlogits, cache, p, p)
             for name, g in group.items()},
@@ -344,7 +352,7 @@ def predict_scores(state: ModelState, bundle: DataBundle,
         samples = _graph_samples(bundle, state.hyper, side)
         if samples is None:
             raise DataError(f"{state.kind}: no labeled {side} {spec.noun} on the stride grid")
-        scores = spec.forward(samples.a_hat, samples.x, samples.rows, state.params)[0]
+        scores = spec.forward(samples.a_hat, samples.ax, samples.rows, state.params)[0]
         dates, labels = samples.dates, samples.labels
     if not np.all(np.isfinite(scores)):
         raise NumericalError(f"{state.kind}: non-finite scores on the {side} side")

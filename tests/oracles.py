@@ -4,21 +4,27 @@ The graph-model functions below are the one-graph, one-sequence forward and
 backward passes that the batched engine in ``srr.models`` replaced, kept
 as they were so that batched results can be compared against a plain
 per-sample loop. The only edit: mean pooling, formerly ``tensor.row_mean``,
-is written as ``h2.mean(axis=0)``. ``sigmoid_grad`` and ``tanh_grad`` are
-the activation derivatives, used only by the activation tests, and
-``auroc_oracle`` counts AUROC pair by pair for the ranking-metric tests.
+is written as ``h2.mean(axis=0)``. ``linear`` and ``linear_grads`` are the
+reshape-to-one-GEMM forms that ``tensor`` replaced with per-graph GEMMs.
+``relu_grad``, ``sigmoid_grad`` and ``tanh_grad`` are the activation
+derivatives (the library's backward passes multiply by the ReLU mask
+directly), and ``auroc_oracle`` counts AUROC pair by pair for the
+ranking-metric tests.
 
 The functions after ``temporal_backward`` are the per-element loops that
 vectorized code replaced, copied verbatim (only the docstring of ``sigmoid``
 is corrected): the two-branch ``sigmoid``, the
-one-row ``average_ranks`` with the row loop of ``rank_correlation_matrix``,
+one-row ``average_ranks`` with the one-pair ``spearman`` (formerly
+``graphs.spearman``) and the row loop of ``rank_correlation_matrix``,
 the one-date ``build_snapshot`` under ``build_snapshots``, the one-matrix
 ``gcn_normalize`` and the edge-by-edge ``adjacency_from_snapshot``; then the
 threshold-by-threshold split search of ``_grow_tree``, the row-by-row
 ``forest_predict``, the tensor-by-tensor ``adam_step`` with its per-name
 ``AdamState``, the average-rank ``auroc_rank``, and the label-by-label
 ``crash_windows`` with the onset scan of ``lead_times``, whose ``average_ranks``
-is the one-row oracle above.
+is the one-row oracle above; then ``logistic_fit`` as it was, with the
+tensor-by-tensor ``adam_step`` above in place of the concatenating one it
+called (the two are bit-equal), and the cell-by-cell ``write_features_csv``.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +38,26 @@ from srr.graphs import GraphSnapshot
 from srr.market_data import ReturnPanel
 from srr.models.baselines import gini
 from srr.tensor import _finite
+
+
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """``x @ w (+ b)`` over the last axis of ``x`` (..., F) -> (..., H), as one GEMM."""
+    out = x.reshape(-1, x.shape[-1]) @ w
+    if b is not None:
+        out += b
+    return out.reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def linear_grads(x: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dW, db) of :func:`linear` given d loss / d output, summed over every
+    leading axis by one reshape-and-matmul."""
+    d = dy.reshape(-1, dy.shape[-1])
+    return x.reshape(-1, x.shape[-1]).T @ d, d.sum(axis=0)
+
+
+def relu_grad(x: np.ndarray) -> np.ndarray:
+    """Derivative w.r.t. the pre-activation; the kink at 0 takes the 0 branch."""
+    return (np.asarray(x, dtype=np.float64) > 0.0).astype(np.float64)
 
 
 def sigmoid_grad(x: np.ndarray) -> np.ndarray:
@@ -81,13 +107,13 @@ def gcn_embed_backward(dz: np.ndarray, cache: dict, params: dict) -> dict[str, n
     n = cache["n"]
     a_hat = cache["a_hat"]
     dh2 = np.repeat(dz[None, :], n, axis=0) / n  # mean-pool backward
-    dpre2 = dh2 * tz.relu_grad(cache["pre2"])
+    dpre2 = dh2 * relu_grad(cache["pre2"])
     grads = {
         "w2": cache["ah1"].T @ dpre2,
         "b2": dpre2.sum(axis=0),
     }
     dh1 = a_hat.T @ dpre2 @ params["w2"].T
-    dpre1 = dh1 * tz.relu_grad(cache["pre1"])
+    dpre1 = dh1 * relu_grad(cache["pre1"])
     grads["w1"] = cache["ax"].T @ dpre1
     grads["b1"] = dpre1.sum(axis=0)
     return grads
@@ -109,7 +135,7 @@ def _head_backward(dlogit: float, cache: dict, params: dict) -> tuple[dict, np.n
         "b4": np.array([dlogit]),
     }
     dh3 = dlogit * params["w4"].T  # 1 x mlp_hidden
-    dpre3 = dh3 * tz.relu_grad(pre3)
+    dpre3 = dh3 * relu_grad(pre3)
     grads["w3"] = zr.T @ dpre3
     grads["b3"] = dpre3[0]
     dz = (dpre3 @ params["w3"].T)[0]
@@ -253,6 +279,30 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
         ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # mean of positions i+1..j+1
         i = j + 1
     return ranks
+
+
+def spearman(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
+    """Spearman rank correlation with average ranks for ties.
+
+    Returns (rho, degenerate). A constant input vector has no rank ordering;
+    the result is then (0.0, True) rather than NaN.
+    """
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if x.shape != y.shape:
+        raise ShapeError(f"spearman: length mismatch, {x.shape} vs {y.shape}")
+    if x.size < 3:
+        raise ShapeError(f"spearman: need >= 3 observations, got {x.size}")
+    rx = average_ranks(x)
+    ry = average_ranks(y)
+    cx = rx - rx.mean()
+    cy = ry - ry.mean()
+    ssx = float(cx @ cx)
+    ssy = float(cy @ cy)
+    if ssx == 0.0 or ssy == 0.0:
+        return 0.0, True
+    rho = float(cx @ cy) / np.sqrt(ssx * ssy)
+    return float(np.clip(rho, -1.0, 1.0)), False
 
 
 def rank_correlation_matrix(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -588,3 +638,42 @@ def lead_times(calendar_dates: list[str], daily_labels, scored_dates: list[str],
         "n_onsets": len(onsets),
         "gamma": float(gamma),
     }
+
+
+def logistic_fit(x: np.ndarray, y: np.ndarray, lr: float = 0.05, max_epochs: int = 2000,
+                 tol: float = 1e-6) -> tuple[np.ndarray, float]:
+    """Full-batch Adam on mean BCE from a zero start.
+
+    Stops at max_epochs or when the gradient norm drops below tol.
+    Returns (weights, bias).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if x.ndim != 2 or x.shape[0] != y.size:
+        raise DataError(f"logistic_fit: X {x.shape} does not match y of length {y.size}")
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    state = AdamState(lr=lr)
+    for _ in range(max_epochs):
+        probs = tz.sigmoid(x @ w + b)
+        _, dlogits = tz.bce_loss(probs, y)
+        grad_w = x.T @ dlogits
+        grad_b = float(dlogits.sum())
+        if float(np.sqrt(grad_w @ grad_w + grad_b * grad_b)) < tol:
+            break
+        new = adam_step({"w": w, "b": np.array([b])},
+                        {"w": grad_w, "b": np.array([grad_b])}, state)
+        w, b = new["w"], float(new["b"][0])
+    return w, b
+
+
+def write_features_csv(panel, path: str) -> None:
+    """Long CSV: date,ticker,<features...>,node_label (blank when unlabeled)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("date,ticker," + ",".join(panel.names) + ",node_label\n")
+        for t, day in enumerate(panel.dates):
+            labeled = panel.label_valid is not None and bool(panel.label_valid[t])
+            for i, ticker in enumerate(panel.tickers):
+                vals = ",".join(repr(float(v)) for v in panel.features[i, t, :])
+                lab = str(int(panel.node_labels[i, t])) if labeled else ""
+                fh.write(f"{day},{ticker},{vals},{lab}\n")

@@ -4,6 +4,7 @@ train-range standardization, truncation invariance, and CSV round-trips."""
 import numpy as np
 import pytest
 
+import oracles
 from srr.errors import DataError
 from srr.features import (FeaturePanel, Standardization, apply_standardization,
                           attach_labels, compute_features, compute_labels,
@@ -215,6 +216,21 @@ class TestCsvRoundTrips:
         assert np.array_equal(back.node_labels[:, back.label_valid],
                               fp.node_labels[:, fp.label_valid])
         assert np.array_equal(back.label_valid, fp.label_valid)
+
+    def test_features_csv_bytes_equal_the_cell_by_cell_writer(self, tmp_path):
+        fp = self._labeled_panel()
+        fp.features[:, :3, :] = np.nan  # warm-up rows
+        fp.features[1, 5, :2] = -0.0
+        fp.features[2, 6, 0] = 1e-320  # subnormal
+        fp.features[0, 7, 1] = 123456789.125
+        assert not fp.label_valid.all()  # blank labels at the tail
+        for panel in (fp, FeaturePanel(tickers=fp.tickers, dates=fp.dates,
+                                       features=fp.features, names=fp.names)):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            write_features_csv(panel, str(got))
+            oracles.write_features_csv(panel, str(want))
+            assert got.read_bytes() == want.read_bytes()
+        assert b",nan," in got.read_bytes() and b",-0.0," in got.read_bytes()
 
     def test_graph_labels_csv_round_trip(self, tmp_path):
         fp = self._labeled_panel()

@@ -12,7 +12,7 @@ from srr.errors import DataError, ShapeError
 from srr.features import attach_labels, compute_features
 from srr.graphs import (GRAPH_FORMAT, average_ranks, build_sequences,
                         build_snapshots, rank_correlation_matrix,
-                        read_snapshots_jsonl, spearman, write_snapshots_jsonl)
+                        read_snapshots_jsonl, write_snapshots_jsonl)
 from srr.market_data import PricePanel, ReturnPanel, log_returns
 from srr.synthetic import business_days, planted_regime_panel
 
@@ -43,14 +43,14 @@ class TestRanks:
             assert r.sum() == 45.0  # 1 + ... + 9 preserved under tie averaging
 
 
-class TestSpearman:
+class TestSpearman:  # the one-pair oracle of rank_correlation_matrix
     def test_matches_oracle_with_ties(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             n = int(rng.integers(3, 12))
             x = rng.integers(0, 4, size=n).astype(float)
             y = rng.integers(0, 4, size=n).astype(float)
-            rho, degenerate = spearman(x, y)
+            rho, degenerate = oracles.spearman(x, y)
             if degenerate:
                 assert np.all(x == x[0]) or np.all(y == y[0])
                 assert rho == 0.0
@@ -62,29 +62,29 @@ class TestSpearman:
         for _ in range(50):
             x = rng.normal(size=7)
             y = rng.normal(size=7)
-            rho, _ = spearman(x, y)
-            rho_t, _ = spearman(np.exp(3.0 * x), y ** 3)
+            rho, _ = oracles.spearman(x, y)
+            rho_t, _ = oracles.spearman(np.exp(3.0 * x), y ** 3)
             assert abs(rho - rho_t) < 1e-12
 
     def test_exact_half(self):
         x = np.arange(1.0, 6.0)
         y = np.array([2.0, 4.0, 1.0, 3.0, 5.0])
-        rho, degenerate = spearman(x, y)
+        rho, degenerate = oracles.spearman(x, y)
         assert rho == 0.5 and not degenerate  # bit-equal, not approximately
 
     def test_perfect_and_inverse(self):
         x = np.arange(5.0)
-        assert spearman(x, 2 * x + 1)[0] == 1.0
-        assert spearman(x, -x)[0] == -1.0
+        assert oracles.spearman(x, 2 * x + 1)[0] == 1.0
+        assert oracles.spearman(x, -x)[0] == -1.0
 
     def test_constant_is_degenerate(self):
-        assert spearman(np.ones(5), np.arange(5.0)) == (0.0, True)
+        assert oracles.spearman(np.ones(5), np.arange(5.0)) == (0.0, True)
 
     def test_shape_guards(self):
         with pytest.raises(ShapeError):
-            spearman(np.arange(4.0), np.arange(5.0))
+            oracles.spearman(np.arange(4.0), np.arange(5.0))
         with pytest.raises(ShapeError):
-            spearman(np.arange(2.0), np.arange(2.0))
+            oracles.spearman(np.arange(2.0), np.arange(2.0))
 
     def test_matrix_matches_pairwise_loop(self):
         rng = np.random.default_rng(23)
@@ -98,7 +98,7 @@ class TestSpearman:
                 for j in range(6):
                     if i == 2 or j == 2:
                         continue
-                    rho, _ = spearman(window[i], window[j])
+                    rho, _ = oracles.spearman(window[i], window[j])
                     assert abs(corr[i, j] - rho) < 1e-12
 
 

@@ -159,19 +159,19 @@ class TestGcnForward:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         params = init_gcn(rng, n_features=7, hidden=8, mlp_hidden=4)
-        _, x, adj = random_graph(rng)
-        _, prob, _ = gcn_forward(gcn_normalize(adj), x, params)
+        a_hat, x, adj = random_graph(rng)
+        _, prob, _ = gcn_forward(a_hat, a_hat @ x, params)
         for _ in range(10):
             perm = rng.permutation(x.shape[0])
-            adj_p = adj[np.ix_(perm, perm)]
-            _, prob_p, _ = gcn_forward(gcn_normalize(adj_p), x[perm], params)
+            a_p = gcn_normalize(adj[np.ix_(perm, perm)])
+            _, prob_p, _ = gcn_forward(a_p, a_p @ x[perm], params)
             assert abs(prob - prob_p) < 1e-12
 
     def test_zero_weights_give_even_odds(self):
         params = {k: np.zeros_like(v)
                   for k, v in init_gcn(np.random.default_rng(0), 7, 8, 4).items()}
         a_hat, x, _ = random_graph(np.random.default_rng(1))
-        _, prob, _ = gcn_forward(a_hat, x, params)
+        _, prob, _ = gcn_forward(a_hat, a_hat @ x, params)
         assert prob == 0.5
 
     def test_isolated_nodes_see_only_themselves(self):
@@ -223,7 +223,7 @@ class TestGcnGradients:
         y = 1.0
 
         def fn(p):
-            _, prob, cache = gcn_forward(a_hat, x, p)
+            _, prob, cache = gcn_forward(a_hat, a_hat @ x, p)
             loss, _ = bce_loss(np.array([prob]), np.array([y]))
             grads = gcn_backward(prob - y, cache, p)
             return loss, grads
@@ -237,7 +237,7 @@ class TestGcnGradients:
         v = rng.normal(size=5)
 
         def fn(p):
-            z, cache = gcn_embed(a_hat, x, p)
+            z, cache = gcn_embed(a_hat, a_hat @ x, p)
             return float(v @ z), gcn_embed_backward(v, cache, p)
 
         fd_check(fn, params, ("w1", "b1", "w2", "b2"))
@@ -312,7 +312,8 @@ def temporal_setup(seed=4, k=3, n=5, f=3, hidden=4, gru_hidden=4):
         adj = np.triu((rng.uniform(size=(n, n)) < 0.4).astype(np.float64), k=1)
         adj = adj + adj.T
         seq.append((gcn_normalize(adj), rng.normal(size=(n, f))))
-    seq = tuple(map(np.stack, zip(*seq)))  # (A_hat k x n x n, X k x n x f)
+    a_hat, x = map(np.stack, zip(*seq))
+    seq = (a_hat, a_hat @ x)  # (A_hat k x n x n, A_hat X k x n x f)
     gcn_p = init_gcn(rng, n_features=f, hidden=hidden, mlp_hidden=2)
     gcn_p = {k_: v for k_, v in gcn_p.items() if k_ in ("w1", "b1", "w2", "b2")}
     gru_p = init_gru(rng, input_dim=hidden, hidden=gru_hidden)
@@ -357,11 +358,11 @@ class TestTemporal:
         rng = np.random.default_rng(14)
         seq, gcn_p, gru_p = temporal_setup(seed=14)
         prob, _ = temporal_forward(*seq, gcn_p, gru_p)
-        a_hat, x = seq
-        n = x.shape[1]
+        a_hat, ax = seq
+        n = ax.shape[1]
         for _ in range(5):
-            perm = rng.permutation(n)
-            prob_p, _ = temporal_forward(a_hat[:, perm][:, :, perm], x[:, perm], gcn_p, gru_p)
+            perm = rng.permutation(n)  # A_hat X permutes its rows with the nodes
+            prob_p, _ = temporal_forward(a_hat[:, perm][:, :, perm], ax[:, perm], gcn_p, gru_p)
             assert abs(prob - prob_p) < 1e-12
 
     def test_order_matters(self):
@@ -449,16 +450,17 @@ class TestBatchedEqualsPerSample:
 
             # the training and scoring interface: a snapshot stack and index rows
             spec = _KINDS[kind]
-            probs, cache = spec.forward(a_stack, x_stack, kind_rows, params)
+            ax_stack = a_stack @ x_stack
+            probs, cache = spec.forward(a_stack, ax_stack, kind_rows, params)
             grads = spec.backward(dlogits, cache, params)
             # leading batch axes: B x k x N x N
-            a_b, x_b = a_stack[kind_rows], x_stack[kind_rows]
+            a_b, ax_b = a_stack[kind_rows], ax_stack[kind_rows]
             if kind == "gcn":  # two leading axes (B, 1)
-                _, probs_b, cache_b = gcn_forward(a_b, x_b, params)
+                _, probs_b, cache_b = gcn_forward(a_b, ax_b, params)
                 probs_b = probs_b[:, 0]
                 grads_b = gcn_backward(dlogits[:, None], cache_b, params)
             else:
-                probs_b, cache_b = temporal_forward(a_b, x_b, params, params)
+                probs_b, cache_b = temporal_forward(a_b, ax_b, params, params)
                 grads_b = merged(temporal_backward(dlogits, cache_b, params, params))
             for got_p, got_g in ((probs, grads), (probs_b, grads_b)):
                 assert_rel_close(got_p, want_p)
@@ -478,7 +480,7 @@ class TestBatchedEqualsPerSample:
         spec = _KINDS[kind]
 
         def fn(p):
-            probs, cache = spec.forward(a_stack, x_stack, rows, p)
+            probs, cache = spec.forward(a_stack, a_stack @ x_stack, rows, p)
             loss, dlogits = bce_loss(probs, y)
             return loss, spec.backward(dlogits, cache, p)
 
@@ -492,12 +494,12 @@ class TestBatchedEqualsPerSample:
         if kind == "gcn":
             rows = rows[:, -1:]
         params = kind_params(rng, kind)
-        probs, _ = _KINDS[kind].forward(a_stack, x_stack, rows, params)
+        probs, _ = _KINDS[kind].forward(a_stack, a_stack @ x_stack, rows, params)
         for _ in range(5):
             perms = [rng.permutation(12) for _ in range(len(a_stack))]
             a_p = np.stack([a[np.ix_(q, q)] for a, q in zip(a_stack, perms)])
             x_p = np.stack([x[q] for x, q in zip(x_stack, perms)])
-            probs_p, _ = _KINDS[kind].forward(a_p, x_p, rows, params)
+            probs_p, _ = _KINDS[kind].forward(a_p, a_p @ x_p, rows, params)
             assert np.max(np.abs(probs - probs_p)) < 1e-12
 
 
@@ -557,6 +559,20 @@ class TestLogistic:
         assert w[0] > 1.0
         probs = logistic_predict(w, b, x)
         assert np.all(probs[y == 1].min() > probs[y == 0].max())
+
+    @pytest.mark.parametrize("max_epochs,tol", [(50, 1e-12), (5000, 1e-3)])  # stop at the cap; at tol
+    def test_fit_is_bit_equal_to_the_dict_adam_loop(self, max_epochs, tol):
+        """The flat in-place Adam leaves the fitted weights, hence the saved
+        ``model_logistic.srrm``, byte for byte as they were."""
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(200, 9))
+        y = (x[:, 0] - x[:, 3] + rng.normal(size=200) > 0).astype(float)
+        blobs = []
+        for fit in (logistic_fit, oracles.logistic_fit):
+            w, b = fit(x, y, max_epochs=max_epochs, tol=tol)
+            params = {"w": w, "b": np.array([b])}
+            blobs.append(serialize(ModelState(kind="logistic", params=params, hyper={}, seed=7)))
+        assert blobs[0] == blobs[1]
 
     def test_predict_checks_width(self):
         with pytest.raises(DataError):

@@ -61,7 +61,7 @@ class TestActivations:
         x = np.array([-2.0, 0.0, 3.0])
         assert np.array_equal(tz.relu(x), [0.0, 0.0, 3.0])
         # the kink at exactly zero takes the zero branch
-        assert np.array_equal(tz.relu_grad(x), [0.0, 0.0, 1.0])
+        assert np.array_equal(oracles.relu_grad(x), [0.0, 0.0, 1.0])
 
     def test_sigmoid_stable_extremes(self):
         big = tz.sigmoid(np.array([800.0, -800.0, -745.0]))
@@ -190,67 +190,151 @@ def reference_adam(theta, grads_seq, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     return out
 
 
+def adam_run(params, grads_seq, **kw):
+    """Flatten ``params``, take one in-place step per gradient dict; returns
+    (vector, named views, state)."""
+    theta, views = tz.flatten(params)
+    state = tz.AdamState({k: v.size for k, v in views.items()}, **kw)
+    for grads in grads_seq:
+        tz.adam_step(theta, tz.flatten({k: grads[k] for k in views})[0], state)
+    return theta, views, state
+
+
 class TestAdam:
     def test_first_step_magnitude(self):
         # Bias correction makes step 1 equal lr * g / (|g| + eps) ~= lr.
-        state = tz.AdamState(lr=0.01)
-        params = {"w": np.array([[1.0]])}
-        new = tz.adam_step(params, {"w": np.array([[3.0]])}, state)
+        _, views, _ = adam_run({"w": np.array([[1.0]])}, [{"w": np.array([[3.0]])}], lr=0.01)
         expected = 1.0 - 0.01 * 3.0 / (3.0 + 1e-8)
-        assert abs(new["w"][0, 0] - expected) < 1e-15
+        assert abs(views["w"][0, 0] - expected) < 1e-15
 
     def test_multi_step_matches_scalar_reference(self):
         grads = [0.5, -1.2, 0.3, 2.0, -0.1]
         ref = reference_adam(1.0, grads, lr=0.02)
-        state = tz.AdamState(lr=0.02)
-        params = {"w": np.array([[1.0]])}
+        theta = np.array([1.0])
+        state = tz.AdamState({"w": 1}, lr=0.02)
         for k, g in enumerate(grads, start=1):
-            params = tz.adam_step(params, {"w": np.array([[g]])}, state)
-            assert abs(params["w"][0, 0] - ref[k]) < 1e-14
+            tz.adam_step(theta, np.array([g]), state)
+            assert abs(theta[0] - ref[k]) < 1e-14
 
     def test_inputs_not_mutated(self):
-        state = tz.AdamState()
-        theta = np.array([[1.0, 2.0]])
-        params = {"w": theta}
-        tz.adam_step(params, {"w": np.array([[0.5, 0.5]])}, state)
-        assert np.array_equal(theta, [[1.0, 2.0]])
+        """The gradient is not mutated; theta, and every view of it, is updated in place."""
+        theta, views = tz.flatten({"w": np.array([[1.0, 2.0]]), "b": np.array([3.0])})
+        g = np.array([0.5, 0.5, -0.5])
+        buffer = theta.ctypes.data
+        tz.adam_step(theta, g, tz.AdamState({"w": 2, "b": 1}))
+        assert np.array_equal(g, [0.5, 0.5, -0.5])
+        assert theta.ctypes.data == buffer and np.all(theta != [1.0, 2.0, 3.0])
+        assert np.array_equal(views["w"], [theta[:2]]) and np.array_equal(views["b"], theta[2:])
+
+    def test_flatten_views_share_the_vector(self):
+        params = {"w": np.arange(6.0).reshape(2, 3), "s": np.array(7.0), "e": np.zeros(0)}
+        theta, views = tz.flatten(params)
+        assert theta.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
+        assert list(views) == list(params)
+        assert all(views[k].shape == params[k].shape for k in params)
+        assert all(np.shares_memory(views[k], theta) for k in ("w", "s"))
+        theta += 1.0
+        assert views["w"][1, 2] == 6.0 and views["s"] == 8.0
+        assert params["w"][1, 2] == 5.0  # the input dict is copied, not aliased
 
     def test_key_mismatch_errors(self):
+        """The state's named sizes must add up to the vector."""
         with pytest.raises(ShapeError):
-            tz.adam_step({"a": np.zeros(2)}, {"b": np.zeros(2)}, tz.AdamState())
+            tz.adam_step(np.zeros(3), np.zeros(3), tz.AdamState({"a": 2}))
 
     def test_shape_mismatch_errors(self):
         with pytest.raises(ShapeError):
-            tz.adam_step({"a": np.zeros(2)}, {"a": np.zeros(3)}, tz.AdamState())
+            tz.adam_step(np.zeros(2), np.zeros(3), tz.AdamState({"a": 2}))
 
     def test_matches_the_per_tensor_loop(self):
-        """One update over the concatenation equals the loop it replaced
-        (``oracles``) bit for bit, for grads keyed in another order."""
+        """The flat in-place update equals the tensor-by-tensor loop (``oracles``)
+        bit for bit, for grads keyed in another order."""
         rng = np.random.default_rng(4)
         shapes = [(3, 4), (4,), (1,), (), (2, 3, 5), (7, 1), (1, 9), (16,), (5, 5),
                   (2, 2, 2, 2), (0,), (6, 3), (3,), (1, 1), (11, 2), (8,)]
         params = {f"p{i:02d}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
-        want = dict(params)
-        state, want_state = tz.AdamState(lr=0.01), oracles.AdamState(lr=0.01)
-        for _ in range(20):
-            grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.uniform(-6, 2, size=v.shape)
-                     for k, v in reversed(params.items())}
-            params = tz.adam_step(params, grads, state)
+        grads_seq = [{k: rng.normal(size=v.shape) * 10.0 ** rng.uniform(-6, 2, size=v.shape)
+                      for k, v in reversed(params.items())} for _ in range(20)]
+        _, got, _ = adam_run(params, grads_seq, lr=0.01)
+        want, want_state = dict(params), oracles.AdamState(lr=0.01)
+        for grads in grads_seq:
             want = oracles.adam_step(want, grads, want_state)
-            assert list(params) == list(want)
-            for k in want:
-                assert params[k].shape == want[k].shape
-                assert params[k].tobytes() == want[k].tobytes()
+        assert list(got) == list(want)
+        for k in want:
+            assert got[k].shape == want[k].shape
+            assert got[k].tobytes() == want[k].tobytes()
+
+    def test_gnn_parameter_set_over_50_steps(self):
+        """The 19 tensors of the GCN and GRU, 50 steps: bit-equal to the oracle
+        after every step, moments included."""
+        from srr.models import init_gcn, init_gru
+        rng = np.random.default_rng(19)
+        params = {**init_gcn(rng, 9, 32, 16), **init_gru(rng, 32, 64)}
+        assert len(params) == 19
+        def flat(named):
+            return np.concatenate(list(named.values()), axis=None)
+
+        theta, views = tz.flatten(params)
+        state = tz.AdamState({k: v.size for k, v in views.items()}, lr=3e-3)
+        want, want_state = dict(params), oracles.AdamState(lr=3e-3)
+        for _ in range(50):
+            grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.uniform(-4, 1)
+                     for k, v in params.items()}
+            tz.adam_step(theta, flat(grads), state)
+            want = oracles.adam_step(want, grads, want_state)
+            assert theta.tobytes() == flat(want).tobytes()
+        assert state.m.tobytes() == flat(want_state.m).tobytes()
+        assert state.v.tobytes() == flat(want_state.v).tobytes()
 
     def test_non_finite_result_names_the_first_tensor(self):
-        params = {"a": np.ones(3), "b": np.ones((2, 2)), "c": np.ones(1)}
-        grads = {"a": np.ones(3), "b": np.array([[1.0, np.inf], [1.0, 1.0]]),
+        params = {"a": np.ones(3), "e": np.zeros(0), "b": np.ones((2, 2)), "c": np.ones(1)}
+        grads = {"a": np.ones(3), "e": np.zeros(0), "b": np.array([[1.0, np.inf], [1.0, 1.0]]),
                  "c": np.array([np.nan])}
-        for step, state in ((tz.adam_step, tz.AdamState()),
-                            (oracles.adam_step, oracles.AdamState())):
-            with np.errstate(invalid="ignore"), pytest.raises(NumericalError,
-                                                              match=r"adam_step\[b\]"):
-                step(params, grads, state)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=r"adam_step\[b\]"):
+            adam_run(params, [grads])
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=r"adam_step\[b\]"):
+            oracles.adam_step(params, grads, oracles.AdamState())
+
+    def test_non_finite_result_leaves_theta_unchanged(self):
+        theta, _ = tz.flatten({"a": np.array([1.0, -2.0]), "b": np.array([0.5])})
+        state = tz.AdamState({"a": 2, "b": 1})
+        tz.adam_step(theta, np.array([0.1, 0.2, 0.3]), state)
+        before = theta.copy()
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=r"adam_step\[b\]"):
+            tz.adam_step(theta, np.array([0.1, 0.2, np.nan]), state)
+        assert theta.tobytes() == before.tobytes()
+
+
+class TestLinear:
+    """The per-graph GEMMs against the reshape-to-one-GEMM path they replaced."""
+
+    SHAPES = [(5,), (7, 5), (4, 7, 5), (3, 4, 7, 5)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_is_bit_equal(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x, w, b = rng.normal(size=shape), rng.normal(size=(5, 6)), rng.normal(size=6)
+        for bias in (None, b):
+            got, want = tz.linear(x, w, bias), oracles.linear(x, w, bias)
+            assert got.shape == want.shape == shape[:-1] + (6,)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_grads_match_within_1e12(self, shape):
+        rng = np.random.default_rng(10 + len(shape))
+        x, dy = rng.normal(size=shape), rng.normal(size=shape[:-1] + (6,))
+        for got, want in zip(tz.linear_grads(x, dy), oracles.linear_grads(x, dy)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_gnn_sized_stacks(self):
+        """A mini-batch's encoder shapes: 40 graphs of 44 nodes, hidden 32."""
+        rng = np.random.default_rng(44)
+        x, w, dy = rng.normal(size=(40, 44, 32)), rng.normal(size=(32, 32)), rng.normal(
+            size=(40, 44, 32))
+        assert tz.linear(x, w).tobytes() == oracles.linear(x, w).tobytes()
+        for got, want in zip(tz.linear_grads(x, dy), oracles.linear_grads(x, dy)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestRandomness:

@@ -97,7 +97,7 @@ class TestDeterminism:
 
 
 def two_samples():  # two one-snapshot samples on a 1-node graph, labeled 1 and 0
-    return _GraphSamples(a_hat=np.ones((2, 1, 1)), x=np.zeros((2, 1, 1)),
+    return _GraphSamples(a_hat=np.ones((2, 1, 1)), ax=np.zeros((2, 1, 1)),
                          rows=np.array([[0], [1]]), labels=np.array([1.0, 0.0]),
                          dates=["d0", "d1"])
 
@@ -138,6 +138,21 @@ class TestTrainingLoop:
                              forward=lambda a, x, rows, p: (np.full(len(rows), 0.5), None),
                              backward=lambda d, c, p: {"w": np.zeros(1)},
                              m=SMALL.model, seed=7, kind="gcn")
+
+    def test_returns_the_best_epochs_parameters(self, monkeypatch):
+        losses = iter([0.2, 0.1, 0.3])  # one batch an epoch; epoch 1 is the best
+        monkeypatch.setattr(tz, "bce_loss",
+                            lambda probs, targets: (next(losses), np.zeros_like(probs)))
+        m = replace(SMALL.model, epochs=3)
+        params, history, best = _train_minibatch(
+            two_samples(), {"w": np.zeros(1)},
+            forward=lambda a, ax, rows, p: (np.full(len(rows), 0.5), None),
+            backward=lambda d, c, p: {"w": np.ones(1)}, m=m, seed=7, kind="gcn")
+        want, state = np.zeros(1), tz.AdamState({"w": 1}, lr=m.learning_rate)
+        for _ in range(2):  # the parameters after epoch 1
+            tz.adam_step(want, np.ones(1), state)
+        assert best == 1 and history == [0.2, 0.1, 0.3]
+        assert params["w"].tobytes() == want.tobytes()
 
     def test_single_class_training_data_rejected(self):
         rng = np.random.default_rng(0)
@@ -295,8 +310,8 @@ class TestGraphInputs:
         encoded = []
         for module in (gcn, temporal):
             real = module.gcn_embed
-            monkeypatch.setattr(module, "gcn_embed", lambda a_hat, x, params, real=real: (
-                encoded.append(int(np.prod(a_hat.shape[:-2]))) or real(a_hat, x, params)))
+            monkeypatch.setattr(module, "gcn_embed", lambda a_hat, ax, params, real=real: (
+                encoded.append(int(np.prod(a_hat.shape[:-2]))) or real(a_hat, ax, params)))
         m = SMALL.model
         for kind, k in (("gcn", 1), ("temporal", m.sequence_length)):
             state, _ = train(kind, bundle, SMALL)
@@ -316,7 +331,7 @@ class TestGraphInputs:
         assert state.hyper["n_features"] == panel.n_features + 2
         samples = _graph_samples(bundle, state.hyper, "test")
         for row, date in zip(samples.rows, samples.dates):
-            inputs = [(samples.a_hat[i], samples.x[i]) for i in row]
             t = panel.dates.index(date)
-            assert np.array_equal(inputs[-1][1], panel.node_matrix(t))
-            assert np.array_equal(inputs[-1][1][:, -2:], np.tile(panel.macro[t], (6, 1)))
+            x = panel.node_matrix(t)
+            assert np.array_equal(x[:, -2:], np.tile(panel.macro[t], (6, 1)))
+            assert np.array_equal(samples.ax[row[-1]], samples.a_hat[row[-1]] @ x)
