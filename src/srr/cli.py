@@ -31,8 +31,8 @@ from .features import (FeaturePanel, Standardization, apply_standardization,
                        write_graph_labels_csv)
 from .graphs import (GraphSnapshot, build_snapshots, read_snapshots_jsonl,
                      write_snapshots_jsonl)
-from .market_data import (PricePanel, ingest_csv, log_returns, read_macro_csv,
-                          read_universe_csv, write_panel_csv)
+from .market_data import (PricePanel, ingest_csv, log_returns, read_csv, read_macro_csv,
+                          read_universe_csv, write_csv, write_macro_csv, write_panel_csv)
 from .models.baselines import day_feature_names
 from .models.state import deserialize, parameter_count, serialize
 from .plots import grouped_bar_chart, hbar_chart, line_chart
@@ -143,7 +143,7 @@ def cmd_ingest(run: Run) -> PricePanel:
     _write_json(run.path("provenance.json"), provenance)
     _write_json(run.path("universe.json"), panel.universe_meta or {})
 
-    inputs = {cfg.data.prices_csv: _sha256_file(cfg.data.prices_csv)}
+    inputs = {cfg.data.prices_csv: provenance["sha256"]}
     if cfg.data.universe_csv is not None:
         inputs[cfg.data.universe_csv] = _sha256_file(cfg.data.universe_csv)
     run.write_manifest("ingest", inputs,
@@ -170,14 +170,6 @@ def _attach_macro(run: Run, fpanel) -> str | None:
     fpanel.macro = values[[have[d] for d in fpanel.dates], :]
     fpanel.macro_names = names
     return macro_csv
-
-
-def _write_macro_csv(run: Run, fpanel) -> None:
-    with open(run.path("macro.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("date," + ",".join(fpanel.macro_names) + "\n")
-        for t, day in enumerate(fpanel.dates):
-            vals = ",".join(repr(float(v)) for v in fpanel.macro[t])
-            fh.write(f"{day},{vals}\n")
 
 
 def cmd_features(run: Run, panel: PricePanel | None = None
@@ -218,7 +210,7 @@ def cmd_features(run: Run, panel: PricePanel | None = None
     })
     outputs = ["features.csv", "graph_labels.csv", "standardization.json", "split.json"]
     if macro_src is not None:
-        _write_macro_csv(run, fpanel)
+        write_macro_csv(run.path("macro.csv"), fpanel.dates, fpanel.macro_names, fpanel.macro)
         outputs.append("macro.csv")
         inputs[macro_src] = _sha256_file(macro_src)
     run.write_manifest("features", inputs, outputs)
@@ -331,6 +323,11 @@ def cmd_train(run: Run, bundle: DataBundle | None = None) -> None:
     run.write_manifest("train", inputs, outputs)
 
 
+def _write_timeline(path: str, dates: list[str], scores, labels) -> None:
+    write_csv(path, ["date", "score", "label"],
+              ((d, float(s), int(y)) for d, s, y in zip(dates, scores, labels)))
+
+
 def cmd_evaluate(run: Run, bundle: DataBundle | None = None) -> None:
     cfg = run.cfg
     inputs = _bundle_inputs(run, "evaluate")
@@ -353,10 +350,7 @@ def cmd_evaluate(run: Run, bundle: DataBundle | None = None) -> None:
         leads = lead_times(calendar, daily_labels, dates, scores,
                            gamma=cfg.evaluate.warn_gamma)
         timeline = f"timeline_{kind}.csv"
-        with open(run.path(timeline), "w", encoding="utf-8", newline="") as fh:
-            fh.write("date,score,label\n")
-            for d, s, y in zip(dates, scores, labels):
-                fh.write(f"{d},{float(s)!r},{int(y)}\n")
+        _write_timeline(run.path(timeline), dates, scores, labels)
         outputs.append(timeline)
         entry = {
             "parameter_count": parameter_count(state),
@@ -395,19 +389,11 @@ def cmd_evaluate(run: Run, bundle: DataBundle | None = None) -> None:
 # -- stage: report ----------------------------------------------------------------
 
 def _read_timeline(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    import csv as _csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        if header != ["date", "score", "label"]:
-            raise DataError(f"{path}: unexpected timeline header {header!r}")
-        dates, scores, labels = [], [], []
-        for row in reader:
-            dates.append(row[0])
-            scores.append(float(row[1]))
-            labels.append(int(row[2]))
-    return dates, np.asarray(scores), np.asarray(labels)
+    _, rows = read_csv(path, "timeline file", "date,score,label",
+                       lambda r: (r[0], float(r[1]), int(r[2])))
+    cells = [cell for _, cell in rows]
+    return ([c[0] for c in cells], np.asarray([c[1] for c in cells]),
+            np.asarray([c[2] for c in cells]))
 
 
 def _aggregate_importance(importance: dict[str, float]) -> tuple[list[str], list[float]]:
@@ -562,18 +548,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, seed=args.seed, preset=args.preset, out=args.out)
         _COMMANDS[args.command](Run(cfg))
         return 0
-    except ConfigError as exc:
+    except SrrError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SrrError as exc:  # pragma: no cover - future subclasses
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, DataError) else 3 if isinstance(exc, NumericalError) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

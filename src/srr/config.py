@@ -13,7 +13,7 @@ import json
 import math
 import types
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Any
 
 from .errors import ConfigError
@@ -231,12 +231,9 @@ class Config:
     def from_dict(cls, data: dict) -> "Config":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
-        sections = {
-            "data": DataConfig, "period": PeriodConfig, "features": FeatureConfig,
-            "labels": LabelConfig, "graph": GraphConfig, "model": ModelConfig,
-            "split": SplitConfig, "evaluate": EvaluateConfig,
-        }
-        _check_keys("config", data, set(sections) | {"seed", "out"})
+        sections = {f.name: f.default_factory for f in fields(cls)
+                    if f.default_factory is not MISSING}
+        _check_keys("config", data, {f.name for f in fields(cls)})
         kwargs: dict[str, Any] = {}
         for name, section_cls in sections.items():
             if name in data:
@@ -256,17 +253,10 @@ class Config:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        def as_plain(obj):
-            if hasattr(obj, "__dataclass_fields__"):
-                return {f.name: as_plain(getattr(obj, f.name)) for f in fields(obj)}
-            if isinstance(obj, tuple):
-                return [as_plain(v) for v in obj]
-            return obj
-        return as_plain(self)
+        return asdict(self)  # tuples stay tuples, which JSON writes as lists
 
     def replace(self, **kwargs) -> "Config":
-        from dataclasses import replace as dc_replace
-        return dc_replace(self, **kwargs)
+        return replace(self, **kwargs)
 
 
 def canonical_json(obj: Any) -> str:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto process exit codes: ConfigError -> 1,
-DataError -> 2, NumericalError (and its subclasses) -> 3.
+The CLI maps these onto process exit codes: DataError -> 2,
+NumericalError (and its subclasses) -> 3, ConfigError and any other -> 1.
 """
 
 

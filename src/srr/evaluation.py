@@ -229,7 +229,7 @@ def summary_table(report: dict) -> str:
         counts = (f"  tp={m['tp']} fp={m['fp']} tn={m['tn']} fn={m['fn']}")
         lt = report["models"][kind].get("lead_times")
         if lt is not None:
-            med = (f"median_lead={_median(lt['lead_times'])}" if lt["lead_times"]
+            med = (f"median_lead={np.median(lt['lead_times']):g}" if lt["lead_times"]
                    else "median_lead=--")
             counts += (f"  warnings: {len(lt['lead_times'])} matched, {lt['unmatched']}"
                        f" unmatched, {lt['in_crisis']} in-crisis  {med}")
@@ -244,12 +244,3 @@ def summary_table(report: dict) -> str:
             + " (single-class test labels make them undefined)"
         )
     return "\n".join(lines) + "\n"
-
-
-def _median(values: list) -> str:
-    if not values:
-        return "--"
-    v = sorted(values)
-    mid = len(v) // 2
-    med = v[mid] if len(v) % 2 == 1 else 0.5 * (v[mid - 1] + v[mid])
-    return f"{med:g}"

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ShapeError
-from .market_data import PricePanel, ReturnPanel
+from .market_data import PricePanel, ReturnPanel, read_csv, write_csv
 
 __all__ = [
     "FeaturePanel",
@@ -256,41 +256,36 @@ def apply_standardization(panel: FeaturePanel, stats: Standardization) -> Featur
 
 def write_features_csv(panel: FeaturePanel, path: str) -> None:
     """Long CSV: date,ticker,<features...>,node_label (blank when unlabeled)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("date,ticker," + ",".join(panel.names) + ",node_label\n")
+    def rows():
         for t, day in enumerate(panel.dates):
             labeled = panel.label_valid is not None and bool(panel.label_valid[t])
             labels = (panel.node_labels[:, t].astype(np.int64).tolist() if labeled
                       else [""] * len(panel.tickers))
             for ticker, row, lab in zip(panel.tickers, panel.features[:, t, :].tolist(), labels):
-                fh.write(f"{day},{ticker},{','.join(map(repr, row))},{lab}\n")
+                yield day, ticker, *row, lab
+    write_csv(path, ["date", "ticker", *panel.names, "node_label"], rows())
 
 
 def read_features_csv(path: str) -> FeaturePanel:
-    import csv as _csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["date", "ticker"] or header[-1] != "node_label":
-            raise DataError(f"{path}: unexpected feature CSV header")
-        names = header[2:-1]
-        rows = list(reader)
-    dates = sorted({r[0] for r in rows})
-    tickers = sorted({r[1] for r in rows})
+    header, rows = read_csv(path, "features file", "date,ticker,*,node_label", lambda r: (
+        r[0], r[1], [float(v) for v in r[2:-1]], int(r[-1]) if r[-1] else None))
+    names = header[2:-1]
+    cells = [cell for _, cell in rows]
+    dates = sorted({c[0] for c in cells})
+    tickers = sorted({c[1] for c in cells})
     d_idx = {d: t for t, d in enumerate(dates)}
     t_idx = {k: i for i, k in enumerate(tickers)}
     feats = np.full((len(tickers), len(dates), len(names)), np.nan)
     node = np.zeros((len(tickers), len(dates)), dtype=np.int8)
     valid = np.zeros(len(dates), dtype=bool)
-    for r in rows:
-        i, t = t_idx[r[1]], d_idx[r[0]]
-        feats[i, t, :] = [float(v) for v in r[2:-1]]
-        if r[-1] != "":
-            node[i, t] = int(r[-1])
+    for day, ticker, values, lab in cells:
+        i, t = t_idx[ticker], d_idx[day]
+        feats[i, t, :] = values
+        if lab is not None:
+            node[i, t] = lab
             valid[t] = True
-    if np.isnan(feats).any():
-        raise DataError(f"{path}: missing (date, ticker) cells")
+    if not np.isfinite(feats).all():
+        raise DataError(f"{path}: missing (date, ticker) cells or non-finite values")
     return FeaturePanel(tickers=tickers, dates=dates, features=feats, names=names,
                         node_labels=node, label_valid=valid)
 
@@ -299,24 +294,14 @@ def write_graph_labels_csv(panel: FeaturePanel, path: str) -> None:
     """Companion CSV: date,graph_label (blank when the date is unlabeled)."""
     if panel.graph_labels is None:
         raise DataError("panel carries no graph labels")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("date,graph_label\n")
-        for t, day in enumerate(panel.dates):
-            lab = str(int(panel.graph_labels[t])) if panel.label_valid[t] else ""
-            fh.write(f"{day},{lab}\n")
+    write_csv(path, ["date", "graph_label"],
+              ((day, int(y) if v else "")
+               for day, y, v in zip(panel.dates, panel.graph_labels, panel.label_valid)))
 
 
 def read_graph_labels_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    import csv as _csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        if header != ["date", "graph_label"]:
-            raise DataError(f"{path}: unexpected graph-label CSV header")
-        dates, labels, valid = [], [], []
-        for row in reader:
-            dates.append(row[0])
-            labels.append(int(row[1]) if row[1] != "" else 0)
-            valid.append(row[1] != "")
-    return dates, np.asarray(labels, dtype=np.int8), np.asarray(valid, dtype=bool)
+    _, rows = read_csv(path, "graph-label file", "date,graph_label",
+                       lambda r: (r[0], int(r[1] or 0), r[1] != ""))
+    cells = [cell for _, cell in rows]
+    return ([c[0] for c in cells], np.array([c[1] for c in cells], dtype=np.int8),
+            np.array([c[2] for c in cells], dtype=bool))

@@ -1,16 +1,20 @@
-"""Price-panel ingestion and log returns.
+"""Price-panel ingestion, log returns, and the CSV reader and writer of every table.
 
 Input is a long-format CSV with header ``date,ticker,adj_close``. Tickers
 are aligned on their common trading dates (inner join); anything off the
 shared calendar is dropped and counted in the provenance manifest.
+``read_csv`` and ``write_csv`` are the one path by which every stage reads
+and writes its CSV tables.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from datetime import date as _date
+from fnmatch import fnmatchcase
 
 import numpy as np
 
@@ -25,6 +29,9 @@ __all__ = [
     "write_panel_csv",
     "read_universe_csv",
     "read_macro_csv",
+    "write_macro_csv",
+    "read_csv",
+    "write_csv",
 ]
 
 
@@ -76,11 +83,50 @@ def _check_plain(what: str, names, path: str) -> None:
         raise DataError(f"{path}: {what} {bad[0]!r} contains a comma, quote or line break")
 
 
-def _parse_iso(value: str, line_no: int) -> str:
-    try:
-        return _date.fromisoformat(value).isoformat()
-    except ValueError:
-        raise DataError(f"line {line_no}: bad date {value!r} (want YYYY-MM-DD)") from None
+def read_csv(path: str, what: str, expect: str, parse: Callable[[list[str]], object]
+             ) -> tuple[list[str], Iterator[tuple[int, object]]]:
+    """Open the CSV table ``what`` at ``path``; returns (header, rows).
+
+    The header, stripped and comma-joined, must match the ``expect`` pattern,
+    where ``*`` stands for any names. ``rows`` yields each non-blank line as
+    (line_no, parse(fields)). Every failure, a short row or a ValueError from
+    ``parse`` included, is a DataError naming the file.
+    """
+    def lines():
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None:
+                    raise DataError(f"{what} {path} is empty")
+                header = [h.strip() for h in header]
+                if not fnmatchcase(",".join(header), expect):
+                    raise DataError(f"{what} {path}: expected header {expect}, got {header!r}")
+                yield header
+                for line_no, row in enumerate(reader, start=2):
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    if len(row) != len(header):
+                        raise DataError(f"{what} {path}: line {line_no}: expected "
+                                        f"{len(header)} fields, got {len(row)}")
+                    try:
+                        cells = parse(row)
+                    except ValueError as exc:
+                        raise DataError(f"{what} {path}: line {line_no}: {exc}") from None
+                    yield line_no, cells
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"cannot read {what} {path}: {exc}") from None
+
+    rows = lines()
+    return next(rows), rows
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write a header and rows of str, int and Python float cells; ``str`` of a
+    float is its shortest round-trip form, so floats read back bit for bit."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None = None,
@@ -100,39 +146,18 @@ def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None
             raise DataError(f"ingest_csv: {name} must be a YYYY-MM-DD date, got {bound!r}")
     if start is not None and end is not None and start > end:
         raise DataError(f"ingest_csv: start {start} is after end {end}")
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read price file {path}: {exc}") from None
-    digest = hashlib.sha256(raw).hexdigest()
-
-    lines = raw.decode("utf-8").splitlines()
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-    if [h.strip() for h in header] != ["date", "ticker", "adj_close"]:
-        raise DataError(f"{path}: expected header date,ticker,adj_close, got {header!r}")
+    _, rows = read_csv(path, "price file", "date,ticker,adj_close", lambda r: (
+        _date.fromisoformat(r[0].strip()).isoformat(), r[1].strip(), float(r[2])))
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
 
     wanted = set(tickers) if tickers else None
     per_ticker: dict[str, dict[str, float]] = {}
     rows_read = 0
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise DataError(f"line {line_no}: expected 3 fields, got {len(row)}")
+    for line_no, (day, ticker, price) in rows:
         rows_read += 1
-        day = _parse_iso(row[0].strip(), line_no)
-        ticker = row[1].strip()
         if not ticker:
             raise DataError(f"line {line_no}: empty ticker")
-        try:
-            price = float(row[2])
-        except ValueError:
-            raise DataError(f"line {line_no}: bad price {row[2]!r}") from None
         if not np.isfinite(price) or price <= 0.0:
             raise DataError(f"line {line_no}: non-positive price {price!r} for {ticker}")
         if wanted is not None and ticker not in wanted:
@@ -196,35 +221,22 @@ def log_returns(panel: PricePanel) -> ReturnPanel:
 
 def write_panel_csv(panel: PricePanel, path: str) -> None:
     """Serialize a panel back to the long CSV schema, full float precision."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("date,ticker,adj_close\n")
-        for t, day in enumerate(panel.dates):
-            for i, ticker in enumerate(panel.tickers):
-                fh.write(f"{day},{ticker},{float(panel.prices[i, t])!r}\n")
+    write_csv(path, ["date", "ticker", "adj_close"],
+              ((day, ticker, price) for day, col in zip(panel.dates, panel.prices.T.tolist())
+               for ticker, price in zip(panel.tickers, col)))
 
 
 def read_universe_csv(path: str) -> dict[str, str]:
     """Read a ``ticker,sector`` CSV into an ordered ticker -> sector map."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["ticker", "sector"]:
-                raise DataError(f"{path}: expected header ticker,sector, got {header!r}")
-            universe: dict[str, str] = {}
-            for line_no, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 2:
-                    raise DataError(f"line {line_no}: expected 2 fields, got {len(row)}")
-                ticker, sector = row[0].strip(), row[1].strip()
-                if not ticker or not sector:
-                    raise DataError(f"line {line_no}: empty ticker or sector")
-                if ticker in universe:
-                    raise DataError(f"line {line_no}: duplicate ticker {ticker}")
-                universe[ticker] = sector
-    except OSError as exc:
-        raise DataError(f"cannot read universe file {path}: {exc}") from None
+    _, rows = read_csv(path, "universe file", "ticker,sector",
+                       lambda r: (r[0].strip(), r[1].strip()))
+    universe: dict[str, str] = {}
+    for line_no, (ticker, sector) in rows:
+        if not ticker or not sector:
+            raise DataError(f"line {line_no}: empty ticker or sector")
+        if ticker in universe:
+            raise DataError(f"line {line_no}: duplicate ticker {ticker}")
+        universe[ticker] = sector
     if not universe:
         raise DataError(f"{path}: no universe rows")
     return universe
@@ -235,34 +247,23 @@ def read_macro_csv(path: str) -> tuple[list[str], list[str], np.ndarray]:
 
     Returns (dates, column names, T x M float matrix), dates sorted ascending.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[0].strip() != "date" or len(header) < 2:
-                raise DataError(f"{path}: expected header date,<name>,... got {header!r}")
-            names = [h.strip() for h in header[1:]]
-            rows: dict[str, list[float]] = {}
-            for line_no, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != len(header):
-                    raise DataError(
-                        f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-                day = _parse_iso(row[0].strip(), line_no)
-                if day in rows:
-                    raise DataError(f"line {line_no}: duplicate macro date {day}")
-                try:
-                    values = [float(v) for v in row[1:]]
-                except ValueError:
-                    raise DataError(f"line {line_no}: bad macro value in {row[1:]!r}") from None
-                if not all(np.isfinite(v) for v in values):
-                    raise DataError(f"line {line_no}: non-finite macro value")
-                rows[day] = values
-    except OSError as exc:
-        raise DataError(f"cannot read macro file {path}: {exc}") from None
+    header, lines = read_csv(path, "macro file", "date,*", lambda r: (
+        _date.fromisoformat(r[0].strip()).isoformat(), [float(v) for v in r[1:]]))
+    names = header[1:]
+    rows: dict[str, list[float]] = {}
+    for line_no, (day, values) in lines:
+        if day in rows:
+            raise DataError(f"line {line_no}: duplicate macro date {day}")
+        if not all(np.isfinite(v) for v in values):
+            raise DataError(f"line {line_no}: non-finite macro value")
+        rows[day] = values
     if not rows:
         raise DataError(f"{path}: no macro rows")
     _check_plain("macro column", names, path)
     dates = sorted(rows)
     return dates, names, np.array([rows[d] for d in dates], dtype=np.float64)
+
+
+def write_macro_csv(path: str, dates: list[str], names: list[str], values: np.ndarray) -> None:
+    """Write the ``date,<name>...`` CSV that read_macro_csv reads, full float precision."""
+    write_csv(path, ["date", *names], ((day, *row) for day, row in zip(dates, values.tolist())))

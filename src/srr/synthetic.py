@@ -17,6 +17,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from .errors import DataError
+from .market_data import PricePanel, write_panel_csv
 from . import tensor as tz
 
 __all__ = ["RegimeParams", "planted_regime_panel", "write_synthetic_csv", "business_days"]
@@ -95,9 +96,5 @@ def write_synthetic_csv(path: str, n_tickers: int = 20, n_days: int = 600, seed:
                         start: str = "2015-01-02", params: RegimeParams | None = None) -> dict:
     """Generate and write the long-format price CSV; returns a small echo dict."""
     dates, tickers, prices = planted_regime_panel(n_tickers, n_days, seed, start, params)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("date,ticker,adj_close\n")
-        for t, day in enumerate(dates):
-            for i, ticker in enumerate(tickers):
-                fh.write(f"{day},{ticker},{float(prices[i, t])!r}\n")
+    write_panel_csv(PricePanel(tickers=tickers, dates=dates, prices=prices), path)
     return {"path": str(path), "n_tickers": n_tickers, "n_days": n_days, "seed": seed}

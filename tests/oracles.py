@@ -24,8 +24,15 @@ threshold-by-threshold split search of ``_grow_tree``, the row-by-row
 ``crash_windows`` with the onset scan of ``lead_times``, whose ``average_ranks``
 is the one-row oracle above; then ``logistic_fit`` as it was, with the
 tensor-by-tensor ``adam_step`` above in place of the concatenating one it
-called (the two are bit-equal), and the cell-by-cell ``write_features_csv``.
+called (the two are bit-equal), and the cell-by-cell ``write_features_csv``;
+last, the hand-rolled CSV writers that ``market_data.write_csv`` replaced:
+``write_panel_csv``, the loop of ``synthetic.write_synthetic_csv``,
+``write_graph_labels_csv``, the command line's ``_write_macro_csv``, and its
+timeline loop from ``cmd_evaluate``, wrapped as ``write_timeline`` (its
+``run.path(timeline)`` is the ``path`` argument).
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass, field
 
@@ -37,6 +44,7 @@ from srr.evaluation import _check_scored
 from srr.graphs import GraphSnapshot
 from srr.market_data import ReturnPanel
 from srr.models.baselines import gini
+from srr.synthetic import RegimeParams, planted_regime_panel
 from srr.tensor import _finite
 
 
@@ -677,3 +685,50 @@ def write_features_csv(panel, path: str) -> None:
                 vals = ",".join(repr(float(v)) for v in panel.features[i, t, :])
                 lab = str(int(panel.node_labels[i, t])) if labeled else ""
                 fh.write(f"{day},{ticker},{vals},{lab}\n")
+
+
+def write_panel_csv(panel: PricePanel, path: str) -> None:
+    """Serialize a panel back to the long CSV schema, full float precision."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("date,ticker,adj_close\n")
+        for t, day in enumerate(panel.dates):
+            for i, ticker in enumerate(panel.tickers):
+                fh.write(f"{day},{ticker},{float(panel.prices[i, t])!r}\n")
+
+
+def write_synthetic_csv(path: str, n_tickers: int = 20, n_days: int = 600, seed: int = 7,
+                        start: str = "2015-01-02", params: RegimeParams | None = None) -> dict:
+    """Generate and write the long-format price CSV; returns a small echo dict."""
+    dates, tickers, prices = planted_regime_panel(n_tickers, n_days, seed, start, params)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("date,ticker,adj_close\n")
+        for t, day in enumerate(dates):
+            for i, ticker in enumerate(tickers):
+                fh.write(f"{day},{ticker},{float(prices[i, t])!r}\n")
+    return {"path": str(path), "n_tickers": n_tickers, "n_days": n_days, "seed": seed}
+
+
+def write_graph_labels_csv(panel: FeaturePanel, path: str) -> None:
+    """Companion CSV: date,graph_label (blank when the date is unlabeled)."""
+    if panel.graph_labels is None:
+        raise DataError("panel carries no graph labels")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("date,graph_label\n")
+        for t, day in enumerate(panel.dates):
+            lab = str(int(panel.graph_labels[t])) if panel.label_valid[t] else ""
+            fh.write(f"{day},{lab}\n")
+
+
+def _write_macro_csv(run: Run, fpanel) -> None:
+    with open(run.path("macro.csv"), "w", encoding="utf-8", newline="") as fh:
+        fh.write("date," + ",".join(fpanel.macro_names) + "\n")
+        for t, day in enumerate(fpanel.dates):
+            vals = ",".join(repr(float(v)) for v in fpanel.macro[t])
+            fh.write(f"{day},{vals}\n")
+
+
+def write_timeline(path: str, dates, scores, labels) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("date,score,label\n")
+        for d, s, y in zip(dates, scores, labels):
+            fh.write(f"{d},{float(s)!r},{int(y)}\n")

@@ -15,7 +15,7 @@ import pytest
 import srr
 from srr.cli import STAGES, main
 from srr.config import PRESETS, Config, PeriodConfig, config_hash, load_config
-from srr.errors import ConfigError
+from srr.errors import ConfigError, DataError, NumericalError, ShapeError, SrrError
 from srr.models import deserialize, parameter_count
 from srr.synthetic import write_synthetic_csv
 
@@ -269,16 +269,22 @@ class TestRunAllHandOff:
         assert Path(ingested[0]).parent != out
 
 
-def rewrite_graphs(out: Path, edit) -> None:
-    """Rewrite graphs.jsonl line by line and re-record its manifest hash, as an
-    earlier run (or another program) would have left it."""
+def rewrite_artifact(out: Path, name: str, stage: str, edit) -> None:
+    """Rewrite an artifact line by line, ``edit(i, line)``, and re-record its
+    hash in the stage manifest, as an earlier run (or another program) would
+    have left it."""
     import hashlib
-    path = out / "graphs.jsonl"
-    path.write_text("".join(edit(i, json.loads(line)) + "\n"
+    path = out / name
+    path.write_text("".join(edit(i, line) + "\n"
                             for i, line in enumerate(path.read_text().splitlines())))
-    manifest = json.loads((out / "manifest_graphs.json").read_text())
-    manifest["outputs"]["graphs.jsonl"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    (out / "manifest_graphs.json").write_text(json.dumps(manifest))
+    manifest = json.loads((out / f"manifest_{stage}.json").read_text())
+    manifest["outputs"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (out / f"manifest_{stage}.json").write_text(json.dumps(manifest))
+
+
+def rewrite_graphs(out: Path, edit) -> None:
+    """``rewrite_artifact`` on graphs.jsonl, with ``edit(i, record)``."""
+    rewrite_artifact(out, "graphs.jsonl", "graphs", lambda i, line: edit(i, json.loads(line)))
 
 
 class TestGraphFile:
@@ -308,7 +314,70 @@ class TestGraphFile:
         assert capsys.readouterr().err.rstrip().endswith("rerun `srr graphs`")
 
 
+def short_row(i, line):
+    return ",".join(line.split(",")[:-1]) if i == 2 else line
+
+
+def bad_cell(col):
+    def edit(i, line):
+        cells = line.split(",")
+        return ",".join(cells[:col] + ["abc"] + cells[col + 1:]) if i == 2 else line
+    return edit
+
+
+class TestMalformedArtifacts:
+    """A pipeline CSV with a short row or a non-numeric cell, its manifest hash
+    re-recorded, stops the stage that reads it with exit 2 and an error that
+    names the file and the line."""
+
+    @pytest.fixture(scope="class")
+    def evaluated(self, tmp_path_factory):
+        cfg_path, out = make_workspace(tmp_path_factory.mktemp("malformed"), n_days=260)
+        for stage in ("ingest", "features", "graphs", "train", "evaluate"):
+            assert main([stage, "--config", cfg_path]) == 0
+        return cfg_path, out
+
+    @pytest.mark.parametrize("name,stage,command,number_col", [
+        ("features.csv", "features", "train", 2),
+        ("graph_labels.csv", "features", "train", 1),
+        ("timeline_logistic.csv", "evaluate", "report", 1),
+    ])
+    @pytest.mark.parametrize("edit", ["short-row", "non-numeric"])
+    def test_exits_two_naming_file_and_line(self, capsys, tmp_path, evaluated,
+                                            name, stage, command, number_col, edit):
+        cfg_path, out = evaluated
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        rewrite_artifact(copy, name, stage,
+                         short_row if edit == "short-row" else bad_cell(number_col))
+        assert main([command, "--config", cfg_path, "--out", str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"{copy / name}: line 3: " in err
+        assert ("fields, got" if edit == "short-row" else "'abc'") in err
+
+
 class TestLoadConfig:
+    def test_config_hash_bytes_are_pinned(self):
+        """The hash of the canonical config JSON, pinned for the default config
+        and the layered test config (with relative data paths)."""
+        layered = {
+            "data": {"prices_csv": "prices.csv", "universe_csv": "universe.csv",
+                     "macro_csv": "macro.csv"},
+            "graph": TestLayersAndMacro.GRAPH,
+            "labels": {"threshold": 0.10, "horizon": 20},
+            "model": {"kinds": list(MODEL_KINDS), "gcn_hidden": 6, "mlp_hidden": 4,
+                      "gru_hidden": 6, "sequence_length": 2, "stride": 2, "epochs": 2,
+                      "batch_size": 8, "forest_trees": 5, "forest_max_depth": 3,
+                      "logistic_epochs": 200},
+            "seed": 7,
+            "out": "o",
+        }
+        assert (config_hash(Config())
+                == "8e42f71e5d789e8b31a65ea59ad41ceee9294949917759de2f73915582f575c1")
+        assert (config_hash(Config.from_dict(layered))
+                == "86c1e693db312d9c1be510e8ab7dc2aaafd9ac78cf993a274786eecc920dd37c")
+
     def test_cli_overrides_enter_the_one_validation(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"seed": 3, "out": "a", "period": {"start": "2015-06-01"}}))
@@ -401,6 +470,21 @@ class TestExitCodes:
         assert main(["features", "--config", cfg_path, "--seed", "99"]) == 2
         err = capsys.readouterr().err
         assert "stale" in err and "rerun `srr ingest`" in err
+
+    @pytest.mark.parametrize("error,code", [(NumericalError, 3), (ShapeError, 3),
+                                            (DataError, 2), (SrrError, 1)])
+    def test_error_class_decides_the_exit_code(self, capsys, monkeypatch, tmp_path,
+                                               error, code):
+        cfg_path, _ = make_workspace(tmp_path, out_name="codes", n_days=260)
+        for stage in ("ingest", "features", "graphs"):
+            assert main([stage, "--config", cfg_path]) == 0
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise error("training failed")
+        monkeypatch.setattr("srr.cli.train", fail)
+        assert main(["train", "--config", cfg_path]) == code
+        assert capsys.readouterr().err == "error: training failed\n"
 
     def test_tampered_artifact_detected(self, capsys, tmp_path):
         cfg_path, out = make_workspace(tmp_path, out_name="tamper", n_days=260)

@@ -232,6 +232,18 @@ class TestCsvRoundTrips:
             assert got.read_bytes() == want.read_bytes()
         assert b",nan," in got.read_bytes() and b",-0.0," in got.read_bytes()
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_features_csv_with_a_non_finite_cell_is_refused(self, tmp_path, value):
+        fp = self._labeled_panel()
+        path = tmp_path / "features.csv"
+        write_features_csv(fp, str(path))
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        lines[2] = ",".join(cells[:2] + [value] + cells[3:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="features.csv: missing .* or non-finite values"):
+            read_features_csv(str(path))
+
     def test_graph_labels_csv_round_trip(self, tmp_path):
         fp = self._labeled_panel()
         path = str(tmp_path / "labels.csv")

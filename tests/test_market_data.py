@@ -1,12 +1,17 @@
 """Ingestion: alignment semantics, validation errors, manifest fields,
-round-trips, and the universe / macro readers."""
+round-trips, the universe / macro readers, and the one CSV reader and writer."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import oracles
+from srr import cli, synthetic
 from srr.errors import DataError
-from srr.market_data import (ingest_csv, log_returns, read_macro_csv,
-                             read_universe_csv, write_panel_csv)
+from srr.features import FeaturePanel, write_features_csv, write_graph_labels_csv
+from srr.market_data import (PricePanel, ingest_csv, log_returns, read_csv, read_macro_csv,
+                             read_universe_csv, write_macro_csv, write_panel_csv)
 
 
 def write(tmp_path, name, text):
@@ -195,3 +200,123 @@ class TestUniverseAndMacro:
         path = write(tmp_path, "m.csv", "date,vix,spread\n2020-01-01,15.5\n")
         with pytest.raises(DataError, match="fields"):
             read_macro_csv(path)
+
+
+EDGE = [-0.0, 5e-324, 1e300, 0.1, -2.5, 123456789.125]
+
+
+def bits(values) -> list[int]:
+    """Float bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestCsvWriters:
+    """Every table goes through ``write_csv``; each writer must write the bytes
+    of the loop it replaced (``tests/oracles.py``)."""
+
+    @pytest.fixture
+    def fpanel(self):
+        dates = ["2020-01-01", "2020-01-02", "2020-01-03"]
+        return FeaturePanel(
+            tickers=["A", "B"], dates=dates,
+            features=np.array(EDGE * 2).reshape(2, 3, 2), names=["f1", "f2"],
+            macro=np.array(EDGE).reshape(3, 2), macro_names=["vix", "rate"],
+            node_labels=np.array([[1, 0, 1], [0, 1, 0]], dtype=np.int8),
+            graph_labels=np.array([1, 0, 1], dtype=np.int8),
+            label_valid=np.array([True, True, False]))  # the last date's labels are blank
+
+    def same_bytes(self, tmp_path, write, oracle):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write(str(got))
+        oracle(str(want))
+        assert got.read_bytes() == want.read_bytes()
+        return got.read_text()
+
+    def test_prices(self, tmp_path):
+        prices = np.array([[5e-324, 1e300, 0.1], [2.5, 123456789.125, 1.0]])
+        panel = PricePanel(tickers=["A", "B"], dates=["2020-01-01", "2020-01-02", "2020-01-03"],
+                           prices=prices)  # prices are positive, so no -0.0 here
+        text = self.same_bytes(tmp_path, lambda p: write_panel_csv(panel, p),
+                               lambda p: oracles.write_panel_csv(panel, p))
+        assert "2020-01-01,A,5e-324\n" in text and ",1e+300\n" in text
+
+    def test_synthetic_goes_through_the_panel_writer(self, tmp_path):
+        echoes = []
+        self.same_bytes(
+            tmp_path,
+            lambda p: echoes.append(synthetic.write_synthetic_csv(p, n_tickers=3, n_days=40,
+                                                                  seed=5)),
+            lambda p: echoes.append(oracles.write_synthetic_csv(p, n_tickers=3, n_days=40,
+                                                                seed=5)))
+        assert echoes[0] == {**echoes[1], "path": echoes[0]["path"]}
+
+    def test_features(self, tmp_path, fpanel):
+        text = self.same_bytes(tmp_path, lambda p: write_features_csv(fpanel, p),
+                               lambda p: oracles.write_features_csv(fpanel, p))
+        assert "2020-01-01,A,-0.0,5e-324,1\n" in text and text.endswith(",\n")
+
+    def test_graph_labels(self, tmp_path, fpanel):
+        text = self.same_bytes(tmp_path, lambda p: write_graph_labels_csv(fpanel, p),
+                               lambda p: oracles.write_graph_labels_csv(fpanel, p))
+        assert text.endswith("2020-01-03,\n")
+
+    def test_macro(self, tmp_path, fpanel):
+        text = self.same_bytes(
+            tmp_path,
+            lambda p: write_macro_csv(p, fpanel.dates, fpanel.macro_names, fpanel.macro),
+            lambda p: oracles._write_macro_csv(SimpleNamespace(path=lambda _: p), fpanel))
+        assert text.startswith("date,vix,rate\n2020-01-01,-0.0,5e-324\n")
+
+    def test_timeline(self, tmp_path):
+        dates = ["2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04"]
+        scores, labels = np.array(EDGE[:4]), np.array([1, 0, 0, 1], dtype=np.int8)
+        self.same_bytes(tmp_path, lambda p: cli._write_timeline(p, dates, scores, labels),
+                        lambda p: oracles.write_timeline(p, dates, scores, labels))
+
+    def test_macro_round_trip(self, tmp_path, fpanel):
+        path = str(tmp_path / "macro.csv")
+        write_macro_csv(path, fpanel.dates, fpanel.macro_names, fpanel.macro)
+        dates, names, values = read_macro_csv(path)
+        assert (dates, names) == (fpanel.dates, fpanel.macro_names)
+        assert bits(values) == bits(fpanel.macro)
+
+    def test_timeline_round_trip(self, tmp_path):
+        dates = ["2020-01-01", "2020-01-02", "2020-01-03"]
+        scores, labels = np.array([-0.0, 5e-324, 0.7]), np.array([1, 0, 1])
+        path = str(tmp_path / "timeline.csv")
+        cli._write_timeline(path, dates, scores, labels)
+        back = cli._read_timeline(path)
+        assert back[0] == dates
+        assert bits(back[1]) == bits(scores)
+        assert back[2].tolist() == labels.tolist()
+
+
+class TestCsvReader:
+    def test_skips_blank_lines_and_numbers_the_rest(self, tmp_path):
+        path = write(tmp_path, "t.csv", "a, b \n1,2\n\n  \n3,4\n")
+        header, rows = read_csv(path, "test file", "a,b", list)
+        assert header == ["a", "b"]
+        assert list(rows) == [(2, ["1", "2"]), (5, ["3", "4"])]
+
+    def test_header_pattern(self, tmp_path):
+        path = write(tmp_path, "t.csv", "date,x,y,node_label\n")
+        assert read_csv(path, "test file", "date,*,node_label", list)[0] == [
+            "date", "x", "y", "node_label"]
+        with pytest.raises(DataError, match=r"test file .*t\.csv: expected header date,\*"):
+            read_csv(path, "test file", "date,*,label", list)
+
+    @pytest.mark.parametrize("text,message", [
+        ("a,b\n1,2\n3\n", r"t\.csv: line 3: expected 2 fields, got 1"),
+        ("a,b\n1,2\n3,x\n", r"t\.csv: line 3: could not convert string to float: 'x'"),
+        ("", r"t\.csv is empty"),
+    ])
+    def test_errors_name_the_file_and_line(self, tmp_path, text, message):
+        path = write(tmp_path, "t.csv", text)
+        with pytest.raises(DataError, match=message):
+            list(read_csv(path, "test file", "a,b", lambda r: [float(v) for v in r])[1])
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n\xff\xfe,1\n")
+        with pytest.raises(DataError, match="cannot read test file"):
+            list(read_csv(str(path), "test file", "a,b", list)[1])

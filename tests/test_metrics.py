@@ -367,3 +367,13 @@ class TestRendering:
         assert "4 matched, 1 unmatched, 1 in-crisis" in detail
         assert "median_lead=1" in detail  # sorted [0,0,2,3] -> (0+2)/2
         assert text.endswith("\n")
+
+    @pytest.mark.parametrize("leads,shown", [
+        ([7, 1, 4], "median_lead=4"), ([9], "median_lead=9"),
+        ([1, 2], "median_lead=1.5"), ([], "median_lead=--")])
+    def test_summary_median_lead_of_odd_and_even_counts(self, leads, shown):
+        report = self._report()
+        report["models"]["logistic"]["lead_times"]["lead_times"] = leads
+        lines = summary_table(report).splitlines()
+        detail = lines[lines.index(next(l for l in lines if l.startswith("logistic"))) + 1]
+        assert detail.endswith(f"in-crisis  {shown}")
