@@ -3,7 +3,13 @@
 A snapshot at date t connects tickers i and j when the Spearman correlation
 of their last ``window`` daily log returns satisfies |rho| >= tau (boundary
 inclusive). Edges are undirected, stored once with i < j, and keep the
-signed rho as metadata. An optional sector layer links same-sector pairs.
+signed rho as their weight. An optional sector layer links same-sector pairs.
+
+Each layer is one packed edge array of ``EDGE_DTYPE`` (int32 ``i``, int32
+``j``, float64 ``w``): 16 bytes per edge, against about 100 for an
+``(int, int, float)`` tuple in a list. ``len(layer)`` counts its edges and
+``for i, j, w in layer`` unpacks them. The sector layer does not depend on
+the date, so every snapshot shares one read-only array of it.
 
 Correlations are Pearson correlations of average ranks, computed as
 num / sqrt(ssx * ssy) (single square root of the product) so rational
@@ -24,6 +30,7 @@ from .errors import DataError
 from .market_data import ReturnPanel
 
 GRAPH_FORMAT = "srr-graph-v2"
+EDGE_DTYPE = np.dtype([("i", np.int32), ("j", np.int32), ("w", np.float64)])
 
 __all__ = [
     "GraphSnapshot",
@@ -35,20 +42,23 @@ __all__ = [
     "write_snapshots_jsonl",
     "read_snapshots_jsonl",
     "GRAPH_FORMAT",
+    "EDGE_DTYPE",
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class GraphSnapshot:
-    """One market graph: layered edge lists over a fixed node order.
+    """One market graph: layered edge arrays over a fixed node order.
 
-    Node attributes are not stored here: they are the feature panel's rows
-    for ``date`` (``FeaturePanel.node_matrix``).
+    Each layer is an ``EDGE_DTYPE`` array of (i, j, w) edges, i and j indexing
+    ``node_ids``. Snapshots compare by identity, since arrays have no single
+    truth value. Node attributes are not stored here: they are the feature
+    panel's rows for ``date`` (``FeaturePanel.node_matrix``).
     """
 
     date: str
     node_ids: list[str]
-    layers: dict[str, list[tuple[int, int, float]]]
+    layers: dict[str, np.ndarray]  # layer name -> EDGE_DTYPE array
     graph_label: int | None = None  # None when the date has no forward label
 
     def n_nodes(self) -> int:
@@ -127,6 +137,8 @@ def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[i
             raise DataError(f"only {column[date] + 1} return observations at {date}, "
                             f"need {window}")
     iu, ju = np.triu_indices(len(returns.tickers), k=1)  # every pair i < j, row-major
+    pairs = np.zeros(len(iu), EDGE_DTYPE)
+    pairs["i"], pairs["j"] = iu, ju
     sector = None
     if sector_map is not None:
         unknown = sorted(set(sector_map) - set(returns.tickers))
@@ -134,7 +146,9 @@ def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[i
             raise DataError(f"sector map names unknown tickers: {', '.join(unknown)}")
         sectors = np.array([sector_map.get(t) for t in returns.tickers], dtype=object)
         same = np.not_equal(sectors[iu], None) & (sectors[iu] == sectors[ju])
-        sector = list(zip(iu[same].tolist(), ju[same].tolist(), np.ones(same.sum()).tolist()))
+        sector = pairs[same]
+        sector["w"] = 1.0
+        sector.flags.writeable = False  # one array, shared by every snapshot
 
     snapshots = []
     for date, label in zip(dates, graph_labels):
@@ -142,10 +156,11 @@ def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[i
         corr, _ = rank_correlation_matrix(returns.returns[:, r_end + 1 - window: r_end + 1])
         rho = corr[iu, ju]
         keep = np.abs(rho) >= tau
-        layers = {"correlation": list(zip(iu[keep].tolist(), ju[keep].tolist(),
-                                          rho[keep].tolist()))}
+        edges = pairs[keep]
+        edges["w"] = rho[keep]
+        layers = {"correlation": edges}
         if sector is not None:
-            layers["sector"] = list(sector)
+            layers["sector"] = sector
         snapshots.append(GraphSnapshot(date=date, node_ids=list(returns.tickers),
                                        layers=layers, graph_label=label))
     return snapshots
@@ -167,46 +182,83 @@ def build_sequences(snapshots: list[GraphSnapshot], k: int = 5, stride: int = 5)
 
 def write_snapshots_jsonl(snapshots: list[GraphSnapshot], path: str,
                           meta: dict | None = None) -> None:
-    """Line-delimited snapshots: a header record, then one record per date."""
+    """Line-delimited snapshots: a header record, then one record per date.
+
+    Each record line is the text ``json.dumps(record, sort_keys=True)`` gives
+    for ``{"date", "nodes", "layers", "graph_label"}`` with every edge as an
+    ``[i, j, w]`` array, assembled from parts: each ``[i, j, `` prefix is
+    formatted once per file and each distinct weight once per layer.
+    """
     header = {"format": GRAPH_FORMAT, "snapshots": len(snapshots)}
     if meta:
         header.update(meta)
+    prefixes: dict[int, np.ndarray] = {}  # node count -> (N, N) table of "[i, j, "
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for snap in snapshots:
-            record = {"date": snap.date, "nodes": snap.node_ids, "layers": snap.layers,
-                      "graph_label": snap.graph_label}  # edge tuples encode as JSON arrays
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            n = len(snap.node_ids)
+            if n not in prefixes:
+                prefixes[n] = np.array([[f"[{i}, {j}, " for j in range(n)] for i in range(n)],
+                                       dtype=object)
+            layers = ", ".join(f"{json.dumps(name)}: {_edges_json(snap, name, prefixes[n])}"
+                               for name in sorted(snap.layers))
+            fh.write(f'{{"date": {json.dumps(snap.date)}, '
+                     f'"graph_label": {json.dumps(snap.graph_label)}, '
+                     f'"layers": {{{layers}}}, "nodes": {json.dumps(snap.node_ids)}}}\n')
+
+
+def _edges_json(snap: GraphSnapshot, name: str, prefixes: np.ndarray) -> str:
+    """Layer ``name`` of ``snap`` as the JSON array of its ``[i, j, w]`` edges."""
+    edges = snap.layers[name]
+    if not len(edges):
+        return "[]"
+    i, j = edges["i"], edges["j"]
+    if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= len(prefixes):
+        raise DataError(f"snapshot {snap.date}: layer {name!r} has a node index outside "
+                        f"0..{len(prefixes) - 1}")
+    # Distinct bit patterns, not values, so -0.0 and 0.0 keep their own text.
+    bits, slot = np.unique(edges["w"].view(np.int64), return_inverse=True)
+    tails = np.array([json.dumps(w) + "]" for w in bits.view(np.float64).tolist()],
+                     dtype=object)
+    return "[" + ", ".join((prefixes[i, j] + tails[slot]).tolist()) + "]"
+
+
+def _edge_array(edges: list) -> np.ndarray:
+    """Decoded ``[[i, j, w], ...]`` as an EDGE_DTYPE array. The float64 detour is
+    exact: node indices are far below 2**53."""
+    cols = np.array(edges, dtype=np.float64).reshape(-1, 3).T
+    out = np.empty(cols.shape[1], EDGE_DTYPE)
+    out["i"], out["j"], out["w"] = cols
+    return out
 
 
 def read_snapshots_jsonl(path: str) -> tuple[list[GraphSnapshot], dict]:
+    """The snapshots and the header of a ``write_snapshots_jsonl`` file, each
+    layer decoded into an EDGE_DTYPE array."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty snapshot file")
-    # The records allocate a list and a tuple per edge and hold no cycles, so
-    # cyclic collection would only rescan them; it is paused while they load.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        header = json.loads(lines[0])
+        first = fh.readline()
+        if not first:
+            raise DataError(f"{path}: empty snapshot file")
+        header = json.loads(first)
         if header.get("format") != GRAPH_FORMAT:
             raise DataError(
                 f"{path}: expected format {GRAPH_FORMAT}, got {header.get('format')!r}"
             )
-        snapshots = []
-        for line in lines[1:]:
-            rec = json.loads(line)
-            snapshots.append(GraphSnapshot(
-                date=rec["date"],
-                node_ids=list(rec["nodes"]),
-                layers={
-                    name: [(int(i), int(j), float(w)) for i, j, w in edges]
-                    for name, edges in rec["layers"].items()
-                },
-                graph_label=rec["graph_label"],
-            ))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+        # Each decoded record holds a list per edge and no cycles, so cyclic
+        # collection would only rescan them; it is paused while they load.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            snapshots = []
+            for line in fh:  # one record at a time: the file text is never held whole
+                rec = json.loads(line)
+                snapshots.append(GraphSnapshot(
+                    date=rec["date"],
+                    node_ids=list(rec["nodes"]),
+                    layers={name: _edge_array(edges) for name, edges in rec["layers"].items()},
+                    graph_label=rec["graph_label"],
+                ))
+        finally:
+            if gc_was_enabled:
+                gc.enable()
     return snapshots, header

@@ -157,9 +157,10 @@ def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None
     for line_no, (day, ticker, price) in rows:
         rows_read += 1
         if not ticker:
-            raise DataError(f"line {line_no}: empty ticker")
+            raise DataError(f"price file {path}: line {line_no}: empty ticker")
         if not np.isfinite(price) or price <= 0.0:
-            raise DataError(f"line {line_no}: non-positive price {price!r} for {ticker}")
+            raise DataError(f"price file {path}: line {line_no}: non-positive price {price!r} "
+                            f"for {ticker}")
         if wanted is not None and ticker not in wanted:
             continue
         if start and day < start:
@@ -168,7 +169,8 @@ def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None
             continue
         series = per_ticker.setdefault(ticker, {})
         if day in series:
-            raise DataError(f"line {line_no}: duplicate observation for ({ticker}, {day})")
+            raise DataError(f"price file {path}: line {line_no}: duplicate observation for "
+                            f"({ticker}, {day})")
         series[day] = price
 
     if wanted is not None:
@@ -233,9 +235,9 @@ def read_universe_csv(path: str) -> dict[str, str]:
     universe: dict[str, str] = {}
     for line_no, (ticker, sector) in rows:
         if not ticker or not sector:
-            raise DataError(f"line {line_no}: empty ticker or sector")
+            raise DataError(f"universe file {path}: line {line_no}: empty ticker or sector")
         if ticker in universe:
-            raise DataError(f"line {line_no}: duplicate ticker {ticker}")
+            raise DataError(f"universe file {path}: line {line_no}: duplicate ticker {ticker}")
         universe[ticker] = sector
     if not universe:
         raise DataError(f"{path}: no universe rows")
@@ -253,9 +255,9 @@ def read_macro_csv(path: str) -> tuple[list[str], list[str], np.ndarray]:
     rows: dict[str, list[float]] = {}
     for line_no, (day, values) in lines:
         if day in rows:
-            raise DataError(f"line {line_no}: duplicate macro date {day}")
+            raise DataError(f"macro file {path}: line {line_no}: duplicate macro date {day}")
         if not all(np.isfinite(v) for v in values):
-            raise DataError(f"line {line_no}: non-finite macro value")
+            raise DataError(f"macro file {path}: line {line_no}: non-finite macro value")
         rows[day] = values
     if not rows:
         raise DataError(f"{path}: no macro rows")

@@ -79,9 +79,9 @@ def adjacency_from_snapshot(snapshot: GraphSnapshot, layers: tuple[str, ...] = (
     for name in layers:
         if name not in snapshot.layers:
             raise ShapeError(f"snapshot {snapshot.date} has no layer {name!r}")
-        edges = np.array(snapshot.layers[name], dtype=np.float64).reshape(-1, 3)
-        i, j = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp)
-        w = np.abs(edges[:, 2]) if weighted else np.ones(len(edges))
+        edges = snapshot.layers[name]
+        i, j = edges["i"], edges["j"]
+        w = np.abs(edges["w"]) if weighted else np.ones(len(edges))
         np.maximum.at(adj, (np.r_[i, j], np.r_[j, i]), np.r_[w, w])
     return adj
 

@@ -16,7 +16,11 @@ vectorized code replaced, copied verbatim (only the docstring of ``sigmoid``
 is corrected): the two-branch ``sigmoid``, the
 one-row ``average_ranks`` with the one-pair ``spearman`` (formerly
 ``graphs.spearman``) and the row loop of ``rank_correlation_matrix``,
-the one-date ``build_snapshot`` under ``build_snapshots``, the one-matrix
+the one-date ``build_snapshot`` under ``build_snapshots``, then the
+vectorized builder of ``(int, int, float)`` edge tuples that edge arrays
+replaced, as ``build_tuple_snapshots`` (its ``rank_correlation_matrix`` is
+the library's, as before), with the ``json.dumps`` writer of
+``write_snapshots_jsonl`` that the assembled-text writer replaced; the one-matrix
 ``gcn_normalize`` and the edge-by-edge ``adjacency_from_snapshot``; then the
 threshold-by-threshold split search of ``_grow_tree``, the row-by-row
 ``forest_predict``, the tensor-by-tensor ``adam_step`` with its per-name
@@ -34,10 +38,12 @@ timeline loop from ``cmd_evaluate``, wrapped as ``write_timeline`` (its
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from srr import graphs
 from srr import tensor as tz
 from srr.errors import DataError, NumericalError, ShapeError
 from srr.evaluation import _check_scored
@@ -390,6 +396,66 @@ def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[i
                        sector_map=sector_map)
         for date, label in zip(dates, graph_labels)
     ]
+
+
+def build_tuple_snapshots(returns: ReturnPanel, dates: list[str],
+                          graph_labels: list[int | None], window: int = 7, tau: float = 0.5,
+                          sector_map: dict[str, str] | None = None) -> list[GraphSnapshot]:
+    """One market graph per date, from the trailing return window ending there,
+    labeled by the matching entry of ``graph_labels`` (None where the date is
+    unlabeled). Feature dates always qualify: the feature warm-up leaves enough
+    trailing returns for any window up to it."""
+    if len(dates) != len(graph_labels):
+        raise DataError(f"{len(dates)} snapshot dates but {len(graph_labels)} graph labels")
+    if not (0.0 < tau <= 1.0):
+        raise DataError(f"tau must be in (0, 1], got {tau}")
+    if window < 3:
+        raise DataError(f"correlation window must be >= 3 days, got {window}")
+    column = {d: r for r, d in enumerate(returns.dates)}
+    for date in dates:
+        if date not in column:
+            raise DataError(f"{date} is not a return date of the panel")
+        if column[date] + 1 < window:
+            raise DataError(f"only {column[date] + 1} return observations at {date}, "
+                            f"need {window}")
+    iu, ju = np.triu_indices(len(returns.tickers), k=1)  # every pair i < j, row-major
+    sector = None
+    if sector_map is not None:
+        unknown = sorted(set(sector_map) - set(returns.tickers))
+        if unknown:
+            raise DataError(f"sector map names unknown tickers: {', '.join(unknown)}")
+        sectors = np.array([sector_map.get(t) for t in returns.tickers], dtype=object)
+        same = np.not_equal(sectors[iu], None) & (sectors[iu] == sectors[ju])
+        sector = list(zip(iu[same].tolist(), ju[same].tolist(), np.ones(same.sum()).tolist()))
+
+    snapshots = []
+    for date, label in zip(dates, graph_labels):
+        r_end = column[date]
+        corr, _ = graphs.rank_correlation_matrix(
+            returns.returns[:, r_end + 1 - window: r_end + 1])
+        rho = corr[iu, ju]
+        keep = np.abs(rho) >= tau
+        layers = {"correlation": list(zip(iu[keep].tolist(), ju[keep].tolist(),
+                                          rho[keep].tolist()))}
+        if sector is not None:
+            layers["sector"] = list(sector)
+        snapshots.append(GraphSnapshot(date=date, node_ids=list(returns.tickers),
+                                       layers=layers, graph_label=label))
+    return snapshots
+
+
+def write_snapshots_jsonl(snapshots: list[GraphSnapshot], path: str,
+                          meta: dict | None = None) -> None:
+    """Line-delimited snapshots: a header record, then one record per date."""
+    header = {"format": graphs.GRAPH_FORMAT, "snapshots": len(snapshots)}
+    if meta:
+        header.update(meta)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for snap in snapshots:
+            record = {"date": snap.date, "nodes": snap.node_ids, "layers": snap.layers,
+                      "graph_label": snap.graph_label}  # edge tuples encode as JSON arrays
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def gcn_normalize(adj: np.ndarray) -> np.ndarray:

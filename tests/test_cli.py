@@ -205,6 +205,16 @@ class TestLayersAndMacro:
         for name in COMPARABLE + ["macro.csv"]:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    def test_duplicate_universe_ticker_exits_two_naming_the_file(self, capsys, tmp_path):
+        make_workspace(tmp_path)  # writes prices.csv
+        data = write_layer_inputs(tmp_path)
+        with open(data["universe_csv"], "a", encoding="utf-8") as fh:
+            fh.write("SYN00,b\n")
+        cfg_path, _ = make_workspace(tmp_path, out_name="dup", data=data, graph=self.GRAPH)
+        assert main(["ingest", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert f"universe file {data['universe_csv']}: line 12: duplicate ticker SYN00" in err
+
     def test_edited_universe_stops_graphs(self, capsys, tmp_path):
         make_workspace(tmp_path)
         cfg_path, out = make_workspace(tmp_path, out_name="edited", n_days=260,

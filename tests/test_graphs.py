@@ -3,6 +3,7 @@ snapshot/sequence construction, and JSONL round-trips."""
 
 import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import pytest
 import oracles
 from srr.errors import DataError, ShapeError
 from srr.features import attach_labels, compute_features
-from srr.graphs import (GRAPH_FORMAT, average_ranks, build_sequences,
-                        build_snapshots, rank_correlation_matrix,
+from srr.graphs import (EDGE_DTYPE, GRAPH_FORMAT, GraphSnapshot, average_ranks,
+                        build_sequences, build_snapshots, rank_correlation_matrix,
                         read_snapshots_jsonl, write_snapshots_jsonl)
 from srr.market_data import PricePanel, ReturnPanel, log_returns
 from srr.synthetic import business_days, planted_regime_panel
@@ -102,6 +103,15 @@ class TestSpearman:  # the one-pair oracle of rank_correlation_matrix
                     assert abs(corr[i, j] - rho) < 1e-12
 
 
+def plain(snapshots):
+    """Each snapshot as Python values, a layer as its list of (int, int, float)
+    edges, whether it is an edge array or already a tuple list."""
+    return [(s.date, s.node_ids, s.graph_label,
+             {name: edges.tolist() if isinstance(edges, np.ndarray) else edges
+              for name, edges in s.layers.items()})
+            for s in snapshots]
+
+
 def hand_panels(return_rows, tickers):
     """ReturnPanel plus its last date, for snapshot tests."""
     returns = np.asarray(return_rows, dtype=np.float64)
@@ -127,14 +137,14 @@ class TestSnapshots:
         rp, date = hand_panels(
             [[1, 2, 3, 4, 5], [1, 2, 3, 4, 5], [7, 7, 7, 7, 7]], "ABC")
         snap = build_snapshots(rp, [date], [None], window=5, tau=0.5)[0]
-        assert snap.layers["correlation"] == [(0, 1, 1.0)]
+        assert snap.layers["correlation"].tolist() == [(0, 1, 1.0)]
 
     def test_sector_layer_links_same_sector_pairs(self):
         rp, date = hand_panels(np.eye(4, 5), "ABCD")
         snap = build_snapshots(rp, [date], [None], window=5, tau=0.99,
                                sector_map={"A": "tech", "B": "energy",
                                            "C": "tech", "D": "tech"})[0]
-        assert snap.layers["sector"] == [(0, 2, 1.0), (0, 3, 1.0), (2, 3, 1.0)]
+        assert snap.layers["sector"].tolist() == [(0, 2, 1.0), (0, 3, 1.0), (2, 3, 1.0)]
 
     def test_sector_map_rejects_unknown_ticker(self):
         rp, date = hand_panels(np.eye(3, 5), "ABC")
@@ -194,8 +204,8 @@ class TestAgainstPerElementLoops:
             got = build_snapshots(rp, dates, labels, window=7, tau=tau, sector_map=sector_map)
             want = oracles.build_snapshots(rp, dates, labels, window=7, tau=tau,
                                            sector_map=sector_map)
-            assert got == want
-            assert repr(got) == repr(want)  # the same Python int and float types too
+            assert plain(got) == plain(want)
+            assert repr(plain(got)) == repr(plain(want))  # the same int and float values too
 
     @pytest.mark.parametrize("dates,kw", [
         (["last"], {"tau": 0.0}), (["last"], {"tau": 1.5}), (["last"], {"window": 2}),
@@ -258,7 +268,10 @@ class TestJsonl:
         assert header["window"] == 7 and header["tau"] == 0.5
         for a, b in zip(snaps, back):
             assert a.date == b.date and a.node_ids == b.node_ids
-            assert a.layers == b.layers
+            assert a.layers.keys() == b.layers.keys()
+            for name, edges in a.layers.items():
+                assert b.layers[name].dtype == EDGE_DTYPE
+                assert b.layers[name].tobytes() == edges.tobytes()
             assert a.graph_label == b.graph_label
 
     def test_records_hold_the_graph_only(self, tmp_path):
@@ -307,4 +320,129 @@ class TestJsonl:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
-        assert back == snaps
+        assert plain(back) == plain(snaps)
+
+
+def planted_returns(n, seed, days=40):
+    """Returns on a coarse grid (ties) with a constant stretch in row 0 and
+    one in every row (empty correlation layers at any tau); the last five days of rows 0-3 rank as 1..5, (2, 4, 1, 3, 5), 5..1 and 1..5
+    again, so at window 5 rho is exactly 0.5, -1, 1, -0.5 and -1 among them."""
+    rng = np.random.default_rng(seed)
+    returns = np.round(rng.normal(scale=0.01, size=(n, days)), 3)
+    returns[0, 10:20] = 0.0
+    returns[:, 22:28] = 0.0
+    planted = np.array([[1, 2, 3, 4, 5], [2, 4, 1, 3, 5], [5, 4, 3, 2, 1], [2, 4, 6, 8, 10]])
+    returns[:min(n, 4), -5:] = planted[:n] * 1e-3
+    return ReturnPanel(tickers=[f"T{i:02d}" for i in range(n)],
+                       dates=business_days("2021-01-04", days), returns=returns)
+
+
+class TestArraysAgainstTuplePath:
+    """Edge arrays and the assembled-text writer against the tuple builder and
+    the ``json.dumps`` writer they replaced (``oracles``). The repr of a float
+    round-trips, so equal reprs mean bit-equal weights."""
+
+    @pytest.mark.parametrize("n,seed", [(2, 1), (5, 2), (23, 3), (44, 4)])
+    def test_edges_and_file_bytes_equal_the_tuple_path(self, n, seed, tmp_path):
+        rp = planted_returns(n, seed)
+        dates = rp.dates[4:]
+        rng = np.random.default_rng(seed)
+        labels = [None if k % 3 == 0 else int(rng.integers(0, 2)) for k in range(len(dates))]
+        sectors = {t: "ab"[i % 2] for i, t in enumerate(rp.tickers) if i % 3}
+        got_path, want_path = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+        for tau, sector_map in ((0.5, None), (0.5, sectors), (0.3, sectors), (1.0, None)):
+            got = build_snapshots(rp, dates, labels, window=5, tau=tau, sector_map=sector_map)
+            want = oracles.build_tuple_snapshots(rp, dates, labels, window=5, tau=tau,
+                                                 sector_map=sector_map)
+            assert all(e.dtype == EDGE_DTYPE for s in got for e in s.layers.values())
+            assert repr(plain(got)) == repr(plain(want))
+            meta = {"window": 5, "tau": tau}
+            write_snapshots_jsonl(got, str(got_path), meta=meta)
+            oracles.write_snapshots_jsonl(want, str(want_path), meta=meta)
+            assert got_path.read_bytes() == want_path.read_bytes()
+            back, _ = read_snapshots_jsonl(str(got_path))
+            for a, b in zip(got, back):
+                assert a.layers.keys() == b.layers.keys()
+                for name, edges in a.layers.items():
+                    assert b.layers[name].dtype == EDGE_DTYPE
+                    assert b.layers[name].tobytes() == edges.tobytes()
+            assert plain(back) == plain(got)
+            assert any(len(s.layers["correlation"]) == 0 for s in got)
+        last = build_snapshots(rp, dates[-1:], [None], window=5, tau=0.5)[0]
+        planted = {(0, 1): 0.5, (0, 2): -1.0, (0, 3): 1.0, (1, 2): -0.5, (2, 3): -1.0}
+        edges = {(i, j): w for i, j, w in last.layers["correlation"].tolist()}
+        assert all(edges[p] == w for p, w in planted.items() if max(p) < n)
+
+    def test_writer_bytes_on_hand_made_layers(self, tmp_path):
+        edges = [(0, 1, -0.0), (1, 0, 0.0), (2, 1, 5e-324), (0, 2, 1e300), (0, 1, 0.1),
+                 (0, 1, 0.1), (1, 2, -1.0), (2, 2, 1 / 3)]
+        snaps = [GraphSnapshot(date="2021-01-04", node_ids=["Ä", "B\u2028", 'C"\\'],
+                               layers={"zeta": np.array(edges, EDGE_DTYPE),
+                                       "correlation": np.array([], EDGE_DTYPE),
+                                       "alpha": np.array(edges[::-1], EDGE_DTYPE)},
+                               graph_label=label)
+                 for label in (None, 0, 1)]
+        tuples = [GraphSnapshot(s.date, s.node_ids, {k: v.tolist() for k, v in s.layers.items()},
+                                s.graph_label) for s in snaps]
+        got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+        write_snapshots_jsonl(snaps, str(got), meta={"note": "é"})
+        oracles.write_snapshots_jsonl(tuples, str(want), meta={"note": "é"})
+        assert got.read_bytes() == want.read_bytes()
+        back, _ = read_snapshots_jsonl(str(got))
+        assert all(b.layers[k].tobytes() == a.layers[k].tobytes()
+                   for a, b in zip(snaps, back) for k in a.layers)
+        assert plain(back) == plain(snaps)
+
+    @pytest.mark.parametrize("edge", [(-1, 1, 0.5), (0, 3, 0.5)])
+    def test_writer_refuses_a_node_index_out_of_range(self, tmp_path, edge):
+        snap = GraphSnapshot("2021-01-04", ["A", "B", "C"],
+                             {"correlation": np.array([edge], EDGE_DTYPE)})
+        with pytest.raises(DataError, match=r"layer 'correlation' has a node index outside 0\.\.2"):
+            write_snapshots_jsonl([snap], str(tmp_path / "g.jsonl"))
+
+
+class TestMemory:
+    BOUND = 48  # bytes per edge; an (int, int, float) tuple in a list takes about 100
+
+    @staticmethod
+    def peak_bytes(fn):
+        """Peak traced allocation while ``fn`` runs, above what was live before it."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_build_and_load_stay_under_the_per_edge_bound(self, tmp_path):
+        dates, tickers, raw = planted_regime_panel(n_tickers=30, n_days=400, seed=5)
+        returns = log_returns(PricePanel(tickers=tickers, dates=dates, prices=raw))
+        days = returns.dates[6:]
+        kw = dict(window=7, tau=0.5)  # correlation edges only: each its own tuple in the old path
+        path = str(tmp_path / "graphs.jsonl")
+
+        snaps, built = self.peak_bytes(lambda: build_snapshots(returns, days, [None] * len(days),
+                                                               **kw))
+        n_edges = sum(len(e) for s in snaps for e in s.layers.values())
+        assert n_edges > 50_000
+        assert built <= self.BOUND * n_edges, built / n_edges
+        write_snapshots_jsonl(snaps, path)
+        del snaps
+        (back, _), loaded = self.peak_bytes(lambda: read_snapshots_jsonl(path))
+        assert sum(len(e) for s in back for e in s.layers.values()) == n_edges
+        assert loaded <= self.BOUND * n_edges, loaded / n_edges
+        # the same measure catches tuples coming back
+        _, tuples = self.peak_bytes(lambda: oracles.build_tuple_snapshots(
+            returns, days, [None] * len(days), **kw))
+        assert tuples > 1.5 * self.BOUND * n_edges, tuples / n_edges
+
+    def test_sector_layer_is_one_read_only_array(self):
+        rp = planted_returns(6, 0)
+        snaps = build_snapshots(rp, rp.dates[4:], [None] * (len(rp.dates) - 4), window=5,
+                                sector_map={t: "x" for t in rp.tickers})
+        sector = snaps[0].layers["sector"]
+        assert len(sector) == 15 and all(s.layers["sector"] is sector for s in snaps)
+        with pytest.raises(ValueError, match="read-only"):
+            sector["w"][0] = 2.0
+        assert sector["w"].tolist() == [1.0] * 15

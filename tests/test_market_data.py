@@ -163,6 +163,31 @@ class TestReturnsAndRoundTrip:
         assert np.array_equal(panel2.prices, panel.prices)
 
 
+class TestRowErrorsNameTheirFile:
+    @pytest.mark.parametrize("reader,what,text,message", [
+        (ingest_csv, "price file", BASE + "2020-01-01,A,1\n2020-01-01, ,2\n",
+         "line 3: empty ticker"),
+        (ingest_csv, "price file", BASE + "2020-01-01,A,-3\n",
+         "line 2: non-positive price -3.0 for A"),
+        (ingest_csv, "price file", BASE + "2020-01-01,A,1\n2020-01-01,A,2\n",
+         "line 3: duplicate observation for (A, 2020-01-01)"),
+        (read_universe_csv, "universe file", "ticker,sector\nA,Tech\n,Energy\n",
+         "line 3: empty ticker or sector"),
+        (read_universe_csv, "universe file", "ticker,sector\nA,Tech\nA,Energy\n",
+         "line 3: duplicate ticker A"),
+        (read_macro_csv, "macro file", "date,vix\n2020-01-01,15.5\n2020-01-01,16.0\n",
+         "line 3: duplicate macro date 2020-01-01"),
+        (read_macro_csv, "macro file", "date,vix\n2020-01-01,nan\n",
+         "line 2: non-finite macro value"),
+    ], ids=["empty-ticker", "bad-price", "duplicate-observation", "empty-sector",
+            "duplicate-ticker", "duplicate-date", "non-finite-macro"])
+    def test_message_is_what_path_line(self, tmp_path, reader, what, text, message):
+        path = write(tmp_path, "t.csv", text)
+        with pytest.raises(DataError) as err:
+            reader(path)
+        assert str(err.value) == f"{what} {path}: {message}"
+
+
 class TestUniverseAndMacro:
     def test_universe_reader(self, tmp_path):
         path = write(tmp_path, "u.csv", "ticker,sector\nA,Tech\nB,Energy\n")

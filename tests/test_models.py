@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from srr.errors import DataError, NumericalError, ShapeError
-from srr.graphs import GraphSnapshot
+from srr.graphs import EDGE_DTYPE, GraphSnapshot
 from srr.models import (MODEL_FORMAT, ModelState, adjacency_from_snapshot,
                         day_feature_matrix, day_feature_names, deserialize,
                         forest_fit, forest_predict, gcn_backward, gcn_embed,
@@ -86,9 +86,9 @@ class TestNormalization:
 
 
 def snapshot_for(n, edges, sector_edges=None, date="2021-03-01"):
-    layers = {"correlation": edges}
+    layers = {"correlation": np.array(edges, dtype=EDGE_DTYPE)}
     if sector_edges is not None:
-        layers["sector"] = sector_edges
+        layers["sector"] = np.array(sector_edges, dtype=EDGE_DTYPE)
     return GraphSnapshot(date=date, node_ids=[f"T{i}" for i in range(n)], layers=layers)
 
 
