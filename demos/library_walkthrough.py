@@ -14,7 +14,7 @@ import numpy as np
 from srr.config import Config, ModelConfig
 from srr.evaluation import compute_metrics, lead_times
 from srr.features import attach_labels, compute_features, standardize
-from srr.graphs import build_sequences, build_snapshots
+from srr.graphs import build_snapshots
 from srr.market_data import PricePanel, log_returns
 from srr.models import parameter_count
 from srr.synthetic import planted_regime_panel
@@ -73,8 +73,7 @@ def main():
           "makes an edge")
     print(f"edges per day: min {min(edge_counts)}, median "
           f"{int(np.median(edge_counts))}, max {max(edge_counts)}")
-    sequences = build_sequences(snapshots, k=5, stride=5)
-    print(f"{len(sequences)} length-5 snapshot sequences for the temporal model")
+    print("the temporal model reads windows of 5 consecutive snapshots on the stride grid")
 
     section("7. Training four model families")
     bundle = DataBundle(panel=feats, snapshots=snapshots, split=split)

@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -32,7 +31,8 @@ from .features import (FeaturePanel, Standardization, apply_standardization,
 from .graphs import (GraphSnapshot, build_snapshots, read_snapshots_jsonl,
                      write_snapshots_jsonl)
 from .market_data import (PricePanel, ingest_csv, log_returns, read_csv, read_macro_csv,
-                          read_universe_csv, write_csv, write_macro_csv, write_panel_csv)
+                          read_universe_csv, sha256_file, write_csv, write_macro_csv,
+                          write_panel_csv)
 from .models.baselines import day_feature_names
 from .models.state import deserialize, parameter_count, serialize
 from .plots import grouped_bar_chart, hbar_chart, line_chart
@@ -44,14 +44,6 @@ STAGES = ("ingest", "features", "graphs", "train", "evaluate", "report")
 
 
 # -- small file helpers -------------------------------------------------------
-
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -87,7 +79,7 @@ class Run:
             "config_hash": self.hash,
             "seed": self.cfg.seed,
             "inputs": inputs,
-            "outputs": {name: _sha256_file(self.path(name)) for name in outputs},
+            "outputs": {name: sha256_file(self.path(name)) for name in outputs},
         })
 
     def require(self, stage: str, upstream: str, files: list[str]) -> dict[str, str]:
@@ -106,7 +98,7 @@ class Run:
             raise DataError(
                 f"artifacts from stage '{upstream}' are stale "
                 f"(config or seed changed); rerun `srr {upstream}`")
-        hashes = {name: _sha256_file(self.path(name)) for name in files}
+        hashes = {name: sha256_file(self.path(name)) for name in files}
         for name, digest in hashes.items():
             recorded = man.get("outputs", {}).get(name)
             if recorded is not None and digest != recorded:
@@ -145,7 +137,7 @@ def cmd_ingest(run: Run) -> PricePanel:
 
     inputs = {cfg.data.prices_csv: provenance["sha256"]}
     if cfg.data.universe_csv is not None:
-        inputs[cfg.data.universe_csv] = _sha256_file(cfg.data.universe_csv)
+        inputs[cfg.data.universe_csv] = sha256_file(cfg.data.universe_csv)
     run.write_manifest("ingest", inputs,
                        ["prices.csv", "provenance.json", "universe.json"])
     print(f"ingest: {len(panel.tickers)} tickers x {len(panel.dates)} dates -> "
@@ -212,7 +204,7 @@ def cmd_features(run: Run, panel: PricePanel | None = None
     if macro_src is not None:
         write_macro_csv(run.path("macro.csv"), fpanel.dates, fpanel.macro_names, fpanel.macro)
         outputs.append("macro.csv")
-        inputs[macro_src] = _sha256_file(macro_src)
+        inputs[macro_src] = sha256_file(macro_src)
     run.write_manifest("features", inputs, outputs)
     print(f"features: {len(fpanel.dates)} dates x {len(fpanel.names)} features, "
           f"{len(split.train_dates)} train / {len(split.test_dates)} test days")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import gc
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,11 +34,9 @@ EDGE_DTYPE = np.dtype([("i", np.int32), ("j", np.int32), ("w", np.float64)])
 
 __all__ = [
     "GraphSnapshot",
-    "GraphSequence",
     "average_ranks",
     "rank_correlation_matrix",
     "build_snapshots",
-    "build_sequences",
     "write_snapshots_jsonl",
     "read_snapshots_jsonl",
     "GRAPH_FORMAT",
@@ -60,24 +58,6 @@ class GraphSnapshot:
     node_ids: list[str]
     layers: dict[str, np.ndarray]  # layer name -> EDGE_DTYPE array
     graph_label: int | None = None  # None when the date has no forward label
-
-    def n_nodes(self) -> int:
-        return len(self.node_ids)
-
-
-@dataclass
-class GraphSequence:
-    """k consecutive sampled snapshots; labeled by the final one."""
-
-    snapshots: list[GraphSnapshot]
-    date: str = field(init=False)
-    graph_label: int | None = field(init=False)
-
-    def __post_init__(self):
-        if not self.snapshots:
-            raise DataError("a graph sequence needs at least one snapshot")
-        self.date = self.snapshots[-1].date
-        self.graph_label = self.snapshots[-1].graph_label
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
@@ -150,6 +130,7 @@ def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[i
         sector["w"] = 1.0
         sector.flags.writeable = False  # one array, shared by every snapshot
 
+    node_ids = list(returns.tickers)  # one list, shared by every snapshot
     snapshots = []
     for date, label in zip(dates, graph_labels):
         r_end = column[date]
@@ -161,21 +142,9 @@ def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[i
         layers = {"correlation": edges}
         if sector is not None:
             layers["sector"] = sector
-        snapshots.append(GraphSnapshot(date=date, node_ids=list(returns.tickers),
-                                       layers=layers, graph_label=label))
+        snapshots.append(GraphSnapshot(date=date, node_ids=node_ids, layers=layers,
+                                       graph_label=label))
     return snapshots
-
-
-def build_sequences(snapshots: list[GraphSnapshot], k: int = 5, stride: int = 5) -> list[GraphSequence]:
-    """Subsample every ``stride`` dates (grid anchored at the first snapshot),
-    then slide a window of k consecutive sampled snapshots; each window is one
-    sequence labeled by its final snapshot."""
-    if k < 1:
-        raise DataError(f"sequence length k must be >= 1, got {k}")
-    if stride < 1:
-        raise DataError(f"stride must be >= 1, got {stride}")
-    sampled = snapshots[::stride]
-    return [GraphSequence(snapshots=sampled[s:s + k]) for s in range(len(sampled) - k + 1)]
 
 
 # -- serialization ---------------------------------------------------------
@@ -223,18 +192,24 @@ def _edges_json(snap: GraphSnapshot, name: str, prefixes: np.ndarray) -> str:
     return "[" + ", ".join((prefixes[i, j] + tails[slot]).tolist()) + "]"
 
 
-def _edge_array(edges: list) -> np.ndarray:
+def _edge_array(edges: list, n: int, where: str) -> np.ndarray:
     """Decoded ``[[i, j, w], ...]`` as an EDGE_DTYPE array. The float64 detour is
-    exact: node indices are far below 2**53."""
-    cols = np.array(edges, dtype=np.float64).reshape(-1, 3).T
-    out = np.empty(cols.shape[1], EDGE_DTYPE)
-    out["i"], out["j"], out["w"] = cols
+    exact: node indices are far below 2**53. Refuses any edge that breaks
+    0 <= i < j < n, so no index can wrap or land on the diagonal."""
+    i, j, w = np.array(edges, dtype=np.float64).reshape(-1, 3).T
+    bad = ~((0 <= i) & (i < j) & (j < n) & (i == np.floor(i)) & (j == np.floor(j)))
+    if bad.any():
+        e = np.flatnonzero(bad)[0]
+        raise DataError(f"{where}: edge {edges[e]!r} breaks 0 <= i < j < {n}")
+    out = np.empty(len(w), EDGE_DTYPE)
+    out["i"], out["j"], out["w"] = i, j, w
     return out
 
 
 def read_snapshots_jsonl(path: str) -> tuple[list[GraphSnapshot], dict]:
     """The snapshots and the header of a ``write_snapshots_jsonl`` file, each
-    layer decoded into an EDGE_DTYPE array."""
+    layer decoded into an EDGE_DTYPE array. Consecutive records with the same
+    nodes share one ``node_ids`` list."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first:
@@ -249,15 +224,16 @@ def read_snapshots_jsonl(path: str) -> tuple[list[GraphSnapshot], dict]:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            snapshots = []
-            for line in fh:  # one record at a time: the file text is never held whole
+            snapshots, node_ids = [], None
+            for line_no, line in enumerate(fh, start=2):  # the file text is never held whole
                 rec = json.loads(line)
-                snapshots.append(GraphSnapshot(
-                    date=rec["date"],
-                    node_ids=list(rec["nodes"]),
-                    layers={name: _edge_array(edges) for name, edges in rec["layers"].items()},
-                    graph_label=rec["graph_label"],
-                ))
+                if rec["nodes"] != node_ids:
+                    node_ids = rec["nodes"]
+                layers = {name: _edge_array(edges, len(node_ids),
+                                            f"{path}: line {line_no}: layer {name!r}")
+                          for name, edges in rec["layers"].items()}
+                snapshots.append(GraphSnapshot(date=rec["date"], node_ids=node_ids,
+                                               layers=layers, graph_label=rec["graph_label"]))
         finally:
             if gc_was_enabled:
                 gc.enable()

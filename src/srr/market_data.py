@@ -25,6 +25,7 @@ __all__ = [
     "ReturnPanel",
     "ingest_csv",
     "is_iso_date",
+    "sha256_file",
     "log_returns",
     "write_panel_csv",
     "read_universe_csv",
@@ -73,6 +74,15 @@ def is_iso_date(value) -> bool:
         return _date.fromisoformat(value).isoformat() == value
     except (TypeError, ValueError):
         return False
+
+
+def sha256_file(path: str) -> str:
+    """Hex SHA-256 of a file's bytes, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _check_plain(what: str, names, path: str) -> None:
@@ -148,9 +158,6 @@ def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None
         raise DataError(f"ingest_csv: start {start} is after end {end}")
     _, rows = read_csv(path, "price file", "date,ticker,adj_close", lambda r: (
         _date.fromisoformat(r[0].strip()).isoformat(), r[1].strip(), float(r[2])))
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-
     wanted = set(tickers) if tickers else None
     per_ticker: dict[str, dict[str, float]] = {}
     rows_read = 0
@@ -202,7 +209,7 @@ def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None
     panel = PricePanel(tickers=tickers, dates=dates, prices=prices, universe_meta=meta)
     manifest = {
         "source": str(path),
-        "sha256": digest,
+        "sha256": sha256_file(path),
         "rows_read": rows_read,
         "rows_kept": int(prices.size),
         "dates_dropped": len(all_dates) - len(dates),

@@ -13,15 +13,17 @@ by the normalization); an optional weighted mode uses |rho| edge weights.
 Gradients are composed by hand in reverse order; no autodiff tape exists
 anywhere in the package.
 
-Every pass runs over leading batch axes, A_hat (..., N, N) and A_hat X
-(..., N, F), e.g. B x k x N x N for a mini-batch of sequences; an unbatched
-graph has no leading axes. The encoder takes A_hat X rather than X: it does
-not depend on the parameters, so a caller computes it once per snapshot.
-Every GEMM is per graph, and the weight gradients are the per-graph
-products summed over the batch (see ``tensor``). The backward pass uses
-A_hat as its own transpose: ``gcn_normalize`` makes it exactly symmetric.
-Nothing here scans for NaN/Inf; the loss, ``adam_step`` and the scored
-probabilities raise ``NumericalError`` on non-finite values.
+Both graph models share one call signature, ``forward(a_hat, ax, rows,
+params) -> (probs, cache)`` and ``backward(dlogits, cache, params) ->
+grads``: ``a_hat`` (G, N, N) and ``ax`` = A_hat X (G, N, F) stack distinct
+graphs, each encoded once, and the (S, k) integer ``rows`` name the graphs
+each sample reads, oldest first (here k = 1). A_hat X does not depend on
+the parameters, so a caller computes it once per snapshot. Every GEMM is
+per graph, and the weight gradients are the per-graph products summed over
+the batch (see ``tensor``). The backward pass uses A_hat as its own
+transpose: ``gcn_normalize`` makes it exactly symmetric. Nothing here
+scans for NaN/Inf; the loss, ``adam_step`` and the scored probabilities
+raise ``NumericalError`` on non-finite values.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ __all__ = [
     "gcn_forward",
     "gcn_backward",
 ]
-
-GCN_TENSORS = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
-
 
 def gcn_normalize(adj: np.ndarray) -> np.ndarray:
     """Symmetric renormalized adjacency D^{-1/2}(A+I)D^{-1/2} of every matrix
@@ -74,7 +73,7 @@ def adjacency_from_snapshot(snapshot: GraphSnapshot, layers: tuple[str, ...] = (
     (sector edges stay at 1), and a pair present in several layers takes
     the maximum weight.
     """
-    n = snapshot.n_nodes()
+    n = len(snapshot.node_ids)
     adj = np.zeros((n, n), dtype=np.float64)
     for name in layers:
         if name not in snapshot.layers:
@@ -128,32 +127,27 @@ def gcn_embed_backward(dz: np.ndarray, cache: dict, params: dict) -> dict[str, n
     return grads
 
 
-def gcn_forward(a_hat: np.ndarray, ax: np.ndarray, params: dict,
-                rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Full classifier pass on ``a_hat`` and ``ax`` = ``a_hat @ x``; returns
-    (embeddings, probs, cache).
-
-    Without ``rows`` each graph of the batch is one sample; with ``rows``
-    (integers into the graphs' leading axis) each graph is encoded once and
-    sample i reads graph ``rows[i]``.
-    """
+def gcn_forward(a_hat: np.ndarray, ax: np.ndarray, rows: np.ndarray,
+                params: dict) -> tuple[np.ndarray, dict]:
+    """Probabilities of the snapshot samples ``rows`` (S x 1) of the graph
+    stacks ``a_hat`` and ``ax`` = ``a_hat @ x``: each graph is encoded once
+    and sample s reads graph ``rows[s, 0]``. Returns (probs (S,), cache)."""
     emb, enc_cache = gcn_embed(a_hat, ax, params)
-    z = emb if rows is None else emb[rows]
+    read = rows[:, 0]
+    z = emb[read]
     pre3 = tz.linear(z, params["w3"], params["b3"])
     h3 = tz.relu(pre3)
-    logit = tz.linear(h3, params["w4"], params["b4"])[..., 0]
-    cache = {"enc": enc_cache, "z": z, "pre3": pre3, "h3": h3, "rows": rows, "n_emb": len(emb)}
-    return z, tz.sigmoid(logit), cache
+    logit = tz.linear(h3, params["w4"], params["b4"])[:, 0]
+    cache = {"enc": enc_cache, "z": z, "pre3": pre3, "h3": h3, "read": read, "n_emb": len(emb)}
+    return tz.sigmoid(logit), cache
 
 
-def gcn_backward(dlogit, cache: dict, params: dict) -> dict[str, np.ndarray]:
+def gcn_backward(dlogit: np.ndarray, cache: dict, params: dict) -> dict[str, np.ndarray]:
     """Gradients for all eight tensors, summed over the batch, given d loss / d logits."""
     d = np.asarray(dlogit, dtype=np.float64)[..., None]
     grads = dict(zip(("w4", "b4"), tz.linear_grads(cache["h3"], d)))
     dpre3 = (d @ params["w4"].T) * (cache["pre3"] > 0.0)
     grads["w3"], grads["b3"] = tz.linear_grads(cache["z"], dpre3)
-    dz = dpre3 @ params["w3"].T
-    if cache["rows"] is not None:
-        dz = tz.scatter_rows(dz, cache["rows"], cache["n_emb"])
+    dz = tz.scatter_rows(dpre3 @ params["w3"].T, cache["read"], cache["n_emb"])
     grads.update(gcn_embed_backward(dz, cache["enc"], params))
     return grads

@@ -11,7 +11,7 @@ Layout, byte for byte:
                     in header order
 
 Every numeric parameter lives in a named tensor; forest trees are packed as
-(n_nodes x 7) node tables (see baselines). Serialization round-trips
+(tree nodes x 7) tables (see baselines). Serialization round-trips
 bit-exactly: deserialize(serialize(s)) compares equal array by array.
 """
 

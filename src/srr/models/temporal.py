@@ -15,14 +15,13 @@ Gate equations (x = embedding, h = previous hidden):
 Training is end to end: the backward pass runs through time and through
 every snapshot encoder, accumulating into one shared set of GCN gradients.
 
-A mini-batch of B sequences of k snapshots is A_hat (B, k, N, N) and
-A_hat X (B, k, N, F), the encoder's input (see ``gcn``): the encoder runs
-once over all B*k graphs and each GRU step once over the (B, hidden) state;
-an unbatched sequence has no leading axes. Scoring passes each distinct
-snapshot once, as (G, N, N) and (G, N, F), with (S, k) ``rows`` naming each
-sequence's snapshots. Nothing here scans for NaN/Inf; the loss,
-``adam_step`` and the scored probabilities raise ``NumericalError`` on
-non-finite values.
+The call signature is the snapshot GCN's (see ``gcn``): a batch of S
+sequences is the distinct snapshots they read, A_hat (G, N, N) and A_hat X
+(G, N, F), with (S, k) ``rows`` naming each sequence's snapshots, oldest
+first. The encoder runs once over the G graphs and each GRU step once over
+the (S, hidden) state, and one parameter dict holds both the encoder and
+the GRU tensors. Nothing here scans for NaN/Inf; the loss, ``adam_step``
+and the scored probabilities raise ``NumericalError`` on non-finite values.
 """
 
 from __future__ import annotations
@@ -78,42 +77,34 @@ def gru_step_backward(dh_new: np.ndarray, cache: dict, params: dict,
     return dx, dh
 
 
-def temporal_forward(a_hat: np.ndarray, ax: np.ndarray, gcn_params: dict, gru_params: dict,
-                     rows: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
-    """Probabilities of a batch of snapshot sequences, oldest snapshot first.
-
-    Without ``rows``, ``a_hat`` is (..., k, N, N) and ``ax`` = ``a_hat @ x``
-    (..., k, N, F): one sequence per leading index. With ``rows`` (S x k
-    integers), ``a_hat`` (G, N, N) and ``ax`` (G, N, F) hold distinct
-    snapshots, each encoded once, and sequence s reads snapshots ``rows[s]``.
-    """
-    emb, enc_cache = gcn_embed(a_hat, ax, gcn_params)
-    seq = emb if rows is None else emb[rows]
-    h = np.zeros(seq.shape[:-2] + (gru_params["w_out"].shape[0],))
+def temporal_forward(a_hat: np.ndarray, ax: np.ndarray, rows: np.ndarray,
+                     params: dict) -> tuple[np.ndarray, dict]:
+    """Probabilities of the sequences ``rows`` (S x k) of the graph stacks
+    ``a_hat`` and ``ax`` = ``a_hat @ x``: each graph is encoded once and
+    sequence s reads graphs ``rows[s]``, oldest first. Returns (probs (S,), cache)."""
+    emb, enc_cache = gcn_embed(a_hat, ax, params)
+    seq = emb[rows]
+    h = np.zeros((len(seq), params["w_out"].shape[0]))
     step_caches = []
-    for t in range(seq.shape[-2]):
-        h, step_cache = gru_step(seq[..., t, :], h, gru_params)
+    for t in range(seq.shape[1]):
+        h, step_cache = gru_step(seq[:, t], h, params)
         step_caches.append(step_cache)
-    logit = h @ gru_params["w_out"][:, 0] + gru_params["b_out"][0]
+    logit = h @ params["w_out"][:, 0] + params["b_out"][0]
     cache = {"enc": enc_cache, "steps": step_caches, "h_final": h, "rows": rows,
-             "seq_shape": seq.shape, "n_emb": len(emb)}
+             "n_emb": len(emb)}
     return tz.sigmoid(logit), cache
 
 
-def temporal_backward(dlogit, cache: dict, gcn_params: dict,
-                      gru_params: dict) -> tuple[dict, dict]:
-    """Backward through head, time, and every shared encoder.
-
-    Returns (gcn_grads, gru_grads), summed over the batch. The two parameter
-    dicts may be one dict holding both groups.
-    """
-    gru_grads = {name: np.zeros_like(gru_params[name]) for name in GRU_TENSORS}
+def temporal_backward(dlogit: np.ndarray, cache: dict, params: dict) -> dict[str, np.ndarray]:
+    """Backward through head, time, and every shared encoder: the gradients
+    of the encoder and GRU tensors, summed over the batch, in one dict."""
+    grads = {name: np.zeros_like(params[name]) for name in GRU_TENSORS}
     d = np.asarray(dlogit, dtype=np.float64)[..., None]
-    gru_grads["w_out"], gru_grads["b_out"] = tz.linear_grads(cache["h_final"], d)
-    dh = d * gru_params["w_out"][:, 0]
-    dseq = np.empty(cache["seq_shape"])
+    grads["w_out"], grads["b_out"] = tz.linear_grads(cache["h_final"], d)
+    dh = d * params["w_out"][:, 0]
+    dseq = np.empty(cache["rows"].shape + params["wz"].shape[:1])  # (S, k, embedding)
     for t in reversed(range(len(cache["steps"]))):
-        dseq[..., t, :], dh = gru_step_backward(dh, cache["steps"][t], gru_params, gru_grads)
-    if cache["rows"] is not None:
-        dseq = tz.scatter_rows(dseq, cache["rows"], cache["n_emb"])
-    return gcn_embed_backward(dseq, cache["enc"], gcn_params), gru_grads
+        dseq[:, t], dh = gru_step_backward(dh, cache["steps"][t], params, grads)
+    dseq = tz.scatter_rows(dseq, cache["rows"], cache["n_emb"])
+    grads.update(gcn_embed_backward(dseq, cache["enc"], params))
+    return grads

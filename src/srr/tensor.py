@@ -1,9 +1,9 @@
 """Dense float64 kernel: batched linear maps, activations, losses, Adam, seeded RNG.
 
 The feature axis is last and every axis before it is a batch axis, e.g.
-B x k x N x F node features; an unbatched call has no leading axes.
+G x N x F node-feature stacks; an unbatched call has no leading axes.
 :func:`linear` and :func:`linear_grads` run one GEMM per N x F matrix of a
-stack, never one over the stack reshaped to (B*k*N) x F: OpenBLAS hands a
+stack, never one over the stack reshaped to (G*N) x F: OpenBLAS hands a
 GEMM of more than 2^18 multiply-adds to its thread pool, and at mini-batch
 sizes waking the pool costs more than the arithmetic (reshaped, temporal
 training on 44 tickers burned 1.7-1.9 CPU seconds per wall second on two

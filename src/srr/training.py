@@ -15,8 +15,9 @@ range). Model families and their sample grids:
 Both graph kinds read each stride-grid snapshot as (A_hat, A_hat X): its
 normalized adjacency, and that times the panel's node-feature rows X for its
 date, the encoder's parameter-free first product. Each time a kind is
-trained or scored, its side's samples become index rows into one stack that
-holds each snapshot they read once, so each mini-batch runs one batched
+trained or scored, its side's samples become (S, k) index rows into one
+stack that holds each snapshot they read once, the input of both kinds'
+``forward(a_hat, ax, rows, params)``, so each mini-batch runs one batched
 forward and backward, and scoring encodes each snapshot once.
 GNNs train with seeded shuffled mini-batches and a fixed epoch count; Adam
 updates one flat parameter vector in place, and the parameters from the
@@ -35,7 +36,7 @@ from .config import Config, ModelConfig
 from .errors import DataError, NumericalError
 from . import tensor as tz
 from .features import FeaturePanel
-from .graphs import GraphSnapshot, build_sequences
+from .graphs import GraphSnapshot
 from .models import (
     ModelState,
     adjacency_from_snapshot,
@@ -144,13 +145,20 @@ class _GraphSamples(NamedTuple):
 
 def _graph_samples(bundle: DataBundle, hyper: dict, side: str) -> _GraphSamples | None:
     """The labeled ``side`` sequences of k stride-grid snapshots, or None when
-    there are none; a snapshot sample is the k = 1 sequence."""
-    sequences = [seq for seq in build_sequences(bundle.snapshots, k=hyper.get("k", 1),
-                                                stride=hyper["stride"])
-                 if seq.graph_label is not None and bundle.split.side(seq.date) == side]
-    if not sequences:
+    there are none; a snapshot sample is the k = 1 sequence. A sequence is a
+    window of k consecutive grid points, labeled by its last snapshot."""
+    snapshots, k = bundle.snapshots, hyper.get("k", 1)
+    grid = np.arange(0, len(snapshots), hyper["stride"])
+    if len(grid) < k:
         return None
-    read = list({id(s): s for seq in sequences for s in seq.snapshots}.values())  # first-read order
+    windows = np.lib.stride_tricks.sliding_window_view(grid, k)
+    ends = [snapshots[t] for t in windows[:, -1]]
+    keep = [s.graph_label is not None and bundle.split.side(s.date) == side for s in ends]
+    if not any(keep):
+        return None
+    # Each window starts after the one before it, so sorted indices are first-read order.
+    read, rows = np.unique(windows[keep], return_inverse=True)
+    read, ends = [snapshots[t] for t in read], [s for s, kept in zip(ends, keep) if kept]
     panel, layers, weighted = bundle.panel, tuple(hyper["layers"]), hyper["weighted_adjacency"]
     position = {d: t for t, d in enumerate(panel.dates)}
     for snap in read:
@@ -160,10 +168,8 @@ def _graph_samples(bundle: DataBundle, hyper: dict, side: str) -> _GraphSamples 
     a_hat = gcn_normalize(np.stack([adjacency_from_snapshot(s, layers=layers, weighted=weighted)
                                     for s in read]))
     ax = a_hat @ np.stack([panel.node_matrix(position[s.date]) for s in read])
-    slot = {id(s): g for g, s in enumerate(read)}
-    rows = np.array([[slot[id(s)] for s in seq.snapshots] for seq in sequences])
-    return _GraphSamples(a_hat, ax, rows, np.array([float(seq.graph_label) for seq in sequences]),
-                         [seq.date for seq in sequences])
+    return _GraphSamples(a_hat, ax, rows.reshape(-1, k),
+                         np.array([float(s.graph_label) for s in ends]), [s.date for s in ends])
 
 
 def _check_two_classes(labels, kind: str) -> None:
@@ -247,8 +253,8 @@ class _GraphKind(NamedTuple):
     """A kind trained by ``_train_minibatch`` on sequences of stride-grid snapshots."""
 
     init: Callable  # (n_features, model config, seed) -> params
-    forward: Callable  # (a_hat, ax, rows, params) -> (probs, cache), as in _train_minibatch
-    backward: Callable  # (dlogits, cache, params) -> grads summed over the batch
+    forward: str  # this module's name of (a_hat, ax, rows, params) -> (probs, cache)
+    backward: str  # ... and of (dlogits, cache, params) -> grads summed over the batch
     hyper: dict  # header key -> ModelConfig field, besides _GRAPH_HYPER
     noun: str  # what one sample is, for error messages
     bookkeeping: tuple[str, ...] = ()
@@ -284,16 +290,12 @@ _KINDS = {
         bookkeeping=("feature_importance",)),
     "gcn": _GraphKind(
         init=lambda n, s, seed: init_gcn(tz.seeded_rng(seed, 1), n, s.gcn_hidden, s.mlp_hidden),
-        forward=lambda a_hat, ax, rows, p: gcn_forward(a_hat, ax, p, rows[:, 0])[1:],
-        backward=lambda dlogits, cache, p: gcn_backward(dlogits, cache, p),
+        forward="gcn_forward", backward="gcn_backward",
         hyper={"mlp_hidden": "mlp_hidden"},
         noun="snapshots"),
     "temporal": _GraphKind(
         init=_temporal_init,
-        forward=lambda a_hat, ax, rows, p: temporal_forward(a_hat, ax, p, p, rows),
-        backward=lambda dlogits, cache, p: {  # encoder grads, then GRU grads, in one dict
-            name: g for group in temporal_backward(dlogits, cache, p, p)
-            for name, g in group.items()},
+        forward="temporal_forward", backward="temporal_backward",
         hyper={"gru_hidden": "gru_hidden", "k": "sequence_length"},
         noun="sequences"),
 }
@@ -326,7 +328,8 @@ def train(kind: str, bundle: DataBundle, cfg: Config) -> tuple[ModelState, dict]
             raise DataError(f"{kind}: no labeled training {spec.noun} on the stride grid")
         _check_two_classes(samples.labels, kind)
         params, log["epoch_loss"], log["best_epoch"] = _train_minibatch(
-            samples, spec.init(n_feat, m, seed), spec.forward, spec.backward, m, seed, kind)
+            samples, spec.init(n_feat, m, seed), globals()[spec.forward],
+            globals()[spec.backward], m, seed, kind)
         log["samples"] = len(samples.labels)
     std = panel.standardization
     state = ModelState(kind=kind, params=params, hyper=hyper, seed=seed,
@@ -352,7 +355,7 @@ def predict_scores(state: ModelState, bundle: DataBundle,
         samples = _graph_samples(bundle, state.hyper, side)
         if samples is None:
             raise DataError(f"{state.kind}: no labeled {side} {spec.noun} on the stride grid")
-        scores = spec.forward(samples.a_hat, samples.ax, samples.rows, state.params)[0]
+        scores, _ = globals()[spec.forward](samples.a_hat, samples.ax, samples.rows, state.params)
         dates, labels = samples.dates, samples.labels
     if not np.all(np.isfinite(scores)):
         raise NumericalError(f"{state.kind}: non-finite scores on the {side} side")

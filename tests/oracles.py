@@ -21,7 +21,12 @@ vectorized builder of ``(int, int, float)`` edge tuples that edge arrays
 replaced, as ``build_tuple_snapshots`` (its ``rank_correlation_matrix`` is
 the library's, as before), with the ``json.dumps`` writer of
 ``write_snapshots_jsonl`` that the assembled-text writer replaced; the one-matrix
-``gcn_normalize`` and the edge-by-edge ``adjacency_from_snapshot``; then the
+``gcn_normalize`` and the edge-by-edge ``adjacency_from_snapshot``; the
+sequence objects ``GraphSequence`` and ``build_sequences`` (formerly in
+``graphs``) with the sample builder over them that index arithmetic
+replaced, ``training._graph_samples`` as ``graph_samples`` (it calls the
+library's ``gcn_normalize`` and ``adjacency_from_snapshot`` through
+``models``, and ``n_nodes()`` is ``len(node_ids)``); then the
 threshold-by-threshold split search of ``_grow_tree``, the row-by-row
 ``forest_predict``, the tensor-by-tensor ``adam_step`` with its per-name
 ``AdamState``, the average-rank ``auroc_rank``, and the label-by-label
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from srr import graphs
+from srr import graphs, models
 from srr import tensor as tz
 from srr.errors import DataError, NumericalError, ShapeError
 from srr.evaluation import _check_scored
@@ -52,6 +57,7 @@ from srr.market_data import ReturnPanel
 from srr.models.baselines import gini
 from srr.synthetic import RegimeParams, planted_regime_panel
 from srr.tensor import _finite
+from srr.training import _GraphSamples
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -486,7 +492,7 @@ def adjacency_from_snapshot(snapshot: GraphSnapshot, layers: tuple[str, ...] = (
     (sector edges stay at 1), and a pair present in several layers takes
     the maximum weight.
     """
-    n = snapshot.n_nodes()
+    n = len(snapshot.node_ids)
     adj = np.zeros((n, n), dtype=np.float64)
     for name in layers:
         if name not in snapshot.layers:
@@ -496,6 +502,57 @@ def adjacency_from_snapshot(snapshot: GraphSnapshot, layers: tuple[str, ...] = (
             adj[i, j] = max(adj[i, j], val)
             adj[j, i] = adj[i, j]
     return adj
+
+
+@dataclass
+class GraphSequence:
+    """k consecutive sampled snapshots; labeled by the final one."""
+
+    snapshots: list[GraphSnapshot]
+    date: str = field(init=False)
+    graph_label: int | None = field(init=False)
+
+    def __post_init__(self):
+        if not self.snapshots:
+            raise DataError("a graph sequence needs at least one snapshot")
+        self.date = self.snapshots[-1].date
+        self.graph_label = self.snapshots[-1].graph_label
+
+
+def build_sequences(snapshots: list[GraphSnapshot], k: int = 5, stride: int = 5) -> list[GraphSequence]:
+    """Subsample every ``stride`` dates (grid anchored at the first snapshot),
+    then slide a window of k consecutive sampled snapshots; each window is one
+    sequence labeled by its final snapshot."""
+    if k < 1:
+        raise DataError(f"sequence length k must be >= 1, got {k}")
+    if stride < 1:
+        raise DataError(f"stride must be >= 1, got {stride}")
+    sampled = snapshots[::stride]
+    return [GraphSequence(snapshots=sampled[s:s + k]) for s in range(len(sampled) - k + 1)]
+
+
+def graph_samples(bundle, hyper: dict, side: str) -> _GraphSamples | None:
+    """The labeled ``side`` sequences of k stride-grid snapshots, or None when
+    there are none; a snapshot sample is the k = 1 sequence."""
+    sequences = [seq for seq in build_sequences(bundle.snapshots, k=hyper.get("k", 1),
+                                                stride=hyper["stride"])
+                 if seq.graph_label is not None and bundle.split.side(seq.date) == side]
+    if not sequences:
+        return None
+    read = list({id(s): s for seq in sequences for s in seq.snapshots}.values())  # first-read order
+    panel, layers, weighted = bundle.panel, tuple(hyper["layers"]), hyper["weighted_adjacency"]
+    position = {d: t for t, d in enumerate(panel.dates)}
+    for snap in read:
+        if snap.node_ids != panel.tickers or snap.date not in position:
+            raise DataError(f"snapshot {snap.date} does not match the feature panel's "
+                            "tickers and dates")
+    a_hat = models.gcn_normalize(np.stack([
+        models.adjacency_from_snapshot(s, layers=layers, weighted=weighted) for s in read]))
+    ax = a_hat @ np.stack([panel.node_matrix(position[s.date]) for s in read])
+    slot = {id(s): g for g, s in enumerate(read)}
+    rows = np.array([[slot[id(s)] for s in seq.snapshots] for seq in sequences])
+    return _GraphSamples(a_hat, ax, rows, np.array([float(seq.graph_label) for seq in sequences]),
+                         [seq.date for seq in sequences])
 
 
 def _grow_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, max_depth: int,

@@ -15,14 +15,15 @@ from oracles import auroc_oracle
 from srr.cli import main
 from srr.evaluation import auprc_step, compute_metrics, report_to_json
 from srr.features import compute_features
-from srr.graphs import GraphSnapshot, average_ranks, build_sequences, rank_correlation_matrix
+from srr.features import FeaturePanel
+from srr.graphs import EDGE_DTYPE, GraphSnapshot, average_ranks, rank_correlation_matrix
 from srr.market_data import PricePanel, log_returns
 from srr.models import (gcn_backward, gcn_forward, gcn_normalize, gru_step,
                         init_gcn, init_gru, temporal_forward)
 from srr.models.temporal import gru_step_backward
 from srr.synthetic import business_days, planted_regime_panel, write_synthetic_csv
 from srr.tensor import bce_loss, focal_loss, sigmoid
-from srr.training import chronological_split
+from srr.training import DataBundle, _graph_samples, chronological_split
 
 
 @contextmanager
@@ -34,6 +35,9 @@ def criterion(num, title):
         print(f"{label}: FAIL ({exc})", flush=True)
         raise
     print(f"{label}: PASS", flush=True)
+
+
+ONE = np.zeros((1, 1), dtype=np.intp)  # one sample, reading graph 0 of a one-graph stack
 
 
 def scored_from_counts(tp, fp, tn, fn):
@@ -64,12 +68,14 @@ def test_criterion_02_split_and_sequence_counts():
         dates = business_days("2000-01-03", 1565)
         plan = chronological_split(dates, ratio=0.8, horizon=60)
         assert len(plan.test_dates) == 313
-        snaps = [GraphSnapshot(date=d, node_ids=["A"], layers={"correlation": []},
-                               graph_label=0)
+        snaps = [GraphSnapshot(date=d, node_ids=["A"],
+                               layers={"correlation": np.zeros(0, EDGE_DTYPE)}, graph_label=0)
                  for d in dates]
-        seqs = build_sequences(snaps, k=5, stride=5)
-        n_test = sum(1 for q in seqs if plan.side(q.date) == "test")
-        assert n_test == 62
+        panel = FeaturePanel(tickers=["A"], dates=dates, features=np.zeros((1, len(dates), 1)),
+                             names=["f"])
+        hyper = {"k": 5, "stride": 5, "layers": ["correlation"], "weighted_adjacency": False}
+        samples = _graph_samples(DataBundle(panel, snaps, plan), hyper, "test")
+        assert len(samples.labels) == 62
 
 
 def test_criterion_03_ranking_metric_oracle_equivalence():
@@ -151,9 +157,9 @@ def test_criterion_04_gradient_suite():
             y = float(rng.integers(0, 2))
 
             def gcn_fn(p):
-                _, prob, cache = gcn_forward(a_hat, a_hat @ x, p)
-                loss, _ = bce_loss(np.array([prob]), np.array([y]))
-                return loss, gcn_backward(prob - y, cache, p)
+                probs, cache = gcn_forward(a_hat[None], (a_hat @ x)[None], ONE, p)
+                loss, _ = bce_loss(probs, np.array([y]))
+                return loss, gcn_backward(probs - y, cache, p)
 
             worst = max(worst, _fd_suite(
                 gcn_fn, gcn_p, ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4"), tol))
@@ -215,27 +221,28 @@ def test_criterion_05_permutation_invariance():
         x = rng.normal(size=(n, f))
         gcn_p = init_gcn(rng, n_features=f, hidden=32, mlp_hidden=16)
         a_hat = gcn_normalize(adj)
-        _, prob, _ = gcn_forward(a_hat, a_hat @ x, gcn_p)
+        prob, _ = gcn_forward(a_hat[None], (a_hat @ x)[None], ONE, gcn_p)
 
-        enc_p = {k: v for k, v in gcn_p.items() if k in ("w1", "b1", "w2", "b2")}
-        gru_p = init_gru(rng, input_dim=32, hidden=64)
+        temporal_p = {k: v for k, v in gcn_p.items() if k in ("w1", "b1", "w2", "b2")}
+        temporal_p.update(init_gru(rng, input_dim=32, hidden=64))
+        seq_rows = np.arange(3)[None]
         seq_adj, seq_x = [], []
         for _ in range(3):
             a = np.triu((rng.uniform(size=(n, n)) < 0.08).astype(np.float64), k=1)
             seq_adj.append(a + a.T)
             seq_x.append(rng.normal(size=(n, f)))
         seq_a = np.stack([gcn_normalize(a) for a in seq_adj])
-        prob_t, _ = temporal_forward(seq_a, seq_a @ np.stack(seq_x), enc_p, gru_p)
+        prob_t, _ = temporal_forward(seq_a, seq_a @ np.stack(seq_x), seq_rows, temporal_p)
 
         for _ in range(10):
             perm = rng.permutation(n)
             a_p = gcn_normalize(adj[np.ix_(perm, perm)])
-            _, prob_p, _ = gcn_forward(a_p, a_p @ x[perm], gcn_p)
-            assert abs(prob - prob_p) < 1e-12
+            prob_p, _ = gcn_forward(a_p[None], (a_p @ x[perm])[None], ONE, gcn_p)
+            assert abs(prob[0] - prob_p[0]) < 1e-12
             seq_ap = np.stack([gcn_normalize(a[np.ix_(perm, perm)]) for a in seq_adj])
             seq_xp = np.stack([xv[perm] for xv in seq_x])
-            prob_tp, _ = temporal_forward(seq_ap, seq_ap @ seq_xp, enc_p, gru_p)
-            assert abs(prob_t - prob_tp) < 1e-12
+            prob_tp, _ = temporal_forward(seq_ap, seq_ap @ seq_xp, seq_rows, temporal_p)
+            assert abs(prob_t[0] - prob_tp[0]) < 1e-12
 
 
 def test_criterion_06_rank_correlation_oracle():

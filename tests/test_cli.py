@@ -323,6 +323,16 @@ class TestGraphFile:
         assert main(["train", "--config", cfg_path]) == 2
         assert capsys.readouterr().err.rstrip().endswith("rerun `srr graphs`")
 
+    @pytest.mark.parametrize("edge", [[-1, 1, 0.5], [2, 2, 0.9], [0, 10, 0.5]])
+    def test_edge_off_the_upper_triangle_asks_for_graphs_rerun(self, capsys, graphed, edge):
+        cfg_path, out = graphed  # 10 nodes
+        rewrite_graphs(out, lambda i, rec: json.dumps(
+            {**rec, "layers": {"correlation": [edge]}} if i == 3 else rec))
+        assert main(["train", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err.rstrip()
+        assert "graphs.jsonl: line 4: layer 'correlation'" in err
+        assert err.endswith("rerun `srr graphs`")
+
 
 def short_row(i, line):
     return ",".join(line.split(",")[:-1]) if i == 2 else line

@@ -3,6 +3,7 @@ snapshot/sequence construction, and JSONL round-trips."""
 
 import gc
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,8 @@ import oracles
 from srr.errors import DataError, ShapeError
 from srr.features import attach_labels, compute_features
 from srr.graphs import (EDGE_DTYPE, GRAPH_FORMAT, GraphSnapshot, average_ranks,
-                        build_sequences, build_snapshots, rank_correlation_matrix,
-                        read_snapshots_jsonl, write_snapshots_jsonl)
+                        build_snapshots, rank_correlation_matrix, read_snapshots_jsonl,
+                        write_snapshots_jsonl)
 from srr.market_data import PricePanel, ReturnPanel, log_returns
 from srr.synthetic import business_days, planted_regime_panel
 
@@ -234,27 +235,27 @@ def labeled_snapshots(n_days=120, seed=2):
     return build_snapshots(returns, panel.dates, labels, window=7, tau=0.5)
 
 
-class TestSequences:
+class TestSequences:  # the sequence builder that index rows replaced, kept as the reference
     def test_counts_for_strides(self):
         snaps = labeled_snapshots()
         ten = snaps[:10]
-        assert len(build_sequences(ten, k=5, stride=1)) == 6
-        seqs = build_sequences(ten, k=3, stride=2)  # sampled indices 0,2,4,6,8
+        assert len(oracles.build_sequences(ten, k=5, stride=1)) == 6
+        seqs = oracles.build_sequences(ten, k=3, stride=2)  # sampled indices 0,2,4,6,8
         assert [s.date for s in seqs] == [ten[i].date for i in (4, 6, 8)]
 
     def test_label_comes_from_final_snapshot(self):
         snaps = labeled_snapshots()
-        for seq in build_sequences(snaps, k=5, stride=5):
+        for seq in oracles.build_sequences(snaps, k=5, stride=5):
             assert seq.date == seq.snapshots[-1].date
             assert seq.graph_label == seq.snapshots[-1].graph_label
 
     def test_parameter_validation(self):
         snaps = labeled_snapshots()[:6]
         with pytest.raises(DataError):
-            build_sequences(snaps, k=0)
+            oracles.build_sequences(snaps, k=0)
         with pytest.raises(DataError):
-            build_sequences(snaps, k=3, stride=0)
-        assert build_sequences(snaps[:2], k=5, stride=1) == []
+            oracles.build_sequences(snaps, k=3, stride=0)
+        assert oracles.build_sequences(snaps[:2], k=5, stride=1) == []
 
 
 class TestJsonl:
@@ -290,6 +291,29 @@ class TestJsonl:
         back, _ = read_snapshots_jsonl(p1)
         write_snapshots_jsonl(back, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_every_snapshot_shares_one_node_list(self, tmp_path):
+        snaps = labeled_snapshots()
+        assert all(s.node_ids is snaps[0].node_ids for s in snaps)
+        path = str(tmp_path / "graphs.jsonl")
+        write_snapshots_jsonl(snaps, path)
+        back, _ = read_snapshots_jsonl(path)
+        assert back[0].node_ids == snaps[0].node_ids
+        assert all(s.node_ids is back[0].node_ids for s in back)
+
+    @pytest.mark.parametrize("edge", [[-1, 1, 0.5], [2, 2, 0.9], [0, 3, 0.5], [1, 0, 0.5],
+                                      [0.5, 1, 0.5]])
+    def test_reader_refuses_an_edge_off_the_upper_triangle(self, tmp_path, edge):
+        path = tmp_path / "graphs.jsonl"
+        good = {"date": "2021-01-04", "graph_label": 0, "nodes": ["A", "B", "C"],
+                "layers": {"correlation": [[0, 1, 0.5]]}}
+        bad = {**good, "date": "2021-01-05", "layers": {"correlation": [[0, 2, 0.5], edge]}}
+        path.write_text("".join(json.dumps(r) + "\n" for r in (
+            {"format": GRAPH_FORMAT, "snapshots": 2}, good, bad)))
+        with pytest.raises(DataError, match=rf"{path}: line 3: layer 'correlation': edge "
+                                            rf"\[{re.escape(str(edge)[1:-1])}\] breaks "
+                                            r"0 <= i < j < 3"):
+            read_snapshots_jsonl(str(path))
 
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -376,18 +400,26 @@ class TestArraysAgainstTuplePath:
     def test_writer_bytes_on_hand_made_layers(self, tmp_path):
         edges = [(0, 1, -0.0), (1, 0, 0.0), (2, 1, 5e-324), (0, 2, 1e300), (0, 1, 0.1),
                  (0, 1, 0.1), (1, 2, -1.0), (2, 2, 1 / 3)]
-        snaps = [GraphSnapshot(date="2021-01-04", node_ids=["Ä", "B\u2028", 'C"\\'],
-                               layers={"zeta": np.array(edges, EDGE_DTYPE),
-                                       "correlation": np.array([], EDGE_DTYPE),
-                                       "alpha": np.array(edges[::-1], EDGE_DTYPE)},
-                               graph_label=label)
-                 for label in (None, 0, 1)]
+        def hand_made(edges):
+            return [GraphSnapshot(date="2021-01-04", node_ids=["Ä", "B\u2028", 'C"\\'],
+                                  layers={"zeta": np.array(edges, EDGE_DTYPE),
+                                          "correlation": np.array([], EDGE_DTYPE),
+                                          "alpha": np.array(edges[::-1], EDGE_DTYPE)},
+                                  graph_label=label)
+                    for label in (None, 0, 1)]
+
+        snaps = hand_made(edges)
         tuples = [GraphSnapshot(s.date, s.node_ids, {k: v.tolist() for k, v in s.layers.items()},
                                 s.graph_label) for s in snaps]
         got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
         write_snapshots_jsonl(snaps, str(got), meta={"note": "é"})
         oracles.write_snapshots_jsonl(tuples, str(want), meta={"note": "é"})
         assert got.read_bytes() == want.read_bytes()
+        with pytest.raises(DataError, match="line 2: layer 'alpha'"):  # (2, 2) comes first
+            read_snapshots_jsonl(str(got))
+        # the reader loads only the upper triangle: the same weights on i < j
+        snaps = hand_made([(min(i, j), max(i, j), w) for i, j, w in edges if i != j])
+        write_snapshots_jsonl(snaps, str(got), meta={"note": "é"})
         back, _ = read_snapshots_jsonl(str(got))
         assert all(b.layers[k].tobytes() == a.layers[k].tobytes()
                    for a, b in zip(snaps, back) for k in a.layers)

@@ -23,6 +23,7 @@ from srr.models.baselines import _grow_tree
 from srr.models.temporal import gru_step_backward
 from srr.synthetic import business_days, planted_regime_panel
 from srr.tensor import bce_loss, focal_loss, seeded_rng, sigmoid
+from srr import training
 from srr.training import _KINDS
 
 
@@ -155,24 +156,29 @@ def random_graph(rng, n=10, f=7):
     return gcn_normalize(adj), x, adj
 
 
+def gcn_one(a_hat, x, params):
+    """``gcn_forward`` on one graph as a one-graph stack read by one sample."""
+    return gcn_forward(a_hat[None], (a_hat @ x)[None], np.zeros((1, 1), dtype=np.intp), params)
+
+
 class TestGcnForward:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         params = init_gcn(rng, n_features=7, hidden=8, mlp_hidden=4)
         a_hat, x, adj = random_graph(rng)
-        _, prob, _ = gcn_forward(a_hat, a_hat @ x, params)
+        prob, _ = gcn_one(a_hat, x, params)
         for _ in range(10):
             perm = rng.permutation(x.shape[0])
             a_p = gcn_normalize(adj[np.ix_(perm, perm)])
-            _, prob_p, _ = gcn_forward(a_p, a_p @ x[perm], params)
-            assert abs(prob - prob_p) < 1e-12
+            prob_p, _ = gcn_one(a_p, x[perm], params)
+            assert abs(prob[0] - prob_p[0]) < 1e-12
 
     def test_zero_weights_give_even_odds(self):
         params = {k: np.zeros_like(v)
                   for k, v in init_gcn(np.random.default_rng(0), 7, 8, 4).items()}
         a_hat, x, _ = random_graph(np.random.default_rng(1))
-        _, prob, _ = gcn_forward(a_hat, a_hat @ x, params)
-        assert prob == 0.5
+        prob, _ = gcn_one(a_hat, x, params)
+        assert prob[0] == 0.5
 
     def test_isolated_nodes_see_only_themselves(self):
         # With an empty graph, A_hat = I: doubling unrelated rows of X must
@@ -223,9 +229,9 @@ class TestGcnGradients:
         y = 1.0
 
         def fn(p):
-            _, prob, cache = gcn_forward(a_hat, a_hat @ x, p)
-            loss, _ = bce_loss(np.array([prob]), np.array([y]))
-            grads = gcn_backward(prob - y, cache, p)
+            probs, cache = gcn_one(a_hat, x, p)
+            loss, _ = bce_loss(probs, np.array([y]))
+            grads = gcn_backward(probs - y, cache, p)
             return loss, grads
 
         fd_check(fn, params, ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4"))
@@ -306,6 +312,8 @@ class TestGruStep:
 
 
 def temporal_setup(seed=4, k=3, n=5, f=3, hidden=4, gru_hidden=4):
+    """One sequence of k random graphs: the (A_hat, A_hat X) stacks, its
+    (1, k) rows, and the encoder and GRU tensors in one dict."""
     rng = np.random.default_rng(seed)
     seq = []
     for _ in range(k):
@@ -315,69 +323,46 @@ def temporal_setup(seed=4, k=3, n=5, f=3, hidden=4, gru_hidden=4):
     a_hat, x = map(np.stack, zip(*seq))
     seq = (a_hat, a_hat @ x)  # (A_hat k x n x n, A_hat X k x n x f)
     gcn_p = init_gcn(rng, n_features=f, hidden=hidden, mlp_hidden=2)
-    gcn_p = {k_: v for k_, v in gcn_p.items() if k_ in ("w1", "b1", "w2", "b2")}
-    gru_p = init_gru(rng, input_dim=hidden, hidden=gru_hidden)
-    return seq, gcn_p, gru_p
+    params = {k_: v for k_, v in gcn_p.items() if k_ in ("w1", "b1", "w2", "b2")}
+    params.update(init_gru(rng, input_dim=hidden, hidden=gru_hidden))
+    return seq, np.arange(k)[None], params
 
 
 class TestTemporal:
     def test_gradients_match_finite_differences_end_to_end(self):
-        seq, gcn_p, gru_p = temporal_setup()
+        (a_hat, ax), rows, params = temporal_setup()
         y = 1.0
 
-        def fn_gcn(p):
-            prob, cache = temporal_forward(*seq, p, gru_p)
-            loss, _ = bce_loss(np.array([prob]), np.array([y]))
-            g_gcn, _ = temporal_backward(prob - y, cache, p, gru_p)
-            return loss, g_gcn
+        def fn(p):
+            probs, cache = temporal_forward(a_hat, ax, rows, p)
+            loss, _ = bce_loss(probs, np.array([y]))
+            return loss, temporal_backward(probs - y, cache, p)
 
-        fd_check(fn_gcn, gcn_p, ("w1", "b1", "w2", "b2"))
-
-        def fn_gru(p):
-            prob, cache = temporal_forward(*seq, gcn_p, p)
-            loss, _ = bce_loss(np.array([prob]), np.array([y]))
-            _, g_gru = temporal_backward(prob - y, cache, gcn_p, p)
-            return loss, g_gru
-
-        fd_check(fn_gru, gru_p, ("wz", "uz", "bz", "wr", "ur", "br",
-                                 "wn", "un", "bn", "w_out", "b_out"))
-
-    def test_one_dict_for_both_groups_gives_the_same_gradients(self):
-        seq, gcn_p, gru_p = temporal_setup(seed=9)
-        both = {**gcn_p, **gru_p}
-        prob, cache = temporal_forward(*seq, gcn_p, gru_p)
-        prob_one, cache_one = temporal_forward(*seq, both, both)
-        assert prob_one == prob
-        split = temporal_backward(prob - 1.0, cache, gcn_p, gru_p)
-        one = temporal_backward(prob - 1.0, cache_one, both, both)
-        for expected, got in zip(split, one):
-            assert set(got) == set(expected)
-            assert all(np.array_equal(got[k], expected[k]) for k in expected)
+        fd_check(fn, params, ("w1", "b1", "w2", "b2", "wz", "uz", "bz", "wr", "ur", "br",
+                              "wn", "un", "bn", "w_out", "b_out"))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(14)
-        seq, gcn_p, gru_p = temporal_setup(seed=14)
-        prob, _ = temporal_forward(*seq, gcn_p, gru_p)
-        a_hat, ax = seq
+        (a_hat, ax), rows, params = temporal_setup(seed=14)
+        prob, _ = temporal_forward(a_hat, ax, rows, params)
         n = ax.shape[1]
         for _ in range(5):
             perm = rng.permutation(n)  # A_hat X permutes its rows with the nodes
-            prob_p, _ = temporal_forward(a_hat[:, perm][:, :, perm], ax[:, perm], gcn_p, gru_p)
-            assert abs(prob - prob_p) < 1e-12
+            prob_p, _ = temporal_forward(a_hat[:, perm][:, :, perm], ax[:, perm], rows, params)
+            assert abs(prob[0] - prob_p[0]) < 1e-12
 
     def test_order_matters(self):
-        seq, gcn_p, gru_p = temporal_setup(seed=6)
-        prob_fwd, _ = temporal_forward(*seq, gcn_p, gru_p)
-        prob_rev, _ = temporal_forward(seq[0][::-1], seq[1][::-1], gcn_p, gru_p)
-        assert abs(prob_fwd - prob_rev) > 1e-9
+        (a_hat, ax), rows, params = temporal_setup(seed=6)
+        prob_fwd, _ = temporal_forward(a_hat, ax, rows, params)
+        prob_rev, _ = temporal_forward(a_hat, ax, rows[:, ::-1], params)
+        assert abs(prob_fwd[0] - prob_rev[0]) > 1e-9
 
     def test_zero_network_reads_output_bias(self):
-        seq, gcn_p, gru_p = temporal_setup(seed=2)
-        gcn_p = {k: np.zeros_like(v) for k, v in gcn_p.items()}
-        gru_p = {k: np.zeros_like(v) for k, v in gru_p.items()}
-        gru_p["b_out"] = np.array([0.7])
-        prob, _ = temporal_forward(*seq, gcn_p, gru_p)
-        assert abs(prob - 1.0 / (1.0 + math.exp(-0.7))) < 1e-15
+        (a_hat, ax), rows, params = temporal_setup(seed=2)
+        params = {k: np.zeros_like(v) for k, v in params.items()}
+        params["b_out"] = np.array([0.7])
+        prob, _ = temporal_forward(a_hat, ax, rows, params)
+        assert abs(prob[0] - 1.0 / (1.0 + math.exp(-0.7))) < 1e-15
 
 
 def random_stack(rng, g, n, f=3):
@@ -401,6 +386,12 @@ def kind_params(rng, kind, f=3, hidden=4, gru_hidden=5):
 
 def merged(groups):
     return {name: g for group in groups for name, g in group.items()}
+
+
+def kind_functions(kind):
+    """The (forward, backward) pair that ``training`` looks up for a graph kind."""
+    spec = _KINDS[kind]
+    return getattr(training, spec.forward), getattr(training, spec.backward)
 
 
 def oracle_batch(kind, seqs, params, y, loss_fn):
@@ -449,24 +440,13 @@ class TestBatchedEqualsPerSample:
             want_p, dlogits, want_g = oracle_batch(kind, seqs, params, y, LOSSES[loss])
 
             # the training and scoring interface: a snapshot stack and index rows
-            spec = _KINDS[kind]
-            ax_stack = a_stack @ x_stack
-            probs, cache = spec.forward(a_stack, ax_stack, kind_rows, params)
-            grads = spec.backward(dlogits, cache, params)
-            # leading batch axes: B x k x N x N
-            a_b, ax_b = a_stack[kind_rows], ax_stack[kind_rows]
-            if kind == "gcn":  # two leading axes (B, 1)
-                _, probs_b, cache_b = gcn_forward(a_b, ax_b, params)
-                probs_b = probs_b[:, 0]
-                grads_b = gcn_backward(dlogits[:, None], cache_b, params)
-            else:
-                probs_b, cache_b = temporal_forward(a_b, ax_b, params, params)
-                grads_b = merged(temporal_backward(dlogits, cache_b, params, params))
-            for got_p, got_g in ((probs, grads), (probs_b, grads_b)):
-                assert_rel_close(got_p, want_p)
-                assert set(got_g) == set(want_g)
-                for name in want_g:
-                    assert_rel_close(got_g[name], want_g[name])
+            forward, backward = kind_functions(kind)
+            probs, cache = forward(a_stack, a_stack @ x_stack, kind_rows, params)
+            grads = backward(dlogits, cache, params)
+            assert_rel_close(probs, want_p)
+            assert set(grads) == set(want_g)
+            for name in want_g:
+                assert_rel_close(grads[name], want_g[name])
 
     @pytest.mark.parametrize("kind", ["gcn", "temporal"])
     def test_batch_gradients_match_finite_differences(self, kind):
@@ -477,12 +457,12 @@ class TestBatchedEqualsPerSample:
             rows = rows[:, -1:]
         y = np.array([1.0, 0.0, 1.0])
         params = kind_params(rng, kind)
-        spec = _KINDS[kind]
+        forward, backward = kind_functions(kind)
 
         def fn(p):
-            probs, cache = spec.forward(a_stack, a_stack @ x_stack, rows, p)
+            probs, cache = forward(a_stack, a_stack @ x_stack, rows, p)
             loss, dlogits = bce_loss(probs, y)
-            return loss, spec.backward(dlogits, cache, p)
+            return loss, backward(dlogits, cache, p)
 
         fd_check(fn, params, sorted(fn(params)[1]), tol=1e-4)
 
@@ -494,12 +474,13 @@ class TestBatchedEqualsPerSample:
         if kind == "gcn":
             rows = rows[:, -1:]
         params = kind_params(rng, kind)
-        probs, _ = _KINDS[kind].forward(a_stack, a_stack @ x_stack, rows, params)
+        forward, _ = kind_functions(kind)
+        probs, _ = forward(a_stack, a_stack @ x_stack, rows, params)
         for _ in range(5):
             perms = [rng.permutation(12) for _ in range(len(a_stack))]
             a_p = np.stack([a[np.ix_(q, q)] for a, q in zip(a_stack, perms)])
             x_p = np.stack([x[q] for x, q in zip(x_stack, perms)])
-            probs_p, _ = _KINDS[kind].forward(a_p, a_p @ x_p, rows, params)
+            probs_p, _ = forward(a_p, a_p @ x_p, rows, params)
             assert np.max(np.abs(probs - probs_p)) < 1e-12
 
 

@@ -11,7 +11,7 @@ from srr import tensor as tz
 from srr.config import Config, ModelConfig
 from srr.errors import DataError, NumericalError
 from srr.features import attach_labels, compute_features, standardize
-from srr.graphs import build_sequences, build_snapshots
+from srr.graphs import build_snapshots
 from srr.market_data import PricePanel, log_returns
 from srr.models import ModelState, adjacency_from_snapshot, gcn_normalize, serialize
 from srr.synthetic import business_days, planted_regime_panel
@@ -192,7 +192,7 @@ class TestScoring:
     def test_sequence_grid_counts(self, bundle):
         state, _ = train("temporal", bundle, SMALL)
         dates, scores, _ = predict_scores(state, bundle, side="test")
-        seqs = build_sequences(bundle.snapshots, k=SMALL.model.sequence_length,
+        seqs = oracles.build_sequences(bundle.snapshots, k=SMALL.model.sequence_length,
                                stride=SMALL.model.stride)
         expected = [q.date for q in seqs
                     if q.graph_label is not None and bundle.split.side(q.date) == "test"]
@@ -210,7 +210,7 @@ class TestScoring:
         dates, scores, _ = predict_scores(state, bundle, side="test")
         k = state.hyper.get("k", 1)
         want_dates, want = [], []
-        for seq in build_sequences(bundle.snapshots, k=k, stride=1):
+        for seq in oracles.build_sequences(bundle.snapshots, k=k, stride=1):
             if seq.graph_label is None or bundle.split.side(seq.date) != "test":
                 continue
             inputs = [(gcn_normalize(adjacency_from_snapshot(s)),
@@ -220,6 +220,42 @@ class TestScoring:
                         else oracles.temporal_forward(inputs, state.params, state.params)[0])
         assert dates == want_dates and len(want) > 50
         assert np.max(np.abs(scores - np.array(want))) <= 1e-12
+
+
+class TestGraphSamplesEqualSequencePath:
+    """``_graph_samples`` builds its rows by index arithmetic on the stride grid;
+    the sequence-object path it replaced (``oracles.graph_samples``) is the reference."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got is not None and want is not None
+        assert np.array_equal(got.rows, want.rows) and got.rows.shape == want.rows.shape
+        assert np.array_equal(got.labels, want.labels) and got.dates == want.dates
+        assert got.a_hat.tobytes() == want.a_hat.tobytes()
+        assert got.ax.tobytes() == want.ax.tobytes()
+
+    @pytest.mark.parametrize("side", ["train", "test"])
+    @pytest.mark.parametrize("stride", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_rows_labels_dates_and_stacks(self, bundle, k, stride, side):
+        hyper = {"k": k, "stride": stride, "layers": ["correlation"],
+                 "weighted_adjacency": stride == 2}  # the |rho|-weighted stacks too
+        got = _graph_samples(bundle, hyper, side)
+        self.assert_same(got, oracles.graph_samples(bundle, hyper, side))
+        grid = [s.date for s in bundle.snapshots[::stride]]
+        if side == "test" and k > 1:  # the first test window reaches back across the gap
+            end = grid.index(got.dates[0])
+            assert any(bundle.split.side(d) is None for d in grid[end - k + 1:end])
+
+    def test_grid_shorter_than_k_gives_none(self, bundle):
+        hyper = {"k": 5, "stride": 2, "layers": ["correlation"], "weighted_adjacency": False}
+        short = DataBundle(bundle.panel, bundle.snapshots[:8], bundle.split)  # 4 grid points
+        assert _graph_samples(short, hyper, "train") is None
+        assert oracles.graph_samples(short, hyper, "train") is None
+        five = DataBundle(bundle.panel, bundle.snapshots[:9], bundle.split)  # one window
+        self.assert_same(_graph_samples(five, hyper, "train"),
+                         oracles.graph_samples(five, hyper, "train"))
+        assert _graph_samples(five, hyper, "test") is None  # ... and it ends on the train side
 
 
 class TestNonFinite:
@@ -273,7 +309,7 @@ class TestGraphInputs:
         m = SMALL.model
 
         def read(k, side):  # ids of the snapshots that the side's k-sequences read
-            return {id(s) for q in build_sequences(bundle.snapshots, k=k, stride=m.stride)
+            return {id(s) for q in oracles.build_sequences(bundle.snapshots, k=k, stride=m.stride)
                     if q.graph_label is not None and bundle.split.side(q.date) == side
                     for s in q.snapshots}
 
@@ -317,7 +353,7 @@ class TestGraphInputs:
             state, _ = train(kind, bundle, SMALL)
             encoded.clear()
             predict_scores(state, bundle, side="test")
-            read = {id(s) for q in build_sequences(bundle.snapshots, k=k, stride=m.stride)
+            read = {id(s) for q in oracles.build_sequences(bundle.snapshots, k=k, stride=m.stride)
                     if q.graph_label is not None and bundle.split.side(q.date) == "test"
                     for s in q.snapshots}
             assert sum(encoded) == len(read), kind
