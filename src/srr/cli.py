@@ -392,12 +392,7 @@ def _aggregate_importance(importance: dict[str, float]) -> tuple[list[str], list
     """Fold the per-day mean_x/std_x columns back onto the base feature names."""
     totals: dict[str, float] = {}
     for name, value in importance.items():
-        if name.startswith("mean_"):
-            base = name[5:]
-        elif name.startswith("std_"):
-            base = name[4:]
-        else:
-            base = name
+        base = name.split("_", 1)[1] if name.startswith(("mean_", "std_")) else name
         totals[base] = totals.get(base, 0.0) + value
     ordered = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
     return [k for k, _ in ordered], [v for _, v in ordered]
@@ -443,8 +438,7 @@ def cmd_report(run: Run) -> None:
     pos = {d: i for i, d in enumerate(union_dates)}
     union_labels = np.zeros(len(union_dates), dtype=np.int8)
     for dates, _, labels in timelines.values():
-        for d, y in zip(dates, labels):
-            union_labels[pos[d]] = y
+        union_labels[[pos[d] for d in dates]] = labels
     shaded = [(float(a), float(b) + 1.0) for a, b in crash_windows(union_labels)]
     series = [(k, [float(pos[d]) for d in timelines[k][0]],
                [float(v) for v in timelines[k][1]]) for k in kinds]
@@ -458,17 +452,12 @@ def cmd_report(run: Run) -> None:
     outputs.append("risk_timeline.svg")
 
     # Lead-time histogram, 5-trading-day bins.
-    leads = {k: report["models"][k].get("lead_times", {}).get("lead_times", [])
-             for k in kinds}
-    max_lead = max((max(v) for v in leads.values() if v), default=0)
-    n_bins = max_lead // 5 + 1
+    bins = {k: np.asarray(report["models"][k].get("lead_times", {}).get("lead_times", []),
+                          dtype=np.int64) // 5 for k in kinds}
+    n_bins = max((int(b.max()) for b in bins.values() if b.size), default=0) + 1
     categories = [f"{5 * b}-{5 * b + 4}" for b in range(n_bins)]
-    bar_series = []
-    for k in kinds:
-        counts = [0.0] * n_bins
-        for lead in leads[k]:
-            counts[lead // 5] += 1.0
-        bar_series.append((k, counts))
+    bar_series = [(k, np.bincount(bins[k], minlength=n_bins).astype(float).tolist())
+                  for k in kinds]
     grouped_bar_chart(run.path("lead_times.svg"), "Warning lead times (test)",
                       categories, bar_series, "lead time (trading days)",
                       "warnings", provenance=prov)

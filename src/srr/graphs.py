@@ -37,6 +37,7 @@ __all__ = [
     "average_ranks",
     "rank_correlation_matrix",
     "build_snapshots",
+    "check_edges",
     "write_snapshots_jsonl",
     "read_snapshots_jsonl",
     "GRAPH_FORMAT",
@@ -58,6 +59,16 @@ class GraphSnapshot:
     node_ids: list[str]
     layers: dict[str, np.ndarray]  # layer name -> EDGE_DTYPE array
     graph_label: int | None = None  # None when the date has no forward label
+
+
+def check_edges(layer: np.ndarray, n: int, where: str) -> None:
+    """Refuse a layer (numeric ``i`` and ``j`` fields) with an edge off
+    ``0 <= i < j < n``, in a DataError that starts with ``where``."""
+    i, j = layer["i"], layer["j"]
+    bad = ~((0 <= i) & (i < j) & (j < n) & (np.floor(i) == i) & (np.floor(j) == j))
+    if bad.any():
+        i, j, w = layer[np.flatnonzero(bad)[0]].tolist()
+        raise DataError(f"{where}: edge [{i:g}, {j:g}, {w!r}] breaks 0 <= i < j < {n}")
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
@@ -179,12 +190,10 @@ def write_snapshots_jsonl(snapshots: list[GraphSnapshot], path: str,
 def _edges_json(snap: GraphSnapshot, name: str, prefixes: np.ndarray) -> str:
     """Layer ``name`` of ``snap`` as the JSON array of its ``[i, j, w]`` edges."""
     edges = snap.layers[name]
+    check_edges(edges, len(prefixes), f"snapshot {snap.date}: layer {name!r}")
     if not len(edges):
         return "[]"
     i, j = edges["i"], edges["j"]
-    if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= len(prefixes):
-        raise DataError(f"snapshot {snap.date}: layer {name!r} has a node index outside "
-                        f"0..{len(prefixes) - 1}")
     # Distinct bit patterns, not values, so -0.0 and 0.0 keep their own text.
     bits, slot = np.unique(edges["w"].view(np.int64), return_inverse=True)
     tails = np.array([json.dumps(w) + "]" for w in bits.view(np.float64).tolist()],
@@ -193,17 +202,12 @@ def _edges_json(snap: GraphSnapshot, name: str, prefixes: np.ndarray) -> str:
 
 
 def _edge_array(edges: list, n: int, where: str) -> np.ndarray:
-    """Decoded ``[[i, j, w], ...]`` as an EDGE_DTYPE array. The float64 detour is
-    exact: node indices are far below 2**53. Refuses any edge that breaks
-    0 <= i < j < n, so no index can wrap or land on the diagonal."""
-    i, j, w = np.array(edges, dtype=np.float64).reshape(-1, 3).T
-    bad = ~((0 <= i) & (i < j) & (j < n) & (i == np.floor(i)) & (j == np.floor(j)))
-    if bad.any():
-        e = np.flatnonzero(bad)[0]
-        raise DataError(f"{where}: edge {edges[e]!r} breaks 0 <= i < j < {n}")
-    out = np.empty(len(w), EDGE_DTYPE)
-    out["i"], out["j"], out["w"] = i, j, w
-    return out
+    """Decoded ``[[i, j, w], ...]`` as an EDGE_DTYPE array, checked before the
+    indices become int32. The float64 detour is exact below 2**53."""
+    decoded = np.array(edges, dtype=np.float64).reshape(-1, 3)
+    decoded = decoded.view([("i", "f8"), ("j", "f8"), ("w", "f8")])[:, 0]
+    check_edges(decoded, n, where)
+    return decoded.astype(EDGE_DTYPE)
 
 
 def read_snapshots_jsonl(path: str) -> tuple[list[GraphSnapshot], dict]:

@@ -14,16 +14,18 @@ Gradients are composed by hand in reverse order; no autodiff tape exists
 anywhere in the package.
 
 Both graph models share one call signature, ``forward(a_hat, ax, rows,
-params) -> (probs, cache)`` and ``backward(dlogits, cache, params) ->
-grads``: ``a_hat`` (G, N, N) and ``ax`` = A_hat X (G, N, F) stack distinct
-graphs, each encoded once, and the (S, k) integer ``rows`` name the graphs
-each sample reads, oldest first (here k = 1). A_hat X does not depend on
-the parameters, so a caller computes it once per snapshot. Every GEMM is
-per graph, and the weight gradients are the per-graph products summed over
-the batch (see ``tensor``). The backward pass uses A_hat as its own
-transpose: ``gcn_normalize`` makes it exactly symmetric. Nothing here
-scans for NaN/Inf; the loss, ``adam_step`` and the scored probabilities
-raise ``NumericalError`` on non-finite values.
+params) -> (probs, cache)`` and ``backward(dlogits, cache, params, grads)``,
+which writes the gradients into ``grads``: ``a_hat`` (G, N, N) and ``ax`` =
+A_hat X (G, N, F) stack distinct graphs, each encoded once, and the (S, k)
+integer ``rows`` name the graphs each sample reads, oldest first (here
+k = 1). A_hat X does not depend on the parameters, so a caller computes it
+once per snapshot. Every GEMM is per graph, and the weight gradients are
+the per-graph products summed over the batch (see ``tensor``). An encoder
+layer is one GEMM [input | 1] @ [W; b] and an in-place ReLU, whose mask
+h > 0 is all its backward keeps; mean pooling is (1/N) 1^T H2. The backward
+pass uses A_hat as its own transpose: ``gcn_normalize`` makes it exactly
+symmetric. Nothing here scans for NaN/Inf; the loss, ``adam_step`` and the
+scored probabilities raise ``NumericalError`` on non-finite values.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from .. import tensor as tz
-from ..graphs import GraphSnapshot
+from ..graphs import GraphSnapshot, check_edges
 
 __all__ = [
     "gcn_normalize",
@@ -79,6 +81,7 @@ def adjacency_from_snapshot(snapshot: GraphSnapshot, layers: tuple[str, ...] = (
         if name not in snapshot.layers:
             raise ShapeError(f"snapshot {snapshot.date} has no layer {name!r}")
         edges = snapshot.layers[name]
+        check_edges(edges, n, f"snapshot {snapshot.date}: layer {name!r}")
         i, j = edges["i"], edges["j"]
         w = np.abs(edges["w"]) if weighted else np.ones(len(edges))
         np.maximum.at(adj, (np.r_[i, j], np.r_[j, i]), np.r_[w, w])
@@ -109,22 +112,29 @@ def gcn_embed(a_hat: np.ndarray, ax: np.ndarray, params: dict) -> tuple[np.ndarr
     if a_hat.shape[:-1] != ax.shape[:-1]:
         raise ShapeError(f"adjacency {a_hat.shape} vs features {ax.shape}: "
                          "batch or node axes differ")
-    pre1 = tz.linear(ax, params["w1"], params["b1"])
-    ah1 = a_hat @ tz.relu(pre1)
-    pre2 = tz.linear(ah1, params["w2"], params["b2"])
-    z = tz.relu(pre2).mean(axis=-2)
-    cache = {"a_hat": a_hat, "ax": ax, "pre1": pre1, "ah1": ah1, "pre2": pre2}
+    ax1 = np.empty(ax.shape[:-1] + (ax.shape[-1] + 1,))
+    ax1[..., :-1], ax1[..., -1] = ax, 1.0
+    h1 = tz.relu(ax1 @ np.vstack((params["w1"], params["b1"])))
+    ah1 = np.empty(h1.shape[:-1] + (h1.shape[-1] + 1,))
+    np.matmul(a_hat, h1, out=ah1[..., :-1])
+    ah1[..., -1] = 1.0
+    h2 = tz.relu(ah1 @ np.vstack((params["w2"], params["b2"])))
+    z = np.full(h2.shape[-2], 1.0 / h2.shape[-2]) @ h2  # mean pooling, (1/N) 1^T H2
+    cache = {"a_hat": a_hat, "ax1": ax1, "ah1": ah1, "on1": h1 > 0.0, "on2": h2 > 0.0}
     return z, cache
 
 
-def gcn_embed_backward(dz: np.ndarray, cache: dict, params: dict) -> dict[str, np.ndarray]:
-    """Encoder weight gradients, summed over the batch, given d loss / d embeddings."""
-    pre2 = cache["pre2"]
-    dpre2 = dz[..., None, :] / pre2.shape[-2] * (pre2 > 0.0)  # mean-pool and ReLU backward
-    grads = dict(zip(("w2", "b2"), tz.linear_grads(cache["ah1"], dpre2)))
-    dpre1 = tz.linear(cache["a_hat"] @ dpre2, params["w2"].T) * (cache["pre1"] > 0.0)
-    grads["w1"], grads["b1"] = tz.linear_grads(cache["ax"], dpre1)
-    return grads
+def gcn_embed_backward(dz: np.ndarray, cache: dict, params: dict, grads: dict) -> None:
+    """Encoder weight gradients, summed over the batch, given d loss / d
+    embeddings; written into ``grads`` (see ``gcn_backward``)."""
+    on2 = cache["on2"]
+    d = on2 * (dz / on2.shape[-2])[..., None, :]  # mean-pool and ReLU backward
+    dwb = tz.weight_grad(cache["ah1"], d)
+    grads["w2"][...], grads["b2"][...] = dwb[:-1], dwb[-1]
+    np.matmul(cache["a_hat"], d @ np.ascontiguousarray(params["w2"].T), out=d)
+    d *= cache["on1"]  # d loss / d layer-1 pre-activations, in the same memory
+    dwb = tz.weight_grad(cache["ax1"], d)
+    grads["w1"][...], grads["b1"][...] = dwb[:-1], dwb[-1]
 
 
 def gcn_forward(a_hat: np.ndarray, ax: np.ndarray, rows: np.ndarray,
@@ -135,19 +145,18 @@ def gcn_forward(a_hat: np.ndarray, ax: np.ndarray, rows: np.ndarray,
     emb, enc_cache = gcn_embed(a_hat, ax, params)
     read = rows[:, 0]
     z = emb[read]
-    pre3 = tz.linear(z, params["w3"], params["b3"])
-    h3 = tz.relu(pre3)
+    h3 = tz.relu(tz.linear(z, params["w3"], params["b3"]))
     logit = tz.linear(h3, params["w4"], params["b4"])[:, 0]
-    cache = {"enc": enc_cache, "z": z, "pre3": pre3, "h3": h3, "read": read, "n_emb": len(emb)}
+    cache = {"enc": enc_cache, "z": z, "h3": h3, "read": read, "n_emb": len(emb)}
     return tz.sigmoid(logit), cache
 
 
-def gcn_backward(dlogit: np.ndarray, cache: dict, params: dict) -> dict[str, np.ndarray]:
-    """Gradients for all eight tensors, summed over the batch, given d loss / d logits."""
+def gcn_backward(dlogit: np.ndarray, cache: dict, params: dict, grads: dict) -> None:
+    """Gradients for all eight tensors, summed over the batch, given d loss /
+    d logits; written into ``grads``, arrays shaped like ``params``."""
     d = np.asarray(dlogit, dtype=np.float64)[..., None]
-    grads = dict(zip(("w4", "b4"), tz.linear_grads(cache["h3"], d)))
-    dpre3 = (d @ params["w4"].T) * (cache["pre3"] > 0.0)
-    grads["w3"], grads["b3"] = tz.linear_grads(cache["z"], dpre3)
+    tz.linear_grads(cache["h3"], d, grads["w4"], grads["b4"])
+    dpre3 = (d @ params["w4"].T) * (cache["h3"] > 0.0)
+    tz.linear_grads(cache["z"], dpre3, grads["w3"], grads["b3"])
     dz = tz.scatter_rows(dpre3 @ params["w3"].T, cache["read"], cache["n_emb"])
-    grads.update(gcn_embed_backward(dz, cache["enc"], params))
-    return grads
+    gcn_embed_backward(dz, cache["enc"], params, grads)

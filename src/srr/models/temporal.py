@@ -18,10 +18,12 @@ every snapshot encoder, accumulating into one shared set of GCN gradients.
 The call signature is the snapshot GCN's (see ``gcn``): a batch of S
 sequences is the distinct snapshots they read, A_hat (G, N, N) and A_hat X
 (G, N, F), with (S, k) ``rows`` naming each sequence's snapshots, oldest
-first. The encoder runs once over the G graphs and each GRU step once over
-the (S, hidden) state, and one parameter dict holds both the encoder and
-the GRU tensors. Nothing here scans for NaN/Inf; the loss, ``adam_step``
-and the scored probabilities raise ``NumericalError`` on non-finite values.
+first. The encoder runs once over the G graphs. The GRU stacks its gates:
+one GEMM x [Wz|Wr|Wn] projects the inputs of all k steps, each step adds
+h [Uz|Ur] and (r * h) Un in preallocated (k, S, .) arrays, and the gate
+tensors' gradients are GEMMs over all k steps after the backward time loop.
+Nothing here scans for NaN/Inf; the loss, ``adam_step`` and the scored
+probabilities raise ``NumericalError`` on non-finite values.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ import numpy as np
 from .. import tensor as tz
 from .gcn import gcn_embed, gcn_embed_backward
 
-__all__ = ["init_gru", "gru_step", "gru_step_backward", "temporal_forward", "temporal_backward"]
-
-GRU_TENSORS = ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn", "w_out", "b_out")
+__all__ = ["init_gru", "gru_forward", "gru_backward", "gru_step", "gru_step_backward",
+           "temporal_forward", "temporal_backward"]
 
 
 def init_gru(rng: np.random.Generator, input_dim: int, hidden: int = 64) -> dict[str, np.ndarray]:
@@ -47,34 +48,73 @@ def init_gru(rng: np.random.Generator, input_dim: int, hidden: int = 64) -> dict
     return params
 
 
-def gru_step(x: np.ndarray, h: np.ndarray, params: dict) -> tuple[np.ndarray, dict]:
-    """One recurrence step; ``x`` (..., input) and ``h`` (..., hidden) share
-    their leading (batch) axes."""
-    z = tz.sigmoid(x @ params["wz"] + h @ params["uz"] + params["bz"])
-    r = tz.sigmoid(x @ params["wr"] + h @ params["ur"] + params["br"])
-    rh = r * h
-    n = tz.tanh(x @ params["wn"] + rh @ params["un"] + params["bn"])
-    h_new = (1.0 - z) * n + z * h
-    return h_new, {"x": x, "h": h, "z": z, "r": r, "rh": rh, "n": n}
+def gru_step(xw: np.ndarray, h: np.ndarray, u_zr: np.ndarray, un: np.ndarray,
+             gates: np.ndarray, rh: np.ndarray, h_new: np.ndarray) -> None:
+    """One recurrence step of S sequences. ``xw`` (S, 3 hidden) is the step's
+    input projection x [Wz|Wr|Wn] + [bz|br|bn] and ``h`` (S, hidden) the state
+    before it; fills ``gates`` with z | r | n, ``rh`` with r * h and ``h_new``
+    with the state after it."""
+    hid = h.shape[-1]
+    zr, n = gates[:, :2 * hid], gates[:, 2 * hid:]
+    np.matmul(h, u_zr, out=zr)
+    zr += xw[:, :2 * hid]
+    tz.sigmoid(zr, out=zr)
+    z, r = zr[:, :hid], zr[:, hid:]
+    np.multiply(r, h, out=rh)
+    np.matmul(rh, un, out=n)
+    n += xw[:, 2 * hid:]
+    np.tanh(n, out=n)
+    np.multiply(1.0 - z, n, out=h_new)
+    h_new += z * h
 
 
-def gru_step_backward(dh_new: np.ndarray, cache: dict, params: dict,
-                      grads: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Backward through one step. Accumulates the batch's summed weight
-    gradients into ``grads``; returns (dx, dh)."""
-    x, h, z, r, n = cache["x"], cache["h"], cache["z"], cache["r"], cache["n"]
-    dpre_n = dh_new * (1.0 - z) * (1.0 - n * n)
-    drh = dpre_n @ params["un"].T
-    dpre_z = dh_new * (h - n) * z * (1.0 - z)
-    dpre_r = drh * h * r * (1.0 - r)
-    for gate, dpre, h_in in (("n", dpre_n, cache["rh"]), ("z", dpre_z, h), ("r", dpre_r, h)):
-        dw, db = tz.linear_grads(x, dpre)
-        grads[f"w{gate}"] += dw
-        grads[f"u{gate}"] += tz.linear_grads(h_in, dpre)[0]
-        grads[f"b{gate}"] += db
-    dx = dpre_n @ params["wn"].T + dpre_z @ params["wz"].T + dpre_r @ params["wr"].T
-    dh = dh_new * z + drh * r + dpre_z @ params["uz"].T + dpre_r @ params["ur"].T
-    return dx, dh
+def gru_step_backward(dh_new: np.ndarray, h: np.ndarray, gates: np.ndarray,
+                      u_zr: np.ndarray, un: np.ndarray, dpre: np.ndarray) -> np.ndarray:
+    """Backward through one step, given d loss / d new state: fills ``dpre``
+    (S, 3 hidden) with d loss / d the pre-activations of z | r | n and
+    returns d loss / d ``h``."""
+    hid = h.shape[-1]
+    z, r, n = gates[:, :hid], gates[:, hid:2 * hid], gates[:, 2 * hid:]
+    dpre_n = dpre[:, 2 * hid:]
+    np.multiply(dh_new * (1.0 - z), 1.0 - n * n, out=dpre_n)
+    drh = dpre_n @ un.T
+    np.multiply(dh_new * (h - n) * z, 1.0 - z, out=dpre[:, :hid])
+    np.multiply(drh * h * r, 1.0 - r, out=dpre[:, hid:2 * hid])
+    return dh_new * z + drh * r + dpre[:, :2 * hid] @ u_zr.T
+
+
+def gru_forward(x: np.ndarray, params: dict) -> tuple[np.ndarray, dict]:
+    """Run the GRU over ``x`` (k, S, input), step t reading ``x[t]``, from a
+    zero state; returns (final state (S, hidden), cache)."""
+    k, s, e = x.shape
+    hid = params["un"].shape[0]
+    w = np.concatenate((params["wz"], params["wr"], params["wn"]), axis=1)
+    b = np.concatenate((params["bz"], params["br"], params["bn"]))
+    u_zr = np.concatenate((params["uz"], params["ur"]), axis=1)
+    xw = tz.linear(x.reshape(-1, e), w, b).reshape(k, s, 3 * hid)
+    hs = np.zeros((k + 1, s, hid))  # hs[t]: the state before step t
+    gates, rh = np.empty((k, s, 3 * hid)), np.empty((k, s, hid))
+    for t in range(k):
+        gru_step(xw[t], hs[t], u_zr, params["un"], gates[t], rh[t], hs[t + 1])
+    return hs[k], {"x": x, "w": w, "u_zr": u_zr, "hs": hs, "gates": gates, "rh": rh}
+
+
+def gru_backward(dh: np.ndarray, cache: dict, params: dict, grads: dict) -> np.ndarray:
+    """Backward through time, given d loss / d final state: writes the nine
+    gate tensors' gradients, summed over the batch, into ``grads`` and
+    returns d loss / d ``x`` (k, S, input)."""
+    x, hs, gates = cache["x"], cache["hs"], cache["gates"]
+    k, s, e = x.shape
+    hid = hs.shape[-1]
+    dpre = np.empty((k, s, 3 * hid))
+    for t in reversed(range(k)):
+        dh = gru_step_backward(dh, hs[t], gates[t], cache["u_zr"], params["un"], dpre[t])
+    xs, dp = x.reshape(-1, e), dpre.reshape(-1, 3 * hid)
+    for g, (gate, h_in) in enumerate(zip("zrn", (hs[:k], hs[:k], cache["rh"]))):
+        dp_g = dp[:, g * hid:(g + 1) * hid]
+        tz.linear_grads(xs, dp_g, grads[f"w{gate}"], grads[f"b{gate}"])
+        np.matmul(h_in.reshape(-1, hid).T, dp_g, out=grads[f"u{gate}"])
+    return (dp @ cache["w"].T).reshape(k, s, e)
 
 
 def temporal_forward(a_hat: np.ndarray, ax: np.ndarray, rows: np.ndarray,
@@ -83,28 +123,18 @@ def temporal_forward(a_hat: np.ndarray, ax: np.ndarray, rows: np.ndarray,
     ``a_hat`` and ``ax`` = ``a_hat @ x``: each graph is encoded once and
     sequence s reads graphs ``rows[s]``, oldest first. Returns (probs (S,), cache)."""
     emb, enc_cache = gcn_embed(a_hat, ax, params)
-    seq = emb[rows]
-    h = np.zeros((len(seq), params["w_out"].shape[0]))
-    step_caches = []
-    for t in range(seq.shape[1]):
-        h, step_cache = gru_step(seq[:, t], h, params)
-        step_caches.append(step_cache)
+    h, gru_cache = gru_forward(emb[rows.T], params)
     logit = h @ params["w_out"][:, 0] + params["b_out"][0]
-    cache = {"enc": enc_cache, "steps": step_caches, "h_final": h, "rows": rows,
-             "n_emb": len(emb)}
+    cache = {"enc": enc_cache, "gru": gru_cache, "h_final": h, "rows": rows, "n_emb": len(emb)}
     return tz.sigmoid(logit), cache
 
 
-def temporal_backward(dlogit: np.ndarray, cache: dict, params: dict) -> dict[str, np.ndarray]:
+def temporal_backward(dlogit: np.ndarray, cache: dict, params: dict, grads: dict) -> None:
     """Backward through head, time, and every shared encoder: the gradients
-    of the encoder and GRU tensors, summed over the batch, in one dict."""
-    grads = {name: np.zeros_like(params[name]) for name in GRU_TENSORS}
+    of the encoder and GRU tensors, summed over the batch, written into
+    ``grads`` (see ``gcn_backward``)."""
     d = np.asarray(dlogit, dtype=np.float64)[..., None]
-    grads["w_out"], grads["b_out"] = tz.linear_grads(cache["h_final"], d)
-    dh = d * params["w_out"][:, 0]
-    dseq = np.empty(cache["rows"].shape + params["wz"].shape[:1])  # (S, k, embedding)
-    for t in reversed(range(len(cache["steps"]))):
-        dseq[:, t], dh = gru_step_backward(dh, cache["steps"][t], params, grads)
-    dseq = tz.scatter_rows(dseq, cache["rows"], cache["n_emb"])
-    grads.update(gcn_embed_backward(dseq, cache["enc"], params))
-    return grads
+    tz.linear_grads(cache["h_final"], d, grads["w_out"], grads["b_out"])
+    dx = gru_backward(d * params["w_out"][:, 0], cache["gru"], params, grads)
+    dz = tz.scatter_rows(dx, cache["rows"].T, cache["n_emb"])
+    gcn_embed_backward(dz, cache["enc"], params, grads)

@@ -7,11 +7,12 @@ stack, never one over the stack reshaped to (G*N) x F: OpenBLAS hands a
 GEMM of more than 2^18 multiply-adds to its thread pool, and at mini-batch
 sizes waking the pool costs more than the arithmetic (reshaped, temporal
 training on 44 tickers burned 1.7-1.9 CPU seconds per wall second on two
-cores, and took longer). Nothing on this hot path scans for NaN/Inf;
+cores, and took longer). Gradients can be written into the views of one
+flat vector (:func:`flatten`), which :func:`adam_step` reads to update one
+flat parameter vector in place. Nothing on this hot path scans for NaN/Inf;
 non-finite values raise NumericalError at the losses, :func:`adam_step`
 and ``training.predict_scores``. The checked 2-D :func:`matmul` and
-:func:`add` have no caller in the models. :func:`adam_step` updates one
-flat parameter vector in place (:func:`flatten`).
+:func:`add` have no caller in the models.
 
 All randomness in the toolkit flows through :func:`seeded_rng`, which is
 backed by the counter-based Philox generator, so any consumer that records
@@ -20,6 +21,7 @@ its seed (and stream labels) is bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +36,11 @@ __all__ = [
     "matmul",
     "add",
     "linear",
+    "weight_grad",
     "linear_grads",
     "scatter_rows",
     "relu",
     "sigmoid",
-    "tanh",
     "bce_loss",
     "focal_loss",
     "flatten",
@@ -91,16 +93,22 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def linear_grads(x: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dW, db) of :func:`linear` given d loss / d output, summed over every
-    leading axis: for a stack, one ``x_g^T dy_g`` GEMM per matrix g, then a
-    sum over g."""
-    d = dy.reshape(-1, dy.shape[-1])
+def weight_grad(x: np.ndarray, dy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """d loss / dW of ``x @ W`` given d loss / d output, summed over every
+    leading axis: ``x^T dy`` for a matrix; for a stack, one ``x_g^T dy_g``
+    GEMM per matrix g, then a sum over g. Written into ``out`` when given."""
     if x.ndim <= 2:
-        return x.reshape(-1, x.shape[-1]).T @ d, d.sum(axis=0)
+        return np.matmul(x.reshape(-1, x.shape[-1]).T, dy.reshape(-1, dy.shape[-1]), out=out)
     xs = x.reshape((-1,) + x.shape[-2:])
-    dw = np.swapaxes(xs, -1, -2) @ dy.reshape(xs.shape[:-1] + (-1,))
-    return dw.sum(axis=0), d.sum(axis=0)
+    return np.sum(np.swapaxes(xs, -1, -2) @ dy.reshape(xs.shape[:-1] + (-1,)), axis=0, out=out)
+
+
+def linear_grads(x: np.ndarray, dy: np.ndarray, dw: np.ndarray | None = None,
+                 db: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(dW, db) of :func:`linear` given d loss / d output, summed over every
+    leading axis (see :func:`weight_grad`). Written into ``dw`` and ``db``
+    when given."""
+    return weight_grad(x, dy, dw), np.sum(dy.reshape(-1, dy.shape[-1]), axis=0, out=db)
 
 
 def scatter_rows(d: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -114,20 +122,19 @@ def scatter_rows(d: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 # -- activations --------------------------------------------------------
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+    """ReLU in place: sets the entries of the float64 array ``x`` below 0 to 0
+    and returns it. Its output is > 0 exactly where its input was."""
+    return np.maximum(x, 0.0, out=x)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function: exp only ever sees -|x|, so it never
-    overflows. Like any float64 form it returns 0.0 for finite x <= -746, where
-    exp(x) underflows."""
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic function, 1 / (1 + e) for x >= 0 and
+    e / (1 + e) below, e = exp(-|x|): exp never overflows. Like any float64
+    form it returns 0.0 for finite x <= -746, where exp(x) underflows.
+    Written into ``out`` when given, which may be ``x`` itself."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(np.asarray(x, dtype=np.float64))
+    return np.divide(np.where(x >= 0.0, 1.0, e), 1.0 + e, out=out)
 
 
 # -- losses --------------------------------------------------------------
@@ -139,9 +146,9 @@ def _check_loss_args(probs, targets) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"loss: predictions {p.shape} vs targets {y.shape}")
     if p.size == 0:
         raise ShapeError("loss: empty batch")
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise NumericalError("loss: targets must be exactly 0 or 1")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise NumericalError("loss: non-finite predictions")
     return p, y
 
@@ -154,10 +161,11 @@ def bce_loss(probs, targets) -> tuple[float, np.ndarray]:
     being (p - y) / batch.
     """
     p, y = _check_loss_args(probs, targets)
-    pc = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-    loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
-    dlogits = (p - y) / p.size
-    return _finite("bce_loss", np.asarray(loss)).item(), dlogits
+    pc = np.minimum(np.maximum(p, PROB_EPS), 1.0 - PROB_EPS)
+    loss = -float((y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).sum() / p.size)
+    if not math.isfinite(loss):
+        raise NumericalError("bce_loss produced non-finite values")
+    return loss, (p - y) / p.size
 
 
 def focal_loss(probs, targets, gamma: float = 2.0) -> tuple[float, np.ndarray]:

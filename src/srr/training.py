@@ -193,45 +193,52 @@ def _train_minibatch(samples: _GraphSamples, params: dict, forward, backward,
 
     ``forward(a_hat, ax, rows, params) -> (probs, cache)`` scores the sequences
     whose snapshots are ``rows`` (B x k) of the (a_hat, ax) stacks;
-    ``backward(dlogits, cache, params) -> grads`` sums the batch's gradients.
-    Each batch passes the distinct snapshots it reads, once each. The
-    parameters are views into one flat vector that Adam updates in place.
+    ``backward(dlogits, cache, params, grads)`` writes the batch's summed
+    gradients into ``grads``. Each batch passes the distinct snapshots it
+    reads, once each. Parameters and gradients are views into two flat
+    vectors, and Adam updates the parameters in place. NumPy's overflow
+    warnings stay quiet: the loss and Adam trap every non-finite value, and
+    the error names the kind, epoch and batch.
     Returns (best parameters, per-epoch mean losses, best epoch index).
     """
     loss_fn = _loss_fn(m)
     theta, params = tz.flatten(params)
-    grad = np.empty_like(theta)
+    grad, grads = tz.flatten(params)  # the same layout; each backward overwrites it
     opt = tz.AdamState({k: v.size for k, v in params.items()}, lr=m.learning_rate)
     rng = tz.seeded_rng(seed, 11)
     n = len(samples.labels)
+    slot = np.zeros(len(samples.a_hat), dtype=np.intp)  # stack index -> batch index
     best_loss = np.inf
     best_theta = theta.copy()
     best_epoch = -1
     history: list[float] = []
-    for epoch in range(m.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, m.batch_size):
-            chunk = perm[start:start + m.batch_size]
-            used, rows = np.unique(samples.rows[chunk], return_inverse=True)
-            probs, cache = forward(samples.a_hat[used], samples.ax[used],
-                                   rows.reshape(len(chunk), -1), params)
-            loss, dlogits = loss_fn(probs, samples.labels[chunk])
-            if not np.isfinite(loss):
-                raise NumericalError(
-                    f"{kind}: training diverged at epoch {epoch}, batch {start // m.batch_size}"
-                    f" (loss={loss!r})"
-                )
-            grads = backward(dlogits, cache, params)
-            np.concatenate([grads[k] for k in params], axis=None, out=grad)
-            tz.adam_step(theta, grad, opt)
-            epoch_loss += loss * len(chunk)
-        epoch_loss /= n
-        history.append(float(epoch_loss))
-        if epoch_loss < best_loss:
-            best_loss = epoch_loss
-            best_theta[...] = theta
-            best_epoch = epoch
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(m.epochs):
+            perm = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, m.batch_size):
+                chunk = perm[start:start + m.batch_size]
+                slot[samples.rows[chunk]] = 1
+                used = np.flatnonzero(slot)  # the batch's snapshots, in stack order
+                slot[used] = np.arange(len(used))
+                rows, slot[used] = slot[samples.rows[chunk]], 0
+                try:
+                    probs, cache = forward(samples.a_hat[used], samples.ax[used], rows, params)
+                    loss, dlogits = loss_fn(probs, samples.labels[chunk])
+                    if not math.isfinite(loss):
+                        raise NumericalError(f"loss={loss!r}")
+                    backward(dlogits, cache, params, grads)
+                    tz.adam_step(theta, grad, opt)
+                except NumericalError as exc:
+                    raise NumericalError(f"{kind}: training diverged at epoch {epoch}, batch "
+                                         f"{start // m.batch_size}: {exc}") from None
+                epoch_loss += loss * len(chunk)
+            epoch_loss /= n
+            history.append(float(epoch_loss))
+            if epoch_loss < best_loss:
+                best_loss = epoch_loss
+                best_theta[...] = theta
+                best_epoch = epoch
     theta[...] = best_theta
     return params, history, best_epoch
 
@@ -254,7 +261,7 @@ class _GraphKind(NamedTuple):
 
     init: Callable  # (n_features, model config, seed) -> params
     forward: str  # this module's name of (a_hat, ax, rows, params) -> (probs, cache)
-    backward: str  # ... and of (dlogits, cache, params) -> grads summed over the batch
+    backward: str  # ... and of (dlogits, cache, params, grads), filling grads
     hyper: dict  # header key -> ModelConfig field, besides _GRAPH_HYPER
     noun: str  # what one sample is, for error messages
     bookkeeping: tuple[str, ...] = ()

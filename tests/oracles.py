@@ -38,7 +38,16 @@ last, the hand-rolled CSV writers that ``market_data.write_csv`` replaced:
 ``write_panel_csv``, the loop of ``synthetic.write_synthetic_csv``,
 ``write_graph_labels_csv``, the command line's ``_write_macro_csv``, and its
 timeline loop from ``cmd_evaluate``, wrapped as ``write_timeline`` (its
-``run.path(timeline)`` is the ``path`` argument).
+``run.path(timeline)`` is the ``path`` argument). Last, the batched
+mini-batch step that stacked GRU gates, the in-place encoder and gradients
+written into one flat vector replaced: the ``batch_*`` forward and backward
+passes, among them the per-step GRU as ``batch_gru_step`` and
+``batch_gru_step_backward``, and ``training._train_minibatch`` as
+``train_minibatch``, which concatenates a gradient dict per step. Where
+these and the per-sample GRU above called ``tensor.tanh``, they call
+``np.tanh``, its body. ``tensor.relu`` now runs in place, so the
+pre-activations they cache hold the activations; that changes no value
+they compute, since a ReLU output is > 0 exactly where its input was.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ from srr.market_data import ReturnPanel
 from srr.models.baselines import gini
 from srr.synthetic import RegimeParams, planted_regime_panel
 from srr.tensor import _finite
-from srr.training import _GraphSamples
+from srr.training import _GraphSamples, _loss_fn
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -189,7 +198,7 @@ def gru_step(x: np.ndarray, h: np.ndarray, params: dict) -> tuple[np.ndarray, di
     r = tz.sigmoid(pre_r)
     rh = r * h
     pre_n = x @ params["wn"] + rh @ params["un"] + params["bn"]
-    n = tz.tanh(pre_n)
+    n = np.tanh(pre_n)
     h_new = (1.0 - z) * n + z * h
     cache = {"x": x, "h": h, "z": z, "r": r, "rh": rh, "n": n,
              "pre_z": pre_z, "pre_r": pre_r, "pre_n": pre_n}
@@ -855,3 +864,171 @@ def write_timeline(path: str, dates, scores, labels) -> None:
         fh.write("date,score,label\n")
         for d, s, y in zip(dates, scores, labels):
             fh.write(f"{d},{float(s)!r},{int(y)}\n")
+
+
+# -- the batched mini-batch step that stacked GRU gates replaced ---------------
+
+def batch_gcn_embed(a_hat: np.ndarray, ax: np.ndarray, params: dict) -> tuple[np.ndarray, dict]:
+    """Two convolutions + mean pooling of every graph in the batch.
+
+    ``a_hat`` is (..., N, N) and ``ax`` = ``a_hat @ x`` (..., N, F) with the
+    same leading axes; returns (embeddings (..., hidden), cache).
+    """
+    if a_hat.shape[:-1] != ax.shape[:-1]:
+        raise ShapeError(f"adjacency {a_hat.shape} vs features {ax.shape}: "
+                         "batch or node axes differ")
+    pre1 = tz.linear(ax, params["w1"], params["b1"])
+    ah1 = a_hat @ tz.relu(pre1)
+    pre2 = tz.linear(ah1, params["w2"], params["b2"])
+    z = tz.relu(pre2).mean(axis=-2)
+    cache = {"a_hat": a_hat, "ax": ax, "pre1": pre1, "ah1": ah1, "pre2": pre2}
+    return z, cache
+
+
+def batch_gcn_embed_backward(dz: np.ndarray, cache: dict, params: dict) -> dict[str, np.ndarray]:
+    """Encoder weight gradients, summed over the batch, given d loss / d embeddings."""
+    pre2 = cache["pre2"]
+    dpre2 = dz[..., None, :] / pre2.shape[-2] * (pre2 > 0.0)  # mean-pool and ReLU backward
+    grads = dict(zip(("w2", "b2"), tz.linear_grads(cache["ah1"], dpre2)))
+    dpre1 = tz.linear(cache["a_hat"] @ dpre2, params["w2"].T) * (cache["pre1"] > 0.0)
+    grads["w1"], grads["b1"] = tz.linear_grads(cache["ax"], dpre1)
+    return grads
+
+
+def batch_gcn_forward(a_hat: np.ndarray, ax: np.ndarray, rows: np.ndarray,
+                      params: dict) -> tuple[np.ndarray, dict]:
+    """Probabilities of the snapshot samples ``rows`` (S x 1) of the graph
+    stacks ``a_hat`` and ``ax`` = ``a_hat @ x``: each graph is encoded once
+    and sample s reads graph ``rows[s, 0]``. Returns (probs (S,), cache)."""
+    emb, enc_cache = batch_gcn_embed(a_hat, ax, params)
+    read = rows[:, 0]
+    z = emb[read]
+    pre3 = tz.linear(z, params["w3"], params["b3"])
+    h3 = tz.relu(pre3)
+    logit = tz.linear(h3, params["w4"], params["b4"])[:, 0]
+    cache = {"enc": enc_cache, "z": z, "pre3": pre3, "h3": h3, "read": read, "n_emb": len(emb)}
+    return tz.sigmoid(logit), cache
+
+
+def batch_gcn_backward(dlogit: np.ndarray, cache: dict, params: dict) -> dict[str, np.ndarray]:
+    """Gradients for all eight tensors, summed over the batch, given d loss / d logits."""
+    d = np.asarray(dlogit, dtype=np.float64)[..., None]
+    grads = dict(zip(("w4", "b4"), tz.linear_grads(cache["h3"], d)))
+    dpre3 = (d @ params["w4"].T) * (cache["pre3"] > 0.0)
+    grads["w3"], grads["b3"] = tz.linear_grads(cache["z"], dpre3)
+    dz = tz.scatter_rows(dpre3 @ params["w3"].T, cache["read"], cache["n_emb"])
+    grads.update(batch_gcn_embed_backward(dz, cache["enc"], params))
+    return grads
+
+
+def batch_gru_step(x: np.ndarray, h: np.ndarray, params: dict) -> tuple[np.ndarray, dict]:
+    """One recurrence step; ``x`` (..., input) and ``h`` (..., hidden) share
+    their leading (batch) axes."""
+    z = tz.sigmoid(x @ params["wz"] + h @ params["uz"] + params["bz"])
+    r = tz.sigmoid(x @ params["wr"] + h @ params["ur"] + params["br"])
+    rh = r * h
+    n = np.tanh(x @ params["wn"] + rh @ params["un"] + params["bn"])
+    h_new = (1.0 - z) * n + z * h
+    return h_new, {"x": x, "h": h, "z": z, "r": r, "rh": rh, "n": n}
+
+
+def batch_gru_step_backward(dh_new: np.ndarray, cache: dict, params: dict,
+                            grads: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Backward through one step. Accumulates the batch's summed weight
+    gradients into ``grads``; returns (dx, dh)."""
+    x, h, z, r, n = cache["x"], cache["h"], cache["z"], cache["r"], cache["n"]
+    dpre_n = dh_new * (1.0 - z) * (1.0 - n * n)
+    drh = dpre_n @ params["un"].T
+    dpre_z = dh_new * (h - n) * z * (1.0 - z)
+    dpre_r = drh * h * r * (1.0 - r)
+    for gate, dpre, h_in in (("n", dpre_n, cache["rh"]), ("z", dpre_z, h), ("r", dpre_r, h)):
+        dw, db = tz.linear_grads(x, dpre)
+        grads[f"w{gate}"] += dw
+        grads[f"u{gate}"] += tz.linear_grads(h_in, dpre)[0]
+        grads[f"b{gate}"] += db
+    dx = dpre_n @ params["wn"].T + dpre_z @ params["wz"].T + dpre_r @ params["wr"].T
+    dh = dh_new * z + drh * r + dpre_z @ params["uz"].T + dpre_r @ params["ur"].T
+    return dx, dh
+
+
+def batch_temporal_forward(a_hat: np.ndarray, ax: np.ndarray, rows: np.ndarray,
+                           params: dict) -> tuple[np.ndarray, dict]:
+    """Probabilities of the sequences ``rows`` (S x k) of the graph stacks
+    ``a_hat`` and ``ax`` = ``a_hat @ x``: each graph is encoded once and
+    sequence s reads graphs ``rows[s]``, oldest first. Returns (probs (S,), cache)."""
+    emb, enc_cache = batch_gcn_embed(a_hat, ax, params)
+    seq = emb[rows]
+    h = np.zeros((len(seq), params["w_out"].shape[0]))
+    step_caches = []
+    for t in range(seq.shape[1]):
+        h, step_cache = batch_gru_step(seq[:, t], h, params)
+        step_caches.append(step_cache)
+    logit = h @ params["w_out"][:, 0] + params["b_out"][0]
+    cache = {"enc": enc_cache, "steps": step_caches, "h_final": h, "rows": rows,
+             "n_emb": len(emb)}
+    return tz.sigmoid(logit), cache
+
+
+def batch_temporal_backward(dlogit: np.ndarray, cache: dict, params: dict) -> dict[str, np.ndarray]:
+    """Backward through head, time, and every shared encoder: the gradients
+    of the encoder and GRU tensors, summed over the batch, in one dict."""
+    grads = {name: np.zeros_like(params[name]) for name in GRU_TENSORS}
+    d = np.asarray(dlogit, dtype=np.float64)[..., None]
+    grads["w_out"], grads["b_out"] = tz.linear_grads(cache["h_final"], d)
+    dh = d * params["w_out"][:, 0]
+    dseq = np.empty(cache["rows"].shape + params["wz"].shape[:1])  # (S, k, embedding)
+    for t in reversed(range(len(cache["steps"]))):
+        dseq[:, t], dh = batch_gru_step_backward(dh, cache["steps"][t], params, grads)
+    dseq = tz.scatter_rows(dseq, cache["rows"], cache["n_emb"])
+    grads.update(batch_gcn_embed_backward(dseq, cache["enc"], params))
+    return grads
+
+
+def train_minibatch(samples: _GraphSamples, params: dict, forward, backward,
+                    m, seed: int, kind: str) -> tuple[dict, list[float], int]:
+    """Shared shuffled-mini-batch Adam loop for both GNN families: one forward
+    and one backward per mini-batch.
+
+    ``forward(a_hat, ax, rows, params) -> (probs, cache)`` scores the sequences
+    whose snapshots are ``rows`` (B x k) of the (a_hat, ax) stacks;
+    ``backward(dlogits, cache, params) -> grads`` sums the batch's gradients.
+    Each batch passes the distinct snapshots it reads, once each. The
+    parameters are views into one flat vector that Adam updates in place.
+    Returns (best parameters, per-epoch mean losses, best epoch index).
+    """
+    loss_fn = _loss_fn(m)
+    theta, params = tz.flatten(params)
+    grad = np.empty_like(theta)
+    opt = tz.AdamState({k: v.size for k, v in params.items()}, lr=m.learning_rate)
+    rng = tz.seeded_rng(seed, 11)
+    n = len(samples.labels)
+    best_loss = np.inf
+    best_theta = theta.copy()
+    best_epoch = -1
+    history: list[float] = []
+    for epoch in range(m.epochs):
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, m.batch_size):
+            chunk = perm[start:start + m.batch_size]
+            used, rows = np.unique(samples.rows[chunk], return_inverse=True)
+            probs, cache = forward(samples.a_hat[used], samples.ax[used],
+                                   rows.reshape(len(chunk), -1), params)
+            loss, dlogits = loss_fn(probs, samples.labels[chunk])
+            if not np.isfinite(loss):
+                raise NumericalError(
+                    f"{kind}: training diverged at epoch {epoch}, batch {start // m.batch_size}"
+                    f" (loss={loss!r})"
+                )
+            grads = backward(dlogits, cache, params)
+            np.concatenate([grads[k] for k in params], axis=None, out=grad)
+            tz.adam_step(theta, grad, opt)
+            epoch_loss += loss * len(chunk)
+        epoch_loss /= n
+        history.append(float(epoch_loss))
+        if epoch_loss < best_loss:
+            best_loss = epoch_loss
+            best_theta[...] = theta
+            best_epoch = epoch
+    theta[...] = best_theta
+    return params, history, best_epoch

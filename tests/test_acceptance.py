@@ -18,9 +18,9 @@ from srr.features import compute_features
 from srr.features import FeaturePanel
 from srr.graphs import EDGE_DTYPE, GraphSnapshot, average_ranks, rank_correlation_matrix
 from srr.market_data import PricePanel, log_returns
-from srr.models import (gcn_backward, gcn_forward, gcn_normalize, gru_step,
-                        init_gcn, init_gru, temporal_forward)
-from srr.models.temporal import gru_step_backward
+from srr.models import (gcn_backward, gcn_forward, gcn_normalize, init_gcn, init_gru,
+                        temporal_forward)
+from srr.models.temporal import gru_backward, gru_forward
 from srr.synthetic import business_days, planted_regime_panel, write_synthetic_csv
 from srr.tensor import bce_loss, focal_loss, sigmoid
 from srr.training import DataBundle, _graph_samples, chronological_split
@@ -159,22 +159,24 @@ def test_criterion_04_gradient_suite():
             def gcn_fn(p):
                 probs, cache = gcn_forward(a_hat[None], (a_hat @ x)[None], ONE, p)
                 loss, _ = bce_loss(probs, np.array([y]))
-                return loss, gcn_backward(probs - y, cache, p)
+                grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+                gcn_backward(probs - y, cache, p, grads)
+                return loss, grads
 
             worst = max(worst, _fd_suite(
                 gcn_fn, gcn_p, ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4"), tol))
 
-            # GRU: one recurrence step, all gate tensors
+            # GRU: the recurrence, all gate tensors
             gru_p = init_gru(rng, input_dim=3, hidden=4)
             for gate in ("z", "r", "n"):
                 gru_p[f"b{gate}"] = 0.1 * rng.normal(size=4)
-            xg, hg, v = rng.normal(size=3), rng.normal(size=4), rng.normal(size=4)
+            xg, v = rng.normal(size=6), rng.normal(size=4)
 
-            def gru_fn(p):
-                h_new, cache = gru_step(xg, hg, p)
+            def gru_fn(p):  # two steps from the zero state: the second starts at h1 != 0
+                h_new, cache = gru_forward(xg.reshape(2, 1, 3), p)
                 grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-                gru_step_backward(v, cache, p, grads)
-                return float(v @ h_new), grads
+                gru_backward(v[None], cache, p, grads)
+                return float(v @ h_new[0]), grads
 
             worst = max(worst, _fd_suite(
                 gru_fn, gru_p,

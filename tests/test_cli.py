@@ -559,6 +559,25 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 2
         assert "rerun `srr ingest`" in proc.stderr
 
+    def test_divergence_exits_three_naming_the_model(self, tmp_path):
+        """A learning rate of 1e300 on the 20 x 600 fixture: the run exits 3
+        with the kind in its error, and no NumPy warning reaches stderr."""
+        prices = tmp_path / "prices.csv"
+        write_synthetic_csv(str(prices), n_tickers=20, n_days=600, seed=7)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "data": {"prices_csv": str(prices)},
+            "labels": {"threshold": 0.10, "horizon": 20},
+            "model": {"kinds": ["gcn", "temporal"], "stride": 1, "epochs": 6,
+                      "learning_rate": 1e300},
+            "seed": 7, "out": str(tmp_path / "out")}))
+        proc = subprocess.run([sys.executable, "-m", "srr.cli", "run-all", "--config",
+                               str(cfg_path)], capture_output=True, text=True,
+                              env=self.child_env())
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: gcn: training diverged at epoch ")
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_module_invocation_offers_help(self):
         proc = subprocess.run([sys.executable, "-c",
                                "from srr.cli import main; raise SystemExit(main(['--help']))"],

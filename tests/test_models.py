@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from srr.errors import DataError, NumericalError, ShapeError
@@ -14,13 +15,13 @@ from srr.models import (MODEL_FORMAT, ModelState, adjacency_from_snapshot,
                         day_feature_matrix, day_feature_names, deserialize,
                         forest_fit, forest_predict, gcn_backward, gcn_embed,
                         gcn_embed_backward, gcn_forward, gcn_normalize, gini,
-                        gru_step, init_gcn, init_gru, logistic_fit,
+                        init_gcn, init_gru, logistic_fit,
                         logistic_predict, parameter_count, serialize,
                         temporal_backward, temporal_forward)
 from srr.features import FeaturePanel, compute_features
 from srr.market_data import PricePanel, log_returns
 from srr.models.baselines import _grow_tree
-from srr.models.temporal import gru_step_backward
+from srr.models.temporal import gru_backward, gru_forward, gru_step, gru_step_backward
 from srr.synthetic import business_days, planted_regime_panel
 from srr.tensor import bce_loss, focal_loss, seeded_rng, sigmoid
 from srr import training
@@ -101,7 +102,7 @@ class TestAdjacency:
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             corr = [(i, j, float(rng.uniform(-1.0, 1.0)))
                     for (i, j), p in zip(pairs, rng.random(len(pairs))) if p < 0.3]
-            corr += [(j, i, float(rng.uniform(-1.0, 1.0))) for i, j, _ in corr[::4]]  # repeats
+            corr += [(i, j, float(rng.uniform(-1.0, 1.0))) for i, j, _ in corr[::4]]  # repeats
             sector = [(i, j, 1.0) for (i, j), p in zip(pairs, rng.random(len(pairs))) if p < 0.2]
             for snap in (snapshot_for(n, corr, sector), snapshot_for(n, [], [])):
                 for layers in (("correlation",), ("sector",), ("correlation", "sector")):
@@ -195,6 +196,12 @@ class TestGcnForward:
         assert np.any(h2_change > 0)
 
 
+def blank_grads(params):
+    """Gradient arrays for a backward pass to fill, NaN so that any it leaves
+    unwritten fails every comparison."""
+    return {name: np.full_like(arr, np.nan) for name, arr in params.items()}
+
+
 def fd_check(fn, params, names, eps=1e-6, tol=1e-5):
     """Central-difference check of d fn / d params[name] against analytic grads.
 
@@ -231,7 +238,8 @@ class TestGcnGradients:
         def fn(p):
             probs, cache = gcn_one(a_hat, x, p)
             loss, _ = bce_loss(probs, np.array([y]))
-            grads = gcn_backward(probs - y, cache, p)
+            grads = blank_grads(p)
+            gcn_backward(probs - y, cache, p, grads)
             return loss, grads
 
         fd_check(fn, params, ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4"))
@@ -244,9 +252,28 @@ class TestGcnGradients:
 
         def fn(p):
             z, cache = gcn_embed(a_hat, a_hat @ x, p)
-            return float(v @ z), gcn_embed_backward(v, cache, p)
+            grads = blank_grads(p)
+            gcn_embed_backward(v, cache, p, grads)
+            return float(v @ z), grads
 
         fd_check(fn, params, ("w1", "b1", "w2", "b2"))
+
+
+def gru_inputs(params, x):
+    """The arguments of ``gru_step`` that ``gru_forward`` derives from the
+    parameters and one step's input rows ``x`` (S, input)."""
+    xw = (x @ np.concatenate([params[f"w{g}"] for g in "zrn"], axis=1)
+          + np.concatenate([params[f"b{g}"] for g in "zrn"]))
+    return xw, np.concatenate((params["uz"], params["ur"]), axis=1), params["un"]
+
+
+def one_step(x, h, params):
+    """``gru_step`` from the state ``h`` (S, hidden): (new state, gates)."""
+    xw, u_zr, un = gru_inputs(params, x)
+    s, hid = h.shape
+    gates, rh, h_new = np.empty((s, 3 * hid)), np.empty((s, hid)), np.empty((s, hid))
+    gru_step(xw, h, u_zr, un, gates, rh, h_new)
+    return h_new, gates
 
 
 class TestGruStep:
@@ -255,60 +282,66 @@ class TestGruStep:
              "wr": np.array([[0.3]]), "ur": np.array([[0.4]]), "br": np.array([-0.1]),
              "wn": np.array([[0.7]]), "un": np.array([[-0.5]]), "bn": np.array([0.2]),
              "w_out": np.array([[1.0]]), "b_out": np.array([0.0])}
-        x, h = np.array([0.5]), np.array([0.3])
-        h_new, cache = gru_step(x, h, p)
-        z = 1.0 / (1.0 + math.exp(-(0.5 * 0.1 + 0.3 * 0.2 + 0.05)))
-        r = 1.0 / (1.0 + math.exp(-(0.5 * 0.3 + 0.3 * 0.4 - 0.1)))
-        n = math.tanh(0.5 * 0.7 + (r * 0.3) * (-0.5) + 0.2)
-        expected = (1.0 - z) * n + z * 0.3
-        assert abs(h_new[0] - expected) < 1e-15
-        assert abs(cache["z"][0] - z) < 1e-15 and abs(cache["r"][0] - r) < 1e-15
+        xs = np.array([0.5, -0.8])
+        h_final, cache = gru_forward(xs.reshape(2, 1, 1), p)
+        h = 0.0
+        for t, x in enumerate(xs):  # from the zero state, one scalar step at a time
+            z = 1.0 / (1.0 + math.exp(-(x * 0.1 + h * 0.2 + 0.05)))
+            r = 1.0 / (1.0 + math.exp(-(x * 0.3 + h * 0.4 - 0.1)))
+            n = math.tanh(x * 0.7 + (r * h) * (-0.5) + 0.2)
+            h = (1.0 - z) * n + z * h
+            assert np.allclose(cache["gates"][t, 0], [z, r, n], rtol=0, atol=1e-15)
+            assert abs(cache["hs"][t + 1, 0, 0] - h) < 1e-15
+        assert abs(h_final[0, 0] - h) < 1e-15
 
     def test_zero_update_gate_bias_blends_half(self):
         # all-zero params: z = r = sigmoid(0) = 0.5, n = tanh(0) = 0,
         # so h' = 0.5 * h exactly.
         p = {k: np.zeros_like(v) for k, v in init_gru(np.random.default_rng(0), 3, 4).items()}
-        h = np.array([0.2, -0.4, 0.8, 0.0])
-        h_new, _ = gru_step(np.ones(3), h, p)
+        h = np.array([[0.2, -0.4, 0.8, 0.0]])
+        h_new, _ = one_step(np.ones((1, 3)), h, p)
         assert np.allclose(h_new, 0.5 * h, atol=1e-16)
 
     def test_step_backward_matches_finite_differences(self):
+        """All nine gate tensors through three stacked steps, two sequences."""
         rng = np.random.default_rng(8)
         p = init_gru(rng, input_dim=3, hidden=4)
         for gate in ("z", "r", "n"):
             p[f"b{gate}"] = rng.normal(size=4) * 0.1
-        x, h = rng.normal(size=3), rng.normal(size=4)
-        v = rng.normal(size=4)
+        x, v = rng.normal(size=(3, 2, 3)), rng.normal(size=(2, 4))
 
         def fn(params):
-            h_new, cache = gru_step(x, h, params)
-            grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-            gru_step_backward(v, cache, params, grads)
-            return float(v @ h_new), grads
+            h, cache = gru_forward(x, params)
+            grads = blank_grads(params)
+            gru_backward(v, cache, params, grads)
+            return float(np.sum(v * h)), grads
 
-        fd_check(fn, p, ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn"))
+        fd_check(fn, p, ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn"), tol=1e-4)
 
     def test_step_backward_input_gradients(self):
         rng = np.random.default_rng(9)
         p = init_gru(rng, input_dim=3, hidden=4)
-        x, h = rng.normal(size=3), rng.normal(size=4)
-        v = rng.normal(size=4)
-        _, cache = gru_step(x, h, p)
-        grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-        dx, dh = gru_step_backward(v, cache, p, grads)
+        x, v = rng.normal(size=(3, 2, 3)), rng.normal(size=(2, 4))
+        _, cache = gru_forward(x, p)
+        dx = gru_backward(v, cache, p, blank_grads(p))
         eps = 1e-6
-        for k in range(3):
+        for idx in np.ndindex(x.shape):  # d loss / d every input of every step
             xp, xm = x.copy(), x.copy()
-            xp[k] += eps
-            xm[k] -= eps
-            num = (v @ gru_step(xp, h, p)[0] - v @ gru_step(xm, h, p)[0]) / (2 * eps)
-            assert abs(num - dx[k]) / max(1e-6, abs(num), abs(dx[k])) < 1e-6
-        for k in range(4):
+            xp[idx] += eps
+            xm[idx] -= eps
+            num = np.sum(v * (gru_forward(xp, p)[0] - gru_forward(xm, p)[0])) / (2 * eps)
+            assert abs(num - dx[idx]) / max(1e-6, abs(num), abs(dx[idx])) < 1e-6
+        h = rng.normal(size=(2, 4))  # d loss / d the state before one step
+        _, gates = one_step(x[0], h, p)
+        dpre = np.empty((2, 12))
+        _, u_zr, un = gru_inputs(p, x[0])
+        dh = gru_step_backward(v, h, gates, u_zr, un, dpre)
+        for idx in np.ndindex(h.shape):
             hp, hm = h.copy(), h.copy()
-            hp[k] += eps
-            hm[k] -= eps
-            num = (v @ gru_step(x, hp, p)[0] - v @ gru_step(x, hm, p)[0]) / (2 * eps)
-            assert abs(num - dh[k]) / max(1e-6, abs(num), abs(dh[k])) < 1e-6
+            hp[idx] += eps
+            hm[idx] -= eps
+            num = np.sum(v * (one_step(x[0], hp, p)[0] - one_step(x[0], hm, p)[0])) / (2 * eps)
+            assert abs(num - dh[idx]) / max(1e-6, abs(num), abs(dh[idx])) < 1e-6
 
 
 def temporal_setup(seed=4, k=3, n=5, f=3, hidden=4, gru_hidden=4):
@@ -336,7 +369,9 @@ class TestTemporal:
         def fn(p):
             probs, cache = temporal_forward(a_hat, ax, rows, p)
             loss, _ = bce_loss(probs, np.array([y]))
-            return loss, temporal_backward(probs - y, cache, p)
+            grads = blank_grads(p)
+            temporal_backward(probs - y, cache, p, grads)
+            return loss, grads
 
         fd_check(fn, params, ("w1", "b1", "w2", "b2", "wz", "uz", "bz", "wr", "ur", "br",
                               "wn", "un", "bn", "w_out", "b_out"))
@@ -389,9 +424,16 @@ def merged(groups):
 
 
 def kind_functions(kind):
-    """The (forward, backward) pair that ``training`` looks up for a graph kind."""
+    """The (forward, backward) pair that ``training`` looks up for a graph
+    kind, the backward returning the gradients in a new dict."""
     spec = _KINDS[kind]
-    return getattr(training, spec.forward), getattr(training, spec.backward)
+    backward = getattr(training, spec.backward)
+
+    def new_grads(dlogits, cache, params):
+        grads = blank_grads(params)
+        backward(dlogits, cache, params, grads)
+        return grads
+    return getattr(training, spec.forward), new_grads
 
 
 def oracle_batch(kind, seqs, params, y, loss_fn):
@@ -447,6 +489,35 @@ class TestBatchedEqualsPerSample:
             assert set(grads) == set(want_g)
             for name in want_g:
                 assert_rel_close(grads[name], want_g[name])
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(b=st.integers(1, 6), k=st.integers(1, 4), n=st.integers(2, 9), g=st.integers(1, 8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_batched_gradients_are_the_sum_of_single_sample_gradients(self, b, k, n, g, seed):
+        """Random B, k and N, with rows drawn from g graphs, so sequences share
+        snapshots and may read one twice: the batched step's probabilities and
+        summed gradients are those of B separate B = 1 steps."""
+        rng = np.random.default_rng(seed)
+        a_stack, x_stack = random_stack(rng, g, n)
+        ax = a_stack @ x_stack
+        rows = rng.integers(0, g, size=(b, k))
+        dlogits = rng.normal(size=b)
+        for kind, kind_rows in (("gcn", rows[:, -1:]), ("temporal", rows)):
+            params = kind_params(rng, kind)
+            forward, backward = kind_functions(kind)
+            probs, cache = forward(a_stack, ax, kind_rows, params)
+            grads = backward(dlogits, cache, params)
+            want = {name: np.zeros_like(v) for name, v in params.items()}
+            scale = {name: np.zeros_like(v) for name, v in params.items()}
+            for s in range(b):
+                prob, one_cache = forward(a_stack, ax, kind_rows[s:s + 1], params)
+                assert_rel_close(probs[s:s + 1], prob)
+                for name, grad in backward(dlogits[s:s + 1], one_cache, params).items():
+                    want[name] += grad
+                    scale[name] += np.abs(grad)
+            for name in params:  # relative to the terms' magnitude, as they may cancel
+                assert np.max(np.abs(grads[name] - want[name])) <= 1e-12 * max(
+                    np.max(scale[name]), 1e-300), (kind, name)
 
     @pytest.mark.parametrize("kind", ["gcn", "temporal"])
     def test_batch_gradients_match_finite_differences(self, kind):

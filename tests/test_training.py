@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from srr import tensor as tz
+from srr import training
 from srr.config import Config, ModelConfig
 from srr.errors import DataError, NumericalError
 from srr.features import attach_labels, compute_features, standardize
@@ -102,6 +103,38 @@ def two_samples():  # two one-snapshot samples on a 1-node graph, labeled 1 and 
                          dates=["d0", "d1"])
 
 
+class TestLoopAgainstOracle:
+    """``_train_minibatch`` on the stacked-gate step against the loop it
+    replaced (a gradient dict per step, concatenated for Adam) on the per-step
+    batched passes, both in ``oracles``: summation order is all that differs."""
+
+    ORACLE = {"gcn": (oracles.batch_gcn_forward, oracles.batch_gcn_backward),
+              "temporal": (oracles.batch_temporal_forward, oracles.batch_temporal_backward)}
+
+    @pytest.mark.parametrize("loss", ["bce", "focal"])
+    @pytest.mark.parametrize("kind", ["gcn", "temporal"])
+    def test_epoch_losses_and_parameters_match(self, bundle, kind, loss):
+        m = ModelConfig(gcn_hidden=8, mlp_hidden=4, gru_hidden=6, sequence_length=3, stride=2,
+                        epochs=4, batch_size=4, learning_rate=1e-2, loss=loss)
+        spec = training._KINDS[kind]
+        hyper = {"k": m.sequence_length if kind == "temporal" else 1, "stride": m.stride,
+                 "layers": ["correlation"], "weighted_adjacency": False}
+        samples = _graph_samples(bundle, hyper, "train")
+        assert len(samples.labels) > 3 * m.batch_size
+        init = spec.init(bundle.panel.n_features, m, 7)
+        got, got_loss, got_best = _train_minibatch(
+            samples, init, getattr(training, spec.forward), getattr(training, spec.backward),
+            m, 7, kind)
+        want, want_loss, want_best = oracles.train_minibatch(samples, init, *self.ORACLE[kind],
+                                                             m, 7, kind)
+        assert got_best == want_best
+        assert np.allclose(got_loss, want_loss, rtol=1e-12, atol=0)
+        assert list(got) == list(want)
+        for name in want:
+            scale = np.max(np.abs(want[name]))
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+
+
 class TestTrainingLoop:
     def test_zero_epochs_returns_initialization(self, bundle):
         from srr.models import init_gcn
@@ -126,7 +159,7 @@ class TestTrainingLoop:
         with pytest.raises(NumericalError, match="non-finite"):
             _train_minibatch(samples, {"w": np.zeros(1)},
                              forward=lambda a, x, rows, p: (np.full(len(rows), np.nan), None),
-                             backward=lambda d, c, p: {"w": np.zeros(1)},
+                             backward=lambda d, c, p, g: None,
                              m=SMALL.model, seed=7, kind="gcn")
 
     def test_divergence_guard_names_epoch_and_batch(self, monkeypatch):
@@ -136,7 +169,7 @@ class TestTrainingLoop:
         with pytest.raises(NumericalError, match="diverged at epoch 0, batch 0"):
             _train_minibatch(samples, {"w": np.zeros(1)},
                              forward=lambda a, x, rows, p: (np.full(len(rows), 0.5), None),
-                             backward=lambda d, c, p: {"w": np.zeros(1)},
+                             backward=lambda d, c, p, g: None,
                              m=SMALL.model, seed=7, kind="gcn")
 
     def test_returns_the_best_epochs_parameters(self, monkeypatch):
@@ -147,7 +180,7 @@ class TestTrainingLoop:
         params, history, best = _train_minibatch(
             two_samples(), {"w": np.zeros(1)},
             forward=lambda a, ax, rows, p: (np.full(len(rows), 0.5), None),
-            backward=lambda d, c, p: {"w": np.ones(1)}, m=m, seed=7, kind="gcn")
+            backward=lambda d, c, p, g: g["w"].fill(1.0), m=m, seed=7, kind="gcn")
         want, state = np.zeros(1), tz.AdamState({"w": 1}, lr=m.learning_rate)
         for _ in range(2):  # the parameters after epoch 1
             tz.adam_step(want, np.ones(1), state)
