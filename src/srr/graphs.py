@@ -61,13 +61,15 @@ class GraphSnapshot:
     graph_label: int | None = None  # None when the date has no forward label
 
 
-def check_edges(layer: np.ndarray, n: int, where: str) -> None:
-    """Refuse a layer (numeric ``i`` and ``j`` fields) with an edge off
+def check_edges(layer, n: int, where: str) -> None:
+    """Refuse a layer (numeric ``i``, ``j`` and ``w`` fields) with an edge off
     ``0 <= i < j < n``, in a DataError that starts with ``where``."""
     i, j = layer["i"], layer["j"]
-    bad = ~((0 <= i) & (i < j) & (j < n) & (np.floor(i) == i) & (np.floor(j) == j))
-    if bad.any():
-        i, j, w = layer[np.flatnonzero(bad)[0]].tolist()
+    ok = (0 <= i) & (i < j) & (j < n)
+    if i.dtype.kind == "f":  # decoded JSON numbers must be whole too
+        ok &= (np.floor(i) == i) & (np.floor(j) == j)
+    if not ok.all():
+        i, j, w = (float(layer[f][np.flatnonzero(~ok)[0]]) for f in "ijw")
         raise DataError(f"{where}: edge [{i:g}, {j:g}, {w!r}] breaks 0 <= i < j < {n}")
 
 
@@ -204,10 +206,11 @@ def _edges_json(snap: GraphSnapshot, name: str, prefixes: np.ndarray) -> str:
 def _edge_array(edges: list, n: int, where: str) -> np.ndarray:
     """Decoded ``[[i, j, w], ...]`` as an EDGE_DTYPE array, checked before the
     indices become int32. The float64 detour is exact below 2**53."""
-    decoded = np.array(edges, dtype=np.float64).reshape(-1, 3)
-    decoded = decoded.view([("i", "f8"), ("j", "f8"), ("w", "f8")])[:, 0]
-    check_edges(decoded, n, where)
-    return decoded.astype(EDGE_DTYPE)
+    i, j, w = np.array(edges, dtype=np.float64).reshape(-1, 3).T
+    check_edges({"i": i, "j": j, "w": w}, n, where)
+    out = np.empty(len(w), EDGE_DTYPE)
+    out["i"], out["j"], out["w"] = i, j, w
+    return out
 
 
 def read_snapshots_jsonl(path: str) -> tuple[list[GraphSnapshot], dict]:

@@ -13,8 +13,8 @@ import oracles
 from srr.errors import DataError, ShapeError
 from srr.features import attach_labels, compute_features
 from srr.graphs import (EDGE_DTYPE, GRAPH_FORMAT, GraphSnapshot, average_ranks,
-                        build_snapshots, check_edges, rank_correlation_matrix,
-                        read_snapshots_jsonl, write_snapshots_jsonl)
+                        build_snapshots, rank_correlation_matrix, read_snapshots_jsonl,
+                        write_snapshots_jsonl)
 from srr.market_data import PricePanel, ReturnPanel, log_returns
 from srr.synthetic import business_days, planted_regime_panel
 
@@ -400,7 +400,6 @@ class TestArraysAgainstTuplePath:
     def test_writer_bytes_on_hand_made_layers(self, tmp_path):
         edges = [(0, 1, -0.0), (0, 1, 0.0), (0, 2, 5e-324), (0, 2, 1e300), (0, 1, 0.1),
                  (0, 1, 0.1), (1, 2, -1.0), (1, 2, 1 / 3)]
-
         def hand_made(edges):
             return [GraphSnapshot(date="2021-01-04", node_ids=["Ä", "B\u2028", 'C"\\'],
                                   layers={"zeta": np.array(edges, EDGE_DTYPE),
@@ -421,45 +420,14 @@ class TestArraysAgainstTuplePath:
                    for a, b in zip(snaps, back) for k in a.layers)
         assert plain(back) == plain(snaps)
 
-    @pytest.mark.parametrize("edge", [(-1, 1, 0.5), (0, 3, 0.5)])
+    @pytest.mark.parametrize("edge", [(-1, 1, 0.5), (0, 3, 0.5), (2, 2, 0.5), (1, 0, 0.5)])
     def test_writer_refuses_a_node_index_out_of_range(self, tmp_path, edge):
+        """The writer refuses every edge the reader refuses (``check_edges``)."""
         snap = GraphSnapshot("2021-01-04", ["A", "B", "C"],
-                             {"correlation": np.array([edge], EDGE_DTYPE)})
+                             {"correlation": np.array([(0, 1, 0.3), edge], EDGE_DTYPE)})
         with pytest.raises(DataError, match=r"snapshot 2021-01-04: layer 'correlation': edge "
                                             rf"\[{edge[0]}, {edge[1]}, 0\.5\] breaks 0 <= i < j < 3"):
             write_snapshots_jsonl([snap], str(tmp_path / "g.jsonl"))
-
-
-class TestEdgeContract:
-    """One rule for every edge of a layer, 0 <= i < j < n, in the writer, the
-    reader and the adjacency build, so none of them can take an edge that
-    another refuses."""
-
-    EDGES = [(-1, 1, 0.5), (2, 2, 0.9), (0, 3, 0.5), (1, 0, 0.5)]
-
-    @staticmethod
-    def snapshot(edge):
-        return GraphSnapshot("2021-01-04", ["A", "B", "C"],
-                             {"correlation": np.array([(0, 1, 0.3), edge], EDGE_DTYPE)})
-
-    @pytest.mark.parametrize("edge", EDGES)
-    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, edge):
-        with pytest.raises(DataError, match=r"^snapshot 2021-01-04: layer 'correlation': edge "
-                                            rf"\[{edge[0]}, {edge[1]}, {edge[2]}\] breaks"):
-            write_snapshots_jsonl([self.snapshot(edge)], str(tmp_path / "g.jsonl"))
-
-    @pytest.mark.parametrize("edge", EDGES)
-    def test_adjacency_refuses_an_edge_off_the_upper_triangle(self, edge):
-        from srr.models import adjacency_from_snapshot
-        with pytest.raises(DataError, match=r"snapshot 2021-01-04: layer 'correlation': edge "):
-            adjacency_from_snapshot(self.snapshot(edge))
-
-    def test_check_edges_accepts_the_upper_triangle(self):
-        iu, ju = np.triu_indices(5, k=1)
-        layer = np.zeros(len(iu), EDGE_DTYPE)
-        layer["i"], layer["j"] = iu, ju
-        check_edges(layer, 5, "here")
-        check_edges(layer[:0], 0, "here")
 
 
 class TestMemory:

@@ -121,6 +121,14 @@ class TestAdjacency:
         only_corr = adjacency_from_snapshot(snap, weighted=True)
         assert only_corr[0, 1] == 0.7
 
+    @pytest.mark.parametrize("edge", [(-1, 1, 0.5), (2, 2, 0.9), (0, 3, 0.5), (1, 0, 0.5)])
+    def test_refuses_an_edge_off_the_upper_triangle(self, edge):
+        """The writer's and the reader's rule: a hand-built (-1, 1) edge no
+        longer wraps into the edge (2, 1)."""
+        snap = snapshot_for(3, [(0, 1, 0.3), edge])
+        with pytest.raises(DataError, match=r"snapshot .*: layer 'correlation': edge \["):
+            adjacency_from_snapshot(snap)
+
     def test_missing_layer_rejected(self):
         snap = snapshot_for(2, [])
         with pytest.raises(ShapeError, match="sector"):
