@@ -221,7 +221,7 @@ def _train_minibatch(samples: _GraphSamples, params: dict, forward, backward,
                 slot[samples.rows[chunk]] = 1
                 used = np.flatnonzero(slot)  # the batch's snapshots, in stack order
                 slot[used] = np.arange(len(used))
-                rows, slot[used] = slot[samples.rows[chunk]], 0
+                rows, slot[used] = slot[samples.rows[chunk]], 0  # remapped rows; slot cleared
                 try:
                     probs, cache = forward(samples.a_hat[used], samples.ax[used], rows, params)
                     loss, dlogits = loss_fn(probs, samples.labels[chunk])
