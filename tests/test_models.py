@@ -324,7 +324,7 @@ class TestGruStep:
             gru_backward(v, cache, params, grads)
             return float(np.sum(v * h)), grads
 
-        fd_check(fn, p, ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn"), tol=1e-4)
+        fd_check(fn, p, ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn"))
 
     def test_step_backward_input_gradients(self):
         rng = np.random.default_rng(9)
