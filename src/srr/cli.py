@@ -14,9 +14,11 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -50,12 +52,17 @@ def _write_json(path: str, obj) -> None:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _read_json(path: str):
+@contextlib.contextmanager
+def _json_artifact(path: str, upstream: str):
+    """The decoded JSON that ``upstream`` wrote at ``path``. Invalid JSON, or a
+    key the block finds missing or of the wrong type, is a DataError that says
+    which stage to rerun."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from None
+            yield json.load(fh)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{path} is malformed ({type(exc).__name__}: {exc}); "
+                        f"rerun `srr {upstream}`") from None
 
 
 class Run:
@@ -68,9 +75,6 @@ class Run:
 
     def path(self, name: str) -> str:
         return os.path.join(self.cfg.out, name)
-
-    def provenance(self) -> str:
-        return f"config_hash={self.hash} seed={self.cfg.seed}"
 
     def write_manifest(self, stage: str, inputs: dict[str, str],
                        outputs: list[str]) -> None:
@@ -93,18 +97,17 @@ class Run:
         if not os.path.exists(man_path):
             raise DataError(
                 f"no stage manifest for '{upstream}'; rerun `srr {upstream}`")
-        man = _read_json(man_path)
-        if man.get("config_hash") != self.hash or man.get("seed") != self.cfg.seed:
-            raise DataError(
-                f"artifacts from stage '{upstream}' are stale "
-                f"(config or seed changed); rerun `srr {upstream}`")
-        hashes = {name: sha256_file(self.path(name)) for name in files}
-        for name, digest in hashes.items():
-            recorded = man.get("outputs", {}).get(name)
-            if recorded is not None and digest != recorded:
+        with _json_artifact(man_path, upstream) as man:
+            if man.get("config_hash") != self.hash or man.get("seed") != self.cfg.seed:
                 raise DataError(
-                    f"artifact {name} no longer matches the '{upstream}' manifest; "
-                    f"rerun `srr {upstream}`")
+                    f"artifacts from stage '{upstream}' are stale "
+                    f"(config or seed changed); rerun `srr {upstream}`")
+            hashes = {name: sha256_file(self.path(name)) for name in files}
+            for name, digest in hashes.items():
+                if man.get("outputs", {}).get(name) != digest:
+                    raise DataError(
+                        f"artifact {name} no longer matches the '{upstream}' manifest; "
+                        f"rerun `srr {upstream}`")
         return hashes
 
 
@@ -147,11 +150,14 @@ def cmd_ingest(run: Run) -> PricePanel:
 
 # -- stage: features ----------------------------------------------------------
 
-def _attach_macro(run: Run, fpanel) -> str | None:
-    """Align the optional day-level overlay onto the feature dates."""
-    macro_csv = run.cfg.data.macro_csv
-    if macro_csv is None:
-        return None
+def _feature_files(cfg: Config) -> list[str]:
+    """What the features stage writes, and the train and evaluate stages read."""
+    return (["features.csv", "graph_labels.csv", "standardization.json", "split.json"]
+            + (["macro.csv"] if cfg.data.macro_csv is not None else []))
+
+
+def _attach_macro(macro_csv: str, fpanel) -> None:
+    """Align the day-level overlay onto the feature dates."""
     dates, names, values = read_macro_csv(macro_csv)
     have = {d: i for i, d in enumerate(dates)}
     missing = [d for d in fpanel.dates if d not in have]
@@ -161,7 +167,6 @@ def _attach_macro(run: Run, fpanel) -> str | None:
             f"(first: {missing[0]})")
     fpanel.macro = values[[have[d] for d in fpanel.dates], :]
     fpanel.macro_names = names
-    return macro_csv
 
 
 def cmd_features(run: Run, panel: PricePanel | None = None
@@ -178,7 +183,8 @@ def cmd_features(run: Run, panel: PricePanel | None = None
                               mom_windows=cfg.features.momentum_windows)
     attach_labels(fpanel, panel, threshold=cfg.labels.threshold,
                   horizon=cfg.labels.horizon)
-    macro_src = _attach_macro(run, fpanel)
+    if cfg.data.macro_csv is not None:
+        _attach_macro(cfg.data.macro_csv, fpanel)
 
     split = chronological_split(fpanel.dates, ratio=cfg.split.ratio,
                                 horizon=cfg.labels.horizon)
@@ -194,18 +200,11 @@ def cmd_features(run: Run, panel: PricePanel | None = None
     write_features_csv(fpanel, run.path("features.csv"))
     write_graph_labels_csv(fpanel, run.path("graph_labels.csv"))
     _write_json(run.path("standardization.json"), stats.to_dict())
-    _write_json(run.path("split.json"), {
-        "ratio": cfg.split.ratio,
-        "horizon": cfg.labels.horizon,
-        "train_dates": split.train_dates,
-        "test_dates": split.test_dates,
-    })
-    outputs = ["features.csv", "graph_labels.csv", "standardization.json", "split.json"]
-    if macro_src is not None:
+    _write_json(run.path("split.json"), asdict(split))
+    if cfg.data.macro_csv is not None:
         write_macro_csv(run.path("macro.csv"), fpanel.dates, fpanel.macro_names, fpanel.macro)
-        outputs.append("macro.csv")
-        inputs[macro_src] = sha256_file(macro_src)
-    run.write_manifest("features", inputs, outputs)
+        inputs[cfg.data.macro_csv] = sha256_file(cfg.data.macro_csv)
+    run.write_manifest("features", inputs, _feature_files(cfg))
     print(f"features: {len(fpanel.dates)} dates x {len(fpanel.names)} features, "
           f"{len(split.train_dates)} train / {len(split.test_dates)} test days")
     return fpanel, stats, split
@@ -224,7 +223,8 @@ def cmd_graphs(run: Run, panel: PricePanel | None = None,
     if panel is None:
         panel, _ = ingest_csv(run.path("prices.csv"))
         if cfg.graph.sector_layer:
-            panel.universe_meta = _read_json(run.path("universe.json"))
+            with _json_artifact(run.path("universe.json"), "ingest") as meta:
+                panel.universe_meta = meta
     if fpanel is None:
         dates, labels, valid = read_graph_labels_csv(run.path("graph_labels.csv"))
     else:
@@ -253,18 +253,15 @@ def cmd_graphs(run: Run, panel: PricePanel | None = None,
 
 # -- stages: train / evaluate ----------------------------------------------------
 
-def _bundle_inputs(run: Run, stage: str) -> dict[str, str]:
-    """Verify the artifacts ``_load_bundle`` reads; returns their hashes."""
-    features = ["features.csv", "graph_labels.csv", "standardization.json", "split.json"]
-    if run.cfg.data.macro_csv is not None:
-        features.append("macro.csv")
-    inputs = run.require(stage, "features", features)
+def _bundle(run: Run, stage: str, bundle: DataBundle | None
+            ) -> tuple[dict[str, str], DataBundle]:
+    """Verify the feature and graph artifacts, whose hashes go into ``stage``'s
+    manifest, then load them unless ``bundle`` was handed over: the
+    standardized, labeled feature panel, the split and the snapshots."""
+    inputs = run.require(stage, "features", _feature_files(run.cfg))
     inputs.update(run.require(stage, "graphs", ["graphs.jsonl"]))
-    return inputs
-
-
-def _load_bundle(run: Run) -> DataBundle:
-    """The standardized, labeled feature panel, the split and the snapshots."""
+    if bundle is not None:
+        return inputs, bundle
     fpanel = read_features_csv(run.path("features.csv"))
     dates, labels, valid = read_graph_labels_csv(run.path("graph_labels.csv"))
     if dates != fpanel.dates:
@@ -276,13 +273,11 @@ def _load_bundle(run: Run) -> DataBundle:
         if m_dates != fpanel.dates:
             raise DataError("macro.csv and features.csv disagree on dates; "
                             "rerun `srr features`")
-    stats = Standardization.from_dict(_read_json(run.path("standardization.json")))
+    with _json_artifact(run.path("standardization.json"), "features") as raw:
+        stats = Standardization.from_dict(raw)
+    with _json_artifact(run.path("split.json"), "features") as raw:
+        split = SplitPlan(**raw)
     std_panel = apply_standardization(fpanel, stats)
-    split_raw = _read_json(run.path("split.json"))
-    split = SplitPlan(train_dates=list(split_raw["train_dates"]),
-                      test_dates=list(split_raw["test_dates"]),
-                      ratio=float(split_raw["ratio"]),
-                      horizon=int(split_raw["horizon"]))
     try:
         snapshots, _ = read_snapshots_jsonl(run.path("graphs.jsonl"))
     except DataError as exc:  # e.g. a file written in an earlier format
@@ -291,14 +286,12 @@ def _load_bundle(run: Run) -> DataBundle:
             or any(s.node_ids != std_panel.tickers for s in snapshots)):
         raise DataError("graphs.jsonl and features.csv disagree on dates or tickers; "
                         "rerun `srr graphs`")
-    return DataBundle(panel=std_panel, snapshots=snapshots, split=split)
+    return inputs, DataBundle(panel=std_panel, snapshots=snapshots, split=split)
 
 
 def cmd_train(run: Run, bundle: DataBundle | None = None) -> None:
     cfg = run.cfg
-    inputs = _bundle_inputs(run, "train")
-    if bundle is None:
-        bundle = _load_bundle(run)
+    inputs, bundle = _bundle(run, "train", bundle)
     outputs = []
     for kind in cfg.model.kinds:
         state, log = train(kind, bundle, cfg)
@@ -322,12 +315,9 @@ def _write_timeline(path: str, dates: list[str], scores, labels) -> None:
 
 def cmd_evaluate(run: Run, bundle: DataBundle | None = None) -> None:
     cfg = run.cfg
-    inputs = _bundle_inputs(run, "evaluate")
+    inputs, bundle = _bundle(run, "evaluate", bundle)
     inputs.update(run.require("evaluate", "train",
                               [f"model_{kind}.srrm" for kind in cfg.model.kinds]))
-
-    if bundle is None:
-        bundle = _load_bundle(run)
     valid = bundle.panel.label_valid
     calendar = [d for t, d in enumerate(bundle.panel.dates) if valid[t]]
     daily_labels = bundle.panel.graph_labels[valid]
@@ -336,7 +326,10 @@ def cmd_evaluate(run: Run, bundle: DataBundle | None = None) -> None:
     outputs = []
     for kind in cfg.model.kinds:
         with open(run.path(f"model_{kind}.srrm"), "rb") as fh:
-            state = deserialize(fh.read())
+            try:
+                state = deserialize(fh.read())
+            except DataError as exc:
+                raise DataError(f"{fh.name}: {exc}; rerun `srr train`") from None
         dates, scores, labels = predict_scores(state, bundle, side="test")
         metrics = compute_metrics(scores, labels, threshold=cfg.evaluate.threshold)
         leads = lead_times(calendar, daily_labels, dates, scores,
@@ -359,8 +352,8 @@ def cmd_evaluate(run: Run, bundle: DataBundle | None = None) -> None:
         shown = "--" if auroc is None else f"{auroc:.3f}"
         print(f"evaluate[{kind}]: n={metrics['n']} auroc={shown}")
 
-    cfg_echo = cfg.to_dict()
-    cfg_echo.pop("out", None)
+    cfg_echo = asdict(cfg)
+    del cfg_echo["out"]
     report = {
         "config": cfg_echo,
         "config_hash": run.hash,
@@ -402,17 +395,20 @@ def cmd_report(run: Run) -> None:
     cfg = run.cfg
     inputs = run.require("report", "evaluate", ["report.json"]
                          + [f"timeline_{kind}.csv" for kind in cfg.model.kinds])
-    report = _read_json(run.path("report.json"))
-    kinds = sorted(report["models"])
+    with _json_artifact(run.path("report.json"), "evaluate") as report:
+        summary = summary_table(report)
+        models = report["models"]
+        kinds = sorted(models)
+        two_class = [k for k in kinds if models[k]["metrics"].get("auroc") is not None]
+        # Lead-time histogram, 5-trading-day bins.
+        bins = {k: np.asarray(models[k].get("lead_times", {}).get("lead_times", []),
+                              dtype=np.int64) // 5 for k in kinds}
+        names, values = _aggregate_importance(
+            models.get("forest", {}).get("feature_importance") or {})
     timelines = {kind: _read_timeline(run.path(f"timeline_{kind}.csv"))
                  for kind in kinds}
-    prov = run.provenance()
-
-    summary = summary_table(report)
+    prov = f"config_hash={run.hash} seed={cfg.seed}"
     outputs = ["summary.txt"]
-
-    two_class = [k for k in kinds
-                 if report["models"][k]["metrics"].get("auroc") is not None]
 
     def curves(points):  # one (name, xs, ys) series per model, each curve computed once
         return [(k, *map(list, zip(*points(timelines[k][1], timelines[k][2]))))
@@ -451,9 +447,6 @@ def cmd_report(run: Run) -> None:
                ylim=(0.0, 1.0), x_tick_labels=x_ticks, shaded=shaded, provenance=prov)
     outputs.append("risk_timeline.svg")
 
-    # Lead-time histogram, 5-trading-day bins.
-    bins = {k: np.asarray(report["models"][k].get("lead_times", {}).get("lead_times", []),
-                          dtype=np.int64) // 5 for k in kinds}
     n_bins = max((int(b.max()) for b in bins.values() if b.size), default=0) + 1
     categories = [f"{5 * b}-{5 * b + 4}" for b in range(n_bins)]
     bar_series = [(k, np.bincount(bins[k], minlength=n_bins).astype(float).tolist())
@@ -463,9 +456,7 @@ def cmd_report(run: Run) -> None:
                       "warnings", provenance=prov)
     outputs.append("lead_times.svg")
 
-    importance = report["models"].get("forest", {}).get("feature_importance")
-    if importance:
-        names, values = _aggregate_importance(importance)
+    if names:
         hbar_chart(run.path("feature_importance.svg"),
                    "Random-forest feature importance",
                    names, values, "mean impurity decrease", provenance=prov)

@@ -1,9 +1,10 @@
 """Run configuration: nested schema, presets, canonical JSON, and hashing.
 
 The config is a plain dataclass tree.  ``from_dict`` is strict (unknown keys
-are errors), ``to_dict`` is canonical (fixed key order via sorted JSON), and
-``config_hash`` fingerprints everything except the output directory so that
-two runs of the same experiment into different folders share a hash.
+and values that do not fit a field's annotation are errors), and
+``config_hash`` fingerprints the sorted JSON of everything except the output
+directory so that two runs of the same experiment into different folders
+share a hash.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 import types
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Any
 
 from .errors import ConfigError
@@ -22,7 +23,7 @@ from .market_data import is_iso_date
 __all__ = [
     "DataConfig", "PeriodConfig", "FeatureConfig", "LabelConfig", "GraphConfig",
     "ModelConfig", "SplitConfig", "EvaluateConfig", "Config",
-    "PRESETS", "MODEL_KINDS", "load_config", "config_hash", "canonical_json",
+    "PRESETS", "MODEL_KINDS", "load_config", "config_hash",
 ]
 
 MODEL_KINDS = ("logistic", "forest", "gcn", "temporal")
@@ -32,12 +33,6 @@ PRESETS = {
     "gfc": ("2006-01-01", "2011-12-31"),
     "covid": ("2018-01-01", "2021-12-31"),
 }
-
-
-def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in '{section}': {', '.join(unknown)}")
 
 
 def _fits(value: Any, hint) -> bool:
@@ -53,25 +48,33 @@ def _fits(value: Any, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _dataclass_from(section: str, cls, data: Any):
-    if data is None:
-        return cls()
+def _dataclass_from(cls, data: Any, section: str = ""):
+    """``cls`` built from a decoded JSON mapping, recursing into the fields
+    typed as dataclasses (a null section keeps its defaults)."""
     if not isinstance(data, dict):
-        raise ConfigError(f"section '{section}' must be a mapping")
-    names = {f.name for f in fields(cls)}
-    _check_keys(section, data, names)
+        raise ConfigError(f"section '{section}' must be a mapping" if section
+                          else "config root must be a mapping")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown key(s) in '{section or 'config'}': {', '.join(unknown)}")
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):
-        if f.name in data:
-            value = data[f.name]
-            if isinstance(value, list):
-                value = tuple(value)
-            if not _fits(value, hints[f.name]):
-                raise ConfigError(f"{section}.{f.name} must be {f.type}, got {data[f.name]!r}")
-            if hints[f.name] is float and not -math.inf < value < math.inf:
-                raise ConfigError(f"{section}.{f.name} must be a finite number, got {value!r}")
-            kwargs[f.name] = value
+        if f.name not in data:
+            continue
+        value, hint = data[f.name], hints[f.name]
+        key = f"{section}.{f.name}" if section else f.name
+        if is_dataclass(hint):
+            if value is not None:
+                kwargs[f.name] = _dataclass_from(hint, value, f.name)
+            continue
+        if isinstance(value, list):
+            value = tuple(value)
+        if not _fits(value, hint):
+            raise ConfigError(f"{key} must be {f.type}, got {data[f.name]!r}")
+        if hint is float and not -math.inf < value < math.inf:
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        kwargs[f.name] = value
     return cls(**kwargs)
 
 
@@ -227,46 +230,22 @@ class Config:
     seed: int = 7
     out: str = "srr_out"
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not self.out:
+            raise ConfigError("out must be a non-empty path string")
+
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a mapping")
-        sections = {f.name: f.default_factory for f in fields(cls)
-                    if f.default_factory is not MISSING}
-        _check_keys("config", data, {f.name for f in fields(cls)})
-        kwargs: dict[str, Any] = {}
-        for name, section_cls in sections.items():
-            if name in data:
-                kwargs[name] = _dataclass_from(name, section_cls, data[name])
-        if "seed" in data:
-            seed = data["seed"]
-            if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-                raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-            kwargs["seed"] = seed
-        if "out" in data:
-            if not isinstance(data["out"], str) or not data["out"]:
-                raise ConfigError("out must be a non-empty path string")
-            kwargs["out"] = data["out"]
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:  # pragma: no cover - defensive
-            raise ConfigError(str(exc)) from exc
-
-    def to_dict(self) -> dict:
-        return asdict(self)  # tuples stay tuples, which JSON writes as lists
-
-    def replace(self, **kwargs) -> "Config":
-        return replace(self, **kwargs)
-
-
-def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return _dataclass_from(cls, data)
 
 
 def config_hash(cfg: Config) -> str:
-    payload = cfg.to_dict()
-    payload.pop("out", None)
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    payload = asdict(cfg)  # tuples stay tuples, which JSON writes as lists
+    del payload["out"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def load_config(path: str | None, *, seed: int | None = None,

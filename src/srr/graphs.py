@@ -221,11 +221,13 @@ def read_snapshots_jsonl(path: str) -> tuple[list[GraphSnapshot], dict]:
         first = fh.readline()
         if not first:
             raise DataError(f"{path}: empty snapshot file")
-        header = json.loads(first)
-        if header.get("format") != GRAPH_FORMAT:
-            raise DataError(
-                f"{path}: expected format {GRAPH_FORMAT}, got {header.get('format')!r}"
-            )
+        try:
+            header = json.loads(first)
+            fmt = header.get("format")
+        except (ValueError, AttributeError):
+            raise DataError(f"{path}: line 1: not a {GRAPH_FORMAT} header") from None
+        if fmt != GRAPH_FORMAT:
+            raise DataError(f"{path}: expected format {GRAPH_FORMAT}, got {fmt!r}")
         # Each decoded record holds a list per edge and no cycles, so cyclic
         # collection would only rescan them; it is paused while they load.
         gc_was_enabled = gc.isenabled()
@@ -233,14 +235,20 @@ def read_snapshots_jsonl(path: str) -> tuple[list[GraphSnapshot], dict]:
         try:
             snapshots, node_ids = [], None
             for line_no, line in enumerate(fh, start=2):  # the file text is never held whole
-                rec = json.loads(line)
-                if rec["nodes"] != node_ids:
-                    node_ids = rec["nodes"]
+                try:
+                    rec = json.loads(line)
+                    nodes, edge_lists = rec["nodes"], rec["layers"].items()
+                    date, label = rec["date"], rec["graph_label"]
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise DataError(f"{path}: line {line_no}: not a snapshot record "
+                                    f"({exc!r})") from None
+                if nodes != node_ids:
+                    node_ids = nodes
                 layers = {name: _edge_array(edges, len(node_ids),
                                             f"{path}: line {line_no}: layer {name!r}")
-                          for name, edges in rec["layers"].items()}
-                snapshots.append(GraphSnapshot(date=rec["date"], node_ids=node_ids,
-                                               layers=layers, graph_label=rec["graph_label"]))
+                          for name, edges in edge_lists}
+                snapshots.append(GraphSnapshot(date=date, node_ids=node_ids,
+                                               layers=layers, graph_label=label))
         finally:
             if gc_was_enabled:
                 gc.enable()

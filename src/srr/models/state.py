@@ -51,14 +51,10 @@ class ModelState:
             for name, arr in self.params.items()
         }
 
-    def trainable(self) -> dict[str, np.ndarray]:
-        skip = set(self.bookkeeping)
-        return {k: v for k, v in self.params.items() if k not in skip}
-
 
 def parameter_count(state: ModelState) -> int:
     """Number of trainable scalar parameters (bookkeeping tensors excluded)."""
-    return int(sum(v.size for v in state.trainable().values()))
+    return int(sum(v.size for k, v in state.params.items() if k not in state.bookkeeping))
 
 
 def serialize(state: ModelState) -> bytes:
@@ -103,7 +99,10 @@ def deserialize(blob: bytes) -> ModelState:
     off += 8
     if len(blob) < off + head_len:
         raise DataError("truncated model container (header)")
-    header = json.loads(blob[off:off + head_len].decode("utf-8"))
+    try:
+        header = json.loads(blob[off:off + head_len].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise DataError(f"corrupted model container (header: {exc})") from None
     off += head_len
     if header.get("format") != MODEL_FORMAT:
         raise DataError(f"container declares format {header.get('format')!r}")

@@ -14,7 +14,7 @@ __all__ = ["line_chart", "grouped_bar_chart", "hbar_chart", "PALETTE"]
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 W, H = 860, 460
-MARGIN = {"left": 64, "right": 20, "top": 44, "bottom": 56}
+PLOT_AREA = (64, 44, W - 20, H - 56)  # x0, y0, x1, y1: the frame inside the margins
 
 
 def _fmt(v: float) -> str:
@@ -41,14 +41,8 @@ def _frame(title: str, xlabel: str, ylabel: str, provenance: str) -> list[str]:
     ]
 
 
-def _plot_area() -> tuple[float, float, float, float]:
-    x0, y0 = MARGIN["left"], MARGIN["top"]
-    x1, y1 = W - MARGIN["right"], H - MARGIN["bottom"]
-    return x0, y0, x1, y1
-
-
 def _axes(parts: list[str], xlim, ylim, x_tick_labels=None) -> tuple:
-    x0, y0, x1, y1 = _plot_area()
+    x0, y0, x1, y1 = PLOT_AREA
 
     def sx(v):
         return x0 + (v - xlim[0]) / (xlim[1] - xlim[0]) * (x1 - x0)
@@ -81,7 +75,7 @@ def _axes(parts: list[str], xlim, ylim, x_tick_labels=None) -> tuple:
 
 
 def _legend(parts: list[str], names: list[str]) -> None:
-    x0, y0, _, _ = _plot_area()
+    x0, y0, _, _ = PLOT_AREA
     for i, name in enumerate(names):
         color = PALETTE[i % len(PALETTE)]
         x = x0 + 10 + 150 * i
@@ -89,24 +83,22 @@ def _legend(parts: list[str], names: list[str]) -> None:
         parts.append(f'<text x="{x + 20}" y="{y0 + 14}" font-size="11">{name}</text>')
 
 
+def _write_svg(path: str, parts: list[str]) -> None:
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
 def line_chart(path: str, title: str, series: list[tuple[str, list[float], list[float]]],
-               xlabel: str, ylabel: str, xlim=None, ylim=None, x_tick_labels=None,
+               xlabel: str, ylabel: str, xlim, ylim, x_tick_labels=None,
                shaded: list[tuple[float, float]] | None = None, diagonal: bool = False,
                provenance: str = "") -> None:
     """Multi-series line chart with optional shaded x-bands and a y=x guide."""
     if not series:
         raise DataError("line_chart: no series to draw")
-    xs_all = [v for _, xs, _ in series for v in xs]
-    ys_all = [v for _, _, ys in series for v in ys]
-    if xlim is None:
-        xlim = (min(xs_all), max(xs_all) if max(xs_all) > min(xs_all) else min(xs_all) + 1)
-    if ylim is None:
-        lo, hi = min(ys_all), max(ys_all)
-        pad = 0.05 * (hi - lo) if hi > lo else 0.5
-        ylim = (lo - pad, hi + pad)
     parts = _frame(title, xlabel, ylabel, provenance)
     sx, sy = _axes(parts, xlim, ylim, x_tick_labels)
-    x0, y0, x1, y1 = _plot_area()
+    x0, y0, x1, y1 = PLOT_AREA
     for a, b in shaded or []:
         xa, xb = sx(max(a, xlim[0])), sx(min(b, xlim[1]))
         if xb > xa:
@@ -121,9 +113,7 @@ def line_chart(path: str, title: str, series: list[tuple[str, list[float], list[
         pts = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(xs, ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>')
     _legend(parts, [name for name, _, _ in series])
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, parts)
 
 
 def grouped_bar_chart(path: str, title: str, categories: list[str],
@@ -137,7 +127,7 @@ def grouped_bar_chart(path: str, title: str, categories: list[str],
     parts = _frame(title, xlabel, ylabel, provenance)
     sx, sy = _axes(parts, (0.0, float(len(categories))), ylim,
                    x_tick_labels=[(i + 0.5, c) for i, c in enumerate(categories)])
-    _, _, _, y1 = _plot_area()
+    _, _, _, y1 = PLOT_AREA
     n_series = len(series)
     slot = 0.8 / n_series
     for s_idx, (name, vals) in enumerate(series):
@@ -150,9 +140,7 @@ def grouped_bar_chart(path: str, title: str, categories: list[str],
                          f'width="{max(x_right - x_left - 2, 1):.1f}" '
                          f'height="{max(y1 - y_top, 0):.1f}" fill="{color}"/>')
     _legend(parts, [name for name, _ in series])
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, parts)
 
 
 def hbar_chart(path: str, title: str, names: list[str], values: list[float],
@@ -162,7 +150,7 @@ def hbar_chart(path: str, title: str, names: list[str], values: list[float],
         raise DataError("hbar_chart: names and values must align and be non-empty")
     hi = max(max(values), 0.0) or 1.0
     parts = _frame(title, xlabel, "", provenance)
-    x0, y0, x1, y1 = _plot_area()
+    x0, y0, x1, y1 = PLOT_AREA
     left = x0 + 80
     row_h = (y1 - y0) / len(names)
     for tv in _ticks(0.0, hi * 1.1):
@@ -178,6 +166,4 @@ def hbar_chart(path: str, title: str, names: list[str], values: list[float],
                      f'text-anchor="end">{name}</text>')
         parts.append(f'<rect x="{left:.1f}" y="{y_top:.1f}" width="{width:.1f}" '
                      f'height="{0.6 * row_h:.1f}" fill="{PALETTE[0]}"/>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, parts)

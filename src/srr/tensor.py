@@ -275,10 +275,7 @@ def seeded_rng(seed: int, *streams: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *map(int, streams)])))
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape: tuple[int, ...] | None = None) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Fan-based uniform init on [-a, a], a = sqrt(6 / (fan_in + fan_out))."""
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return rng.uniform(-a, a, size=shape)
+    return rng.uniform(-a, a, size=(fan_in, fan_out))

@@ -283,10 +283,15 @@ def rewrite_artifact(out: Path, name: str, stage: str, edit) -> None:
     """Rewrite an artifact line by line, ``edit(i, line)``, and re-record its
     hash in the stage manifest, as an earlier run (or another program) would
     have left it."""
+    rewrite_bytes(out, name, stage, lambda data: "".join(
+        edit(i, line) + "\n" for i, line in enumerate(data.decode().splitlines())).encode())
+
+
+def rewrite_bytes(out: Path, name: str, stage: str, edit) -> None:
+    """``rewrite_artifact`` on the whole file, ``edit(data) -> data``."""
     import hashlib
     path = out / name
-    path.write_text("".join(edit(i, line) + "\n"
-                            for i, line in enumerate(path.read_text().splitlines())))
+    path.write_bytes(edit(path.read_bytes()))
     manifest = json.loads((out / f"manifest_{stage}.json").read_text())
     manifest["outputs"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
     (out / f"manifest_{stage}.json").write_text(json.dumps(manifest))
@@ -313,15 +318,19 @@ class TestGraphFile:
         err = capsys.readouterr().err
         assert "srr-graph-v1" in err and err.rstrip().endswith("rerun `srr graphs`")
 
-    @pytest.mark.parametrize("field,value", [("date", "1999-01-01"),
-                                             ("nodes", ["X"] * 10)])
-    def test_snapshots_off_the_panel_ask_for_graphs_rerun(self, capsys, graphed,
-                                                         field, value):
+    @pytest.mark.parametrize("edit", [
+        lambda rec: json.dumps({**rec, "date": "1999-01-01"}),
+        lambda rec: json.dumps({**rec, "nodes": ["X"] * 10}),
+        lambda rec: "{not json",
+        lambda rec: json.dumps({k: v for k, v in rec.items() if k != "layers"}),
+    ], ids=["date-1999-01-01", "nodes-value1", "not-json", "no-layers"])
+    def test_snapshots_off_the_panel_ask_for_graphs_rerun(self, capsys, graphed, edit):
+        """A record off the panel's dates or tickers, or one that cannot be read."""
         cfg_path, out = graphed
-        rewrite_graphs(out, lambda i, rec: json.dumps(
-            {**rec, field: value} if i == 3 else rec))
+        rewrite_graphs(out, lambda i, rec: edit(rec) if i == 3 else json.dumps(rec))
         assert main(["train", "--config", cfg_path]) == 2
-        assert capsys.readouterr().err.rstrip().endswith("rerun `srr graphs`")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith("rerun `srr graphs`")
 
     @pytest.mark.parametrize("edge", [[-1, 1, 0.5], [2, 2, 0.9], [0, 10, 0.5]])
     def test_edge_off_the_upper_triangle_asks_for_graphs_rerun(self, capsys, graphed, edge):
@@ -375,6 +384,61 @@ class TestMalformedArtifacts:
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"{copy / name}: line 3: " in err
         assert ("fields, got" if edit == "short-row" else "'abc'") in err
+
+
+def cut_second_line(data: bytes) -> bytes:
+    start = data.index(b"\n") + 1
+    end = data.find(b"\n", start) % (len(data) + 1)  # no newline: the end of the file
+    return data[:(start + end) // 2]
+
+
+def drop_key(key):
+    def edit(data):
+        return json.dumps({k: v for k, v in json.loads(data).items() if k != key}).encode()
+    edit.__name__ = f"drop_{key}"
+    return edit
+
+
+class TestCutArtifacts:
+    """Every artifact a stage reads back, cut in the middle of its second line
+    (or a JSON artifact without a key it needs), its manifest hash re-recorded,
+    stops the stage that reads it with exit 2 and one error line."""
+
+    @pytest.fixture(scope="class")
+    def evaluated(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cut")
+        make_workspace(root, n_days=260)  # writes prices.csv
+        cfg_path, out = make_workspace(root, out_name="o", data=write_layer_inputs(root),
+                                       graph=TestLayersAndMacro.GRAPH)
+        for stage in ("ingest", "features", "graphs", "train", "evaluate"):
+            assert main([stage, "--config", cfg_path]) == 0
+        return cfg_path, out
+
+    @pytest.mark.parametrize("name,stage,command,edit", [
+        ("prices.csv", "ingest", "features", cut_second_line),
+        ("universe.json", "ingest", "graphs", cut_second_line),
+        ("features.csv", "features", "train", cut_second_line),
+        ("graph_labels.csv", "features", "graphs", cut_second_line),
+        ("standardization.json", "features", "train", cut_second_line),
+        ("standardization.json", "features", "train", drop_key("mean")),
+        ("split.json", "features", "train", cut_second_line),
+        ("split.json", "features", "train", drop_key("ratio")),
+        ("macro.csv", "features", "train", cut_second_line),
+        ("graphs.jsonl", "graphs", "train", cut_second_line),
+        ("model_temporal.srrm", "train", "evaluate", cut_second_line),
+        ("report.json", "evaluate", "report", cut_second_line),
+        ("report.json", "evaluate", "report", drop_key("models")),
+        ("timeline_temporal.csv", "evaluate", "report", cut_second_line),
+    ], ids=lambda v: v.__name__ if callable(v) else None)
+    def test_exits_two_with_an_error_line(self, capsys, tmp_path, evaluated,
+                                          name, stage, command, edit):
+        cfg_path, out = evaluated
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        rewrite_bytes(copy, name, stage, edit)
+        assert main([command, "--config", cfg_path, "--out", str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and name in err
 
 
 class TestLoadConfig:
@@ -505,6 +569,21 @@ class TestExitCodes:
         monkeypatch.setattr("srr.cli.train", fail)
         assert main(["train", "--config", cfg_path]) == code
         assert capsys.readouterr().err == "error: training failed\n"
+
+    def test_unrecorded_upstream_artifact_is_stale(self, capsys, tmp_path):
+        """A file the upstream manifest does not record is not trusted, even
+        when every recorded hash matches."""
+        cfg_path, out = make_workspace(tmp_path, out_name="unrecorded", n_days=260)
+        for stage in ("ingest", "features"):
+            assert main([stage, "--config", cfg_path]) == 0
+        manifest = json.loads((out / "manifest_features.json").read_text())
+        del manifest["outputs"]["graph_labels.csv"]
+        (out / "manifest_features.json").write_text(json.dumps(manifest))
+        labels = out / "graph_labels.csv"
+        labels.write_text(labels.read_text().replace(",0\n", ",1\n", 1))
+        assert main(["graphs", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "graph_labels.csv" in err and "rerun `srr features`" in err
 
     def test_tampered_artifact_detected(self, capsys, tmp_path):
         cfg_path, out = make_workspace(tmp_path, out_name="tamper", n_days=260)

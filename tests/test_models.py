@@ -801,6 +801,10 @@ class TestContainer:
             deserialize(blob[:-5])  # last tensor cut short
         with pytest.raises(DataError, match="trailing"):
             deserialize(blob + b"\x00")
+        head = len(b"srr-model-v1\n") + 8  # where the header JSON starts
+        for bad in (b"x", b"\xff"):  # not JSON; not UTF-8
+            with pytest.raises(DataError, match="corrupted model container \\(header"):
+                deserialize(blob[:head] + bad + blob[head + 1:])
 
     def test_parameter_counts(self):
         gcn_state = self._gcn_state()

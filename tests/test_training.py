@@ -92,7 +92,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("kind", ["forest", "gcn", "temporal"])
     def test_different_seed_different_weights(self, bundle, kind):
         state_a, _ = train(kind, bundle, SMALL)
-        state_b, _ = train(kind, bundle, SMALL.replace(seed=8))
+        state_b, _ = train(kind, bundle, replace(SMALL, seed=8))
         assert any(not np.array_equal(state_a.params[k], state_b.params[k])
                    for k in state_a.params)
 
@@ -139,7 +139,7 @@ class TestTrainingLoop:
     def test_zero_epochs_returns_initialization(self, bundle):
         from srr.models import init_gcn
         from srr.tensor import seeded_rng
-        cfg = SMALL.replace(model=replace(SMALL.model, epochs=0))
+        cfg = replace(SMALL, model=replace(SMALL.model, epochs=0))
         state, log = train("gcn", bundle, cfg)
         init = init_gcn(seeded_rng(7, 1), bundle.panel.n_features,
                         cfg.model.gcn_hidden, cfg.model.mlp_hidden)
@@ -238,7 +238,7 @@ class TestScoring:
     @pytest.mark.parametrize("kind", ["gcn", "temporal"])
     def test_graph_scores_equal_per_sample_oracle(self, fixture_bundle, kind):
         bundle, panel = fixture_bundle, fixture_bundle.panel
-        cfg = SMALL.replace(model=replace(SMALL.model, stride=1, sequence_length=5))
+        cfg = replace(SMALL, model=replace(SMALL.model, stride=1, sequence_length=5))
         state, _ = train(kind, bundle, cfg)
         dates, scores, _ = predict_scores(state, bundle, side="test")
         k = state.hyper.get("k", 1)
