@@ -275,8 +275,16 @@ def _bundle(run: Run, stage: str, bundle: DataBundle | None
                             "rerun `srr features`")
     with _json_artifact(run.path("standardization.json"), "features") as raw:
         stats = Standardization.from_dict(raw)
+    if stats.mean.shape != stats.std.shape or stats.mean.shape != (len(fpanel.names),):
+        raise DataError(f"{run.path('standardization.json')} holds {stats.mean.size} means and "
+                        f"{stats.std.size} stds for {len(fpanel.names)} features; "
+                        "rerun `srr features`")
     with _json_artifact(run.path("split.json"), "features") as raw:
         split = SplitPlan(**raw)
+    if split != chronological_split(fpanel.dates, ratio=run.cfg.split.ratio,
+                                    horizon=run.cfg.labels.horizon):
+        raise DataError(f"{run.path('split.json')} is not the split of features.csv's dates; "
+                        "rerun `srr features`")
     std_panel = apply_standardization(fpanel, stats)
     try:
         snapshots, _ = read_snapshots_jsonl(run.path("graphs.jsonl"))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .market_data import ReturnPanel
 
 GRAPH_FORMAT = "srr-graph-v2"
 EDGE_DTYPE = np.dtype([("i", np.int32), ("j", np.int32), ("w", np.float64)])
+_BLOCK_BYTES = 256 * 1024  # one (dates, N, N) array of a build_snapshots block
+_dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))  # compact record text
 
 __all__ = [
     "GraphSnapshot",
@@ -91,21 +94,19 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def rank_correlation_matrix(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs Spearman over the rows of an N x W window.
+    """All-pairs Spearman over the rows of each N x W window of a (..., N, W) stack.
 
-    Returns (corr N x N, degenerate mask length N). Rows with constant
+    Returns (corr ..., N, N; degenerate mask ..., N). Rows with constant
     values are flagged; their correlations are set to 0.
     """
     ranks = average_ranks(window)
-    centered = ranks - ranks.mean(axis=1, keepdims=True)
-    gram = centered @ centered.T
-    ss = np.diag(gram).copy()
+    centered = ranks - ranks.mean(axis=-1, keepdims=True)
+    gram = centered @ np.swapaxes(centered, -1, -2)
+    ss = np.diagonal(gram, axis1=-2, axis2=-1)
     degenerate = ss == 0.0
     safe = np.where(degenerate, 1.0, ss)
-    corr = gram / np.sqrt(np.outer(safe, safe))
-    corr = np.clip(corr, -1.0, 1.0)
-    corr[degenerate, :] = 0.0
-    corr[:, degenerate] = 0.0
+    corr = np.clip(gram / np.sqrt(safe[..., :, None] * safe[..., None, :]), -1.0, 1.0)
+    corr[degenerate[..., :, None] | degenerate[..., None, :]] = 0.0
     return corr, degenerate
 
 
@@ -144,19 +145,24 @@ def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[i
         sector.flags.writeable = False  # one array, shared by every snapshot
 
     node_ids = list(returns.tickers)  # one list, shared by every snapshot
+    block = max(1, _BLOCK_BYTES // (8 * max(1, len(node_ids)) ** 2))  # dates per call
+    dated = list(zip(dates, graph_labels))
     snapshots = []
-    for date, label in zip(dates, graph_labels):
-        r_end = column[date]
-        corr, _ = rank_correlation_matrix(returns.returns[:, r_end + 1 - window: r_end + 1])
-        rho = corr[iu, ju]
+    for start in range(0, len(dated), block):
+        chunk = dated[start:start + block]
+        # the return columns of each date's trailing window, (dates, window)
+        cols = np.array([column[d] for d, _ in chunk])[:, None] + np.arange(1 - window, 1)
+        corr, _ = rank_correlation_matrix(returns.returns[:, cols].swapaxes(0, 1))
+        rho = corr[:, iu, ju]
         keep = np.abs(rho) >= tau
-        edges = pairs[keep]
-        edges["w"] = rho[keep]
-        layers = {"correlation": edges}
-        if sector is not None:
-            layers["sector"] = sector
-        snapshots.append(GraphSnapshot(date=date, node_ids=node_ids, layers=layers,
-                                       graph_label=label))
+        for (date, label), kept, r in zip(chunk, keep, rho):
+            edges = pairs[kept]
+            edges["w"] = r[kept]
+            layers = {"correlation": edges}
+            if sector is not None:
+                layers["sector"] = sector
+            snapshots.append(GraphSnapshot(date=date, node_ids=node_ids, layers=layers,
+                                           graph_label=label))
     return snapshots
 
 
@@ -166,41 +172,46 @@ def write_snapshots_jsonl(snapshots: list[GraphSnapshot], path: str,
                           meta: dict | None = None) -> None:
     """Line-delimited snapshots: a header record, then one record per date.
 
-    Each record line is the text ``json.dumps(record, sort_keys=True)`` gives
-    for ``{"date", "nodes", "layers", "graph_label"}`` with every edge as an
-    ``[i, j, w]`` array, assembled from parts: each ``[i, j, `` prefix is
-    formatted once per file and each distinct weight once per layer.
+    Each line is the text ``json.dumps(record, sort_keys=True,
+    separators=(",", ":"))`` gives, for the header and for each ``{"date",
+    "nodes", "layers", "graph_label"}`` record with every edge as an
+    ``[i,j,w]`` array. Record lines are assembled from parts: each ``[i,j,``
+    prefix and each distinct weight is formatted once per file.
     """
     header = {"format": GRAPH_FORMAT, "snapshots": len(snapshots)}
     if meta:
         header.update(meta)
-    prefixes: dict[int, np.ndarray] = {}  # node count -> (N, N) table of "[i, j, "
+    prefixes: dict[int, np.ndarray] = {}  # node count -> (N, N) table of "[i,j,"
+    tails: dict[int, str] = {}  # weight bit pattern -> "w]"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.write(_dumps(header) + "\n")
         for snap in snapshots:
             n = len(snap.node_ids)
             if n not in prefixes:
-                prefixes[n] = np.array([[f"[{i}, {j}, " for j in range(n)] for i in range(n)],
+                prefixes[n] = np.array([[f"[{i},{j}," for j in range(n)] for i in range(n)],
                                        dtype=object)
-            layers = ", ".join(f"{json.dumps(name)}: {_edges_json(snap, name, prefixes[n])}"
-                               for name in sorted(snap.layers))
-            fh.write(f'{{"date": {json.dumps(snap.date)}, '
-                     f'"graph_label": {json.dumps(snap.graph_label)}, '
-                     f'"layers": {{{layers}}}, "nodes": {json.dumps(snap.node_ids)}}}\n')
+            layers = ",".join(f"{_dumps(name)}:{_edges_json(snap, name, prefixes[n], tails)}"
+                              for name in sorted(snap.layers))
+            fh.write(f'{{"date":{_dumps(snap.date)},"graph_label":{_dumps(snap.graph_label)},'
+                     f'"layers":{{{layers}}},"nodes":{_dumps(snap.node_ids)}}}\n')
 
 
-def _edges_json(snap: GraphSnapshot, name: str, prefixes: np.ndarray) -> str:
-    """Layer ``name`` of ``snap`` as the JSON array of its ``[i, j, w]`` edges."""
+def _edges_json(snap: GraphSnapshot, name: str, prefixes: np.ndarray,
+                tails: dict[int, str]) -> str:
+    """Layer ``name`` of ``snap`` as the JSON array of its ``[i,j,w]`` edges,
+    formatting into ``tails`` each weight it has not seen yet."""
     edges = snap.layers[name]
     check_edges(edges, len(prefixes), f"snapshot {snap.date}: layer {name!r}")
     if not len(edges):
         return "[]"
-    i, j = edges["i"], edges["j"]
     # Distinct bit patterns, not values, so -0.0 and 0.0 keep their own text.
     bits, slot = np.unique(edges["w"].view(np.int64), return_inverse=True)
-    tails = np.array([json.dumps(w) + "]" for w in bits.view(np.float64).tolist()],
-                     dtype=object)
-    return "[" + ", ".join((prefixes[i, j] + tails[slot]).tolist()) + "]"
+    keys = bits.tolist()
+    for key, w in zip(keys, bits.view(np.float64).tolist()):
+        if key not in tails:
+            tails[key] = json.dumps(w) + "]"
+    ends = np.array([tails[key] for key in keys], dtype=object)
+    return "[" + ",".join((prefixes[edges["i"], edges["j"]] + ends[slot]).tolist()) + "]"
 
 
 def _edge_array(edges: list, n: int, where: str) -> np.ndarray:

@@ -67,9 +67,11 @@ def logistic_fit(x: np.ndarray, y: np.ndarray, lr: float = 0.05, max_epochs: int
     grad = np.empty_like(theta)
     grad_w = grad[:-1]
     state = tz.AdamState({"w": w.size, "b": 1}, lr=lr)
+    tz._check_loss_args(y, y)  # the targets, checked once: 0 or 1, not empty
     for _ in range(max_epochs):
-        probs = tz.sigmoid(x @ w + b[0])
-        _, dlogits = tz.bce_loss(probs, y)
+        dlogits = tz.sigmoid(x @ w + b[0])
+        dlogits -= y
+        dlogits /= y.size  # the mean BCE's gradient in the logits, (p - y) / n
         np.matmul(x.T, dlogits, out=grad_w)
         grad[-1] = dlogits.sum()
         if float(np.sqrt(grad_w @ grad_w + grad[-1] * grad[-1])) < tol:

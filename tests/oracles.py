@@ -20,7 +20,8 @@ the one-date ``build_snapshot`` under ``build_snapshots``, then the
 vectorized builder of ``(int, int, float)`` edge tuples that edge arrays
 replaced, as ``build_tuple_snapshots`` (its ``rank_correlation_matrix`` is
 the library's, as before), with the ``json.dumps`` writer of
-``write_snapshots_jsonl`` that the assembled-text writer replaced; the one-matrix
+``write_snapshots_jsonl`` that the assembled-text writer replaced (its only
+edit: the compact ``separators=(",", ":")`` the file format now uses); the one-matrix
 ``gcn_normalize`` and the edge-by-edge ``adjacency_from_snapshot``; the
 sequence objects ``GraphSequence`` and ``build_sequences`` (formerly in
 ``graphs``) with the sample builder over them that index arithmetic
@@ -466,11 +467,11 @@ def write_snapshots_jsonl(snapshots: list[GraphSnapshot], path: str,
     if meta:
         header.update(meta)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         for snap in snapshots:
             record = {"date": snap.date, "nodes": snap.node_ids, "layers": snap.layers,
                       "graph_label": snap.graph_label}  # edge tuples encode as JSON arrays
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def gcn_normalize(adj: np.ndarray) -> np.ndarray:

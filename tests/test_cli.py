@@ -399,10 +399,19 @@ def drop_key(key):
     return edit
 
 
+def change_key(key, change, name):
+    def edit(data):
+        raw = json.loads(data)
+        return json.dumps({**raw, key: change(raw[key])}).encode()
+    edit.__name__ = name
+    return edit
+
+
 class TestCutArtifacts:
     """Every artifact a stage reads back, cut in the middle of its second line
-    (or a JSON artifact without a key it needs), its manifest hash re-recorded,
-    stops the stage that reads it with exit 2 and one error line."""
+    (or a JSON artifact without a key it needs, or with a key that disagrees
+    with the feature panel), its manifest hash re-recorded, stops the stage
+    that reads it with exit 2 and one error line."""
 
     @pytest.fixture(scope="class")
     def evaluated(self, tmp_path_factory):
@@ -421,8 +430,13 @@ class TestCutArtifacts:
         ("graph_labels.csv", "features", "graphs", cut_second_line),
         ("standardization.json", "features", "train", cut_second_line),
         ("standardization.json", "features", "train", drop_key("mean")),
+        ("standardization.json", "features", "train",
+         change_key("mean", lambda v: v[1:], "short_mean")),
         ("split.json", "features", "train", cut_second_line),
         ("split.json", "features", "train", drop_key("ratio")),
+        ("split.json", "features", "train", change_key("test_dates", lambda v: [], "no_test")),
+        ("split.json", "features", "train",
+         change_key("test_dates", lambda v: v[5:], "late_test")),
         ("macro.csv", "features", "train", cut_second_line),
         ("graphs.jsonl", "graphs", "train", cut_second_line),
         ("model_temporal.srrm", "train", "evaluate", cut_second_line),

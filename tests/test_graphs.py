@@ -4,10 +4,13 @@ snapshot/sequence construction, and JSONL round-trips."""
 import gc
 import json
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from srr.errors import DataError, ShapeError
@@ -102,6 +105,15 @@ class TestSpearman:  # the one-pair oracle of rank_correlation_matrix
                         continue
                     rho, _ = oracles.spearman(window[i], window[j])
                     assert abs(corr[i, j] - rho) < 1e-12
+        stack = rng.integers(0, 5, size=(5, 6, 7)).astype(float)  # ties in every row
+        stack[3, 1] = 2.0  # a constant row in one window
+        corr, degenerate = rank_correlation_matrix(stack)
+        assert corr.shape == (5, 6, 6) and degenerate.shape == (5, 6)
+        assert degenerate[3, 1] and np.all(corr[3, 1] == 0.0)
+        for window, c, d in zip(stack, corr, degenerate):  # the stacked call, window by window
+            for want_c, want_d in (rank_correlation_matrix(window),
+                                   oracles.rank_correlation_matrix(window)):
+                assert c.tobytes() == want_c.tobytes() and d.tolist() == want_d.tolist()
 
 
 def plain(snapshots):
@@ -260,20 +272,28 @@ class TestSequences:  # the sequence builder that index rows replaced, kept as t
 
 class TestJsonl:
     def test_round_trip_is_bit_exact(self, tmp_path):
+        """Also from the same file in the spaced layout (``json.dumps`` with its
+        default separators) that the writer made before records were compact."""
         snaps = labeled_snapshots()
-        path = str(tmp_path / "graphs.jsonl")
-        write_snapshots_jsonl(snaps, path, meta={"window": 7, "tau": 0.5})
-        back, header = read_snapshots_jsonl(path)
-        assert header["format"] == GRAPH_FORMAT
-        assert header["snapshots"] == len(snaps) == len(back)
-        assert header["window"] == 7 and header["tau"] == 0.5
-        for a, b in zip(snaps, back):
-            assert a.date == b.date and a.node_ids == b.node_ids
-            assert a.layers.keys() == b.layers.keys()
-            for name, edges in a.layers.items():
-                assert b.layers[name].dtype == EDGE_DTYPE
-                assert b.layers[name].tobytes() == edges.tobytes()
-            assert a.graph_label == b.graph_label
+        path = tmp_path / "graphs.jsonl"
+        write_snapshots_jsonl(snaps, str(path), meta={"window": 7, "tau": 0.5})
+        compact = path.read_text(encoding="utf-8").splitlines()
+        spaced = "".join(json.dumps(json.loads(line), sort_keys=True) + "\n" for line in compact)
+        assert spaced.startswith('{"format": "srr-graph-v2", "snapshots": ')
+        for text in (None, spaced):
+            if text is not None:
+                path.write_text(text, encoding="utf-8")
+            back, header = read_snapshots_jsonl(str(path))
+            assert header["format"] == GRAPH_FORMAT
+            assert header["snapshots"] == len(snaps) == len(back)
+            assert header["window"] == 7 and header["tau"] == 0.5
+            for a, b in zip(snaps, back):
+                assert a.date == b.date and a.node_ids == b.node_ids
+                assert a.layers.keys() == b.layers.keys()
+                for name, edges in a.layers.items():
+                    assert b.layers[name].dtype == EDGE_DTYPE
+                    assert b.layers[name].tobytes() == edges.tobytes()
+                assert a.graph_label == b.graph_label
 
     def test_records_hold_the_graph_only(self, tmp_path):
         snaps = labeled_snapshots()
@@ -419,6 +439,39 @@ class TestArraysAgainstTuplePath:
         assert all(b.layers[k].tobytes() == a.layers[k].tobytes()
                    for a, b in zip(snaps, back) for k in a.layers)
         assert plain(back) == plain(snaps)
+
+    @settings(max_examples=50)
+    @given(st.data())
+    def test_writer_and_reader_agree_on_every_accepted_edge_set(self, data):
+        """Any snapshots whose edges ``check_edges`` accepts: the writer gives the
+        compact ``json.dumps`` writer's bytes and the reader the same edges, bit
+        for bit. The weights come from a small pool, so they repeat within and
+        across snapshots."""
+        nodes = data.draw(st.lists(st.text(max_size=3), min_size=2, max_size=6, unique=True))
+        n = len(nodes)
+        pool = [-0.0, 0.0, 5e-324, 1e300] + data.draw(st.lists(st.floats(allow_nan=False),
+                                                               max_size=3))
+        edge = st.tuples(st.integers(0, n - 2).flatmap(lambda i: st.tuples(
+            st.just(i), st.integers(i + 1, n - 1))), st.sampled_from(pool))
+        layer = st.lists(edge, max_size=8).map(
+            lambda edges: np.array([(i, j, w) for (i, j), w in edges], EDGE_DTYPE))
+        snaps = data.draw(st.lists(st.builds(
+            GraphSnapshot, date=st.dates().map(str), node_ids=st.just(nodes),
+            layers=st.dictionaries(st.text(max_size=3), layer, max_size=3),
+            graph_label=st.none() | st.integers(0, 1)), max_size=4))
+        tuples = [GraphSnapshot(s.date, s.node_ids, {k: v.tolist() for k, v in s.layers.items()},
+                                s.graph_label) for s in snaps]
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp, "got.jsonl"), Path(tmp, "want.jsonl")
+            write_snapshots_jsonl(snaps, str(got), meta={"note": "ü"})
+            oracles.write_snapshots_jsonl(tuples, str(want), meta={"note": "ü"})
+            assert got.read_bytes() == want.read_bytes()
+            back, _ = read_snapshots_jsonl(str(got))
+        assert [(b.date, b.node_ids, b.graph_label) for b in back] == [
+            (a.date, a.node_ids, a.graph_label) for a in snaps]
+        assert all(a.layers.keys() == b.layers.keys()
+                   and all(b.layers[k].tobytes() == v.tobytes() for k, v in a.layers.items())
+                   for a, b in zip(snaps, back))
 
     @pytest.mark.parametrize("edge", [(-1, 1, 0.5), (0, 3, 0.5), (2, 2, 0.5), (1, 0, 0.5)])
     def test_writer_refuses_a_node_index_out_of_range(self, tmp_path, edge):
