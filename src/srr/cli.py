@@ -35,7 +35,6 @@ from .graphs import (GraphSnapshot, build_snapshots, read_snapshots_jsonl,
 from .market_data import (PricePanel, ingest_csv, log_returns, read_csv, read_macro_csv,
                           read_universe_csv, sha256_file, write_csv, write_macro_csv,
                           write_panel_csv)
-from .models.baselines import day_feature_names
 from .models.state import deserialize, parameter_count, serialize
 from .plots import grouped_bar_chart, hbar_chart, line_chart
 from .training import DataBundle, SplitPlan, chronological_split, predict_scores, train
@@ -274,11 +273,14 @@ def _bundle(run: Run, stage: str, bundle: DataBundle | None
             raise DataError("macro.csv and features.csv disagree on dates; "
                             "rerun `srr features`")
     with _json_artifact(run.path("standardization.json"), "features") as raw:
-        stats = Standardization.from_dict(raw)
+        stats = Standardization(**raw)
     if stats.mean.shape != stats.std.shape or stats.mean.shape != (len(fpanel.names),):
         raise DataError(f"{run.path('standardization.json')} holds {stats.mean.size} means and "
                         f"{stats.std.size} stds for {len(fpanel.names)} features; "
                         "rerun `srr features`")
+    if not (np.isfinite(stats.mean).all() and (np.isfinite(stats.std) & (stats.std > 0.0)).all()):
+        raise DataError(f"{run.path('standardization.json')} holds a non-finite mean or a std "
+                        "that is not finite and positive; rerun `srr features`")
     with _json_artifact(run.path("split.json"), "features") as raw:
         split = SplitPlan(**raw)
     if split != chronological_split(fpanel.dates, ratio=run.cfg.split.ratio,
@@ -351,10 +353,9 @@ def cmd_evaluate(run: Run, bundle: DataBundle | None = None) -> None:
             "lead_times": leads,
         }
         if kind == "forest":
-            names = day_feature_names(bundle.panel)
             imp = state.params["feature_importance"].reshape(-1)
             entry["feature_importance"] = {
-                n: float(v) for n, v in zip(names, imp)}
+                n: float(v) for n, v in zip(state.hyper["inputs"], imp)}
         models_report[kind] = entry
         auroc = metrics["auroc"]
         shown = "--" if auroc is None else f"{auroc:.3f}"

@@ -40,34 +40,34 @@ def _check_scored(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return s, y.astype(np.int8)
 
 
+def _tie_block_counts(scores, labels) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Check the scores and labels; return the cumulative (tp, fp) at the end
+    of each tie block, scores descending, and the class sizes (n_pos, n_neg).
+
+    Each distinct score is one threshold: tied scores enter as one block.
+    """
+    s, y = _check_scored(scores, labels)
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))
+    tp = np.cumsum(y[order], dtype=np.int64)[ends]
+    n_pos = int(tp[-1])
+    return tp, ends + 1 - tp, n_pos, s.size - n_pos
+
+
 def auroc_rank(scores, labels) -> float | None:
     """AUROC as the Mann-Whitney U over n_pos * n_neg (ties count half).
 
     Equals the probability a random positive outscores a random negative,
     ties counted half. None when only one class is present.
     """
-    s, y = _check_scored(scores, labels)
-    n_pos = int(np.count_nonzero(y))
-    n_neg = y.size - n_pos
+    tp, fp, n_pos, n_neg = _tie_block_counts(scores, labels)
     if n_pos == 0 or n_neg == 0:
         return None
-    tp, fp = _tie_block_counts(s, y)
     # 2U: each positive of a tie block counts the negatives below it twice and
     # the negatives tied with it once; exact in integers
     two_u = int(np.diff(tp, prepend=0) @ (2 * (n_neg - fp) + np.diff(fp, prepend=0)))
     return two_u / (2 * n_pos * n_neg)
-
-
-def _tie_block_counts(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative (tp, fp) at the end of each tie block, scores descending.
-
-    Each distinct score is one threshold: tied scores enter as one block.
-    """
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))
-    tp = np.cumsum(y[order], dtype=np.int64)[ends]
-    return tp, ends + 1 - tp
 
 
 def auprc_step(scores, labels) -> float | None:
@@ -76,34 +76,26 @@ def auprc_step(scores, labels) -> float | None:
     Thresholds sweep the distinct score values in descending order; tied
     scores enter as one block. None when no positives exist.
     """
-    s, y = _check_scored(scores, labels)
-    n_pos = int(np.count_nonzero(y))
+    tp, fp, n_pos, _ = _tie_block_counts(scores, labels)
     if n_pos == 0:
         return None
-    tp, fp = _tie_block_counts(s, y)
-    recall = tp / n_pos
-    steps = np.diff(recall, prepend=0.0) * (tp / (tp + fp))
+    steps = np.diff(tp / n_pos, prepend=0.0) * (tp / (tp + fp))
     return float(np.cumsum(steps)[-1])  # a running sum, not np.sum's pairwise order
 
 
 def roc_points(scores, labels) -> list[tuple[float, float]]:
     """(FPR, TPR) step points from (0,0) to (1,1), tied scores as one step."""
-    s, y = _check_scored(scores, labels)
-    n_pos = int(np.count_nonzero(y))
-    n_neg = y.size - n_pos
+    tp, fp, n_pos, n_neg = _tie_block_counts(scores, labels)
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC undefined for single-class labels")
-    tp, fp = _tie_block_counts(s, y)
     return [(0.0, 0.0)] + list(zip((fp / n_neg).tolist(), (tp / n_pos).tolist()))
 
 
 def pr_points(scores, labels) -> list[tuple[float, float]]:
     """(recall, precision) step points; starts at recall 0 with the first block's precision."""
-    s, y = _check_scored(scores, labels)
-    n_pos = int(np.count_nonzero(y))
+    tp, fp, n_pos, _ = _tie_block_counts(scores, labels)
     if n_pos == 0:
         raise DataError("PR curve undefined without positives")
-    tp, fp = _tie_block_counts(s, y)
     pts = list(zip((tp / n_pos).tolist(), (tp / (tp + fp)).tolist()))
     return [(0.0, pts[0][1])] + pts
 

@@ -20,7 +20,7 @@ label applies the same rule to the equal-weight portfolio of all tickers
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,7 +58,8 @@ def feature_names(vol_windows=DEFAULT_VOL_WINDOWS, dd_windows=DEFAULT_DD_WINDOWS
 
 @dataclass
 class Standardization:
-    """Per-feature z-score statistics fitted on a training date range."""
+    """Per-feature z-score statistics fitted on a training date range;
+    ``mean`` and ``std`` are stored as float64 arrays."""
 
     mean: np.ndarray  # length F
     std: np.ndarray  # length F, zero-variance entries replaced by 1.0
@@ -66,24 +67,12 @@ class Standardization:
     train_end: str
     degenerate: list[str] = field(default_factory=list)  # features whose std was 0
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": [float(v) for v in self.mean],
-            "std": [float(v) for v in self.std],
-            "train_start": self.train_start,
-            "train_end": self.train_end,
-            "degenerate": list(self.degenerate),
-        }
+    def __post_init__(self):
+        self.mean = np.asarray(self.mean, dtype=np.float64)
+        self.std = np.asarray(self.std, dtype=np.float64)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Standardization":
-        return cls(
-            mean=np.asarray(d["mean"], dtype=np.float64),
-            std=np.asarray(d["std"], dtype=np.float64),
-            train_start=d["train_start"],
-            train_end=d["train_end"],
-            degenerate=list(d.get("degenerate", [])),
-        )
+    def to_dict(self) -> dict:
+        return {**asdict(self), "mean": self.mean.tolist(), "std": self.std.tolist()}
 
 
 @dataclass
@@ -233,23 +222,15 @@ def standardize(panel: FeaturePanel, train_range: tuple[str, str]) -> FeaturePan
 
 
 def apply_standardization(panel: FeaturePanel, stats: Standardization) -> FeaturePanel:
-    """Apply already-fitted z-score statistics to a raw panel (new panel out)."""
+    """Apply already-fitted z-score statistics to a raw panel. The new panel
+    has its own feature cube; every other field (labels, validity, macro
+    overlay, name lists) is the input panel's own object, shared, not copied."""
     if stats.mean.shape != (len(panel.names),):
         raise ShapeError(
             f"standardization stats cover {stats.mean.shape[0]} features, "
             f"panel has {len(panel.names)}")
-    return FeaturePanel(
-        tickers=list(panel.tickers),
-        dates=list(panel.dates),
-        features=(panel.features - stats.mean) / stats.std,
-        names=list(panel.names),
-        macro=None if panel.macro is None else panel.macro.copy(),
-        macro_names=list(panel.macro_names),
-        node_labels=None if panel.node_labels is None else panel.node_labels.copy(),
-        graph_labels=None if panel.graph_labels is None else panel.graph_labels.copy(),
-        label_valid=None if panel.label_valid is None else panel.label_valid.copy(),
-        standardization=stats,
-    )
+    return replace(panel, features=(panel.features - stats.mean) / stats.std,
+                   standardization=stats)
 
 
 # -- serialization ---------------------------------------------------------

@@ -114,11 +114,13 @@ def gcn_embed(a_hat: np.ndarray, ax: np.ndarray, params: dict) -> tuple[np.ndarr
                          "batch or node axes differ")
     ax1 = np.empty(ax.shape[:-1] + (ax.shape[-1] + 1,))
     ax1[..., :-1], ax1[..., -1] = ax, 1.0
-    h1 = tz.relu(ax1 @ np.vstack((params["w1"], params["b1"])))
+    h1 = ax1 @ np.vstack((params["w1"], params["b1"]))
+    np.maximum(h1, 0.0, out=h1)
     ah1 = np.empty(h1.shape[:-1] + (h1.shape[-1] + 1,))
     np.matmul(a_hat, h1, out=ah1[..., :-1])
     ah1[..., -1] = 1.0
-    h2 = tz.relu(ah1 @ np.vstack((params["w2"], params["b2"])))
+    h2 = ah1 @ np.vstack((params["w2"], params["b2"]))
+    np.maximum(h2, 0.0, out=h2)
     z = np.full(h2.shape[-2], 1.0 / h2.shape[-2]) @ h2  # mean pooling, (1/N) 1^T H2
     cache = {"a_hat": a_hat, "ax1": ax1, "ah1": ah1, "on1": h1 > 0.0, "on2": h2 > 0.0}
     return z, cache
@@ -145,8 +147,8 @@ def gcn_forward(a_hat: np.ndarray, ax: np.ndarray, rows: np.ndarray,
     emb, enc_cache = gcn_embed(a_hat, ax, params)
     read = rows[:, 0]
     z = emb[read]
-    h3 = tz.relu(tz.linear(z, params["w3"], params["b3"]))
-    logit = tz.linear(h3, params["w4"], params["b4"])[:, 0]
+    h3 = np.maximum(z @ params["w3"] + params["b3"], 0.0)
+    logit = (h3 @ params["w4"] + params["b4"])[:, 0]
     cache = {"enc": enc_cache, "z": z, "h3": h3, "read": read, "n_emb": len(emb)}
     return tz.sigmoid(logit), cache
 

@@ -91,7 +91,7 @@ def gru_forward(x: np.ndarray, params: dict) -> tuple[np.ndarray, dict]:
     w = np.concatenate((params["wz"], params["wr"], params["wn"]), axis=1)
     b = np.concatenate((params["bz"], params["br"], params["bn"]))
     u_zr = np.concatenate((params["uz"], params["ur"]), axis=1)
-    xw = tz.linear(x.reshape(-1, e), w, b).reshape(k, s, 3 * hid)
+    xw = (x.reshape(-1, e) @ w + b).reshape(k, s, 3 * hid)
     hs = np.zeros((k + 1, s, hid))  # hs[t]: the state before step t
     gates, rh = np.empty((k, s, 3 * hid)), np.empty((k, s, hid))
     for t in range(k):

@@ -1,9 +1,10 @@
-"""Dense float64 kernel: batched linear maps, activations, losses, Adam, seeded RNG.
+"""Dense float64 kernel: linear-map gradients, sigmoid, losses, Adam, seeded RNG.
 
 The feature axis is last and every axis before it is a batch axis, e.g.
-G x N x F node-feature stacks; an unbatched call has no leading axes.
-:func:`linear` and :func:`linear_grads` run one GEMM per N x F matrix of a
-stack, never one over the stack reshaped to (G*N) x F: OpenBLAS hands a
+G x N x F node-feature stacks; an unbatched call has no leading axes. The
+models write a linear map as ``x @ w + b``, which NumPy runs as one GEMM per
+N x F matrix of a stack, and :func:`linear_grads` does the same: never one
+GEMM over the stack reshaped to (G*N) x F. OpenBLAS hands a
 GEMM of more than 2^18 multiply-adds to its thread pool, and at mini-batch
 sizes waking the pool costs more than the arithmetic (reshaped, temporal
 training on 44 tickers burned 1.7-1.9 CPU seconds per wall second on two
@@ -35,11 +36,9 @@ __all__ = [
     "as_matrix",
     "matmul",
     "add",
-    "linear",
     "weight_grad",
     "linear_grads",
     "scatter_rows",
-    "relu",
     "sigmoid",
     "bce_loss",
     "focal_loss",
@@ -84,15 +83,6 @@ def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _finite("add", out)
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """``x @ w (+ b)`` over the last axis of ``x`` (..., F) -> (..., H): one
-    GEMM per matrix of a stack."""
-    out = x @ w
-    if b is not None:
-        out += b
-    return out
-
-
 def weight_grad(x: np.ndarray, dy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """d loss / dW of ``x @ W`` given d loss / d output, summed over every
     leading axis: ``x^T dy`` for a matrix; for a stack, one ``x_g^T dy_g``
@@ -105,7 +95,7 @@ def weight_grad(x: np.ndarray, dy: np.ndarray, out: np.ndarray | None = None) ->
 
 def linear_grads(x: np.ndarray, dy: np.ndarray, dw: np.ndarray | None = None,
                  db: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(dW, db) of :func:`linear` given d loss / d output, summed over every
+    """(dW, db) of ``x @ W + b`` given d loss / d output, summed over every
     leading axis (see :func:`weight_grad`). Written into ``dw`` and ``db``
     when given."""
     return weight_grad(x, dy, dw), np.sum(dy.reshape(-1, dy.shape[-1]), axis=0, out=db)
@@ -120,12 +110,6 @@ def scatter_rows(d: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
 
 # -- activations --------------------------------------------------------
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """ReLU in place: sets the entries of the float64 array ``x`` below 0 to 0
-    and returns it. Its output is > 0 exactly where its input was."""
-    return np.maximum(x, 0.0, out=x)
-
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function, 1 / (1 + e) for x >= 0 and

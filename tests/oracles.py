@@ -5,11 +5,11 @@ backward passes that the batched engine in ``srr.models`` replaced, kept
 as they were so that batched results can be compared against a plain
 per-sample loop. The only edit: mean pooling, formerly ``tensor.row_mean``,
 is written as ``h2.mean(axis=0)``. ``linear`` and ``linear_grads`` are the
-reshape-to-one-GEMM forms that ``tensor`` replaced with per-graph GEMMs.
-``relu_grad``, ``sigmoid_grad`` and ``tanh_grad`` are the activation
-derivatives (the library's backward passes multiply by the ReLU mask
-directly), and ``auroc_oracle`` counts AUROC pair by pair for the
-ranking-metric tests.
+reshape-to-one-GEMM forms that per-graph GEMMs replaced. ``relu`` is the
+ReLU the library writes inline; ``relu_grad``, ``sigmoid_grad`` and
+``tanh_grad`` are the activation derivatives (the library's backward passes
+multiply by the ReLU mask directly), and ``auroc_oracle`` counts AUROC pair
+by pair for the ranking-metric tests.
 
 The functions after ``temporal_backward`` are the per-element loops that
 vectorized code replaced, copied verbatim (only the docstring of ``sigmoid``
@@ -46,9 +46,8 @@ passes, among them the per-step GRU as ``batch_gru_step`` and
 ``batch_gru_step_backward``, and ``training._train_minibatch`` as
 ``train_minibatch``, which concatenates a gradient dict per step. Where
 these and the per-sample GRU above called ``tensor.tanh``, they call
-``np.tanh``, its body. ``tensor.relu`` now runs in place, so the
-pre-activations they cache hold the activations; that changes no value
-they compute, since a ReLU output is > 0 exactly where its input was.
+``np.tanh``, its body; where they called ``tensor.relu`` or
+``tensor.linear``, they call ``relu`` above or write ``x @ w + b``.
 """
 
 from __future__ import annotations
@@ -83,6 +82,10 @@ def linear_grads(x: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     leading axis by one reshape-and-matmul."""
     d = dy.reshape(-1, dy.shape[-1])
     return x.reshape(-1, x.shape[-1]).T @ d, d.sum(axis=0)
+
+
+def relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
 
 
 def relu_grad(x: np.ndarray) -> np.ndarray:
@@ -123,10 +126,10 @@ def gcn_embed(a_hat: np.ndarray, x: np.ndarray, params: dict) -> tuple[np.ndarra
         raise ShapeError(f"adjacency {a_hat.shape} vs features {x.shape}: node counts differ")
     ax = tz.matmul(a_hat, x)
     pre1 = tz.add(tz.matmul(ax, params["w1"]), params["b1"][None, :])
-    h1 = tz.relu(pre1)
+    h1 = relu(pre1)
     ah1 = tz.matmul(a_hat, h1)
     pre2 = tz.add(tz.matmul(ah1, params["w2"]), params["b2"][None, :])
-    h2 = tz.relu(pre2)
+    h2 = relu(pre2)
     z = h2.mean(axis=0)  # was tensor.row_mean
     cache = {"a_hat": a_hat, "ax": ax, "pre1": pre1, "ah1": ah1, "pre2": pre2, "n": x.shape[0]}
     return z, cache
@@ -152,7 +155,7 @@ def gcn_embed_backward(dz: np.ndarray, cache: dict, params: dict) -> dict[str, n
 def _head_forward(z: np.ndarray, params: dict) -> tuple[float, float, dict]:
     zr = z[None, :]
     pre3 = zr @ params["w3"] + params["b3"][None, :]
-    h3 = tz.relu(pre3)
+    h3 = relu(pre3)
     logit = float((h3 @ params["w4"] + params["b4"][None, :])[0, 0])
     prob = float(tz.sigmoid(np.array([logit]))[0])
     return logit, prob, {"zr": zr, "pre3": pre3, "h3": h3}
@@ -878,10 +881,10 @@ def batch_gcn_embed(a_hat: np.ndarray, ax: np.ndarray, params: dict) -> tuple[np
     if a_hat.shape[:-1] != ax.shape[:-1]:
         raise ShapeError(f"adjacency {a_hat.shape} vs features {ax.shape}: "
                          "batch or node axes differ")
-    pre1 = tz.linear(ax, params["w1"], params["b1"])
-    ah1 = a_hat @ tz.relu(pre1)
-    pre2 = tz.linear(ah1, params["w2"], params["b2"])
-    z = tz.relu(pre2).mean(axis=-2)
+    pre1 = ax @ params["w1"] + params["b1"]
+    ah1 = a_hat @ relu(pre1)
+    pre2 = ah1 @ params["w2"] + params["b2"]
+    z = relu(pre2).mean(axis=-2)
     cache = {"a_hat": a_hat, "ax": ax, "pre1": pre1, "ah1": ah1, "pre2": pre2}
     return z, cache
 
@@ -891,7 +894,7 @@ def batch_gcn_embed_backward(dz: np.ndarray, cache: dict, params: dict) -> dict[
     pre2 = cache["pre2"]
     dpre2 = dz[..., None, :] / pre2.shape[-2] * (pre2 > 0.0)  # mean-pool and ReLU backward
     grads = dict(zip(("w2", "b2"), tz.linear_grads(cache["ah1"], dpre2)))
-    dpre1 = tz.linear(cache["a_hat"] @ dpre2, params["w2"].T) * (cache["pre1"] > 0.0)
+    dpre1 = (cache["a_hat"] @ dpre2) @ params["w2"].T * (cache["pre1"] > 0.0)
     grads["w1"], grads["b1"] = tz.linear_grads(cache["ax"], dpre1)
     return grads
 
@@ -904,9 +907,9 @@ def batch_gcn_forward(a_hat: np.ndarray, ax: np.ndarray, rows: np.ndarray,
     emb, enc_cache = batch_gcn_embed(a_hat, ax, params)
     read = rows[:, 0]
     z = emb[read]
-    pre3 = tz.linear(z, params["w3"], params["b3"])
-    h3 = tz.relu(pre3)
-    logit = tz.linear(h3, params["w4"], params["b4"])[:, 0]
+    pre3 = z @ params["w3"] + params["b3"]
+    h3 = relu(pre3)
+    logit = (h3 @ params["w4"] + params["b4"])[:, 0]
     cache = {"enc": enc_cache, "z": z, "pre3": pre3, "h3": h3, "read": read, "n_emb": len(emb)}
     return tz.sigmoid(logit), cache
 

@@ -402,16 +402,17 @@ def drop_key(key):
 def change_key(key, change, name):
     def edit(data):
         raw = json.loads(data)
-        return json.dumps({**raw, key: change(raw[key])}).encode()
+        return json.dumps({**raw, key: change(raw.get(key))}).encode()
     edit.__name__ = name
     return edit
 
 
 class TestCutArtifacts:
     """Every artifact a stage reads back, cut in the middle of its second line
-    (or a JSON artifact without a key it needs, or with a key that disagrees
-    with the feature panel), its manifest hash re-recorded, stops the stage
-    that reads it with exit 2 and one error line."""
+    (or a JSON artifact without a key it needs, with a key it does not know,
+    or with a value that disagrees with the feature panel or cannot be used),
+    its manifest hash re-recorded, stops the stage that reads it with exit 2
+    and one error line."""
 
     @pytest.fixture(scope="class")
     def evaluated(self, tmp_path_factory):
@@ -432,6 +433,12 @@ class TestCutArtifacts:
         ("standardization.json", "features", "train", drop_key("mean")),
         ("standardization.json", "features", "train",
          change_key("mean", lambda v: v[1:], "short_mean")),
+        ("standardization.json", "features", "train",
+         change_key("std", lambda v: [0.0] + v[1:], "zero_std")),
+        ("standardization.json", "features", "train",
+         change_key("std", lambda v: [float("nan")] + v[1:], "nan_std")),
+        ("standardization.json", "features", "train",
+         change_key("scale", lambda v: 1.0, "unknown_key")),
         ("split.json", "features", "train", cut_second_line),
         ("split.json", "features", "train", drop_key("ratio")),
         ("split.json", "features", "train", change_key("test_dates", lambda v: [], "no_test")),

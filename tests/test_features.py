@@ -1,6 +1,8 @@
 """Feature values against hand arithmetic, forward-drawdown label semantics,
 train-range standardization, truncation invariance, and CSV round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -186,7 +188,8 @@ class TestStandardization:
         stats = Standardization(mean=np.array([1.5]), std=np.array([0.25]),
                                 train_start="2020-01-01", train_end="2020-02-01",
                                 degenerate=["x"])
-        back = Standardization.from_dict(stats.to_dict())
+        back = Standardization(**json.loads(json.dumps(stats.to_dict())))
+        assert back.mean.dtype == back.std.dtype == np.float64
         assert np.array_equal(back.mean, stats.mean)
         assert np.array_equal(back.std, stats.std)
         assert back.degenerate == ["x"]

@@ -182,6 +182,40 @@ class TestSnapshots:
         with pytest.raises(DataError, match="2 snapshot dates but 1 graph labels"):
             build_snapshots(rp, rp.dates[-2:], [1], window=5)
 
+    @settings(max_examples=50)
+    @given(st.data())
+    def test_relabeling_tickers_relabels_the_graph(self, data):
+        """The panel's rows permuted and its tickers and sector map renamed:
+        every correlation and sector edge maps through the permutation, with a
+        bit-equal weight. Ranks are halves, so every Gram entry is exact."""
+        n, t = data.draw(st.integers(2, 7)), data.draw(st.integers(3, 12))
+        window = data.draw(st.integers(3, t))
+        tau = data.draw(st.sampled_from([0.2, 0.5, 1.0]))
+        value = st.sampled_from([-0.02, -0.01, 0.0, 0.01, 0.03]) | st.floats(-1.0, 1.0)
+        returns = np.reshape(data.draw(st.lists(value, min_size=n * t, max_size=n * t)), (n, t))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        sectors = data.draw(st.lists(st.none() | st.sampled_from("ab"), min_size=n, max_size=n))
+        renamed = data.draw(st.lists(st.text(min_size=1, max_size=3), min_size=n, max_size=n,
+                                     unique=True))
+        dates = [f"d{k:02d}" for k in range(t)]
+
+        def snapshots(tickers, rows):
+            sector_map = {tk: sectors[r] for tk, r in zip(tickers, rows) if sectors[r]}
+            return build_snapshots(ReturnPanel(tickers, dates, returns[rows]), dates[window - 1:],
+                                   [None] * (t - window + 1), window, tau, sector_map)
+
+        def edges(layer, node):  # (i, j, weight bits) of each edge, node k renumbered node[k]
+            i, j = node[layer["i"]], node[layer["j"]]
+            w = np.ascontiguousarray(layer["w"]).view(np.int64)
+            return sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist(), w.tolist()))
+
+        same, moved = np.arange(n), np.argsort(perm)  # moved[k]: the new index of old node k
+        for old, new in zip(snapshots([f"T{k}" for k in range(n)], same),
+                            snapshots(renamed, perm)):
+            assert new.node_ids == renamed and old.layers.keys() == new.layers.keys()
+            for name, layer in old.layers.items():
+                assert edges(new.layers[name], same) == edges(layer, moved)
+
 
 class TestAgainstPerElementLoops:
     """Exact (==) equality with the per-row, per-date and per-pair loops that

@@ -1,10 +1,14 @@
 """Ingestion: alignment semantics, validation errors, manifest fields,
 round-trips, the universe / macro readers, and the one CSV reader and writer."""
 
+import os
+import tempfile
+from datetime import date
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from srr import cli, synthetic
@@ -150,17 +154,24 @@ class TestReturnsAndRoundTrip:
         with pytest.raises(DataError, match=">= 2 dates"):
             log_returns(panel)
 
-    def test_write_then_ingest_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        rows = [(f"2020-01-{d:02d}", t, float(p))
-                for d in range(1, 10) for t, p in zip("ABC", rng.uniform(1, 500, 3))]
-        panel, _ = ingest_csv(write(tmp_path, "p.csv", long_csv(rows)))
-        out = tmp_path / "echo.csv"
-        write_panel_csv(panel, str(out))
-        panel2, _ = ingest_csv(str(out))
-        assert panel2.dates == panel.dates
-        assert panel2.tickers == panel.tickers
-        assert np.array_equal(panel2.prices, panel.prices)
+    @settings(max_examples=50)
+    @given(tickers=st.lists(st.from_regex(r"[A-Z][A-Z0-9.-]{0,5}", fullmatch=True),
+                            min_size=2, max_size=5, unique=True),
+           dates=st.lists(st.dates(date(1900, 1, 1), date(2099, 12, 31)).map(str),
+                          min_size=1, max_size=6, unique=True),
+           data=st.data())
+    def test_write_then_ingest_is_bit_exact(self, tickers, dates, data):
+        tickers, dates = sorted(tickers), sorted(dates)
+        prices = data.draw(st.lists(st.floats(1e-300, 1e300), min_size=len(tickers) * len(dates),
+                                    max_size=len(tickers) * len(dates)))
+        panel = PricePanel(tickers, dates, np.reshape(prices, (len(tickers), len(dates))))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "echo.csv")
+            write_panel_csv(panel, out)
+            back, _ = ingest_csv(out)
+        assert back.dates == panel.dates
+        assert back.tickers == panel.tickers
+        assert back.prices.tobytes() == panel.prices.tobytes()
 
 
 class TestRowErrorsNameTheirFile:

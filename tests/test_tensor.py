@@ -58,10 +58,14 @@ class TestOps:
 
 class TestActivations:
     def test_relu_and_kink(self):
-        x = np.array([-2.0, 0.0, 3.0])
-        assert np.array_equal(tz.relu(x), [0.0, 0.0, 3.0])
-        # the kink at exactly zero takes the zero branch
-        assert np.array_equal(oracles.relu_grad(x), [0.0, 0.0, 1.0])
+        x = np.array([-2.0, -0.0, 0.0, 3.0])
+        h = x.copy()
+        np.maximum(h, 0.0, out=h)  # the encoder's in-place ReLU
+        assert np.array_equal(h, [0.0, 0.0, 0.0, 3.0])
+        # the kink at exactly zero takes the zero branch, so the mask h > 0 that
+        # the encoder keeps is the derivative
+        assert np.array_equal(oracles.relu_grad(x), [0.0, 0.0, 0.0, 1.0])
+        assert np.array_equal(h > 0.0, oracles.relu_grad(x) > 0.0)
 
     def test_sigmoid_stable_extremes(self):
         big = tz.sigmoid(np.array([800.0, -800.0, -745.0]))
@@ -306,7 +310,8 @@ class TestAdam:
 
 
 class TestLinear:
-    """The per-graph GEMMs against the reshape-to-one-GEMM path they replaced."""
+    """The per-graph GEMMs of ``x @ w + b`` and ``linear_grads`` against the
+    reshape-to-one-GEMM path they replaced."""
 
     SHAPES = [(5,), (7, 5), (4, 7, 5), (3, 4, 7, 5)]
 
@@ -315,7 +320,7 @@ class TestLinear:
         rng = np.random.default_rng(len(shape))
         x, w, b = rng.normal(size=shape), rng.normal(size=(5, 6)), rng.normal(size=6)
         for bias in (None, b):
-            got, want = tz.linear(x, w, bias), oracles.linear(x, w, bias)
+            got, want = x @ w if bias is None else x @ w + bias, oracles.linear(x, w, bias)
             assert got.shape == want.shape == shape[:-1] + (6,)
             assert got.tobytes() == want.tobytes()
 
@@ -332,7 +337,7 @@ class TestLinear:
         rng = np.random.default_rng(44)
         x, w, dy = rng.normal(size=(40, 44, 32)), rng.normal(size=(32, 32)), rng.normal(
             size=(40, 44, 32))
-        assert tz.linear(x, w).tobytes() == oracles.linear(x, w).tobytes()
+        assert (x @ w).tobytes() == oracles.linear(x, w).tobytes()
         for got, want in zip(tz.linear_grads(x, dy), oracles.linear_grads(x, dy)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
