@@ -4,9 +4,10 @@ Each stage writes its artifacts to the output directory and records a stage
 manifest (config hash, seed, input and output content hashes). Run alone, a
 stage reads the previous stage's artifacts back from disk; ``run-all`` hands
 each stage the objects the previous one built, which equal the reloaded ones
-bit for bit, so both paths write the same bytes. A stage refuses to run on
-missing or stale upstream artifacts and says which stage to rerun. Identical config + seed produce
-byte-identical artifacts; nothing written here embeds a timestamp.
+bit for bit, so both paths write the same bytes; a forked child writes the first
+three stages' files while ``run-all`` trains. A stage refuses missing or stale
+upstream artifacts and says which stage to rerun. Identical config + seed
+produce byte-identical artifacts; nothing written here embeds a timestamp.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
 """
@@ -15,8 +16,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
+import pickle
+import signal
 import sys
 from dataclasses import asdict
 
@@ -27,7 +31,7 @@ from .errors import ConfigError, DataError, NumericalError, SrrError
 from .evaluation import (compute_metrics, crash_windows, lead_times, pr_points,
                          report_to_json, roc_points, summary_table)
 from .features import (FeaturePanel, Standardization, apply_standardization,
-                       attach_labels, compute_features, read_features_csv,
+                       attach_labels, compute_features, feature_names, read_features_csv,
                        read_graph_labels_csv, standardize, write_features_csv,
                        write_graph_labels_csv)
 from .graphs import (GraphSnapshot, build_snapshots, read_snapshots_jsonl,
@@ -62,6 +66,65 @@ def _json_artifact(path: str, upstream: str):
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{path} is malformed ({type(exc).__name__}: {exc}); "
                         f"rerun `srr {upstream}`") from None
+
+
+@contextlib.contextmanager
+def _rerun(upstream: str, path: str = ""):
+    """A DataError from the block, after ``path`` if given, ends 'rerun `srr <upstream>`'."""
+    try:
+        yield
+    except DataError as exc:
+        where = f"{path}: " if path else ""
+        raise DataError(f"{where}{exc}; rerun `srr {upstream}`") from None
+
+
+def _write_step(later: list | None, write, verify, inputs) -> None:
+    """``write(inputs)`` now, or inside run-all ``write(verify())`` in the writer child."""
+    if later is None:
+        write(inputs)
+    else:
+        later.append(lambda: write(verify()))
+
+
+def _fork(what: str, fn):
+    """Run ``fn()`` in a forked child that prints nothing and leaves by ``os._exit``;
+    ``join()`` waits for it and returns what ``fn`` returned or raises its SrrError
+    again. Any other exception, or a signal that kills the child, is an SrrError
+    (exit 1) naming ``what``. Without ``os.fork``, ``fn`` runs now."""
+    if not hasattr(os, "fork"):
+        result = fn()
+        return lambda: result
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            try:
+                reply = (None, fn())
+            except BaseException as exc:  # reported, never raised into the caller
+                reply = ((type(exc), str(exc)) if isinstance(exc, SrrError)
+                         else (SrrError, f"{what}: {type(exc).__name__}: {exc}"))
+            with os.fdopen(write_end, "wb") as fh:
+                pickle.dump(reply, fh)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+
+    def join():
+        with os.fdopen(read_end, "rb") as fh:
+            reply = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code or not reply:
+            raise SrrError(f"{what}: child ended by {signal.Signals(-code).name}" if code < 0
+                           else f"{what}: child exited with status {code} and no reply")
+        error, result = pickle.loads(reply)
+        if error is not None:
+            raise error(result)
+        return result
+    return join
 
 
 class Run:
@@ -121,7 +184,7 @@ def _period_name(cfg: Config) -> str:
 
 # -- stage: ingest ------------------------------------------------------------
 
-def cmd_ingest(run: Run) -> PricePanel:
+def cmd_ingest(run: Run, later: list | None = None) -> PricePanel:
     cfg = run.cfg
     if cfg.data.prices_csv is None:
         raise ConfigError("data.prices_csv is required for `srr ingest`")
@@ -133,15 +196,17 @@ def cmd_ingest(run: Run) -> PricePanel:
     start, end = cfg.period.resolve()
     panel, provenance = ingest_csv(cfg.data.prices_csv, tickers=tickers, start=start,
                                    end=end, universe=universe)
-    write_panel_csv(panel, run.path("prices.csv"))
-    _write_json(run.path("provenance.json"), provenance)
-    _write_json(run.path("universe.json"), panel.universe_meta or {})
 
-    inputs = {cfg.data.prices_csv: provenance["sha256"]}
-    if cfg.data.universe_csv is not None:
-        inputs[cfg.data.universe_csv] = sha256_file(cfg.data.universe_csv)
-    run.write_manifest("ingest", inputs,
-                       ["prices.csv", "provenance.json", "universe.json"])
+    def write(inputs):
+        write_panel_csv(panel, run.path("prices.csv"))
+        _write_json(run.path("provenance.json"), provenance)
+        _write_json(run.path("universe.json"), panel.universe_meta or {})
+        inputs[cfg.data.prices_csv] = provenance["sha256"]
+        if cfg.data.universe_csv is not None:
+            inputs[cfg.data.universe_csv] = sha256_file(cfg.data.universe_csv)
+        run.write_manifest("ingest", inputs,
+                           ["prices.csv", "provenance.json", "universe.json"])
+    _write_step(later, write, dict, {})  # no upstream stage to verify
     print(f"ingest: {len(panel.tickers)} tickers x {len(panel.dates)} dates -> "
           f"{run.path('prices.csv')}")
     return panel
@@ -168,11 +233,12 @@ def _attach_macro(macro_csv: str, fpanel) -> None:
     fpanel.macro_names = names
 
 
-def cmd_features(run: Run, panel: PricePanel | None = None
+def cmd_features(run: Run, panel: PricePanel | None = None, later: list | None = None
                  ) -> tuple[FeaturePanel, Standardization, SplitPlan]:
     """Returns the raw labeled panel (macro attached), its statistics and the split."""
     cfg = run.cfg
-    inputs = run.require("features", "ingest", ["prices.csv"])
+    verify = functools.partial(run.require, "features", "ingest", ["prices.csv"])
+    inputs = verify() if later is None else None
     if panel is None:
         panel, _ = ingest_csv(run.path("prices.csv"))
     returns = log_returns(panel)
@@ -196,14 +262,16 @@ def cmd_features(run: Run, panel: PricePanel | None = None
                                 train_start=split.train_dates[0],
                                 train_end=split.train_dates[-1])
 
-    write_features_csv(fpanel, run.path("features.csv"))
-    write_graph_labels_csv(fpanel, run.path("graph_labels.csv"))
-    _write_json(run.path("standardization.json"), stats.to_dict())
-    _write_json(run.path("split.json"), asdict(split))
-    if cfg.data.macro_csv is not None:
-        write_macro_csv(run.path("macro.csv"), fpanel.dates, fpanel.macro_names, fpanel.macro)
-        inputs[cfg.data.macro_csv] = sha256_file(cfg.data.macro_csv)
-    run.write_manifest("features", inputs, _feature_files(cfg))
+    def write(inputs):
+        write_features_csv(fpanel, run.path("features.csv"))
+        write_graph_labels_csv(fpanel, run.path("graph_labels.csv"))
+        _write_json(run.path("standardization.json"), stats.to_dict())
+        _write_json(run.path("split.json"), asdict(split))
+        if cfg.data.macro_csv is not None:
+            write_macro_csv(run.path("macro.csv"), fpanel.dates, fpanel.macro_names, fpanel.macro)
+            inputs[cfg.data.macro_csv] = sha256_file(cfg.data.macro_csv)
+        run.write_manifest("features", inputs, _feature_files(cfg))
+    _write_step(later, write, verify, inputs)
     print(f"features: {len(fpanel.dates)} dates x {len(fpanel.names)} features, "
           f"{len(split.train_dates)} train / {len(split.test_dates)} test days")
     return fpanel, stats, split
@@ -212,12 +280,16 @@ def cmd_features(run: Run, panel: PricePanel | None = None
 # -- stage: graphs --------------------------------------------------------------
 
 def cmd_graphs(run: Run, panel: PricePanel | None = None,
-               fpanel: FeaturePanel | None = None) -> list[GraphSnapshot]:
+               fpanel: FeaturePanel | None = None, later: list | None = None
+               ) -> list[GraphSnapshot]:
     """Labels come from ``fpanel`` and sectors from ``panel.universe_meta``."""
     cfg = run.cfg
     ingested = ["prices.csv"] + (["universe.json"] if cfg.graph.sector_layer else [])
-    inputs = run.require("graphs", "ingest", ingested)
-    inputs.update(run.require("graphs", "features", ["graph_labels.csv"]))
+
+    def verify():
+        return {**run.require("graphs", "ingest", ingested),
+                **run.require("graphs", "features", ["graph_labels.csv"])}
+    inputs = verify() if later is None else None
 
     if panel is None:
         panel, _ = ingest_csv(run.path("prices.csv"))
@@ -225,27 +297,28 @@ def cmd_graphs(run: Run, panel: PricePanel | None = None,
             with _json_artifact(run.path("universe.json"), "ingest") as meta:
                 panel.universe_meta = meta
     if fpanel is None:
-        dates, labels, valid = read_graph_labels_csv(run.path("graph_labels.csv"))
+        with _rerun("features"):
+            dates, labels, valid = read_graph_labels_csv(run.path("graph_labels.csv"))
     else:
         dates, labels, valid = fpanel.dates, fpanel.graph_labels, fpanel.label_valid
-    sector_map = None
-    if cfg.graph.sector_layer:
-        sector_map = panel.universe_meta
-        if not sector_map:
-            raise DataError("graph.sector_layer is on but the ingested universe "
-                            "carries no sector labels")
+    sector_map = panel.universe_meta if cfg.graph.sector_layer else None
+    if cfg.graph.sector_layer and not sector_map:
+        raise DataError("graph.sector_layer is on but the ingested universe carries no sector labels")
     snapshots = build_snapshots(
         log_returns(panel), dates, [int(y) if v else None for y, v in zip(labels, valid)],
         window=cfg.graph.window, tau=cfg.graph.tau, sector_map=sector_map)
-    write_snapshots_jsonl(snapshots, run.path("graphs.jsonl"), meta={
-        "config_hash": run.hash,
-        "seed": cfg.seed,
-        "window": cfg.graph.window,
-        "tau": cfg.graph.tau,
-        "layers": list(cfg.graph.layers),
-    })
+
+    def write(inputs):
+        write_snapshots_jsonl(snapshots, run.path("graphs.jsonl"), meta={
+            "config_hash": run.hash,
+            "seed": cfg.seed,
+            "window": cfg.graph.window,
+            "tau": cfg.graph.tau,
+            "layers": list(cfg.graph.layers),
+        })
+        run.write_manifest("graphs", inputs, ["graphs.jsonl"])
+    _write_step(later, write, verify, inputs)
     n_edges = sum(len(s.layers["correlation"]) for s in snapshots)
-    run.write_manifest("graphs", inputs, ["graphs.jsonl"])
     print(f"graphs: {len(snapshots)} snapshots, {n_edges} correlation edges total")
     return snapshots
 
@@ -261,50 +334,60 @@ def _bundle(run: Run, stage: str, bundle: DataBundle | None
     inputs.update(run.require(stage, "graphs", ["graphs.jsonl"]))
     if bundle is not None:
         return inputs, bundle
-    fpanel = read_features_csv(run.path("features.csv"))
-    dates, labels, valid = read_graph_labels_csv(run.path("graph_labels.csv"))
-    if dates != fpanel.dates:
-        raise DataError("graph_labels.csv and features.csv disagree on dates; "
-                        "rerun `srr features`")
-    fpanel.graph_labels, fpanel.label_valid = labels, valid
-    if run.cfg.data.macro_csv is not None:
-        m_dates, fpanel.macro_names, fpanel.macro = read_macro_csv(run.path("macro.csv"))
-        if m_dates != fpanel.dates:
-            raise DataError("macro.csv and features.csv disagree on dates; "
-                            "rerun `srr features`")
+    cfg = run.cfg
+    with _rerun("features"):
+        fpanel = read_features_csv(run.path("features.csv"))
+        dates, fpanel.graph_labels, valid = read_graph_labels_csv(run.path("graph_labels.csv"))
+        if dates != fpanel.dates:
+            raise DataError("graph_labels.csv and features.csv disagree on dates")
+        names = feature_names(cfg.features.vol_windows, cfg.features.dd_windows,
+                              cfg.features.momentum_windows)
+        if fpanel.names != names:
+            raise DataError(f"features.csv has the feature columns {fpanel.names}, not {names}")
+        first = np.arange(len(dates)) < len(dates) - cfg.labels.horizon
+        for name, labeled in (("features.csv", fpanel.label_valid), ("graph_labels.csv", valid)):
+            if not np.array_equal(labeled, first):
+                raise DataError(f"{name} does not label exactly the first {first.sum()} of "
+                                f"{len(dates)} dates (labels.horizon {cfg.labels.horizon})")
+        fpanel.label_valid = valid
+        if cfg.data.macro_csv is not None:
+            m_dates, fpanel.macro_names, fpanel.macro = read_macro_csv(run.path("macro.csv"))
+            if m_dates != fpanel.dates:
+                raise DataError("macro.csv and features.csv disagree on dates")
     with _json_artifact(run.path("standardization.json"), "features") as raw:
         stats = Standardization(**raw)
-    if stats.mean.shape != stats.std.shape or stats.mean.shape != (len(fpanel.names),):
-        raise DataError(f"{run.path('standardization.json')} holds {stats.mean.size} means and "
-                        f"{stats.std.size} stds for {len(fpanel.names)} features; "
-                        "rerun `srr features`")
-    if not (np.isfinite(stats.mean).all() and (np.isfinite(stats.std) & (stats.std > 0.0)).all()):
-        raise DataError(f"{run.path('standardization.json')} holds a non-finite mean or a std "
-                        "that is not finite and positive; rerun `srr features`")
+        if not (stats.mean.shape == stats.std.shape == (len(names),)
+                and np.isfinite([stats.mean, stats.std]).all() and (stats.std > 0.0).all()):
+            raise ValueError(f"expected {len(names)} finite means and positive finite stds")
     with _json_artifact(run.path("split.json"), "features") as raw:
         split = SplitPlan(**raw)
-    if split != chronological_split(fpanel.dates, ratio=run.cfg.split.ratio,
-                                    horizon=run.cfg.labels.horizon):
-        raise DataError(f"{run.path('split.json')} is not the split of features.csv's dates; "
-                        "rerun `srr features`")
-    std_panel = apply_standardization(fpanel, stats)
-    try:
+        if split != chronological_split(fpanel.dates, ratio=cfg.split.ratio,
+                                        horizon=cfg.labels.horizon):
+            raise ValueError("not the split of features.csv's dates")
+    with _rerun("graphs"):  # e.g. a file written in an earlier format
         snapshots, _ = read_snapshots_jsonl(run.path("graphs.jsonl"))
-    except DataError as exc:  # e.g. a file written in an earlier format
-        raise DataError(f"{exc}; rerun `srr graphs`") from None
-    if ([s.date for s in snapshots] != std_panel.dates
-            or any(s.node_ids != std_panel.tickers for s in snapshots)):
-        raise DataError("graphs.jsonl and features.csv disagree on dates or tickers; "
-                        "rerun `srr graphs`")
-    return inputs, DataBundle(panel=std_panel, snapshots=snapshots, split=split)
+        if ([s.date for s in snapshots] != fpanel.dates
+                or any(s.node_ids != fpanel.tickers for s in snapshots)):
+            raise DataError("graphs.jsonl and features.csv disagree on dates or tickers")
+    return inputs, DataBundle(panel=apply_standardization(fpanel, stats),
+                              snapshots=snapshots, split=split)
 
 
-def cmd_train(run: Run, bundle: DataBundle | None = None) -> None:
+def cmd_train(run: Run, bundle: DataBundle | None = None, written=None) -> None:
+    """Inside run-all, ``written()`` joins the writer child, also when training
+    fails, and the upstream files are verified after it."""
     cfg = run.cfg
-    inputs, bundle = _bundle(run, "train", bundle)
+    if written is None:
+        inputs, bundle = _bundle(run, "train", bundle)
+    try:
+        trained = [(kind, *train(kind, bundle, cfg)) for kind in cfg.model.kinds]
+    finally:
+        if written is not None:
+            written()
+    if written is not None:
+        inputs, _ = _bundle(run, "train", bundle)
     outputs = []
-    for kind in cfg.model.kinds:
-        state, log = train(kind, bundle, cfg)
+    for kind, state, log in trained:
         state.config_hash = run.hash
         with open(run.path(f"model_{kind}.srrm"), "wb") as fh:
             fh.write(serialize(state))
@@ -335,11 +418,8 @@ def cmd_evaluate(run: Run, bundle: DataBundle | None = None) -> None:
     models_report = {}
     outputs = []
     for kind in cfg.model.kinds:
-        with open(run.path(f"model_{kind}.srrm"), "rb") as fh:
-            try:
-                state = deserialize(fh.read())
-            except DataError as exc:
-                raise DataError(f"{fh.name}: {exc}; rerun `srr train`") from None
+        with open(run.path(f"model_{kind}.srrm"), "rb") as fh, _rerun("train", fh.name):
+            state = deserialize(fh.read())
         dates, scores, labels = predict_scores(state, bundle, side="test")
         metrics = compute_metrics(scores, labels, threshold=cfg.evaluate.threshold)
         leads = lead_times(calendar, daily_labels, dates, scores,
@@ -383,9 +463,13 @@ def cmd_evaluate(run: Run, bundle: DataBundle | None = None) -> None:
 # -- stage: report ----------------------------------------------------------------
 
 def _read_timeline(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    _, rows = read_csv(path, "timeline file", "date,score,label",
-                       lambda r: (r[0], float(r[1]), int(r[2])))
-    cells = [cell for _, cell in rows]
+    def row(r):
+        if not np.isfinite(float(r[1])) or r[2] not in ("0", "1"):
+            raise ValueError(f"expected a finite score and a 0 or 1 label, got {r[1:]}")
+        return r[0], float(r[1]), int(r[2])
+    with _rerun("evaluate"):
+        _, rows = read_csv(path, "timeline file", "date,score,label", row)
+        cells = [cell for _, cell in rows]
     return ([c[0] for c in cells], np.asarray([c[1] for c in cells]),
             np.asarray([c[2] for c in cells]))
 
@@ -477,13 +561,16 @@ def cmd_report(run: Run) -> None:
 
 def cmd_run_all(run: Run) -> None:
     """Every stage in order, each handed what the one before it built; each
-    still verifies and hashes its on-disk inputs for its manifest."""
-    panel = cmd_ingest(run)
-    fpanel, stats, split = cmd_features(run, panel)
-    snapshots = cmd_graphs(run, panel, fpanel)
+    still verifies and hashes its on-disk inputs for its manifest. A forked child runs
+    the write steps the first three stages leave on ``later`` (file formatting and
+    hashing, no BLAS, whose threads a child does not inherit) while the parent trains."""
+    later: list = []
+    panel = cmd_ingest(run, later)
+    fpanel, stats, split = cmd_features(run, panel, later)
+    snapshots = cmd_graphs(run, panel, fpanel, later)
     bundle = DataBundle(panel=apply_standardization(fpanel, stats),
                         snapshots=snapshots, split=split)
-    cmd_train(run, bundle)
+    cmd_train(run, bundle, _fork("writer", lambda: [step() for step in later]))
     cmd_evaluate(run, bundle)
     cmd_report(run)
 

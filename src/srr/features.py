@@ -247,26 +247,36 @@ def write_features_csv(panel: FeaturePanel, path: str) -> None:
     write_csv(path, ["date", "ticker", *panel.names, "node_label"], rows())
 
 
+def _label_cell(cell: str) -> int | None:
+    """A label cell of ``features.csv`` or ``graph_labels.csv``: blank (unlabeled), 0 or 1."""
+    if cell not in ("", "0", "1"):
+        raise ValueError(f"label {cell!r} is not blank, 0 or 1")
+    return int(cell) if cell else None
+
+
 def read_features_csv(path: str) -> FeaturePanel:
     header, rows = read_csv(path, "features file", "date,ticker,*,node_label", lambda r: (
-        r[0], r[1], [float(v) for v in r[2:-1]], int(r[-1]) if r[-1] else None))
+        r[0], r[1], [float(v) for v in r[2:-1]], _label_cell(r[-1])))
     names = header[2:-1]
-    cells = [cell for _, cell in rows]
-    dates = sorted({c[0] for c in cells})
-    tickers = sorted({c[1] for c in cells})
+    cells = list(rows)
+    dates = sorted({c[0] for _, c in cells})
+    tickers = sorted({c[1] for _, c in cells})
     d_idx = {d: t for t, d in enumerate(dates)}
     t_idx = {k: i for i, k in enumerate(tickers)}
     feats = np.full((len(tickers), len(dates), len(names)), np.nan)
-    node = np.zeros((len(tickers), len(dates)), dtype=np.int8)
-    valid = np.zeros(len(dates), dtype=bool)
-    for day, ticker, values, lab in cells:
+    node = np.full((len(tickers), len(dates)), -1, dtype=np.int8)  # -1: no row yet
+    labeled = np.zeros(node.shape, dtype=bool)
+    for line_no, (day, ticker, values, lab) in cells:
         i, t = t_idx[ticker], d_idx[day]
-        feats[i, t, :] = values
-        if lab is not None:
-            node[i, t] = lab
-            valid[t] = True
+        if node[i, t] >= 0:
+            raise DataError(f"features file {path}: line {line_no}: a second row for "
+                            f"({day}, {ticker})")
+        feats[i, t, :], node[i, t], labeled[i, t] = values, lab or 0, lab is not None
     if not np.isfinite(feats).all():
         raise DataError(f"{path}: missing (date, ticker) cells or non-finite values")
+    valid = labeled.any(axis=0)
+    if (labeled != valid).any():
+        raise DataError(f"{path}: a date labels some tickers and leaves others blank")
     return FeaturePanel(tickers=tickers, dates=dates, features=feats, names=names,
                         node_labels=node, label_valid=valid)
 
@@ -282,7 +292,7 @@ def write_graph_labels_csv(panel: FeaturePanel, path: str) -> None:
 
 def read_graph_labels_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     _, rows = read_csv(path, "graph-label file", "date,graph_label",
-                       lambda r: (r[0], int(r[1] or 0), r[1] != ""))
+                       lambda r: (r[0], _label_cell(r[1])))
     cells = [cell for _, cell in rows]
-    return ([c[0] for c in cells], np.array([c[1] for c in cells], dtype=np.int8),
-            np.array([c[2] for c in cells], dtype=bool))
+    return ([d for d, _ in cells], np.array([y or 0 for _, y in cells], dtype=np.int8),
+            np.array([y is not None for _, y in cells], dtype=bool))

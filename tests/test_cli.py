@@ -4,6 +4,7 @@ inventory, byte determinism, staleness detection, and exit-code mapping."""
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 import srr
-from srr.cli import STAGES, main
+import srr.cli
+from srr.cli import STAGES, Run, main
 from srr.config import PRESETS, Config, PeriodConfig, config_hash, load_config
 from srr.errors import ConfigError, DataError, NumericalError, ShapeError, SrrError
 from srr.models import deserialize, parameter_count
@@ -279,6 +281,101 @@ class TestRunAllHandOff:
         assert Path(ingested[0]).parent != out
 
 
+UPSTREAM = {"ingest": ["prices.csv", "provenance.json", "universe.json"],
+            "features": ["features.csv", "graph_labels.csv", "standardization.json",
+                         "split.json"],
+            "graphs": ["graphs.jsonl"]}
+
+
+def assert_upstream_verifies(cfg_path) -> None:
+    """The ingest, features and graphs files exist and match their manifests."""
+    run = Run(load_config(str(cfg_path)))
+    for upstream, files in UPSTREAM.items():
+        run.require("check", upstream, files)
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWriterChild:
+    """Inside `run-all` a forked child writes the ingest, features and graphs
+    files while the parent trains; the parent joins it before it verifies them."""
+
+    @pytest.fixture
+    def workspace(self, tmp_path):
+        return make_workspace(tmp_path, n_days=260)
+
+    @staticmethod
+    def diverge(*args, **kwargs):
+        raise NumericalError("training diverged")
+
+    @pytest.mark.parametrize("fail,code,message", [
+        (DataError("graphs: bad layer"), 2, "graphs: bad layer"),
+        (OSError(28, "No space left on device"), 1,
+         "writer: OSError: [Errno 28] No space left on device"),
+        ("kill", 1, "writer: child ended by SIGKILL"),
+    ], ids=["data-error", "os-error", "killed"])
+    def test_writer_failure_exits_after_training(self, capsys, monkeypatch, workspace,
+                                                 fail, code, message):
+        cfg_path, out = workspace
+        trained = []
+
+        def failing_writer(*args, **kwargs):  # runs in the child
+            if fail == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise fail
+        monkeypatch.setattr("srr.cli.write_snapshots_jsonl", failing_writer)
+        real_train = srr.cli.train
+
+        def train(kind, *args):  # runs in the parent
+            trained.append(kind)
+            return real_train(kind, *args)
+        monkeypatch.setattr("srr.cli.train", train)
+        assert main(["run-all", "--config", cfg_path]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert trained == list(MODEL_KINDS)
+        assert not (out / "model_logistic.srrm").exists()  # no model once the writer failed
+        assert (out / "manifest_features.json").exists()  # the stages before it are written
+        assert not (out / "manifest_graphs.json").exists()
+        assert_no_child_left()
+
+    def test_writer_failure_wins_over_a_training_failure(self, capsys, monkeypatch,
+                                                         workspace):
+        cfg_path, _ = workspace
+
+        def fail(*args, **kwargs):
+            raise DataError("features: bad file")
+        monkeypatch.setattr("srr.cli.write_features_csv", fail)
+        monkeypatch.setattr("srr.cli.train", self.diverge)
+        assert main(["run-all", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err == "error: features: bad file\n"
+        assert_no_child_left()
+
+    def test_training_failure_leaves_verified_upstream_files(self, capsys, monkeypatch,
+                                                             workspace):
+        cfg_path, _ = workspace
+        monkeypatch.setattr("srr.cli.train", self.diverge)
+        assert main(["run-all", "--config", cfg_path]) == 3
+        assert capsys.readouterr().err == "error: training diverged\n"
+        assert_upstream_verifies(cfg_path)
+        assert_no_child_left()
+
+    def test_without_fork_run_all_writes_the_same_bytes(self, capsys, monkeypatch,
+                                                        workspace):
+        cfg_path, out = workspace
+        assert main(["run-all", "--config", cfg_path]) == 0
+        forked = {p.name: p.read_bytes() for p in out.iterdir()}
+        printed = capsys.readouterr().out
+        shutil.rmtree(out)
+        monkeypatch.delattr(os, "fork")
+        assert main(["run-all", "--config", cfg_path]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == forked
+        assert capsys.readouterr().out == printed
+        assert_no_child_left()
+
+
 def rewrite_artifact(out: Path, name: str, stage: str, edit) -> None:
     """Rewrite an artifact line by line, ``edit(i, line)``, and re-record its
     hash in the stage manifest, as an earlier run (or another program) would
@@ -407,6 +504,61 @@ def change_key(key, change, name):
     return edit
 
 
+def change_lines(change, name):
+    """A bytes edit that applies ``change(lines)`` to the file's lines in place."""
+    def edit(data):
+        lines = data.decode().splitlines()
+        change(lines)
+        return "".join(line + "\n" for line in lines).encode()
+    edit.__name__ = name
+    return edit
+
+
+def _first_one_to_two(lines):
+    i = next(i for i, line in enumerate(lines) if line.endswith(",1"))
+    lines[i] = lines[i][:-1] + "2"
+
+
+def _duplicate_first_row(lines):
+    cells = lines[1].split(",")
+    lines.append(",".join(cells[:2] + [repr(float(cells[2]) + 1.0)] + cells[3:]))
+
+
+def _set_cell(row, col, value):
+    def change(lines):
+        cells = lines[row].split(",")
+        cells[col] = value
+        lines[row] = ",".join(cells)
+    return change
+
+
+# (file, its stage, the command it stops, edit, text the error must hold): a label
+# other than blank, 0 or 1, a label past the horizon, a duplicated or renamed
+# feature, or a timeline cell that is not a finite score and a 0 or 1 label
+DAMAGED_CELLS = [
+    ("graph_labels.csv", "features", "graphs", change_lines(_first_one_to_two, "label_2"),
+     "label '2' is not blank, 0 or 1; rerun `srr features`"),
+    ("graph_labels.csv", "features", "train", change_lines(_first_one_to_two, "label_2"),
+     "label '2' is not blank, 0 or 1; rerun `srr features`"),
+    ("graph_labels.csv", "features", "train",
+     change_lines(_set_cell(-1, 1, "1"), "last_date_labeled"),
+     "graph_labels.csv does not label exactly the first"),
+    ("graph_labels.csv", "features", "evaluate",
+     change_lines(_set_cell(-1, 1, "1"), "last_date_labeled"), "rerun `srr features`"),
+    ("features.csv", "features", "train", change_lines(_duplicate_first_row, "duplicate_row"),
+     "a second row for"),
+    ("features.csv", "features", "train", change_lines(_set_cell(1, -1, "7"), "node_label_7"),
+     "line 2: label '7' is not blank, 0 or 1; rerun `srr features`"),
+    ("features.csv", "features", "train",
+     change_lines(_set_cell(0, 3, "foo"), "renamed_feature"),
+     "'foo'"),
+    ("timeline_temporal.csv", "evaluate", "report",
+     change_lines(_set_cell(1, 2, "3"), "label_3"), "line 2: expected a finite score"),
+    ("timeline_temporal.csv", "evaluate", "report",
+     change_lines(_set_cell(1, 1, "nan"), "nan_score"), "rerun `srr evaluate`"),
+]
+
+
 class TestCutArtifacts:
     """Every artifact a stage reads back, cut in the middle of its second line
     (or a JSON artifact without a key it needs, with a key it does not know,
@@ -450,9 +602,20 @@ class TestCutArtifacts:
         ("report.json", "evaluate", "report", cut_second_line),
         ("report.json", "evaluate", "report", drop_key("models")),
         ("timeline_temporal.csv", "evaluate", "report", cut_second_line),
-    ], ids=lambda v: v.__name__ if callable(v) else None)
+    ] + [case[:4] for case in DAMAGED_CELLS], ids=lambda v: v.__name__ if callable(v) else None)
     def test_exits_two_with_an_error_line(self, capsys, tmp_path, evaluated,
                                           name, stage, command, edit):
+        self.exits_two(capsys, tmp_path, evaluated, name, stage, command, edit)
+
+    @pytest.mark.parametrize("name,stage,command,edit,says", DAMAGED_CELLS,
+                             ids=[f"{c[0]}-{c[2]}-{c[3].__name__}" for c in DAMAGED_CELLS])
+    def test_damaged_cells_name_the_line_and_the_stage_to_rerun(
+            self, capsys, tmp_path, evaluated, name, stage, command, edit, says):
+        err = self.exits_two(capsys, tmp_path, evaluated, name, stage, command, edit)
+        assert says in err and "rerun `srr" in err
+
+    @staticmethod
+    def exits_two(capsys, tmp_path, evaluated, name, stage, command, edit) -> str:
         cfg_path, out = evaluated
         copy = tmp_path / "copy"
         shutil.copytree(out, copy)
@@ -460,6 +623,7 @@ class TestCutArtifacts:
         assert main([command, "--config", cfg_path, "--out", str(copy)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+        return err
 
 
 class TestLoadConfig:
@@ -677,6 +841,8 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: gcn: training diverged at epoch ")
         assert "RuntimeWarning" not in proc.stderr
+        assert_upstream_verifies(cfg_path)  # the writer child finished before the exit
+        assert_no_child_left()
 
     def test_module_invocation_offers_help(self):
         proc = subprocess.run([sys.executable, "-c",

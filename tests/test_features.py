@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from srr.errors import DataError
@@ -12,6 +13,7 @@ from srr.features import (FeaturePanel, Standardization, apply_standardization,
                           attach_labels, compute_features, compute_labels,
                           feature_names, read_features_csv, read_graph_labels_csv,
                           standardize, write_features_csv, write_graph_labels_csv)
+from srr.graphs import build_snapshots
 from srr.market_data import PricePanel, log_returns
 from srr.synthetic import business_days, planted_regime_panel
 
@@ -67,15 +69,35 @@ class TestFeatureValues:
         with pytest.raises(DataError, match="need more than 60"):
             compute_features(log_returns(prices), prices)
 
-    def test_truncation_invariance(self):
+    @settings(max_examples=25)
+    @given(cut=st.integers(min_value=62, max_value=150))
+    def test_truncation_invariance(self, cut):
+        """No look-ahead: a panel cut after ``cut`` days gives bit-equal features
+        and graph edges on every date it keeps, and bit-equal labels and
+        validity on every date that still has ``horizon`` days after it."""
+        horizon = 20
         dates, tickers, prices = planted_regime_panel(n_tickers=4, n_days=150, seed=3)
-        full = PricePanel(tickers=tickers, dates=dates, prices=prices)
-        cut = PricePanel(tickers=tickers, dates=dates[:100], prices=prices[:, :100])
-        f_full = compute_features(log_returns(full), full)
-        f_cut = compute_features(log_returns(cut), cut)
-        n_cut = len(f_cut.dates)
-        assert f_full.dates[:n_cut] == f_cut.dates
-        assert np.array_equal(f_full.features[:, :n_cut, :], f_cut.features)
+
+        def features_and_graphs(n_days):
+            panel = PricePanel(tickers=tickers, dates=dates[:n_days], prices=prices[:, :n_days])
+            returns = log_returns(panel)
+            fp = attach_labels(compute_features(returns, panel), panel,
+                               threshold=0.10, horizon=horizon)
+            return fp, build_snapshots(returns, fp.dates, [None] * len(fp.dates))
+        f_full, s_full = features_and_graphs(len(dates))
+        f_cut, s_cut = features_and_graphs(cut)
+        n = len(f_cut.dates)
+        assert f_full.dates[:n] == f_cut.dates
+        assert np.array_equal(f_full.features[:, :n, :], f_cut.features)
+        assert [s.date for s in s_full[:n]] == [s.date for s in s_cut]
+        assert sum(len(s.layers["correlation"]) for s in s_cut) > 0
+        for a, b in zip(s_full, s_cut):
+            assert a.layers["correlation"].tobytes() == b.layers["correlation"].tobytes()
+        m = max(n - horizon, 0)  # the cut panel's labeled dates
+        assert f_cut.label_valid[:m].all() and not f_cut.label_valid[m:].any()
+        assert np.array_equal(f_full.label_valid[:m], f_cut.label_valid[:m])
+        assert np.array_equal(f_full.graph_labels[:m], f_cut.graph_labels[:m])
+        assert np.array_equal(f_full.node_labels[:, :m], f_cut.node_labels[:, :m])
 
 
 class TestLabels:
