@@ -1,13 +1,14 @@
 """Command-line pipeline: ingest -> features -> graphs -> train -> evaluate -> report.
 
 Each stage writes its artifacts to the output directory and records a stage
-manifest (config hash, seed, input and output content hashes). Run alone, a
-stage reads the previous stage's artifacts back from disk; ``run-all`` hands
-each stage the objects the previous one built, which equal the reloaded ones
-bit for bit, so both paths write the same bytes; a forked child writes the first
-three stages' files while ``run-all`` trains. A stage refuses missing or stale
-upstream artifacts and says which stage to rerun. Identical config + seed
-produce byte-identical artifacts; nothing written here embeds a timestamp.
+manifest (config hash, seed, input and output content hashes). What the models
+use is derived from the ingested ``prices.csv`` (and ``universe.json``) and the
+run's ``macro.csv``: ``run-all`` hands it on, a stage run alone derives it again,
+and both write the same bytes. The other features and graphs files are exports,
+hashed but never parsed. A forked child writes the first three stages' files
+while ``run-all`` trains. A stage refuses missing or stale upstream artifacts
+and says which stage to rerun. Identical config + seed produce byte-identical
+artifacts; nothing written here embeds a timestamp.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
 """
@@ -31,11 +32,11 @@ from .errors import ConfigError, DataError, NumericalError, SrrError
 from .evaluation import (compute_metrics, crash_windows, lead_times, pr_points,
                          report_to_json, roc_points, summary_table)
 from .features import (FeaturePanel, Standardization, apply_standardization,
-                       attach_labels, compute_features, feature_names, read_features_csv,
-                       read_graph_labels_csv, standardize, write_features_csv,
+                       attach_labels, compute_features, standardize, write_features_csv,
                        write_graph_labels_csv)
-from .graphs import (GraphSnapshot, build_snapshots, read_snapshots_jsonl,
-                     write_snapshots_jsonl)
+from .features import read_features_csv  # noqa: F401 -- perfbench/traced_srr.py hooks it here
+from .graphs import GraphSnapshot, build_snapshots, write_snapshots_jsonl
+from .graphs import read_snapshots_jsonl  # noqa: F401 -- perfbench/traced_srr.py hooks it here
 from .market_data import (PricePanel, ingest_csv, log_returns, read_csv, read_macro_csv,
                           read_universe_csv, sha256_file, write_csv, write_macro_csv,
                           write_panel_csv)
@@ -148,9 +149,12 @@ class Run:
             "outputs": {name: sha256_file(self.path(name)) for name in outputs},
         })
 
-    def require(self, stage: str, upstream: str, files: list[str]) -> dict[str, str]:
-        """Fail loudly if an upstream artifact is missing, edited, or stale;
-        returns {name: sha256} of the verified files, for the stage's manifest."""
+    def require(self, stage: str, upstream: str, files: list[str],
+                built_from: dict[str, str] | None = None) -> dict[str, str]:
+        """Fail loudly if an upstream artifact is missing, edited, or stale, or if
+        ``upstream`` was built from another version of a ``built_from`` file
+        ({name: sha256}) that its manifest records as an input; returns
+        {name: sha256} of the verified files, for the stage's manifest."""
         for name in files:
             if not os.path.exists(self.path(name)):
                 raise DataError(
@@ -164,6 +168,11 @@ class Run:
                 raise DataError(
                     f"artifacts from stage '{upstream}' are stale "
                     f"(config or seed changed); rerun `srr {upstream}`")
+            changed = [name for name, digest in (built_from or {}).items()
+                       if man["inputs"].get(name, digest) != digest]
+            if changed:
+                raise DataError(f"stage '{upstream}' was built from another {changed[0]}; "
+                                f"rerun `srr {upstream}`")
             hashes = {name: sha256_file(self.path(name)) for name in files}
             for name, digest in hashes.items():
                 if man.get("outputs", {}).get(name) != digest:
@@ -215,9 +224,24 @@ def cmd_ingest(run: Run, later: list | None = None) -> PricePanel:
 # -- stage: features ----------------------------------------------------------
 
 def _feature_files(cfg: Config) -> list[str]:
-    """What the features stage writes, and the train and evaluate stages read."""
+    """What the features stage writes; the train and evaluate stages hash it."""
     return (["features.csv", "graph_labels.csv", "standardization.json", "split.json"]
             + (["macro.csv"] if cfg.data.macro_csv is not None else []))
+
+
+def _ingested_files(cfg: Config) -> list[str]:
+    """What the graphs, train and evaluate stages read of the ingest stage's files."""
+    return ["prices.csv"] + (["universe.json"] if cfg.graph.sector_layer else [])
+
+
+def _ingested_panel(run: Run) -> PricePanel:
+    """The panel that ingest wrote to ``prices.csv``; with the sector layer on,
+    its sector map is ``universe.json``."""
+    panel, _ = ingest_csv(run.path("prices.csv"))
+    if run.cfg.graph.sector_layer:
+        with _json_artifact(run.path("universe.json"), "ingest") as meta:
+            panel.universe_meta = meta
+    return panel
 
 
 def _attach_macro(macro_csv: str, fpanel) -> None:
@@ -233,23 +257,18 @@ def _attach_macro(macro_csv: str, fpanel) -> None:
     fpanel.macro_names = names
 
 
-def cmd_features(run: Run, panel: PricePanel | None = None, later: list | None = None
-                 ) -> tuple[FeaturePanel, Standardization, SplitPlan]:
-    """Returns the raw labeled panel (macro attached), its statistics and the split."""
-    cfg = run.cfg
-    verify = functools.partial(run.require, "features", "ingest", ["prices.csv"])
-    inputs = verify() if later is None else None
-    if panel is None:
-        panel, _ = ingest_csv(run.path("prices.csv"))
-    returns = log_returns(panel)
-    fpanel = compute_features(returns, panel,
+def _derive_features(cfg: Config, panel: PricePanel, macro_csv: str | None
+                     ) -> tuple[FeaturePanel, Standardization, SplitPlan]:
+    """The raw labeled feature panel of ``panel``, with the overlay of
+    ``macro_csv`` attached if given, its statistics and the split."""
+    fpanel = compute_features(log_returns(panel), panel,
                               vol_windows=cfg.features.vol_windows,
                               dd_windows=cfg.features.dd_windows,
                               mom_windows=cfg.features.momentum_windows)
     attach_labels(fpanel, panel, threshold=cfg.labels.threshold,
                   horizon=cfg.labels.horizon)
-    if cfg.data.macro_csv is not None:
-        _attach_macro(cfg.data.macro_csv, fpanel)
+    if macro_csv is not None:
+        _attach_macro(macro_csv, fpanel)
 
     split = chronological_split(fpanel.dates, ratio=cfg.split.ratio,
                                 horizon=cfg.labels.horizon)
@@ -261,6 +280,17 @@ def cmd_features(run: Run, panel: PricePanel | None = None, later: list | None =
         stats = Standardization(mean=np.zeros(n_f), std=np.ones(n_f),
                                 train_start=split.train_dates[0],
                                 train_end=split.train_dates[-1])
+    return fpanel, stats, split
+
+
+def cmd_features(run: Run, panel: PricePanel | None = None, later: list | None = None
+                 ) -> tuple[FeaturePanel, Standardization, SplitPlan]:
+    """Returns the raw labeled panel (macro attached), its statistics and the split."""
+    cfg = run.cfg
+    verify = functools.partial(run.require, "features", "ingest", ["prices.csv"])
+    inputs = verify() if later is None else None
+    fpanel, stats, split = _derive_features(
+        cfg, _ingested_panel(run) if panel is None else panel, cfg.data.macro_csv)
 
     def write(inputs):
         write_features_csv(fpanel, run.path("features.csv"))
@@ -279,34 +309,32 @@ def cmd_features(run: Run, panel: PricePanel | None = None, later: list | None =
 
 # -- stage: graphs --------------------------------------------------------------
 
-def cmd_graphs(run: Run, panel: PricePanel | None = None,
-               fpanel: FeaturePanel | None = None, later: list | None = None
-               ) -> list[GraphSnapshot]:
-    """Labels come from ``fpanel`` and sectors from ``panel.universe_meta``."""
-    cfg = run.cfg
-    ingested = ["prices.csv"] + (["universe.json"] if cfg.graph.sector_layer else [])
-
-    def verify():
-        return {**run.require("graphs", "ingest", ingested),
-                **run.require("graphs", "features", ["graph_labels.csv"])}
-    inputs = verify() if later is None else None
-
-    if panel is None:
-        panel, _ = ingest_csv(run.path("prices.csv"))
-        if cfg.graph.sector_layer:
-            with _json_artifact(run.path("universe.json"), "ingest") as meta:
-                panel.universe_meta = meta
-    if fpanel is None:
-        with _rerun("features"):
-            dates, labels, valid = read_graph_labels_csv(run.path("graph_labels.csv"))
-    else:
-        dates, labels, valid = fpanel.dates, fpanel.graph_labels, fpanel.label_valid
+def _snapshots(cfg: Config, panel: PricePanel, fpanel: FeaturePanel) -> list[GraphSnapshot]:
+    """One snapshot per feature date; labels from ``fpanel``, sectors from ``panel``."""
     sector_map = panel.universe_meta if cfg.graph.sector_layer else None
     if cfg.graph.sector_layer and not sector_map:
         raise DataError("graph.sector_layer is on but the ingested universe carries no sector labels")
-    snapshots = build_snapshots(
-        log_returns(panel), dates, [int(y) if v else None for y, v in zip(labels, valid)],
+    return build_snapshots(
+        log_returns(panel), fpanel.dates,
+        [int(y) if v else None for y, v in zip(fpanel.graph_labels, fpanel.label_valid)],
         window=cfg.graph.window, tau=cfg.graph.tau, sector_map=sector_map)
+
+
+def cmd_graphs(run: Run, panel: PricePanel | None = None,
+               fpanel: FeaturePanel | None = None, later: list | None = None
+               ) -> list[GraphSnapshot]:
+    """Run alone, the stage derives ``panel`` and its labeled ``fpanel`` from the
+    ingested files, as the features stage does."""
+    cfg = run.cfg
+
+    def verify():
+        ingested = run.require("graphs", "ingest", _ingested_files(cfg))
+        return {**ingested, **run.require("graphs", "features", ["graph_labels.csv"], ingested)}
+    inputs = verify() if later is None else None
+    if panel is None:
+        panel = _ingested_panel(run)
+        fpanel, _, _ = _derive_features(cfg, panel, None)
+    snapshots = _snapshots(cfg, panel, fpanel)
 
     def write(inputs):
         write_snapshots_jsonl(snapshots, run.path("graphs.jsonl"), meta={
@@ -327,50 +355,21 @@ def cmd_graphs(run: Run, panel: PricePanel | None = None,
 
 def _bundle(run: Run, stage: str, bundle: DataBundle | None
             ) -> tuple[dict[str, str], DataBundle]:
-    """Verify the feature and graph artifacts, whose hashes go into ``stage``'s
-    manifest, then load them unless ``bundle`` was handed over: the
-    standardized, labeled feature panel, the split and the snapshots."""
-    inputs = run.require(stage, "features", _feature_files(run.cfg))
-    inputs.update(run.require(stage, "graphs", ["graphs.jsonl"]))
-    if bundle is not None:
-        return inputs, bundle
+    """Verify the feature and graph files, whose hashes go into ``stage``'s
+    manifest. Unless ``bundle`` was handed over, derive it as run-all does, from
+    ingested files that the features and graphs stages were built from."""
     cfg = run.cfg
-    with _rerun("features"):
-        fpanel = read_features_csv(run.path("features.csv"))
-        dates, fpanel.graph_labels, valid = read_graph_labels_csv(run.path("graph_labels.csv"))
-        if dates != fpanel.dates:
-            raise DataError("graph_labels.csv and features.csv disagree on dates")
-        names = feature_names(cfg.features.vol_windows, cfg.features.dd_windows,
-                              cfg.features.momentum_windows)
-        if fpanel.names != names:
-            raise DataError(f"features.csv has the feature columns {fpanel.names}, not {names}")
-        first = np.arange(len(dates)) < len(dates) - cfg.labels.horizon
-        for name, labeled in (("features.csv", fpanel.label_valid), ("graph_labels.csv", valid)):
-            if not np.array_equal(labeled, first):
-                raise DataError(f"{name} does not label exactly the first {first.sum()} of "
-                                f"{len(dates)} dates (labels.horizon {cfg.labels.horizon})")
-        fpanel.label_valid = valid
-        if cfg.data.macro_csv is not None:
-            m_dates, fpanel.macro_names, fpanel.macro = read_macro_csv(run.path("macro.csv"))
-            if m_dates != fpanel.dates:
-                raise DataError("macro.csv and features.csv disagree on dates")
-    with _json_artifact(run.path("standardization.json"), "features") as raw:
-        stats = Standardization(**raw)
-        if not (stats.mean.shape == stats.std.shape == (len(names),)
-                and np.isfinite([stats.mean, stats.std]).all() and (stats.std > 0.0).all()):
-            raise ValueError(f"expected {len(names)} finite means and positive finite stds")
-    with _json_artifact(run.path("split.json"), "features") as raw:
-        split = SplitPlan(**raw)
-        if split != chronological_split(fpanel.dates, ratio=cfg.split.ratio,
-                                        horizon=cfg.labels.horizon):
-            raise ValueError("not the split of features.csv's dates")
-    with _rerun("graphs"):  # e.g. a file written in an earlier format
-        snapshots, _ = read_snapshots_jsonl(run.path("graphs.jsonl"))
-        if ([s.date for s in snapshots] != fpanel.dates
-                or any(s.node_ids != fpanel.tickers for s in snapshots)):
-            raise DataError("graphs.jsonl and features.csv disagree on dates or tickers")
-    return inputs, DataBundle(panel=apply_standardization(fpanel, stats),
-                              snapshots=snapshots, split=split)
+    ingested = {} if bundle is not None else run.require(stage, "ingest", _ingested_files(cfg))
+    inputs = run.require(stage, "features", _feature_files(cfg), ingested)
+    inputs.update(run.require(stage, "graphs", ["graphs.jsonl"], ingested))
+    if bundle is None:
+        panel = _ingested_panel(run)
+        with _rerun("features"):
+            fpanel, stats, split = _derive_features(
+                cfg, panel, run.path("macro.csv") if cfg.data.macro_csv is not None else None)
+        bundle = DataBundle(panel=apply_standardization(fpanel, stats),
+                            snapshots=_snapshots(cfg, panel, fpanel), split=split)
+    return inputs, bundle
 
 
 def cmd_train(run: Run, bundle: DataBundle | None = None, written=None) -> None:

@@ -40,7 +40,6 @@ __all__ = [
     "write_features_csv",
     "read_features_csv",
     "write_graph_labels_csv",
-    "read_graph_labels_csv",
 ]
 
 DEFAULT_VOL_WINDOWS = (20, 60)
@@ -248,7 +247,7 @@ def write_features_csv(panel: FeaturePanel, path: str) -> None:
 
 
 def _label_cell(cell: str) -> int | None:
-    """A label cell of ``features.csv`` or ``graph_labels.csv``: blank (unlabeled), 0 or 1."""
+    """A label cell of ``features.csv``: blank (unlabeled), 0 or 1."""
     if cell not in ("", "0", "1"):
         raise ValueError(f"label {cell!r} is not blank, 0 or 1")
     return int(cell) if cell else None
@@ -288,11 +287,3 @@ def write_graph_labels_csv(panel: FeaturePanel, path: str) -> None:
     write_csv(path, ["date", "graph_label"],
               ((day, int(y) if v else "")
                for day, y, v in zip(panel.dates, panel.graph_labels, panel.label_valid)))
-
-
-def read_graph_labels_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    _, rows = read_csv(path, "graph-label file", "date,graph_label",
-                       lambda r: (r[0], _label_cell(r[1])))
-    cells = [cell for _, cell in rows]
-    return ([d for d, _ in cells], np.array([y or 0 for _, y in cells], dtype=np.int8),
-            np.array([y is not None for _, y in cells], dtype=bool))

@@ -37,7 +37,9 @@ tensor-by-tensor ``adam_step`` above in place of the concatenating one it
 called (the two are bit-equal), and the cell-by-cell ``write_features_csv``;
 last, the hand-rolled CSV writers that ``market_data.write_csv`` replaced:
 ``write_panel_csv``, the loop of ``synthetic.write_synthetic_csv``,
-``write_graph_labels_csv``, the command line's ``_write_macro_csv``, and its
+``write_graph_labels_csv`` (followed by ``read_graph_labels_csv``, its reader,
+formerly in ``features``, which no stage calls since the stages derive
+their labels from the prices), the command line's ``_write_macro_csv``, and its
 timeline loop from ``cmd_evaluate``, wrapped as ``write_timeline`` (its
 ``run.path(timeline)`` is the ``path`` argument). Last, the batched
 mini-batch step that stacked GRU gates, the in-place encoder and gradients
@@ -61,8 +63,9 @@ from srr import graphs, models
 from srr import tensor as tz
 from srr.errors import DataError, NumericalError, ShapeError
 from srr.evaluation import _check_scored
+from srr.features import _label_cell
 from srr.graphs import GraphSnapshot
-from srr.market_data import ReturnPanel
+from srr.market_data import ReturnPanel, read_csv
 from srr.models.baselines import gini
 from srr.synthetic import RegimeParams, planted_regime_panel
 from srr.tensor import _finite
@@ -853,6 +856,14 @@ def write_graph_labels_csv(panel: FeaturePanel, path: str) -> None:
         for t, day in enumerate(panel.dates):
             lab = str(int(panel.graph_labels[t])) if panel.label_valid[t] else ""
             fh.write(f"{day},{lab}\n")
+
+
+def read_graph_labels_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    _, rows = read_csv(path, "graph-label file", "date,graph_label",
+                       lambda r: (r[0], _label_cell(r[1])))
+    cells = [cell for _, cell in rows]
+    return ([d for d, _ in cells], np.array([y or 0 for _, y in cells], dtype=np.int8),
+            np.array([y is not None for _, y in cells], dtype=bool))
 
 
 def _write_macro_csv(run: Run, fpanel) -> None:

@@ -7,17 +7,22 @@ import shutil
 import signal
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
 import pytest
 
+import oracles
 import srr
 import srr.cli
 from srr.cli import STAGES, Run, main
 from srr.config import PRESETS, Config, PeriodConfig, config_hash, load_config
 from srr.errors import ConfigError, DataError, NumericalError, ShapeError, SrrError
+from srr.features import Standardization, apply_standardization, read_features_csv
+from srr.graphs import EDGE_DTYPE, read_snapshots_jsonl
+from srr.market_data import read_macro_csv
 from srr.models import deserialize, parameter_count
 from srr.synthetic import write_synthetic_csv
 
@@ -231,9 +236,18 @@ class TestLayersAndMacro:
         assert "universe.json" in err and "rerun `srr ingest`" in err
 
 
+EXPORTS = ("features.csv", "graph_labels.csv", "standardization.json", "split.json",
+           "graphs.jsonl")
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestRunAllHandOff:
-    """`run-all` hands each stage the objects the stage before it built, where a
-    standalone stage reads them back from disk; both must write the same bytes."""
+    """`run-all` hands each stage what the stage before it derived from the
+    ingested files, where a standalone stage derives it again; both must write
+    the same bytes, and neither parses an export."""
 
     @pytest.fixture(params=["plain", "layered"])
     def workspace(self, request, tmp_path):
@@ -255,30 +269,99 @@ class TestRunAllHandOff:
         assert [n for n in staged if handed[n] != staged[n]] == []
 
     def test_run_all_reads_back_no_artifact(self, workspace, monkeypatch):
+        """Every stage command and run-all opens an export only to write it or,
+        through ``sha256_file``, to hash it; run-all also reads back no
+        ``macro.csv`` and ingests the source prices only."""
+        import builtins
         import srr.cli as cli
         cfg_path, out = workspace
+        exports = {str(out / name) for name in EXPORTS}
+        hashing, real_open, real_hash = [], builtins.open, cli.sha256_file
 
-        def refuse_artifacts(name):
-            real = getattr(cli, name)
+        def hash_file(path):
+            hashing.append(path)
+            try:
+                return real_hash(path)
+            finally:
+                hashing.pop()
 
-            def loader(path, *args, **kwargs):
-                if Path(path).resolve().parent == out.resolve():
-                    raise AssertionError(f"{name} re-read {path}")
-                return real(path, *args, **kwargs)
-            monkeypatch.setattr(cli, name, loader)
+        def guarded_open(file, mode="r", *args, **kwargs):
+            if "r" in mode and file in exports and not hashing:
+                raise AssertionError(f"{file} read back")
+            return real_open(file, mode, *args, **kwargs)
+        monkeypatch.setattr(cli, "sha256_file", hash_file)
+        monkeypatch.setattr(builtins, "open", guarded_open)
+        for stage in STAGES:
+            assert main([stage, "--config", cfg_path]) == 0
+        with pytest.raises(AssertionError, match="features.csv read back"):
+            read_features_csv(str(out / "features.csv"))  # the guard sees a reader
 
-        for name in ("read_snapshots_jsonl", "read_features_csv",
-                     "read_graph_labels_csv", "read_macro_csv"):
-            refuse_artifacts(name)
-        ingested, real_ingest = [], cli.ingest_csv
+        real_macro, ingested, real_ingest = cli.read_macro_csv, [], cli.ingest_csv
+
+        def macro(path):
+            assert Path(path).resolve().parent != out.resolve(), f"re-read {path}"
+            return real_macro(path)
 
         def ingest(path, **kwargs):
             ingested.append(path)
             return real_ingest(path, **kwargs)
+        monkeypatch.setattr(cli, "read_macro_csv", macro)
         monkeypatch.setattr(cli, "ingest_csv", ingest)
         assert main(["run-all", "--config", cfg_path]) == 0
         assert [Path(p).name for p in ingested] == ["prices.csv"]
         assert Path(ingested[0]).parent != out
+
+    def test_derived_bundle_equals_the_exports_read_back(self, workspace):
+        """The bundle a standalone stage derives equals, bit for bit, the one the
+        readers rebuild from the features and graphs exports."""
+        cfg_path, out = workspace
+        for stage in ("ingest", "features", "graphs"):
+            assert main([stage, "--config", cfg_path]) == 0
+        cfg = load_config(cfg_path)
+        _, bundle = srr.cli._bundle(Run(cfg), "train", None)
+        derived = bundle.panel
+        stats = Standardization(**json.loads((out / "standardization.json").read_text()))
+        read = apply_standardization(read_features_csv(str(out / "features.csv")), stats)
+        dates, graph_labels, valid = oracles.read_graph_labels_csv(str(out / "graph_labels.csv"))
+        assert (derived.tickers, derived.dates, derived.names) == (read.tickers, dates, read.names)
+        assert read.dates == dates
+        for got, want in [(derived.features, read.features),
+                          (derived.node_labels, read.node_labels),
+                          (derived.graph_labels, graph_labels),
+                          (derived.label_valid, valid), (read.label_valid, valid),
+                          (derived.standardization.mean, stats.mean),
+                          (derived.standardization.std, stats.std)]:
+            assert same_bits(got, want)
+        if cfg.data.macro_csv is None:
+            assert derived.macro is None
+        else:
+            m_dates, names, values = read_macro_csv(str(out / "macro.csv"))
+            assert (m_dates, names) == (dates, derived.macro_names)
+            assert same_bits(derived.macro, values)
+        assert asdict(bundle.split) == json.loads((out / "split.json").read_text())
+
+        snapshots, _ = read_snapshots_jsonl(str(out / "graphs.jsonl"))
+        assert len(snapshots) == len(bundle.snapshots) == len(dates)
+        for got, want in zip(bundle.snapshots, snapshots):
+            assert (got.date, got.node_ids, got.graph_label) == (
+                want.date, want.node_ids, want.graph_label)
+            assert sorted(got.layers) == sorted(want.layers) == list(cfg.graph.layers)
+            for name, layer in got.layers.items():
+                assert layer.dtype == EDGE_DTYPE and same_bits(layer, want.layers[name])
+
+    def test_train_and_evaluate_ignore_what_the_exports_hold(self, workspace):
+        """``features.csv`` and ``graphs.jsonl`` overwritten with garbage, their
+        manifest hashes re-recorded: train and evaluate write the same bytes."""
+        cfg_path, out = workspace
+        for stage in ("ingest", "features", "graphs", "train", "evaluate"):
+            assert main([stage, "--config", cfg_path]) == 0
+        clean = {p.name: p.read_bytes() for p in out.iterdir()
+                 if p.name.startswith(("model_", "training_log_", "timeline_", "report"))}
+        for name, stage in (("features.csv", "features"), ("graphs.jsonl", "graphs")):
+            rewrite_bytes(out, name, stage, lambda data: b"not,an\nexport\n")
+        for stage in ("train", "evaluate"):
+            assert main([stage, "--config", cfg_path]) == 0
+        assert {name: (out / name).read_bytes() for name in clean} == clean
 
 
 UPSTREAM = {"ingest": ["prices.csv", "provenance.json", "universe.json"],
@@ -394,52 +477,6 @@ def rewrite_bytes(out: Path, name: str, stage: str, edit) -> None:
     (out / f"manifest_{stage}.json").write_text(json.dumps(manifest))
 
 
-def rewrite_graphs(out: Path, edit) -> None:
-    """``rewrite_artifact`` on graphs.jsonl, with ``edit(i, record)``."""
-    rewrite_artifact(out, "graphs.jsonl", "graphs", lambda i, line: edit(i, json.loads(line)))
-
-
-class TestGraphFile:
-    @pytest.fixture
-    def graphed(self, tmp_path):
-        cfg_path, out = make_workspace(tmp_path, out_name="g", n_days=260)
-        for stage in ("ingest", "features", "graphs"):
-            assert main([stage, "--config", cfg_path]) == 0
-        return cfg_path, out
-
-    def test_v1_file_asks_for_graphs_rerun(self, capsys, graphed):
-        cfg_path, out = graphed
-        rewrite_graphs(out, lambda i, rec: json.dumps(
-            {**rec, "format": "srr-graph-v1"} if i == 0 else rec))
-        assert main(["train", "--config", cfg_path]) == 2
-        err = capsys.readouterr().err
-        assert "srr-graph-v1" in err and err.rstrip().endswith("rerun `srr graphs`")
-
-    @pytest.mark.parametrize("edit", [
-        lambda rec: json.dumps({**rec, "date": "1999-01-01"}),
-        lambda rec: json.dumps({**rec, "nodes": ["X"] * 10}),
-        lambda rec: "{not json",
-        lambda rec: json.dumps({k: v for k, v in rec.items() if k != "layers"}),
-    ], ids=["date-1999-01-01", "nodes-value1", "not-json", "no-layers"])
-    def test_snapshots_off_the_panel_ask_for_graphs_rerun(self, capsys, graphed, edit):
-        """A record off the panel's dates or tickers, or one that cannot be read."""
-        cfg_path, out = graphed
-        rewrite_graphs(out, lambda i, rec: edit(rec) if i == 3 else json.dumps(rec))
-        assert main(["train", "--config", cfg_path]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.rstrip().endswith("rerun `srr graphs`")
-
-    @pytest.mark.parametrize("edge", [[-1, 1, 0.5], [2, 2, 0.9], [0, 10, 0.5]])
-    def test_edge_off_the_upper_triangle_asks_for_graphs_rerun(self, capsys, graphed, edge):
-        cfg_path, out = graphed  # 10 nodes
-        rewrite_graphs(out, lambda i, rec: json.dumps(
-            {**rec, "layers": {"correlation": [edge]}} if i == 3 else rec))
-        assert main(["train", "--config", cfg_path]) == 2
-        err = capsys.readouterr().err.rstrip()
-        assert "graphs.jsonl: line 4: layer 'correlation'" in err
-        assert err.endswith("rerun `srr graphs`")
-
-
 def short_row(i, line):
     return ",".join(line.split(",")[:-1]) if i == 2 else line
 
@@ -464,8 +501,6 @@ class TestMalformedArtifacts:
         return cfg_path, out
 
     @pytest.mark.parametrize("name,stage,command,number_col", [
-        ("features.csv", "features", "train", 2),
-        ("graph_labels.csv", "features", "train", 1),
         ("timeline_logistic.csv", "evaluate", "report", 1),
     ])
     @pytest.mark.parametrize("edit", ["short-row", "non-numeric"])
@@ -496,14 +531,6 @@ def drop_key(key):
     return edit
 
 
-def change_key(key, change, name):
-    def edit(data):
-        raw = json.loads(data)
-        return json.dumps({**raw, key: change(raw.get(key))}).encode()
-    edit.__name__ = name
-    return edit
-
-
 def change_lines(change, name):
     """A bytes edit that applies ``change(lines)`` to the file's lines in place."""
     def edit(data):
@@ -514,16 +541,6 @@ def change_lines(change, name):
     return edit
 
 
-def _first_one_to_two(lines):
-    i = next(i for i, line in enumerate(lines) if line.endswith(",1"))
-    lines[i] = lines[i][:-1] + "2"
-
-
-def _duplicate_first_row(lines):
-    cells = lines[1].split(",")
-    lines.append(",".join(cells[:2] + [repr(float(cells[2]) + 1.0)] + cells[3:]))
-
-
 def _set_cell(row, col, value):
     def change(lines):
         cells = lines[row].split(",")
@@ -532,26 +549,9 @@ def _set_cell(row, col, value):
     return change
 
 
-# (file, its stage, the command it stops, edit, text the error must hold): a label
-# other than blank, 0 or 1, a label past the horizon, a duplicated or renamed
-# feature, or a timeline cell that is not a finite score and a 0 or 1 label
+# (file, its stage, the command it stops, edit, text the error must hold): a
+# timeline cell that is not a finite score and a 0 or 1 label
 DAMAGED_CELLS = [
-    ("graph_labels.csv", "features", "graphs", change_lines(_first_one_to_two, "label_2"),
-     "label '2' is not blank, 0 or 1; rerun `srr features`"),
-    ("graph_labels.csv", "features", "train", change_lines(_first_one_to_two, "label_2"),
-     "label '2' is not blank, 0 or 1; rerun `srr features`"),
-    ("graph_labels.csv", "features", "train",
-     change_lines(_set_cell(-1, 1, "1"), "last_date_labeled"),
-     "graph_labels.csv does not label exactly the first"),
-    ("graph_labels.csv", "features", "evaluate",
-     change_lines(_set_cell(-1, 1, "1"), "last_date_labeled"), "rerun `srr features`"),
-    ("features.csv", "features", "train", change_lines(_duplicate_first_row, "duplicate_row"),
-     "a second row for"),
-    ("features.csv", "features", "train", change_lines(_set_cell(1, -1, "7"), "node_label_7"),
-     "line 2: label '7' is not blank, 0 or 1; rerun `srr features`"),
-    ("features.csv", "features", "train",
-     change_lines(_set_cell(0, 3, "foo"), "renamed_feature"),
-     "'foo'"),
     ("timeline_temporal.csv", "evaluate", "report",
      change_lines(_set_cell(1, 2, "3"), "label_3"), "line 2: expected a finite score"),
     ("timeline_temporal.csv", "evaluate", "report",
@@ -561,10 +561,8 @@ DAMAGED_CELLS = [
 
 class TestCutArtifacts:
     """Every artifact a stage reads back, cut in the middle of its second line
-    (or a JSON artifact without a key it needs, with a key it does not know,
-    or with a value that disagrees with the feature panel or cannot be used),
-    its manifest hash re-recorded, stops the stage that reads it with exit 2
-    and one error line."""
+    (or a JSON artifact without a key it needs), its manifest hash re-recorded,
+    stops the stage that reads it with exit 2 and one error line."""
 
     @pytest.fixture(scope="class")
     def evaluated(self, tmp_path_factory):
@@ -578,26 +576,10 @@ class TestCutArtifacts:
 
     @pytest.mark.parametrize("name,stage,command,edit", [
         ("prices.csv", "ingest", "features", cut_second_line),
+        ("prices.csv", "ingest", "train", cut_second_line),
         ("universe.json", "ingest", "graphs", cut_second_line),
-        ("features.csv", "features", "train", cut_second_line),
-        ("graph_labels.csv", "features", "graphs", cut_second_line),
-        ("standardization.json", "features", "train", cut_second_line),
-        ("standardization.json", "features", "train", drop_key("mean")),
-        ("standardization.json", "features", "train",
-         change_key("mean", lambda v: v[1:], "short_mean")),
-        ("standardization.json", "features", "train",
-         change_key("std", lambda v: [0.0] + v[1:], "zero_std")),
-        ("standardization.json", "features", "train",
-         change_key("std", lambda v: [float("nan")] + v[1:], "nan_std")),
-        ("standardization.json", "features", "train",
-         change_key("scale", lambda v: 1.0, "unknown_key")),
-        ("split.json", "features", "train", cut_second_line),
-        ("split.json", "features", "train", drop_key("ratio")),
-        ("split.json", "features", "train", change_key("test_dates", lambda v: [], "no_test")),
-        ("split.json", "features", "train",
-         change_key("test_dates", lambda v: v[5:], "late_test")),
+        ("universe.json", "ingest", "evaluate", cut_second_line),
         ("macro.csv", "features", "train", cut_second_line),
-        ("graphs.jsonl", "graphs", "train", cut_second_line),
         ("model_temporal.srrm", "train", "evaluate", cut_second_line),
         ("report.json", "evaluate", "report", cut_second_line),
         ("report.json", "evaluate", "report", drop_key("models")),
@@ -769,6 +751,23 @@ class TestExitCodes:
         assert main(["graphs", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
         assert "graph_labels.csv" in err and "rerun `srr features`" in err
+
+    def test_prices_ingested_anew_stop_train_until_the_chain_reruns(self, capsys, tmp_path):
+        """train derives from prices.csv, so it refuses one that the features
+        or graphs stage was not built from, and says which stage to rerun."""
+        cfg_path, out = make_workspace(tmp_path, out_name="chain", n_days=260)
+        for stage in ("ingest", "features", "graphs"):
+            assert main([stage, "--config", cfg_path]) == 0
+        write_synthetic_csv(str(tmp_path / "prices.csv"), n_tickers=10, n_days=260, seed=22)
+        for command, rerun in (("ingest", None), ("train", "features"), ("features", None),
+                               ("train", "graphs"), ("graphs", None), ("train", None)):
+            capsys.readouterr()
+            assert main([command, "--config", cfg_path]) == (2 if rerun else 0), command
+            if rerun:
+                err = capsys.readouterr().err
+                assert f"stage '{rerun}' was built from another prices.csv" in err
+                assert err.rstrip().endswith(f"rerun `srr {rerun}`")
+                assert not (out / "manifest_train.json").exists()
 
     def test_tampered_artifact_detected(self, capsys, tmp_path):
         cfg_path, out = make_workspace(tmp_path, out_name="tamper", n_days=260)

@@ -11,8 +11,8 @@ import oracles
 from srr.errors import DataError
 from srr.features import (FeaturePanel, Standardization, apply_standardization,
                           attach_labels, compute_features, compute_labels,
-                          feature_names, read_features_csv, read_graph_labels_csv,
-                          standardize, write_features_csv, write_graph_labels_csv)
+                          feature_names, read_features_csv, standardize,
+                          write_features_csv, write_graph_labels_csv)
 from srr.graphs import build_snapshots
 from srr.market_data import PricePanel, log_returns
 from srr.synthetic import business_days, planted_regime_panel
@@ -273,7 +273,7 @@ class TestCsvRoundTrips:
         fp = self._labeled_panel()
         path = str(tmp_path / "labels.csv")
         write_graph_labels_csv(fp, path)
-        dates, labels, valid = read_graph_labels_csv(path)
+        dates, labels, valid = oracles.read_graph_labels_csv(path)
         assert dates == fp.dates
         assert np.array_equal(valid, fp.label_valid)
         assert np.array_equal(labels[valid], fp.graph_labels[fp.label_valid])
