@@ -350,15 +350,19 @@ class TestRunAllHandOff:
                 assert layer.dtype == EDGE_DTYPE and same_bits(layer, want.layers[name])
 
     def test_train_and_evaluate_ignore_what_the_exports_hold(self, workspace):
-        """``features.csv`` and ``graphs.jsonl`` overwritten with garbage, their
-        manifest hashes re-recorded: train and evaluate write the same bytes."""
+        """Every export overwritten with garbage, its manifest hash re-recorded:
+        graphs, train and evaluate write the same bytes."""
         cfg_path, out = workspace
         for stage in ("ingest", "features", "graphs", "train", "evaluate"):
             assert main([stage, "--config", cfg_path]) == 0
         clean = {p.name: p.read_bytes() for p in out.iterdir()
                  if p.name.startswith(("model_", "training_log_", "timeline_", "report"))}
-        for name, stage in (("features.csv", "features"), ("graphs.jsonl", "graphs")):
-            rewrite_bytes(out, name, stage, lambda data: b"not,an\nexport\n")
+        graphs = (out / "graphs.jsonl").read_bytes()
+        for name in EXPORTS[:-1]:
+            rewrite_bytes(out, name, "features", lambda data: b"not,an\nexport\n")
+        assert main(["graphs", "--config", cfg_path]) == 0
+        assert (out / "graphs.jsonl").read_bytes() == graphs
+        rewrite_bytes(out, "graphs.jsonl", "graphs", lambda data: b"not,an\nexport\n")
         for stage in ("train", "evaluate"):
             assert main([stage, "--config", cfg_path]) == 0
         assert {name: (out / name).read_bytes() for name in clean} == clean
@@ -606,6 +610,116 @@ class TestCutArtifacts:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and name in err
         return err
+
+
+def each_line(edit, name):
+    """A bytes edit that rewrites every line as ``edit(i, line)``."""
+    def apply(data):
+        return "".join(edit(i, line) + "\n"
+                       for i, line in enumerate(data.decode().splitlines())).encode()
+    apply.__name__ = name
+    return apply
+
+
+def change_key(key, change, name):
+    def edit(data):
+        raw = json.loads(data)
+        return json.dumps({**raw, key: change(raw.get(key))}).encode()
+    edit.__name__ = name
+    return edit
+
+
+def graph_record(line_no, change, name):
+    """A graphs.jsonl edit: line ``line_no`` (0 is the header) becomes ``change(record)``."""
+    return each_line(lambda i, line: change(json.loads(line)) if i == line_no else line, name)
+
+
+def _first_one_to_two(lines):
+    i = next(i for i, line in enumerate(lines) if line.endswith(",1"))
+    lines[i] = lines[i][:-1] + "2"
+
+
+def _duplicate_first_row(lines):
+    cells = lines[1].split(",")
+    lines.append(",".join(cells[:2] + [repr(float(cells[2]) + 1.0)] + cells[3:]))
+
+
+# every command that requires each export, and the stage that writes it
+EXPORT_READERS = {"features.csv": ("features", ("train", "evaluate")),
+                  "graph_labels.csv": ("features", ("graphs", "train", "evaluate")),
+                  "standardization.json": ("features", ("train", "evaluate")),
+                  "split.json": ("features", ("train", "evaluate")),
+                  "graphs.jsonl": ("graphs", ("train", "evaluate"))}
+
+# (export, command, edit): a cut line for every reader, and damage a stage that
+# parsed the exports used to reject: short rows, bad cells and labels, a renamed
+# or duplicated feature, bad statistics or split, and graph records off the panel
+DAMAGED_EXPORTS = [(name, command, cut_second_line)
+                   for name, (_, commands) in EXPORT_READERS.items()
+                   for command in commands] + [
+    ("features.csv", "train", each_line(short_row, "short_row")),
+    ("features.csv", "train", each_line(bad_cell(2), "non_numeric")),
+    ("features.csv", "train", change_lines(_duplicate_first_row, "duplicate_row")),
+    ("features.csv", "train", change_lines(_set_cell(1, -1, "7"), "node_label_7")),
+    ("features.csv", "train", change_lines(_set_cell(0, 3, "foo"), "renamed_feature")),
+    ("graph_labels.csv", "train", each_line(short_row, "short_row")),
+    ("graph_labels.csv", "train", each_line(bad_cell(1), "non_numeric")),
+    ("graph_labels.csv", "graphs", change_lines(_first_one_to_two, "label_2")),
+    ("graph_labels.csv", "train", change_lines(_first_one_to_two, "label_2")),
+    ("graph_labels.csv", "train", change_lines(_set_cell(-1, 1, "1"), "last_date_labeled")),
+    ("graph_labels.csv", "evaluate",
+     change_lines(_set_cell(-1, 1, "1"), "last_date_labeled")),
+    ("standardization.json", "train", drop_key("mean")),
+    ("standardization.json", "train", change_key("mean", lambda v: v[1:], "short_mean")),
+    ("standardization.json", "train",
+     change_key("std", lambda v: [0.0] + v[1:], "zero_std")),
+    ("standardization.json", "train",
+     change_key("std", lambda v: [float("nan")] + v[1:], "nan_std")),
+    ("standardization.json", "train", change_key("scale", lambda v: 1.0, "unknown_key")),
+    ("split.json", "train", drop_key("ratio")),
+    ("split.json", "train", change_key("test_dates", lambda v: [], "no_test")),
+    ("split.json", "train", change_key("test_dates", lambda v: v[5:], "late_test")),
+    ("graphs.jsonl", "train",
+     graph_record(0, lambda rec: json.dumps({**rec, "format": "srr-graph-v1"}), "v1")),
+    ("graphs.jsonl", "train",
+     graph_record(3, lambda rec: json.dumps({**rec, "date": "1999-01-01"}), "off_date")),
+    ("graphs.jsonl", "train",
+     graph_record(3, lambda rec: json.dumps({**rec, "nodes": ["X"] * 10}), "off_nodes")),
+    ("graphs.jsonl", "train", graph_record(3, lambda rec: "{not json", "not_json")),
+    ("graphs.jsonl", "train", graph_record(
+        3, lambda rec: json.dumps({k: v for k, v in rec.items() if k != "layers"}),
+        "no_layers")),
+] + [("graphs.jsonl", "train", graph_record(
+        3, lambda rec, edge=edge: json.dumps({**rec, "layers": {"correlation": [edge]}}),
+        f"edge_{name}"))
+     for name, edge in (("below_zero", [-1, 1, 0.5]), ("diagonal", [2, 2, 0.9]),
+                        ("past_last_node", [0, 10, 0.5]))]
+
+
+class TestDamagedExports:
+    """No stage parses an export, but each is still hashed in its stage's
+    manifest: any damage, its hash left as written, stops every command that
+    requires the export with exit 2, one error line that says which stage to
+    rerun, and no file written."""
+
+    evaluated = TestCutArtifacts.evaluated
+
+    @pytest.mark.parametrize("name,command,edit", DAMAGED_EXPORTS,
+                             ids=[f"{c[0]}-{c[1]}-{c[2].__name__}" for c in DAMAGED_EXPORTS])
+    def test_stops_its_readers_by_hash(self, capsys, tmp_path, evaluated, name, command, edit):
+        cfg_path, out = evaluated
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        clean = (copy / name).read_bytes()
+        (copy / name).write_bytes(edit(clean))
+        assert (copy / name).read_bytes() != clean
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        assert main([command, "--config", cfg_path, "--out", str(copy)]) == 2
+        stage = EXPORT_READERS[name][0]
+        assert capsys.readouterr().err == (
+            f"error: artifact {name} no longer matches the '{stage}' manifest; "
+            f"rerun `srr {stage}`\n")
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
 
 class TestLoadConfig:
