@@ -431,10 +431,9 @@ def cmd_evaluate(run: Run, bundle: DataBundle | None = None) -> None:
             "metrics": metrics,
             "lead_times": leads,
         }
-        if kind == "forest":
-            imp = state.params["feature_importance"].reshape(-1)
-            entry["feature_importance"] = {
-                n: float(v) for n, v in zip(state.hyper["inputs"], imp)}
+        if "feature_importance" in state.params:
+            entry["feature_importance"] = dict(zip(
+                state.hyper["inputs"], state.params["feature_importance"].reshape(-1).tolist()))
         models_report[kind] = entry
         auroc = metrics["auroc"]
         shown = "--" if auroc is None else f"{auroc:.3f}"
@@ -495,8 +494,8 @@ def cmd_report(run: Run) -> None:
         # Lead-time histogram, 5-trading-day bins.
         bins = {k: np.asarray(models[k].get("lead_times", {}).get("lead_times", []),
                               dtype=np.int64) // 5 for k in kinds}
-        names, values = _aggregate_importance(
-            models.get("forest", {}).get("feature_importance") or {})
+        names, values = _aggregate_importance(next((models[k]["feature_importance"] for k in kinds
+                                                    if "feature_importance" in models[k]), {}))
     timelines = {kind: _read_timeline(run.path(f"timeline_{kind}.csv"))
                  for kind in kinds}
     prov = f"config_hash={run.hash} seed={cfg.seed}"
@@ -564,9 +563,14 @@ def cmd_run_all(run: Run) -> None:
     the write steps the first three stages leave on ``later`` (file formatting and
     hashing, no BLAS, whose threads a child does not inherit) while the parent trains."""
     later: list = []
-    panel = cmd_ingest(run, later)
-    fpanel, stats, split = cmd_features(run, panel, later)
-    snapshots = cmd_graphs(run, panel, fpanel, later)
+    try:
+        panel = cmd_ingest(run, later)
+        fpanel, stats, split = cmd_features(run, panel, later)
+        snapshots = cmd_graphs(run, panel, fpanel, later)
+    except Exception:
+        for step in later:  # the stages that finished leave their files, as run alone
+            step()
+        raise
     bundle = DataBundle(panel=apply_standardization(fpanel, stats),
                         snapshots=snapshots, split=split)
     cmd_train(run, bundle, _fork("writer", lambda: [step() for step in later]))

@@ -117,35 +117,27 @@ def compute_features(returns: ReturnPanel, prices: PricePanel,
     if returns.tickers != prices.tickers:
         raise DataError("returns and prices cover different tickers")
     p = prices.prices
-    n, t_total = p.shape
+    t_total = p.shape[1]
     warmup = max(max(vol_windows), max(dd_windows) - 1, max(mom_windows), 1)
     if t_total <= warmup:
         raise DataError(f"need more than {warmup} price dates for features, have {t_total}")
 
-    dates = list(prices.dates[warmup:])
-    t_f = len(dates)
-    names = feature_names(vol_windows, dd_windows, mom_windows)
-    feats = np.empty((n, t_f, len(names)), dtype=np.float64)
-
-    # ret_1d at price index t is the return into t; return column index t-1.
-    feats[:, :, 0] = returns.returns[:, warmup - 1:]
-    col = 1
-    for w in vol_windows:
-        # window of w returns ending at price index t -> return cols t-w..t-1
-        stds = _rolling_std(returns.returns, w)  # cols end at return index w-1..T-2
-        feats[:, :, col] = stds[:, warmup - w:]
-        col += 1
-    for w in dd_windows:
-        highs = sliding_window_view(p, w, axis=1).max(axis=2)  # ends at price index w-1..T-1
-        feats[:, :, col] = p[:, warmup:] / highs[:, warmup - (w - 1):] - 1.0
-        col += 1
-    for w in mom_windows:
-        feats[:, :, col] = p[:, warmup:] / p[:, warmup - w:t_total - w] - 1.0
-        col += 1
+    # ret_1d at price index t is the return into t, return column t-1. A vol window
+    # of w returns ending at t covers return columns t-w..t-1; the rolling stds end
+    # at return index w-1..T-2, and the rolling highs at price index w-1..T-1.
+    feats = np.stack(
+        [returns.returns[:, warmup - 1:]]
+        + [_rolling_std(returns.returns, w)[:, warmup - w:] for w in vol_windows]
+        + [p[:, warmup:] / sliding_window_view(p, w, axis=1).max(axis=2)[:, warmup - (w - 1):]
+           - 1.0 for w in dd_windows]
+        + [p[:, warmup:] / p[:, warmup - w:t_total - w] - 1.0 for w in mom_windows],
+        axis=2)  # in feature_names order
 
     if not np.all(np.isfinite(feats)):
         raise DataError("non-finite feature values")
-    return FeaturePanel(tickers=list(prices.tickers), dates=dates, features=feats, names=names)
+    return FeaturePanel(tickers=list(prices.tickers), dates=list(prices.dates[warmup:]),
+                        features=feats,
+                        names=feature_names(vol_windows, dd_windows, mom_windows))
 
 
 def compute_labels(prices: PricePanel, threshold: float = 0.10,

@@ -59,18 +59,13 @@ def _axes(parts: list[str], xlim, ylim, x_tick_labels=None) -> tuple:
                      f'text-anchor="end">{_fmt(tv)}</text>')
         parts.append(f'<line x1="{x0}" y1="{y:.1f}" x2="{x1}" y2="{y:.1f}" '
                      f'stroke="#ddd" stroke-width="0.5"/>')
-    if x_tick_labels is None:
-        for tv in _ticks(*xlim):
-            x = sx(tv)
-            parts.append(f'<line x1="{x:.1f}" y1="{y1}" x2="{x:.1f}" y2="{y1 + 4}" stroke="#333"/>')
-            parts.append(f'<text x="{x:.1f}" y="{y1 + 18}" font-size="11" '
-                         f'text-anchor="middle">{_fmt(tv)}</text>')
-    else:
-        for pos, label in x_tick_labels:
-            x = sx(pos)
-            parts.append(f'<line x1="{x:.1f}" y1="{y1}" x2="{x:.1f}" y2="{y1 + 4}" stroke="#333"/>')
-            parts.append(f'<text x="{x:.1f}" y="{y1 + 18}" font-size="10" '
-                         f'text-anchor="middle">{label}</text>')
+    ticks = ([(tv, _fmt(tv), 11) for tv in _ticks(*xlim)] if x_tick_labels is None
+             else [(pos, label, 10) for pos, label in x_tick_labels])
+    for pos, label, size in ticks:
+        x = sx(pos)
+        parts.append(f'<line x1="{x:.1f}" y1="{y1}" x2="{x:.1f}" y2="{y1 + 4}" stroke="#333"/>')
+        parts.append(f'<text x="{x:.1f}" y="{y1 + 18}" font-size="{size}" '
+                     f'text-anchor="middle">{label}</text>')
     return sx, sy
 
 

@@ -12,7 +12,6 @@ market data, with a known planted lead structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, timedelta
 
 import numpy as np
 
@@ -48,13 +47,7 @@ class RegimeParams:
 
 def business_days(start: str, count: int) -> list[str]:
     """`count` weekdays starting at the first weekday on/after `start`."""
-    day = date.fromisoformat(start)
-    out: list[str] = []
-    while len(out) < count:
-        if day.weekday() < 5:
-            out.append(day.isoformat())
-        day += timedelta(days=1)
-    return out
+    return np.busday_offset(start, np.arange(count), roll="forward").astype(str).tolist()
 
 
 def planted_regime_panel(n_tickers: int = 20, n_days: int = 600, seed: int = 7,
@@ -64,27 +57,23 @@ def planted_regime_panel(n_tickers: int = 20, n_days: int = 600, seed: int = 7,
     """Simulate the panel; returns (dates, tickers, prices N x T)."""
     if n_tickers < 2 or n_days < 10:
         raise DataError("need at least 2 tickers and 10 days of synthetic data")
-    params = params or RegimeParams()
+    p = params or RegimeParams()
+    if p.cycle_days < 1:
+        raise DataError("the regime cycle needs at least one day")
     rng = tz.seeded_rng(seed, 424242)
     tickers = [f"SYN{i:02d}" for i in range(n_tickers)]
     dates = business_days(start, n_days)
 
-    log_ret = np.empty((n_tickers, n_days - 1))
-    cycle = params.cycle_days
-    for t in range(n_days - 1):
-        phase_day = t % cycle
-        common = rng.standard_normal()
-        idio = rng.standard_normal(n_tickers)
-        if phase_day < params.calm_days:
-            log_ret[:, t] = params.calm_drift + params.calm_idio_vol * idio
-        elif phase_day < params.calm_days + params.spike_days:
-            log_ret[:, t] = (params.spike_common_vol * common
-                             + params.spike_idio_vol * idio)
-        elif phase_day < params.calm_days + params.spike_days + params.crash_days:
-            log_ret[:, t] = (params.crash_drift + params.crash_common_vol * common
-                             + params.crash_idio_vol * idio)
-        else:
-            log_ret[:, t] = params.recovery_drift + params.recovery_idio_vol * idio
+    # One row per day: the common factor's shock, then each ticker's.
+    shocks = rng.standard_normal((n_days - 1, n_tickers + 1))
+    phases = np.array([(p.calm_drift, 0.0, p.calm_idio_vol),  # drift, common vol, idio vol
+                       (0.0, p.spike_common_vol, p.spike_idio_vol),
+                       (p.crash_drift, p.crash_common_vol, p.crash_idio_vol),
+                       (p.recovery_drift, 0.0, p.recovery_idio_vol)])
+    phase = np.searchsorted(np.cumsum([p.calm_days, p.spike_days, p.crash_days]),
+                            np.arange(n_days - 1) % p.cycle_days, side="right")
+    drift, common_vol, idio_vol = phases[phase].T[:, :, None]
+    log_ret = (drift + common_vol * shocks[:, :1] + idio_vol * shocks[:, 1:]).T
 
     prices = np.empty((n_tickers, n_days))
     prices[:, 0] = 100.0

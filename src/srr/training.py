@@ -207,7 +207,6 @@ def _train_minibatch(samples: _GraphSamples, params: dict, forward, backward,
     opt = tz.AdamState({k: v.size for k, v in params.items()}, lr=m.learning_rate)
     rng = tz.seeded_rng(seed, 11)
     n = len(samples.labels)
-    slot = np.zeros(len(samples.a_hat), dtype=np.intp)  # stack index -> batch index
     best_loss = np.inf
     best_theta = theta.copy()
     best_epoch = -1
@@ -218,10 +217,9 @@ def _train_minibatch(samples: _GraphSamples, params: dict, forward, backward,
             epoch_loss = 0.0
             for start in range(0, n, m.batch_size):
                 chunk = perm[start:start + m.batch_size]
-                slot[samples.rows[chunk]] = 1
-                used = np.flatnonzero(slot)  # the batch's snapshots, in stack order
-                slot[used] = np.arange(len(used))
-                rows, slot[used] = slot[samples.rows[chunk]], 0  # remapped rows; slot cleared
+                # the batch's snapshots in stack order; NumPy releases differ on rows' shape
+                used, rows = np.unique(samples.rows[chunk], return_inverse=True)
+                rows = rows.reshape(len(chunk), samples.rows.shape[1])
                 try:
                     probs, cache = forward(samples.a_hat[used], samples.ax[used], rows, params)
                     loss, dlogits = loss_fn(probs, samples.labels[chunk])

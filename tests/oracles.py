@@ -41,7 +41,7 @@ last, the hand-rolled CSV writers that ``market_data.write_csv`` replaced:
 formerly in ``features``, which no stage calls since the stages derive
 their labels from the prices), the command line's ``_write_macro_csv``, and its
 timeline loop from ``cmd_evaluate``, wrapped as ``write_timeline`` (its
-``run.path(timeline)`` is the ``path`` argument). Last, the batched
+``run.path(timeline)`` is the ``path`` argument). Then the batched
 mini-batch step that stacked GRU gates, the in-place encoder and gradients
 written into one flat vector replaced: the ``batch_*`` forward and backward
 passes, among them the per-step GRU as ``batch_gru_step`` and
@@ -50,24 +50,35 @@ passes, among them the per-step GRU as ``batch_gru_step`` and
 these and the per-sample GRU above called ``tensor.tanh``, they call
 ``np.tanh``, its body; where they called ``tensor.relu`` or
 ``tensor.linear``, they call ``relu`` above or write ``x @ w + b``.
+Last, the loops and index ledgers that one NumPy call replaced, copied
+verbatim: the day-by-day ``synthetic.business_days``, the day loop of
+``planted_regime_panel`` (it calls that ``business_days``, and the
+``write_synthetic_csv`` above calls it), the slot ledger of ``_train_minibatch``
+wrapped as ``batch_rows`` (``samples.rows`` is its ``stack_rows``), the running
+column index of ``features.compute_features``, and ``plots._axes`` with its
+two x-tick loops.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from datetime import date, timedelta
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from srr import graphs, models
 from srr import tensor as tz
 from srr.errors import DataError, NumericalError, ShapeError
 from srr.evaluation import _check_scored
-from srr.features import _label_cell
+from srr.features import FeaturePanel, _label_cell, _rolling_std, feature_names
+from srr.features import DEFAULT_DD_WINDOWS, DEFAULT_MOM_WINDOWS, DEFAULT_VOL_WINDOWS
 from srr.graphs import GraphSnapshot
 from srr.market_data import ReturnPanel, read_csv
 from srr.models.baselines import gini
-from srr.synthetic import RegimeParams, planted_regime_panel
+from srr.plots import PLOT_AREA, _fmt, _ticks
+from srr.synthetic import RegimeParams
 from srr.tensor import _finite
 from srr.training import _GraphSamples, _loss_fn
 
@@ -1047,3 +1058,135 @@ def train_minibatch(samples: _GraphSamples, params: dict, forward, backward,
             best_epoch = epoch
     theta[...] = best_theta
     return params, history, best_epoch
+
+
+# -- the loops and index ledgers that one NumPy call replaced -------------------
+
+def business_days(start: str, count: int) -> list[str]:
+    """`count` weekdays starting at the first weekday on/after `start`."""
+    day = date.fromisoformat(start)
+    out: list[str] = []
+    while len(out) < count:
+        if day.weekday() < 5:
+            out.append(day.isoformat())
+        day += timedelta(days=1)
+    return out
+
+
+def planted_regime_panel(n_tickers: int = 20, n_days: int = 600, seed: int = 7,
+                         start: str = "2015-01-02",
+                         params: RegimeParams | None = None
+                         ) -> tuple[list[str], list[str], np.ndarray]:
+    """Simulate the panel; returns (dates, tickers, prices N x T)."""
+    if n_tickers < 2 or n_days < 10:
+        raise DataError("need at least 2 tickers and 10 days of synthetic data")
+    params = params or RegimeParams()
+    rng = tz.seeded_rng(seed, 424242)
+    tickers = [f"SYN{i:02d}" for i in range(n_tickers)]
+    dates = business_days(start, n_days)
+
+    log_ret = np.empty((n_tickers, n_days - 1))
+    cycle = params.cycle_days
+    for t in range(n_days - 1):
+        phase_day = t % cycle
+        common = rng.standard_normal()
+        idio = rng.standard_normal(n_tickers)
+        if phase_day < params.calm_days:
+            log_ret[:, t] = params.calm_drift + params.calm_idio_vol * idio
+        elif phase_day < params.calm_days + params.spike_days:
+            log_ret[:, t] = (params.spike_common_vol * common
+                             + params.spike_idio_vol * idio)
+        elif phase_day < params.calm_days + params.spike_days + params.crash_days:
+            log_ret[:, t] = (params.crash_drift + params.crash_common_vol * common
+                             + params.crash_idio_vol * idio)
+        else:
+            log_ret[:, t] = params.recovery_drift + params.recovery_idio_vol * idio
+
+    prices = np.empty((n_tickers, n_days))
+    prices[:, 0] = 100.0
+    prices[:, 1:] = 100.0 * np.exp(np.cumsum(log_ret, axis=1))
+    return dates, tickers, prices
+
+
+def batch_rows(stack_rows: np.ndarray, chunk: np.ndarray,
+               slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's stack indices and its rows renumbered into them; ``slot`` is
+    a zeroed stack-index -> batch-index array as long as the stack, zeroed again
+    on return."""
+    slot[stack_rows[chunk]] = 1
+    used = np.flatnonzero(slot)  # the batch's snapshots, in stack order
+    slot[used] = np.arange(len(used))
+    rows, slot[used] = slot[stack_rows[chunk]], 0  # remapped rows; slot cleared
+    return used, rows
+
+
+def compute_features(returns: ReturnPanel, prices: PricePanel,
+                     vol_windows=DEFAULT_VOL_WINDOWS,
+                     dd_windows=DEFAULT_DD_WINDOWS,
+                     mom_windows=DEFAULT_MOM_WINDOWS) -> FeaturePanel:
+    """Build the feature cube over the feature-valid dates of the panel."""
+    if returns.tickers != prices.tickers:
+        raise DataError("returns and prices cover different tickers")
+    p = prices.prices
+    n, t_total = p.shape
+    warmup = max(max(vol_windows), max(dd_windows) - 1, max(mom_windows), 1)
+    if t_total <= warmup:
+        raise DataError(f"need more than {warmup} price dates for features, have {t_total}")
+
+    dates = list(prices.dates[warmup:])
+    t_f = len(dates)
+    names = feature_names(vol_windows, dd_windows, mom_windows)
+    feats = np.empty((n, t_f, len(names)), dtype=np.float64)
+
+    # ret_1d at price index t is the return into t; return column index t-1.
+    feats[:, :, 0] = returns.returns[:, warmup - 1:]
+    col = 1
+    for w in vol_windows:
+        # window of w returns ending at price index t -> return cols t-w..t-1
+        stds = _rolling_std(returns.returns, w)  # cols end at return index w-1..T-2
+        feats[:, :, col] = stds[:, warmup - w:]
+        col += 1
+    for w in dd_windows:
+        highs = sliding_window_view(p, w, axis=1).max(axis=2)  # ends at price index w-1..T-1
+        feats[:, :, col] = p[:, warmup:] / highs[:, warmup - (w - 1):] - 1.0
+        col += 1
+    for w in mom_windows:
+        feats[:, :, col] = p[:, warmup:] / p[:, warmup - w:t_total - w] - 1.0
+        col += 1
+
+    if not np.all(np.isfinite(feats)):
+        raise DataError("non-finite feature values")
+    return FeaturePanel(tickers=list(prices.tickers), dates=dates, features=feats, names=names)
+
+
+def _axes(parts: list[str], xlim, ylim, x_tick_labels=None) -> tuple:
+    x0, y0, x1, y1 = PLOT_AREA
+
+    def sx(v):
+        return x0 + (v - xlim[0]) / (xlim[1] - xlim[0]) * (x1 - x0)
+
+    def sy(v):
+        return y1 - (v - ylim[0]) / (ylim[1] - ylim[0]) * (y1 - y0)
+
+    parts.append(f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" height="{y1 - y0}" '
+                 f'fill="none" stroke="#333" stroke-width="1"/>')
+    for tv in _ticks(*ylim):
+        y = sy(tv)
+        parts.append(f'<line x1="{x0 - 4}" y1="{y:.1f}" x2="{x0}" y2="{y:.1f}" stroke="#333"/>')
+        parts.append(f'<text x="{x0 - 8}" y="{y + 4:.1f}" font-size="11" '
+                     f'text-anchor="end">{_fmt(tv)}</text>')
+        parts.append(f'<line x1="{x0}" y1="{y:.1f}" x2="{x1}" y2="{y:.1f}" '
+                     f'stroke="#ddd" stroke-width="0.5"/>')
+    if x_tick_labels is None:
+        for tv in _ticks(*xlim):
+            x = sx(tv)
+            parts.append(f'<line x1="{x:.1f}" y1="{y1}" x2="{x:.1f}" y2="{y1 + 4}" stroke="#333"/>')
+            parts.append(f'<text x="{x:.1f}" y="{y1 + 18}" font-size="11" '
+                         f'text-anchor="middle">{_fmt(tv)}</text>')
+    else:
+        for pos, label in x_tick_labels:
+            x = sx(pos)
+            parts.append(f'<line x1="{x:.1f}" y1="{y1}" x2="{x:.1f}" y2="{y1 + 4}" stroke="#333"/>')
+            parts.append(f'<text x="{x:.1f}" y="{y1 + 18}" font-size="10" '
+                         f'text-anchor="middle">{label}</text>')
+    return sx, sy

@@ -24,7 +24,7 @@ from srr.features import Standardization, apply_standardization, read_features_c
 from srr.graphs import EDGE_DTYPE, read_snapshots_jsonl
 from srr.market_data import read_macro_csv
 from srr.models import deserialize, parameter_count
-from srr.synthetic import write_synthetic_csv
+from srr.synthetic import RegimeParams, write_synthetic_csv
 
 MODEL_KINDS = ("logistic", "forest", "gcn", "temporal")
 
@@ -46,7 +46,9 @@ COMPARABLE = [name for name in EXPECTED_ARTIFACTS
 
 
 def make_workspace(root: Path, seed=7, out_name="out", n_days=400, data=None,
-                   graph=None) -> tuple[str, Path]:
+                   graph=None, **sections) -> tuple[str, Path]:
+    """A config over ``root``'s prices.csv (10 synthetic tickers, written unless
+    it exists); ``sections`` are further config sections, such as ``period``."""
     prices = root / "prices.csv"
     if not prices.exists():
         write_synthetic_csv(str(prices), n_tickers=10, n_days=n_days, seed=21)
@@ -63,6 +65,7 @@ def make_workspace(root: Path, seed=7, out_name="out", n_days=400, data=None,
         },
         "seed": seed,
         "out": str(out),
+        **sections,
     }
     cfg_path = root / f"config_{out_name}_{seed}.json"
     cfg_path.write_text(json.dumps(cfg, indent=2))
@@ -146,6 +149,25 @@ class TestRunAll:
                       "lead_times.svg", "feature_importance.svg"):
             doc = minidom.parseString((pipeline["out"] / name).read_text())
             assert doc.documentElement.tagName == "svg"
+
+    def test_single_class_test_labels_omit_the_curves(self, tmp_path):
+        """A long calm phase leaves no crash on any model's test side."""
+        write_synthetic_csv(str(tmp_path / "prices.csv"), n_tickers=10, n_days=420, seed=21,
+                            params=RegimeParams(calm_days=200))
+        cfg_path, out = make_workspace(tmp_path, n_days=420)
+        assert main(["run-all", "--config", cfg_path]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert all(report["models"][k]["metrics"].get("auroc") is None for k in MODEL_KINDS)
+        summary = (out / "summary.txt").read_text()
+        assert ("note: AUROC/ROC omitted for forest, gcn, logistic, temporal "
+                "(single-class test labels make them undefined)\n") in summary
+        assert summary.endswith("\nnote: ROC and PR plots omitted -- every model's test"
+                                " labels are single-class\n")
+        assert not (out / "roc.svg").exists() and not (out / "pr.svg").exists()
+        written = ["feature_importance.svg", "lead_times.svg", "risk_timeline.svg", "summary.txt"]
+        manifest = json.loads((out / "manifest_report.json").read_text())
+        assert sorted(manifest["outputs"]) == written
+        Run(load_config(cfg_path)).require("check", "report", written)
 
     def test_summary_mentions_every_model(self, pipeline):
         text = (pipeline["out"] / "summary.txt").read_text()
@@ -249,11 +271,13 @@ class TestRunAllHandOff:
     ingested files, where a standalone stage derives it again; both must write
     the same bytes, and neither parses an export."""
 
-    @pytest.fixture(params=["plain", "layered"])
+    @pytest.fixture(params=["plain", "layered", "unstandardized"])
     def workspace(self, request, tmp_path):
         make_workspace(tmp_path)  # writes prices.csv
         if request.param == "plain":
             return make_workspace(tmp_path, out_name="o")
+        if request.param == "unstandardized":
+            return make_workspace(tmp_path, out_name="o", features={"standardize": False})
         return make_workspace(tmp_path, out_name="o", data=write_layer_inputs(tmp_path),
                               graph=TestLayersAndMacro.GRAPH)
 
@@ -765,6 +789,34 @@ class TestLoadConfig:
             load_config(str(path), seed=1)
 
 
+class TestConfigPaths:
+    """A crisis preset or a period config cuts the ingested prices and names the
+    period in the report; ``features.standardize: false`` keeps raw features."""
+
+    @pytest.mark.parametrize("args,sections,period,first,last", [
+        (["--preset", "gfc"], {}, "gfc", "2006-01-02", "2011-12-31"),
+        ([], {"period": {"start": "2010-01-04", "end": "2011-06-30"}},
+         "2010-01-04..2011-06-30", "2010-01-04", "2011-06-30"),
+    ], ids=["preset", "start_end"])
+    def test_period_cuts_the_prices_and_names_the_report(self, tmp_path, args, sections,
+                                                         period, first, last):
+        write_synthetic_csv(str(tmp_path / "prices.csv"), n_tickers=10, n_days=2000, seed=21,
+                            start="2004-01-02")
+        cfg_path, out = make_workspace(tmp_path, **sections)
+        assert main(["run-all", "--config", cfg_path, *args]) == 0
+        dates = [line.split(",")[0] for line in (out / "prices.csv").read_text().splitlines()[1:]]
+        assert dates[0] == first and dates[-1] <= last
+        assert json.loads((out / "report.json").read_text())["period"] == period
+        assert (out / "summary.txt").read_text().startswith(f"period: {period} ")
+
+    def test_unstandardized_statistics_are_zeros_and_ones(self, tmp_path):
+        cfg_path, out = make_workspace(tmp_path, n_days=260, features={"standardize": False})
+        for stage in ("ingest", "features"):
+            assert main([stage, "--config", cfg_path]) == 0
+        stats = json.loads((out / "standardization.json").read_text())
+        assert (stats["mean"], stats["std"], stats["degenerate"]) == ([0.0] * 7, [1.0] * 7, [])
+
+
 class TestExitCodes:
     def test_usage_errors_exit_one(self, capsys, tmp_path):
         assert main([]) == 1
@@ -819,6 +871,51 @@ class TestExitCodes:
         assert main(["features", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
         assert "rerun `srr ingest`" in err
+
+    def test_missing_upstream_manifest_exits_two(self, capsys, tmp_path):
+        cfg_path, out = make_workspace(tmp_path, out_name="unrecorded", n_days=260)
+        for stage in ("ingest", "features"):
+            assert main([stage, "--config", cfg_path]) == 0
+        (out / "manifest_features.json").unlink()
+        capsys.readouterr()
+        assert main(["graphs", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err == (
+            "error: no stage manifest for 'features'; rerun `srr features`\n")
+
+    @pytest.mark.parametrize("failing", ["features", "graphs"])
+    def test_stage_data_error_leaves_the_finished_stages(self, capsys, tmp_path, failing):
+        """A macro file that lacks a feature date stops features, and the sector
+        layer without sector labels stops graphs, with exit 2. Run alone or in
+        run-all, the stages before it leave the same files, verified by their
+        manifests."""
+        make_workspace(tmp_path)  # writes prices.csv
+        if failing == "features":
+            macro = Path(write_layer_inputs(tmp_path)["macro_csv"])
+            lines = macro.read_text().splitlines(keepends=True)
+            macro.write_text("".join(lines[:101] + lines[102:]))  # date 100 of 400
+            cfg_path, out = make_workspace(tmp_path, out_name="o",
+                                           data={"macro_csv": str(macro)})
+            message = f"macro file {macro} lacks 1 feature dates (first: {lines[101][:10]})"
+        else:
+            cfg_path, out = make_workspace(tmp_path, out_name="o", graph={"sector_layer": True})
+            message = "graph.sector_layer is on but the ingested universe carries no sector labels"
+        finished = STAGES[:STAGES.index(failing)]
+        for stage in finished:
+            assert main([stage, "--config", cfg_path]) == 0
+        capsys.readouterr()
+        assert main([failing, "--config", cfg_path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        staged = {p.name: p.read_bytes() for p in out.iterdir()}
+        shutil.rmtree(out)
+        assert main(["run-all", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == staged
+        assert sorted(p.name for p in out.glob("manifest_*")) == sorted(
+            f"manifest_{stage}.json" for stage in finished)
+        run = Run(load_config(cfg_path))
+        for upstream in finished:
+            run.require("check", upstream, UPSTREAM[upstream])
+        assert_no_child_left()
 
     def test_evaluate_before_train_names_model_artifact(self, capsys, tmp_path):
         cfg_path, _ = make_workspace(tmp_path, out_name="half", n_days=260)

@@ -64,6 +64,24 @@ class TestFeatureValues:
         for name in ("ret_1d", "vol_20", "vol_60", "mom_10", "mom_30"):
             assert np.all(fp.features[:, :, fp.names.index(name)] == 0.0)
 
+    @pytest.mark.parametrize("windows", [
+        {},  # the defaults
+        SMALL,
+        dict(vol_windows=(5, 12, 3), dd_windows=(2, 30), mom_windows=(1, 4)),  # dd sets warm-up
+        dict(vol_windows=(7,), dd_windows=(1, 3), mom_windows=(9, 2)),  # mom sets warm-up
+    ], ids=["default", "small", "dd_warmup", "mom_warmup"])
+    def test_stacked_columns_equal_the_column_loop(self, windows):
+        for seed in (1, 7):
+            dates, tickers, raw = planted_regime_panel(n_tickers=6, n_days=300, seed=seed)
+            prices = PricePanel(tickers=tickers, dates=dates, prices=raw)
+            got = compute_features(log_returns(prices), prices, **windows)
+            want = oracles.compute_features(log_returns(prices), prices, **windows)
+            assert (got.tickers, got.dates, got.names) == (want.tickers, want.dates, want.names)
+            assert got.features.dtype == want.features.dtype == np.float64
+            assert got.features.shape == want.features.shape
+            assert got.features.flags.c_contiguous
+            assert got.features.tobytes() == want.features.tobytes()
+
     def test_insufficient_history(self):
         prices = panel_from(np.linspace(100, 110, 60))  # needs > 60 dates
         with pytest.raises(DataError, match="need more than 60"):

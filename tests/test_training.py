@@ -187,6 +187,36 @@ class TestTrainingLoop:
         assert best == 1 and history == [0.2, 0.1, 0.3]
         assert params["w"].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("k,stack,batch_size", [(1, 9, 4), (3, 30, 8), (5, 12, 16),
+                                                    (2, 50, 64)])
+    def test_batch_remap_equals_the_slot_ledger(self, k, stack, batch_size):
+        """The snapshots and renumbered rows each batch hands to ``forward``
+        equal the slot ledger's on the same chunks of random sequences."""
+        rng = np.random.default_rng(k)
+        n = 37
+        rows = rng.integers(0, stack, size=(n, k)).astype(np.intp)
+        samples = _GraphSamples(a_hat=np.arange(stack, dtype=float).reshape(-1, 1, 1),
+                                ax=np.zeros((stack, 1, 1)), rows=rows,
+                                labels=np.arange(n) % 2.0, dates=[""] * n)
+        seen = []
+
+        def forward(a_hat, ax, batch_rows, params):  # a_hat[i] holds its stack index
+            seen.append((a_hat[:, 0, 0].astype(np.intp), batch_rows))
+            return np.full(len(batch_rows), 0.5), None
+        m = replace(SMALL.model, epochs=3, batch_size=batch_size)
+        _train_minibatch(samples, {"w": np.zeros(1)}, forward, lambda d, c, p, g: None,
+                         m, 7, "gcn")
+        order, slot = tz.seeded_rng(7, 11), np.zeros(stack, dtype=np.intp)
+        want = [oracles.batch_rows(rows, perm[start:start + batch_size], slot)
+                for perm in [order.permutation(n) for _ in range(m.epochs)]
+                for start in range(0, n, batch_size)]
+        assert len(seen) == len(want)
+        for (used, got), (want_used, want_rows) in zip(seen, want):
+            assert np.array_equal(used, want_used)
+            assert got.dtype == want_rows.dtype and got.shape == want_rows.shape == (
+                len(want_rows), k)
+            assert np.array_equal(got, want_rows)
+
     def test_single_class_training_data_rejected(self):
         rng = np.random.default_rng(0)
         n_days = 200
