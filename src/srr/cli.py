@@ -40,6 +40,7 @@ from .graphs import read_snapshots_jsonl  # noqa: F401 -- perfbench/traced_srr.p
 from .market_data import (PricePanel, ingest_csv, log_returns, read_csv, read_macro_csv,
                           read_universe_csv, sha256_file, write_csv, write_macro_csv,
                           write_panel_csv)
+from .models.baselines import day_feature_names
 from .models.state import deserialize, parameter_count, serialize
 from .plots import grouped_bar_chart, hbar_chart, line_chart
 from .training import DataBundle, SplitPlan, chronological_split, predict_scores, train
@@ -247,6 +248,10 @@ def _ingested_panel(run: Run) -> PricePanel:
 def _attach_macro(macro_csv: str, fpanel) -> None:
     """Align the day-level overlay onto the feature dates."""
     dates, names, values = read_macro_csv(macro_csv)
+    clash = set(names).intersection(day_feature_names(fpanel))  # the overlay is not attached yet
+    if clash:
+        raise DataError(f"macro file {macro_csv}: macro column {min(clash)!r} repeats "
+                        "the name of a day-feature column")
     have = {d: i for i, d in enumerate(dates)}
     missing = [d for d in fpanel.dates if d not in have]
     if missing:

@@ -99,6 +99,8 @@ class PeriodConfig:
                 f"expected one of {', '.join(sorted(PRESETS))}")
         for name in ("start", "end"):
             value = getattr(self, name)
+            if value is not None and self.preset is not None:
+                raise ConfigError(f"period.{name} cannot be set together with period.preset")
             if value is not None and not is_iso_date(value):
                 raise ConfigError(f"period.{name} must be a YYYY-MM-DD date, got {value!r}")
         if self.start is not None and self.end is not None and self.start > self.end:

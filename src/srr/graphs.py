@@ -20,7 +20,6 @@ contribute no edges instead of propagating NaN.
 
 from __future__ import annotations
 
-import gc
 import json
 from dataclasses import dataclass
 from functools import partial
@@ -239,28 +238,20 @@ def read_snapshots_jsonl(path: str) -> tuple[list[GraphSnapshot], dict]:
             raise DataError(f"{path}: line 1: not a {GRAPH_FORMAT} header") from None
         if fmt != GRAPH_FORMAT:
             raise DataError(f"{path}: expected format {GRAPH_FORMAT}, got {fmt!r}")
-        # Each decoded record holds a list per edge and no cycles, so cyclic
-        # collection would only rescan them; it is paused while they load.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            snapshots, node_ids = [], None
-            for line_no, line in enumerate(fh, start=2):  # the file text is never held whole
-                try:
-                    rec = json.loads(line)
-                    nodes, edge_lists = rec["nodes"], rec["layers"].items()
-                    date, label = rec["date"], rec["graph_label"]
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                    raise DataError(f"{path}: line {line_no}: not a snapshot record "
-                                    f"({exc!r})") from None
-                if nodes != node_ids:
-                    node_ids = nodes
-                layers = {name: _edge_array(edges, len(node_ids),
-                                            f"{path}: line {line_no}: layer {name!r}")
-                          for name, edges in edge_lists}
-                snapshots.append(GraphSnapshot(date=date, node_ids=node_ids,
-                                               layers=layers, graph_label=label))
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        snapshots, node_ids = [], None
+        for line_no, line in enumerate(fh, start=2):  # the file text is never held whole
+            try:
+                rec = json.loads(line)
+                nodes, edge_lists = rec["nodes"], rec["layers"].items()
+                date, label = rec["date"], rec["graph_label"]
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise DataError(f"{path}: line {line_no}: not a snapshot record "
+                                f"({exc!r})") from None
+            if nodes != node_ids:
+                node_ids = nodes
+            layers = {name: _edge_array(edges, len(node_ids),
+                                        f"{path}: line {line_no}: layer {name!r}")
+                      for name, edges in edge_lists}
+            snapshots.append(GraphSnapshot(date=date, node_ids=node_ids,
+                                           layers=layers, graph_label=label))
     return snapshots, header

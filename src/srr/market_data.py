@@ -46,7 +46,7 @@ class PricePanel:
     universe_meta: dict[str, str] | None = None  # ticker -> sector label
 
     def __post_init__(self):
-        self.prices = np.asarray(self.prices, dtype=np.float64)
+        self.prices = np.ascontiguousarray(self.prices, dtype=np.float64)
         n, t = self.prices.shape
         if n != len(self.tickers) or t != len(self.dates):
             raise DataError(
@@ -159,59 +159,45 @@ def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None
     _, rows = read_csv(path, "price file", "date,ticker,adj_close", lambda r: (
         _date.fromisoformat(r[0].strip()).isoformat(), r[1].strip(), float(r[2])))
     wanted = set(tickers) if tickers else None
-    per_ticker: dict[str, dict[str, float]] = {}
-    rows_read = 0
-    for line_no, (day, ticker, price) in rows:
-        rows_read += 1
+    cells: dict[tuple[str, str], float] = {}  # (ticker, date) -> price, the rows in scope
+    for rows_read, (line_no, (day, ticker, price)) in enumerate(rows, start=1):
         if not ticker:
             raise DataError(f"price file {path}: line {line_no}: empty ticker")
         if not np.isfinite(price) or price <= 0.0:
             raise DataError(f"price file {path}: line {line_no}: non-positive price {price!r} "
                             f"for {ticker}")
-        if wanted is not None and ticker not in wanted:
+        if not (wanted is None or ticker in wanted) or not (start or day) <= day <= (end or day):
             continue
-        if start and day < start:
-            continue
-        if end and day > end:
-            continue
-        series = per_ticker.setdefault(ticker, {})
-        if day in series:
+        if (ticker, day) in cells:
             raise DataError(f"price file {path}: line {line_no}: duplicate observation for "
                             f"({ticker}, {day})")
-        series[day] = price
+        cells[ticker, day] = price
 
-    if wanted is not None:
-        missing = sorted(wanted - per_ticker.keys())
-        if missing:
-            raise DataError(f"requested tickers absent from {path}: {', '.join(missing)}")
-    if not per_ticker:
+    tickers = sorted({ticker for ticker, _ in cells})
+    missing = sorted(wanted.difference(tickers)) if wanted is not None else []
+    if missing:
+        raise DataError(f"requested tickers absent from {path}: {', '.join(missing)}")
+    if not cells:
         raise DataError(f"{path}: no usable rows")
-
-    tickers = sorted(per_ticker)
     _check_plain("ticker", tickers, path)
-    common = set.intersection(*(set(s) for s in per_ticker.values()))
-    if not common:
+    row = {ticker: i for i, ticker in enumerate(tickers)}
+    all_dates = sorted({day for _, day in cells})
+    col = {day: t for t, day in enumerate(all_dates)}
+    grid = np.full((len(tickers), len(all_dates)), np.nan)  # no accepted price is NaN
+    grid[[row[k] for k, _ in cells], [col[d] for _, d in cells]] = list(cells.values())
+    common = ~np.isnan(grid).any(axis=0)
+    if not common.any():
         raise DataError("tickers share no common dates; calendar intersection is empty")
-    all_dates = set().union(*(s.keys() for s in per_ticker.values()))
-    dates = sorted(common)
+    dates = [day for day, kept in zip(all_dates, common) if kept]
 
-    prices = np.empty((len(tickers), len(dates)), dtype=np.float64)
-    for i, ticker in enumerate(tickers):
-        series = per_ticker[ticker]
-        prices[i, :] = [series[d] for d in dates]
-
-    meta = None
-    if universe is not None:
-        # Keep only entries for tickers that made it into the panel; strict
-        # unknown-ticker checking happens where the sector layer is built.
-        meta = {t: s for t, s in universe.items() if t in set(tickers)}
-
-    panel = PricePanel(tickers=tickers, dates=dates, prices=prices, universe_meta=meta)
+    # Only the panel's tickers keep their sector; the sector layer checks the rest.
+    meta = None if universe is None else {t: s for t, s in universe.items() if t in row}
+    panel = PricePanel(tickers=tickers, dates=dates, prices=grid[:, common], universe_meta=meta)
     manifest = {
         "source": str(path),
         "sha256": sha256_file(path),
         "rows_read": rows_read,
-        "rows_kept": int(prices.size),
+        "rows_kept": int(panel.prices.size),
         "dates_dropped": len(all_dates) - len(dates),
         "tickers": tickers,
     }
@@ -269,6 +255,9 @@ def read_macro_csv(path: str) -> tuple[list[str], list[str], np.ndarray]:
     if not rows:
         raise DataError(f"{path}: no macro rows")
     _check_plain("macro column", names, path)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise DataError(f"macro file {path}: macro column {name!r} appears twice")
     dates = sorted(rows)
     return dates, names, np.array([rows[d] for d in dates], dtype=np.float64)
 

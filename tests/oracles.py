@@ -56,7 +56,9 @@ verbatim: the day-by-day ``synthetic.business_days``, the day loop of
 ``write_synthetic_csv`` above calls it), the slot ledger of ``_train_minibatch``
 wrapped as ``batch_rows`` (``samples.rows`` is its ``stack_rows``), the running
 column index of ``features.compute_features``, and ``plots._axes`` with its
-two x-tick loops.
+two x-tick loops. After them, ``market_data.ingest_csv`` as it was before
+one ticker x date grid replaced its dict of per-ticker dicts and its set
+folds (its only edit: ``date`` for the module's ``_date``).
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ from srr.evaluation import _check_scored
 from srr.features import FeaturePanel, _label_cell, _rolling_std, feature_names
 from srr.features import DEFAULT_DD_WINDOWS, DEFAULT_MOM_WINDOWS, DEFAULT_VOL_WINDOWS
 from srr.graphs import GraphSnapshot
-from srr.market_data import ReturnPanel, read_csv
+from srr.market_data import (PricePanel, ReturnPanel, _check_plain, is_iso_date, read_csv,
+                             sha256_file)
 from srr.models.baselines import gini
 from srr.plots import PLOT_AREA, _fmt, _ticks
 from srr.synthetic import RegimeParams
@@ -1190,3 +1193,84 @@ def _axes(parts: list[str], xlim, ylim, x_tick_labels=None) -> tuple:
             parts.append(f'<text x="{x:.1f}" y="{y1 + 18}" font-size="10" '
                          f'text-anchor="middle">{label}</text>')
     return sx, sy
+
+
+
+
+def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None = None,
+               end: str | None = None, universe: dict[str, str] | None = None
+               ) -> tuple[PricePanel, dict]:
+    """Read a long-format price CSV into an aligned panel.
+
+    tickers restricts the panel to that set (default: every ticker in the
+    file); start/end are inclusive ISO date bounds applied before alignment;
+    universe is a ticker -> sector map attached to the panel for the sector
+    layer. Returns (panel, manifest). The manifest records source path, content
+    sha256, rows_read, rows_kept, dates_dropped (dates seen for in-scope
+    tickers but off the common calendar), and the final ticker list.
+    """
+    for name, bound in (("start", start), ("end", end)):
+        if bound is not None and not is_iso_date(bound):  # rows are kept by string order
+            raise DataError(f"ingest_csv: {name} must be a YYYY-MM-DD date, got {bound!r}")
+    if start is not None and end is not None and start > end:
+        raise DataError(f"ingest_csv: start {start} is after end {end}")
+    _, rows = read_csv(path, "price file", "date,ticker,adj_close", lambda r: (
+        date.fromisoformat(r[0].strip()).isoformat(), r[1].strip(), float(r[2])))
+    wanted = set(tickers) if tickers else None
+    per_ticker: dict[str, dict[str, float]] = {}
+    rows_read = 0
+    for line_no, (day, ticker, price) in rows:
+        rows_read += 1
+        if not ticker:
+            raise DataError(f"price file {path}: line {line_no}: empty ticker")
+        if not np.isfinite(price) or price <= 0.0:
+            raise DataError(f"price file {path}: line {line_no}: non-positive price {price!r} "
+                            f"for {ticker}")
+        if wanted is not None and ticker not in wanted:
+            continue
+        if start and day < start:
+            continue
+        if end and day > end:
+            continue
+        series = per_ticker.setdefault(ticker, {})
+        if day in series:
+            raise DataError(f"price file {path}: line {line_no}: duplicate observation for "
+                            f"({ticker}, {day})")
+        series[day] = price
+
+    if wanted is not None:
+        missing = sorted(wanted - per_ticker.keys())
+        if missing:
+            raise DataError(f"requested tickers absent from {path}: {', '.join(missing)}")
+    if not per_ticker:
+        raise DataError(f"{path}: no usable rows")
+
+    tickers = sorted(per_ticker)
+    _check_plain("ticker", tickers, path)
+    common = set.intersection(*(set(s) for s in per_ticker.values()))
+    if not common:
+        raise DataError("tickers share no common dates; calendar intersection is empty")
+    all_dates = set().union(*(s.keys() for s in per_ticker.values()))
+    dates = sorted(common)
+
+    prices = np.empty((len(tickers), len(dates)), dtype=np.float64)
+    for i, ticker in enumerate(tickers):
+        series = per_ticker[ticker]
+        prices[i, :] = [series[d] for d in dates]
+
+    meta = None
+    if universe is not None:
+        # Keep only entries for tickers that made it into the panel; strict
+        # unknown-ticker checking happens where the sector layer is built.
+        meta = {t: s for t, s in universe.items() if t in set(tickers)}
+
+    panel = PricePanel(tickers=tickers, dates=dates, prices=prices, universe_meta=meta)
+    manifest = {
+        "source": str(path),
+        "sha256": sha256_file(path),
+        "rows_read": rows_read,
+        "rows_kept": int(prices.size),
+        "dates_dropped": len(all_dates) - len(dates),
+        "tickers": tickers,
+    }
+    return panel, manifest

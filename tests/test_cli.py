@@ -852,6 +852,8 @@ class TestExitCodes:
         ("evaluate", {"warn_gamma": -3}), ("evaluate", {"warn_gamma": 7}),
         ("period", {"start": "2015/06/01"}), ("period", {"start": "June 2015"}),
         ("period", {"start": "2016-01-01", "end": "2015-12-31"}),
+        ("period", {"preset": "gfc", "start": "2007-06-01"}),
+        ("period", {"preset": "covid", "end": "2019-01-01"}),
     ], ids=lambda v: v if isinstance(v, str) else ",".join(
         f"{key}={json.dumps(value)}" for key, value in v.items()))
     def test_bad_config_value_exits_one_before_any_stage(self, capsys, tmp_path,
@@ -865,6 +867,24 @@ class TestExitCodes:
         assert err.startswith("error: ") and f"{section}.{list(values)[-1]}" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("header,column,rule", [
+        ("date,vix,vix", "vix", "appears twice"),
+        ("date,vix,mean_ret_1d", "mean_ret_1d", "repeats the name of a day-feature column"),
+    ], ids=["twice", "day-feature"])
+    def test_macro_names_are_distinct_model_inputs(self, capsys, tmp_path, header, column, rule):
+        """A day model's inputs are reported by name, so two with one name would
+        leave one importance out of report.json."""
+        make_workspace(tmp_path)  # writes prices.csv
+        macro = Path(write_layer_inputs(tmp_path)["macro_csv"])
+        macro.write_text(header + "\n" + macro.read_text().split("\n", 1)[1])
+        cfg_path, out = make_workspace(tmp_path, out_name="o", data={"macro_csv": str(macro)})
+        assert main(["ingest", "--config", cfg_path]) == 0
+        capsys.readouterr()
+        assert main(["features", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: macro file {macro}: macro column {column!r} {rule}\n")
+        assert not (out / "manifest_features.json").exists()
 
     def test_stage_without_upstream_exits_two(self, capsys, tmp_path):
         cfg_path, _ = make_workspace(tmp_path, out_name="fresh")

@@ -117,6 +117,24 @@ class TestFeatureValues:
         assert np.array_equal(f_full.graph_labels[:m], f_cut.graph_labels[:m])
         assert np.array_equal(f_full.node_labels[:, :m], f_cut.node_labels[:, :m])
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_memory_order_of_the_prices_changes_nothing(self, layout):
+        """Features and graph edges depend on the price values only, not on how
+        the caller's array is laid out in memory."""
+        dates, tickers, raw = planted_regime_panel(n_tickers=20, n_days=600, seed=7)
+        spaced = np.zeros((20, 1200))
+        spaced[:, ::2] = raw
+        other = np.asfortranarray(raw) if layout == "fortran" else spaced[:, ::2]
+
+        def features_and_edges(prices):
+            panel = PricePanel(tickers=tickers, dates=dates, prices=prices)
+            assert panel.prices.flags.c_contiguous
+            returns = log_returns(panel)
+            fp = compute_features(returns, panel)
+            snaps = build_snapshots(returns, fp.dates, [None] * len(fp.dates))
+            return fp.features.tobytes(), [s.layers["correlation"].tobytes() for s in snaps]
+        assert features_and_edges(other) == features_and_edges(raw)
+
 
 class TestLabels:
     def test_boundary_is_inclusive(self):

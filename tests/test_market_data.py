@@ -1,6 +1,7 @@
 """Ingestion: alignment semantics, validation errors, manifest fields,
 round-trips, the universe / macro readers, and the one CSV reader and writer."""
 
+import itertools
 import os
 import tempfile
 from datetime import date
@@ -172,6 +173,104 @@ class TestReturnsAndRoundTrip:
         assert back.dates == panel.dates
         assert back.tickers == panel.tickers
         assert back.prices.tobytes() == panel.prices.tobytes()
+
+
+def ingest_outcome(ingest, path, keywords):
+    """What an ingest function makes of a file: its exact DataError text, or the
+    panel's tickers, dates, sector map, price bits and layout, and the manifest."""
+    try:
+        panel, manifest = ingest(path, **keywords)
+    except DataError as exc:
+        return str(exc)
+    return (panel.tickers, panel.dates, panel.universe_meta, panel.prices.tobytes(),
+            panel.prices.flags.c_contiguous, manifest)
+
+
+def replace_row(i, row):
+    return lambda header, rows, kw: (header, rows[:i] + [row] + rows[i + 1:], kw)
+
+
+def add_row(row):
+    return lambda header, rows, kw: (header, rows + [row], kw)
+
+
+def keywords(**more):
+    return lambda header, rows, kw: (header, rows, {**kw, **more})
+
+
+GOOD_ROWS = [f"2020-01-0{d},{t},{10 * d + i}" for d in range(1, 5) for i, t in enumerate("ABC")]
+FAULTS = {  # name -> (header, rows, ingest keywords) -> the same, broken one way
+    "bad-date": replace_row(0, "2020-13-01,A,10"),
+    "bad-price-cell": replace_row(1, "2020-01-01,B,abc"),
+    "short-row": replace_row(2, "2020-01-01,C"),
+    "empty-ticker": replace_row(3, "2020-01-02, ,20"),
+    "non-positive-price": replace_row(4, "2020-01-02,B,0"),
+    "non-finite-price": replace_row(5, "2020-01-02,C,inf"),
+    "duplicate-row": add_row("2020-01-03,A,99"),
+    "missing-file": lambda header, rows, kw: (None, rows, kw),
+    "empty-file": lambda header, rows, kw: ("", [], kw),
+    "bad-header": lambda header, rows, kw: ("date,symbol,adj_close", rows, kw),
+    "absent-ticker": keywords(tickers=["A", "Q"]),
+    "no-usable-rows": keywords(start="2030-01-01"),
+    "unplain-ticker": add_row('2020-01-01,"X,Y",5'),
+    "no-common-date": add_row("2021-06-01,D,5"),
+    "bound-not-iso": keywords(end="2020/01/03"),
+    "start-after-end": keywords(start="2020-01-04", end="2020-01-01"),
+}
+
+
+class TestGridEqualsTheRowLoop:
+    """``ingest_csv`` aligns in one ticker x date grid; ``oracles.ingest_csv`` is
+    the per-ticker dicts and set folds it replaced."""
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_random_long_files(self, data):
+        names = data.draw(st.lists(st.from_regex(r"[A-Z]{1,3}", fullmatch=True),
+                                   min_size=2, max_size=6, unique=True))
+        pool = data.draw(st.lists(st.dates(date(2019, 12, 28), date(2020, 1, 12)).map(str),
+                                  min_size=1, max_size=10, unique=True))
+        core = data.draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
+        rows = []
+        for name in names:  # a ragged calendar: the shared core and dates of its own
+            extra = data.draw(st.lists(st.sampled_from(pool), unique=True))
+            rows += [f"{day},{name},{data.draw(st.floats(1e-300, 1e300))!r}"
+                     for day in sorted({*core, *extra})]
+        lines = data.draw(st.permutations(rows))
+        for at in data.draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+            lines.insert(at, data.draw(st.sampled_from(["", "  "])))
+        kw = {}
+        if data.draw(st.booleans()):
+            kw["tickers"] = data.draw(st.lists(st.sampled_from(names + ["Q9"]), unique=True))
+        for bound in ("start", "end"):
+            if data.draw(st.booleans()):
+                kw[bound] = data.draw(st.sampled_from(pool))
+        if data.draw(st.booleans()):
+            kw["universe"] = {name: f"S{i % 2}" for i, name in enumerate(
+                data.draw(st.lists(st.sampled_from(names + ["Z9"]), unique=True)))}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "prices.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join([BASE.strip(), *lines]) + "\n")
+            want = ingest_outcome(oracles.ingest_csv, path, kw)
+            got = ingest_outcome(ingest_csv, path, kw)
+        assert got == want
+        assert isinstance(got, str) or got[4]  # prices in C order
+
+    @pytest.mark.parametrize("faults", [
+        pair for r in (1, 2) for pair in itertools.combinations(FAULTS, r)], ids="+".join)
+    def test_each_broken_rule_raises_the_row_loops_error(self, tmp_path, faults):
+        header, rows, kw = BASE.strip(), GOOD_ROWS, {}
+        good = write(tmp_path, "good.csv", "\n".join([header, *rows]) + "\n")
+        assert not isinstance(ingest_outcome(ingest_csv, good, kw), str)
+        for name in faults:
+            header, rows, kw = FAULTS[name](header, rows, kw)
+        path = tmp_path / "prices.csv"
+        if header is not None:
+            path.write_text(header and "\n".join([header, *rows]) + "\n", encoding="utf-8")
+        want = ingest_outcome(oracles.ingest_csv, str(path), kw)
+        assert isinstance(want, str)
+        assert ingest_outcome(ingest_csv, str(path), kw) == want
 
 
 class TestRowErrorsNameTheirFile:

@@ -1,17 +1,19 @@
 """Chronological split semantics, deterministic training, divergence and
 single-class guards, and the no-peeking property of every fit."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from srr import cli, training
 from srr import tensor as tz
-from srr import training
-from srr.config import Config, ModelConfig
-from srr.errors import DataError, NumericalError
-from srr.features import attach_labels, compute_features, standardize
+from srr.config import MODEL_KINDS, Config, ModelConfig
+from srr.errors import DataError, NumericalError, SrrError
+from srr.features import apply_standardization, attach_labels, compute_features, standardize
 from srr.graphs import build_snapshots
 from srr.market_data import PricePanel, log_returns
 from srr.models import ModelState, adjacency_from_snapshot, gcn_normalize, serialize
@@ -434,3 +436,48 @@ class TestGraphInputs:
             x = panel.node_matrix(t)
             assert np.array_equal(x[:, -2:], np.tile(panel.macro[t], (6, 1)))
             assert np.array_equal(samples.ax[row[-1]], samples.a_hat[row[-1]] @ x)
+
+
+class TestEdgeInputs:
+    """Small panels through the command line's derive path, then every kind trained
+    and scored at tiny settings: each kind ends with finite scores in [0, 1] or an
+    SrrError, never another exception."""
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_small_panels_score_in_the_unit_interval_or_raise_srr_errors(self, data):
+        n, horizon = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 60))
+        t = data.draw(st.integers(3 + horizon + 1, 200))  # warm-up is 3 price dates
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rets = rng.normal(0.0, data.draw(st.sampled_from([0.005, 0.03])), (n, t - 1))
+        if data.draw(st.booleans()):  # repeated returns: a coarse grid ties many values
+            rets = np.round(rets, 2)
+        for _ in range(data.draw(st.integers(0, 3))):  # constant-price stretches
+            start = data.draw(st.integers(0, t - 2))
+            rets[:data.draw(st.integers(1, n)), start:start + data.draw(st.integers(1, 30))] = 0
+        prices = 100.0 * np.exp(np.concatenate([np.zeros((n, 1)), np.cumsum(rets, 1)], 1))
+        panel = PricePanel([f"T{i}" for i in range(n)], business_days("2020-01-01", t), prices)
+        cfg = Config.from_dict({
+            "features": {"vol_windows": [3], "dd_windows": [3], "momentum_windows": [2]},
+            "labels": {"threshold": data.draw(st.sampled_from([0.01, 0.05, 0.2])),
+                       "horizon": horizon},
+            "graph": {"window": 3, "tau": data.draw(st.sampled_from([0.3, 1.0]))},
+            "model": {"gcn_hidden": 3, "mlp_hidden": 2, "gru_hidden": 3, "epochs": 2,
+                      "sequence_length": data.draw(st.integers(1, 3)),
+                      "stride": data.draw(st.integers(1, 3)), "batch_size": 4,
+                      "logistic_epochs": 30, "forest_trees": 3, "forest_max_depth": 2},
+            "split": {"ratio": data.draw(st.sampled_from([0.3, 0.8]))}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # zero-variance features on constant panels
+            try:
+                fpanel, stats, split = cli._derive_features(cfg, panel, None)
+                bundle = DataBundle(apply_standardization(fpanel, stats),
+                                    cli._snapshots(cfg, panel, fpanel), split)
+            except SrrError:
+                return
+        for kind in MODEL_KINDS:
+            try:
+                _, scores, _ = predict_scores(train(kind, bundle, cfg)[0], bundle, "test")
+            except SrrError:
+                continue
+            assert np.all(np.isfinite(scores)) and np.all((0.0 <= scores) & (scores <= 1.0))
