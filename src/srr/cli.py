@@ -3,12 +3,12 @@
 Each stage writes its artifacts to the output directory and records a stage
 manifest (config hash, seed, input and output content hashes). What the models
 use is derived from the ingested ``prices.csv`` (and ``universe.json``) and the
-run's ``macro.csv``: ``run-all`` hands it on, a stage run alone derives it again,
-and both write the same bytes. The other features and graphs files are exports,
-hashed but never parsed. A forked child writes the first three stages' files
-while ``run-all`` trains. A stage refuses missing or stale upstream artifacts
-and says which stage to rerun. Identical config + seed produce byte-identical
-artifacts; nothing written here embeds a timestamp.
+run's ``macro.csv``: ``run-all`` builds it once, a stage run alone derives it
+again, and both write the same bytes. The other features and graphs files are
+exports, hashed but never parsed. While ``run-all`` trains, a forked child runs
+the first three stage commands on what it built. A stage refuses missing or
+stale upstream artifacts and says which stage to rerun. Identical config + seed
+produce byte-identical artifacts; nothing written here embeds a timestamp.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import os
 import pickle
@@ -32,8 +31,8 @@ from .errors import ConfigError, DataError, NumericalError, SrrError
 from .evaluation import (compute_metrics, crash_windows, lead_times, pr_points,
                          report_to_json, roc_points, summary_table)
 from .features import (FeaturePanel, Standardization, apply_standardization,
-                       attach_labels, compute_features, standardize, write_features_csv,
-                       write_graph_labels_csv)
+                       attach_labels, compute_features, feature_names, standardize,
+                       write_features_csv, write_graph_labels_csv)
 from .features import read_features_csv  # noqa: F401 -- perfbench/traced_srr.py hooks it here
 from .graphs import GraphSnapshot, build_snapshots, write_snapshots_jsonl
 from .graphs import read_snapshots_jsonl  # noqa: F401 -- perfbench/traced_srr.py hooks it here
@@ -80,19 +79,11 @@ def _rerun(upstream: str, path: str = ""):
         raise DataError(f"{where}{exc}; rerun `srr {upstream}`") from None
 
 
-def _write_step(later: list | None, write, verify, inputs) -> None:
-    """``write(inputs)`` now, or inside run-all ``write(verify())`` in the writer child."""
-    if later is None:
-        write(inputs)
-    else:
-        later.append(lambda: write(verify()))
-
-
 def _fork(what: str, fn):
-    """Run ``fn()`` in a forked child that prints nothing and leaves by ``os._exit``;
+    """Run ``fn()`` in a forked child that flushes stdout and leaves by ``os._exit``;
     ``join()`` waits for it and returns what ``fn`` returned or raises its SrrError
-    again. Any other exception, or a signal that kills the child, is an SrrError
-    (exit 1) naming ``what``. Without ``os.fork``, ``fn`` runs now."""
+    or KeyboardInterrupt again. Any other exception, or a signal that kills the
+    child, is an SrrError (exit 1) naming ``what``. Without ``os.fork``, ``fn`` runs now."""
     if not hasattr(os, "fork"):
         result = fn()
         return lambda: result
@@ -106,8 +97,9 @@ def _fork(what: str, fn):
             try:
                 reply = (None, fn())
             except BaseException as exc:  # reported, never raised into the caller
-                reply = ((type(exc), str(exc)) if isinstance(exc, SrrError)
+                reply = ((type(exc), str(exc)) if isinstance(exc, (SrrError, KeyboardInterrupt))
                          else (SrrError, f"{what}: {type(exc).__name__}: {exc}"))
+            sys.stdout.flush()  # a buffered stdout is lost at os._exit
             with os.fdopen(write_end, "wb") as fh:
                 pickle.dump(reply, fh)
             code = 0
@@ -135,6 +127,7 @@ class Run:
     def __init__(self, cfg: Config):
         self.cfg = cfg
         self.hash = config_hash(cfg)
+        self.built: dict = {}  # what run-all built, by stage; a stage run alone derives it
         os.makedirs(cfg.out, exist_ok=True)
 
     def path(self, name: str) -> str:
@@ -194,8 +187,7 @@ def _period_name(cfg: Config) -> str:
 
 # -- stage: ingest ------------------------------------------------------------
 
-def cmd_ingest(run: Run, later: list | None = None) -> PricePanel:
-    cfg = run.cfg
+def _ingest(cfg: Config) -> tuple[PricePanel, dict]:
     if cfg.data.prices_csv is None:
         raise ConfigError("data.prices_csv is required for `srr ingest`")
     universe = None
@@ -204,22 +196,22 @@ def cmd_ingest(run: Run, later: list | None = None) -> PricePanel:
     tickers = list(cfg.data.tickers) if cfg.data.tickers else (
         list(universe) if universe else None)
     start, end = cfg.period.resolve()
-    panel, provenance = ingest_csv(cfg.data.prices_csv, tickers=tickers, start=start,
-                                   end=end, universe=universe)
+    return ingest_csv(cfg.data.prices_csv, tickers=tickers, start=start, end=end,
+                      universe=universe)
 
-    def write(inputs):
-        write_panel_csv(panel, run.path("prices.csv"))
-        _write_json(run.path("provenance.json"), provenance)
-        _write_json(run.path("universe.json"), panel.universe_meta or {})
-        inputs[cfg.data.prices_csv] = provenance["sha256"]
-        if cfg.data.universe_csv is not None:
-            inputs[cfg.data.universe_csv] = sha256_file(cfg.data.universe_csv)
-        run.write_manifest("ingest", inputs,
-                           ["prices.csv", "provenance.json", "universe.json"])
-    _write_step(later, write, dict, {})  # no upstream stage to verify
+
+def cmd_ingest(run: Run) -> None:
+    cfg = run.cfg
+    panel, provenance = run.built.get("ingest") or _ingest(cfg)
+    write_panel_csv(panel, run.path("prices.csv"))
+    _write_json(run.path("provenance.json"), provenance)
+    _write_json(run.path("universe.json"), panel.universe_meta or {})
+    inputs = {cfg.data.prices_csv: provenance["sha256"]}
+    if cfg.data.universe_csv is not None:
+        inputs[cfg.data.universe_csv] = sha256_file(cfg.data.universe_csv)
+    run.write_manifest("ingest", inputs, ["prices.csv", "provenance.json", "universe.json"])
     print(f"ingest: {len(panel.tickers)} tickers x {len(panel.dates)} dates -> "
           f"{run.path('prices.csv')}")
-    return panel
 
 
 # -- stage: features ----------------------------------------------------------
@@ -288,28 +280,21 @@ def _derive_features(cfg: Config, panel: PricePanel, macro_csv: str | None
     return fpanel, stats, split
 
 
-def cmd_features(run: Run, panel: PricePanel | None = None, later: list | None = None
-                 ) -> tuple[FeaturePanel, Standardization, SplitPlan]:
-    """Returns the raw labeled panel (macro attached), its statistics and the split."""
+def cmd_features(run: Run) -> None:
     cfg = run.cfg
-    verify = functools.partial(run.require, "features", "ingest", ["prices.csv"])
-    inputs = verify() if later is None else None
-    fpanel, stats, split = _derive_features(
-        cfg, _ingested_panel(run) if panel is None else panel, cfg.data.macro_csv)
-
-    def write(inputs):
-        write_features_csv(fpanel, run.path("features.csv"))
-        write_graph_labels_csv(fpanel, run.path("graph_labels.csv"))
-        _write_json(run.path("standardization.json"), stats.to_dict())
-        _write_json(run.path("split.json"), asdict(split))
-        if cfg.data.macro_csv is not None:
-            write_macro_csv(run.path("macro.csv"), fpanel.dates, fpanel.macro_names, fpanel.macro)
-            inputs[cfg.data.macro_csv] = sha256_file(cfg.data.macro_csv)
-        run.write_manifest("features", inputs, _feature_files(cfg))
-    _write_step(later, write, verify, inputs)
+    inputs = run.require("features", "ingest", ["prices.csv"])
+    fpanel, stats, split = run.built.get("features") or _derive_features(
+        cfg, _ingested_panel(run), cfg.data.macro_csv)
+    write_features_csv(fpanel, run.path("features.csv"))
+    write_graph_labels_csv(fpanel, run.path("graph_labels.csv"))
+    _write_json(run.path("standardization.json"), stats.to_dict())
+    _write_json(run.path("split.json"), asdict(split))
+    if cfg.data.macro_csv is not None:
+        write_macro_csv(run.path("macro.csv"), fpanel.dates, fpanel.macro_names, fpanel.macro)
+        inputs[cfg.data.macro_csv] = sha256_file(cfg.data.macro_csv)
+    run.write_manifest("features", inputs, _feature_files(cfg))
     print(f"features: {len(fpanel.dates)} dates x {len(fpanel.names)} features, "
           f"{len(split.train_dates)} train / {len(split.test_dates)} test days")
-    return fpanel, stats, split
 
 
 # -- stage: graphs --------------------------------------------------------------
@@ -325,45 +310,34 @@ def _snapshots(cfg: Config, panel: PricePanel, fpanel: FeaturePanel) -> list[Gra
         window=cfg.graph.window, tau=cfg.graph.tau, sector_map=sector_map)
 
 
-def cmd_graphs(run: Run, panel: PricePanel | None = None,
-               fpanel: FeaturePanel | None = None, later: list | None = None
-               ) -> list[GraphSnapshot]:
-    """Run alone, the stage derives ``panel`` and its labeled ``fpanel`` from the
-    ingested files, as the features stage does."""
+def cmd_graphs(run: Run) -> None:
     cfg = run.cfg
-
-    def verify():
-        ingested = run.require("graphs", "ingest", _ingested_files(cfg))
-        return {**ingested, **run.require("graphs", "features", ["graph_labels.csv"], ingested)}
-    inputs = verify() if later is None else None
-    if panel is None:
+    ingested = run.require("graphs", "ingest", _ingested_files(cfg))
+    inputs = {**ingested, **run.require("graphs", "features", ["graph_labels.csv"], ingested)}
+    snapshots = run.built.get("graphs")
+    if snapshots is None:
         panel = _ingested_panel(run)
-        fpanel, _, _ = _derive_features(cfg, panel, None)
-    snapshots = _snapshots(cfg, panel, fpanel)
-
-    def write(inputs):
-        write_snapshots_jsonl(snapshots, run.path("graphs.jsonl"), meta={
-            "config_hash": run.hash,
-            "seed": cfg.seed,
-            "window": cfg.graph.window,
-            "tau": cfg.graph.tau,
-            "layers": list(cfg.graph.layers),
-        })
-        run.write_manifest("graphs", inputs, ["graphs.jsonl"])
-    _write_step(later, write, verify, inputs)
+        snapshots = _snapshots(cfg, panel, _derive_features(cfg, panel, None)[0])
+    write_snapshots_jsonl(snapshots, run.path("graphs.jsonl"), meta={
+        "config_hash": run.hash,
+        "seed": cfg.seed,
+        "window": cfg.graph.window,
+        "tau": cfg.graph.tau,
+        "layers": list(cfg.graph.layers),
+    })
+    run.write_manifest("graphs", inputs, ["graphs.jsonl"])
     n_edges = sum(len(s.layers["correlation"]) for s in snapshots)
     print(f"graphs: {len(snapshots)} snapshots, {n_edges} correlation edges total")
-    return snapshots
 
 
 # -- stages: train / evaluate ----------------------------------------------------
 
-def _bundle(run: Run, stage: str, bundle: DataBundle | None
-            ) -> tuple[dict[str, str], DataBundle]:
+def _bundle(run: Run, stage: str) -> tuple[dict[str, str], DataBundle]:
     """Verify the feature and graph files, whose hashes go into ``stage``'s
-    manifest. Unless ``bundle`` was handed over, derive it as run-all does, from
+    manifest. Unless run-all built the bundle, derive it as run-all does, from
     ingested files that the features and graphs stages were built from."""
     cfg = run.cfg
+    bundle = run.built.get("bundle")
     ingested = {} if bundle is not None else run.require(stage, "ingest", _ingested_files(cfg))
     inputs = run.require(stage, "features", _feature_files(cfg), ingested)
     inputs.update(run.require(stage, "graphs", ["graphs.jsonl"], ingested))
@@ -377,19 +351,19 @@ def _bundle(run: Run, stage: str, bundle: DataBundle | None
     return inputs, bundle
 
 
-def cmd_train(run: Run, bundle: DataBundle | None = None, written=None) -> None:
+def cmd_train(run: Run, written=None) -> None:
     """Inside run-all, ``written()`` joins the writer child, also when training
     fails, and the upstream files are verified after it."""
     cfg = run.cfg
     if written is None:
-        inputs, bundle = _bundle(run, "train", bundle)
+        inputs, run.built["bundle"] = _bundle(run, "train")
     try:
-        trained = [(kind, *train(kind, bundle, cfg)) for kind in cfg.model.kinds]
+        trained = [(kind, *train(kind, run.built["bundle"], cfg)) for kind in cfg.model.kinds]
     finally:
         if written is not None:
             written()
     if written is not None:
-        inputs, _ = _bundle(run, "train", bundle)
+        inputs, _ = _bundle(run, "train")
     outputs = []
     for kind, state, log in trained:
         state.config_hash = run.hash
@@ -410,9 +384,9 @@ def _write_timeline(path: str, dates: list[str], scores, labels) -> None:
               ((d, float(s), int(y)) for d, s, y in zip(dates, scores, labels)))
 
 
-def cmd_evaluate(run: Run, bundle: DataBundle | None = None) -> None:
+def cmd_evaluate(run: Run) -> None:
     cfg = run.cfg
-    inputs, bundle = _bundle(run, "evaluate", bundle)
+    inputs, bundle = _bundle(run, "evaluate")
     inputs.update(run.require("evaluate", "train",
                               [f"model_{kind}.srrm" for kind in cfg.model.kinds]))
     valid = bundle.panel.label_valid
@@ -477,12 +451,16 @@ def _read_timeline(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
             np.asarray([c[2] for c in cells]))
 
 
-def _aggregate_importance(importance: dict[str, float]) -> tuple[list[str], list[float]]:
-    """Fold the per-day mean_x/std_x columns back onto the base feature names."""
+def _aggregate_importance(importance: dict[str, float], cfg: Config
+                          ) -> tuple[list[str], list[float]]:
+    """Fold the per-day mean_<f>/std_<f> columns back onto the base feature names
+    ``f``; a macro column keeps its own name, whatever its prefix."""
+    base = {f"{stat}_{f}": f for stat in ("mean", "std") for f in feature_names(
+        cfg.features.vol_windows, cfg.features.dd_windows, cfg.features.momentum_windows)}
     totals: dict[str, float] = {}
     for name, value in importance.items():
-        base = name.split("_", 1)[1] if name.startswith(("mean_", "std_")) else name
-        totals[base] = totals.get(base, 0.0) + value
+        name = base.get(name, name)
+        totals[name] = totals.get(name, 0.0) + value
     ordered = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
     return [k for k, _ in ordered], [v for _, v in ordered]
 
@@ -500,7 +478,7 @@ def cmd_report(run: Run) -> None:
         bins = {k: np.asarray(models[k].get("lead_times", {}).get("lead_times", []),
                               dtype=np.int64) // 5 for k in kinds}
         names, values = _aggregate_importance(next((models[k]["feature_importance"] for k in kinds
-                                                    if "feature_importance" in models[k]), {}))
+                                                    if "feature_importance" in models[k]), {}), cfg)
     timelines = {kind: _read_timeline(run.path(f"timeline_{kind}.csv"))
                  for kind in kinds}
     prov = f"config_hash={run.hash} seed={cfg.seed}"
@@ -563,23 +541,25 @@ def cmd_report(run: Run) -> None:
 
 
 def cmd_run_all(run: Run) -> None:
-    """Every stage in order, each handed what the one before it built; each
-    still verifies and hashes its on-disk inputs for its manifest. A forked child runs
-    the write steps the first three stages leave on ``later`` (file formatting and
-    hashing, no BLAS, whose threads a child does not inherit) while the parent trains."""
-    later: list = []
+    """Every stage in order. The parent builds into ``run.built`` what the first three
+    derive; while it trains, a forked child runs those three commands on it (file
+    formatting and hashing, no BLAS, whose threads a child does not inherit)."""
+    cfg, built = run.cfg, run.built
+
+    def write_upstream():
+        for command in (cmd_ingest, cmd_features, cmd_graphs):
+            command(run)
     try:
-        panel = cmd_ingest(run, later)
-        fpanel, stats, split = cmd_features(run, panel, later)
-        snapshots = cmd_graphs(run, panel, fpanel, later)
+        built["ingest"] = panel, _ = _ingest(cfg)
+        built["features"] = fpanel, stats, split = _derive_features(cfg, panel, cfg.data.macro_csv)
+        built["graphs"] = _snapshots(cfg, panel, fpanel)
     except Exception:
-        for step in later:  # the stages that finished leave their files, as run alone
-            step()
+        write_upstream()  # the stages that finished leave their files; the failing one raises
         raise
-    bundle = DataBundle(panel=apply_standardization(fpanel, stats),
-                        snapshots=snapshots, split=split)
-    cmd_train(run, bundle, _fork("writer", lambda: [step() for step in later]))
-    cmd_evaluate(run, bundle)
+    built["bundle"] = DataBundle(panel=apply_standardization(fpanel, stats),
+                                 snapshots=built["graphs"], split=split)
+    cmd_train(run, _fork("writer", write_upstream))
+    cmd_evaluate(run)
     cmd_report(run)
 
 

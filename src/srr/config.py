@@ -85,6 +85,10 @@ class DataConfig:
     tickers: tuple[str, ...] | None = None
     macro_csv: str | None = None
 
+    def __post_init__(self):  # an empty list would select every ticker
+        if self.tickers is not None and not self.tickers:
+            raise ConfigError("data.tickers must name at least one ticker, or be left out")
+
 
 @dataclass(frozen=True)
 class PeriodConfig:
@@ -121,8 +125,8 @@ class FeatureConfig:
         # a volatility window needs two returns for its sample std
         for name, low in (("vol_windows", 2), ("dd_windows", 1), ("momentum_windows", 1)):
             windows = getattr(self, name)
-            if not windows or min(windows) < low:
-                raise ConfigError(f"features.{name} must list windows >= {low}, "
+            if not windows or min(windows) < low or len(set(windows)) < len(windows):
+                raise ConfigError(f"features.{name} must list distinct windows >= {low}, "
                                   f"got {list(windows)}")
 
 
@@ -182,8 +186,9 @@ class ModelConfig:
             if kind not in MODEL_KINDS:
                 raise ConfigError(
                     f"unknown model kind '{kind}'; expected one of {', '.join(MODEL_KINDS)}")
-        if not self.kinds:
-            raise ConfigError("model.kinds must name at least one model kind")
+        if not self.kinds or len(set(self.kinds)) < len(self.kinds):
+            raise ConfigError(
+                f"model.kinds must list one or more distinct kinds, got {list(self.kinds)}")
         if self.loss not in ("bce", "focal"):
             raise ConfigError(f"model.loss must be 'bce' or 'focal', got '{self.loss}'")
         for name, low in (("gcn_hidden", 1), ("mlp_hidden", 1), ("gru_hidden", 1),

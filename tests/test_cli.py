@@ -234,6 +234,24 @@ class TestLayersAndMacro:
         for name in COMPARABLE + ["macro.csv"]:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    def test_macro_columns_keep_their_own_importance_bars(self, tmp_path):
+        """Only a day feature's mean_<f>/std_<f> columns fold onto one bar; a
+        macro column keeps its name, whatever its prefix."""
+        make_workspace(tmp_path)  # writes prices.csv
+        macro = Path(write_layer_inputs(tmp_path)["macro_csv"])
+        macro.write_text("date,vix,mean_vix\n" + macro.read_text().split("\n", 1)[1])
+        cfg_path, out = make_workspace(tmp_path, out_name="o", data={"macro_csv": str(macro)},
+                                       model={"kinds": ["forest"], "forest_trees": 5})
+        assert main(["run-all", "--config", cfg_path]) == 0
+        importance = json.loads((out / "report.json").read_text())["models"]["forest"][
+            "feature_importance"]
+        assert {"vix", "mean_vix"} <= set(importance)
+        svg = minidom.parseString((out / "feature_importance.svg").read_text())
+        bars = sorted(t.firstChild.data for t in svg.getElementsByTagName("text")
+                      if t.getAttribute("text-anchor") == "end")
+        assert bars == sorted(["ret_1d", "vol_20", "vol_60", "dd_20", "dd_60", "mom_10",
+                               "mom_30", "vix", "mean_vix"])
+
     def test_duplicate_universe_ticker_exits_two_naming_the_file(self, capsys, tmp_path):
         make_workspace(tmp_path)  # writes prices.csv
         data = write_layer_inputs(tmp_path)
@@ -342,7 +360,7 @@ class TestRunAllHandOff:
         for stage in ("ingest", "features", "graphs"):
             assert main([stage, "--config", cfg_path]) == 0
         cfg = load_config(cfg_path)
-        _, bundle = srr.cli._bundle(Run(cfg), "train", None)
+        _, bundle = srr.cli._bundle(Run(cfg), "train")
         derived = bundle.panel
         stats = Standardization(**json.loads((out / "standardization.json").read_text()))
         read = apply_standardization(read_features_csv(str(out / "features.csv")), stats)
@@ -473,17 +491,31 @@ class TestWriterChild:
         assert_upstream_verifies(cfg_path)
         assert_no_child_left()
 
-    def test_without_fork_run_all_writes_the_same_bytes(self, capsys, monkeypatch,
+    def test_interrupt_ends_run_all_as_an_interrupt(self, capsys, monkeypatch, workspace):
+        """Ctrl-C reaches the writer child and the training parent alike; run-all
+        ends as an interrupt, not as the writer's failure."""
+        cfg_path, _ = workspace
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr("srr.cli.write_snapshots_jsonl", interrupt)  # runs in the child
+        monkeypatch.setattr("srr.cli.train", interrupt)  # runs in the parent
+        with pytest.raises(KeyboardInterrupt):
+            main(["run-all", "--config", cfg_path])
+        assert "error:" not in capsys.readouterr().err
+        assert_no_child_left()
+
+    def test_without_fork_run_all_writes_the_same_bytes(self, capfd, monkeypatch,
                                                         workspace):
         cfg_path, out = workspace
         assert main(["run-all", "--config", cfg_path]) == 0
         forked = {p.name: p.read_bytes() for p in out.iterdir()}
-        printed = capsys.readouterr().out
+        printed = capfd.readouterr().out
         shutil.rmtree(out)
         monkeypatch.delattr(os, "fork")
         assert main(["run-all", "--config", cfg_path]) == 0
         assert {p.name: p.read_bytes() for p in out.iterdir()} == forked
-        assert capsys.readouterr().out == printed
+        assert capfd.readouterr().out == printed
         assert_no_child_left()
 
 
@@ -854,6 +886,9 @@ class TestExitCodes:
         ("period", {"start": "2016-01-01", "end": "2015-12-31"}),
         ("period", {"preset": "gfc", "start": "2007-06-01"}),
         ("period", {"preset": "covid", "end": "2019-01-01"}),
+        ("features", {"vol_windows": [20, 20]}), ("features", {"dd_windows": [20, 60, 20]}),
+        ("features", {"momentum_windows": [10, 10]}),
+        ("model", {"kinds": ["logistic", "logistic"]}), ("data", {"tickers": []}),
     ], ids=lambda v: v if isinstance(v, str) else ",".join(
         f"{key}={json.dumps(value)}" for key, value in v.items()))
     def test_bad_config_value_exits_one_before_any_stage(self, capsys, tmp_path,
@@ -1073,6 +1108,19 @@ class TestInstalledEntryPoint:
         assert "RuntimeWarning" not in proc.stderr
         assert_upstream_verifies(cfg_path)  # the writer child finished before the exit
         assert_no_child_left()
+
+    def test_run_all_prints_every_stage_in_order_through_a_pipe(self, tmp_path):
+        """Through a pipe stdout is block-buffered; the ingest, features and graphs
+        lines the writer child prints still come out, before the parent's."""
+        cfg_path, _ = make_workspace(tmp_path, n_days=260)
+        env = self.child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run([sys.executable, "-m", "srr.cli", "run-all", "--config", cfg_path],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split(":", 1)[0] for line in proc.stdout.splitlines()] == (
+            ["ingest", "features", "graphs"] + [f"train[{k}]" for k in MODEL_KINDS]
+            + [f"evaluate[{k}]" for k in MODEL_KINDS] + ["report"])
 
     def test_module_invocation_offers_help(self):
         proc = subprocess.run([sys.executable, "-c",
