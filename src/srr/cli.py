@@ -240,10 +240,11 @@ def _ingested_panel(run: Run) -> PricePanel:
 def _attach_macro(macro_csv: str, fpanel) -> None:
     """Align the day-level overlay onto the feature dates."""
     dates, names, values = read_macro_csv(macro_csv)
-    clash = set(names).intersection(day_feature_names(fpanel))  # the overlay is not attached yet
-    if clash:
-        raise DataError(f"macro file {macro_csv}: macro column {min(clash)!r} repeats "
-                        "the name of a day-feature column")
+    for what, taken in ("day-feature", day_feature_names(fpanel)), ("node-feature", fpanel.names):
+        clash = set(names).intersection(taken)  # the overlay is not attached yet
+        if clash:
+            raise DataError(f"macro file {macro_csv}: macro column {min(clash)!r} repeats "
+                            f"the name of a {what} column")
     have = {d: i for i, d in enumerate(dates)}
     missing = [d for d in fpanel.dates if d not in have]
     if missing:

@@ -89,17 +89,6 @@ class FeaturePanel:
     label_valid: np.ndarray | None = None  # T_f bool; False on the last `horizon` dates
     standardization: Standardization | None = None
 
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[2]
-
-    def node_matrix(self, t: int) -> np.ndarray:
-        """N x (F + M) model-input matrix at date index t (macro broadcast to rows)."""
-        x = self.features[:, t, :]
-        if self.macro is not None:
-            x = np.hstack([x, np.repeat(self.macro[t][None, :], x.shape[0], axis=0)])
-        return x
-
 
 def _rolling_std(returns: np.ndarray, window: int) -> np.ndarray:
     # returns: N x (T-1); output column j is the std of the window ending at

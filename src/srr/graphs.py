@@ -54,7 +54,7 @@ class GraphSnapshot:
     Each layer is an ``EDGE_DTYPE`` array of (i, j, w) edges, i and j indexing
     ``node_ids``. Snapshots compare by identity, since arrays have no single
     truth value. Node attributes are not stored here: they are the feature
-    panel's rows for ``date`` (``FeaturePanel.node_matrix``).
+    panel's rows for ``date``, with its macro overlay, if any, on every row.
     """
 
     date: str

@@ -157,8 +157,8 @@ def focal_loss(probs, targets, gamma: float = 2.0) -> tuple[float, np.ndarray]:
 
     loss_i = -(1-p)^gamma * y * log(p) - p^gamma * (1-y) * log(1-p)
 
-    gamma = 0 recovers bce_loss exactly. Returns (loss, gradient w.r.t.
-    the pre-sigmoid logits).
+    gamma = 0 recovers bce_loss, its gradient bit for bit inside the clamp.
+    Returns (loss, gradient w.r.t. the pre-sigmoid logits).
     """
     if gamma < 0:
         raise NumericalError(f"focal_loss: gamma must be >= 0, got {gamma}")
@@ -173,12 +173,9 @@ def focal_loss(probs, targets, gamma: float = 2.0) -> tuple[float, np.ndarray]:
     )
     # d/dlogit of each term, written with non-negative exponents only so the
     # clamped endpoints stay finite for every gamma >= 0.
-    if gamma == 0.0:
-        dlogits = (pc - y) / n
-    else:
-        pos = gamma * pc * (1.0 - pc) ** gamma * np.log(pc) - (1.0 - pc) ** (gamma + 1.0)
-        neg = -gamma * (pc ** gamma) * (1.0 - pc) * np.log(1.0 - pc) + pc ** (gamma + 1.0)
-        dlogits = (y * pos + (1.0 - y) * neg) / n
+    pos = gamma * pc * (1.0 - pc) ** gamma * np.log(pc) - (1.0 - pc) ** (gamma + 1.0)
+    neg = -gamma * (pc ** gamma) * (1.0 - pc) * np.log(1.0 - pc) + pc ** (gamma + 1.0)
+    dlogits = (y * pos + (1.0 - y) * neg) / n
     _finite("focal_loss", dlogits)
     return loss, dlogits
 

@@ -27,6 +27,7 @@ best-mean-train-loss epoch are retained.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -75,18 +76,10 @@ class SplitPlan:
     ratio: float
     horizon: int
 
-    @property
-    def train_end(self) -> str:
-        return self.train_dates[-1]
-
-    @property
-    def test_start(self) -> str:
-        return self.test_dates[0]
-
     def side(self, date: str) -> str | None:
-        if date <= self.train_end:
+        if date <= self.train_dates[-1]:
             return "train"
-        if date >= self.test_start:
+        if date >= self.test_dates[0]:
             return "test"
         return None  # inside the embargo gap
 
@@ -165,11 +158,29 @@ def _graph_samples(bundle: DataBundle, hyper: dict, side: str) -> _GraphSamples 
         if snap.node_ids != panel.tickers or snap.date not in position:
             raise DataError(f"snapshot {snap.date} does not match the feature panel's "
                             "tickers and dates")
+    # the adjacency list, its stack and gcn_normalize's two temporaries, held at once
+    n, need = len(panel.tickers), 4 * len(read) * len(panel.tickers) ** 2 * 8
+    if need > _physical_memory():
+        raise DataError(f"the {side} side's {len(read)} graphs of {n} nodes need about "
+                        f"{need:,} bytes of adjacency stacks, beyond physical memory")
     a_hat = gcn_normalize(np.stack([adjacency_from_snapshot(s, layers=layers, weighted=weighted)
                                     for s in read]))
-    ax = a_hat @ np.stack([panel.node_matrix(position[s.date]) for s in read])
+    t = [position[s.date] for s in read]
+    x = panel.features.swapaxes(0, 1)[t]  # (G, N, F)
+    if panel.macro is not None:  # each date's overlay, on every node's row
+        macro = np.broadcast_to(panel.macro[t, None], (*x.shape[:2], panel.macro.shape[1]))
+        x = np.concatenate([x, macro], axis=2)
+    ax = a_hat @ x
     return _GraphSamples(a_hat, ax, rows.reshape(-1, k),
                          np.array([float(s.graph_label) for s in ends]), [s.date for s in ends])
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or infinity where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 def _check_two_classes(labels, kind: str) -> None:
@@ -324,16 +335,16 @@ def train(kind: str, bundle: DataBundle, cfg: Config) -> tuple[ModelState, dict]
         hyper["inputs"] = day_feature_names(panel)
         log["samples"] = int(y.size)
     else:
-        n_feat = panel.n_features + (0 if panel.macro is None else panel.macro.shape[1])
         hyper.update({key: getattr(m, name) for key, name in _GRAPH_HYPER.items()},
                      weighted_adjacency=cfg.graph.weighted_adjacency,
-                     layers=list(cfg.graph.layers), n_features=n_feat)
+                     layers=list(cfg.graph.layers))
         samples = _graph_samples(bundle, hyper, "train")
         if samples is None:
             raise DataError(f"{kind}: no labeled training {spec.noun} on the stride grid")
         _check_two_classes(samples.labels, kind)
+        hyper["n_features"] = samples.ax.shape[2]
         params, log["epoch_loss"], log["best_epoch"] = _train_minibatch(
-            samples, spec.init(n_feat, m, seed), globals()[spec.forward],
+            samples, spec.init(hyper["n_features"], m, seed), globals()[spec.forward],
             globals()[spec.backward], m, seed, kind)
         log["samples"] = len(samples.labels)
     std = panel.standardization

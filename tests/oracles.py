@@ -27,7 +27,9 @@ sequence objects ``GraphSequence`` and ``build_sequences`` (formerly in
 ``graphs``) with the sample builder over them that index arithmetic
 replaced, ``training._graph_samples`` as ``graph_samples`` (it calls the
 library's ``gcn_normalize`` and ``adjacency_from_snapshot`` through
-``models``, and ``n_nodes()`` is ``len(node_ids)``); then the
+``models``, and ``n_nodes()`` is ``len(node_ids)``), with the one-date
+``FeaturePanel.node_matrix`` that one gather per side replaced, as
+``node_matrix(panel, t)``; then the
 threshold-by-threshold split search of ``_grow_tree``, the row-by-row
 ``forest_predict``, the tensor-by-tensor ``adam_step`` with its per-name
 ``AdamState``, the average-rank ``auroc_rank``, and the label-by-label
@@ -561,6 +563,14 @@ def build_sequences(snapshots: list[GraphSnapshot], k: int = 5, stride: int = 5)
     return [GraphSequence(snapshots=sampled[s:s + k]) for s in range(len(sampled) - k + 1)]
 
 
+def node_matrix(panel: FeaturePanel, t: int) -> np.ndarray:
+    """N x (F + M) model-input matrix at date index t (macro broadcast to rows)."""
+    x = panel.features[:, t, :]
+    if panel.macro is not None:
+        x = np.hstack([x, np.repeat(panel.macro[t][None, :], x.shape[0], axis=0)])
+    return x
+
+
 def graph_samples(bundle, hyper: dict, side: str) -> _GraphSamples | None:
     """The labeled ``side`` sequences of k stride-grid snapshots, or None when
     there are none; a snapshot sample is the k = 1 sequence."""
@@ -578,7 +588,7 @@ def graph_samples(bundle, hyper: dict, side: str) -> _GraphSamples | None:
                             "tickers and dates")
     a_hat = models.gcn_normalize(np.stack([
         models.adjacency_from_snapshot(s, layers=layers, weighted=weighted) for s in read]))
-    ax = a_hat @ np.stack([panel.node_matrix(position[s.date]) for s in read])
+    ax = a_hat @ np.stack([node_matrix(panel, position[s.date]) for s in read])
     slot = {id(s): g for g, s in enumerate(read)}
     rows = np.array([[slot[id(s)] for s in seq.snapshots] for seq in sequences])
     return _GraphSamples(a_hat, ax, rows, np.array([float(seq.graph_label) for seq in sequences]),

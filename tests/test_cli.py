@@ -3,6 +3,7 @@ inventory, byte determinism, staleness detection, and exit-code mapping."""
 
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -906,10 +907,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("header,column,rule", [
         ("date,vix,vix", "vix", "appears twice"),
         ("date,vix,mean_ret_1d", "mean_ret_1d", "repeats the name of a day-feature column"),
-    ], ids=["twice", "day-feature"])
+        ("date,vix,vol_20", "vol_20", "repeats the name of a node-feature column"),
+    ], ids=["twice", "day-feature", "node-feature"])
     def test_macro_names_are_distinct_model_inputs(self, capsys, tmp_path, header, column, rule):
         """A day model's inputs are reported by name, so two with one name would
-        leave one importance out of report.json."""
+        leave one importance out of report.json; and a column named like a
+        feature would share that feature's bar in feature_importance.svg."""
         make_workspace(tmp_path)  # writes prices.csv
         macro = Path(write_layer_inputs(tmp_path)["macro_csv"])
         macro.write_text(header + "\n" + macro.read_text().split("\n", 1)[1])
@@ -920,6 +923,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: macro file {macro}: macro column {column!r} {rule}\n")
         assert not (out / "manifest_features.json").exists()
+
+    def test_adjacency_stacks_beyond_memory_exit_two(self, capsys, tmp_path, monkeypatch):
+        """A side whose adjacency stacks would not fit in physical memory stops
+        train with one error line naming N, G and the estimate."""
+        cfg_path, out = make_workspace(tmp_path)
+        for stage in ("ingest", "features", "graphs"):
+            assert main([stage, "--config", cfg_path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("srr.training._physical_memory", lambda: 1000)
+        assert main(["train", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"error: the train side's (\d+) graphs of 10 nodes need about "
+                             r"([\d,]+) bytes of adjacency stacks, beyond physical memory\n",
+                             err)
+        assert match and int(match[2].replace(",", "")) == 4 * int(match[1]) * 10 * 10 * 8
+        assert not (out / "manifest_train.json").exists()
 
     def test_stage_without_upstream_exits_two(self, capsys, tmp_path):
         cfg_path, _ = make_workspace(tmp_path, out_name="fresh")

@@ -131,13 +131,20 @@ class TestLosses:
         assert abs(loss - (-np.log(tz.PROB_EPS))) < 1e-6
 
     def test_focal_gamma_zero_equals_bce(self):
+        """At gamma 0 the general gradient is bce's, bit for bit, inside the clamp,
+        and (clamped p - y) / n at and beyond it."""
         rng = tz.seeded_rng(5)
-        probs = rng.uniform(0.01, 0.99, size=20)
-        y = (rng.uniform(size=20) > 0.6).astype(float)
+        eps = tz.PROB_EPS
+        edges = [0.0, 1.0, eps, 1.0 - eps, eps / 2, 1.0 - eps / 2, np.nextafter(eps, 1.0)]
+        probs = np.concatenate([rng.uniform(0.01, 0.99, size=20), edges, edges])
+        y = np.concatenate([(rng.uniform(size=20) > 0.6).astype(float),
+                            np.zeros(len(edges)), np.ones(len(edges))])
         l_b, g_b = tz.bce_loss(probs, y)
         l_f, g_f = tz.focal_loss(probs, y, gamma=0.0)
         assert abs(l_b - l_f) < 1e-12
-        assert np.allclose(g_b, g_f, atol=1e-12)
+        assert g_f.tobytes() == ((np.clip(probs, eps, 1.0 - eps) - y) / y.size).tobytes()
+        inside = (probs >= eps) & (probs <= 1.0 - eps)
+        assert g_f[inside].tobytes() == g_b[inside].tobytes()
 
     def test_focal_known_value(self):
         # gamma 2, p 0.9, y 1: (1-p)^2 * (-log p) = 0.01 * 0.10536...

@@ -123,7 +123,7 @@ class TestLoopAgainstOracle:
                  "layers": ["correlation"], "weighted_adjacency": False}
         samples = _graph_samples(bundle, hyper, "train")
         assert len(samples.labels) > 3 * m.batch_size
-        init = spec.init(bundle.panel.n_features, m, 7)
+        init = spec.init(len(bundle.panel.names), m, 7)
         got, got_loss, got_best = _train_minibatch(
             samples, init, getattr(training, spec.forward), getattr(training, spec.backward),
             m, 7, kind)
@@ -143,7 +143,7 @@ class TestTrainingLoop:
         from srr.tensor import seeded_rng
         cfg = replace(SMALL, model=replace(SMALL.model, epochs=0))
         state, log = train("gcn", bundle, cfg)
-        init = init_gcn(seeded_rng(7, 1), bundle.panel.n_features,
+        init = init_gcn(seeded_rng(7, 1), len(bundle.panel.names),
                         cfg.model.gcn_hidden, cfg.model.mlp_hidden)
         assert all(np.array_equal(state.params[k], init[k]) for k in init)
         assert log["epoch_loss"] == [] and log["best_epoch"] == -1
@@ -279,7 +279,8 @@ class TestScoring:
             if seq.graph_label is None or bundle.split.side(seq.date) != "test":
                 continue
             inputs = [(gcn_normalize(adjacency_from_snapshot(s)),
-                       panel.node_matrix(panel.dates.index(s.date))) for s in seq.snapshots]
+                       oracles.node_matrix(panel, panel.dates.index(s.date)))
+                      for s in seq.snapshots]
             want_dates.append(seq.date)
             want.append(oracles.gcn_forward(*inputs[0], state.params)[1] if kind == "gcn"
                         else oracles.temporal_forward(inputs, state.params, state.params)[0])
@@ -305,6 +306,10 @@ class TestGraphSamplesEqualSequencePath:
     def test_rows_labels_dates_and_stacks(self, bundle, k, stride, side):
         hyper = {"k": k, "stride": stride, "layers": ["correlation"],
                  "weighted_adjacency": stride == 2}  # the |rho|-weighted stacks too
+        if stride == 5:  # X gathered with a macro overlay, against oracles.node_matrix
+            macro = np.random.default_rng(3).normal(size=(len(bundle.panel.dates), 3))
+            bundle = DataBundle(replace(bundle.panel, macro=macro, macro_names=["m0", "m1", "m2"]),
+                                bundle.snapshots, bundle.split)
         got = _graph_samples(bundle, hyper, side)
         self.assert_same(got, oracles.graph_samples(bundle, hyper, side))
         grid = [s.date for s in bundle.snapshots[::stride]]
@@ -429,11 +434,11 @@ class TestGraphInputs:
         panel.macro = np.arange(2.0 * len(panel.dates)).reshape(-1, 2)
         panel.macro_names = ["m0", "m1"]
         state = train("temporal", bundle, SMALL)[0]
-        assert state.hyper["n_features"] == panel.n_features + 2
+        assert state.hyper["n_features"] == len(panel.names) + 2
         samples = _graph_samples(bundle, state.hyper, "test")
         for row, date in zip(samples.rows, samples.dates):
             t = panel.dates.index(date)
-            x = panel.node_matrix(t)
+            x = oracles.node_matrix(panel, t)
             assert np.array_equal(x[:, -2:], np.tile(panel.macro[t], (6, 1)))
             assert np.array_equal(samples.ax[row[-1]], samples.a_hat[row[-1]] @ x)
 
