@@ -21,6 +21,8 @@ contribute no edges instead of propagating NaN.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -129,7 +131,13 @@ def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[i
         if column[date] + 1 < window:
             raise DataError(f"only {column[date] + 1} return observations at {date}, "
                             f"need {window}")
-    iu, ju = np.triu_indices(len(returns.tickers), k=1)  # every pair i < j, row-major
+    n = len(returns.tickers)
+    block = max(1, _BLOCK_BYTES // (8 * max(1, n) ** 2))  # dates per call
+    # the pair table (iu, ju and pairs: 32 bytes a pair) and about four of a
+    # block's (dates, N, N) arrays, then 16 bytes for each edge kept
+    need = _fit_in_memory(16 * n * (n - 1) + 32 * min(block, len(dates)) * n * n,
+                          n, len(dates))
+    iu, ju = np.triu_indices(n, k=1)  # every pair i < j, row-major
     pairs = np.zeros(len(iu), EDGE_DTYPE)
     pairs["i"], pairs["j"] = iu, ju
     sector = None
@@ -144,7 +152,6 @@ def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[i
         sector.flags.writeable = False  # one array, shared by every snapshot
 
     node_ids = list(returns.tickers)  # one list, shared by every snapshot
-    block = max(1, _BLOCK_BYTES // (8 * max(1, len(node_ids)) ** 2))  # dates per call
     dated = list(zip(dates, graph_labels))
     snapshots = []
     for start in range(0, len(dated), block):
@@ -154,6 +161,7 @@ def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[i
         corr, _ = rank_correlation_matrix(returns.returns[:, cols].swapaxes(0, 1))
         rho = corr[:, iu, ju]
         keep = np.abs(rho) >= tau
+        need = _fit_in_memory(need + 16 * int(keep.sum()), n, len(dates))
         for (date, label), kept, r in zip(chunk, keep, rho):
             edges = pairs[kept]
             edges["w"] = r[kept]
@@ -165,52 +173,43 @@ def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[i
     return snapshots
 
 
+def _fit_in_memory(need: int, n: int, n_dates: int) -> int:
+    """``need`` bytes, or a DataError naming N, the date count and ``need``
+    when that is beyond physical memory."""
+    if need > _physical_memory():
+        raise DataError(f"{n_dates} graphs of {n} nodes need about {need:,} bytes of "
+                        "correlations and edges, beyond physical memory")
+    return need
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or infinity where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 # -- serialization ---------------------------------------------------------
 
 def write_snapshots_jsonl(snapshots: list[GraphSnapshot], path: str,
                           meta: dict | None = None) -> None:
     """Line-delimited snapshots: a header record, then one record per date.
 
-    Each line is the text ``json.dumps(record, sort_keys=True,
-    separators=(",", ":"))`` gives, for the header and for each ``{"date",
-    "nodes", "layers", "graph_label"}`` record with every edge as an
-    ``[i,j,w]`` array. Record lines are assembled from parts: each ``[i,j,``
-    prefix and each distinct weight is formatted once per file.
+    Each line is ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
+    of the header or of a ``{"date", "nodes", "layers", "graph_label"}``
+    record with every edge as an ``[i,j,w]`` array, each layer checked first.
     """
-    header = {"format": GRAPH_FORMAT, "snapshots": len(snapshots)}
-    if meta:
-        header.update(meta)
-    prefixes: dict[int, np.ndarray] = {}  # node count -> (N, N) table of "[i,j,"
-    tails: dict[int, str] = {}  # weight bit pattern -> "w]"
+    header = {"format": GRAPH_FORMAT, "snapshots": len(snapshots), **(meta or {})}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_dumps(header) + "\n")
         for snap in snapshots:
-            n = len(snap.node_ids)
-            if n not in prefixes:
-                prefixes[n] = np.array([[f"[{i},{j}," for j in range(n)] for i in range(n)],
-                                       dtype=object)
-            layers = ",".join(f"{_dumps(name)}:{_edges_json(snap, name, prefixes[n], tails)}"
-                              for name in sorted(snap.layers))
-            fh.write(f'{{"date":{_dumps(snap.date)},"graph_label":{_dumps(snap.graph_label)},'
-                     f'"layers":{{{layers}}},"nodes":{_dumps(snap.node_ids)}}}\n')
-
-
-def _edges_json(snap: GraphSnapshot, name: str, prefixes: np.ndarray,
-                tails: dict[int, str]) -> str:
-    """Layer ``name`` of ``snap`` as the JSON array of its ``[i,j,w]`` edges,
-    formatting into ``tails`` each weight it has not seen yet."""
-    edges = snap.layers[name]
-    check_edges(edges, len(prefixes), f"snapshot {snap.date}: layer {name!r}")
-    if not len(edges):
-        return "[]"
-    # Distinct bit patterns, not values, so -0.0 and 0.0 keep their own text.
-    bits, slot = np.unique(edges["w"].view(np.int64), return_inverse=True)
-    keys = bits.tolist()
-    for key, w in zip(keys, bits.view(np.float64).tolist()):
-        if key not in tails:
-            tails[key] = json.dumps(w) + "]"
-    ends = np.array([tails[key] for key in keys], dtype=object)
-    return "[" + ",".join((prefixes[edges["i"], edges["j"]] + ends[slot]).tolist()) + "]"
+            for name in sorted(snap.layers):
+                check_edges(snap.layers[name], len(snap.node_ids),
+                            f"snapshot {snap.date}: layer {name!r}")
+            layers = {name: edges.tolist() for name, edges in snap.layers.items()}
+            fh.write(_dumps({"date": snap.date, "nodes": snap.node_ids, "layers": layers,
+                             "graph_label": snap.graph_label}) + "\n")
 
 
 def _edge_array(edges: list, n: int, where: str) -> np.ndarray:

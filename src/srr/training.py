@@ -27,7 +27,6 @@ best-mean-train-loss epoch are retained.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -37,7 +36,7 @@ from .config import Config, ModelConfig
 from .errors import DataError, NumericalError
 from . import tensor as tz
 from .features import FeaturePanel
-from .graphs import GraphSnapshot
+from .graphs import GraphSnapshot, _physical_memory
 from .models import (
     ModelState,
     adjacency_from_snapshot,
@@ -173,14 +172,6 @@ def _graph_samples(bundle: DataBundle, hyper: dict, side: str) -> _GraphSamples 
     ax = a_hat @ x
     return _GraphSamples(a_hat, ax, rows.reshape(-1, k),
                          np.array([float(s.graph_label) for s in ends]), [s.date for s in ends])
-
-
-def _physical_memory() -> float:
-    """Bytes of physical memory, or infinity where the system does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return math.inf
 
 
 def _check_two_classes(labels, kind: str) -> None:

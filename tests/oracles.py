@@ -19,8 +19,8 @@ one-row ``average_ranks`` with the one-pair ``spearman`` (formerly
 the one-date ``build_snapshot`` under ``build_snapshots``, then the
 vectorized builder of ``(int, int, float)`` edge tuples that edge arrays
 replaced, as ``build_tuple_snapshots`` (its ``rank_correlation_matrix`` is
-the library's, as before), with the ``json.dumps`` writer of
-``write_snapshots_jsonl`` that the assembled-text writer replaced (its only
+the library's, as before), with the ``write_snapshots_jsonl`` of tuple
+layers that the edge-array writer replaced (its only
 edit: the compact ``separators=(",", ":")`` the file format now uses); the one-matrix
 ``gcn_normalize`` and the edge-by-edge ``adjacency_from_snapshot``; the
 sequence objects ``GraphSequence`` and ``build_sequences`` (formerly in

@@ -940,6 +940,25 @@ class TestExitCodes:
         assert match and int(match[2].replace(",", "")) == 4 * int(match[1]) * 10 * 10 * 8
         assert not (out / "manifest_train.json").exists()
 
+    def test_graph_build_beyond_memory_exit_two(self, capsys, tmp_path, monkeypatch):
+        """A graphs stage whose correlations and edges would not fit in physical
+        memory stops with one error line naming N, the date count and the
+        estimate, and writes no graphs.jsonl."""
+        cfg_path, out = make_workspace(tmp_path)
+        for stage in ("ingest", "features"):
+            assert main([stage, "--config", cfg_path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("srr.graphs._physical_memory", lambda: 1000)
+        assert main(["graphs", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"error: (\d+) graphs of 10 nodes need about ([\d,]+) bytes of "
+                             r"correlations and edges, beyond physical memory\n", err)
+        block = 256 * 1024 // (8 * 10 * 10)  # dates per correlation block at N = 10
+        assert match and int(match[2].replace(",", "")) == (
+            16 * 10 * 9 + 32 * min(block, int(match[1])) * 10 * 10)
+        assert not (out / "graphs.jsonl").exists()
+        assert not (out / "manifest_graphs.json").exists()
+
     def test_stage_without_upstream_exits_two(self, capsys, tmp_path):
         cfg_path, _ = make_workspace(tmp_path, out_name="fresh")
         assert main(["features", "--config", cfg_path]) == 2

@@ -416,8 +416,8 @@ def planted_returns(n, seed, days=40):
 
 
 class TestArraysAgainstTuplePath:
-    """Edge arrays and the assembled-text writer against the tuple builder and
-    the ``json.dumps`` writer they replaced (``oracles``). The repr of a float
+    """Edge arrays and the edge-array writer against the tuple builder and
+    the writer of tuple layers they replaced (``oracles``). The repr of a float
     round-trips, so equal reprs mean bit-equal weights."""
 
     @pytest.mark.parametrize("n,seed", [(2, 1), (5, 2), (23, 3), (44, 4)])
@@ -543,7 +543,8 @@ class TestMemory:
         n_edges = sum(len(e) for s in snaps for e in s.layers.values())
         assert n_edges > 50_000
         assert built <= self.BOUND * n_edges, built / n_edges
-        write_snapshots_jsonl(snaps, path)
+        _, written = self.peak_bytes(lambda: write_snapshots_jsonl(snaps, path))
+        assert written <= self.BOUND * n_edges, written / n_edges
         del snaps
         (back, _), loaded = self.peak_bytes(lambda: read_snapshots_jsonl(path))
         assert sum(len(e) for s in back for e in s.layers.values()) == n_edges
@@ -552,6 +553,25 @@ class TestMemory:
         _, tuples = self.peak_bytes(lambda: oracles.build_tuple_snapshots(
             returns, days, [None] * len(days), **kw))
         assert tuples > 1.5 * self.BOUND * n_edges, tuples / n_edges
+
+    def test_kept_edges_count_toward_physical_memory(self, monkeypatch):
+        """The build's fixed estimate (the pair table and a block's correlations)
+        grows by 16 bytes per kept edge and stops at physical memory."""
+        rp = planted_returns(6, 0)
+        days = rp.dates[4:]  # one correlation block at N = 6
+
+        def build():
+            return build_snapshots(rp, days, [None] * len(days), window=5)
+        n_edges = sum(len(s.layers["correlation"]) for s in build())
+        need = 16 * 6 * 5 + 32 * len(days) * 6 * 6 + 16 * n_edges
+        assert n_edges > 0
+        monkeypatch.setattr("srr.graphs._physical_memory", lambda: need)
+        assert len(build()) == len(days)
+        monkeypatch.setattr("srr.graphs._physical_memory", lambda: need - 1)
+        with pytest.raises(DataError, match=rf"^{len(days)} graphs of 6 nodes need about "
+                                            rf"{need:,} bytes of correlations and edges, "
+                                            "beyond physical memory$"):
+            build()
 
     def test_sector_layer_is_one_read_only_array(self):
         rp = planted_returns(6, 0)
