@@ -233,6 +233,8 @@ def _ingested_panel(run: Run) -> PricePanel:
     panel, _ = ingest_csv(run.path("prices.csv"))
     if run.cfg.graph.sector_layer:
         with _json_artifact(run.path("universe.json"), "ingest") as meta:
+            if not isinstance(meta, dict) or not all(isinstance(s, str) for s in meta.values()):
+                raise TypeError("expected an object mapping tickers to sector names")
             panel.universe_meta = meta
     return panel
 
@@ -334,14 +336,13 @@ def cmd_graphs(run: Run) -> None:
 # -- stages: train / evaluate ----------------------------------------------------
 
 def _bundle(run: Run, stage: str) -> tuple[dict[str, str], DataBundle]:
-    """Verify the feature and graph files, whose hashes go into ``stage``'s
-    manifest. Unless run-all built the bundle, derive it as run-all does, from
-    ingested files that the features and graphs stages were built from."""
+    """Verify the ingest, features and graphs files; the last two's hashes go into
+    ``stage``'s manifest. Unless run-all built the bundle, derive it as run-all does."""
     cfg = run.cfg
-    bundle = run.built.get("bundle")
-    ingested = {} if bundle is not None else run.require(stage, "ingest", _ingested_files(cfg))
+    ingested = run.require(stage, "ingest", _ingested_files(cfg))
     inputs = run.require(stage, "features", _feature_files(cfg), ingested)
     inputs.update(run.require(stage, "graphs", ["graphs.jsonl"], ingested))
+    bundle = run.built.get("bundle")
     if bundle is None:
         panel = _ingested_panel(run)
         with _rerun("features"):
@@ -352,31 +353,19 @@ def _bundle(run: Run, stage: str) -> tuple[dict[str, str], DataBundle]:
     return inputs, bundle
 
 
-def cmd_train(run: Run, written=None) -> None:
-    """Inside run-all, ``written()`` joins the writer child, also when training
-    fails, and the upstream files are verified after it."""
-    cfg = run.cfg
-    if written is None:
-        inputs, run.built["bundle"] = _bundle(run, "train")
-    try:
-        trained = [(kind, *train(kind, run.built["bundle"], cfg)) for kind in cfg.model.kinds]
-    finally:
-        if written is not None:
-            written()
-    if written is not None:
-        inputs, _ = _bundle(run, "train")
+def _fit(run: Run, bundle: DataBundle) -> dict[str, tuple]:
+    return {kind: train(kind, bundle, run.cfg) for kind in run.cfg.model.kinds}
+
+
+def cmd_train(run: Run) -> None:
+    inputs, bundle = _bundle(run, "train")
     outputs = []
-    for kind, state, log in trained:
-        state.config_hash = run.hash
+    for kind, (state, log) in (run.built.get("train") or _fit(run, bundle)).items():
         with open(run.path(f"model_{kind}.srrm"), "wb") as fh:
             fh.write(serialize(state))
-        log["parameter_count"] = parameter_count(state)
-        log["config_hash"] = run.hash
-        log["seed"] = cfg.seed
         _write_json(run.path(f"training_log_{kind}.json"), log)
         outputs += [f"model_{kind}.srrm", f"training_log_{kind}.json"]
-        print(f"train[{kind}]: {log.get('samples', 0)} samples, "
-              f"{log['parameter_count']} parameters")
+        print(f"train[{kind}]: {log['samples']} samples, {log['parameter_count']} parameters")
     run.write_manifest("train", inputs, outputs)
 
 
@@ -543,7 +532,7 @@ def cmd_report(run: Run) -> None:
 
 def cmd_run_all(run: Run) -> None:
     """Every stage in order. The parent builds into ``run.built`` what the first three
-    derive; while it trains, a forked child runs those three commands on it (file
+    derive and trains while a forked child runs those three commands on it (file
     formatting and hashing, no BLAS, whose threads a child does not inherit)."""
     cfg, built = run.cfg, run.built
 
@@ -557,9 +546,14 @@ def cmd_run_all(run: Run) -> None:
     except Exception:
         write_upstream()  # the stages that finished leave their files; the failing one raises
         raise
-    built["bundle"] = DataBundle(panel=apply_standardization(fpanel, stats),
-                                 snapshots=built["graphs"], split=split)
-    cmd_train(run, _fork("writer", write_upstream))
+    built["bundle"] = bundle = DataBundle(panel=apply_standardization(fpanel, stats),
+                                          snapshots=built["graphs"], split=split)
+    written = _fork("writer", write_upstream)
+    try:
+        built["train"] = _fit(run, bundle)
+    finally:
+        written()  # also when training fails; a writer failure is the error reported
+    cmd_train(run)
     cmd_evaluate(run)
     cmd_report(run)
 

@@ -267,6 +267,8 @@ def load_config(path: str | None, *, seed: int | None = None,
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     overrides = {"seed": seed, "out": out,
                  "period": None if preset is None else {"preset": preset}}
     if isinstance(raw, dict):

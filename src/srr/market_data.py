@@ -76,6 +76,15 @@ def is_iso_date(value) -> bool:
         return False
 
 
+def _row_date(cell: str) -> str:
+    """A row's date, which must read back unchanged as YYYY-MM-DD; the other
+    forms that some Python versions parse are refused."""
+    day = cell.strip()
+    if _date.fromisoformat(day).isoformat() != day:
+        raise ValueError(f"expected a YYYY-MM-DD date, got {day!r}")
+    return day
+
+
 def sha256_file(path: str) -> str:
     """Hex SHA-256 of a file's bytes, read in 1 MiB chunks."""
     digest = hashlib.sha256()
@@ -157,7 +166,7 @@ def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None
     if start is not None and end is not None and start > end:
         raise DataError(f"ingest_csv: start {start} is after end {end}")
     _, rows = read_csv(path, "price file", "date,ticker,adj_close", lambda r: (
-        _date.fromisoformat(r[0].strip()).isoformat(), r[1].strip(), float(r[2])))
+        _row_date(r[0]), r[1].strip(), float(r[2])))
     wanted = set(tickers) if tickers else None
     cells: dict[tuple[str, str], float] = {}  # (ticker, date) -> price, the rows in scope
     for rows_read, (line_no, (day, ticker, price)) in enumerate(rows, start=1):
@@ -243,7 +252,7 @@ def read_macro_csv(path: str) -> tuple[list[str], list[str], np.ndarray]:
     Returns (dates, column names, T x M float matrix), dates sorted ascending.
     """
     header, lines = read_csv(path, "macro file", "date,*", lambda r: (
-        _date.fromisoformat(r[0].strip()).isoformat(), [float(v) for v in r[1:]]))
+        _row_date(r[0]), [float(v) for v in r[1:]]))
     names = header[1:]
     rows: dict[str, list[float]] = {}
     for line_no, (day, values) in lines:

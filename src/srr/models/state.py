@@ -88,6 +88,25 @@ def serialize(state: ModelState) -> bytes:
     return bytes(out)
 
 
+def _check_header(header) -> None:
+    """Raise DataError for another format, and ValueError unless ``header`` is
+    an object with each key that deserialize reads, of the type it reads."""
+    if not isinstance(header, dict):
+        raise ValueError(f"a JSON {type(header).__name__}, not an object")
+    if header.get("format") != MODEL_FORMAT:
+        raise DataError(f"container declares format {header.get('format')!r}")
+    for key, kind in (("kind", str), ("seed", int), ("hyper", dict), ("tensors", list)):
+        if not isinstance(header.get(key), kind):
+            raise ValueError(f"{key!r} is missing or not a {kind.__name__}")
+    if not isinstance(header.get("bookkeeping", []), list):
+        raise ValueError("'bookkeeping' is not a list")
+    for entry in header["tensors"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str) and all(
+                type(entry.get(dim)) is int and entry[dim] >= 0 for dim in ("rows", "cols"))):
+            raise ValueError(f"tensor entry {entry!r} lacks a name or non-negative "
+                             "integer rows and cols")
+
+
 def deserialize(blob: bytes) -> ModelState:
     magic = MODEL_FORMAT.encode("ascii") + b"\n"
     if not blob.startswith(magic):
@@ -101,11 +120,10 @@ def deserialize(blob: bytes) -> ModelState:
         raise DataError("truncated model container (header)")
     try:
         header = json.loads(blob[off:off + head_len].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+        _check_header(header)
+    except ValueError as exc:  # bad UTF-8, bad JSON, or a header of the wrong shape
         raise DataError(f"corrupted model container (header: {exc})") from None
     off += head_len
-    if header.get("format") != MODEL_FORMAT:
-        raise DataError(f"container declares format {header.get('format')!r}")
     params = {}
     for entry in header["tensors"]:
         rows, cols = entry["rows"], entry["cols"]

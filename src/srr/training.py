@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import Config, ModelConfig
+from .config import Config, ModelConfig, config_hash
 from .errors import DataError, NumericalError
 from . import tensor as tz
 from .features import FeaturePanel
@@ -45,6 +45,7 @@ from .models import (
     init_gru,
     gcn_forward,
     gcn_backward,
+    parameter_count,
     temporal_forward,
     temporal_backward,
 )
@@ -313,7 +314,7 @@ _KINDS = {
 def train(kind: str, bundle: DataBundle, cfg: Config) -> tuple[ModelState, dict]:
     """Fit one model kind with ``cfg.model``, ``cfg.graph`` and ``cfg.seed``;
     returns (state, training log). The state's ``hyper`` records every setting
-    that scoring needs."""
+    that scoring needs, and the state and its log carry ``cfg``'s hash."""
     if kind not in _KINDS:
         raise DataError(f"unknown model kind {kind!r}")
     spec, panel, m, seed = _KINDS[kind], bundle.panel, cfg.model, cfg.seed
@@ -341,7 +342,8 @@ def train(kind: str, bundle: DataBundle, cfg: Config) -> tuple[ModelState, dict]
     std = panel.standardization
     state = ModelState(kind=kind, params=params, hyper=hyper, seed=seed,
                        standardization=None if std is None else std.to_dict(),
-                       bookkeeping=spec.bookkeeping)
+                       config_hash=config_hash(cfg), bookkeeping=spec.bookkeeping)
+    log.update(seed=seed, config_hash=state.config_hash, parameter_count=parameter_count(state))
     return state, log
 
 

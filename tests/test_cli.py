@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 from dataclasses import asdict
@@ -506,6 +507,28 @@ class TestWriterChild:
         assert "error:" not in capsys.readouterr().err
         assert_no_child_left()
 
+    def test_run_all_trains_each_kind_once_before_the_train_command(self, monkeypatch,
+                                                                     workspace):
+        cfg_path, _ = workspace
+        cfg = json.loads(Path(cfg_path).read_text())
+        cfg["model"]["kinds"] = kinds = ["temporal", "logistic", "gcn", "forest"]
+        Path(cfg_path).write_text(json.dumps(cfg))
+        trained, real_train, real_cmd_train = [], srr.cli.train, srr.cli.cmd_train
+
+        def train(kind, *args):
+            trained.append(kind)
+            return real_train(kind, *args)
+
+        def cmd_train(*args):  # writes what run-all trained, and trains nothing
+            assert trained == kinds
+            real_cmd_train(*args)
+            assert trained == kinds
+        monkeypatch.setattr("srr.cli.train", train)
+        monkeypatch.setattr("srr.cli.cmd_train", cmd_train)
+        assert main(["run-all", "--config", cfg_path]) == 0
+        assert trained == kinds
+        assert_no_child_left()
+
     def test_without_fork_run_all_writes_the_same_bytes(self, capfd, monkeypatch,
                                                         workspace):
         cfg_path, out = workspace
@@ -592,6 +615,26 @@ def drop_key(key):
     return edit
 
 
+def replace_json(change, name):
+    """A bytes edit of a JSON file, ``change(value) -> value``."""
+    def edit(data):
+        return json.dumps(change(json.loads(data))).encode()
+    edit.__name__ = name
+    return edit
+
+
+def model_header(change, name):
+    """A bytes edit of a model file that rewrites its JSON header as
+    ``change(header)`` and records the new header length."""
+    def edit(data):
+        start = len(b"srr-model-v1\n") + 8
+        end = start + struct.unpack_from("<Q", data, start - 8)[0]
+        head = json.dumps(change(json.loads(data[start:end]))).encode()
+        return data[:start - 8] + struct.pack("<Q", len(head)) + head + data[end:]
+    edit.__name__ = name
+    return edit
+
+
 def change_lines(change, name):
     """A bytes edit that applies ``change(lines)`` to the file's lines in place."""
     def edit(data):
@@ -642,6 +685,10 @@ class TestCutArtifacts:
         ("universe.json", "ingest", "evaluate", cut_second_line),
         ("macro.csv", "features", "train", cut_second_line),
         ("model_temporal.srrm", "train", "evaluate", cut_second_line),
+        ("model_logistic.srrm", "train", "evaluate", model_header(
+            lambda h: {k: v for k, v in h.items() if k != "tensors"}, "header_without_tensors")),
+        ("model_logistic.srrm", "train", "evaluate", model_header(list, "header_list")),
+        ("universe.json", "ingest", "graphs", replace_json(sorted, "ticker_list")),
         ("report.json", "evaluate", "report", cut_second_line),
         ("report.json", "evaluate", "report", drop_key("models")),
         ("timeline_temporal.csv", "evaluate", "report", cut_second_line),
@@ -863,6 +910,16 @@ class TestExitCodes:
         cfg.write_text("{}")
         assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "prices_csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [lambda p: p.mkdir(), lambda p: p.write_bytes(b"{\xff}")],
+                             ids=["directory", "invalid-utf8"])
+    def test_unreadable_config_exits_one(self, capsys, tmp_path, make):
+        path = tmp_path / "cfg.json"
+        make(path)
+        assert main(["ingest", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_malformed_config_exits_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

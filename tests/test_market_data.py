@@ -289,8 +289,14 @@ class TestRowErrorsNameTheirFile:
          "line 3: duplicate macro date 2020-01-01"),
         (read_macro_csv, "macro file", "date,vix\n2020-01-01,nan\n",
          "line 2: non-finite macro value"),
-    ], ids=["empty-ticker", "bad-price", "duplicate-observation", "empty-sector",
-            "duplicate-ticker", "duplicate-date", "non-finite-macro"])
+    ] + [(reader, what, f"{head}2020-01-01,{row}\n{day},{row}\n",
+          f"line 3: expected a YYYY-MM-DD date, got {day!r}")
+         for reader, what, head, row in ((ingest_csv, "price file", BASE, "A,1"),
+                                         (read_macro_csv, "macro file", "date,vix\n", "15.5"))
+         for day in ("20200102", "2020-W01-4")],
+        ids=["empty-ticker", "bad-price", "duplicate-observation", "empty-sector",
+             "duplicate-ticker", "duplicate-date", "non-finite-macro", "price-basic-date",
+             "price-week-date", "macro-basic-date", "macro-week-date"])
     def test_message_is_what_path_line(self, tmp_path, reader, what, text, message):
         path = write(tmp_path, "t.csv", text)
         with pytest.raises(DataError) as err:

@@ -2,7 +2,9 @@
 arithmetic and the per-sample reference loop, baseline learners against
 closed-form expectations, and the binary model container."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -805,6 +807,31 @@ class TestContainer:
         for bad in (b"x", b"\xff"):  # not JSON; not UTF-8
             with pytest.raises(DataError, match="corrupted model container \\(header"):
                 deserialize(blob[:head] + bad + blob[head + 1:])
+
+    @pytest.mark.parametrize("change", [
+        lambda h: list(h),
+        lambda h: {k: v for k, v in h.items() if k != "tensors"},
+        lambda h: {**h, "tensors": {}},
+        lambda h: {**h, "kind": 3},
+        lambda h: {**h, "seed": "7"},
+        lambda h: {**h, "hyper": []},
+        lambda h: {**h, "bookkeeping": 3},
+        lambda h: {**h, "tensors": ["b1"] + h["tensors"][1:]},
+        lambda h: {**h, "tensors": [{"rows": 1, "cols": 32}] + h["tensors"][1:]},
+        lambda h: {**h, "tensors": [{**h["tensors"][0], "rows": "1"}] + h["tensors"][1:]},
+        lambda h: {**h, "tensors": [{**h["tensors"][0], "rows": -1}] + h["tensors"][1:]},
+        lambda h: {**h, "tensors": [{**h["tensors"][0], "cols": 32.0}] + h["tensors"][1:]},
+    ], ids=["list", "no-tensors", "tensors-object", "kind-number", "seed-string",
+            "hyper-list", "bookkeeping-number", "entry-string", "entry-without-name",
+            "rows-string", "rows-negative", "cols-float"])
+    def test_header_of_the_wrong_shape_rejected(self, change):
+        blob = serialize(self._gcn_state())
+        start = len(b"srr-model-v1\n") + 8
+        end = start + struct.unpack_from("<Q", blob, start - 8)[0]
+        head = json.dumps(change(json.loads(blob[start:end]))).encode()
+        blob = blob[:start - 8] + struct.pack("<Q", len(head)) + head + blob[end:]
+        with pytest.raises(DataError, match="^corrupted model container \\(header: "):
+            deserialize(blob)
 
     def test_parameter_counts(self):
         gcn_state = self._gcn_state()

@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from srr import cli, training
 from srr import tensor as tz
-from srr.config import MODEL_KINDS, Config, ModelConfig
+from srr.config import MODEL_KINDS, Config, ModelConfig, config_hash
 from srr.errors import DataError, NumericalError, SrrError
 from srr.features import apply_standardization, attach_labels, compute_features, standardize
 from srr.graphs import build_snapshots
 from srr.market_data import PricePanel, log_returns
-from srr.models import ModelState, adjacency_from_snapshot, gcn_normalize, serialize
+from srr.models import (ModelState, adjacency_from_snapshot, gcn_normalize, parameter_count,
+                        serialize)
 from srr.synthetic import business_days, planted_regime_panel
 from srr.training import DataBundle, chronological_split, predict_scores, train
 from srr.training import _GraphSamples, _graph_samples, _train_minibatch  # white-box
@@ -90,6 +91,14 @@ class TestDeterminism:
         state_b, log_b = train(kind, bundle, SMALL)
         assert serialize(state_a) == serialize(state_b)
         assert log_a == log_b
+
+    @pytest.mark.parametrize("kind", ["logistic", "forest", "gcn", "temporal"])
+    def test_state_and_log_carry_the_run_identity(self, bundle, kind):
+        cfg = replace(SMALL, seed=9)
+        state, log = train(kind, bundle, cfg)
+        assert state.config_hash == config_hash(cfg)
+        assert (log["seed"], log["config_hash"], log["parameter_count"]) == (
+            9, config_hash(cfg), parameter_count(state))
 
     @pytest.mark.parametrize("kind", ["forest", "gcn", "temporal"])
     def test_different_seed_different_weights(self, bundle, kind):

@@ -4,20 +4,27 @@
     python3 tools/same_bytes.py OTHER_CHECKOUT
 
 Run it from anywhere; OTHER_CHECKOUT is the root of another copy of this
-repository. For each panel below, the six stage commands and then `run-all`
+repository. For each case below, the six stage commands and then `run-all`
 run twice, once with this checkout's ``src`` and once with OTHER_CHECKOUT's,
 each command set in a fresh temporary directory holding the same inputs. The
 inputs come from ``make_inputs`` in this checkout's ``perfbench/run.py``:
 the ``fixture-stages`` panels of seeds 7 and 11 and the ``shipped-44`` panel
-of seed 7. The script compares the SHA-256 of every file each command set
-leaves, and each command's stdout, stderr and exit code. It prints each
-difference and exits 1 if there is one, else prints a summary and exits 0.
-It takes about a minute on a 2-core machine and is not part of the tests.
+of seed 7. Five more cases run the seed-7 ``fixture-stages`` inputs with one
+config override each, for the option paths those three never reach: a macro
+overlay (a one-series file the script writes over the panel's dates), the
+focal loss, unstandardized features, weighted adjacency and a period window.
+The script compares the SHA-256 of every file each command set leaves, and
+each command's stdout, stderr and exit code. It prints each difference, and
+each command of this checkout that did not exit 0 (a failing case reaches no
+option path), and exits 1 if there is either, else prints a summary and
+exits 0. It takes about
+a minute and a half on a 2-core machine and is not part of the tests.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -25,14 +32,37 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
 from checks import STAGES  # noqa: E402  (perfbench/checks.py)
 from run import WORKLOADS, make_inputs  # noqa: E402  (perfbench/run.py)
 
-CASES = [("fixture-stages", 7), ("fixture-stages", 11), ("shipped-44", 7)]
+# (workload, seed, config sections merged into make_inputs' config)
+CASES = [("fixture-stages", 7, {}), ("fixture-stages", 11, {}), ("shipped-44", 7, {})] + [
+    ("fixture-stages", 7, sections) for sections in (
+        {"data": {"macro_csv": "macro_in.csv"}},
+        {"model": {"loss": "focal"}},
+        {"features": {"standardize": False}},
+        {"graph": {"weighted_adjacency": True}},
+        {"period": {"start": "2015-03-02", "end": "2017-02-28"}})]
 COMMAND_SETS = {"stages": list(STAGES), "run-all": ["run-all"]}
+
+
+def write_inputs(workload: str, seed: int, sections: dict, inputs: Path) -> None:
+    """``make_inputs``' files with ``sections`` merged into its config, and the
+    macro file that a ``data.macro_csv`` override names."""
+    panel, config = make_inputs(WORKLOADS[workload], seed, str(inputs))
+    for name, values in sections.items():
+        config[name] = {**config.get(name, {}), **values}
+    (inputs / "config.json").write_text(json.dumps(config, indent=2), encoding="utf-8")
+    if "macro_csv" in config["data"]:  # the equal-weight mean log price of each date
+        level = np.log(panel.prices).mean(axis=0)
+        (inputs / config["data"]["macro_csv"]).write_text("".join(
+            ["date,level\n"] + [f"{day},{float(v)!r}\n" for day, v in zip(panel.dates, level)]),
+            encoding="utf-8")
 
 
 def run_side(src: Path, inputs: Path, tmp: str) -> dict[str, object]:
@@ -62,22 +92,28 @@ def main(argv: list[str]) -> int:
         print("usage: python3 tools/same_bytes.py OTHER_CHECKOUT", file=sys.stderr)
         return 2
     other = Path(argv[0]).resolve()
-    differences = compared = 0
+    differences = compared = failed = 0
     with tempfile.TemporaryDirectory(prefix="same_bytes_") as tmp:
-        for workload, seed in CASES:
-            inputs = Path(tmp) / f"{workload}-{seed}"
+        for number, (workload, seed, sections) in enumerate(CASES):
+            inputs = Path(tmp) / f"case-{number}"
             inputs.mkdir()
-            make_inputs(WORKLOADS[workload], seed, str(inputs))
+            write_inputs(workload, seed, sections, inputs)
+            case = f"{workload} seed {seed} {json.dumps(sections)}"
             ours, theirs = (run_side(src, inputs, tmp) for src in (ROOT / "src", other / "src"))
+            for label, code in ours.items():
+                if label.endswith("exit code") and code != 0:
+                    failed += 1
+                    print(f"{case}: {label} is {code}")
             for label in sorted(ours.keys() | theirs.keys()):
                 a, b = ours.get(label, "(absent)"), theirs.get(label, "(absent)")
                 compared += 1
                 if a != b:
                     differences += 1
-                    print(f"{workload} seed {seed}: {label} differs\n"
+                    print(f"{case}: {label} differs\n"
                           f"  this checkout: {a!r}\n  {other}: {b!r}")
-    print(f"{differences} differences in {compared} comparisons over {len(CASES)} panels")
-    return 1 if differences else 0
+    print(f"{differences} differences in {compared} comparisons over {len(CASES)} cases; "
+          f"{failed} commands of this checkout did not exit 0")
+    return 1 if differences or failed else 0
 
 
 if __name__ == "__main__":
