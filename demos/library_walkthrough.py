@@ -39,7 +39,7 @@ def main():
 
     section("2. Log returns and per-node features")
     returns = log_returns(panel)
-    feats = compute_features(returns, panel)
+    feats = compute_features(panel)
     print(f"features: {feats.names}")
     print(f"{feats.features.shape[1]} feature dates after the "
           f"{len(dates) - feats.features.shape[1]}-day warm-up")

@@ -42,7 +42,8 @@ from .market_data import (PricePanel, ingest_csv, log_returns, read_csv, read_ma
 from .models.baselines import day_feature_names
 from .models.state import deserialize, parameter_count, serialize
 from .plots import grouped_bar_chart, hbar_chart, line_chart
-from .training import DataBundle, SplitPlan, chronological_split, predict_scores, train
+from .training import (DataBundle, SplitPlan, check_state, chronological_split,
+                       predict_scores, train)
 
 __all__ = ["main"]
 
@@ -258,11 +259,11 @@ def _attach_macro(macro_csv: str, fpanel) -> None:
 
 
 def _derive_features(cfg: Config, panel: PricePanel, macro_csv: str | None
-                     ) -> tuple[FeaturePanel, Standardization, SplitPlan]:
+                     ) -> tuple[FeaturePanel, FeaturePanel, SplitPlan]:
     """The raw labeled feature panel of ``panel``, with the overlay of
-    ``macro_csv`` attached if given, its statistics and the split."""
-    fpanel = compute_features(log_returns(panel), panel,
-                              vol_windows=cfg.features.vol_windows,
+    ``macro_csv`` attached if given, the standardized panel the models read
+    (identity statistics unless ``features.standardize``) and the split."""
+    fpanel = compute_features(panel, vol_windows=cfg.features.vol_windows,
                               dd_windows=cfg.features.dd_windows,
                               mom_windows=cfg.features.momentum_windows)
     attach_labels(fpanel, panel, threshold=cfg.labels.threshold,
@@ -272,25 +273,22 @@ def _derive_features(cfg: Config, panel: PricePanel, macro_csv: str | None
 
     split = chronological_split(fpanel.dates, ratio=cfg.split.ratio,
                                 horizon=cfg.labels.horizon)
+    train_range = (split.train_dates[0], split.train_dates[-1])
     if cfg.features.standardize:
-        stats = standardize(
-            fpanel, (split.train_dates[0], split.train_dates[-1])).standardization
-    else:
-        n_f = len(fpanel.names)
-        stats = Standardization(mean=np.zeros(n_f), std=np.ones(n_f),
-                                train_start=split.train_dates[0],
-                                train_end=split.train_dates[-1])
-    return fpanel, stats, split
+        return fpanel, standardize(fpanel, train_range), split
+    n_f = len(fpanel.names)
+    return fpanel, apply_standardization(
+        fpanel, Standardization(np.zeros(n_f), np.ones(n_f), *train_range)), split
 
 
 def cmd_features(run: Run) -> None:
     cfg = run.cfg
     inputs = run.require("features", "ingest", ["prices.csv"])
-    fpanel, stats, split = run.built.get("features") or _derive_features(
+    fpanel, zpanel, split = run.built.get("features") or _derive_features(
         cfg, _ingested_panel(run), cfg.data.macro_csv)
     write_features_csv(fpanel, run.path("features.csv"))
     write_graph_labels_csv(fpanel, run.path("graph_labels.csv"))
-    _write_json(run.path("standardization.json"), stats.to_dict())
+    _write_json(run.path("standardization.json"), zpanel.standardization.to_dict())
     _write_json(run.path("split.json"), asdict(split))
     if cfg.data.macro_csv is not None:
         write_macro_csv(run.path("macro.csv"), fpanel.dates, fpanel.macro_names, fpanel.macro)
@@ -346,10 +344,9 @@ def _bundle(run: Run, stage: str) -> tuple[dict[str, str], DataBundle]:
     if bundle is None:
         panel = _ingested_panel(run)
         with _rerun("features"):
-            fpanel, stats, split = _derive_features(
+            _, zpanel, split = _derive_features(
                 cfg, panel, run.path("macro.csv") if cfg.data.macro_csv is not None else None)
-        bundle = DataBundle(panel=apply_standardization(fpanel, stats),
-                            snapshots=_snapshots(cfg, panel, fpanel), split=split)
+        bundle = DataBundle(panel=zpanel, snapshots=_snapshots(cfg, panel, zpanel), split=split)
     return inputs, bundle
 
 
@@ -388,6 +385,7 @@ def cmd_evaluate(run: Run) -> None:
     for kind in cfg.model.kinds:
         with open(run.path(f"model_{kind}.srrm"), "rb") as fh, _rerun("train", fh.name):
             state = deserialize(fh.read())
+            check_state(state, kind, bundle.panel)
         dates, scores, labels = predict_scores(state, bundle, side="test")
         metrics = compute_metrics(scores, labels, threshold=cfg.evaluate.threshold)
         leads = lead_times(calendar, daily_labels, dates, scores,
@@ -541,13 +539,12 @@ def cmd_run_all(run: Run) -> None:
             command(run)
     try:
         built["ingest"] = panel, _ = _ingest(cfg)
-        built["features"] = fpanel, stats, split = _derive_features(cfg, panel, cfg.data.macro_csv)
-        built["graphs"] = _snapshots(cfg, panel, fpanel)
+        built["features"] = _, zpanel, split = _derive_features(cfg, panel, cfg.data.macro_csv)
+        built["graphs"] = _snapshots(cfg, panel, zpanel)
     except Exception:
         write_upstream()  # the stages that finished leave their files; the failing one raises
         raise
-    built["bundle"] = bundle = DataBundle(panel=apply_standardization(fpanel, stats),
-                                          snapshots=built["graphs"], split=split)
+    built["bundle"] = bundle = DataBundle(panel=zpanel, snapshots=built["graphs"], split=split)
     written = _fork("writer", write_upstream)
     try:
         built["train"] = _fit(run, bundle)

@@ -2,14 +2,15 @@
 
 Per ticker and date the feature vector is, in order:
 
-    ret_1d   daily log return
+    ret_1d   daily log return ln(p[t] / p[t-1])
     vol_W    sample std (ddof=1) of the last W log returns, per vol window
     dd_W     p[t] / max(p[t-W+1..t]) - 1, per drawdown window
     mom_W    p[t] / p[t-W] - 1, per momentum window
 
 Defaults give the 7-vector [ret_1d, vol_20, vol_60, dd_20, dd_60, mom_10,
-mom_30]. Every value at date t uses prices up to and including t only; the
-warm-up prefix (first max-window days, 60 by default) carries no features.
+mom_30]. ``compute_features`` takes the price panel alone and derives the log
+returns from it. Every value at date t uses prices up to and including t only;
+the warm-up prefix (first max-window days, 60 by default) carries no features.
 
 Labels look forward: a node is positive at t when its price falls at least
 ``threshold`` below p[t] within the next ``horizon`` trading days; the graph
@@ -26,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ShapeError
-from .market_data import PricePanel, ReturnPanel, read_csv, write_csv
+from .market_data import PricePanel, log_returns, read_csv, write_csv
 
 __all__ = [
     "FeaturePanel",
@@ -98,14 +99,11 @@ def _rolling_std(returns: np.ndarray, window: int) -> np.ndarray:
     return win.std(axis=2, ddof=1)
 
 
-def compute_features(returns: ReturnPanel, prices: PricePanel,
-                     vol_windows=DEFAULT_VOL_WINDOWS,
+def compute_features(prices: PricePanel, vol_windows=DEFAULT_VOL_WINDOWS,
                      dd_windows=DEFAULT_DD_WINDOWS,
                      mom_windows=DEFAULT_MOM_WINDOWS) -> FeaturePanel:
-    """Build the feature cube over the feature-valid dates of the panel."""
-    if returns.tickers != prices.tickers:
-        raise DataError("returns and prices cover different tickers")
-    p = prices.prices
+    """Build the feature cube over the panel's feature-valid dates from its prices alone."""
+    returns, p = log_returns(prices).returns, prices.prices
     t_total = p.shape[1]
     warmup = max(max(vol_windows), max(dd_windows) - 1, max(mom_windows), 1)
     if t_total <= warmup:
@@ -115,8 +113,8 @@ def compute_features(returns: ReturnPanel, prices: PricePanel,
     # of w returns ending at t covers return columns t-w..t-1; the rolling stds end
     # at return index w-1..T-2, and the rolling highs at price index w-1..T-1.
     feats = np.stack(
-        [returns.returns[:, warmup - 1:]]
-        + [_rolling_std(returns.returns, w)[:, warmup - w:] for w in vol_windows]
+        [returns[:, warmup - 1:]]
+        + [_rolling_std(returns, w)[:, warmup - w:] for w in vol_windows]
         + [p[:, warmup:] / sliding_window_view(p, w, axis=1).max(axis=2)[:, warmup - (w - 1):]
            - 1.0 for w in dd_windows]
         + [p[:, warmup:] / p[:, warmup - w:t_total - w] - 1.0 for w in mom_windows],

@@ -32,8 +32,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import Config, ModelConfig, config_hash
-from .errors import DataError, NumericalError
+from .config import Config, GraphConfig, ModelConfig, config_hash
+from .errors import ConfigError, DataError, NumericalError
 from . import tensor as tz
 from .features import FeaturePanel
 from .graphs import GraphSnapshot, _physical_memory
@@ -63,6 +63,7 @@ __all__ = [
     "chronological_split",
     "DataBundle",
     "train",
+    "check_state",
     "predict_scores",
 ]
 
@@ -254,6 +255,7 @@ class _DayKind(NamedTuple):
     fit: Callable  # (x, y, seed, **hyper) -> params
     predict: Callable  # (params, x) -> scores
     hyper: dict  # header key -> ModelConfig field; the keys are fit's keywords
+    shapes: Callable  # (n_inputs, model config) -> {tensor: shape fit gives it}, None: any >= 1
     bookkeeping: tuple[str, ...] = ()
 
 
@@ -289,12 +291,15 @@ _KINDS = {
     "logistic": _DayKind(
         fit=_logistic_fit,
         predict=lambda p, x: logistic_predict(p["w"], float(p["b"][0]), x),
-        hyper={"lr": "logistic_lr", "max_epochs": "logistic_epochs", "tol": "logistic_tol"}),
+        hyper={"lr": "logistic_lr", "max_epochs": "logistic_epochs", "tol": "logistic_tol"},
+        shapes=lambda n, m: {"w": (n,), "b": (1,)}),
     "forest": _DayKind(
         fit=lambda x, y, seed, **hyper: forest_fit(x, y, seed=seed, **hyper),
         predict=lambda p, x: forest_predict(p, x),
         hyper={"n_trees": "forest_trees", "max_depth": "forest_max_depth",
                "min_leaf": "forest_min_leaf"},
+        shapes=lambda n, m: {"feature_importance": (n,), **{
+            f"tree_{t:04d}": (None, 7) for t in range(m.forest_trees)}},
         bookkeeping=("feature_importance",)),
     "gcn": _GraphKind(
         init=lambda n, s, seed: init_gcn(tz.seeded_rng(seed, 1), n, s.gcn_hidden, s.mlp_hidden),
@@ -345,6 +350,50 @@ def train(kind: str, bundle: DataBundle, cfg: Config) -> tuple[ModelState, dict]
                        config_hash=config_hash(cfg), bookkeeping=spec.bookkeeping)
     log.update(seed=seed, config_hash=state.config_hash, parameter_count=parameter_count(state))
     return state, log
+
+
+def check_state(state: ModelState, kind: str, panel: FeaturePanel) -> None:
+    """Raise DataError unless ``state`` is a ``kind`` model as ``train`` writes it
+    on ``panel``: each setting it records, of a type and range the config allows,
+    and each tensor, shaped as those settings imply."""
+    spec, hyper = _KINDS[kind], state.hyper
+    graph = isinstance(spec, _GraphKind)
+    fields = {**spec.hyper, **(_GRAPH_HYPER if graph else {})}
+    missing = [key for key in (*fields, *(("weighted_adjacency", "layers", "n_features")
+                                          if graph else ("inputs",))) if key not in hyper]
+    if state.kind != kind:
+        raise DataError(f"it holds a {state.kind} model, not a {kind} model")
+    if missing or state.bookkeeping != spec.bookkeeping:
+        raise DataError(f"the {kind} model records no {missing[0]!r} setting" if missing
+                        else f"the {kind} model lists {state.bookkeeping} as bookkeeping")
+    try:
+        cfg = Config.from_dict({"model": {name: hyper[key] for key, name in fields.items()}, **(
+            {"graph": {"weighted_adjacency": hyper["weighted_adjacency"]}} if graph else {})})
+    except ConfigError as exc:
+        raise DataError(f"a {kind} model setting does not fit the config: {exc}") from None
+    if graph:
+        n_inputs = len(panel.names) + len(panel.macro_names)
+        if hyper["layers"] not in [list(GraphConfig(sector_layer=on).layers)
+                                   for on in (False, True)]:
+            raise DataError(f"the {kind} model reads graph layers {hyper['layers']!r}")
+        if hyper["n_features"] != n_inputs:
+            raise DataError(f"the {kind} model reads {hyper['n_features']!r} node features, "
+                            f"the panel has {n_inputs}")
+        want = {name: t.shape for name, t in spec.init(n_inputs, cfg.model, 0).items()}
+    else:
+        if hyper["inputs"] != day_feature_names(panel):
+            raise DataError(f"the {kind} model's inputs are not the panel's day features")
+        want = spec.shapes(len(hyper["inputs"]), cfg.model)
+    have = {name: t.shape for name, t in state.params.items()}
+    for name in sorted(want.keys() | have.keys()):
+        got, shape = have.get(name), want.get(name)
+        if got is None or shape is None:
+            raise DataError(f"the {kind} model {'lacks' if got is None else 'has an unknown'} "
+                            f"tensor {name!r}")
+        if len(got) != len(shape) or not all(g == w or w is None and g > 0
+                                             for g, w in zip(got, shape)):
+            raise DataError(f"the {kind} model's tensor {name!r} has shape {got}; "
+                            f"its settings imply {shape}")
 
 
 def predict_scores(state: ModelState, bundle: DataBundle,

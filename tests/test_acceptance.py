@@ -17,7 +17,7 @@ from srr.evaluation import auprc_step, compute_metrics, report_to_json
 from srr.features import compute_features
 from srr.features import FeaturePanel
 from srr.graphs import EDGE_DTYPE, GraphSnapshot, average_ranks, rank_correlation_matrix
-from srr.market_data import PricePanel, log_returns
+from srr.market_data import PricePanel
 from srr.models import (gcn_backward, gcn_forward, gcn_normalize, init_gcn, init_gru,
                         temporal_forward)
 from srr.models.temporal import gru_backward, gru_forward
@@ -337,8 +337,8 @@ def test_criterion_07_no_lookahead(tmp_path):
         dates, tickers, raw = planted_regime_panel(n_tickers=5, n_days=200, seed=3)
         full = PricePanel(tickers=tickers, dates=dates, prices=raw)
         cut = PricePanel(tickers=tickers, dates=dates[:140], prices=raw[:, :140])
-        f_full = compute_features(log_returns(full), full)
-        f_cut = compute_features(log_returns(cut), cut)
+        f_full = compute_features(full)
+        f_cut = compute_features(cut)
         k = len(f_cut.dates)
         assert f_full.dates[:k] == f_cut.dates
         assert np.array_equal(f_full.features[:, :k, :], f_cut.features)

@@ -25,7 +25,7 @@ from srr.errors import ConfigError, DataError, NumericalError, ShapeError, SrrEr
 from srr.features import Standardization, apply_standardization, read_features_csv
 from srr.graphs import EDGE_DTYPE, read_snapshots_jsonl
 from srr.market_data import read_macro_csv
-from srr.models import deserialize, parameter_count
+from srr.models import deserialize, parameter_count, serialize
 from srr.synthetic import RegimeParams, write_synthetic_csv
 
 MODEL_KINDS = ("logistic", "forest", "gcn", "temporal")
@@ -311,6 +311,25 @@ class TestRunAllHandOff:
         handed = {p.name: p.read_bytes() for p in out.iterdir()}
         assert sorted(handed) == sorted(staged)
         assert [n for n in staged if handed[n] != staged[n]] == []
+
+    @pytest.mark.parametrize("before,command", [((), "run-all"), (STAGES[:3], "train")],
+                             ids=["run-all", "train"])
+    def test_one_derivation_standardizes_once(self, workspace, monkeypatch, before, command):
+        """The models read the panel that ``standardize`` built (or the identity
+        statistics applied once): no command z-scores the feature cube twice."""
+        import srr.features
+        cfg_path, _ = workspace
+        for stage in before:
+            assert main([stage, "--config", cfg_path]) == 0
+        calls, real = [], srr.features.apply_standardization
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(srr.features, "apply_standardization", counted)
+        monkeypatch.setattr(srr.cli, "apply_standardization", counted)
+        assert main([command, "--config", cfg_path]) == 0
+        assert len(calls) == 1
 
     def test_run_all_reads_back_no_artifact(self, workspace, monkeypatch):
         """Every stage command and run-all opens an export only to write it or,
@@ -635,6 +654,52 @@ def model_header(change, name):
     return edit
 
 
+def model_state(change, name):
+    """A bytes edit of a model file that decodes it, applies ``change(state)``
+    to the ModelState in place and writes it again."""
+    def edit(data):
+        state = deserialize(data)
+        change(state)
+        return serialize(state)
+    edit.__name__ = name
+    return edit
+
+
+# (model file, edit, what the error says): files that decode but do not fit
+# their kind, the run's panel or their name
+DAMAGED_MODELS = [
+    ("model_gcn.srrm", model_state(lambda s: s.hyper.clear(), "gcn_without_hyper"),
+     "records no 'mlp_hidden' setting"),
+    ("model_logistic.srrm",
+     model_state(lambda s: s.params.update(x=s.params.pop("w")), "w_renamed_x"),
+     "lacks tensor 'w'"),
+    ("model_gcn.srrm",
+     model_state(lambda s: s.params.update(w1=s.params["w1"][:3]), "w1_of_three_rows"),
+     "tensor 'w1' has shape (3, 6); its settings imply (9, 6)"),
+    ("model_temporal.srrm", model_state(lambda s: s.hyper.update(k="5"), "k_a_string"),
+     "model.sequence_length must be int, got '5'"),
+    ("model_gcn.srrm", model_state(lambda s: s.hyper.update(stride=0), "stride_zero"),
+     "model.stride must be >= 1, got 0"),
+    ("model_gcn.srrm", model_state(lambda s: s.hyper.update(layers=["nope"]), "unknown_layer"),
+     "reads graph layers ['nope']"),
+    ("model_forest.srrm", model_state(lambda s: [s.params.pop(k) for k in list(s.params)
+                                                  if k.startswith("tree_")], "no_trees"),
+     "lacks tensor 'tree_0000'"),
+    ("model_logistic.srrm",
+     model_state(lambda s: s.params.update(w=s.params["w"][:3]), "w_of_three_values"),
+     "tensor 'w' has shape (3,); its settings imply (16,)"),
+    ("model_gcn.srrm", model_state(lambda s: setattr(s, "kind", "temporal"), "a_temporal"),
+     "holds a temporal model, not a gcn model"),
+    ("model_temporal.srrm",
+     model_state(lambda s: s.hyper.update(n_features=3), "three_node_features"),
+     "reads 3 node features, the panel has 9"),
+    ("model_forest.srrm", model_state(lambda s: s.hyper["inputs"].reverse(), "inputs_reversed"),
+     "inputs are not the panel's day features"),
+    ("model_forest.srrm", model_state(lambda s: setattr(s, "bookkeeping", ()), "no_bookkeeping"),
+     "lists () as bookkeeping"),
+]
+
+
 def change_lines(change, name):
     """A bytes edit that applies ``change(lines)`` to the file's lines in place."""
     def edit(data):
@@ -665,7 +730,8 @@ DAMAGED_CELLS = [
 
 class TestCutArtifacts:
     """Every artifact a stage reads back, cut in the middle of its second line
-    (or a JSON artifact without a key it needs), its manifest hash re-recorded,
+    (or a JSON artifact without a key it needs, or a model file that decodes
+    but does not fit its kind or the run), its manifest hash re-recorded,
     stops the stage that reads it with exit 2 and one error line."""
 
     @pytest.fixture(scope="class")
@@ -692,7 +758,9 @@ class TestCutArtifacts:
         ("report.json", "evaluate", "report", cut_second_line),
         ("report.json", "evaluate", "report", drop_key("models")),
         ("timeline_temporal.csv", "evaluate", "report", cut_second_line),
-    ] + [case[:4] for case in DAMAGED_CELLS], ids=lambda v: v.__name__ if callable(v) else None)
+    ] + [case[:4] for case in DAMAGED_CELLS]
+      + [(name, "train", "evaluate", edit) for name, edit, _ in DAMAGED_MODELS],
+        ids=lambda v: v.__name__ if callable(v) else None)
     def test_exits_two_with_an_error_line(self, capsys, tmp_path, evaluated,
                                           name, stage, command, edit):
         self.exits_two(capsys, tmp_path, evaluated, name, stage, command, edit)
@@ -703,6 +771,13 @@ class TestCutArtifacts:
             self, capsys, tmp_path, evaluated, name, stage, command, edit, says):
         err = self.exits_two(capsys, tmp_path, evaluated, name, stage, command, edit)
         assert says in err and "rerun `srr" in err
+
+    @pytest.mark.parametrize("name,edit,says", DAMAGED_MODELS,
+                             ids=[f"{c[0]}-{c[1].__name__}" for c in DAMAGED_MODELS])
+    def test_damaged_models_say_what_does_not_fit_and_to_rerun_train(
+            self, capsys, tmp_path, evaluated, name, edit, says):
+        err = self.exits_two(capsys, tmp_path, evaluated, name, "train", "evaluate", edit)
+        assert says in err and err.endswith("; rerun `srr train`\n")
 
     @staticmethod
     def exits_two(capsys, tmp_path, evaluated, name, stage, command, edit) -> str:

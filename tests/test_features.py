@@ -37,7 +37,7 @@ class TestFeatureValues:
 
     def test_hand_computed_small_panel(self):
         prices = panel_from([100.0, 110.0, 99.0, 104.5])
-        fp = compute_features(log_returns(prices), prices, **SMALL)
+        fp = compute_features(prices, **SMALL)
         assert fp.names == ["ret_1d", "vol_2", "dd_2", "mom_1"]
         assert fp.dates == prices.dates[2:]
         r1, r2, r3 = np.log(1.1), np.log(0.9), np.log(104.5 / 99.0)
@@ -54,13 +54,13 @@ class TestFeatureValues:
 
     def test_increasing_prices_zero_drawdown(self):
         prices = panel_from(np.linspace(100, 200, 80))
-        fp = compute_features(log_returns(prices), prices)
+        fp = compute_features(prices)
         dd_cols = [fp.names.index("dd_20"), fp.names.index("dd_60")]
         assert np.all(fp.features[:, :, dd_cols] == 0.0)
 
     def test_constant_prices_zero_vol_and_momentum(self):
         prices = panel_from(np.full(80, 42.0))
-        fp = compute_features(log_returns(prices), prices)
+        fp = compute_features(prices)
         for name in ("ret_1d", "vol_20", "vol_60", "mom_10", "mom_30"):
             assert np.all(fp.features[:, :, fp.names.index(name)] == 0.0)
 
@@ -74,7 +74,7 @@ class TestFeatureValues:
         for seed in (1, 7):
             dates, tickers, raw = planted_regime_panel(n_tickers=6, n_days=300, seed=seed)
             prices = PricePanel(tickers=tickers, dates=dates, prices=raw)
-            got = compute_features(log_returns(prices), prices, **windows)
+            got = compute_features(prices, **windows)
             want = oracles.compute_features(log_returns(prices), prices, **windows)
             assert (got.tickers, got.dates, got.names) == (want.tickers, want.dates, want.names)
             assert got.features.dtype == want.features.dtype == np.float64
@@ -85,7 +85,7 @@ class TestFeatureValues:
     def test_insufficient_history(self):
         prices = panel_from(np.linspace(100, 110, 60))  # needs > 60 dates
         with pytest.raises(DataError, match="need more than 60"):
-            compute_features(log_returns(prices), prices)
+            compute_features(prices)
 
     @settings(max_examples=25)
     @given(cut=st.integers(min_value=62, max_value=150))
@@ -99,7 +99,7 @@ class TestFeatureValues:
         def features_and_graphs(n_days):
             panel = PricePanel(tickers=tickers, dates=dates[:n_days], prices=prices[:, :n_days])
             returns = log_returns(panel)
-            fp = attach_labels(compute_features(returns, panel), panel,
+            fp = attach_labels(compute_features(panel), panel,
                                threshold=0.10, horizon=horizon)
             return fp, build_snapshots(returns, fp.dates, [None] * len(fp.dates))
         f_full, s_full = features_and_graphs(len(dates))
@@ -130,7 +130,7 @@ class TestFeatureValues:
             panel = PricePanel(tickers=tickers, dates=dates, prices=prices)
             assert panel.prices.flags.c_contiguous
             returns = log_returns(panel)
-            fp = compute_features(returns, panel)
+            fp = compute_features(panel)
             snaps = build_snapshots(returns, fp.dates, [None] * len(fp.dates))
             return fp.features.tobytes(), [s.layers["correlation"].tobytes() for s in snaps]
         assert features_and_edges(other) == features_and_edges(raw)
@@ -182,7 +182,7 @@ class TestLabels:
     def test_attach_aligns_on_feature_dates(self):
         dates, tickers, raw = planted_regime_panel(n_tickers=3, n_days=120, seed=1)
         prices = PricePanel(tickers=tickers, dates=dates, prices=raw)
-        fp = compute_features(log_returns(prices), prices)
+        fp = compute_features(prices)
         attach_labels(fp, prices, threshold=0.10, horizon=20)
         node, graph, valid = compute_labels(prices, threshold=0.10, horizon=20)
         offset = len(dates) - len(fp.dates)
@@ -262,7 +262,7 @@ class TestCsvRoundTrips:
     def _labeled_panel(self):
         dates, tickers, raw = planted_regime_panel(n_tickers=3, n_days=120, seed=9)
         prices = PricePanel(tickers=tickers, dates=dates, prices=raw)
-        fp = compute_features(log_returns(prices), prices)
+        fp = compute_features(prices)
         return attach_labels(fp, prices, threshold=0.10, horizon=20)
 
     def test_features_csv_bit_exact(self, tmp_path):

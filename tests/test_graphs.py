@@ -275,7 +275,7 @@ def labeled_snapshots(n_days=120, seed=2):
     dates, tickers, raw = planted_regime_panel(n_tickers=5, n_days=n_days, seed=seed)
     prices = PricePanel(tickers=tickers, dates=dates, prices=raw)
     returns = log_returns(prices)
-    panel = attach_labels(compute_features(returns, prices), prices,
+    panel = attach_labels(compute_features(prices), prices,
                           threshold=0.10, horizon=20)
     labels = [int(y) if v else None for y, v in zip(panel.graph_labels, panel.label_valid)]
     return build_snapshots(returns, panel.dates, labels, window=7, tau=0.5)

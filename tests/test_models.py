@@ -21,7 +21,7 @@ from srr.models import (MODEL_FORMAT, ModelState, adjacency_from_snapshot,
                         logistic_predict, parameter_count, serialize,
                         temporal_backward, temporal_forward)
 from srr.features import FeaturePanel, compute_features
-from srr.market_data import PricePanel, log_returns
+from srr.market_data import PricePanel
 from srr.models.baselines import _grow_tree
 from srr.models.temporal import gru_backward, gru_forward, gru_step, gru_step_backward
 from srr.synthetic import business_days, planted_regime_panel
@@ -586,7 +586,7 @@ class TestDayFeatures:
     def test_one_reduction_equals_the_per_day_loop(self, n_tickers, n_days):
         dates, tickers, raw = planted_regime_panel(n_tickers=n_tickers, n_days=n_days, seed=3)
         prices = PricePanel(tickers=tickers, dates=dates, prices=raw)
-        panel = compute_features(log_returns(prices), prices)
+        panel = compute_features(prices)
         panel.macro = np.random.default_rng(0).normal(size=(len(panel.dates), 2))
         idx = list(range(0, len(panel.dates), 3))
         rows = []

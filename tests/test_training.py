@@ -71,7 +71,7 @@ def make_bundle(prices_panel=None, n_days=280, seed=5, tau=0.5, n_tickers=6):
         dates, tickers, raw = planted_regime_panel(n_tickers=n_tickers, n_days=n_days, seed=seed)
         prices_panel = PricePanel(tickers=tickers, dates=dates, prices=raw)
     returns = log_returns(prices_panel)
-    panel = attach_labels(compute_features(returns, prices_panel), prices_panel,
+    panel = attach_labels(compute_features(prices_panel), prices_panel,
                           threshold=0.10, horizon=HORIZON)
     split = chronological_split(panel.dates, ratio=0.8, horizon=HORIZON)
     panel = standardize(panel, (split.train_dates[0], split.train_dates[-1]))
@@ -484,9 +484,8 @@ class TestEdgeInputs:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # zero-variance features on constant panels
             try:
-                fpanel, stats, split = cli._derive_features(cfg, panel, None)
-                bundle = DataBundle(apply_standardization(fpanel, stats),
-                                    cli._snapshots(cfg, panel, fpanel), split)
+                _, zpanel, split = cli._derive_features(cfg, panel, None)
+                bundle = DataBundle(zpanel, cli._snapshots(cfg, panel, zpanel), split)
             except SrrError:
                 return
         for kind in MODEL_KINDS:

@@ -9,10 +9,12 @@ run twice, once with this checkout's ``src`` and once with OTHER_CHECKOUT's,
 each command set in a fresh temporary directory holding the same inputs. The
 inputs come from ``make_inputs`` in this checkout's ``perfbench/run.py``:
 the ``fixture-stages`` panels of seeds 7 and 11 and the ``shipped-44`` panel
-of seed 7. Five more cases run the seed-7 ``fixture-stages`` inputs with one
+of seed 7. Six more cases run the seed-7 ``fixture-stages`` inputs with one
 config override each, for the option paths those three never reach: a macro
 overlay (a one-series file the script writes over the panel's dates), the
-focal loss, unstandardized features, weighted adjacency and a period window.
+focal loss, unstandardized features, weighted adjacency, a period window, and
+three model kinds in an order other than the default, which every file,
+printed line and manifest must keep.
 The script compares the SHA-256 of every file each command set leaves, and
 each command's stdout, stderr and exit code. It prints each difference, and
 each command of this checkout that did not exit 0 (a failing case reaches no
@@ -47,7 +49,8 @@ CASES = [("fixture-stages", 7, {}), ("fixture-stages", 11, {}), ("shipped-44", 7
         {"model": {"loss": "focal"}},
         {"features": {"standardize": False}},
         {"graph": {"weighted_adjacency": True}},
-        {"period": {"start": "2015-03-02", "end": "2017-02-28"}})]
+        {"period": {"start": "2015-03-02", "end": "2017-02-28"}},
+        {"model": {"kinds": ["temporal", "forest", "logistic"]}})]
 COMMAND_SETS = {"stages": list(STAGES), "run-all": ["run-all"]}
 
 
