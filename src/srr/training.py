@@ -359,13 +359,15 @@ def check_state(state: ModelState, kind: str, panel: FeaturePanel) -> None:
     spec, hyper = _KINDS[kind], state.hyper
     graph = isinstance(spec, _GraphKind)
     fields = {**spec.hyper, **(_GRAPH_HYPER if graph else {})}
-    missing = [key for key in (*fields, *(("weighted_adjacency", "layers", "n_features")
-                                          if graph else ("inputs",))) if key not in hyper]
+    recorded = [*fields, *(("weighted_adjacency", "layers", "n_features") if graph
+                           else ("inputs",))]
+    missing = [key for key in recorded if key not in hyper]
     if state.kind != kind:
         raise DataError(f"it holds a {state.kind} model, not a {kind} model")
-    if missing or state.bookkeeping != spec.bookkeeping:
-        raise DataError(f"the {kind} model records no {missing[0]!r} setting" if missing
-                        else f"the {kind} model lists {state.bookkeeping} as bookkeeping")
+    if missing:
+        raise DataError(f"the {kind} model records no {missing[0]!r} setting")
+    if state.bookkeeping != spec.bookkeeping:
+        raise DataError(f"the {kind} model lists {state.bookkeeping} as bookkeeping")
     try:
         cfg = Config.from_dict({"model": {name: hyper[key] for key, name in fields.items()}, **(
             {"graph": {"weighted_adjacency": hyper["weighted_adjacency"]}} if graph else {})})
