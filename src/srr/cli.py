@@ -231,7 +231,8 @@ def _ingested_files(cfg: Config) -> list[str]:
 def _ingested_panel(run: Run) -> PricePanel:
     """The panel that ingest wrote to ``prices.csv``; with the sector layer on,
     its sector map is ``universe.json``."""
-    panel, _ = ingest_csv(run.path("prices.csv"))
+    with _rerun("ingest"):
+        panel, _ = ingest_csv(run.path("prices.csv"))
     if run.cfg.graph.sector_layer:
         with _json_artifact(run.path("universe.json"), "ingest") as meta:
             if not isinstance(meta, dict) or not all(isinstance(s, str) for s in meta.values()):
@@ -385,7 +386,7 @@ def cmd_evaluate(run: Run) -> None:
     for kind in cfg.model.kinds:
         with open(run.path(f"model_{kind}.srrm"), "rb") as fh, _rerun("train", fh.name):
             state = deserialize(fh.read())
-            check_state(state, kind, bundle.panel)
+            check_state(state, kind, cfg, bundle.panel)
         dates, scores, labels = predict_scores(state, bundle, side="test")
         metrics = compute_metrics(scores, labels, threshold=cfg.evaluate.threshold)
         leads = lead_times(calendar, daily_labels, dates, scores,

@@ -26,14 +26,15 @@ best-mean-train-loss epoch are retained.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import Config, GraphConfig, ModelConfig, config_hash
-from .errors import ConfigError, DataError, NumericalError
+from .config import Config, ModelConfig, config_hash
+from .errors import DataError, NumericalError
 from . import tensor as tz
 from .features import FeaturePanel
 from .graphs import GraphSnapshot, _physical_memory
@@ -265,7 +266,7 @@ class _GraphKind(NamedTuple):
     init: Callable  # (n_features, model config, seed) -> params
     forward: str  # this module's name of (a_hat, ax, rows, params) -> (probs, cache)
     backward: str  # ... and of (dlogits, cache, params, grads), filling grads
-    hyper: dict  # header key -> ModelConfig field, besides _GRAPH_HYPER
+    hyper: dict  # header key -> ModelConfig field
     noun: str  # what one sample is, for error messages
     bookkeeping: tuple[str, ...] = ()
 
@@ -304,17 +305,27 @@ _KINDS = {
     "gcn": _GraphKind(
         init=lambda n, s, seed: init_gcn(tz.seeded_rng(seed, 1), n, s.gcn_hidden, s.mlp_hidden),
         forward="gcn_forward", backward="gcn_backward",
-        hyper={"mlp_hidden": "mlp_hidden"},
+        hyper={**_GRAPH_HYPER, "mlp_hidden": "mlp_hidden"},
         noun="snapshots"),
     "temporal": _GraphKind(
         init=_temporal_init,
         forward="temporal_forward", backward="temporal_backward",
-        hyper={"gru_hidden": "gru_hidden", "k": "sequence_length"},
+        hyper={**_GRAPH_HYPER, "gru_hidden": "gru_hidden", "k": "sequence_length"},
         noun="sequences"),
 }
 
 
 # -- training and scoring ---------------------------------------------------------
+
+def _header(kind: str, cfg: Config, panel: FeaturePanel) -> dict:
+    """The settings, as ``hyper``, of a ``kind`` model trained with ``cfg`` on ``panel``."""
+    spec, graph = _KINDS[kind], cfg.graph
+    header = {key: getattr(cfg.model, name) for key, name in spec.hyper.items()}
+    if isinstance(spec, _DayKind):
+        return {**header, "inputs": day_feature_names(panel)}
+    return {**header, "weighted_adjacency": graph.weighted_adjacency, "layers": list(graph.layers),
+            "n_features": len(panel.names) + len(panel.macro_names)}  # the width of X
+
 
 def train(kind: str, bundle: DataBundle, cfg: Config) -> tuple[ModelState, dict]:
     """Fit one model kind with ``cfg.model``, ``cfg.graph`` and ``cfg.seed``;
@@ -322,29 +333,23 @@ def train(kind: str, bundle: DataBundle, cfg: Config) -> tuple[ModelState, dict]
     that scoring needs, and the state and its log carry ``cfg``'s hash."""
     if kind not in _KINDS:
         raise DataError(f"unknown model kind {kind!r}")
-    spec, panel, m, seed = _KINDS[kind], bundle.panel, cfg.model, cfg.seed
-    hyper = {key: getattr(m, name) for key, name in spec.hyper.items()}
+    spec, m, seed, hyper = _KINDS[kind], cfg.model, cfg.seed, _header(kind, cfg, bundle.panel)
     log = {"kind": kind}
     if isinstance(spec, _DayKind):
         x, y, _ = _day_xy(bundle, "train")
         _check_two_classes(y, kind)
-        params = spec.fit(x, y, seed, **hyper)
-        hyper["inputs"] = day_feature_names(panel)
+        params = spec.fit(x, y, seed, **{key: hyper[key] for key in spec.hyper})
         log["samples"] = int(y.size)
     else:
-        hyper.update({key: getattr(m, name) for key, name in _GRAPH_HYPER.items()},
-                     weighted_adjacency=cfg.graph.weighted_adjacency,
-                     layers=list(cfg.graph.layers))
         samples = _graph_samples(bundle, hyper, "train")
         if samples is None:
             raise DataError(f"{kind}: no labeled training {spec.noun} on the stride grid")
         _check_two_classes(samples.labels, kind)
-        hyper["n_features"] = samples.ax.shape[2]
         params, log["epoch_loss"], log["best_epoch"] = _train_minibatch(
             samples, spec.init(hyper["n_features"], m, seed), globals()[spec.forward],
             globals()[spec.backward], m, seed, kind)
         log["samples"] = len(samples.labels)
-    std = panel.standardization
+    std = bundle.panel.standardization
     state = ModelState(kind=kind, params=params, hyper=hyper, seed=seed,
                        standardization=None if std is None else std.to_dict(),
                        config_hash=config_hash(cfg), bookkeeping=spec.bookkeeping)
@@ -352,43 +357,25 @@ def train(kind: str, bundle: DataBundle, cfg: Config) -> tuple[ModelState, dict]
     return state, log
 
 
-def check_state(state: ModelState, kind: str, panel: FeaturePanel) -> None:
-    """Raise DataError unless ``state`` is a ``kind`` model as ``train`` writes it
-    on ``panel``: each setting it records, of a type and range the config allows,
-    and each tensor, shaped as those settings imply."""
-    spec, hyper = _KINDS[kind], state.hyper
-    graph = isinstance(spec, _GraphKind)
-    fields = {**spec.hyper, **(_GRAPH_HYPER if graph else {})}
-    recorded = [*fields, *(("weighted_adjacency", "layers", "n_features") if graph
-                           else ("inputs",))]
-    missing = [key for key in recorded if key not in hyper]
+def check_state(state: ModelState, kind: str, cfg: Config, panel: FeaturePanel) -> None:
+    """Raise DataError unless ``state`` is the ``kind`` model that ``train`` writes with
+    ``cfg`` on ``panel``: the settings of its ``_header``, and tensors of the shapes they imply."""
+    spec, hyper, header = _KINDS[kind], state.hyper, _header(kind, cfg, panel)
     if state.kind != kind:
         raise DataError(f"it holds a {state.kind} model, not a {kind} model")
-    if missing:
-        raise DataError(f"the {kind} model records no {missing[0]!r} setting")
     if state.bookkeeping != spec.bookkeeping:
         raise DataError(f"the {kind} model lists {state.bookkeeping} as bookkeeping")
-    try:
-        cfg = Config.from_dict({"model": {name: hyper[key] for key, name in fields.items()}, **(
-            {"graph": {"weighted_adjacency": hyper["weighted_adjacency"]}} if graph else {})})
-    except ConfigError as exc:
-        raise DataError(f"a {kind} model setting does not fit the config: {exc}") from None
-    if graph:
-        n_inputs = len(panel.names) + len(panel.macro_names)
-        if hyper["layers"] not in [list(GraphConfig(sector_layer=on).layers)
-                                   for on in (False, True)]:
-            raise DataError(f"the {kind} model reads graph layers {hyper['layers']!r}")
-        if hyper["n_features"] != n_inputs:
-            raise DataError(f"the {kind} model reads {hyper['n_features']!r} node features, "
-                            f"the panel has {n_inputs}")
-        want = {name: t.shape for name, t in spec.init(n_inputs, cfg.model, 0).items()}
-    else:
-        if hyper["inputs"] != day_feature_names(panel):
-            raise DataError(f"the {kind} model's inputs are not the panel's day features")
-        want = spec.shapes(len(hyper["inputs"]), cfg.model)
-    have = {name: t.shape for name, t in state.params.items()}
-    for name in sorted(want.keys() | have.keys()):
-        got, shape = have.get(name), want.get(name)
+    for key in sorted(header.keys() | hyper.keys()):  # as JSON text: 5.0 is not 5, 0 not false
+        got, want = (json.dumps(h[key], sort_keys=True) if key in h else None
+                     for h in (hyper, header))
+        if got != want:
+            raise DataError(f"the {kind} model records " + (
+                f"no {key!r} setting" if got is None else f"an unknown setting {key!r}"
+                if want is None else f"{key} = {got}; the run gives {want}"))
+    want = (spec.shapes(len(header["inputs"]), cfg.model) if isinstance(spec, _DayKind) else
+            {name: t.shape for name, t in spec.init(header["n_features"], cfg.model, 0).items()})
+    for name in sorted(want.keys() | state.params.keys()):
+        got, shape = getattr(state.params.get(name), "shape", None), want.get(name)
         if got is None or shape is None:
             raise DataError(f"the {kind} model {'lacks' if got is None else 'has an unknown'} "
                             f"tensor {name!r}")

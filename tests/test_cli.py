@@ -669,7 +669,7 @@ def model_state(change, name):
 # their kind, the run's panel or their name
 DAMAGED_MODELS = [
     ("model_gcn.srrm", model_state(lambda s: s.hyper.clear(), "gcn_without_hyper"),
-     "records no 'mlp_hidden' setting"),
+     "records no 'batch_size' setting"),
     ("model_logistic.srrm",
      model_state(lambda s: s.params.update(x=s.params.pop("w")), "w_renamed_x"),
      "lacks tensor 'w'"),
@@ -677,11 +677,11 @@ DAMAGED_MODELS = [
      model_state(lambda s: s.params.update(w1=s.params["w1"][:3]), "w1_of_three_rows"),
      "tensor 'w1' has shape (3, 6); its settings imply (9, 6)"),
     ("model_temporal.srrm", model_state(lambda s: s.hyper.update(k="5"), "k_a_string"),
-     "model.sequence_length must be int, got '5'"),
+     'records k = "5"; the run gives 2'),
     ("model_gcn.srrm", model_state(lambda s: s.hyper.update(stride=0), "stride_zero"),
-     "model.stride must be >= 1, got 0"),
+     "records stride = 0; the run gives 2"),
     ("model_gcn.srrm", model_state(lambda s: s.hyper.update(layers=["nope"]), "unknown_layer"),
-     "reads graph layers ['nope']"),
+     'records layers = ["nope"]; the run gives ["correlation", "sector"]'),
     ("model_forest.srrm", model_state(lambda s: [s.params.pop(k) for k in list(s.params)
                                                   if k.startswith("tree_")], "no_trees"),
      "lacks tensor 'tree_0000'"),
@@ -692,11 +692,19 @@ DAMAGED_MODELS = [
      "holds a temporal model, not a gcn model"),
     ("model_temporal.srrm",
      model_state(lambda s: s.hyper.update(n_features=3), "three_node_features"),
-     "reads 3 node features, the panel has 9"),
+     "records n_features = 3; the run gives 9"),
     ("model_forest.srrm", model_state(lambda s: s.hyper["inputs"].reverse(), "inputs_reversed"),
-     "inputs are not the panel's day features"),
+     'records inputs = ["rate", "vix", "std_mom_30"'),
     ("model_forest.srrm", model_state(lambda s: setattr(s, "bookkeeping", ()), "no_bookkeeping"),
      "lists () as bookkeeping"),
+    ("model_gcn.srrm", model_state(lambda s: s.hyper.update(extra=1), "an_extra_setting"),
+     "records an unknown setting 'extra'"),
+    ("model_temporal.srrm",
+     model_state(lambda s: s.hyper.update(k=float(s.hyper["k"])), "k_a_float"),
+     "records k = 2.0; the run gives 2"),
+    ("model_gcn.srrm", model_state(lambda s: s.hyper.update(
+        weighted_adjacency=int(s.hyper["weighted_adjacency"])), "weighted_adjacency_an_int"),
+     "records weighted_adjacency = 1; the run gives true"),
 ]
 
 
@@ -788,6 +796,7 @@ class TestCutArtifacts:
         assert main([command, "--config", cfg_path, "--out", str(copy)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+        assert "rerun `srr" in err and err.count("rerun") == 1
         return err
 
 

@@ -1,6 +1,7 @@
 """Chronological split semantics, deterministic training, divergence and
 single-class guards, and the no-peeking property of every fit."""
 
+import json
 import warnings
 from dataclasses import replace
 
@@ -16,11 +17,11 @@ from srr.errors import DataError, NumericalError, SrrError
 from srr.features import apply_standardization, attach_labels, compute_features, standardize
 from srr.graphs import build_snapshots
 from srr.market_data import PricePanel, log_returns
-from srr.models import (ModelState, adjacency_from_snapshot, gcn_normalize, parameter_count,
-                        serialize)
+from srr.models import (ModelState, adjacency_from_snapshot, deserialize, gcn_normalize,
+                        parameter_count, serialize)
 from srr.synthetic import business_days, planted_regime_panel
 from srr.training import DataBundle, chronological_split, predict_scores, train
-from srr.training import _GraphSamples, _graph_samples, _train_minibatch  # white-box
+from srr.training import _GraphSamples, _graph_samples, _header, _train_minibatch  # white-box
 
 
 class TestSplit:
@@ -450,6 +451,39 @@ class TestGraphInputs:
             x = oracles.node_matrix(panel, t)
             assert np.array_equal(x[:, -2:], np.tile(panel.macro[t], (6, 1)))
             assert np.array_equal(samples.ax[row[-1]], samples.a_hat[row[-1]] @ x)
+
+
+class TestHeader:
+    """Each kind's file, as ``train`` writes it through the command line's derive
+    path and read back from its bytes, records exactly the kind's ``_header``,
+    and ``check_state`` accepts it, under each option that changes a setting."""
+
+    @pytest.mark.parametrize("sections", [
+        {}, {"data": {"macro_csv": "macro.csv"}},
+        {"graph": {"sector_layer": True, "weighted_adjacency": True}},
+        {"model": {"loss": "focal", "focal_gamma": 2}}, {"features": {"standardize": False}}],
+        ids=["defaults", "macro", "weighted_sector_layer", "focal_int_gamma", "unstandardized"])
+    def test_check_state_accepts_what_train_writes(self, tmp_path, sections):
+        dates, tickers, raw = planted_regime_panel(n_tickers=6, n_days=280, seed=5)
+        prices = PricePanel(tickers, dates, raw,
+                            universe_meta={t: "AB"[i % 2] for i, t in enumerate(tickers)})
+        small = {"gcn_hidden": 4, "mlp_hidden": 3, "gru_hidden": 4, "sequence_length": 2,
+                 "stride": 2, "epochs": 2, "logistic_epochs": 100, "forest_trees": 5}
+        cfg = Config.from_dict({**sections, "labels": {"horizon": HORIZON},
+                                "model": {**small, **sections.get("model", {})}})
+        macro = None
+        if cfg.data.macro_csv is not None:
+            macro = tmp_path / cfg.data.macro_csv
+            macro.write_text("".join(["date,level\n"] + [f"{d},{t % 7}\n"
+                                                          for t, d in enumerate(dates)]))
+        _, panel, split = cli._derive_features(cfg, prices, macro and str(macro))
+        bundle = DataBundle(panel, cli._snapshots(cfg, prices, panel), split)
+        for kind in MODEL_KINDS:
+            state = deserialize(serialize(train(kind, bundle, cfg)[0]))
+            training.check_state(state, kind, cfg, panel)
+            header = _header(kind, cfg, panel)
+            assert state.hyper == header
+            assert json.dumps(state.hyper, sort_keys=True) == json.dumps(header, sort_keys=True)
 
 
 class TestEdgeInputs:

@@ -4,9 +4,12 @@
     python3 tools/same_bytes.py OTHER_CHECKOUT
 
 Run it from anywhere; OTHER_CHECKOUT is the root of another copy of this
-repository. For each case below, the six stage commands and then `run-all`
-run twice, once with this checkout's ``src`` and once with OTHER_CHECKOUT's,
-each command set in a fresh temporary directory holding the same inputs. The
+repository. For each case below, three command sets run twice, once with this
+checkout's ``src`` and once with OTHER_CHECKOUT's, each command set in a fresh
+temporary directory holding the same inputs: the six stage commands, `run-all`,
+and a mixed set, whose `ingest` through `train` OTHER_CHECKOUT's ``src`` runs
+on both sides, so that each side's `evaluate` and `report` read model files
+that OTHER_CHECKOUT wrote. The
 inputs come from ``make_inputs`` in this checkout's ``perfbench/run.py``:
 the ``fixture-stages`` panels of seeds 7 and 11 and the ``shipped-44`` panel
 of seed 7. Six more cases run the seed-7 ``fixture-stages`` inputs with one
@@ -20,7 +23,7 @@ each command's stdout, stderr and exit code. It prints each difference, and
 each command of this checkout that did not exit 0 (a failing case reaches no
 option path), and exits 1 if there is either, else prints a summary and
 exits 0. It takes about
-a minute and a half on a 2-core machine and is not part of the tests.
+three minutes on a 2-core machine and is not part of the tests.
 """
 
 from __future__ import annotations
@@ -51,7 +54,9 @@ CASES = [("fixture-stages", 7, {}), ("fixture-stages", 11, {}), ("shipped-44", 7
         {"graph": {"weighted_adjacency": True}},
         {"period": {"start": "2015-03-02", "end": "2017-02-28"}},
         {"model": {"kinds": ["temporal", "forest", "logistic"]}})]
-COMMAND_SETS = {"stages": list(STAGES), "run-all": ["run-all"]}
+# name -> (commands, how many of the first ones OTHER_CHECKOUT's src runs on both sides)
+COMMAND_SETS = {"stages": (STAGES, 0), "run-all": (["run-all"], 0),
+                "mixed": (STAGES, STAGES.index("evaluate"))}
 
 
 def write_inputs(workload: str, seed: int, sections: dict, inputs: Path) -> None:
@@ -68,15 +73,16 @@ def write_inputs(workload: str, seed: int, sections: dict, inputs: Path) -> None
             encoding="utf-8")
 
 
-def run_side(src: Path, inputs: Path, tmp: str) -> dict[str, object]:
+def run_side(src: Path, other: Path, inputs: Path, tmp: str) -> dict[str, object]:
     """Everything one checkout's commands leave on ``inputs``, by label: each
-    command's exit code, stdout and stderr, and each file's SHA-256."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    command's exit code, stdout and stderr, and each file's SHA-256. ``other``
+    is the ``src`` that runs the first commands of the mixed set."""
     seen: dict[str, object] = {}
-    for name, commands in COMMAND_SETS.items():
+    for name, (commands, theirs) in COMMAND_SETS.items():
         work = Path(tempfile.mkdtemp(dir=tmp))
         shutil.copytree(inputs, work, dirs_exist_ok=True)
-        for command in commands:
+        for number, command in enumerate(commands):
+            env = {**os.environ, "PYTHONPATH": str(other if number < theirs else src)}
             p = subprocess.run([sys.executable, "-m", "srr.cli", command, "--config",
                                 "config.json"], cwd=work, env=env, capture_output=True,
                                text=True)
@@ -102,7 +108,8 @@ def main(argv: list[str]) -> int:
             inputs.mkdir()
             write_inputs(workload, seed, sections, inputs)
             case = f"{workload} seed {seed} {json.dumps(sections)}"
-            ours, theirs = (run_side(src, inputs, tmp) for src in (ROOT / "src", other / "src"))
+            ours, theirs = (run_side(src, other / "src", inputs, tmp)
+                            for src in (ROOT / "src", other / "src"))
             for label, code in ours.items():
                 if label.endswith("exit code") and code != 0:
                     failed += 1
