@@ -1,12 +1,12 @@
-"""Versioned model container (format srr-model-v1).
+"""Versioned model container (format srr-model-v2).
 
 Layout, byte for byte:
 
-    magic line      b"srr-model-v1\\n"
+    magic line      b"srr-model-v2\\n"
     header length   8-byte little-endian unsigned integer
     header          canonical JSON (sorted keys, compact separators, UTF-8):
-                    {"kind", "seed", "hyper", "standardization",
-                     "config_hash", "tensors": [{"name", "rows", "cols"}, ...]}
+                    {"format", "kind", "hyper",
+                     "tensors": [{"name", "rows", "cols", "vector"}, ...]}
     payload         each tensor's C-order float64 little-endian bytes,
                     in header order
 
@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import MODEL_KINDS as KINDS
 from ..errors import DataError
 
-MODEL_FORMAT = "srr-model-v1"
+MODEL_FORMAT = "srr-model-v2"
+NOT_WEIGHTS = ("feature_importance",)  # tensors that parameter_count leaves out
 
 __all__ = ["ModelState", "MODEL_FORMAT", "KINDS", "serialize", "deserialize", "parameter_count"]
 
@@ -38,10 +39,6 @@ class ModelState:
     kind: str
     params: dict[str, np.ndarray]
     hyper: dict
-    seed: int
-    standardization: dict | None = None
-    config_hash: str | None = None
-    bookkeeping: tuple[str, ...] = field(default=())  # tensors that are not trainable weights
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -53,8 +50,8 @@ class ModelState:
 
 
 def parameter_count(state: ModelState) -> int:
-    """Number of trainable scalar parameters (bookkeeping tensors excluded)."""
-    return int(sum(v.size for k, v in state.params.items() if k not in state.bookkeeping))
+    """Number of trainable scalar parameters (the tensors of NOT_WEIGHTS excluded)."""
+    return int(sum(v.size for k, v in state.params.items() if k not in NOT_WEIGHTS))
 
 
 def serialize(state: ModelState) -> bytes:
@@ -72,11 +69,7 @@ def serialize(state: ModelState) -> bytes:
     header = {
         "format": MODEL_FORMAT,
         "kind": state.kind,
-        "seed": int(state.seed),
         "hyper": state.hyper,
-        "standardization": state.standardization,
-        "config_hash": state.config_hash,
-        "bookkeeping": sorted(state.bookkeeping),
         "tensors": tensors,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -95,11 +88,9 @@ def _check_header(header) -> None:
         raise ValueError(f"a JSON {type(header).__name__}, not an object")
     if header.get("format") != MODEL_FORMAT:
         raise DataError(f"container declares format {header.get('format')!r}")
-    for key, kind in (("kind", str), ("seed", int), ("hyper", dict), ("tensors", list)):
+    for key, kind in (("kind", str), ("hyper", dict), ("tensors", list)):
         if not isinstance(header.get(key), kind):
             raise ValueError(f"{key!r} is missing or not a {kind.__name__}")
-    if not isinstance(header.get("bookkeeping", []), list):
-        raise ValueError("'bookkeeping' is not a list")
     for entry in header["tensors"]:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str) and all(
                 type(entry.get(dim)) is int and entry[dim] >= 0 for dim in ("rows", "cols"))):
@@ -133,16 +124,8 @@ def deserialize(blob: bytes) -> ModelState:
         arr = np.frombuffer(blob[off:off + nbytes], dtype="<f8").astype(np.float64).reshape(rows, cols)
         if entry.get("vector"):
             arr = arr.reshape(-1)
-        params[entry["name"]] = arr.copy()
+        params[entry["name"]] = arr
         off += nbytes
     if off != len(blob):
         raise DataError("trailing bytes after the last tensor")
-    return ModelState(
-        kind=header["kind"],
-        params=params,
-        hyper=header["hyper"],
-        seed=header["seed"],
-        standardization=header.get("standardization"),
-        config_hash=header.get("config_hash"),
-        bookkeeping=tuple(header.get("bookkeeping", ())),
-    )
+    return ModelState(kind=header["kind"], params=params, hyper=header["hyper"])

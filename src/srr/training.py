@@ -257,7 +257,6 @@ class _DayKind(NamedTuple):
     predict: Callable  # (params, x) -> scores
     hyper: dict  # header key -> ModelConfig field; the keys are fit's keywords
     shapes: Callable  # (n_inputs, model config) -> {tensor: shape fit gives it}, None: any >= 1
-    bookkeeping: tuple[str, ...] = ()
 
 
 class _GraphKind(NamedTuple):
@@ -268,7 +267,6 @@ class _GraphKind(NamedTuple):
     backward: str  # ... and of (dlogits, cache, params, grads), filling grads
     hyper: dict  # header key -> ModelConfig field
     noun: str  # what one sample is, for error messages
-    bookkeeping: tuple[str, ...] = ()
 
 
 _GRAPH_HYPER = {"hidden": "gcn_hidden", "epochs": "epochs", "batch_size": "batch_size",
@@ -300,8 +298,7 @@ _KINDS = {
         hyper={"n_trees": "forest_trees", "max_depth": "forest_max_depth",
                "min_leaf": "forest_min_leaf"},
         shapes=lambda n, m: {"feature_importance": (n,), **{
-            f"tree_{t:04d}": (None, 7) for t in range(m.forest_trees)}},
-        bookkeeping=("feature_importance",)),
+            f"tree_{t:04d}": (None, 7) for t in range(m.forest_trees)}}),
     "gcn": _GraphKind(
         init=lambda n, s, seed: init_gcn(tz.seeded_rng(seed, 1), n, s.gcn_hidden, s.mlp_hidden),
         forward="gcn_forward", backward="gcn_backward",
@@ -318,9 +315,11 @@ _KINDS = {
 # -- training and scoring ---------------------------------------------------------
 
 def _header(kind: str, cfg: Config, panel: FeaturePanel) -> dict:
-    """The settings, as ``hyper``, of a ``kind`` model trained with ``cfg`` on ``panel``."""
+    """The settings, as ``hyper``, of a ``kind`` model trained with ``cfg`` on ``panel``,
+    with ``cfg``'s hash, which covers the seed and every section."""
     spec, graph = _KINDS[kind], cfg.graph
     header = {key: getattr(cfg.model, name) for key, name in spec.hyper.items()}
+    header["config_hash"] = config_hash(cfg)
     if isinstance(spec, _DayKind):
         return {**header, "inputs": day_feature_names(panel)}
     return {**header, "weighted_adjacency": graph.weighted_adjacency, "layers": list(graph.layers),
@@ -330,7 +329,7 @@ def _header(kind: str, cfg: Config, panel: FeaturePanel) -> dict:
 def train(kind: str, bundle: DataBundle, cfg: Config) -> tuple[ModelState, dict]:
     """Fit one model kind with ``cfg.model``, ``cfg.graph`` and ``cfg.seed``;
     returns (state, training log). The state's ``hyper`` records every setting
-    that scoring needs, and the state and its log carry ``cfg``'s hash."""
+    that scoring needs and ``cfg``'s hash, which the log carries too."""
     if kind not in _KINDS:
         raise DataError(f"unknown model kind {kind!r}")
     spec, m, seed, hyper = _KINDS[kind], cfg.model, cfg.seed, _header(kind, cfg, bundle.panel)
@@ -349,11 +348,8 @@ def train(kind: str, bundle: DataBundle, cfg: Config) -> tuple[ModelState, dict]
             samples, spec.init(hyper["n_features"], m, seed), globals()[spec.forward],
             globals()[spec.backward], m, seed, kind)
         log["samples"] = len(samples.labels)
-    std = bundle.panel.standardization
-    state = ModelState(kind=kind, params=params, hyper=hyper, seed=seed,
-                       standardization=None if std is None else std.to_dict(),
-                       config_hash=config_hash(cfg), bookkeeping=spec.bookkeeping)
-    log.update(seed=seed, config_hash=state.config_hash, parameter_count=parameter_count(state))
+    state = ModelState(kind=kind, params=params, hyper=hyper)
+    log.update(seed=seed, config_hash=hyper["config_hash"], parameter_count=parameter_count(state))
     return state, log
 
 
@@ -363,8 +359,6 @@ def check_state(state: ModelState, kind: str, cfg: Config, panel: FeaturePanel) 
     spec, hyper, header = _KINDS[kind], state.hyper, _header(kind, cfg, panel)
     if state.kind != kind:
         raise DataError(f"it holds a {state.kind} model, not a {kind} model")
-    if state.bookkeeping != spec.bookkeeping:
-        raise DataError(f"the {kind} model lists {state.bookkeeping} as bookkeeping")
     for key in sorted(header.keys() | hyper.keys()):  # as JSON text: 5.0 is not 5, 0 not false
         got, want = (json.dumps(h[key], sort_keys=True) if key in h else None
                      for h in (hyper, header))

@@ -1,6 +1,7 @@
 """End-to-end pipeline runs through the command-line entry point: artifact
 inventory, byte determinism, staleness detection, and exit-code mapping."""
 
+import functools
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import signal
 import struct
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 from xml.dom import minidom
@@ -97,7 +99,7 @@ class TestRunAll:
             blob = (pipeline["out"] / f"model_{kind}.srrm").read_bytes()
             state = deserialize(blob)
             assert state.kind == kind
-            assert state.config_hash == report["config_hash"]
+            assert state.hyper["config_hash"] == report["config_hash"]
             entry = report["models"][kind]
             assert entry["parameter_count"] == parameter_count(state)
             assert 0 < entry["metrics"]["n"]
@@ -646,7 +648,7 @@ def model_header(change, name):
     """A bytes edit of a model file that rewrites its JSON header as
     ``change(header)`` and records the new header length."""
     def edit(data):
-        start = len(b"srr-model-v1\n") + 8
+        start = len(b"srr-model-v2\n") + 8
         end = start + struct.unpack_from("<Q", data, start - 8)[0]
         head = json.dumps(change(json.loads(data[start:end]))).encode()
         return data[:start - 8] + struct.pack("<Q", len(head)) + head + data[end:]
@@ -665,9 +667,41 @@ def model_state(change, name):
     return edit
 
 
-# (model file, edit, what the error says): files that decode but do not fit
-# their kind, the run's panel or their name
+def as_v1(data: bytes) -> bytes:
+    """A model file edit that gives it the magic line of format srr-model-v1."""
+    return b"srr-model-v1\n" + data[len(b"srr-model-v2\n"):]
+
+
+def layered_workspace(root: Path, seed=7) -> tuple[str, Path]:
+    """``make_workspace`` over 260 days with a sector layer and a macro file."""
+    make_workspace(root, n_days=260)  # writes prices.csv
+    return make_workspace(root, seed=seed, out_name="o", data=write_layer_inputs(root),
+                          graph=TestLayersAndMacro.GRAPH)
+
+
+@functools.cache
+def trained_at(seed: int, name: str) -> bytes:
+    """The bytes of file ``name`` after `srr train` on ``layered_workspace(seed)``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = layered_workspace(Path(tmp), seed)
+        for stage in ("ingest", "features", "graphs", "train"):
+            assert main([stage, "--config", cfg_path]) == 0
+        return (out / name).read_bytes()
+
+
+def from_seed(seed, name):
+    """A model file edit that puts in its place file ``name`` of a run at ``seed``."""
+    def edit(data):
+        return trained_at(seed, name)
+    edit.__name__ = f"from_seed_{seed}"
+    return edit
+
+
+# (model file, edit, what the error says): files of another format, and files
+# that decode but do not fit their kind, the run's panel, the run or their name
 DAMAGED_MODELS = [
+    ("model_logistic.srrm", as_v1, "not an srr-model-v2 container"),
+    ("model_gcn.srrm", from_seed(8, "model_gcn.srrm"), 'the gcn model records config_hash = "'),
     ("model_gcn.srrm", model_state(lambda s: s.hyper.clear(), "gcn_without_hyper"),
      "records no 'batch_size' setting"),
     ("model_logistic.srrm",
@@ -695,8 +729,6 @@ DAMAGED_MODELS = [
      "records n_features = 3; the run gives 9"),
     ("model_forest.srrm", model_state(lambda s: s.hyper["inputs"].reverse(), "inputs_reversed"),
      'records inputs = ["rate", "vix", "std_mom_30"'),
-    ("model_forest.srrm", model_state(lambda s: setattr(s, "bookkeeping", ()), "no_bookkeeping"),
-     "lists () as bookkeeping"),
     ("model_gcn.srrm", model_state(lambda s: s.hyper.update(extra=1), "an_extra_setting"),
      "records an unknown setting 'extra'"),
     ("model_temporal.srrm",
@@ -744,10 +776,7 @@ class TestCutArtifacts:
 
     @pytest.fixture(scope="class")
     def evaluated(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("cut")
-        make_workspace(root, n_days=260)  # writes prices.csv
-        cfg_path, out = make_workspace(root, out_name="o", data=write_layer_inputs(root),
-                                       graph=TestLayersAndMacro.GRAPH)
+        cfg_path, out = layered_workspace(tmp_path_factory.mktemp("cut"))
         for stage in ("ingest", "features", "graphs", "train", "evaluate"):
             assert main([stage, "--config", cfg_path]) == 0
         return cfg_path, out

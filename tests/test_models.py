@@ -633,7 +633,7 @@ class TestLogistic:
         for fit in (logistic_fit, oracles.logistic_fit):
             w, b = fit(x, y, max_epochs=max_epochs, tol=tol)
             params = {"w": w, "b": np.array([b])}
-            blobs.append(serialize(ModelState(kind="logistic", params=params, hyper={}, seed=7)))
+            blobs.append(serialize(ModelState(kind="logistic", params=params, hyper={})))
         assert blobs[0] == blobs[1]
 
     def test_predict_checks_width(self):
@@ -755,17 +755,13 @@ class TestContainer:
     def _gcn_state(self):
         params = init_gcn(seeded_rng(7, 1), n_features=7, hidden=32, mlp_hidden=16)
         return ModelState(kind="gcn", params=params,
-                          hyper={"hidden": 32, "mlp_hidden": 16},
-                          seed=7, standardization={"mean": [0.0], "std": [1.0]},
-                          config_hash="abc123")
+                          hyper={"hidden": 32, "mlp_hidden": 16, "config_hash": "abc123"})
 
     def test_round_trip_bit_exact(self):
         state = self._gcn_state()
         back = deserialize(serialize(state))
-        assert back.kind == state.kind and back.seed == state.seed
+        assert back.kind == state.kind
         assert back.hyper == state.hyper
-        assert back.standardization == state.standardization
-        assert back.config_hash == "abc123"
         assert sorted(back.params) == sorted(state.params)
         for k in state.params:
             assert back.params[k].dtype == np.float64
@@ -777,17 +773,23 @@ class TestContainer:
         blob = serialize(state)
         assert blob == serialize(state)
         assert serialize(deserialize(blob)) == blob
-        assert blob.startswith(b"srr-model-v1\n")
+        assert blob.startswith(b"srr-model-v2\n")
+        start = len(b"srr-model-v2\n") + 8
+        header = json.loads(blob[start:start + struct.unpack_from("<Q", blob, start - 8)[0]])
+        assert sorted(header) == ["format", "hyper", "kind", "tensors"]
+
+    def test_v1_container_rejected(self):
+        blob = b"srr-model-v1\n" + serialize(self._gcn_state())[len(b"srr-model-v2\n"):]
+        with pytest.raises(DataError, match="not an srr-model-v2 container"):
+            deserialize(blob)
 
     def test_forest_state_round_trip(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(30, 3))
         y = (x[:, 0] > 0).astype(float)
         params = forest_fit(x, y, n_trees=4, seed=2)
-        state = ModelState(kind="forest", params=params, hyper={"n_trees": 4},
-                           seed=2, bookkeeping=("feature_importance",))
+        state = ModelState(kind="forest", params=params, hyper={"n_trees": 4})
         back = deserialize(serialize(state))
-        assert back.bookkeeping == ("feature_importance",)
         assert all(np.array_equal(back.params[k], params[k]) for k in params)
         assert parameter_count(back) == parameter_count(state)
 
@@ -803,7 +805,7 @@ class TestContainer:
             deserialize(blob[:-5])  # last tensor cut short
         with pytest.raises(DataError, match="trailing"):
             deserialize(blob + b"\x00")
-        head = len(b"srr-model-v1\n") + 8  # where the header JSON starts
+        head = len(b"srr-model-v2\n") + 8  # where the header JSON starts
         for bad in (b"x", b"\xff"):  # not JSON; not UTF-8
             with pytest.raises(DataError, match="corrupted model container \\(header"):
                 deserialize(blob[:head] + bad + blob[head + 1:])
@@ -813,20 +815,18 @@ class TestContainer:
         lambda h: {k: v for k, v in h.items() if k != "tensors"},
         lambda h: {**h, "tensors": {}},
         lambda h: {**h, "kind": 3},
-        lambda h: {**h, "seed": "7"},
         lambda h: {**h, "hyper": []},
-        lambda h: {**h, "bookkeeping": 3},
         lambda h: {**h, "tensors": ["b1"] + h["tensors"][1:]},
         lambda h: {**h, "tensors": [{"rows": 1, "cols": 32}] + h["tensors"][1:]},
         lambda h: {**h, "tensors": [{**h["tensors"][0], "rows": "1"}] + h["tensors"][1:]},
         lambda h: {**h, "tensors": [{**h["tensors"][0], "rows": -1}] + h["tensors"][1:]},
         lambda h: {**h, "tensors": [{**h["tensors"][0], "cols": 32.0}] + h["tensors"][1:]},
-    ], ids=["list", "no-tensors", "tensors-object", "kind-number", "seed-string",
-            "hyper-list", "bookkeeping-number", "entry-string", "entry-without-name",
+    ], ids=["list", "no-tensors", "tensors-object", "kind-number",
+            "hyper-list", "entry-string", "entry-without-name",
             "rows-string", "rows-negative", "cols-float"])
     def test_header_of_the_wrong_shape_rejected(self, change):
         blob = serialize(self._gcn_state())
-        start = len(b"srr-model-v1\n") + 8
+        start = len(b"srr-model-v2\n") + 8
         end = start + struct.unpack_from("<Q", blob, start - 8)[0]
         head = json.dumps(change(json.loads(blob[start:end]))).encode()
         blob = blob[:start - 8] + struct.pack("<Q", len(head)) + head + blob[end:]
@@ -841,14 +841,18 @@ class TestContainer:
                  if k in ("w1", "b1", "w2", "b2")}
         gru_p = init_gru(seeded_rng(7, 2), input_dim=32, hidden=64)
         temporal_state = ModelState(kind="temporal", params={**gcn_p, **gru_p},
-                                    hyper={}, seed=7)
+                                    hyper={})
         # encoder 1312 + gates 3*(32*64 + 64*64 + 64) + head 65
         assert parameter_count(temporal_state) == 20001
         logistic_state = ModelState(kind="logistic",
                                     params={"w": np.zeros(14), "b": np.zeros(1)},
-                                    hyper={}, seed=7)
+                                    hyper={})
         assert parameter_count(logistic_state) == 15
+        forest_state = ModelState(kind="forest", hyper={}, params={
+            "feature_importance": np.ones(14), "tree_0000": np.zeros((5, 7)),
+            "tree_0001": np.zeros((3, 7))})
+        assert parameter_count(forest_state) == 56  # the trees' 8 nodes x 7, not the importances
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DataError, match="kind"):
-            ModelState(kind="mystery", params={}, hyper={}, seed=0)
+            ModelState(kind="mystery", params={}, hyper={})

@@ -97,7 +97,7 @@ class TestDeterminism:
     def test_state_and_log_carry_the_run_identity(self, bundle, kind):
         cfg = replace(SMALL, seed=9)
         state, log = train(kind, bundle, cfg)
-        assert state.config_hash == config_hash(cfg)
+        assert state.hyper["config_hash"] == config_hash(cfg)
         assert (log["seed"], log["config_hash"], log["parameter_count"]) == (
             9, config_hash(cfg), parameter_count(state))
 
@@ -344,7 +344,7 @@ class TestNonFinite:
         state, _ = train(kind, bundle, SMALL)
         params = {name: v.copy() for name, v in state.params.items()}
         params["w1"][0, 0] = np.inf
-        broken = ModelState(kind=kind, params=params, hyper=state.hyper, seed=state.seed)
+        broken = ModelState(kind=kind, params=params, hyper=state.hyper)
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match=kind):
             predict_scores(broken, bundle, side="test")
 
