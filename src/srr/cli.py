@@ -7,8 +7,9 @@ run's ``macro.csv``: ``run-all`` builds it once, a stage run alone derives it
 again, and both write the same bytes. The other features and graphs files are
 exports, hashed but never parsed. While ``run-all`` trains, a forked child runs
 the first three stage commands on what it built. A stage refuses missing or
-stale upstream artifacts and says which stage to rerun. Identical config + seed
-produce byte-identical artifacts; nothing written here embeds a timestamp.
+stale artifacts of any earlier stage and says which stage to rerun. Identical
+config + seed produce byte-identical artifacts; nothing written here embeds a
+timestamp.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
 """
@@ -122,6 +123,19 @@ def _fork(what: str, fn):
     return join
 
 
+def _outputs(cfg: Config) -> dict[str, list[str]]:
+    """The files each stage before report writes and records; every later stage checks them."""
+    return {
+        "ingest": ["prices.csv", "provenance.json", "universe.json"],
+        "features": ["features.csv", "graph_labels.csv", "standardization.json", "split.json"]
+                    + (["macro.csv"] if cfg.data.macro_csv is not None else []),
+        "graphs": ["graphs.jsonl"],
+        "train": [name for kind in cfg.model.kinds
+                  for name in (f"model_{kind}.srrm", f"training_log_{kind}.json")],
+        "evaluate": ["report.json"] + [f"timeline_{kind}.csv" for kind in cfg.model.kinds],
+    }
+
+
 class Run:
     """One configured pipeline run rooted at the output directory."""
 
@@ -135,46 +149,49 @@ class Run:
         return os.path.join(self.cfg.out, name)
 
     def write_manifest(self, stage: str, inputs: dict[str, str],
-                       outputs: list[str]) -> None:
+                       outputs: list[str] | None = None) -> None:
         _write_json(self.path(f"manifest_{stage}.json"), {
             "stage": stage,
             "config_hash": self.hash,
             "seed": self.cfg.seed,
             "inputs": inputs,
-            "outputs": {name: sha256_file(self.path(name)) for name in outputs},
+            "outputs": {name: sha256_file(self.path(name))
+                        for name in outputs or _outputs(self.cfg)[stage]},
         })
 
-    def require(self, stage: str, upstream: str, files: list[str],
-                built_from: dict[str, str] | None = None) -> dict[str, str]:
-        """Fail loudly if an upstream artifact is missing, edited, or stale, or if
-        ``upstream`` was built from another version of a ``built_from`` file
-        ({name: sha256}) that its manifest records as an input; returns
-        {name: sha256} of the verified files, for the stage's manifest."""
-        for name in files:
-            if not os.path.exists(self.path(name)):
-                raise DataError(
-                    f"missing artifact {name} (needed by '{stage}'); rerun `srr {upstream}`")
-        man_path = self.path(f"manifest_{upstream}.json")
-        if not os.path.exists(man_path):
-            raise DataError(
-                f"no stage manifest for '{upstream}'; rerun `srr {upstream}`")
-        with _json_artifact(man_path, upstream) as man:
-            if man.get("config_hash") != self.hash or man.get("seed") != self.cfg.seed:
-                raise DataError(
-                    f"artifacts from stage '{upstream}' are stale "
-                    f"(config or seed changed); rerun `srr {upstream}`")
-            changed = [name for name, digest in (built_from or {}).items()
-                       if man["inputs"].get(name, digest) != digest]
-            if changed:
-                raise DataError(f"stage '{upstream}' was built from another {changed[0]}; "
-                                f"rerun `srr {upstream}`")
-            hashes = {name: sha256_file(self.path(name)) for name in files}
-            for name, digest in hashes.items():
-                if man.get("outputs", {}).get(name) != digest:
+    def require(self, stage: str) -> dict[str, str]:
+        """Check every stage before ``stage``, in order: fail loudly if one of its
+        files is missing, edited or stale, or if it was built from another version
+        of a file checked before it; returns {name: sha256} of every file checked,
+        for ``stage``'s manifest."""
+        outputs = _outputs(self.cfg)
+        checked: dict[str, str] = {}
+        for upstream in STAGES[:STAGES.index(stage)]:
+            for name in outputs[upstream]:
+                if not os.path.exists(self.path(name)):
                     raise DataError(
-                        f"artifact {name} no longer matches the '{upstream}' manifest; "
-                        f"rerun `srr {upstream}`")
-        return hashes
+                        f"missing artifact {name} (needed by '{stage}'); rerun `srr {upstream}`")
+            man_path = self.path(f"manifest_{upstream}.json")
+            if not os.path.exists(man_path):
+                raise DataError(
+                    f"no stage manifest for '{upstream}'; rerun `srr {upstream}`")
+            with _json_artifact(man_path, upstream) as man:
+                if man.get("config_hash") != self.hash or man.get("seed") != self.cfg.seed:
+                    raise DataError(
+                        f"artifacts from stage '{upstream}' are stale "
+                        f"(config or seed changed); rerun `srr {upstream}`")
+                changed = [name for name, digest in checked.items()
+                           if man["inputs"].get(name, digest) != digest]
+                if changed:
+                    raise DataError(f"stage '{upstream}' was built from another {changed[0]}; "
+                                    f"rerun `srr {upstream}`")
+                for name in outputs[upstream]:
+                    checked[name] = sha256_file(self.path(name))
+                    if man.get("outputs", {}).get(name) != checked[name]:
+                        raise DataError(
+                            f"artifact {name} no longer matches the '{upstream}' manifest; "
+                            f"rerun `srr {upstream}`")
+        return checked
 
 
 def _period_name(cfg: Config) -> str:
@@ -210,23 +227,12 @@ def cmd_ingest(run: Run) -> None:
     inputs = {cfg.data.prices_csv: provenance["sha256"]}
     if cfg.data.universe_csv is not None:
         inputs[cfg.data.universe_csv] = sha256_file(cfg.data.universe_csv)
-    run.write_manifest("ingest", inputs, ["prices.csv", "provenance.json", "universe.json"])
+    run.write_manifest("ingest", inputs)
     print(f"ingest: {len(panel.tickers)} tickers x {len(panel.dates)} dates -> "
           f"{run.path('prices.csv')}")
 
 
 # -- stage: features ----------------------------------------------------------
-
-def _feature_files(cfg: Config) -> list[str]:
-    """What the features stage writes; the train and evaluate stages hash it."""
-    return (["features.csv", "graph_labels.csv", "standardization.json", "split.json"]
-            + (["macro.csv"] if cfg.data.macro_csv is not None else []))
-
-
-def _ingested_files(cfg: Config) -> list[str]:
-    """What the graphs, train and evaluate stages read of the ingest stage's files."""
-    return ["prices.csv"] + (["universe.json"] if cfg.graph.sector_layer else [])
-
 
 def _ingested_panel(run: Run) -> PricePanel:
     """The panel that ingest wrote to ``prices.csv``; with the sector layer on,
@@ -284,7 +290,7 @@ def _derive_features(cfg: Config, panel: PricePanel, macro_csv: str | None
 
 def cmd_features(run: Run) -> None:
     cfg = run.cfg
-    inputs = run.require("features", "ingest", ["prices.csv"])
+    inputs = run.require("features")
     fpanel, zpanel, split = run.built.get("features") or _derive_features(
         cfg, _ingested_panel(run), cfg.data.macro_csv)
     write_features_csv(fpanel, run.path("features.csv"))
@@ -294,7 +300,7 @@ def cmd_features(run: Run) -> None:
     if cfg.data.macro_csv is not None:
         write_macro_csv(run.path("macro.csv"), fpanel.dates, fpanel.macro_names, fpanel.macro)
         inputs[cfg.data.macro_csv] = sha256_file(cfg.data.macro_csv)
-    run.write_manifest("features", inputs, _feature_files(cfg))
+    run.write_manifest("features", inputs)
     print(f"features: {len(fpanel.dates)} dates x {len(fpanel.names)} features, "
           f"{len(split.train_dates)} train / {len(split.test_dates)} test days")
 
@@ -314,8 +320,7 @@ def _snapshots(cfg: Config, panel: PricePanel, fpanel: FeaturePanel) -> list[Gra
 
 def cmd_graphs(run: Run) -> None:
     cfg = run.cfg
-    ingested = run.require("graphs", "ingest", _ingested_files(cfg))
-    inputs = {**ingested, **run.require("graphs", "features", ["graph_labels.csv"], ingested)}
+    inputs = run.require("graphs")
     snapshots = run.built.get("graphs")
     if snapshots is None:
         panel = _ingested_panel(run)
@@ -327,28 +332,22 @@ def cmd_graphs(run: Run) -> None:
         "tau": cfg.graph.tau,
         "layers": list(cfg.graph.layers),
     })
-    run.write_manifest("graphs", inputs, ["graphs.jsonl"])
+    run.write_manifest("graphs", inputs)
     n_edges = sum(len(s.layers["correlation"]) for s in snapshots)
     print(f"graphs: {len(snapshots)} snapshots, {n_edges} correlation edges total")
 
 
 # -- stages: train / evaluate ----------------------------------------------------
 
-def _bundle(run: Run, stage: str) -> tuple[dict[str, str], DataBundle]:
-    """Verify the ingest, features and graphs files; the last two's hashes go into
-    ``stage``'s manifest. Unless run-all built the bundle, derive it as run-all does."""
-    cfg = run.cfg
-    ingested = run.require(stage, "ingest", _ingested_files(cfg))
-    inputs = run.require(stage, "features", _feature_files(cfg), ingested)
-    inputs.update(run.require(stage, "graphs", ["graphs.jsonl"], ingested))
-    bundle = run.built.get("bundle")
-    if bundle is None:
-        panel = _ingested_panel(run)
-        with _rerun("features"):
-            _, zpanel, split = _derive_features(
-                cfg, panel, run.path("macro.csv") if cfg.data.macro_csv is not None else None)
-        bundle = DataBundle(panel=zpanel, snapshots=_snapshots(cfg, panel, zpanel), split=split)
-    return inputs, bundle
+def _bundle(run: Run) -> DataBundle:
+    """What run-all built for the models, or the same derived again from the files."""
+    if "bundle" in run.built:
+        return run.built["bundle"]
+    cfg, panel = run.cfg, _ingested_panel(run)
+    with _rerun("features"):
+        _, zpanel, split = _derive_features(
+            cfg, panel, run.path("macro.csv") if cfg.data.macro_csv is not None else None)
+    return DataBundle(panel=zpanel, snapshots=_snapshots(cfg, panel, zpanel), split=split)
 
 
 def _fit(run: Run, bundle: DataBundle) -> dict[str, tuple]:
@@ -356,15 +355,13 @@ def _fit(run: Run, bundle: DataBundle) -> dict[str, tuple]:
 
 
 def cmd_train(run: Run) -> None:
-    inputs, bundle = _bundle(run, "train")
-    outputs = []
-    for kind, (state, log) in (run.built.get("train") or _fit(run, bundle)).items():
+    inputs = run.require("train")
+    for kind, (state, log) in (run.built.get("train") or _fit(run, _bundle(run))).items():
         with open(run.path(f"model_{kind}.srrm"), "wb") as fh:
             fh.write(serialize(state))
         _write_json(run.path(f"training_log_{kind}.json"), log)
-        outputs += [f"model_{kind}.srrm", f"training_log_{kind}.json"]
         print(f"train[{kind}]: {log['samples']} samples, {log['parameter_count']} parameters")
-    run.write_manifest("train", inputs, outputs)
+    run.write_manifest("train", inputs)
 
 
 def _write_timeline(path: str, dates: list[str], scores, labels) -> None:
@@ -374,15 +371,13 @@ def _write_timeline(path: str, dates: list[str], scores, labels) -> None:
 
 def cmd_evaluate(run: Run) -> None:
     cfg = run.cfg
-    inputs, bundle = _bundle(run, "evaluate")
-    inputs.update(run.require("evaluate", "train",
-                              [f"model_{kind}.srrm" for kind in cfg.model.kinds]))
+    inputs = run.require("evaluate")
+    bundle = _bundle(run)
     valid = bundle.panel.label_valid
     calendar = [d for t, d in enumerate(bundle.panel.dates) if valid[t]]
     daily_labels = bundle.panel.graph_labels[valid]
 
     models_report = {}
-    outputs = []
     for kind in cfg.model.kinds:
         with open(run.path(f"model_{kind}.srrm"), "rb") as fh, _rerun("train", fh.name):
             state = deserialize(fh.read())
@@ -391,9 +386,7 @@ def cmd_evaluate(run: Run) -> None:
         metrics = compute_metrics(scores, labels, threshold=cfg.evaluate.threshold)
         leads = lead_times(calendar, daily_labels, dates, scores,
                            gamma=cfg.evaluate.warn_gamma)
-        timeline = f"timeline_{kind}.csv"
-        _write_timeline(run.path(timeline), dates, scores, labels)
-        outputs.append(timeline)
+        _write_timeline(run.path(f"timeline_{kind}.csv"), dates, scores, labels)
         entry = {
             "parameter_count": parameter_count(state),
             "metrics": metrics,
@@ -422,8 +415,7 @@ def cmd_evaluate(run: Run) -> None:
     }
     with open(run.path("report.json"), "w", encoding="utf-8", newline="") as fh:
         fh.write(report_to_json(report))
-    outputs.append("report.json")
-    run.write_manifest("evaluate", inputs, outputs)
+    run.write_manifest("evaluate", inputs)
 
 
 # -- stage: report ----------------------------------------------------------------
@@ -456,8 +448,7 @@ def _aggregate_importance(importance: dict[str, float], cfg: Config
 
 def cmd_report(run: Run) -> None:
     cfg = run.cfg
-    inputs = run.require("report", "evaluate", ["report.json"]
-                         + [f"timeline_{kind}.csv" for kind in cfg.model.kinds])
+    inputs = run.require("report")
     with _json_artifact(run.path("report.json"), "evaluate") as report:
         summary = summary_table(report)
         models = report["models"]

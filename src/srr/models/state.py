@@ -5,8 +5,9 @@ Layout, byte for byte:
     magic line      b"srr-model-v2\\n"
     header length   8-byte little-endian unsigned integer
     header          canonical JSON (sorted keys, compact separators, UTF-8):
-                    {"format", "kind", "hyper",
+                    {"kind", "hyper",
                      "tensors": [{"name", "rows", "cols", "vector"}, ...]}
+                    (deserialize ignores any other key)
     payload         each tensor's C-order float64 little-endian bytes,
                     in header order
 
@@ -67,7 +68,6 @@ def serialize(state: ModelState) -> bytes:
                         "vector": arr.ndim == 1})
         payload.extend(np.ascontiguousarray(mat, dtype="<f8").tobytes())
     header = {
-        "format": MODEL_FORMAT,
         "kind": state.kind,
         "hyper": state.hyper,
         "tensors": tensors,
@@ -82,12 +82,10 @@ def serialize(state: ModelState) -> bytes:
 
 
 def _check_header(header) -> None:
-    """Raise DataError for another format, and ValueError unless ``header`` is
-    an object with each key that deserialize reads, of the type it reads."""
+    """Raise ValueError unless ``header`` is an object with each key that
+    deserialize reads, of the type it reads."""
     if not isinstance(header, dict):
         raise ValueError(f"a JSON {type(header).__name__}, not an object")
-    if header.get("format") != MODEL_FORMAT:
-        raise DataError(f"container declares format {header.get('format')!r}")
     for key, kind in (("kind", str), ("hyper", dict), ("tensors", list)):
         if not isinstance(header.get(key), kind):
             raise ValueError(f"{key!r} is missing or not a {kind.__name__}")

@@ -2,6 +2,7 @@
 inventory, byte determinism, staleness detection, and exit-code mapping."""
 
 import functools
+import hashlib
 import json
 import os
 import re
@@ -47,6 +48,10 @@ EXPECTED_ARTIFACTS = (
 
 COMPARABLE = [name for name in EXPECTED_ARTIFACTS
               if not name.startswith("manifest_")]  # manifests hash the out paths
+
+
+def file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def make_workspace(root: Path, seed=7, out_name="out", n_days=400, data=None,
@@ -137,16 +142,27 @@ class TestRunAll:
         assert header["window"] == 7 and header["tau"] == 0.5
 
     def test_manifest_output_hashes_verify(self, pipeline):
-        import hashlib
-        for stage in ("ingest", "features", "graphs", "train", "evaluate", "report"):
+        """Each file is the output of one manifest, and each stage records as its
+        inputs every earlier stage's outputs (ingest and features also record
+        the config's source files)."""
+        cfg = load_config(pipeline["config"])
+        sources = {"ingest": {cfg.data.prices_csv: file_sha256(cfg.data.prices_csv)}}
+        earlier: dict[str, str] = {}
+        owners: list[str] = []
+        for stage in STAGES:
             manifest = json.loads(
                 (pipeline["out"] / f"manifest_{stage}.json").read_text())
             assert manifest["stage"] == stage
             assert manifest["seed"] == 7
+            assert manifest["config_hash"] == config_hash(cfg)
+            assert manifest["inputs"] == {**earlier, **sources.get(stage, {})}, stage
             for name, recorded in manifest["outputs"].items():
-                actual = hashlib.sha256(
-                    (pipeline["out"] / name).read_bytes()).hexdigest()
+                actual = file_sha256(pipeline["out"] / name)
                 assert actual == recorded, f"{stage}: {name}"
+            earlier.update(manifest["outputs"])
+            owners += manifest["outputs"]
+        left = [p.name for p in pipeline["out"].iterdir() if not p.name.startswith("manifest_")]
+        assert sorted(owners) == sorted(left)
 
     def test_svgs_are_well_formed(self, pipeline):
         for name in ("roc.svg", "pr.svg", "risk_timeline.svg",
@@ -170,8 +186,8 @@ class TestRunAll:
         assert not (out / "roc.svg").exists() and not (out / "pr.svg").exists()
         written = ["feature_importance.svg", "lead_times.svg", "risk_timeline.svg", "summary.txt"]
         manifest = json.loads((out / "manifest_report.json").read_text())
-        assert sorted(manifest["outputs"]) == written
-        Run(load_config(cfg_path)).require("check", "report", written)
+        assert manifest["outputs"] == {name: file_sha256(out / name)
+                                       for name in written}
 
     def test_summary_mentions_every_model(self, pipeline):
         text = (pipeline["out"] / "summary.txt").read_text()
@@ -383,7 +399,9 @@ class TestRunAllHandOff:
         for stage in ("ingest", "features", "graphs"):
             assert main([stage, "--config", cfg_path]) == 0
         cfg = load_config(cfg_path)
-        _, bundle = srr.cli._bundle(Run(cfg), "train")
+        run = Run(cfg)
+        run.require("train")
+        bundle = srr.cli._bundle(run)
         derived = bundle.panel
         stats = Standardization(**json.loads((out / "standardization.json").read_text()))
         read = apply_standardization(read_features_csv(str(out / "features.csv")), stats)
@@ -433,17 +451,9 @@ class TestRunAllHandOff:
         assert {name: (out / name).read_bytes() for name in clean} == clean
 
 
-UPSTREAM = {"ingest": ["prices.csv", "provenance.json", "universe.json"],
-            "features": ["features.csv", "graph_labels.csv", "standardization.json",
-                         "split.json"],
-            "graphs": ["graphs.jsonl"]}
-
-
 def assert_upstream_verifies(cfg_path) -> None:
     """The ingest, features and graphs files exist and match their manifests."""
-    run = Run(load_config(str(cfg_path)))
-    for upstream, files in UPSTREAM.items():
-        run.require("check", upstream, files)
+    Run(load_config(str(cfg_path))).require("train")
 
 
 def assert_no_child_left() -> None:
@@ -574,11 +584,10 @@ def rewrite_artifact(out: Path, name: str, stage: str, edit) -> None:
 
 def rewrite_bytes(out: Path, name: str, stage: str, edit) -> None:
     """``rewrite_artifact`` on the whole file, ``edit(data) -> data``."""
-    import hashlib
     path = out / name
     path.write_bytes(edit(path.read_bytes()))
     manifest = json.loads((out / f"manifest_{stage}.json").read_text())
-    manifest["outputs"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest["outputs"][name] = file_sha256(path)
     (out / f"manifest_{stage}.json").write_text(json.dumps(manifest))
 
 
@@ -1175,9 +1184,7 @@ class TestExitCodes:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == staged
         assert sorted(p.name for p in out.glob("manifest_*")) == sorted(
             f"manifest_{stage}.json" for stage in finished)
-        run = Run(load_config(cfg_path))
-        for upstream in finished:
-            run.require("check", upstream, UPSTREAM[upstream])
+        Run(load_config(cfg_path)).require(failing)
         assert_no_child_left()
 
     def test_evaluate_before_train_names_model_artifact(self, capsys, tmp_path):
@@ -1242,6 +1249,23 @@ class TestExitCodes:
                 assert f"stage '{rerun}' was built from another prices.csv" in err
                 assert err.rstrip().endswith(f"rerun `srr {rerun}`")
                 assert not (out / "manifest_train.json").exists()
+
+    def test_prices_ingested_anew_stop_evaluate_and_report_until_they_rerun(self, capsys,
+                                                                            tmp_path):
+        """Models and an evaluation from the old panel are never scored or drawn
+        beside files built from the new one."""
+        cfg_path, _ = make_workspace(tmp_path, out_name="mix", n_days=260)
+        assert main(["run-all", "--config", cfg_path]) == 0
+        write_synthetic_csv(str(tmp_path / "prices.csv"), n_tickers=10, n_days=260, seed=22)
+        for command, rerun in (("ingest", None), ("features", None), ("graphs", None),
+                               ("evaluate", "train"), ("train", None),
+                               ("report", "evaluate"), ("evaluate", None), ("report", None)):
+            capsys.readouterr()
+            assert main([command, "--config", cfg_path]) == (2 if rerun else 0), command
+            if rerun:
+                assert capsys.readouterr().err == (
+                    f"error: stage '{rerun}' was built from another prices.csv; "
+                    f"rerun `srr {rerun}`\n")
 
     def test_tampered_artifact_detected(self, capsys, tmp_path):
         cfg_path, out = make_workspace(tmp_path, out_name="tamper", n_days=260)

@@ -776,7 +776,17 @@ class TestContainer:
         assert blob.startswith(b"srr-model-v2\n")
         start = len(b"srr-model-v2\n") + 8
         header = json.loads(blob[start:start + struct.unpack_from("<Q", blob, start - 8)[0]])
-        assert sorted(header) == ["format", "hyper", "kind", "tensors"]
+        assert sorted(header) == ["hyper", "kind", "tensors"]
+
+    def test_header_key_it_does_not_read_is_ignored(self):
+        """A file whose header also names its format still loads."""
+        state = self._gcn_state()
+        blob = serialize(state)
+        start = len(b"srr-model-v2\n") + 8
+        end = start + struct.unpack_from("<Q", blob, start - 8)[0]
+        head = json.dumps({**json.loads(blob[start:end]), "format": "srr-model-v2"}).encode()
+        back = deserialize(blob[:start - 8] + struct.pack("<Q", len(head)) + head + blob[end:])
+        assert back.hyper == state.hyper and serialize(back) == blob
 
     def test_v1_container_rejected(self):
         blob = b"srr-model-v1\n" + serialize(self._gcn_state())[len(b"srr-model-v2\n"):]
