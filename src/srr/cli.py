@@ -1,9 +1,9 @@
 """Command-line pipeline: ingest -> features -> graphs -> train -> evaluate -> report.
 
 Each stage writes its artifacts to the output directory and records a stage
-manifest (config hash, seed, input and output content hashes). What the models
-use is derived from the ingested ``prices.csv`` (and ``universe.json``) and the
-run's ``macro.csv``: ``run-all`` builds it once, a stage run alone derives it
+manifest (config hash, input and output content hashes). What the graphs and
+models use is derived from the ingested ``prices.csv`` (and ``universe.json``) and
+the run's ``macro.csv``: ``run-all`` builds it once, a stage run alone derives it
 again, and both write the same bytes. The other features and graphs files are
 exports, hashed but never parsed. While ``run-all`` trains, a forked child runs
 the first three stage commands on what it built. A stage refuses missing or
@@ -11,7 +11,7 @@ stale artifacts of any earlier stage and says which stage to rerun. Identical
 config + seed produce byte-identical artifacts; nothing written here embeds a
 timestamp.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage/config/output-path error, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ class Run:
     def __init__(self, cfg: Config):
         self.cfg = cfg
         self.hash = config_hash(cfg)
-        self.built: dict = {}  # what run-all built, by stage; a stage run alone derives it
+        self.built: dict = {}  # what run-all built, by stage, and "bundle"; alone a stage derives it
         os.makedirs(cfg.out, exist_ok=True)
 
     def path(self, name: str) -> str:
@@ -151,9 +151,7 @@ class Run:
     def write_manifest(self, stage: str, inputs: dict[str, str],
                        outputs: list[str] | None = None) -> None:
         _write_json(self.path(f"manifest_{stage}.json"), {
-            "stage": stage,
             "config_hash": self.hash,
-            "seed": self.cfg.seed,
             "inputs": inputs,
             "outputs": {name: sha256_file(self.path(name))
                         for name in outputs or _outputs(self.cfg)[stage]},
@@ -176,7 +174,7 @@ class Run:
                 raise DataError(
                     f"no stage manifest for '{upstream}'; rerun `srr {upstream}`")
             with _json_artifact(man_path, upstream) as man:
-                if man.get("config_hash") != self.hash or man.get("seed") != self.cfg.seed:
+                if man.get("config_hash") != self.hash:  # the hash covers the seed
                     raise DataError(
                         f"artifacts from stage '{upstream}' are stale "
                         f"(config or seed changed); rerun `srr {upstream}`")
@@ -318,16 +316,23 @@ def _snapshots(cfg: Config, panel: PricePanel, fpanel: FeaturePanel) -> list[Gra
         window=cfg.graph.window, tau=cfg.graph.tau, sector_map=sector_map)
 
 
+def _bundle(run: Run) -> DataBundle:
+    """What run-all built for graphs, train and evaluate, or the same derived again from the files."""
+    if "bundle" in run.built:
+        return run.built["bundle"]
+    cfg, panel = run.cfg, _ingested_panel(run)
+    with _rerun("features"):
+        _, zpanel, split = _derive_features(
+            cfg, panel, run.path("macro.csv") if cfg.data.macro_csv is not None else None)
+    return DataBundle(panel=zpanel, snapshots=_snapshots(cfg, panel, zpanel), split=split)
+
+
 def cmd_graphs(run: Run) -> None:
     cfg = run.cfg
     inputs = run.require("graphs")
-    snapshots = run.built.get("graphs")
-    if snapshots is None:
-        panel = _ingested_panel(run)
-        snapshots = _snapshots(cfg, panel, _derive_features(cfg, panel, None)[0])
+    snapshots = _bundle(run).snapshots
     write_snapshots_jsonl(snapshots, run.path("graphs.jsonl"), meta={
         "config_hash": run.hash,
-        "seed": cfg.seed,
         "window": cfg.graph.window,
         "tau": cfg.graph.tau,
         "layers": list(cfg.graph.layers),
@@ -338,17 +343,6 @@ def cmd_graphs(run: Run) -> None:
 
 
 # -- stages: train / evaluate ----------------------------------------------------
-
-def _bundle(run: Run) -> DataBundle:
-    """What run-all built for the models, or the same derived again from the files."""
-    if "bundle" in run.built:
-        return run.built["bundle"]
-    cfg, panel = run.cfg, _ingested_panel(run)
-    with _rerun("features"):
-        _, zpanel, split = _derive_features(
-            cfg, panel, run.path("macro.csv") if cfg.data.macro_csv is not None else None)
-    return DataBundle(panel=zpanel, snapshots=_snapshots(cfg, panel, zpanel), split=split)
-
 
 def _fit(run: Run, bundle: DataBundle) -> dict[str, tuple]:
     return {kind: train(kind, bundle, run.cfg) for kind in run.cfg.model.kinds}
@@ -532,11 +526,10 @@ def cmd_run_all(run: Run) -> None:
     try:
         built["ingest"] = panel, _ = _ingest(cfg)
         built["features"] = _, zpanel, split = _derive_features(cfg, panel, cfg.data.macro_csv)
-        built["graphs"] = _snapshots(cfg, panel, zpanel)
+        built["bundle"] = bundle = DataBundle(zpanel, _snapshots(cfg, panel, zpanel), split)
     except Exception:
         write_upstream()  # the stages that finished leave their files; the failing one raises
         raise
-    built["bundle"] = bundle = DataBundle(panel=zpanel, snapshots=built["graphs"], split=split)
     written = _fork("writer", write_upstream)
     try:
         built["train"] = _fit(run, bundle)
@@ -591,6 +584,9 @@ def main(argv: list[str] | None = None) -> int:
     except SrrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, DataError) else 3 if isinstance(exc, NumericalError) else 1
+    except OSError as exc:  # a path the run cannot open, such as an --out that names a file
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover
