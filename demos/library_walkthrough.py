@@ -16,7 +16,7 @@ from srr.evaluation import compute_metrics, lead_times
 from srr.features import attach_labels, compute_features, standardize
 from srr.graphs import build_snapshots
 from srr.market_data import PricePanel, log_returns
-from srr.models import parameter_count
+from srr.models.state import parameter_count
 from srr.synthetic import planted_regime_panel
 from srr.training import DataBundle, chronological_split, predict_scores, train
 

@@ -6,12 +6,12 @@ models use is derived from the ingested ``prices.csv`` (and ``universe.json``) a
 the run's ``macro.csv``: ``run-all`` builds it once, a stage run alone derives it
 again, and both write the same bytes. The other features and graphs files are
 exports, hashed but never parsed. While ``run-all`` trains, a forked child runs
-the first three stage commands on what it built. A stage refuses missing or
-stale artifacts of any earlier stage and says which stage to rerun. Identical
-config + seed produce byte-identical artifacts; nothing written here embeds a
-timestamp.
+the first three stage commands on what it built; its error is raised in the
+parent, which trains no further kind. A stage refuses missing or stale artifacts
+of any earlier stage and says which stage to rerun. Identical config + seed
+produce byte-identical artifacts; nothing written here embeds a timestamp.
 
-Exit codes: 0 success, 1 usage/config/output-path error, 2 data error, 3 numerical failure.
+Exit codes, set by ``main`` alone: 0 success, 1 usage/config/output path, 2 data, 3 numerical.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ import contextlib
 import json
 import os
 import pickle
+import select
 import signal
 import sys
+import traceback
 from dataclasses import asdict
 
 import numpy as np
@@ -82,13 +84,14 @@ def _rerun(upstream: str, path: str = ""):
 
 
 def _fork(what: str, fn):
-    """Run ``fn()`` in a forked child that flushes stdout and leaves by ``os._exit``;
-    ``join()`` waits for it and returns what ``fn`` returned or raises its SrrError
-    or KeyboardInterrupt again. Any other exception, or a signal that kills the
-    child, is an SrrError (exit 1) naming ``what``. Without ``os.fork``, ``fn`` runs now."""
+    """Run ``fn()`` in a forked child that flushes stdout and leaves by ``os._exit``. ``join()``
+    waits, then returns what ``fn`` returned or raises what it raised, on every call;
+    ``join(wait=False)`` returns None while the child runs. A kill by a signal, or no reply
+    (say, an exception that does not pickle), is an SrrError naming ``what``. Without
+    ``os.fork``, ``fn`` runs now."""
     if not hasattr(os, "fork"):
         result = fn()
-        return lambda: result
+        return lambda wait=True: result
     sys.stdout.flush()
     sys.stderr.flush()
     read_end, write_end = os.pipe()
@@ -97,28 +100,32 @@ def _fork(what: str, fn):
         code = 1
         try:
             try:
-                reply = (None, fn())
-            except BaseException as exc:  # reported, never raised into the caller
-                reply = ((type(exc), str(exc)) if isinstance(exc, (SrrError, KeyboardInterrupt))
-                         else (SrrError, f"{what}: {type(exc).__name__}: {exc}"))
+                reply = pickle.dumps((None, fn()))
+            except BaseException as exc:  # sent to the parent, never raised here
+                if hasattr(exc, "add_note"):  # Python 3.11+: pickling drops the child's frames
+                    exc.add_note(f"raised in the {what} child:\n{traceback.format_exc()}")
+                reply = pickle.dumps((exc, None))
+            pickle.loads(reply)  # a reply the parent could not load is no reply
             sys.stdout.flush()  # a buffered stdout is lost at os._exit
             with os.fdopen(write_end, "wb") as fh:
-                pickle.dump(reply, fh)
+                fh.write(reply)
             code = 0
         finally:
             os._exit(code)
     os.close(write_end)
+    outcome = []
 
-    def join():
-        with os.fdopen(read_end, "rb") as fh:
-            reply = fh.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code or not reply:
-            raise SrrError(f"{what}: child ended by {signal.Signals(-code).name}" if code < 0
-                           else f"{what}: child exited with status {code} and no reply")
-        error, result = pickle.loads(reply)
+    def join(wait=True):
+        if not outcome and (wait or select.select([read_end], [], [], 0)[0]):
+            with os.fdopen(read_end, "rb") as fh:
+                reply = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            outcome[:] = pickle.loads(reply) if reply and not code else (SrrError(
+                f"{what}: child ended by {signal.Signals(-code).name}" if code < 0
+                else f"{what}: child exited with status {code} and no reply"), None)
+        error, result = outcome or (None, None)  # no outcome while the child runs
         if error is not None:
-            raise error(result)
+            raise error.with_traceback(None)  # each raise starts from this frame alone
         return result
     return join
 
@@ -344,8 +351,12 @@ def cmd_graphs(run: Run) -> None:
 
 # -- stages: train / evaluate ----------------------------------------------------
 
-def _fit(run: Run, bundle: DataBundle) -> dict[str, tuple]:
-    return {kind: train(kind, bundle, run.cfg) for kind in run.cfg.model.kinds}
+def _fit(run: Run, bundle: DataBundle, written=lambda wait: None) -> dict[str, tuple]:
+    fits = {}
+    for kind in run.cfg.model.kinds:
+        written(wait=False)  # a writer that has failed raises its error before the next kind
+        fits[kind] = train(kind, bundle, run.cfg)
+    return fits
 
 
 def cmd_train(run: Run) -> None:
@@ -532,7 +543,7 @@ def cmd_run_all(run: Run) -> None:
         raise
     written = _fork("writer", write_upstream)
     try:
-        built["train"] = _fit(run, bundle)
+        built["train"] = _fit(run, bundle, written)
     finally:
         written()  # also when training fails; a writer failure is the error reported
     cmd_train(run)

@@ -1,9 +1,2 @@
-"""Model zoo: snapshot GCN, temporal GCN+GRU, and day-feature baselines."""
-
-from . import baselines, gcn, state, temporal
-from .baselines import *  # noqa: F403 -- each module's __all__ is the package's
-from .gcn import *  # noqa: F403
-from .state import *  # noqa: F403
-from .temporal import *  # noqa: F403
-
-__all__ = state.__all__ + gcn.__all__ + temporal.__all__ + baselines.__all__
+"""Model zoo: snapshot GCN, temporal GCN+GRU, day-feature baselines and the model
+container; each name is imported from its own module, and the package exports none."""

@@ -24,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import MODEL_KINDS as KINDS
+from ..config import MODEL_KINDS
 from ..errors import DataError
 
 MODEL_FORMAT = "srr-model-v2"
 NOT_WEIGHTS = ("feature_importance",)  # tensors that parameter_count leaves out
 
-__all__ = ["ModelState", "MODEL_FORMAT", "KINDS", "serialize", "deserialize", "parameter_count"]
+__all__ = ["ModelState", "MODEL_FORMAT", "serialize", "deserialize", "parameter_count"]
 
 
 @dataclass
@@ -42,8 +42,8 @@ class ModelState:
     hyper: dict
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DataError(f"unknown model kind {self.kind!r}, expected one of {KINDS}")
+        if self.kind not in MODEL_KINDS:
+            raise DataError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
         self.params = {
             name: np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
             for name, arr in self.params.items()

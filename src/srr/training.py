@@ -38,18 +38,9 @@ from .errors import DataError, NumericalError
 from . import tensor as tz
 from .features import FeaturePanel
 from .graphs import GraphSnapshot, _physical_memory
-from .models import (
-    ModelState,
-    adjacency_from_snapshot,
-    gcn_normalize,
-    init_gcn,
-    init_gru,
-    gcn_forward,
-    gcn_backward,
-    parameter_count,
-    temporal_forward,
-    temporal_backward,
-)
+from .models.gcn import adjacency_from_snapshot, gcn_backward, gcn_forward, gcn_normalize, init_gcn
+from .models.state import ModelState, parameter_count
+from .models.temporal import init_gru, temporal_backward, temporal_forward
 from .models.baselines import (
     day_feature_matrix,
     day_feature_names,

@@ -72,7 +72,8 @@ from datetime import date, timedelta
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from srr import graphs, models
+from srr import graphs
+from srr.models import gcn
 from srr import tensor as tz
 from srr.errors import DataError, NumericalError, ShapeError
 from srr.evaluation import _check_scored
@@ -586,8 +587,8 @@ def graph_samples(bundle, hyper: dict, side: str) -> _GraphSamples | None:
         if snap.node_ids != panel.tickers or snap.date not in position:
             raise DataError(f"snapshot {snap.date} does not match the feature panel's "
                             "tickers and dates")
-    a_hat = models.gcn_normalize(np.stack([
-        models.adjacency_from_snapshot(s, layers=layers, weighted=weighted) for s in read]))
+    a_hat = gcn.gcn_normalize(np.stack([
+        gcn.adjacency_from_snapshot(s, layers=layers, weighted=weighted) for s in read]))
     ax = a_hat @ np.stack([node_matrix(panel, position[s.date]) for s in read])
     slot = {id(s): g for g, s in enumerate(read)}
     rows = np.array([[slot[id(s)] for s in seq.snapshots] for seq in sequences])

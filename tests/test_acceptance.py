@@ -18,9 +18,8 @@ from srr.features import compute_features
 from srr.features import FeaturePanel
 from srr.graphs import EDGE_DTYPE, GraphSnapshot, average_ranks, rank_correlation_matrix
 from srr.market_data import PricePanel
-from srr.models import (gcn_backward, gcn_forward, gcn_normalize, init_gcn, init_gru,
-                        temporal_forward)
-from srr.models.temporal import gru_backward, gru_forward
+from srr.models.gcn import gcn_backward, gcn_forward, gcn_normalize, init_gcn
+from srr.models.temporal import gru_backward, gru_forward, init_gru, temporal_forward
 from srr.synthetic import business_days, planted_regime_panel, write_synthetic_csv
 from srr.tensor import bce_loss, focal_loss, sigmoid
 from srr.training import DataBundle, _graph_samples, chronological_split

@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import traceback
 from dataclasses import asdict
 from pathlib import Path
 from xml.dom import minidom
@@ -28,7 +29,7 @@ from srr.errors import ConfigError, DataError, NumericalError, ShapeError, SrrEr
 from srr.features import Standardization, apply_standardization, read_features_csv
 from srr.graphs import EDGE_DTYPE, read_snapshots_jsonl
 from srr.market_data import read_macro_csv
-from srr.models import deserialize, parameter_count, serialize
+from srr.models.state import deserialize, parameter_count, serialize
 from srr.synthetic import RegimeParams, write_synthetic_csv
 
 MODEL_KINDS = ("logistic", "forest", "gcn", "temporal")
@@ -455,6 +456,13 @@ def assert_upstream_verifies(cfg_path) -> None:
     Run(load_config(str(cfg_path))).require("train")
 
 
+class NeedsTwoArgs(Exception):
+    """Pickles, but loading calls ``NeedsTwoArgs("lost")``, which raises TypeError."""
+
+    def __init__(self, first, second):
+        super().__init__(first + second)
+
+
 def assert_no_child_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -474,16 +482,18 @@ class TestWriterChild:
 
     @pytest.mark.parametrize("fail,code,message", [
         (DataError("graphs: bad layer"), 2, "graphs: bad layer"),
-        (OSError(28, "No space left on device"), 1,
-         "writer: OSError: [Errno 28] No space left on device"),
+        (OSError(28, "No space left on device"), 1, "[Errno 28] No space left on device"),
         ("kill", 1, "writer: child ended by SIGKILL"),
     ], ids=["data-error", "os-error", "killed"])
     def test_writer_failure_exits_after_training(self, capsys, monkeypatch, workspace,
                                                  fail, code, message):
+        """The writer fails while the first kind trains; no other kind starts."""
         cfg_path, out = workspace
+        go_read, go_write = os.pipe()  # the child fails once the parent trains
         trained = []
 
         def failing_writer(*args, **kwargs):  # runs in the child
+            os.read(go_read, 1)
             if fail == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise fail
@@ -491,16 +501,85 @@ class TestWriterChild:
         real_train = srr.cli.train
 
         def train(kind, *args):  # runs in the parent
+            if not trained:
+                os.write(go_write, b"x")
+                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # ended, not yet reaped
             trained.append(kind)
             return real_train(kind, *args)
         monkeypatch.setattr("srr.cli.train", train)
-        assert main(["run-all", "--config", cfg_path]) == code
+        try:
+            assert main(["run-all", "--config", cfg_path]) == code
+        finally:
+            os.close(go_read)
+            os.close(go_write)
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert trained == list(MODEL_KINDS)
+        assert trained == ["logistic"]
         assert not (out / "model_logistic.srrm").exists()  # no model once the writer failed
         assert (out / "manifest_features.json").exists()  # the stages before it are written
         assert not (out / "manifest_graphs.json").exists()
         assert_no_child_left()
+
+    @pytest.mark.parametrize("fail,code", [
+        (DataError("graphs: bad layer"), 2), (NumericalError("graphs: overflow"), 3),
+        (OSError(28, "No space left on device"), 1),
+    ], ids=["data-error", "numerical-error", "os-error"])
+    def test_writer_failure_reads_as_the_stage_alone(self, capsys, monkeypatch, tmp_path,
+                                                     fail, code):
+        """`run-all` and `srr graphs` end with the same error line and exit code."""
+        def failing_writer(*args, **kwargs):
+            raise fail
+        monkeypatch.setattr("srr.cli.write_snapshots_jsonl", failing_writer)
+        ends = []
+        for name, commands in ("run-all", ["run-all"]), ("stages", ["ingest", "features",
+                                                                   "graphs"]):
+            cfg_path, _ = make_workspace(tmp_path, out_name=name, n_days=260)
+            codes = [main([command, "--config", cfg_path]) for command in commands]
+            ends.append((codes[-1], capsys.readouterr().err))
+        assert ends[0] == ends[1] == (code, f"error: {fail}\n")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("lost", ["local-class", "two-argument-init"])
+    def test_writer_exception_that_does_not_pickle(self, capsys, monkeypatch, workspace,
+                                                   lost):
+        cfg_path, _ = workspace
+
+        class Local(Exception):  # pickles by a name that does not resolve
+            pass
+
+        def failing_writer(*args, **kwargs):
+            raise Local("lost") if lost == "local-class" else NeedsTwoArgs("lo", "st")
+        monkeypatch.setattr("srr.cli.write_snapshots_jsonl", failing_writer)
+        assert main(["run-all", "--config", cfg_path]) == 1
+        assert (capsys.readouterr().err
+                == "error: writer: child exited with status 1 and no reply\n")
+        assert_no_child_left()
+
+    def test_writer_value_error_leaves_main_as_itself(self, monkeypatch, tmp_path):
+        """An exception that is no SrrError or OSError is a bug: `main` does not
+        report it, inside `run-all` or in the stage run alone."""
+        def failing_writer(*args, **kwargs):
+            raise ValueError("a bug")
+        monkeypatch.setattr("srr.cli.write_snapshots_jsonl", failing_writer)
+        real_train = srr.cli.train
+
+        def train(kind, *args):  # the writer has ended before the first kind trains
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+            return real_train(kind, *args)
+        monkeypatch.setattr("srr.cli.train", train)
+        cfg_path, _ = make_workspace(tmp_path, out_name="run-all", n_days=260)
+        with pytest.raises(ValueError) as caught:
+            main(["run-all", "--config", cfg_path])
+        assert_no_child_left()
+        assert str(caught.value) == "a bug"
+        frames = [frame.name for frame in traceback.extract_tb(caught.value.__traceback__)]
+        assert frames.count("join") == 1  # a second raise does not stack its frames again
+        if sys.version_info >= (3, 11):  # the child's own frames come as a note
+            assert 'in failing_writer\n    raise ValueError("a bug")' in caught.value.__notes__[0]
+        cfg_path, _ = make_workspace(tmp_path, out_name="stages", n_days=260)
+        for command in ("ingest", "features"):
+            assert main([command, "--config", cfg_path]) == 0
+        with pytest.raises(ValueError, match="^a bug$"):
+            main(["graphs", "--config", cfg_path])
 
     def test_writer_failure_wins_over_a_training_failure(self, capsys, monkeypatch,
                                                          workspace):

@@ -13,17 +13,16 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from srr.errors import DataError, NumericalError, ShapeError
 from srr.graphs import EDGE_DTYPE, GraphSnapshot
-from srr.models import (MODEL_FORMAT, ModelState, adjacency_from_snapshot,
-                        day_feature_matrix, day_feature_names, deserialize,
-                        forest_fit, forest_predict, gcn_backward, gcn_embed,
-                        gcn_embed_backward, gcn_forward, gcn_normalize, gini,
-                        init_gcn, init_gru, logistic_fit,
-                        logistic_predict, parameter_count, serialize,
-                        temporal_backward, temporal_forward)
 from srr.features import FeaturePanel, compute_features
 from srr.market_data import PricePanel
-from srr.models.baselines import _grow_tree
-from srr.models.temporal import gru_backward, gru_forward, gru_step, gru_step_backward
+from srr.models.baselines import (_grow_tree, day_feature_matrix, day_feature_names,
+                                  forest_fit, forest_predict, gini, logistic_fit,
+                                  logistic_predict)
+from srr.models.gcn import (adjacency_from_snapshot, gcn_backward, gcn_embed,
+                            gcn_embed_backward, gcn_forward, gcn_normalize, init_gcn)
+from srr.models.state import MODEL_FORMAT, ModelState, deserialize, parameter_count, serialize
+from srr.models.temporal import (gru_backward, gru_forward, gru_step, gru_step_backward,
+                                 init_gru, temporal_backward, temporal_forward)
 from srr.synthetic import business_days, planted_regime_panel
 from srr.tensor import bce_loss, focal_loss, seeded_rng, sigmoid
 from srr import training

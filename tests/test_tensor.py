@@ -278,7 +278,8 @@ class TestAdam:
     def test_gnn_parameter_set_over_50_steps(self):
         """The 19 tensors of the GCN and GRU, 50 steps: bit-equal to the oracle
         after every step, moments included."""
-        from srr.models import init_gcn, init_gru
+        from srr.models.gcn import init_gcn
+        from srr.models.temporal import init_gru
         rng = np.random.default_rng(19)
         params = {**init_gcn(rng, 9, 32, 16), **init_gru(rng, 32, 64)}
         assert len(params) == 19

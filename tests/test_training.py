@@ -17,8 +17,8 @@ from srr.errors import DataError, NumericalError, SrrError
 from srr.features import apply_standardization, attach_labels, compute_features, standardize
 from srr.graphs import build_snapshots
 from srr.market_data import PricePanel, log_returns
-from srr.models import (ModelState, adjacency_from_snapshot, deserialize, gcn_normalize,
-                        parameter_count, serialize)
+from srr.models.gcn import adjacency_from_snapshot, gcn_normalize
+from srr.models.state import ModelState, deserialize, parameter_count, serialize
 from srr.synthetic import business_days, planted_regime_panel
 from srr.training import DataBundle, chronological_split, predict_scores, train
 from srr.training import _GraphSamples, _graph_samples, _header, _train_minibatch  # white-box
@@ -149,7 +149,7 @@ class TestLoopAgainstOracle:
 
 class TestTrainingLoop:
     def test_zero_epochs_returns_initialization(self, bundle):
-        from srr.models import init_gcn
+        from srr.models.gcn import init_gcn
         from srr.tensor import seeded_rng
         cfg = replace(SMALL, model=replace(SMALL.model, epochs=0))
         state, log = train("gcn", bundle, cfg)
