@@ -29,7 +29,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import Config, PRESETS, config_hash, load_config
+from .config import MODEL_KINDS, Config, PRESETS, config_hash, load_config
 from .errors import ConfigError, DataError, NumericalError, SrrError
 from .evaluation import (compute_metrics, crash_windows, lead_times, pr_points,
                          report_to_json, roc_points, summary_table)
@@ -61,16 +61,14 @@ def _write_json(path: str, obj) -> None:
 
 
 @contextlib.contextmanager
-def _json_artifact(path: str, upstream: str):
-    """The decoded JSON that ``upstream`` wrote at ``path``. Invalid JSON, or a
-    key the block finds missing or of the wrong type, is a DataError that says
-    which stage to rerun."""
+def _json_artifact(path: str):
+    """The decoded JSON at ``path``. Invalid JSON, or a key the block finds
+    missing or of the wrong type, is a DataError that names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             yield json.load(fh)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DataError(f"{path} is malformed ({type(exc).__name__}: {exc}); "
-                        f"rerun `srr {upstream}`") from None
+        raise DataError(f"{path} is malformed ({type(exc).__name__}: {exc})") from None
 
 
 @contextlib.contextmanager
@@ -130,16 +128,19 @@ def _fork(what: str, fn):
     return join
 
 
-def _outputs(cfg: Config) -> dict[str, list[str]]:
-    """The files each stage before report writes and records; every later stage checks them."""
+def _outputs(kinds: tuple[str, ...], macro: bool) -> dict[str, list[str]]:
+    """The files each stage writes and records with these model kinds and with or without
+    a macro overlay; every later stage checks them. Report records those it drew."""
     return {
         "ingest": ["prices.csv", "provenance.json", "universe.json"],
         "features": ["features.csv", "graph_labels.csv", "standardization.json", "split.json"]
-                    + (["macro.csv"] if cfg.data.macro_csv is not None else []),
+                    + (["macro.csv"] if macro else []),
         "graphs": ["graphs.jsonl"],
-        "train": [name for kind in cfg.model.kinds
+        "train": [name for kind in kinds
                   for name in (f"model_{kind}.srrm", f"training_log_{kind}.json")],
-        "evaluate": ["report.json"] + [f"timeline_{kind}.csv" for kind in cfg.model.kinds],
+        "evaluate": ["report.json"] + [f"timeline_{kind}.csv" for kind in kinds],
+        "report": ["summary.txt", "roc.svg", "pr.svg", "risk_timeline.svg", "lead_times.svg",
+                   "feature_importance.svg"],
     }
 
 
@@ -149,6 +150,7 @@ class Run:
     def __init__(self, cfg: Config):
         self.cfg = cfg
         self.hash = config_hash(cfg)
+        self.outputs = _outputs(cfg.model.kinds, cfg.data.macro_csv is not None)
         self.built: dict = {}  # what run-all built, by stage, and "bundle"; alone a stage derives it
         os.makedirs(cfg.out, exist_ok=True)
 
@@ -157,11 +159,16 @@ class Run:
 
     def write_manifest(self, stage: str, inputs: dict[str, str],
                        outputs: list[str] | None = None) -> None:
+        """Record ``stage``'s run, and remove the files it writes under another config but
+        did not write now, so the directory holds no file that no manifest lists."""
+        outputs = outputs or self.outputs[stage]
+        for name in set(_outputs(MODEL_KINDS, True)[stage]).difference(outputs):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(self.path(name))
         _write_json(self.path(f"manifest_{stage}.json"), {
             "config_hash": self.hash,
             "inputs": inputs,
-            "outputs": {name: sha256_file(self.path(name))
-                        for name in outputs or _outputs(self.cfg)[stage]},
+            "outputs": {name: sha256_file(self.path(name)) for name in outputs},
         })
 
     def require(self, stage: str) -> dict[str, str]:
@@ -169,43 +176,29 @@ class Run:
         files is missing, edited or stale, or if it was built from another version
         of a file checked before it; returns {name: sha256} of every file checked,
         for ``stage``'s manifest."""
-        outputs = _outputs(self.cfg)
         checked: dict[str, str] = {}
         for upstream in STAGES[:STAGES.index(stage)]:
-            for name in outputs[upstream]:
-                if not os.path.exists(self.path(name)):
-                    raise DataError(
-                        f"missing artifact {name} (needed by '{stage}'); rerun `srr {upstream}`")
-            man_path = self.path(f"manifest_{upstream}.json")
-            if not os.path.exists(man_path):
-                raise DataError(
-                    f"no stage manifest for '{upstream}'; rerun `srr {upstream}`")
-            with _json_artifact(man_path, upstream) as man:
-                if man.get("config_hash") != self.hash:  # the hash covers the seed
-                    raise DataError(
-                        f"artifacts from stage '{upstream}' are stale "
-                        f"(config or seed changed); rerun `srr {upstream}`")
-                changed = [name for name, digest in checked.items()
-                           if man["inputs"].get(name, digest) != digest]
-                if changed:
-                    raise DataError(f"stage '{upstream}' was built from another {changed[0]}; "
-                                    f"rerun `srr {upstream}`")
-                for name in outputs[upstream]:
-                    checked[name] = sha256_file(self.path(name))
-                    if man.get("outputs", {}).get(name) != checked[name]:
-                        raise DataError(
-                            f"artifact {name} no longer matches the '{upstream}' manifest; "
-                            f"rerun `srr {upstream}`")
+            with _rerun(upstream):
+                for name in self.outputs[upstream]:
+                    if not os.path.exists(self.path(name)):
+                        raise DataError(f"missing artifact {name} (needed by '{stage}')")
+                man_path = self.path(f"manifest_{upstream}.json")
+                if not os.path.exists(man_path):
+                    raise DataError(f"no stage manifest for '{upstream}'")
+                with _json_artifact(man_path) as man:
+                    if man.get("config_hash") != self.hash:  # the hash covers the seed
+                        raise DataError(f"artifacts from stage '{upstream}' are stale "
+                                        "(config or seed changed)")
+                    changed = [name for name, digest in checked.items()
+                               if man["inputs"].get(name, digest) != digest]
+                    if changed:
+                        raise DataError(f"stage '{upstream}' was built from another {changed[0]}")
+                    for name in self.outputs[upstream]:
+                        checked[name] = sha256_file(self.path(name))
+                        if man.get("outputs", {}).get(name) != checked[name]:
+                            raise DataError(f"artifact {name} no longer matches the "
+                                            f"'{upstream}' manifest")
         return checked
-
-
-def _period_name(cfg: Config) -> str:
-    if cfg.period.preset is not None:
-        return cfg.period.preset
-    start, end = cfg.period.start, cfg.period.end
-    if start or end:
-        return f"{start or '...'}..{end or '...'}"
-    return "full"
 
 
 # -- stage: ingest ------------------------------------------------------------
@@ -245,7 +238,7 @@ def _ingested_panel(run: Run) -> PricePanel:
     with _rerun("ingest"):
         panel, _ = ingest_csv(run.path("prices.csv"))
     if run.cfg.graph.sector_layer:
-        with _json_artifact(run.path("universe.json"), "ingest") as meta:
+        with _rerun("ingest"), _json_artifact(run.path("universe.json")) as meta:
             if not isinstance(meta, dict) or not all(isinstance(s, str) for s in meta.values()):
                 raise TypeError("expected an object mapping tickers to sector names")
             panel.universe_meta = meta
@@ -410,10 +403,6 @@ def cmd_evaluate(run: Run) -> None:
     report = {
         "config": cfg_echo,
         "config_hash": run.hash,
-        "seed": cfg.seed,
-        "period": _period_name(cfg),
-        "threshold": cfg.evaluate.threshold,
-        "warn_gamma": cfg.evaluate.warn_gamma,
         "split": {"train_days": len(bundle.split.train_dates),
                   "test_days": len(bundle.split.test_dates)},
         "models": models_report,
@@ -454,7 +443,7 @@ def _aggregate_importance(importance: dict[str, float], cfg: Config
 def cmd_report(run: Run) -> None:
     cfg = run.cfg
     inputs = run.require("report")
-    with _json_artifact(run.path("report.json"), "evaluate") as report:
+    with _rerun("evaluate"), _json_artifact(run.path("report.json")) as report:
         summary = summary_table(report)
         models = report["models"]
         kinds = sorted(models)

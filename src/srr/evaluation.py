@@ -201,11 +201,15 @@ def _fmt(value, width: int = 9) -> str:
 
 
 def summary_table(report: dict) -> str:
-    """Aligned text table: one row per model, dashes where a metric is undefined."""
-    period = report.get("period", "full")
+    """Aligned text table: one row per model, dashes where a metric is undefined. The
+    header names the period of the config echo: its preset, else ``start..end`` with
+    ``...`` for a missing bound, else ``full``."""
+    cfg = report["config"]
+    start, end = cfg["period"].get("start"), cfg["period"].get("end")
+    period = cfg["period"].get("preset") or (
+        f"{start or '...'}..{end or '...'}" if start or end else "full")
     lines = [
-        f"period: {period}    seed: {report.get('seed')}    "
-        f"threshold: {report.get('threshold')}",
+        f"period: {period}    seed: {cfg['seed']}    threshold: {cfg['evaluate']['threshold']}",
         "",
         f"{'model':<10}{'params':>8}{'n':>6}{'auroc':>9}{'auprc':>9}"
         f"{'precision':>11}{'recall':>9}{'accuracy':>10}{'fpr':>9}{'fnr':>9}",

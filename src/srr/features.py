@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import FeatureConfig
 from .errors import DataError, ShapeError
 from .market_data import PricePanel, log_returns, read_csv, write_csv
 
@@ -43,13 +44,9 @@ __all__ = [
     "write_graph_labels_csv",
 ]
 
-DEFAULT_VOL_WINDOWS = (20, 60)
-DEFAULT_DD_WINDOWS = (20, 60)
-DEFAULT_MOM_WINDOWS = (10, 30)
 
-
-def feature_names(vol_windows=DEFAULT_VOL_WINDOWS, dd_windows=DEFAULT_DD_WINDOWS,
-                  mom_windows=DEFAULT_MOM_WINDOWS) -> list[str]:
+def feature_names(vol_windows=FeatureConfig.vol_windows, dd_windows=FeatureConfig.dd_windows,
+                  mom_windows=FeatureConfig.momentum_windows) -> list[str]:
     return (["ret_1d"]
             + [f"vol_{w}" for w in vol_windows]
             + [f"dd_{w}" for w in dd_windows]
@@ -99,9 +96,9 @@ def _rolling_std(returns: np.ndarray, window: int) -> np.ndarray:
     return win.std(axis=2, ddof=1)
 
 
-def compute_features(prices: PricePanel, vol_windows=DEFAULT_VOL_WINDOWS,
-                     dd_windows=DEFAULT_DD_WINDOWS,
-                     mom_windows=DEFAULT_MOM_WINDOWS) -> FeaturePanel:
+def compute_features(prices: PricePanel, vol_windows=FeatureConfig.vol_windows,
+                     dd_windows=FeatureConfig.dd_windows,
+                     mom_windows=FeatureConfig.momentum_windows) -> FeaturePanel:
     """Build the feature cube over the panel's feature-valid dates from its prices alone."""
     returns, p = log_returns(prices).returns, prices.prices
     t_total = p.shape[1]

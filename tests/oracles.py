@@ -75,10 +75,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from srr import graphs
 from srr.models import gcn
 from srr import tensor as tz
+from srr.config import FeatureConfig
 from srr.errors import DataError, NumericalError, ShapeError
 from srr.evaluation import _check_scored
 from srr.features import FeaturePanel, _label_cell, _rolling_std, feature_names
-from srr.features import DEFAULT_DD_WINDOWS, DEFAULT_MOM_WINDOWS, DEFAULT_VOL_WINDOWS
 from srr.graphs import GraphSnapshot
 from srr.market_data import (PricePanel, ReturnPanel, _check_plain, is_iso_date, read_csv,
                              sha256_file)
@@ -1135,9 +1135,9 @@ def batch_rows(stack_rows: np.ndarray, chunk: np.ndarray,
 
 
 def compute_features(returns: ReturnPanel, prices: PricePanel,
-                     vol_windows=DEFAULT_VOL_WINDOWS,
-                     dd_windows=DEFAULT_DD_WINDOWS,
-                     mom_windows=DEFAULT_MOM_WINDOWS) -> FeaturePanel:
+                     vol_windows=FeatureConfig.vol_windows,
+                     dd_windows=FeatureConfig.dd_windows,
+                     mom_windows=FeatureConfig.momentum_windows) -> FeaturePanel:
     """Build the feature cube over the feature-valid dates of the panel."""
     if returns.tickers != prices.tickers:
         raise DataError("returns and prices cover different tickers")

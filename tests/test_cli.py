@@ -1071,13 +1071,14 @@ class TestLoadConfig:
 
 class TestConfigPaths:
     """A crisis preset or a period config cuts the ingested prices and names the
-    period in the report; ``features.standardize: false`` keeps raw features."""
+    period in summary.txt; ``features.standardize: false`` keeps raw features."""
 
     @pytest.mark.parametrize("args,sections,period,first,last", [
         (["--preset", "gfc"], {}, "gfc", "2006-01-02", "2011-12-31"),
         ([], {"period": {"start": "2010-01-04", "end": "2011-06-30"}},
          "2010-01-04..2011-06-30", "2010-01-04", "2011-06-30"),
-    ], ids=["preset", "start_end"])
+        ([], {"period": {"start": "2010-01-04"}}, "2010-01-04.....", "2010-01-04", "2011-09-01"),
+    ], ids=["preset", "start_end", "start"])
     def test_period_cuts_the_prices_and_names_the_report(self, tmp_path, args, sections,
                                                          period, first, last):
         write_synthetic_csv(str(tmp_path / "prices.csv"), n_tickers=10, n_days=2000, seed=21,
@@ -1086,7 +1087,8 @@ class TestConfigPaths:
         assert main(["run-all", "--config", cfg_path, *args]) == 0
         dates = [line.split(",")[0] for line in (out / "prices.csv").read_text().splitlines()[1:]]
         assert dates[0] == first and dates[-1] <= last
-        assert json.loads((out / "report.json").read_text())["period"] == period
+        assert set(json.loads((out / "report.json").read_text())) == {
+            "config", "config_hash", "split", "models"}
         assert (out / "summary.txt").read_text().startswith(f"period: {period} ")
 
     def test_unstandardized_statistics_are_zeros_and_ones(self, tmp_path):
@@ -1368,6 +1370,83 @@ class TestExitCodes:
         assert main(["features", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
         assert "prices.csv" in err and "rerun `srr ingest`" in err
+
+
+def overwrite(name, text):
+    def edit(out: Path):
+        (out / name).write_text(text)
+    return edit
+
+
+def stale_hash(out: Path):
+    manifest = json.loads((out / "manifest_graphs.json").read_text())
+    (out / "manifest_graphs.json").write_text(json.dumps({**manifest, "config_hash": "0" * 64}))
+
+
+class TestRerunHint:
+    """Every refusal of an earlier stage's files ends in one rerun hint, and the
+    hint names the stage that wrote the refused file."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        cfg_path, out = make_workspace(tmp_path_factory.mktemp("hint"), n_days=260,
+                                       model={"kinds": ["logistic"]})
+        for stage in ("ingest", "features", "graphs", "train"):
+            assert main([stage, "--config", cfg_path]) == 0
+        return cfg_path, out
+
+    @pytest.mark.parametrize("edit,command,message,upstream", [
+        (lambda out: (out / "graphs.jsonl").unlink(), "train",
+         "missing artifact graphs.jsonl (needed by 'train')", "graphs"),
+        (lambda out: (out / "manifest_train.json").unlink(), "evaluate",
+         "no stage manifest for 'train'", "train"),
+        (overwrite("manifest_graphs.json", "not json"), "evaluate",
+         "{out}/manifest_graphs.json is malformed "
+         "(JSONDecodeError: Expecting value: line 1 column 1 (char 0))", "graphs"),
+        (stale_hash, "train",
+         "artifacts from stage 'graphs' are stale (config or seed changed)", "graphs"),
+        (lambda out: rewrite_artifact(out, "prices.csv", "ingest", lambda i, line: line + "0"
+                                      if i == 1 else line), "train",
+         "stage 'features' was built from another prices.csv", "features"),
+        (overwrite("training_log_logistic.json", "{}"), "evaluate",
+         "artifact training_log_logistic.json no longer matches the 'train' manifest", "train"),
+    ], ids=["missing-artifact", "missing-manifest", "malformed-manifest", "stale",
+            "built-from-another-file", "edited-output"])
+    def test_one_hint_names_the_stage(self, capsys, tmp_path, trained, edit, command,
+                                      message, upstream):
+        cfg_path, out = trained
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        edit(copy)
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path, "--out", str(copy)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {message.format(out=copy)}; rerun `srr {upstream}`\n")
+
+
+class TestStaleFiles:
+    """Recording its manifest, a stage removes the files it writes under another
+    config but did not write now, so a rerun into the same directory leaves
+    exactly the files its manifests list."""
+
+    @pytest.mark.parametrize("narrow", ["kinds", "macro"])
+    def test_narrower_rerun_leaves_only_listed_files(self, tmp_path, narrow):
+        make_workspace(tmp_path, n_days=300)  # writes prices.csv
+        model = {"kinds": ["logistic", "forest"], "forest_trees": 5, "forest_max_depth": 3}
+        if narrow == "kinds":
+            wide, narrower = {"model": model}, {"model": {**model, "kinds": ["logistic"]}}
+        else:
+            macro = write_layer_inputs(tmp_path)["macro_csv"]
+            wide, narrower = {"model": model, "data": {"macro_csv": macro}}, {"model": model}
+        for sections in (wide, narrower):
+            cfg_path, out = make_workspace(tmp_path, **sections)
+            assert main(["run-all", "--config", cfg_path]) == 0
+        manifests = {p.name for p in out.glob("manifest_*.json")}
+        listed = {name for m in manifests for name in json.loads((out / m).read_text())["outputs"]}
+        assert {p.name for p in out.iterdir()} == listed | manifests
+        gone = {"kinds": ["model_forest.srrm", "training_log_forest.json", "timeline_forest.csv",
+                          "feature_importance.svg"], "macro": ["macro.csv"]}[narrow]
+        assert not any((out / name).exists() for name in gone)
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

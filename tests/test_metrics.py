@@ -332,7 +332,7 @@ class TestRendering:
         scores, labels = scored_from_counts(3, 1, 4, 2)
         single = compute_metrics(np.array([0.9, 0.2]), np.array([1, 1]))
         return {
-            "period": "full", "seed": 7, "threshold": 0.5,
+            "config": {"period": {}, "seed": 7, "evaluate": {"threshold": 0.5}},
             "models": {
                 "logistic": {
                     "metrics": compute_metrics(scores, labels),
