@@ -278,12 +278,11 @@ def _derive_features(cfg: Config, panel: PricePanel, macro_csv: str | None
 
     split = chronological_split(fpanel.dates, ratio=cfg.split.ratio,
                                 horizon=cfg.labels.horizon)
-    train_range = (split.train_dates[0], split.train_dates[-1])
     if cfg.features.standardize:
-        return fpanel, standardize(fpanel, train_range), split
+        return fpanel, standardize(fpanel, (split.train_dates[0], split.train_dates[-1])), split
     n_f = len(fpanel.names)
     return fpanel, apply_standardization(
-        fpanel, Standardization(np.zeros(n_f), np.ones(n_f), *train_range)), split
+        fpanel, Standardization(np.zeros(n_f), np.ones(n_f))), split
 
 
 def cmd_features(run: Run) -> None:

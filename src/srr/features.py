@@ -12,10 +12,10 @@ mom_30]. ``compute_features`` takes the price panel alone and derives the log
 returns from it. Every value at date t uses prices up to and including t only;
 the warm-up prefix (first max-window days, 60 by default) carries no features.
 
-Labels look forward: a node is positive at t when its price falls at least
-``threshold`` below p[t] within the next ``horizon`` trading days; the graph
-label applies the same rule to the equal-weight portfolio of all tickers
-(prices normalized to 1 at t). The final ``horizon`` dates carry no label.
+Labels look forward, one per date: t is positive when the equal-weight
+portfolio of all tickers (prices normalized to 1 at t) falls at least
+``threshold`` below its value at t within the next ``horizon`` trading days.
+The final ``horizon`` dates carry no label.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ class Standardization:
 
     mean: np.ndarray  # length F
     std: np.ndarray  # length F, zero-variance entries replaced by 1.0
-    train_start: str
-    train_end: str
     degenerate: list[str] = field(default_factory=list)  # features whose std was 0
 
     def __post_init__(self):
@@ -82,7 +80,6 @@ class FeaturePanel:
     names: list[str]
     macro: np.ndarray | None = None  # T_f x M day-level overlay, appended to every node
     macro_names: list[str] = field(default_factory=list)
-    node_labels: np.ndarray | None = None  # N x T_f int8; meaningful where label_valid
     graph_labels: np.ndarray | None = None  # T_f int8
     label_valid: np.ndarray | None = None  # T_f bool; False on the last `horizon` dates
     standardization: Standardization | None = None
@@ -125,31 +122,26 @@ def compute_features(prices: PricePanel, vol_windows=FeatureConfig.vol_windows,
 
 
 def compute_labels(prices: PricePanel, threshold: float = 0.10,
-                   horizon: int = 60) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward-drawdown labels over all panel dates.
+                   horizon: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-drawdown portfolio labels over all panel dates.
 
-    Returns (node_labels N x T, graph_labels T, valid T). Position t is
-    positive when min over h in 1..horizon of p[t+h]/p[t] - 1 <= -threshold
-    (boundary inclusive). valid[t] is False when fewer than ``horizon``
-    future dates exist; labels there are 0 and must be ignored.
+    Returns (graph_labels T, valid T). Position t is positive when the
+    minimum over h in 1..horizon of the mean over tickers of p[t+h]/p[t],
+    minus 1, is <= -threshold (boundary inclusive). valid[t] is False when
+    fewer than ``horizon`` future dates exist; labels there are 0 and must be
+    ignored.
     """
     if not (0.0 < threshold < 1.0):
         raise DataError(f"label threshold must be in (0, 1), got {threshold}")
     if horizon < 1:
         raise DataError(f"label horizon must be >= 1, got {horizon}")
     p = prices.prices
-    n, t_total = p.shape
-    node = np.zeros((n, t_total), dtype=np.int8)
+    t_total = p.shape[1]
     graph = np.zeros(t_total, dtype=np.int8)
     valid = np.zeros(t_total, dtype=bool)
     if t_total > horizon:
         t_lab = t_total - horizon
-        # forward minimum over the next `horizon` values, excluding t itself
-        fwd = sliding_window_view(p, horizon, axis=1).min(axis=2)  # window starts at t
-        fwd_min = fwd[:, 1:]  # window starting at t+1 covers t+1..t+horizon
         base = p[:, :t_lab]
-        node[:, :t_lab] = (fwd_min / base - 1.0 <= -threshold).astype(np.int8)
-
         # equal-weight portfolio entered at t: value after h days is the mean
         # over tickers of p[t+h]/p[t]; take the worst value over the horizon
         port_min = np.full(t_lab, np.inf)
@@ -158,15 +150,14 @@ def compute_labels(prices: PricePanel, threshold: float = 0.10,
             port_min = np.minimum(port_min, ratio)
         graph[:t_lab] = (port_min - 1.0 <= -threshold).astype(np.int8)
         valid[:t_lab] = True
-    return node, graph, valid
+    return graph, valid
 
 
 def attach_labels(panel: FeaturePanel, prices: PricePanel, threshold: float = 0.10,
                   horizon: int = 60) -> FeaturePanel:
     """Compute labels and align them onto the panel's feature dates."""
-    node, graph, valid = compute_labels(prices, threshold, horizon)
+    graph, valid = compute_labels(prices, threshold, horizon)
     offset = len(prices.dates) - len(panel.dates)
-    panel.node_labels = node[:, offset:]
     panel.graph_labels = graph[offset:]
     panel.label_valid = valid[offset:]
     return panel
@@ -191,9 +182,7 @@ def standardize(panel: FeaturePanel, train_range: tuple[str, str]) -> FeaturePan
         warnings.warn(f"feature {name} has zero variance on the train range; std set to 1")
     std = np.where(std == 0.0, 1.0, std)
 
-    stats = Standardization(mean=mean, std=std, train_start=start, train_end=end,
-                            degenerate=degenerate)
-    return apply_standardization(panel, stats)
+    return apply_standardization(panel, Standardization(mean, std, degenerate))
 
 
 def apply_standardization(panel: FeaturePanel, stats: Standardization) -> FeaturePanel:
@@ -211,49 +200,32 @@ def apply_standardization(panel: FeaturePanel, stats: Standardization) -> Featur
 # -- serialization ---------------------------------------------------------
 
 def write_features_csv(panel: FeaturePanel, path: str) -> None:
-    """Long CSV: date,ticker,<features...>,node_label (blank when unlabeled)."""
-    def rows():
-        for t, day in enumerate(panel.dates):
-            labeled = panel.label_valid is not None and bool(panel.label_valid[t])
-            labels = (panel.node_labels[:, t].astype(np.int64).tolist() if labeled
-                      else [""] * len(panel.tickers))
-            for ticker, row, lab in zip(panel.tickers, panel.features[:, t, :].tolist(), labels):
-                yield day, ticker, *row, lab
-    write_csv(path, ["date", "ticker", *panel.names, "node_label"], rows())
-
-
-def _label_cell(cell: str) -> int | None:
-    """A label cell of ``features.csv``: blank (unlabeled), 0 or 1."""
-    if cell not in ("", "0", "1"):
-        raise ValueError(f"label {cell!r} is not blank, 0 or 1")
-    return int(cell) if cell else None
+    """Long CSV: date,ticker,<features...>."""
+    write_csv(path, ["date", "ticker", *panel.names],
+              ((day, ticker, *row) for t, day in enumerate(panel.dates)
+               for ticker, row in zip(panel.tickers, panel.features[:, t, :].tolist())))
 
 
 def read_features_csv(path: str) -> FeaturePanel:
-    header, rows = read_csv(path, "features file", "date,ticker,*,node_label", lambda r: (
-        r[0], r[1], [float(v) for v in r[2:-1]], _label_cell(r[-1])))
-    names = header[2:-1]
+    header, rows = read_csv(path, "features file", "date,ticker,*", lambda r: (
+        r[0], r[1], [float(v) for v in r[2:]]))
+    names = header[2:]
     cells = list(rows)
     dates = sorted({c[0] for _, c in cells})
     tickers = sorted({c[1] for _, c in cells})
     d_idx = {d: t for t, d in enumerate(dates)}
     t_idx = {k: i for i, k in enumerate(tickers)}
     feats = np.full((len(tickers), len(dates), len(names)), np.nan)
-    node = np.full((len(tickers), len(dates)), -1, dtype=np.int8)  # -1: no row yet
-    labeled = np.zeros(node.shape, dtype=bool)
-    for line_no, (day, ticker, values, lab) in cells:
+    seen = np.zeros(feats.shape[:2], dtype=bool)
+    for line_no, (day, ticker, values) in cells:
         i, t = t_idx[ticker], d_idx[day]
-        if node[i, t] >= 0:
+        if seen[i, t]:
             raise DataError(f"features file {path}: line {line_no}: a second row for "
                             f"({day}, {ticker})")
-        feats[i, t, :], node[i, t], labeled[i, t] = values, lab or 0, lab is not None
+        feats[i, t, :], seen[i, t] = values, True
     if not np.isfinite(feats).all():
         raise DataError(f"{path}: missing (date, ticker) cells or non-finite values")
-    valid = labeled.any(axis=0)
-    if (labeled != valid).any():
-        raise DataError(f"{path}: a date labels some tickers and leaves others blank")
-    return FeaturePanel(tickers=tickers, dates=dates, features=feats, names=names,
-                        node_labels=node, label_valid=valid)
+    return FeaturePanel(tickers=tickers, dates=dates, features=feats, names=names)
 
 
 def write_graph_labels_csv(panel: FeaturePanel, path: str) -> None:

@@ -7,6 +7,8 @@ inside the file, so identical runs emit byte-identical SVGs.
 
 from __future__ import annotations
 
+from html import escape
+
 from .errors import DataError
 
 __all__ = ["line_chart", "grouped_bar_chart", "hbar_chart", "PALETTE"]
@@ -75,7 +77,7 @@ def _legend(parts: list[str], names: list[str]) -> None:
         color = PALETTE[i % len(PALETTE)]
         x = x0 + 10 + 150 * i
         parts.append(f'<rect x="{x}" y="{y0 + 8}" width="14" height="4" fill="{color}"/>')
-        parts.append(f'<text x="{x + 20}" y="{y0 + 14}" font-size="11">{name}</text>')
+        parts.append(f'<text x="{x + 20}" y="{y0 + 14}" font-size="11">{escape(name)}</text>')
 
 
 def _write_svg(path: str, parts: list[str]) -> None:
@@ -158,7 +160,7 @@ def hbar_chart(path: str, title: str, names: list[str], values: list[float],
         y_top = y0 + i * row_h + 0.2 * row_h
         width = max(v, 0.0) / (hi * 1.1) * (x1 - left)
         parts.append(f'<text x="{left - 6:.1f}" y="{y_top + 0.45 * row_h:.1f}" font-size="11" '
-                     f'text-anchor="end">{name}</text>')
+                     f'text-anchor="end">{escape(name)}</text>')
         parts.append(f'<rect x="{left:.1f}" y="{y_top:.1f}" width="{width:.1f}" '
                      f'height="{0.6 * row_h:.1f}" fill="{PALETTE[0]}"/>')
     _write_svg(path, parts)

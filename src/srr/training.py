@@ -66,8 +66,6 @@ class SplitPlan:
 
     train_dates: list[str]  # embargoed: the last `horizon` pre-boundary dates removed
     test_dates: list[str]
-    ratio: float
-    horizon: int
 
     def side(self, date: str) -> str | None:
         if date <= self.train_dates[-1]:
@@ -89,12 +87,7 @@ def chronological_split(dates: list[str], ratio: float = 0.8, horizon: int = 60)
         raise DataError(
             f"cannot split {len(dates)} dates at ratio {ratio} with a {horizon}-day embargo"
         )
-    return SplitPlan(
-        train_dates=list(dates[:n_kept]),
-        test_dates=list(dates[n_train:]),
-        ratio=ratio,
-        horizon=horizon,
-    )
+    return SplitPlan(train_dates=list(dates[:n_kept]), test_dates=list(dates[n_train:]))
 
 
 @dataclass

@@ -40,10 +40,11 @@ called (the two are bit-equal), and the cell-by-cell ``write_features_csv``;
 last, the hand-rolled CSV writers that ``market_data.write_csv`` replaced:
 ``write_panel_csv``, the loop of ``synthetic.write_synthetic_csv``,
 ``write_graph_labels_csv`` (followed by ``read_graph_labels_csv``, its reader,
-formerly in ``features``, which no stage calls since the stages derive
-their labels from the prices), the command line's ``_write_macro_csv``, and its
-timeline loop from ``cmd_evaluate``, wrapped as ``write_timeline`` (its
-``run.path(timeline)`` is the ``path`` argument). Then the batched
+and the reader's ``_label_cell``, both formerly in ``features``, which no
+stage calls since the stages derive their labels from the prices), the
+command line's ``_write_macro_csv``, and its timeline loop from
+``cmd_evaluate``, wrapped as ``write_timeline`` (its ``run.path(timeline)``
+is the ``path`` argument). Then the batched
 mini-batch step that stacked GRU gates, the in-place encoder and gradients
 written into one flat vector replaced: the ``batch_*`` forward and backward
 passes, among them the per-step GRU as ``batch_gru_step`` and
@@ -78,7 +79,7 @@ from srr import tensor as tz
 from srr.config import FeatureConfig
 from srr.errors import DataError, NumericalError, ShapeError
 from srr.evaluation import _check_scored
-from srr.features import FeaturePanel, _label_cell, _rolling_std, feature_names
+from srr.features import FeaturePanel, _rolling_std, feature_names
 from srr.graphs import GraphSnapshot
 from srr.market_data import (PricePanel, ReturnPanel, _check_plain, is_iso_date, read_csv,
                              sha256_file)
@@ -840,15 +841,13 @@ def logistic_fit(x: np.ndarray, y: np.ndarray, lr: float = 0.05, max_epochs: int
 
 
 def write_features_csv(panel, path: str) -> None:
-    """Long CSV: date,ticker,<features...>,node_label (blank when unlabeled)."""
+    """Long CSV: date,ticker,<features...>."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("date,ticker," + ",".join(panel.names) + ",node_label\n")
+        fh.write("date,ticker," + ",".join(panel.names) + "\n")
         for t, day in enumerate(panel.dates):
-            labeled = panel.label_valid is not None and bool(panel.label_valid[t])
             for i, ticker in enumerate(panel.tickers):
                 vals = ",".join(repr(float(v)) for v in panel.features[i, t, :])
-                lab = str(int(panel.node_labels[i, t])) if labeled else ""
-                fh.write(f"{day},{ticker},{vals},{lab}\n")
+                fh.write(f"{day},{ticker},{vals}\n")
 
 
 def write_panel_csv(panel: PricePanel, path: str) -> None:
@@ -881,6 +880,13 @@ def write_graph_labels_csv(panel: FeaturePanel, path: str) -> None:
         for t, day in enumerate(panel.dates):
             lab = str(int(panel.graph_labels[t])) if panel.label_valid[t] else ""
             fh.write(f"{day},{lab}\n")
+
+
+def _label_cell(cell: str) -> int | None:
+    """A label cell: blank (unlabeled), 0 or 1."""
+    if cell not in ("", "0", "1"):
+        raise ValueError(f"label {cell!r} is not blank, 0 or 1")
+    return int(cell) if cell else None
 
 
 def read_graph_labels_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:

@@ -126,7 +126,7 @@ class TestRunAll:
 
     def test_split_has_horizon_gap(self, pipeline):
         split = json.loads((pipeline["out"] / "split.json").read_text())
-        assert split["horizon"] == 20
+        assert set(split) == {"train_dates", "test_dates"}
         assert max(split["train_dates"]) < min(split["test_dates"])
         features = (pipeline["out"] / "features.csv").read_text().splitlines()
         feature_dates = sorted({row.split(",")[0] for row in features[1:]})
@@ -272,6 +272,21 @@ class TestLayersAndMacro:
         assert bars == sorted(["ret_1d", "vol_20", "vol_60", "dd_20", "dd_60", "mom_10",
                                "mom_30", "vix", "mean_vix"])
 
+    def test_a_macro_name_with_markup_characters_draws_well_formed_svgs(self, tmp_path):
+        """``&`` and ``<`` are allowed in a column name; every chart escapes them."""
+        make_workspace(tmp_path)  # writes prices.csv
+        macro = Path(write_layer_inputs(tmp_path)["macro_csv"])
+        macro.write_text("date,S&P<vix>\n" + "".join(
+            line.rsplit(",", 1)[0] + "\n" for line in macro.read_text().splitlines()[1:]))
+        cfg_path, out = make_workspace(tmp_path, out_name="o", data={"macro_csv": str(macro)},
+                                       model={"kinds": ["forest"], "forest_trees": 5})
+        assert main(["run-all", "--config", cfg_path]) == 0
+        svgs = sorted(out.glob("*.svg"))
+        assert out / "feature_importance.svg" in svgs
+        texts = {t.firstChild.data for path in svgs
+                 for t in minidom.parse(str(path)).getElementsByTagName("text") if t.firstChild}
+        assert "S&P<vix>" in texts
+
     def test_duplicate_universe_ticker_exits_two_naming_the_file(self, capsys, tmp_path):
         make_workspace(tmp_path)  # writes prices.csv
         data = write_layer_inputs(tmp_path)
@@ -409,9 +424,8 @@ class TestRunAllHandOff:
         assert (derived.tickers, derived.dates, derived.names) == (read.tickers, dates, read.names)
         assert read.dates == dates
         for got, want in [(derived.features, read.features),
-                          (derived.node_labels, read.node_labels),
                           (derived.graph_labels, graph_labels),
-                          (derived.label_valid, valid), (read.label_valid, valid),
+                          (derived.label_valid, valid),
                           (derived.standardization.mean, stats.mean),
                           (derived.standardization.std, stats.std)]:
             assert same_bits(got, want)
@@ -964,7 +978,7 @@ DAMAGED_EXPORTS = [(name, command, cut_second_line)
     ("features.csv", "train", each_line(short_row, "short_row")),
     ("features.csv", "train", each_line(bad_cell(2), "non_numeric")),
     ("features.csv", "train", change_lines(_duplicate_first_row, "duplicate_row")),
-    ("features.csv", "train", change_lines(_set_cell(1, -1, "7"), "node_label_7")),
+    ("features.csv", "train", change_lines(_set_cell(1, -1, "7"), "mom_30_7")),
     ("features.csv", "train", change_lines(_set_cell(0, 3, "foo"), "renamed_feature")),
     ("graph_labels.csv", "train", each_line(short_row, "short_row")),
     ("graph_labels.csv", "train", each_line(bad_cell(1), "non_numeric")),
@@ -980,7 +994,7 @@ DAMAGED_EXPORTS = [(name, command, cut_second_line)
     ("standardization.json", "train",
      change_key("std", lambda v: [float("nan")] + v[1:], "nan_std")),
     ("standardization.json", "train", change_key("scale", lambda v: 1.0, "unknown_key")),
-    ("split.json", "train", drop_key("ratio")),
+    ("split.json", "train", drop_key("train_dates")),
     ("split.json", "train", change_key("test_dates", lambda v: [], "no_test")),
     ("split.json", "train", change_key("test_dates", lambda v: v[5:], "late_test")),
     ("graphs.jsonl", "train",

@@ -115,7 +115,6 @@ class TestFeatureValues:
         assert f_cut.label_valid[:m].all() and not f_cut.label_valid[m:].any()
         assert np.array_equal(f_full.label_valid[:m], f_cut.label_valid[:m])
         assert np.array_equal(f_full.graph_labels[:m], f_cut.graph_labels[:m])
-        assert np.array_equal(f_full.node_labels[:, :m], f_cut.node_labels[:, :m])
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_memory_order_of_the_prices_changes_nothing(self, layout):
@@ -141,15 +140,14 @@ class TestLabels:
         # 75/100 and 0.25 are exact binary fractions, so the forward return
         # lands exactly on -threshold and the <= rule must fire.
         prices = panel_from([100.0, 100.0, 100.0, 75.0, 95.0, 100.0])
-        node, graph, valid = compute_labels(prices, threshold=0.25, horizon=2)
-        assert node[0].tolist() == [0, 1, 1, 0, 0, 0]
-        assert graph.tolist() == [0, 1, 1, 0, 0, 0]  # single ticker: same rule
+        graph, valid = compute_labels(prices, threshold=0.25, horizon=2)
+        assert graph.tolist() == [0, 1, 1, 0, 0, 0]
         assert valid.tolist() == [True, True, True, True, False, False]
 
     def test_just_above_boundary_is_negative(self):
         prices = panel_from([100.0, 90.001, 100.0])
-        node, _, _ = compute_labels(prices, threshold=0.10, horizon=1)
-        assert node[0, 0] == 0
+        graph, _ = compute_labels(prices, threshold=0.10, horizon=1)
+        assert graph[0] == 0  # single ticker: the portfolio is the ticker
 
     def test_portfolio_label_catches_joint_drawdown(self):
         # Neither ticker admits a -10% alone... except A; the equal-weight
@@ -157,17 +155,15 @@ class TestLabels:
         prices = PricePanel(tickers=["A", "B"], dates=business_days("2020-01-01", 3),
                             prices=np.array([[100.0, 85.0, 100.0],
                                              [100.0, 94.0, 100.0]]))
-        node, graph, valid = compute_labels(prices, threshold=0.10, horizon=2)
+        graph, valid = compute_labels(prices, threshold=0.10, horizon=2)
         assert valid.tolist() == [True, False, False]
-        assert node[:, 0].tolist() == [1, 0]  # A -15%, B only -6%
         assert graph[0] == 1  # portfolio (0.85 + 0.94) / 2 = 0.895 -> -10.5%
 
     def test_portfolio_label_ignores_hedged_crash(self):
         prices = PricePanel(tickers=["A", "B"], dates=business_days("2020-01-01", 3),
                             prices=np.array([[100.0, 80.0, 100.0],
                                              [100.0, 105.0, 100.0]]))
-        node, graph, _ = compute_labels(prices, threshold=0.10, horizon=2)
-        assert node[:, 0].tolist() == [1, 0]
+        graph, _ = compute_labels(prices, threshold=0.10, horizon=2)
         assert graph[0] == 0  # portfolio worst point is -7.5%
 
     def test_renormalizes_at_every_entry_date(self):
@@ -176,7 +172,7 @@ class TestLabels:
         # cumulative fall is far past 10%: entry-relative, not path-relative.
         series = 100.0 * (0.96 ** np.arange(8))
         prices = panel_from(series)
-        _, graph, valid = compute_labels(prices, threshold=0.10, horizon=2)
+        graph, valid = compute_labels(prices, threshold=0.10, horizon=2)
         assert np.all(graph[valid] == 0)
 
     def test_attach_aligns_on_feature_dates(self):
@@ -184,12 +180,11 @@ class TestLabels:
         prices = PricePanel(tickers=tickers, dates=dates, prices=raw)
         fp = compute_features(prices)
         attach_labels(fp, prices, threshold=0.10, horizon=20)
-        node, graph, valid = compute_labels(prices, threshold=0.10, horizon=20)
+        graph, valid = compute_labels(prices, threshold=0.10, horizon=20)
         offset = len(dates) - len(fp.dates)
         for k in (5, 17, 40):
             assert fp.graph_labels[k] == graph[offset + k]
             assert fp.label_valid[k] == valid[offset + k]
-            assert np.array_equal(fp.node_labels[:, k], node[:, offset + k])
 
     def test_label_param_validation(self):
         prices = panel_from([100.0, 90.0, 80.0])
@@ -243,9 +238,7 @@ class TestStandardization:
         assert np.array_equal(fitted.features, applied.features)
 
     def test_statistics_round_trip(self):
-        stats = Standardization(mean=np.array([1.5]), std=np.array([0.25]),
-                                train_start="2020-01-01", train_end="2020-02-01",
-                                degenerate=["x"])
+        stats = Standardization(mean=np.array([1.5]), std=np.array([0.25]), degenerate=["x"])
         back = Standardization(**json.loads(json.dumps(stats.to_dict())))
         assert back.mean.dtype == back.std.dtype == np.float64
         assert np.array_equal(back.mean, stats.mean)
@@ -274,9 +267,6 @@ class TestCsvRoundTrips:
         assert back.tickers == fp.tickers
         assert back.names == fp.names
         assert np.array_equal(back.features, fp.features)
-        assert np.array_equal(back.node_labels[:, back.label_valid],
-                              fp.node_labels[:, fp.label_valid])
-        assert np.array_equal(back.label_valid, fp.label_valid)
 
     def test_features_csv_bytes_equal_the_cell_by_cell_writer(self, tmp_path):
         fp = self._labeled_panel()
@@ -293,16 +283,22 @@ class TestCsvRoundTrips:
             assert got.read_bytes() == want.read_bytes()
         assert b",nan," in got.read_bytes() and b",-0.0," in got.read_bytes()
 
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "second_row"])
     def test_features_csv_with_a_non_finite_cell_is_refused(self, tmp_path, value):
+        """So is a second row for a (date, ticker) pair, by its line number."""
         fp = self._labeled_panel()
         path = tmp_path / "features.csv"
         write_features_csv(fp, str(path))
         lines = path.read_text().splitlines()
         cells = lines[2].split(",")
-        lines[2] = ",".join(cells[:2] + [value] + cells[3:])
+        if value == "second_row":
+            lines.append(",".join(cells[:2] + ["1.0"] + cells[3:]))
+            refusal = rf"line {len(lines)}: a second row for \({cells[0]}, {cells[1]}\)"
+        else:
+            lines[2] = ",".join(cells[:2] + [value] + cells[3:])
+            refusal = "features.csv: missing .* or non-finite values"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="features.csv: missing .* or non-finite values"):
+        with pytest.raises(DataError, match=refusal):
             read_features_csv(str(path))
 
     def test_graph_labels_csv_round_trip(self, tmp_path):

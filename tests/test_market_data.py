@@ -362,7 +362,6 @@ class TestCsvWriters:
             tickers=["A", "B"], dates=dates,
             features=np.array(EDGE * 2).reshape(2, 3, 2), names=["f1", "f2"],
             macro=np.array(EDGE).reshape(3, 2), macro_names=["vix", "rate"],
-            node_labels=np.array([[1, 0, 1], [0, 1, 0]], dtype=np.int8),
             graph_labels=np.array([1, 0, 1], dtype=np.int8),
             label_valid=np.array([True, True, False]))  # the last date's labels are blank
 
@@ -394,7 +393,7 @@ class TestCsvWriters:
     def test_features(self, tmp_path, fpanel):
         text = self.same_bytes(tmp_path, lambda p: write_features_csv(fpanel, p),
                                lambda p: oracles.write_features_csv(fpanel, p))
-        assert "2020-01-01,A,-0.0,5e-324,1\n" in text and text.endswith(",\n")
+        assert "2020-01-01,A,-0.0,5e-324\n" in text and text.endswith(",B,-2.5,123456789.125\n")
 
     def test_graph_labels(self, tmp_path, fpanel):
         text = self.same_bytes(tmp_path, lambda p: write_graph_labels_csv(fpanel, p),
