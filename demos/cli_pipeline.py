@@ -5,7 +5,7 @@ Creates a scratch workspace, writes a 20-ticker price history with planted
 crash regimes plus a JSON config, then runs every pipeline stage the way a
 user would from a shell:
 
-    srr ingest   -> aligned prices + provenance manifest
+    srr ingest   -> aligned prices + provenance (rows read, dates dropped)
     srr features -> standardized features, labels, split
     srr graphs   -> rolling correlation snapshots (JSONL)
     srr train    -> four fitted models (.srrm containers)

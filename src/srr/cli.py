@@ -31,8 +31,8 @@ import numpy as np
 
 from .config import MODEL_KINDS, Config, PRESETS, config_hash, load_config
 from .errors import ConfigError, DataError, NumericalError, SrrError
-from .evaluation import (compute_metrics, crash_windows, lead_times, pr_points,
-                         report_to_json, roc_points, summary_table)
+from .evaluation import (compute_metrics, crash_windows, lead_times, pr_points, roc_points,
+                         summary_table)
 from .features import (FeaturePanel, Standardization, apply_standardization,
                        attach_labels, compute_features, feature_names, standardize,
                        write_features_csv, write_graph_labels_csv)
@@ -55,9 +55,18 @@ STAGES = ("ingest", "features", "graphs", "train", "evaluate", "report")
 
 # -- small file helpers -------------------------------------------------------
 
+def _drop_none(obj):
+    if isinstance(obj, dict):
+        return {k: _drop_none(v) for k, v in obj.items() if v is not None}
+    if isinstance(obj, list):
+        return [_drop_none(v) for v in obj]
+    return obj
+
+
 def _write_json(path: str, obj) -> None:
+    """The one writer of every JSON artifact: sorted keys, absent (None) values omitted."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(_drop_none(obj), sort_keys=True, indent=2) + "\n")
 
 
 @contextlib.contextmanager
@@ -222,10 +231,8 @@ def cmd_ingest(run: Run) -> None:
     write_panel_csv(panel, run.path("prices.csv"))
     _write_json(run.path("provenance.json"), provenance)
     _write_json(run.path("universe.json"), panel.universe_meta or {})
-    inputs = {cfg.data.prices_csv: provenance["sha256"]}
-    if cfg.data.universe_csv is not None:
-        inputs[cfg.data.universe_csv] = sha256_file(cfg.data.universe_csv)
-    run.write_manifest("ingest", inputs)
+    run.write_manifest("ingest", {path: sha256_file(path) for path in (
+        cfg.data.prices_csv, cfg.data.universe_csv) if path is not None})
     print(f"ingest: {len(panel.tickers)} tickers x {len(panel.dates)} dates -> "
           f"{run.path('prices.csv')}")
 
@@ -327,15 +334,9 @@ def _bundle(run: Run) -> DataBundle:
 
 
 def cmd_graphs(run: Run) -> None:
-    cfg = run.cfg
     inputs = run.require("graphs")
     snapshots = _bundle(run).snapshots
-    write_snapshots_jsonl(snapshots, run.path("graphs.jsonl"), meta={
-        "config_hash": run.hash,
-        "window": cfg.graph.window,
-        "tau": cfg.graph.tau,
-        "layers": list(cfg.graph.layers),
-    })
+    write_snapshots_jsonl(snapshots, run.path("graphs.jsonl"))
     run.write_manifest("graphs", inputs)
     n_edges = sum(len(s.layers["correlation"]) for s in snapshots)
     print(f"graphs: {len(snapshots)} snapshots, {n_edges} correlation edges total")
@@ -357,7 +358,7 @@ def cmd_train(run: Run) -> None:
         with open(run.path(f"model_{kind}.srrm"), "wb") as fh:
             fh.write(serialize(state))
         _write_json(run.path(f"training_log_{kind}.json"), log)
-        print(f"train[{kind}]: {log['samples']} samples, {log['parameter_count']} parameters")
+        print(f"train[{kind}]: {log['samples']} samples, {parameter_count(state)} parameters")
     run.write_manifest("train", inputs)
 
 
@@ -406,8 +407,7 @@ def cmd_evaluate(run: Run) -> None:
                   "test_days": len(bundle.split.test_dates)},
         "models": models_report,
     }
-    with open(run.path("report.json"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(report_to_json(report))
+    _write_json(run.path("report.json"), report)
     run.write_manifest("evaluate", inputs)
 
 

@@ -7,8 +7,6 @@ absent (None), never as NaN or a silent zero.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import DataError, ShapeError
@@ -21,7 +19,6 @@ __all__ = [
     "pr_points",
     "crash_windows",
     "lead_times",
-    "report_to_json",
     "summary_table",
 ]
 
@@ -103,7 +100,7 @@ def pr_points(scores, labels) -> list[tuple[float, float]]:
 def compute_metrics(scores, labels, threshold: float = 0.5) -> dict:
     """Confusion counts at the threshold plus ranking metrics.
 
-    Keys: tp/fp/tn/fn, accuracy, and (None when undefined) precision,
+    Keys: n, tp/fp/tn/fn, accuracy, and (None when undefined) precision,
     recall, fpr, fnr, auroc, auprc.
     """
     s, y = _check_scored(scores, labels)
@@ -117,7 +114,6 @@ def compute_metrics(scores, labels, threshold: float = 0.5) -> dict:
         return num / den if den > 0 else None
 
     return {
-        "threshold": float(threshold),
         "n": int(s.size),
         "tp": tp, "fp": fp, "tn": tn, "fn": fn,
         "accuracy": (tp + tn) / s.size,
@@ -175,24 +171,10 @@ def lead_times(calendar_dates: list[str], daily_labels, scored_dates: list[str],
         "unmatched": int(np.count_nonzero(~crisis & ~matched)),
         "in_crisis": int(np.count_nonzero(crisis)),
         "n_onsets": len(onsets),
-        "gamma": float(gamma),
     }
 
 
 # -- report rendering -----------------------------------------------------------
-
-def _drop_none(obj):
-    if isinstance(obj, dict):
-        return {k: _drop_none(v) for k, v in obj.items() if v is not None}
-    if isinstance(obj, list):
-        return [_drop_none(v) for v in obj]
-    return obj
-
-
-def report_to_json(report: dict) -> str:
-    """Canonical serialization: sorted keys, absent metrics omitted."""
-    return json.dumps(_drop_none(report), sort_keys=True, indent=2) + "\n"
-
 
 def _fmt(value, width: int = 9) -> str:
     if value is None:

@@ -192,17 +192,16 @@ def _physical_memory() -> float:
 
 # -- serialization ---------------------------------------------------------
 
-def write_snapshots_jsonl(snapshots: list[GraphSnapshot], path: str,
-                          meta: dict | None = None) -> None:
+def write_snapshots_jsonl(snapshots: list[GraphSnapshot], path: str) -> None:
     """Line-delimited snapshots: a header record, then one record per date.
 
     Each line is ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
-    of the header or of a ``{"date", "nodes", "layers", "graph_label"}``
-    record with every edge as an ``[i,j,w]`` array, each layer checked first.
+    of the ``{"format", "snapshots"}`` header or of a ``{"date", "nodes",
+    "layers", "graph_label"}`` record with every edge as an ``[i,j,w]`` array,
+    each layer checked first.
     """
-    header = {"format": GRAPH_FORMAT, "snapshots": len(snapshots), **(meta or {})}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_dumps(header) + "\n")
+        fh.write(_dumps({"format": GRAPH_FORMAT, "snapshots": len(snapshots)}) + "\n")
         for snap in snapshots:
             for name in sorted(snap.layers):
                 check_edges(snap.layers[name], len(snap.node_ids),

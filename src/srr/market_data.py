@@ -2,7 +2,7 @@
 
 Input is a long-format CSV with header ``date,ticker,adj_close``. Tickers
 are aligned on their common trading dates (inner join); anything off the
-shared calendar is dropped and counted in the provenance manifest.
+shared calendar is dropped and counted in the provenance record.
 ``read_csv`` and ``write_csv`` are the one path by which every stage reads
 and writes its CSV tables.
 """
@@ -156,9 +156,8 @@ def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None
     tickers restricts the panel to that set (default: every ticker in the
     file); start/end are inclusive ISO date bounds applied before alignment;
     universe is a ticker -> sector map attached to the panel for the sector
-    layer. Returns (panel, manifest). The manifest records source path, content
-    sha256, rows_read, rows_kept, dates_dropped (dates seen for in-scope
-    tickers but off the common calendar), and the final ticker list.
+    layer. Returns (panel, provenance): ``rows_read`` and ``dates_dropped``
+    (dates seen for in-scope tickers but off the common calendar).
     """
     for name, bound in (("start", start), ("end", end)):
         if bound is not None and not is_iso_date(bound):  # rows are kept by string order
@@ -202,15 +201,7 @@ def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None
     # Only the panel's tickers keep their sector; the sector layer checks the rest.
     meta = None if universe is None else {t: s for t, s in universe.items() if t in row}
     panel = PricePanel(tickers=tickers, dates=dates, prices=grid[:, common], universe_meta=meta)
-    manifest = {
-        "source": str(path),
-        "sha256": sha256_file(path),
-        "rows_read": rows_read,
-        "rows_kept": int(panel.prices.size),
-        "dates_dropped": len(all_dates) - len(dates),
-        "tickers": tickers,
-    }
-    return panel, manifest
+    return panel, {"rows_read": rows_read, "dates_dropped": len(all_dates) - len(dates)}
 
 
 def log_returns(panel: PricePanel) -> ReturnPanel:

@@ -39,7 +39,7 @@ from . import tensor as tz
 from .features import FeaturePanel
 from .graphs import GraphSnapshot, _physical_memory
 from .models.gcn import adjacency_from_snapshot, gcn_backward, gcn_forward, gcn_normalize, init_gcn
-from .models.state import ModelState, parameter_count
+from .models.state import ModelState
 from .models.temporal import init_gru, temporal_backward, temporal_forward
 from .models.baselines import (
     day_feature_matrix,
@@ -101,12 +101,13 @@ class DataBundle:
 
 # -- sample assembly ---------------------------------------------------------
 
-def _day_xy(bundle: DataBundle, side: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def _day_xy(bundle: DataBundle, side: str) -> tuple[np.ndarray, np.ndarray, list[str]] | None:
+    """The labeled ``side`` days as (x, y, dates), or None when there are none."""
     panel = bundle.panel
     idx = [t for t, d in enumerate(panel.dates)
            if panel.label_valid[t] and bundle.split.side(d) == side]
     if not idx:
-        raise DataError(f"no labeled {side} days available")
+        return None
     x = day_feature_matrix(panel, idx)
     y = panel.graph_labels[idx].astype(np.float64)
     return x, y, [panel.dates[t] for t in idx]
@@ -241,6 +242,7 @@ class _DayKind(NamedTuple):
     predict: Callable  # (params, x) -> scores
     hyper: dict  # header key -> ModelConfig field; the keys are fit's keywords
     shapes: Callable  # (n_inputs, model config) -> {tensor: shape fit gives it}, None: any >= 1
+    noun = "days"  # what one sample is, for error messages
 
 
 class _GraphKind(NamedTuple):
@@ -310,31 +312,38 @@ def _header(kind: str, cfg: Config, panel: FeaturePanel) -> dict:
             "n_features": len(panel.names) + len(panel.macro_names)}  # the width of X
 
 
+def _samples(kind: str, bundle: DataBundle, hyper: dict, side: str):
+    """``kind``'s labeled ``side`` samples on its grid: ``_day_xy`` of a day kind,
+    ``_graph_samples`` of a graph kind; a DataError naming the kind if there are none."""
+    spec = _KINDS[kind]
+    samples = (_day_xy(bundle, side) if isinstance(spec, _DayKind)
+               else _graph_samples(bundle, hyper, side))
+    if samples is None:
+        raise DataError(f"{kind}: no labeled {side} {spec.noun}")
+    return samples
+
+
 def train(kind: str, bundle: DataBundle, cfg: Config) -> tuple[ModelState, dict]:
     """Fit one model kind with ``cfg.model``, ``cfg.graph`` and ``cfg.seed``;
     returns (state, training log). The state's ``hyper`` records every setting
-    that scoring needs and ``cfg``'s hash, which the log carries too."""
+    that scoring needs and ``cfg``'s hash. The log holds the sample count, and
+    for a graph kind each epoch's mean loss and the best epoch."""
     if kind not in _KINDS:
         raise DataError(f"unknown model kind {kind!r}")
     spec, m, seed, hyper = _KINDS[kind], cfg.model, cfg.seed, _header(kind, cfg, bundle.panel)
-    log = {"kind": kind}
+    samples = _samples(kind, bundle, hyper, "train")
     if isinstance(spec, _DayKind):
-        x, y, _ = _day_xy(bundle, "train")
+        x, y, _ = samples
         _check_two_classes(y, kind)
         params = spec.fit(x, y, seed, **{key: hyper[key] for key in spec.hyper})
-        log["samples"] = int(y.size)
+        log = {"samples": int(y.size)}
     else:
-        samples = _graph_samples(bundle, hyper, "train")
-        if samples is None:
-            raise DataError(f"{kind}: no labeled training {spec.noun} on the stride grid")
         _check_two_classes(samples.labels, kind)
-        params, log["epoch_loss"], log["best_epoch"] = _train_minibatch(
+        params, epoch_loss, best_epoch = _train_minibatch(
             samples, spec.init(hyper["n_features"], m, seed), globals()[spec.forward],
             globals()[spec.backward], m, seed, kind)
-        log["samples"] = len(samples.labels)
-    state = ModelState(kind=kind, params=params, hyper=hyper)
-    log.update(seed=seed, config_hash=hyper["config_hash"], parameter_count=parameter_count(state))
-    return state, log
+        log = {"samples": len(samples.labels), "epoch_loss": epoch_loss, "best_epoch": best_epoch}
+    return ModelState(kind=kind, params=params, hyper=hyper), log
 
 
 def check_state(state: ModelState, kind: str, cfg: Config, panel: FeaturePanel) -> None:
@@ -373,13 +382,11 @@ def predict_scores(state: ModelState, bundle: DataBundle,
     pass. Raises NumericalError when any score is not finite.
     """
     spec = _KINDS[state.kind]  # ModelState accepts only known kinds
+    samples = _samples(state.kind, bundle, state.hyper, side)
     if isinstance(spec, _DayKind):
-        x, labels, dates = _day_xy(bundle, side)
+        x, labels, dates = samples
         scores = spec.predict(state.params, x)
     else:
-        samples = _graph_samples(bundle, state.hyper, side)
-        if samples is None:
-            raise DataError(f"{state.kind}: no labeled {side} {spec.noun} on the stride grid")
         scores, _ = globals()[spec.forward](samples.a_hat, samples.ax, samples.rows, state.params)
         dates, labels = samples.dates, samples.labels
     if not np.all(np.isfinite(scores)):

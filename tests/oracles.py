@@ -81,8 +81,7 @@ from srr.errors import DataError, NumericalError, ShapeError
 from srr.evaluation import _check_scored
 from srr.features import FeaturePanel, _rolling_std, feature_names
 from srr.graphs import GraphSnapshot
-from srr.market_data import (PricePanel, ReturnPanel, _check_plain, is_iso_date, read_csv,
-                             sha256_file)
+from srr.market_data import PricePanel, ReturnPanel, _check_plain, is_iso_date, read_csv
 from srr.models.baselines import gini
 from srr.plots import PLOT_AREA, _fmt, _ticks
 from srr.synthetic import RegimeParams
@@ -484,12 +483,9 @@ def build_tuple_snapshots(returns: ReturnPanel, dates: list[str],
     return snapshots
 
 
-def write_snapshots_jsonl(snapshots: list[GraphSnapshot], path: str,
-                          meta: dict | None = None) -> None:
+def write_snapshots_jsonl(snapshots: list[GraphSnapshot], path: str) -> None:
     """Line-delimited snapshots: a header record, then one record per date."""
     header = {"format": graphs.GRAPH_FORMAT, "snapshots": len(snapshots)}
-    if meta:
-        header.update(meta)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         for snap in snapshots:
@@ -809,7 +805,6 @@ def lead_times(calendar_dates: list[str], daily_labels, scored_dates: list[str],
         "unmatched": unmatched,
         "in_crisis": in_crisis,
         "n_onsets": len(onsets),
-        "gamma": float(gamma),
     }
 
 
@@ -1222,9 +1217,8 @@ def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None
     tickers restricts the panel to that set (default: every ticker in the
     file); start/end are inclusive ISO date bounds applied before alignment;
     universe is a ticker -> sector map attached to the panel for the sector
-    layer. Returns (panel, manifest). The manifest records source path, content
-    sha256, rows_read, rows_kept, dates_dropped (dates seen for in-scope
-    tickers but off the common calendar), and the final ticker list.
+    layer. Returns (panel, provenance): rows_read and dates_dropped (dates
+    seen for in-scope tickers but off the common calendar).
     """
     for name, bound in (("start", start), ("end", end)):
         if bound is not None and not is_iso_date(bound):  # rows are kept by string order
@@ -1282,12 +1276,4 @@ def ingest_csv(path: str, *, tickers: list[str] | None = None, start: str | None
         meta = {t: s for t, s in universe.items() if t in set(tickers)}
 
     panel = PricePanel(tickers=tickers, dates=dates, prices=prices, universe_meta=meta)
-    manifest = {
-        "source": str(path),
-        "sha256": sha256_file(path),
-        "rows_read": rows_read,
-        "rows_kept": int(prices.size),
-        "dates_dropped": len(all_dates) - len(dates),
-        "tickers": tickers,
-    }
-    return panel, manifest
+    return panel, {"rows_read": rows_read, "dates_dropped": len(all_dates) - len(dates)}

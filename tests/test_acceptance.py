@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from oracles import auroc_oracle
-from srr.cli import main
-from srr.evaluation import auprc_step, compute_metrics, report_to_json
+from srr.cli import _write_json, main
+from srr.evaluation import auprc_step, compute_metrics
 from srr.features import compute_features
 from srr.features import FeaturePanel
 from srr.graphs import EDGE_DTYPE, GraphSnapshot, average_ranks, rank_correlation_matrix
@@ -45,7 +45,7 @@ def scored_from_counts(tp, fp, tn, fn):
     return scores, labels
 
 
-def test_criterion_01_confusion_metric_arithmetic():
+def test_criterion_01_confusion_metric_arithmetic(tmp_path):
     with criterion(1, "confusion metric arithmetic on reference count tuples"):
         m = compute_metrics(*scored_from_counts(164, 63, 65, 21), threshold=0.5)
         assert abs(m["fpr"] - 0.492) < 1e-3
@@ -58,7 +58,8 @@ def test_criterion_01_confusion_metric_arithmetic():
         # no negatives at all: FPR undefined -> absent from the JSON report
         m = compute_metrics(np.array([0.9, 0.2, 0.8]), np.array([1, 1, 1]))
         assert m["fpr"] is None
-        rendered = json.loads(report_to_json({"metrics": m}))
+        _write_json(str(tmp_path / "report.json"), {"metrics": m})
+        rendered = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         assert "fpr" not in rendered["metrics"]
 
 

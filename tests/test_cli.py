@@ -133,14 +133,27 @@ class TestRunAll:
         boundary = feature_dates.index(split["test_dates"][0])
         assert len(split["train_dates"]) == boundary - 20
 
-    def test_graphs_header_records_run_identity(self, pipeline):
-        header = json.loads(
-            (pipeline["out"] / "graphs.jsonl").read_text().splitlines()[0])
-        report = json.loads((pipeline["out"] / "report.json").read_text())
-        assert header["format"] == "srr-graph-v2"
-        assert header["config_hash"] == report["config_hash"]
-        assert "seed" not in header  # no graph depends on it; config_hash covers it
-        assert header["window"] == 7 and header["tau"] == 0.5
+    def test_graphs_header_is_format_and_count(self, pipeline):
+        """The run's config hash is in manifest_graphs.json, and the window, tau
+        and layers are in report.json's config echo."""
+        lines = (pipeline["out"] / "graphs.jsonl").read_text().splitlines()
+        assert json.loads(lines[0]) == {"format": "srr-graph-v2", "snapshots": len(lines) - 1}
+
+    def test_provenance_logs_and_report_say_each_fact_once(self, pipeline):
+        """The source hash is in manifest_ingest.json and the tickers in prices.csv;
+        the seed, threshold and warning gamma are in report.json's config echo,
+        the config hash in every manifest and each parameter count in report.json."""
+        def load(name):
+            return json.loads((pipeline["out"] / name).read_text())
+        assert set(load("provenance.json")) == {"rows_read", "dates_dropped"}
+        for kind in MODEL_KINDS:
+            assert set(load(f"training_log_{kind}.json")) == (
+                {"samples"} if kind in ("logistic", "forest")
+                else {"samples", "epoch_loss", "best_epoch"})
+        report = load("report.json")
+        assert report["config"]["evaluate"] == {"threshold": 0.5, "warn_gamma": 0.5}
+        for entry in report["models"].values():
+            assert "threshold" not in entry["metrics"] and "gamma" not in entry["lead_times"]
 
     def test_manifest_output_hashes_verify(self, pipeline):
         """Each file is the output of one manifest, and each stage records as its
@@ -194,6 +207,25 @@ class TestRunAll:
         for kind in MODEL_KINDS:
             assert kind in text
         assert "auroc" in text
+
+    def test_one_function_writes_every_json_artifact(self, tmp_path, monkeypatch):
+        """``cli._write_json`` writes each JSON file of a run once, report.json and
+        the manifests included, all in one format: sorted keys, a two-space indent
+        and a final newline. The stages run alone, so no forked child writes."""
+        cfg_path, out = make_workspace(tmp_path, n_days=300)
+        write_json, written = srr.cli._write_json, []
+
+        def recording(path, obj):
+            written.append(os.path.basename(path))
+            write_json(path, obj)
+        monkeypatch.setattr(srr.cli, "_write_json", recording)
+        for stage in STAGES:
+            assert main([stage, "--config", cfg_path]) == 0
+        names = sorted(p.name for p in out.glob("*.json"))
+        assert sorted(written) == names and len(names) == 15
+        for name in names:
+            text = (out / name).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 class TestDeterminism:
@@ -1263,14 +1295,25 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: no stage manifest for 'features'; rerun `srr features`\n")
 
-    @pytest.mark.parametrize("failing", ["features", "graphs"])
+    @pytest.mark.parametrize("failing", ["features", "graphs", "train", "evaluate"])
     def test_stage_data_error_leaves_the_finished_stages(self, capsys, tmp_path, failing):
-        """A macro file that lacks a feature date stops features, and the sector
-        layer without sector labels stops graphs, with exit 2. Run alone or in
-        run-all, the stages before it leave the same files, verified by their
-        manifests."""
-        make_workspace(tmp_path)  # writes prices.csv
-        if failing == "features":
+        """A macro file that lacks a feature date stops features, the sector layer
+        without sector labels stops graphs, a kind with no labeled sample on the
+        train side stops train, and one with none on the test side stops evaluate,
+        with exit 2. Run alone or in run-all, the stages before it leave the same
+        files, verified by their manifests."""
+        if failing == "train":  # 9 points of a 40-day stride grid: one window, past the split
+            write_synthetic_csv(str(tmp_path / "prices.csv"), n_tickers=8, n_days=400, seed=7)
+            cfg_path, out = make_workspace(tmp_path, out_name="o", model={
+                "kinds": ["temporal"], "stride": 40, "sequence_length": 9})
+            message = "temporal: no labeled train sequences"
+        elif failing == "evaluate":  # the default 60-day horizon labels no test day
+            write_synthetic_csv(str(tmp_path / "prices.csv"), n_tickers=8, n_days=300, seed=7)
+            cfg_path, out = make_workspace(tmp_path, out_name="o", labels={}, model={
+                "stride": 2, "epochs": 1, "sequence_length": 2, "forest_trees": 3})
+            message = "logistic: no labeled test days"
+        elif failing == "features":
+            make_workspace(tmp_path)  # writes prices.csv
             macro = Path(write_layer_inputs(tmp_path)["macro_csv"])
             lines = macro.read_text().splitlines(keepends=True)
             macro.write_text("".join(lines[:101] + lines[102:]))  # date 100 of 400

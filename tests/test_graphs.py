@@ -310,7 +310,7 @@ class TestJsonl:
         default separators) that the writer made before records were compact."""
         snaps = labeled_snapshots()
         path = tmp_path / "graphs.jsonl"
-        write_snapshots_jsonl(snaps, str(path), meta={"window": 7, "tau": 0.5})
+        write_snapshots_jsonl(snaps, str(path))
         compact = path.read_text(encoding="utf-8").splitlines()
         spaced = "".join(json.dumps(json.loads(line), sort_keys=True) + "\n" for line in compact)
         assert spaced.startswith('{"format": "srr-graph-v2", "snapshots": ')
@@ -318,9 +318,8 @@ class TestJsonl:
             if text is not None:
                 path.write_text(text, encoding="utf-8")
             back, header = read_snapshots_jsonl(str(path))
-            assert header["format"] == GRAPH_FORMAT
-            assert header["snapshots"] == len(snaps) == len(back)
-            assert header["window"] == 7 and header["tau"] == 0.5
+            assert header == {"format": GRAPH_FORMAT, "snapshots": len(snaps)}
+            assert len(back) == len(snaps)
             for a, b in zip(snaps, back):
                 assert a.date == b.date and a.node_ids == b.node_ids
                 assert a.layers.keys() == b.layers.keys()
@@ -434,9 +433,8 @@ class TestArraysAgainstTuplePath:
                                                  sector_map=sector_map)
             assert all(e.dtype == EDGE_DTYPE for s in got for e in s.layers.values())
             assert repr(plain(got)) == repr(plain(want))
-            meta = {"window": 5, "tau": tau}
-            write_snapshots_jsonl(got, str(got_path), meta=meta)
-            oracles.write_snapshots_jsonl(want, str(want_path), meta=meta)
+            write_snapshots_jsonl(got, str(got_path))
+            oracles.write_snapshots_jsonl(want, str(want_path))
             assert got_path.read_bytes() == want_path.read_bytes()
             back, _ = read_snapshots_jsonl(str(got_path))
             for a, b in zip(got, back):
@@ -466,8 +464,8 @@ class TestArraysAgainstTuplePath:
         tuples = [GraphSnapshot(s.date, s.node_ids, {k: v.tolist() for k, v in s.layers.items()},
                                 s.graph_label) for s in snaps]
         got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
-        write_snapshots_jsonl(snaps, str(got), meta={"note": "é"})
-        oracles.write_snapshots_jsonl(tuples, str(want), meta={"note": "é"})
+        write_snapshots_jsonl(snaps, str(got))
+        oracles.write_snapshots_jsonl(tuples, str(want))
         assert got.read_bytes() == want.read_bytes()
         back, _ = read_snapshots_jsonl(str(got))  # the same weights, bit for bit
         assert all(b.layers[k].tobytes() == a.layers[k].tobytes()
@@ -497,8 +495,8 @@ class TestArraysAgainstTuplePath:
                                 s.graph_label) for s in snaps]
         with tempfile.TemporaryDirectory() as tmp:
             got, want = Path(tmp, "got.jsonl"), Path(tmp, "want.jsonl")
-            write_snapshots_jsonl(snaps, str(got), meta={"note": "ü"})
-            oracles.write_snapshots_jsonl(tuples, str(want), meta={"note": "ü"})
+            write_snapshots_jsonl(snaps, str(got))
+            oracles.write_snapshots_jsonl(tuples, str(want))
             assert got.read_bytes() == want.read_bytes()
             back, _ = read_snapshots_jsonl(str(got))
         assert [(b.date, b.node_ids, b.graph_label) for b in back] == [

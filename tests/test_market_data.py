@@ -1,7 +1,9 @@
 """Ingestion: alignment semantics, validation errors, manifest fields,
 round-trips, the universe / macro readers, and the one CSV reader and writer."""
 
+import hashlib
 import itertools
+import json
 import os
 import tempfile
 from datetime import date
@@ -39,14 +41,11 @@ class TestAlignment:
         rows = [(d, t, 100 + i) for i, d in enumerate(days) for t in ("A", "B")]
         rows += [(d, "C", 50) for d in days if d != "2020-01-03"]
         path = write(tmp_path, "p.csv", long_csv(rows))
-        panel, manifest = ingest_csv(path)
+        panel, provenance = ingest_csv(path)
         assert panel.tickers == ["A", "B", "C"]
         assert len(panel.dates) == 4
         assert "2020-01-03" not in panel.dates
-        assert manifest["dates_dropped"] == 1
-        assert manifest["rows_read"] == 14
-        assert manifest["rows_kept"] == 12  # 3 tickers x 4 aligned dates
-        assert manifest["tickers"] == ["A", "B", "C"]
+        assert provenance == {"rows_read": 14, "dates_dropped": 1}
 
     def test_dates_sorted_even_if_file_is_not(self, tmp_path):
         rows = [("2020-01-02", "A", 101), ("2020-01-01", "A", 100),
@@ -78,12 +77,15 @@ class TestAlignment:
         assert panel.dates[0] == "2015-06-01" and len(panel.dates) == 9
 
     def test_manifest_hash_is_content_hash(self, tmp_path):
+        """The ingest manifest records each source by the hash of its bytes, not of its path."""
         text = long_csv([("2020-01-01", "A", 1), ("2020-01-02", "A", 2)])
-        p1 = write(tmp_path, "a.csv", text)
-        p2 = write(tmp_path, "b.csv", text)
-        _, m1 = ingest_csv(p1)
-        _, m2 = ingest_csv(p2)
-        assert m1["sha256"] == m2["sha256"]
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for name in ("a.csv", "b.csv"):
+            path, out = write(tmp_path, name, text), tmp_path / f"out_{name}"
+            config = write(tmp_path, f"{name}.json", json.dumps({"data": {"prices_csv": path}}))
+            assert cli.main(["ingest", "--config", config, "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest_ingest.json").read_text(encoding="utf-8"))
+            assert manifest["inputs"] == {path: digest}
 
     def test_universe_map_restricted_to_panel(self, tmp_path):
         rows = [("2020-01-01", "A", 1), ("2020-01-02", "A", 2)]
@@ -177,13 +179,13 @@ class TestReturnsAndRoundTrip:
 
 def ingest_outcome(ingest, path, keywords):
     """What an ingest function makes of a file: its exact DataError text, or the
-    panel's tickers, dates, sector map, price bits and layout, and the manifest."""
+    panel's tickers, dates, sector map, price bits and layout, and the provenance."""
     try:
-        panel, manifest = ingest(path, **keywords)
+        panel, provenance = ingest(path, **keywords)
     except DataError as exc:
         return str(exc)
     return (panel.tickers, panel.dates, panel.universe_meta, panel.prices.tobytes(),
-            panel.prices.flags.c_contiguous, manifest)
+            panel.prices.flags.c_contiguous, provenance)
 
 
 def replace_row(i, row):

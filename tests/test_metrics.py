@@ -8,10 +8,17 @@ import pytest
 
 import oracles
 from oracles import auroc_oracle
+from srr.cli import _write_json
 from srr.errors import DataError, ShapeError
 from srr.evaluation import (auprc_step, auroc_rank, compute_metrics, crash_windows,
-                            lead_times, pr_points, report_to_json, roc_points,
-                            summary_table)
+                            lead_times, pr_points, roc_points, summary_table)
+
+
+def written(tmp_path, obj) -> str:
+    """The text of ``obj`` as the pipeline writes a JSON artifact."""
+    path = tmp_path / "written.json"
+    _write_json(str(path), obj)
+    return path.read_text(encoding="utf-8")
 
 
 def scored_from_counts(tp, fp, tn, fn):
@@ -42,13 +49,13 @@ class TestConfusionArithmetic:
         assert m["fpr"] == 1.0 and m["fnr"] == 0.0 and m["recall"] == 1.0
         assert m["precision"] == 38 / 62
 
-    def test_single_class_metrics_are_absent_not_nan(self):
+    def test_single_class_metrics_are_absent_not_nan(self, tmp_path):
         scores = np.array([0.9, 0.8, 0.2])
         labels = np.array([1, 1, 1])
         m = compute_metrics(scores, labels)
         assert m["fpr"] is None and m["auroc"] is None
         assert m["recall"] == 2 / 3  # still defined: positives exist
-        rendered = json.loads(report_to_json({"metrics": m}))
+        rendered = json.loads(written(tmp_path, {"metrics": m}))
         assert "fpr" not in rendered["metrics"]
         assert "auroc" not in rendered["metrics"]
         assert rendered["metrics"]["fnr"] == 1 / 3
@@ -112,7 +119,8 @@ class TestAuroc:
             pts = roc_points(scores, labels)
             xs = [p[0] for p in pts]
             ys = [p[1] for p in pts]
-            area = np.trapezoid(ys, xs)
+            area = sum((x1 - x0) * (y0 + y1) / 2
+                       for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
             assert abs(area - auroc_rank(scores, labels)) < 1e-12
 
 
@@ -252,7 +260,7 @@ class TestLeadTimes:
         assert out["lead_times"] == [3, 0, 2, 0]
         assert out["in_crisis"] == 1  # position 4, mid-crash
         assert out["unmatched"] == 0
-        assert out["n_onsets"] == 2 and out["gamma"] == 0.5
+        assert out["n_onsets"] == 2 and "gamma" not in out  # the config echo holds it
 
     def test_unmatched_warnings_after_last_onset(self):
         cal = self.CAL[:4]
@@ -338,21 +346,22 @@ class TestRendering:
                     "metrics": compute_metrics(scores, labels),
                     "parameter_count": 15,
                     "lead_times": {"lead_times": [3, 0, 2, 0], "unmatched": 1,
-                                   "in_crisis": 1, "n_onsets": 2, "gamma": 0.5},
+                                   "in_crisis": 1, "n_onsets": 2},
                 },
                 "gcn": {"metrics": single, "parameter_count": 1857},
             },
         }
 
-    def test_json_drops_absent_metrics_and_sorts_keys(self):
-        text = report_to_json(self._report())
+    def test_json_drops_absent_metrics_and_sorts_keys(self, tmp_path):
+        text = written(tmp_path, self._report())
         assert text.endswith("\n")
         data = json.loads(text)
         assert "auroc" not in data["models"]["gcn"]["metrics"]
         assert "fpr" not in data["models"]["gcn"]["metrics"]
         assert "auroc" in data["models"]["logistic"]["metrics"]
         assert list(data["models"]) == sorted(data["models"])
-        assert report_to_json(self._report()) == text  # stable bytes
+        assert "threshold" not in data["models"]["logistic"]["metrics"]  # the config echo holds it
+        assert written(tmp_path, self._report()) == text  # stable bytes
 
     def test_summary_table_marks_undefined_and_notes_single_class(self):
         text = summary_table(self._report())

@@ -18,7 +18,7 @@ from srr.features import apply_standardization, attach_labels, compute_features,
 from srr.graphs import build_snapshots
 from srr.market_data import PricePanel, log_returns
 from srr.models.gcn import adjacency_from_snapshot, gcn_normalize
-from srr.models.state import ModelState, deserialize, parameter_count, serialize
+from srr.models.state import ModelState, deserialize, serialize
 from srr.synthetic import business_days, planted_regime_panel
 from srr.training import DataBundle, chronological_split, predict_scores, train
 from srr.training import _GraphSamples, _graph_samples, _header, _train_minibatch  # white-box
@@ -94,12 +94,19 @@ class TestDeterminism:
         assert log_a == log_b
 
     @pytest.mark.parametrize("kind", ["logistic", "forest", "gcn", "temporal"])
-    def test_state_and_log_carry_the_run_identity(self, bundle, kind):
+    def test_state_carries_the_run_identity_and_the_log_the_fit(self, bundle, kind):
+        """The seed and hash are the config's and the parameter count the state's:
+        the log holds only what the fit alone knows."""
         cfg = replace(SMALL, seed=9)
         state, log = train(kind, bundle, cfg)
         assert state.hyper["config_hash"] == config_hash(cfg)
-        assert (log["seed"], log["config_hash"], log["parameter_count"]) == (
-            9, config_hash(cfg), parameter_count(state))
+        if kind in ("logistic", "forest"):
+            assert set(log) == {"samples"}
+        else:
+            assert set(log) == {"samples", "epoch_loss", "best_epoch"}
+            assert len(log["epoch_loss"]) == cfg.model.epochs
+            assert log["epoch_loss"][log["best_epoch"]] == min(log["epoch_loss"])
+        assert isinstance(log["samples"], int) and log["samples"] > 0
 
     @pytest.mark.parametrize("kind", ["forest", "gcn", "temporal"])
     def test_different_seed_different_weights(self, bundle, kind):
