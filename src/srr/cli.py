@@ -45,8 +45,8 @@ from .market_data import (PricePanel, ingest_csv, log_returns, read_csv, read_ma
 from .models.baselines import day_feature_names
 from .models.state import deserialize, parameter_count, serialize
 from .plots import grouped_bar_chart, hbar_chart, line_chart
-from .training import (DataBundle, SplitPlan, check_state, chronological_split,
-                       predict_scores, train)
+from .training import (DataBundle, SplitPlan, _header, _samples, check_state,
+                       chronological_split, predict_scores, train)
 
 __all__ = ["main"]
 
@@ -58,15 +58,14 @@ STAGES = ("ingest", "features", "graphs", "train", "evaluate", "report")
 def _drop_none(obj):
     if isinstance(obj, dict):
         return {k: _drop_none(v) for k, v in obj.items() if v is not None}
-    if isinstance(obj, list):
-        return [_drop_none(v) for v in obj]
     return obj
 
 
 def _write_json(path: str, obj) -> None:
-    """The one writer of every JSON artifact: sorted keys, absent (None) values omitted."""
+    """The one writer of every JSON artifact: sorted keys, None omitted, arrays as lists."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(_drop_none(obj), sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(_drop_none(obj), sort_keys=True, indent=2,
+                            default=np.ndarray.tolist) + "\n")
 
 
 @contextlib.contextmanager
@@ -299,7 +298,7 @@ def cmd_features(run: Run) -> None:
         cfg, _ingested_panel(run), cfg.data.macro_csv)
     write_features_csv(fpanel, run.path("features.csv"))
     write_graph_labels_csv(fpanel, run.path("graph_labels.csv"))
-    _write_json(run.path("standardization.json"), zpanel.standardization.to_dict())
+    _write_json(run.path("standardization.json"), asdict(zpanel.standardization))
     _write_json(run.path("split.json"), asdict(split))
     if cfg.data.macro_csv is not None:
         write_macro_csv(run.path("macro.csv"), fpanel.dates, fpanel.macro_names, fpanel.macro)
@@ -345,6 +344,9 @@ def cmd_graphs(run: Run) -> None:
 # -- stages: train / evaluate ----------------------------------------------------
 
 def _fit(run: Run, bundle: DataBundle, written=lambda wait: None) -> dict[str, tuple]:
+    """Each kind fit in turn, once every kind has a labeled test sample for evaluate to score."""
+    for kind in run.cfg.model.kinds:
+        _samples(kind, bundle, _header(kind, run.cfg, bundle.panel), "test")
     fits = {}
     for kind in run.cfg.model.kinds:
         written(wait=False)  # a writer that has failed raises its error before the next kind
@@ -580,12 +582,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, seed=args.seed, preset=args.preset, out=args.out)
         _COMMANDS[args.command](Run(cfg))
         return 0
-    except SrrError as exc:
+    except (SrrError, OSError) as exc:  # OSError: a path the run cannot open, say an --out file
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, DataError) else 3 if isinstance(exc, NumericalError) else 1
-    except OSError as exc:  # a path the run cannot open, such as an --out that names a file
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

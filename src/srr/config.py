@@ -261,7 +261,7 @@ def load_config(path: str | None, *, seed: int | None = None,
     raw: Any = {}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc

@@ -21,7 +21,7 @@ The final ``horizon`` dates carry no label.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,9 +65,6 @@ class Standardization:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.std = np.asarray(self.std, dtype=np.float64)
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "mean": self.mean.tolist(), "std": self.std.tolist()}
 
 
 @dataclass

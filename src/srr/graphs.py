@@ -135,8 +135,8 @@ def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[i
     block = max(1, _BLOCK_BYTES // (8 * max(1, n) ** 2))  # dates per call
     # the pair table (iu, ju and pairs: 32 bytes a pair) and about four of a
     # block's (dates, N, N) arrays, then 16 bytes for each edge kept
-    need = _fit_in_memory(16 * n * (n - 1) + 32 * min(block, len(dates)) * n * n,
-                          n, len(dates))
+    graphs = f"{len(dates)} graphs of {n} nodes"
+    need = _fit_in_memory(16 * n * (n - 1) + 32 * min(block, len(dates)) * n * n, graphs)
     iu, ju = np.triu_indices(n, k=1)  # every pair i < j, row-major
     pairs = np.zeros(len(iu), EDGE_DTYPE)
     pairs["i"], pairs["j"] = iu, ju
@@ -161,7 +161,7 @@ def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[i
         corr, _ = rank_correlation_matrix(returns.returns[:, cols].swapaxes(0, 1))
         rho = corr[:, iu, ju]
         keep = np.abs(rho) >= tau
-        need = _fit_in_memory(need + 16 * int(keep.sum()), n, len(dates))
+        need = _fit_in_memory(need + 16 * int(keep.sum()), graphs)
         for (date, label), kept, r in zip(chunk, keep, rho):
             edges = pairs[kept]
             edges["w"] = r[kept]
@@ -173,12 +173,11 @@ def build_snapshots(returns: ReturnPanel, dates: list[str], graph_labels: list[i
     return snapshots
 
 
-def _fit_in_memory(need: int, n: int, n_dates: int) -> int:
-    """``need`` bytes, or a DataError naming N, the date count and ``need``
-    when that is beyond physical memory."""
+def _fit_in_memory(need: int, graphs: str, held: str = "correlations and edges") -> int:
+    """``need`` bytes, or a DataError saying that ``graphs`` need that many bytes
+    of ``held`` when that is beyond physical memory."""
     if need > _physical_memory():
-        raise DataError(f"{n_dates} graphs of {n} nodes need about {need:,} bytes of "
-                        "correlations and edges, beyond physical memory")
+        raise DataError(f"{graphs} need about {need:,} bytes of {held}, beyond physical memory")
     return need
 
 

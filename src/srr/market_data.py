@@ -113,7 +113,7 @@ def read_csv(path: str, what: str, expect: str, parse: Callable[[list[str]], obj
     """
     def lines():
         try:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
+            with open(path, "r", encoding="utf-8-sig", newline="") as fh:
                 reader = csv.reader(fh)
                 header = next(reader, None)
                 if header is None:

@@ -52,11 +52,11 @@ def day_feature_matrix(panel: FeaturePanel, date_indices: list[int] | np.ndarray
 # -- logistic regression ---------------------------------------------------
 
 def logistic_fit(x: np.ndarray, y: np.ndarray, lr: float = 0.05, max_epochs: int = 2000,
-                 tol: float = 1e-6) -> tuple[np.ndarray, float]:
+                 tol: float = 1e-6) -> dict[str, np.ndarray]:
     """Full-batch Adam on mean BCE from a zero start.
 
     Stops at max_epochs or when the gradient norm drops below tol.
-    Returns (weights, bias).
+    Returns the model file's tensors: weights ``w`` and the one-element bias ``b``.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -77,14 +77,14 @@ def logistic_fit(x: np.ndarray, y: np.ndarray, lr: float = 0.05, max_epochs: int
         if float(np.sqrt(grad_w @ grad_w + grad[-1] * grad[-1])) < tol:
             break
         tz.adam_step(theta, grad, state)
-    return w.copy(), float(b[0])
+    return params
 
 
-def logistic_predict(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def logistic_predict(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
+    w, x = params["w"], np.asarray(x, dtype=np.float64)
     if x.shape[1] != w.size:
         raise DataError(f"logistic_predict: X has {x.shape[1]} features, model has {w.size}")
-    return tz.sigmoid(x @ w + b)
+    return tz.sigmoid(x @ w + params["b"][0])
 
 
 # -- random forest ---------------------------------------------------------

@@ -37,7 +37,7 @@ from .config import Config, ModelConfig, config_hash
 from .errors import DataError, NumericalError
 from . import tensor as tz
 from .features import FeaturePanel
-from .graphs import GraphSnapshot, _physical_memory
+from .graphs import GraphSnapshot, _fit_in_memory
 from .models.gcn import adjacency_from_snapshot, gcn_backward, gcn_forward, gcn_normalize, init_gcn
 from .models.state import ModelState
 from .models.temporal import init_gru, temporal_backward, temporal_forward
@@ -146,10 +146,9 @@ def _graph_samples(bundle: DataBundle, hyper: dict, side: str) -> _GraphSamples 
             raise DataError(f"snapshot {snap.date} does not match the feature panel's "
                             "tickers and dates")
     # the adjacency list, its stack and gcn_normalize's two temporaries, held at once
-    n, need = len(panel.tickers), 4 * len(read) * len(panel.tickers) ** 2 * 8
-    if need > _physical_memory():
-        raise DataError(f"the {side} side's {len(read)} graphs of {n} nodes need about "
-                        f"{need:,} bytes of adjacency stacks, beyond physical memory")
+    n = len(panel.tickers)
+    _fit_in_memory(4 * len(read) * n * n * 8, f"the {side} side's {len(read)} graphs of {n} nodes",
+                   "adjacency stacks")
     a_hat = gcn_normalize(np.stack([adjacency_from_snapshot(s, layers=layers, weighted=weighted)
                                     for s in read]))
     t = [position[s.date] for s in read]
@@ -260,11 +259,6 @@ _GRAPH_HYPER = {"hidden": "gcn_hidden", "epochs": "epochs", "batch_size": "batch
                 "stride": "stride"}
 
 
-def _logistic_fit(x, y, seed: int, **hyper) -> dict:
-    w, b = logistic_fit(x, y, **hyper)
-    return {"w": w, "b": np.array([b])}
-
-
 def _temporal_init(n_features: int, s: ModelConfig, seed: int) -> dict:
     params = init_gcn(tz.seeded_rng(seed, 1), n_features, s.gcn_hidden, s.mlp_hidden)
     params = {k: params[k] for k in ("w1", "b1", "w2", "b2")}
@@ -274,8 +268,8 @@ def _temporal_init(n_features: int, s: ModelConfig, seed: int) -> dict:
 
 _KINDS = {
     "logistic": _DayKind(
-        fit=_logistic_fit,
-        predict=lambda p, x: logistic_predict(p["w"], float(p["b"][0]), x),
+        fit=lambda x, y, seed, **hyper: logistic_fit(x, y, **hyper),
+        predict=lambda p, x: logistic_predict(p, x),
         hyper={"lr": "logistic_lr", "max_epochs": "logistic_epochs", "tol": "logistic_tol"},
         shapes=lambda n, m: {"w": (n,), "b": (1,)}),
     "forest": _DayKind(

@@ -1,6 +1,7 @@
 """End-to-end pipeline runs through the command-line entry point: artifact
 inventory, byte determinism, staleness detection, and exit-code mapping."""
 
+import codecs
 import functools
 import hashlib
 import json
@@ -268,12 +269,17 @@ class TestLayersAndMacro:
     GRAPH = {"sector_layer": True, "weighted_adjacency": True}
 
     def test_run_all_reads_macro_and_sector_layer(self, tmp_path):
+        """Two runs write the same bytes, and so does a third whose config, price,
+        universe and macro files each start with a UTF-8 byte-order mark."""
         make_workspace(tmp_path)  # writes prices.csv
         data = write_layer_inputs(tmp_path)
         outs = []
-        for name in ("layered", "layered2"):
+        for name in ("layered", "layered2", "bom"):
             cfg_path, out = make_workspace(tmp_path, out_name=name, data=data,
                                            graph=self.GRAPH)
+            if name == "bom":  # the same paths, so the same config hash
+                for path in (cfg_path, tmp_path / "prices.csv", *data.values()):
+                    Path(path).write_bytes(codecs.BOM_UTF8 + Path(path).read_bytes())
             assert main(["run-all", "--config", cfg_path]) == 0
             outs.append(out)
         for kind in ("gcn", "temporal"):
@@ -285,6 +291,7 @@ class TestLayersAndMacro:
         assert records and all(json.loads(r)["layers"]["sector"] for r in records)
         for name in COMPARABLE + ["macro.csv"]:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+            assert (outs[0] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
     def test_macro_columns_keep_their_own_importance_bars(self, tmp_path):
         """Only a day feature's mean_<f>/std_<f> columns fold onto one bar; a
@@ -1246,15 +1253,22 @@ class TestExitCodes:
 
     def test_adjacency_stacks_beyond_memory_exit_two(self, capsys, tmp_path, monkeypatch):
         """A side whose adjacency stacks would not fit in physical memory stops
-        train with one error line naming N, G and the estimate."""
+        train with one error line naming N, G and the estimate: the test side,
+        which train checks before its first fit."""
         cfg_path, out = make_workspace(tmp_path)
         for stage in ("ingest", "features", "graphs"):
             assert main([stage, "--config", cfg_path]) == 0
         capsys.readouterr()
-        monkeypatch.setattr("srr.training._physical_memory", lambda: 1000)
+        build = srr.cli.build_snapshots
+
+        def build_then_run_short(*args, **kwargs):  # memory runs short once the graphs are built
+            snapshots = build(*args, **kwargs)
+            monkeypatch.setattr("srr.graphs._physical_memory", lambda: 1000)
+            return snapshots
+        monkeypatch.setattr("srr.cli.build_snapshots", build_then_run_short)
         assert main(["train", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
-        match = re.fullmatch(r"error: the train side's (\d+) graphs of 10 nodes need about "
+        match = re.fullmatch(r"error: the test side's (\d+) graphs of 10 nodes need about "
                              r"([\d,]+) bytes of adjacency stacks, beyond physical memory\n",
                              err)
         assert match and int(match[2].replace(",", "")) == 4 * int(match[1]) * 10 * 10 * 8
@@ -1295,19 +1309,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: no stage manifest for 'features'; rerun `srr features`\n")
 
-    @pytest.mark.parametrize("failing", ["features", "graphs", "train", "evaluate"])
-    def test_stage_data_error_leaves_the_finished_stages(self, capsys, tmp_path, failing):
-        """A macro file that lacks a feature date stops features, the sector layer
-        without sector labels stops graphs, a kind with no labeled sample on the
-        train side stops train, and one with none on the test side stops evaluate,
-        with exit 2. Run alone or in run-all, the stages before it leave the same
-        files, verified by their manifests."""
-        if failing == "train":  # 9 points of a 40-day stride grid: one window, past the split
-            write_synthetic_csv(str(tmp_path / "prices.csv"), n_tickers=8, n_days=400, seed=7)
+    @pytest.mark.parametrize("case", ["features", "graphs", "train", "no-test-days"])
+    def test_stage_data_error_leaves_the_finished_stages(self, capsys, tmp_path, case):
+        """A macro file that lacks a feature date stops features, and the sector
+        layer without sector labels stops graphs. A kind with no labeled sample
+        on the train side stops train, and so does one with none on the test
+        side, before any kind is fit. Each exits 2. Run alone or in run-all, the
+        stages before it leave the same files, verified by their manifests, and
+        no model or training log is written."""
+        failing = "train" if case == "no-test-days" else case
+        if case == "train":  # 9 points of a 40-day stride grid: one labeled window, past the split
+            write_synthetic_csv(str(tmp_path / "prices.csv"), n_tickers=8, n_days=410, seed=7)
             cfg_path, out = make_workspace(tmp_path, out_name="o", model={
                 "kinds": ["temporal"], "stride": 40, "sequence_length": 9})
             message = "temporal: no labeled train sequences"
-        elif failing == "evaluate":  # the default 60-day horizon labels no test day
+        elif case == "no-test-days":  # the default 60-day horizon labels no test day
             write_synthetic_csv(str(tmp_path / "prices.csv"), n_tickers=8, n_days=300, seed=7)
             cfg_path, out = make_workspace(tmp_path, out_name="o", labels={}, model={
                 "stride": 2, "epochs": 1, "sequence_length": 2, "forest_trees": 3})
@@ -1336,6 +1352,7 @@ class TestExitCodes:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == staged
         assert sorted(p.name for p in out.glob("manifest_*")) == sorted(
             f"manifest_{stage}.json" for stage in finished)
+        assert not [*out.glob("model_*"), *out.glob("training_log_*")]
         Run(load_config(cfg_path)).require(failing)
         assert_no_child_left()
 

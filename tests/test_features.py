@@ -2,12 +2,14 @@
 train-range standardization, truncation invariance, and CSV round-trips."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from srr import cli
 from srr.errors import DataError
 from srr.features import (FeaturePanel, Standardization, apply_standardization,
                           attach_labels, compute_features, compute_labels,
@@ -237,9 +239,11 @@ class TestStandardization:
         applied = apply_standardization(panel, fitted.standardization)
         assert np.array_equal(fitted.features, applied.features)
 
-    def test_statistics_round_trip(self):
+    def test_statistics_round_trip(self, tmp_path):
+        """The statistics that ``srr features`` writes to standardization.json read back."""
         stats = Standardization(mean=np.array([1.5]), std=np.array([0.25]), degenerate=["x"])
-        back = Standardization(**json.loads(json.dumps(stats.to_dict())))
+        cli._write_json(str(tmp_path / "s.json"), asdict(stats))
+        back = Standardization(**json.loads((tmp_path / "s.json").read_text()))
         assert back.mean.dtype == back.std.dtype == np.float64
         assert np.array_equal(back.mean, stats.mean)
         assert np.array_equal(back.std, stats.std)

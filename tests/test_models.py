@@ -608,17 +608,18 @@ class TestLogistic:
     def test_zero_features_learn_the_base_rate(self):
         x = np.zeros((8, 3))
         y = np.array([1, 1, 1, 0, 1, 1, 0, 1], dtype=float)  # 6/8 = 0.75
-        w, b = logistic_fit(x, y, lr=0.05, max_epochs=5000, tol=1e-10)
-        assert np.all(w == 0.0)  # zero inputs produce zero weight gradients
-        assert abs(b - math.log(3.0)) < 1e-4  # logit of 0.75
+        params = logistic_fit(x, y, lr=0.05, max_epochs=5000, tol=1e-10)
+        assert np.all(params["w"] == 0.0)  # zero inputs produce zero weight gradients
+        assert params["b"].shape == (1,)
+        assert abs(params["b"][0] - math.log(3.0)) < 1e-4  # logit of 0.75
 
     def test_separable_direction(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(60, 1))
         y = (x[:, 0] > 0).astype(float)
-        w, b = logistic_fit(x, y, max_epochs=500)
-        assert w[0] > 1.0
-        probs = logistic_predict(w, b, x)
+        params = logistic_fit(x, y, max_epochs=500)
+        assert params["w"][0] > 1.0
+        probs = logistic_predict(params, x)
         assert np.all(probs[y == 1].min() > probs[y == 0].max())
 
     @pytest.mark.parametrize("max_epochs,tol", [(50, 1e-12), (5000, 1e-3)])  # stop at the cap; at tol
@@ -628,16 +629,14 @@ class TestLogistic:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(200, 9))
         y = (x[:, 0] - x[:, 3] + rng.normal(size=200) > 0).astype(float)
-        blobs = []
-        for fit in (logistic_fit, oracles.logistic_fit):
-            w, b = fit(x, y, max_epochs=max_epochs, tol=tol)
-            params = {"w": w, "b": np.array([b])}
-            blobs.append(serialize(ModelState(kind="logistic", params=params, hyper={})))
+        w, b = oracles.logistic_fit(x, y, max_epochs=max_epochs, tol=tol)
+        blobs = [serialize(ModelState(kind="logistic", params=params, hyper={})) for params in (
+            logistic_fit(x, y, max_epochs=max_epochs, tol=tol), {"w": w, "b": np.array([b])})]
         assert blobs[0] == blobs[1]
 
     def test_predict_checks_width(self):
         with pytest.raises(DataError):
-            logistic_predict(np.zeros(3), 0.0, np.zeros((2, 4)))
+            logistic_predict({"w": np.zeros(3), "b": np.zeros(1)}, np.zeros((2, 4)))
 
     def test_fit_checks_shapes(self):
         with pytest.raises(DataError):
