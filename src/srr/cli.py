@@ -346,7 +346,7 @@ def cmd_graphs(run: Run) -> None:
 def _fit(run: Run, bundle: DataBundle, written=lambda wait: None) -> dict[str, tuple]:
     """Each kind fit in turn, once every kind has a labeled test sample for evaluate to score."""
     for kind in run.cfg.model.kinds:
-        _samples(kind, bundle, _header(kind, run.cfg, bundle.panel), "test")
+        _samples(kind, bundle, _header(kind, run.cfg, bundle.panel), "test", check_only=True)
     fits = {}
     for kind in run.cfg.model.kinds:
         written(wait=False)  # a writer that has failed raises its error before the next kind
@@ -471,9 +471,6 @@ def cmd_report(run: Run) -> None:
                    "recall", "precision", xlim=(0.0, 1.0), ylim=(0.0, 1.05),
                    provenance=prov)
         outputs += ["roc.svg", "pr.svg"]
-    else:
-        summary += ("\nnote: ROC and PR plots omitted -- every model's test"
-                    " labels are single-class\n")
 
     with open(run.path("summary.txt"), "w", encoding="utf-8", newline="") as fh:
         fh.write(summary)

@@ -1,7 +1,8 @@
 """Run configuration: nested schema, presets, canonical JSON, and hashing.
 
 The config is a plain dataclass tree.  ``from_dict`` is strict (unknown keys
-and values that do not fit a field's annotation are errors), and
+and values that do not fit a field's annotation are errors), each section
+checks its fields against the intervals they declare with ``_in``, and
 ``config_hash`` fingerprints the sorted JSON of everything except the output
 directory so that two runs of the same experiment into different folders
 share a hash.
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -72,10 +72,31 @@ def _dataclass_from(cls, data: Any, section: str = ""):
             value = tuple(value)
         if not _fits(value, hint):
             raise ConfigError(f"{key} must be {f.type}, got {data[f.name]!r}")
-        if hint is float and not -math.inf < value < math.inf:
-            raise ConfigError(f"{key} must be a finite number, got {value!r}")
         kwargs[f.name] = value
     return cls(**kwargs)
+
+
+def _in(default, interval: str):
+    """A field with ``default`` whose value must lie in ``interval``, written
+    like ``"(0, 1]"``; ``inf`` as a bound refuses infinity, and NaN lies in none."""
+    return field(default=default, metadata={"in": interval})
+
+
+class _Ranged:
+    """A config section whose ``__post_init__`` checks each ``_in`` field."""
+
+    def __init_subclass__(cls, section: str = "", **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._prefix = f"{section}." if section else ""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if "in" in f.metadata:
+                interval, value = f.metadata["in"], getattr(self, f.name)
+                low, high = map(float, interval[1:-1].split(","))
+                if not ((low < value if interval[0] == "(" else low <= value)
+                        and (value < high if interval[-1] == ")" else value <= high)):
+                    raise ConfigError(f"{self._prefix}{f.name} must lie in {interval}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -131,29 +152,17 @@ class FeatureConfig:
 
 
 @dataclass(frozen=True)
-class LabelConfig:
-    threshold: float = 0.10
-    horizon: int = 60
-
-    def __post_init__(self):
-        if not (0.0 < self.threshold < 1.0):
-            raise ConfigError(f"labels.threshold must lie in (0, 1), got {self.threshold}")
-        if self.horizon < 1:
-            raise ConfigError(f"labels.horizon must be >= 1, got {self.horizon}")
+class LabelConfig(_Ranged, section="labels"):
+    threshold: float = _in(0.10, "(0, 1)")
+    horizon: int = _in(60, "[1, inf)")
 
 
 @dataclass(frozen=True)
-class GraphConfig:
-    window: int = 7
-    tau: float = 0.5
+class GraphConfig(_Ranged, section="graph"):
+    window: int = _in(7, "[3, inf)")
+    tau: float = _in(0.5, "(0, 1]")
     sector_layer: bool = False
     weighted_adjacency: bool = False
-
-    def __post_init__(self):
-        if self.window < 3:
-            raise ConfigError(f"graph.window must be >= 3, got {self.window}")
-        if not (0.0 < self.tau <= 1.0):
-            raise ConfigError(f"graph.tau must lie in (0, 1], got {self.tau}")
 
     @property
     def layers(self) -> tuple[str, ...]:
@@ -162,26 +171,27 @@ class GraphConfig:
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(_Ranged, section="model"):
     kinds: tuple[str, ...] = MODEL_KINDS
-    gcn_hidden: int = 32
-    mlp_hidden: int = 16
-    gru_hidden: int = 64
-    sequence_length: int = 5
-    stride: int = 5
-    epochs: int = 50
-    batch_size: int = 8
-    learning_rate: float = 1e-3
+    gcn_hidden: int = _in(32, "[1, inf)")
+    mlp_hidden: int = _in(16, "[1, inf)")
+    gru_hidden: int = _in(64, "[1, inf)")
+    sequence_length: int = _in(5, "[1, inf)")
+    stride: int = _in(5, "[1, inf)")
+    epochs: int = _in(50, "[0, inf)")
+    batch_size: int = _in(8, "[1, inf)")
+    learning_rate: float = _in(1e-3, "(0, inf)")
     loss: str = "bce"
-    focal_gamma: float = 2.0
-    logistic_lr: float = 0.05
-    logistic_epochs: int = 2000
-    logistic_tol: float = 1e-6
-    forest_trees: int = 50
-    forest_max_depth: int = 6
-    forest_min_leaf: int = 2
+    focal_gamma: float = _in(2.0, "[0, inf)")
+    logistic_lr: float = _in(0.05, "(0, inf)")
+    logistic_epochs: int = _in(2000, "[0, inf)")
+    logistic_tol: float = _in(1e-6, "[0, inf)")
+    forest_trees: int = _in(50, "[1, inf)")
+    forest_max_depth: int = _in(6, "[0, inf)")
+    forest_min_leaf: int = _in(2, "[1, inf)")
 
     def __post_init__(self):
+        super().__post_init__()
         for kind in self.kinds:
             if kind not in MODEL_KINDS:
                 raise ConfigError(
@@ -191,41 +201,21 @@ class ModelConfig:
                 f"model.kinds must list one or more distinct kinds, got {list(self.kinds)}")
         if self.loss not in ("bce", "focal"):
             raise ConfigError(f"model.loss must be 'bce' or 'focal', got '{self.loss}'")
-        for name, low in (("gcn_hidden", 1), ("mlp_hidden", 1), ("gru_hidden", 1),
-                          ("sequence_length", 1), ("stride", 1), ("epochs", 0),
-                          ("batch_size", 1), ("focal_gamma", 0), ("logistic_epochs", 0),
-                          ("logistic_tol", 0), ("forest_trees", 1), ("forest_max_depth", 0),
-                          ("forest_min_leaf", 1)):
-            if not getattr(self, name) >= low:
-                raise ConfigError(f"model.{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("learning_rate", "logistic_lr"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"model.{name} must be a positive finite number, "
-                                  f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
-class SplitConfig:
-    ratio: float = 0.8
-
-    def __post_init__(self):
-        if not (0.0 < self.ratio < 1.0):
-            raise ConfigError(f"split.ratio must lie in (0, 1), got {self.ratio}")
+class SplitConfig(_Ranged, section="split"):
+    ratio: float = _in(0.8, "(0, 1)")
 
 
 @dataclass(frozen=True)
-class EvaluateConfig:
-    threshold: float = 0.5
-    warn_gamma: float = 0.5
-
-    def __post_init__(self):
-        for name in ("threshold", "warn_gamma"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"evaluate.{name} must lie in [0, 1], got {getattr(self, name)}")
+class EvaluateConfig(_Ranged, section="evaluate"):
+    threshold: float = _in(0.5, "[0, 1]")
+    warn_gamma: float = _in(0.5, "[0, 1]")
 
 
 @dataclass(frozen=True)
-class Config:
+class Config(_Ranged):
     data: DataConfig = field(default_factory=DataConfig)
     period: PeriodConfig = field(default_factory=PeriodConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)
@@ -234,12 +224,11 @@ class Config:
     model: ModelConfig = field(default_factory=ModelConfig)
     split: SplitConfig = field(default_factory=SplitConfig)
     evaluate: EvaluateConfig = field(default_factory=EvaluateConfig)
-    seed: int = 7
+    seed: int = _in(7, "[0, inf)")
     out: str = "srr_out"
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        super().__post_init__()
         if not self.out:
             raise ConfigError("out must be a non-empty path string")
 

@@ -217,7 +217,7 @@ def summary_table(report: dict) -> str:
     if single:
         lines.append("")
         lines.append(
-            "note: AUROC/ROC omitted for "
+            "note: AUROC, ROC and PR curves omitted for "
             + ", ".join(single)
             + " (single-class test labels make them undefined)"
         )

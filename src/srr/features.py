@@ -82,12 +82,17 @@ class FeaturePanel:
     standardization: Standardization | None = None
 
 
-def _rolling_std(returns: np.ndarray, window: int) -> np.ndarray:
+def _rolling_std(returns: np.ndarray, window: int, block_bytes: int = 64 << 20) -> np.ndarray:
     # returns: N x (T-1); output column j is the std of the window ending at
     # return index j + window - 1. Each window reduces independently, so
-    # truncating the panel after t never changes values at or before t.
+    # truncating the panel after t never changes values at or before t, and
+    # tickers go in blocks whose centred windows, which .std copies, fit block_bytes.
     win = sliding_window_view(returns, window, axis=1)
-    return win.std(axis=2, ddof=1)
+    out = np.empty(win.shape[:2])
+    step = max(1, block_bytes // (8 * win.shape[1] * window))
+    for i in range(0, len(out), step):
+        out[i:i + step] = win[i:i + step].std(axis=2, ddof=1)
+    return out
 
 
 def compute_features(prices: PricePanel, vol_windows=FeatureConfig.vol_windows,

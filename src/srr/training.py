@@ -123,10 +123,12 @@ class _GraphSamples(NamedTuple):
     dates: list[str]  # (S,) the date of each sequence's final snapshot
 
 
-def _graph_samples(bundle: DataBundle, hyper: dict, side: str) -> _GraphSamples | None:
+def _graph_samples(bundle: DataBundle, hyper: dict, side: str,
+                   check_only: bool = False) -> _GraphSamples | None:
     """The labeled ``side`` sequences of k stride-grid snapshots, or None when
     there are none; a snapshot sample is the k = 1 sequence. A sequence is a
-    window of k consecutive grid points, labeled by its last snapshot."""
+    window of k consecutive grid points, labeled by its last snapshot. With
+    ``check_only``, the stacks are sized but not built, and the rows returned."""
     snapshots, k = bundle.snapshots, hyper.get("k", 1)
     grid = np.arange(0, len(snapshots), hyper["stride"])
     if len(grid) < k:
@@ -149,6 +151,8 @@ def _graph_samples(bundle: DataBundle, hyper: dict, side: str) -> _GraphSamples 
     n = len(panel.tickers)
     _fit_in_memory(4 * len(read) * n * n * 8, f"the {side} side's {len(read)} graphs of {n} nodes",
                    "adjacency stacks")
+    if check_only:
+        return rows
     a_hat = gcn_normalize(np.stack([adjacency_from_snapshot(s, layers=layers, weighted=weighted)
                                     for s in read]))
     t = [position[s.date] for s in read]
@@ -306,12 +310,12 @@ def _header(kind: str, cfg: Config, panel: FeaturePanel) -> dict:
             "n_features": len(panel.names) + len(panel.macro_names)}  # the width of X
 
 
-def _samples(kind: str, bundle: DataBundle, hyper: dict, side: str):
+def _samples(kind: str, bundle: DataBundle, hyper: dict, side: str, check_only: bool = False):
     """``kind``'s labeled ``side`` samples on its grid: ``_day_xy`` of a day kind,
     ``_graph_samples`` of a graph kind; a DataError naming the kind if there are none."""
     spec = _KINDS[kind]
     samples = (_day_xy(bundle, side) if isinstance(spec, _DayKind)
-               else _graph_samples(bundle, hyper, side))
+               else _graph_samples(bundle, hyper, side, check_only))
     if samples is None:
         raise DataError(f"{kind}: no labeled {side} {spec.noun}")
     return samples

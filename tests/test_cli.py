@@ -25,7 +25,8 @@ import oracles
 import srr
 import srr.cli
 from srr.cli import STAGES, Run, main
-from srr.config import PRESETS, Config, PeriodConfig, config_hash, load_config
+from srr.config import (PRESETS, Config, EvaluateConfig, GraphConfig, ModelConfig, PeriodConfig,
+                        config_hash, load_config)
 from srr.errors import ConfigError, DataError, NumericalError, ShapeError, SrrError
 from srr.features import Standardization, apply_standardization, read_features_csv
 from srr.graphs import EDGE_DTYPE, read_snapshots_jsonl
@@ -193,10 +194,9 @@ class TestRunAll:
         report = json.loads((out / "report.json").read_text())
         assert all(report["models"][k]["metrics"].get("auroc") is None for k in MODEL_KINDS)
         summary = (out / "summary.txt").read_text()
-        assert ("note: AUROC/ROC omitted for forest, gcn, logistic, temporal "
-                "(single-class test labels make them undefined)\n") in summary
-        assert summary.endswith("\nnote: ROC and PR plots omitted -- every model's test"
-                                " labels are single-class\n")
+        assert summary.endswith("\nnote: AUROC, ROC and PR curves omitted for forest, gcn, "
+                                "logistic, temporal (single-class test labels make them "
+                                "undefined)\n")
         assert not (out / "roc.svg").exists() and not (out / "pr.svg").exists()
         written = ["feature_importance.svg", "lead_times.svg", "risk_timeline.svg", "summary.txt"]
         manifest = json.loads((out / "manifest_report.json").read_text())
@@ -402,6 +402,41 @@ class TestRunAllHandOff:
         monkeypatch.setattr(srr.cli, "apply_standardization", counted)
         assert main([command, "--config", cfg_path]) == 0
         assert len(calls) == 1
+
+    def test_run_all_builds_each_adjacency_stack_once(self, workspace, monkeypatch):
+        """Each graph kind's train-side and test-side A_hat stacks are built
+        once: the test-side check before the first fit sizes them, builds none."""
+        import srr.training as training
+        cfg_path, _ = workspace
+        samples, adjacency, normalize = (training._graph_samples, training.adjacency_from_snapshot,
+                                         training.gcn_normalize)
+        side, builds, stacks, normalized = [], {}, {}, []
+
+        def tracked(bundle, hyper, which, check_only=False):
+            side.append(("temporal" if "k" in hyper else "gcn", which))
+            try:
+                built = samples(bundle, hyper, which, check_only)
+            finally:
+                key = side.pop()
+            if not check_only:
+                stacks.setdefault(key, []).append(len(built.a_hat))
+            return built
+
+        def counted(*args, **kwargs):
+            builds[side[-1]] = builds.get(side[-1], 0) + 1
+            return adjacency(*args, **kwargs)
+
+        def normalize_counted(adj):
+            normalized.append(len(adj))
+            return normalize(adj)
+        monkeypatch.setattr(training, "_graph_samples", tracked)
+        monkeypatch.setattr(training, "adjacency_from_snapshot", counted)
+        monkeypatch.setattr(training, "gcn_normalize", normalize_counted)
+        assert main(["run-all", "--config", cfg_path]) == 0
+        keys = {(kind, which) for kind in ("gcn", "temporal") for which in ("train", "test")}
+        assert set(stacks) == set(builds) == keys
+        assert {key: [builds[key]] for key in keys} == stacks
+        assert sorted(normalized) == sorted(g for (g,) in stacks.values())
 
     def test_run_all_reads_back_no_artifact(self, workspace, monkeypatch):
         """Every stage command and run-all opens an export only to write it or,
@@ -1113,13 +1148,33 @@ class TestLoadConfig:
         path.write_text(json.dumps({"period": {"preset": "mars"}}))
         with pytest.raises(ConfigError, match="unknown period preset 'mars'; expected one of"):
             load_config(str(path))
-        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+        with pytest.raises(ConfigError, match=r"^seed must lie in \[0, inf\), got -1$"):
             load_config(None, seed=-1)
         with pytest.raises(ConfigError, match="out must be a non-empty path string"):
             load_config(None, out="")
         path.write_text("[]")
         with pytest.raises(ConfigError, match="config root must be a mapping"):
             load_config(str(path), seed=1)
+
+    @pytest.mark.parametrize("section,key,value,interval", [
+        ("labels", "threshold", 1.0, "(0, 1)"), ("labels", "horizon", 0, "[1, inf)"),
+        ("graph", "window", 2, "[3, inf)"), ("graph", "tau", float("nan"), "(0, 1]"),
+        ("model", "epochs", -1, "[0, inf)"), ("model", "learning_rate", float("inf"), "(0, inf)"),
+        ("split", "ratio", 0.0, "(0, 1)"), ("evaluate", "threshold", -0.5, "[0, 1]"),
+        ("evaluate", "warn_gamma", float("-inf"), "[0, 1]"), ("", "seed", -1, "[0, inf)"),
+    ])
+    def test_direct_construction_checks_each_interval(self, section, key, value, interval):
+        """A section built in Python checks its fields' intervals as a loaded one does."""
+        cls = Config if not section else type(getattr(Config(), section))
+        name = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{name} must lie in {interval}, got {value}") + "$"):
+            cls(**{key: value})
+
+    def test_closed_ends_pass(self):
+        assert GraphConfig(tau=1.0).tau == 1.0
+        assert (EvaluateConfig(threshold=0.0).threshold, EvaluateConfig(warn_gamma=1.0).warn_gamma,
+                ModelConfig(epochs=0).epochs, Config(seed=0).seed) == (0.0, 1.0, 0, 0)
 
 
 class TestConfigPaths:

@@ -2,16 +2,18 @@
 train-range standardization, truncation invariance, and CSV round-trips."""
 
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from srr import cli
 from srr.errors import DataError
-from srr.features import (FeaturePanel, Standardization, apply_standardization,
+from srr.features import (FeaturePanel, Standardization, _rolling_std, apply_standardization,
                           attach_labels, compute_features, compute_labels,
                           feature_names, read_features_csv, standardize,
                           write_features_csv, write_graph_labels_csv)
@@ -30,6 +32,11 @@ def panel_from(prices, start="2020-01-01"):
 
 
 SMALL = dict(vol_windows=(2,), dd_windows=(2,), mom_windows=(1,))
+
+
+def planted_returns(n_tickers, n_days, seed=5):
+    dates, tickers, raw = planted_regime_panel(n_tickers=n_tickers, n_days=n_days, seed=seed)
+    return log_returns(PricePanel(tickers=tickers, dates=dates, prices=raw)).returns
 
 
 class TestFeatureValues:
@@ -83,6 +90,30 @@ class TestFeatureValues:
             assert got.features.shape == want.features.shape
             assert got.features.flags.c_contiguous
             assert got.features.tobytes() == want.features.tobytes()
+
+    @pytest.mark.parametrize("tickers_per_block", [1, 3, 16, 37])
+    def test_blocked_rolling_std_equals_the_unblocked_expression(self, tickers_per_block):
+        """Tickers in blocks, the last one short, give the bits of one ``.std``
+        over every window at once."""
+        returns = planted_returns(37, 342)
+        per_ticker = 8 * (returns.shape[1] - 59) * 60
+        want = sliding_window_view(returns, 60, axis=1).std(axis=2, ddof=1)
+        got = _rolling_std(returns, 60, per_ticker * tickers_per_block)
+        assert got.tobytes() == want.tobytes()
+
+    def test_rolling_std_holds_one_block_of_windows(self):
+        """The peak is one block's centred windows, not the whole panel's."""
+        returns = planted_returns(37, 342)
+        budget = 4 * 8 * (returns.shape[1] - 59) * 60
+        peak = {}
+        for name, block_bytes in (("blocked", budget), ("whole", 64 << 20)):
+            tracemalloc.start()
+            try:
+                out = _rolling_std(returns, 60, block_bytes)
+                peak[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak["blocked"] <= budget + 3 * out.nbytes < 37 / 4 * budget <= peak["whole"]
 
     def test_insufficient_history(self):
         prices = panel_from(np.linspace(100, 110, 60))  # needs > 60 dates

@@ -368,7 +368,7 @@ class TestRendering:
         lines = text.splitlines()
         gcn_row = next(l for l in lines if l.startswith("gcn"))
         assert "--" in gcn_row
-        assert any("note: AUROC/ROC omitted for gcn" in l for l in lines)
+        assert any("note: AUROC, ROC and PR curves omitted for gcn " in l for l in lines)
         logistic_row = next(l for l in lines if l.startswith("logistic"))
         assert "--" not in logistic_row
         detail = lines[lines.index(logistic_row) + 1]
