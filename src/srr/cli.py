@@ -11,7 +11,7 @@ parent, which trains no further kind. A stage refuses missing or stale artifacts
 of any earlier stage and says which stage to rerun. Identical config + seed
 produce byte-identical artifacts; nothing written here embeds a timestamp.
 
-Exit codes, set by ``main`` alone: 0 success, 1 usage/config/output path, 2 data, 3 numerical.
+Exit codes, set by ``main`` alone: 0 success, 1 usage/config/out path, 2 data/memory, 3 numerical.
 """
 
 from __future__ import annotations
@@ -217,8 +217,7 @@ def _ingest(cfg: Config) -> tuple[PricePanel, dict]:
     universe = None
     if cfg.data.universe_csv is not None:
         universe = read_universe_csv(cfg.data.universe_csv)
-    tickers = list(cfg.data.tickers) if cfg.data.tickers else (
-        list(universe) if universe else None)
+    tickers = list(cfg.data.tickers or universe or ()) or None
     start, end = cfg.period.resolve()
     return ingest_csv(cfg.data.prices_csv, tickers=tickers, start=start, end=end,
                       universe=universe)
@@ -579,9 +578,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, seed=args.seed, preset=args.preset, out=args.out)
         _COMMANDS[args.command](Run(cfg))
         return 0
-    except (SrrError, OSError) as exc:  # OSError: a path the run cannot open, say an --out file
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, DataError) else 3 if isinstance(exc, NumericalError) else 1
+    except (SrrError, OSError, MemoryError) as exc:  # OSError: a path the run cannot open
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return (2 if isinstance(exc, (DataError, MemoryError))
+                else 3 if isinstance(exc, NumericalError) else 1)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,21 +1,19 @@
 """Run configuration: nested schema, presets, canonical JSON, and hashing.
 
-The config is a plain dataclass tree.  ``from_dict`` is strict (unknown keys
-and values that do not fit a field's annotation are errors), each section
-checks its fields against the intervals they declare with ``_in``, and
+The config is a plain dataclass tree.  Each section checks the rules its
+fields declare (the annotation, read at run time, so annotations here are not
+postponed; one or more distinct tuple items; the ``_in`` interval) whether
+``from_dict`` builds it, adding the unknown-key check, or Python code does.
 ``config_hash`` fingerprints the sorted JSON of everything except the output
-directory so that two runs of the same experiment into different folders
-share a hash.
+directory so that two runs of one experiment into different folders share a hash.
 """
-
-from __future__ import annotations
 
 import hashlib
 import json
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import Any
+from typing import Any, Literal
 
 from .errors import ConfigError
 from .market_data import is_iso_date
@@ -36,54 +34,54 @@ PRESETS = {
 
 
 def _fits(value: Any, hint) -> bool:
-    """Whether a JSON value (lists already tuples) fits a field annotation; an
-    int may stand for a float, a bool for neither."""
+    """Whether a value (lists already tuples) fits a field annotation; an int
+    may stand for a float, a bool for neither."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is tuple:
         return isinstance(value, tuple) and all(_fits(v, args[0]) for v in value)
     if origin in (typing.Union, types.UnionType):
         return any(_fits(value, a) for a in args)
+    if origin is Literal:  # every allowed value is a string
+        return isinstance(value, str) and value in args
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
 
 
+def _rule(hint) -> str:
+    """A field annotation in words, a ``Literal`` as its allowed values."""
+    if typing.get_origin(hint) is tuple:
+        return f"a list of {_rule(typing.get_args(hint)[0])}"
+    if typing.get_args(hint):  # a union or a Literal
+        return " or ".join(map(_rule, typing.get_args(hint)))
+    return repr(hint) if isinstance(hint, str) else "null" if hint is type(None) else hint.__name__
+
+
 def _dataclass_from(cls, data: Any, section: str = ""):
     """``cls`` built from a decoded JSON mapping, recursing into the fields
-    typed as dataclasses (a null section keeps its defaults)."""
+    typed as sections (a null section keeps its defaults)."""
+    if data is None and section:
+        return cls()
     if not isinstance(data, dict):
         raise ConfigError(f"section '{section}' must be a mapping" if section
                           else "config root must be a mapping")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    hints = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ConfigError(f"unknown key(s) in '{section or 'config'}': {', '.join(unknown)}")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in data:
-            continue
-        value, hint = data[f.name], hints[f.name]
-        key = f"{section}.{f.name}" if section else f.name
-        if is_dataclass(hint):
-            if value is not None:
-                kwargs[f.name] = _dataclass_from(hint, value, f.name)
-            continue
-        if isinstance(value, list):
-            value = tuple(value)
-        if not _fits(value, hint):
-            raise ConfigError(f"{key} must be {f.type}, got {data[f.name]!r}")
-        kwargs[f.name] = value
-    return cls(**kwargs)
+    return cls(**{name: _dataclass_from(hints[name], value, name)
+                  if is_dataclass(hints[name]) else value for name, value in data.items()})
 
 
 def _in(default, interval: str):
-    """A field with ``default`` whose value must lie in ``interval``, written
-    like ``"(0, 1]"``; ``inf`` as a bound refuses infinity, and NaN lies in none."""
+    """A field with ``default`` whose value (each item of a tuple) must lie in
+    ``interval``, like ``"(0, 1]"``; an ``inf`` bound refuses infinity, NaN lies in none."""
     return field(default=default, metadata={"in": interval})
 
 
-class _Ranged:
-    """A config section whose ``__post_init__`` checks each ``_in`` field."""
+class _Section:
+    """A config section that turns lists into tuples and checks each field's
+    annotation, each tuple for one or more distinct items, and each interval."""
 
     def __init_subclass__(cls, section: str = "", **kwargs):
         super().__init_subclass__(**kwargs)
@@ -91,39 +89,40 @@ class _Ranged:
 
     def __post_init__(self):
         for f in fields(self):
+            key, value = self._prefix + f.name, getattr(self, f.name)
+            if isinstance(value, list):
+                value = tuple(value)
+                object.__setattr__(self, f.name, value)
+            if not _fits(value, f.type):
+                raise ConfigError(f"{key} must be {_rule(f.type)}, got {value!r}")
+            if isinstance(value, tuple) and (not value or len(set(value)) < len(value)):
+                raise ConfigError(f"{key} must hold one or more distinct items, got {value!r}")
             if "in" in f.metadata:
-                interval, value = f.metadata["in"], getattr(self, f.name)
+                interval = f.metadata["in"]
                 low, high = map(float, interval[1:-1].split(","))
-                if not ((low < value if interval[0] == "(" else low <= value)
-                        and (value < high if interval[-1] == ")" else value <= high)):
-                    raise ConfigError(f"{self._prefix}{f.name} must lie in {interval}, got {value}")
+                for item in value if isinstance(value, tuple) else (value,):
+                    if not ((low < item if interval[0] == "(" else low <= item)
+                            and (item < high if interval[-1] == ")" else item <= high)):
+                        raise ConfigError(f"{key} must lie in {interval}, got {item}")
 
 
 @dataclass(frozen=True)
-class DataConfig:
+class DataConfig(_Section, section="data"):
     prices_csv: str | None = None
     universe_csv: str | None = None
     tickers: tuple[str, ...] | None = None
     macro_csv: str | None = None
 
-    def __post_init__(self):  # an empty list would select every ticker
-        if self.tickers is not None and not self.tickers:
-            raise ConfigError("data.tickers must name at least one ticker, or be left out")
-
 
 @dataclass(frozen=True)
-class PeriodConfig:
-    preset: str | None = None
+class PeriodConfig(_Section, section="period"):
+    preset: Literal[tuple(PRESETS)] | None = None
     start: str | None = None
     end: str | None = None
 
     def __post_init__(self):
-        if self.preset is not None and self.preset not in PRESETS:
-            raise ConfigError(
-                f"unknown period preset '{self.preset}'; "
-                f"expected one of {', '.join(sorted(PRESETS))}")
-        for name in ("start", "end"):
-            value = getattr(self, name)
+        super().__post_init__()
+        for name, value in (("start", self.start), ("end", self.end)):
             if value is not None and self.preset is not None:
                 raise ConfigError(f"period.{name} cannot be set together with period.preset")
             if value is not None and not is_iso_date(value):
@@ -136,29 +135,22 @@ class PeriodConfig:
 
 
 @dataclass(frozen=True)
-class FeatureConfig:
-    vol_windows: tuple[int, ...] = (20, 60)
-    dd_windows: tuple[int, ...] = (20, 60)
-    momentum_windows: tuple[int, ...] = (10, 30)
+class FeatureConfig(_Section, section="features"):
+    # a volatility window needs two returns for its sample std
+    vol_windows: tuple[int, ...] = _in((20, 60), "[2, inf)")
+    dd_windows: tuple[int, ...] = _in((20, 60), "[1, inf)")
+    momentum_windows: tuple[int, ...] = _in((10, 30), "[1, inf)")
     standardize: bool = True
-
-    def __post_init__(self):
-        # a volatility window needs two returns for its sample std
-        for name, low in (("vol_windows", 2), ("dd_windows", 1), ("momentum_windows", 1)):
-            windows = getattr(self, name)
-            if not windows or min(windows) < low or len(set(windows)) < len(windows):
-                raise ConfigError(f"features.{name} must list distinct windows >= {low}, "
-                                  f"got {list(windows)}")
 
 
 @dataclass(frozen=True)
-class LabelConfig(_Ranged, section="labels"):
+class LabelConfig(_Section, section="labels"):
     threshold: float = _in(0.10, "(0, 1)")
     horizon: int = _in(60, "[1, inf)")
 
 
 @dataclass(frozen=True)
-class GraphConfig(_Ranged, section="graph"):
+class GraphConfig(_Section, section="graph"):
     window: int = _in(7, "[3, inf)")
     tau: float = _in(0.5, "(0, 1]")
     sector_layer: bool = False
@@ -171,8 +163,8 @@ class GraphConfig(_Ranged, section="graph"):
 
 
 @dataclass(frozen=True)
-class ModelConfig(_Ranged, section="model"):
-    kinds: tuple[str, ...] = MODEL_KINDS
+class ModelConfig(_Section, section="model"):
+    kinds: tuple[Literal[MODEL_KINDS], ...] = MODEL_KINDS
     gcn_hidden: int = _in(32, "[1, inf)")
     mlp_hidden: int = _in(16, "[1, inf)")
     gru_hidden: int = _in(64, "[1, inf)")
@@ -181,7 +173,7 @@ class ModelConfig(_Ranged, section="model"):
     epochs: int = _in(50, "[0, inf)")
     batch_size: int = _in(8, "[1, inf)")
     learning_rate: float = _in(1e-3, "(0, inf)")
-    loss: str = "bce"
+    loss: Literal["bce", "focal"] = "bce"
     focal_gamma: float = _in(2.0, "[0, inf)")
     logistic_lr: float = _in(0.05, "(0, inf)")
     logistic_epochs: int = _in(2000, "[0, inf)")
@@ -190,32 +182,20 @@ class ModelConfig(_Ranged, section="model"):
     forest_max_depth: int = _in(6, "[0, inf)")
     forest_min_leaf: int = _in(2, "[1, inf)")
 
-    def __post_init__(self):
-        super().__post_init__()
-        for kind in self.kinds:
-            if kind not in MODEL_KINDS:
-                raise ConfigError(
-                    f"unknown model kind '{kind}'; expected one of {', '.join(MODEL_KINDS)}")
-        if not self.kinds or len(set(self.kinds)) < len(self.kinds):
-            raise ConfigError(
-                f"model.kinds must list one or more distinct kinds, got {list(self.kinds)}")
-        if self.loss not in ("bce", "focal"):
-            raise ConfigError(f"model.loss must be 'bce' or 'focal', got '{self.loss}'")
-
 
 @dataclass(frozen=True)
-class SplitConfig(_Ranged, section="split"):
+class SplitConfig(_Section, section="split"):
     ratio: float = _in(0.8, "(0, 1)")
 
 
 @dataclass(frozen=True)
-class EvaluateConfig(_Ranged, section="evaluate"):
+class EvaluateConfig(_Section, section="evaluate"):
     threshold: float = _in(0.5, "[0, 1]")
     warn_gamma: float = _in(0.5, "[0, 1]")
 
 
 @dataclass(frozen=True)
-class Config(_Ranged):
+class Config(_Section):
     data: DataConfig = field(default_factory=DataConfig)
     period: PeriodConfig = field(default_factory=PeriodConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)

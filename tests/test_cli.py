@@ -1146,7 +1146,8 @@ class TestLoadConfig:
     def test_bad_values_keep_their_messages(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"period": {"preset": "mars"}}))
-        with pytest.raises(ConfigError, match="unknown period preset 'mars'; expected one of"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "period.preset must be 'dotcom' or 'gfc' or 'covid' or null, got 'mars'")):
             load_config(str(path))
         with pytest.raises(ConfigError, match=r"^seed must lie in \[0, inf\), got -1$"):
             load_config(None, seed=-1)
@@ -1170,6 +1171,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=re.escape(
                 f"{name} must lie in {interval}, got {value}") + "$"):
             cls(**{key: value})
+
+    @pytest.mark.parametrize("cls,key,value,rule", [
+        (ModelConfig, "stride", 1.5, "model.stride must be int, got 1.5"),
+        (ModelConfig, "epochs", True, "model.epochs must be int, got True"),
+        (GraphConfig, "tau", "0.5", "graph.tau must be float, got '0.5'"),
+        (Config, "seed", None, "seed must be int, got None"),
+    ])
+    def test_direct_construction_checks_each_type(self, cls, key, value, rule):
+        """A section built in Python checks its fields' annotations as a loaded one does."""
+        with pytest.raises(ConfigError, match=re.escape(rule) + "$"):
+            cls(**{key: value})
+
+    def test_direct_construction_turns_lists_into_tuples(self):
+        model = ModelConfig(kinds=["gcn"])
+        assert model.kinds == ("gcn",)
+        assert (config_hash(Config(model=model))
+                == config_hash(Config(model=ModelConfig(kinds=("gcn",))))
+                == config_hash(Config.from_dict({"model": {"kinds": ["gcn"]}})))
 
     def test_closed_ends_pass(self):
         assert GraphConfig(tau=1.0).tau == 1.0
@@ -1272,6 +1291,8 @@ class TestExitCodes:
         ("features", {"vol_windows": [20, 20]}), ("features", {"dd_windows": [20, 60, 20]}),
         ("features", {"momentum_windows": [10, 10]}),
         ("model", {"kinds": ["logistic", "logistic"]}), ("data", {"tickers": []}),
+        ("model", {"kinds": ["svm"]}), ("model", {"loss": "mse"}),
+        ("data", {"tickers": ["A", "A"]}),
     ], ids=lambda v: v if isinstance(v, str) else ",".join(
         f"{key}={json.dumps(value)}" for key, value in v.items()))
     def test_bad_config_value_exits_one_before_any_stage(self, capsys, tmp_path,
@@ -1305,6 +1326,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: macro file {macro}: macro column {column!r} {rule}\n")
         assert not (out / "manifest_features.json").exists()
+
+    @pytest.mark.parametrize("message,line", [
+        ("Unable to allocate 7.28 TiB for an array", "Unable to allocate 7.28 TiB for an array"),
+        ("", "out of memory")], ids=["numpy", "bare"])
+    def test_memory_error_exits_two(self, capsys, tmp_path, monkeypatch, message, line):
+        """An allocation that fails (here a raised MemoryError, never a real huge
+        one) stops the run with one error line and exit 2."""
+        cfg_path, out = make_workspace(tmp_path, model={"kinds": ["gcn"]})
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr("srr.tensor.glorot_uniform", refuse)
+        assert main(["run-all", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (out / "manifest_train.json").exists()
 
     def test_adjacency_stacks_beyond_memory_exit_two(self, capsys, tmp_path, monkeypatch):
         """A side whose adjacency stacks would not fit in physical memory stops
